@@ -691,8 +691,7 @@ pub struct HostConfig {
     pub ecrash_backoff_base: u64,
     /// Cap on the exponential retry backoff.
     pub ecrash_backoff_max: u64,
-    /// Log every process action and reply to stderr. The
-    /// `OSIRIS_HOST_TRACE=1` environment variable forces this on.
+    /// Log every process action and reply to stderr.
     pub verbose: bool,
 }
 
@@ -775,14 +774,13 @@ impl<E: OsEngine> Host<E> {
     /// pre-created by the OS at boot) and runs until every process exits,
     /// the OS shuts down, or no progress is possible.
     ///
-    /// Set `OSIRIS_HOST_TRACE=1` to log every action and reply to stderr.
+    /// Set [`HostConfig::verbose`] to log every action and reply to stderr.
     ///
     /// # Panics
     ///
     /// Panics if `root_prog` is not registered.
     pub fn run(&mut self, root_prog: &str, root_args: &[&str]) -> RunOutcome {
-        let trace =
-            self.cfg.verbose || std::env::var_os("OSIRIS_HOST_TRACE").is_some_and(|v| v == "1");
+        let trace = self.cfg.verbose;
         let root = self
             .registry
             .get(root_prog)

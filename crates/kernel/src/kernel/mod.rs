@@ -1,0 +1,1144 @@
+//! The microkernel: message passing, scheduling, crash detection and the
+//! mechanics of recovery.
+//!
+//! This is the trusted substrate at the bottom of the Reliable Computing
+//! Base (paper §V-A item 5). It delivers messages between fault-isolated
+//! components, opens and completes recovery windows around handler
+//! invocations, catches component crashes (panics), notifies the Recovery
+//! Server, and executes the restart / rollback / reconciliation phases the
+//! RS decides on (paper §IV-C).
+//!
+//! This file is the always-trusted core: configuration, the component
+//! table, timers, the pump, handler invocation and message routing. It
+//! calls the planes in the sibling modules and never implements their
+//! decisions: [`recovery`] (crash capture, the fallback chain, intents,
+//! quarantine, privileged ops), [`watchdog`] (deadlines, verdicts, retry),
+//! [`snapshot`] (fork capture/adoption) and [`counters`] (the metric
+//! tables and the report views).
+
+mod counters;
+mod recovery;
+mod snapshot;
+mod watchdog;
+
+pub use snapshot::{CasFingerprint, CompSnapshot, KernelSnapshot};
+pub use watchdog::WatchdogConfig;
+
+use std::collections::{BTreeMap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use osiris_axiom::{
+    bisect, AxiomConfig, AxiomError, AxiomEvent, AxiomLog, AxiomRecord, CompStatusCode,
+    ControlState, Divergence, VerdictCode,
+};
+use osiris_checkpoint::{ChunkStore, Heap, HeapImage};
+use osiris_core::{MessageKind, RecoveryPolicy, RecoveryWindow};
+use osiris_metrics::{MetricsConfig, MetricsHandle, TimeseriesConfig, TimeseriesSampler};
+use osiris_trace::{TraceConfig, TraceEvent, TraceHandle, KERNEL_COMP};
+
+use self::counters::{CompStats, KernelCounters};
+use self::recovery::PendingCrash;
+use self::watchdog::Watchdog;
+use crate::abi::{Pid, SysReply};
+use crate::clock::{CostModel, VirtualClock};
+use crate::component::{Ctx, FaultHook, InjectedHang, NoFaults, PrivOp, ReplyTamper, Server};
+use crate::message::{Endpoint, Message, MsgId, Protocol, SpanInfo, SyscallId};
+use crate::metrics::ShutdownKind;
+
+/// Whether (and how) checkpointing instrumentation is active.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Instrumentation {
+    /// No write logging at all: the uninstrumented baseline.
+    Off,
+    /// Logging only while a recovery window is open — the paper's
+    /// function-cloning optimization (default).
+    WindowGated,
+    /// Logging unconditionally — the paper's unoptimized configuration.
+    Always,
+}
+
+/// Kernel configuration.
+pub struct KernelConfig {
+    /// The system-wide recovery policy.
+    pub policy: Box<dyn RecoveryPolicy>,
+    /// Instrumentation mode.
+    pub instrumentation: Instrumentation,
+    /// The cycle-cost model.
+    pub cost: CostModel,
+    /// Shutdown grace: when a controlled shutdown is decided, keep serving
+    /// messages for up to this many more deliveries so applications can
+    /// save their state before the system stops (paper §VII, the
+    /// Otherworld-style extension). `0` shuts down immediately.
+    pub shutdown_grace: u32,
+    /// Flight-recorder configuration. Disabled by default; setting
+    /// `trace.verbose` additionally mirrors every recorded event to stderr.
+    pub trace: TraceConfig,
+    /// Metrics-registry configuration. Enabled by default: the kernel's own
+    /// accounting ([`crate::KernelMetrics`], [`crate::ComponentReport`])
+    /// reads from the registry, so disabling it also zeroes those views.
+    pub metrics: MetricsConfig,
+    /// Axiom-log configuration. The kernel *always* folds control-plane
+    /// events into its live [`ControlState`] (that fold is the control
+    /// plane — the recovery intent log is a view over it); this setting
+    /// only gates whether the events are additionally retained and
+    /// digest-chained for replay/bisection.
+    pub axiom: AxiomConfig,
+    /// Virtual-time telemetry sampler configuration. Disabled by default;
+    /// when enabled the kernel snapshots the span-latency, crash and
+    /// recovery series every Δ virtual cycles (see
+    /// `osiris_metrics::timeseries`).
+    pub timeseries: TimeseriesConfig,
+    /// Virtual-time watchdog configuration (fail-silent fault tolerance).
+    pub watchdog: WatchdogConfig,
+}
+
+impl Default for KernelConfig {
+    fn default() -> Self {
+        KernelConfig {
+            policy: Box::new(osiris_core::Enhanced),
+            instrumentation: Instrumentation::WindowGated,
+            cost: CostModel::default(),
+            shutdown_grace: 0,
+            trace: TraceConfig::default(),
+            metrics: MetricsConfig::default(),
+            axiom: AxiomConfig::default(),
+            timeseries: TimeseriesConfig::default(),
+            watchdog: WatchdogConfig::default(),
+        }
+    }
+}
+
+impl std::fmt::Debug for KernelConfig {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("KernelConfig")
+            .field("policy", &self.policy.name())
+            .field("instrumentation", &self.instrumentation)
+            .field("trace", &self.trace.enabled)
+            .finish()
+    }
+}
+
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum CompStatus {
+    Alive,
+    Hung,
+    Crashed,
+    /// Benched by the escalation ladder: never scheduled again; requests to
+    /// it are bounced with an immediate crash reply instead of delivered.
+    Quarantined,
+}
+
+struct Comp<P: Protocol> {
+    name: &'static str,
+    server: Box<dyn Server<P>>,
+    pristine_server: Option<Box<dyn Server<P>>>,
+    heap: Heap,
+    pristine_image: Option<HeapImage>,
+    window: RecoveryWindow,
+    inbox: VecDeque<Message<P>>,
+    status: CompStatus,
+    crash_info: Option<PendingCrash<P>>,
+    privileged: bool,
+    stats: CompStats,
+}
+
+/// What one handler invocation left behind.
+struct HandlerRun<P: Protocol> {
+    out: Vec<Message<P>>,
+    timers: Vec<(u64, Option<SpanInfo>, P)>,
+    priv_ops: Vec<PrivOp>,
+    cycles: u64,
+    tamper: ReplyTamper,
+    /// Whether the handler already replied to the message it was given.
+    replied: bool,
+    /// `Err` carries the panic payload of a handler that unwound.
+    result: std::thread::Result<()>,
+}
+
+/// The deterministic microkernel.
+///
+/// Generic over the inter-component protocol `P`; the `osiris-servers` crate
+/// instantiates it with the full OS protocol.
+pub struct Kernel<P: Protocol> {
+    cfg: KernelConfig,
+    clock: VirtualClock,
+    comps: Vec<Comp<P>>,
+    timers: BTreeMap<(u64, u64), (u8, Option<SpanInfo>, P)>,
+    timer_seq: u64,
+    next_msg_id: u64,
+    /// Monotone span-id source; deterministic, reset at the boot barrier.
+    next_span_id: u64,
+    /// Incremented at every crash/hang capture and completed recovery: a
+    /// span whose open-time epoch differs at close crossed a recovery.
+    recovery_epoch: u64,
+    recovering: Option<u8>,
+    shutdown: Option<ShutdownKind>,
+    shutdown_pending: Option<(ShutdownKind, u32)>,
+    user_replies: Vec<(SyscallId, Pid, SysReply)>,
+    kill_events: Vec<Pid>,
+    hook: Box<dyn FaultHook>,
+    rs_ep: Option<u8>,
+    /// The authoritative control-plane history. Only events sealed here (or
+    /// folded into `control` when retention is disabled) are real.
+    axiom: AxiomLog,
+    /// Live control state: the running fold of every axiom event, and the
+    /// authority the kernel consults for recovery intents.
+    control: ControlState,
+    /// The content-addressed chunk store backing every component's pristine
+    /// clone image: identical chunks across components are stored once and
+    /// refcounted, so the spare-copy pool's resident cost is deduplicated.
+    cas: ChunkStore,
+    metrics: MetricsHandle,
+    counters: KernelCounters,
+    /// Virtual-time telemetry: Δ-cycle snapshots of the latency/crash/
+    /// recovery series, exported as `timeseries.json` and Chrome counter
+    /// lanes.
+    sampler: TimeseriesSampler,
+    /// Armed deadlines and parked retries of the virtual-time watchdog.
+    wd: Watchdog<P>,
+    rr_cursor: usize,
+    initialized: bool,
+    tracer: TraceHandle,
+}
+
+impl<P: Protocol> std::fmt::Debug for Kernel<P> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Kernel")
+            .field("components", &self.comps.len())
+            .field("now", &self.clock.now())
+            .field("shutdown", &self.shutdown)
+            .finish()
+    }
+}
+
+/// The flight-recorder twin of a control-plane event: the lane it is drawn
+/// on and the trace event carrying the same facts. Window bookkeeping,
+/// intents and pool refreshes have no trace vocabulary; `EscalationStep`
+/// and `RetryDecision` fan out conditionally and are traced by their
+/// callers.
+fn trace_twin(event: &AxiomEvent) -> Option<(u8, TraceEvent)> {
+    Some(match *event {
+        AxiomEvent::Crash { comp } => (comp, TraceEvent::Crash { target: comp }),
+        AxiomEvent::HangDetected { comp } => (comp, TraceEvent::HangDetected { target: comp }),
+        AxiomEvent::IntentReplayed { comp } => {
+            (KERNEL_COMP, TraceEvent::IntentReplayed { target: comp })
+        }
+        AxiomEvent::RecoveryDecision { comp, action } => (
+            KERNEL_COMP,
+            TraceEvent::RecoveryDecision {
+                target: comp,
+                action,
+            },
+        ),
+        AxiomEvent::RecoveryFallback { comp, from, to } => (
+            KERNEL_COMP,
+            TraceEvent::RecoveryFallback {
+                target: comp,
+                from,
+                to,
+            },
+        ),
+        AxiomEvent::RecoveryDone { comp, cycles } => (
+            KERNEL_COMP,
+            TraceEvent::RecoveryDone {
+                target: comp,
+                cycles,
+            },
+        ),
+        AxiomEvent::Quarantined { comp } => (KERNEL_COMP, TraceEvent::Quarantined { target: comp }),
+        AxiomEvent::ShutdownDecision { controlled } => {
+            (KERNEL_COMP, TraceEvent::ShutdownDecision { controlled })
+        }
+        AxiomEvent::DeadlineExpired { comp, msg_id, .. } => (
+            comp,
+            TraceEvent::DeadlineExpired {
+                target: comp,
+                msg_id,
+            },
+        ),
+        // A corrupt-reply verdict is recorded as the rejection it caused.
+        AxiomEvent::WatchdogVerdict {
+            comp,
+            verdict: VerdictCode::CorruptReply,
+            msg_id,
+        } => (
+            comp,
+            TraceEvent::ReplyRejected {
+                sender: comp,
+                msg_id,
+            },
+        ),
+        AxiomEvent::WatchdogVerdict {
+            comp,
+            verdict,
+            msg_id,
+        } => (
+            comp,
+            TraceEvent::WatchdogVerdict {
+                target: comp,
+                msg_id,
+                verdict,
+            },
+        ),
+        _ => return None,
+    })
+}
+
+impl<P: Protocol> Kernel<P> {
+    /// Creates a kernel with the given configuration.
+    pub fn new(cfg: KernelConfig) -> Self {
+        let tracer = TraceHandle::new(cfg.trace.clone());
+        let metrics = MetricsHandle::new(cfg.metrics);
+        let counters = KernelCounters::register(&metrics, &[]);
+        let axiom = AxiomLog::new(cfg.axiom);
+        let mut sampler = TimeseriesSampler::new(cfg.timeseries);
+        if cfg.timeseries.enabled {
+            counters.track_sampled(&mut sampler);
+        }
+        let wd = Watchdog::new(cfg.watchdog.capacity);
+        Kernel {
+            cfg,
+            clock: VirtualClock::new(),
+            comps: Vec::new(),
+            timers: BTreeMap::new(),
+            timer_seq: 0,
+            next_msg_id: 0,
+            next_span_id: 0,
+            recovery_epoch: 0,
+            recovering: None,
+            shutdown: None,
+            shutdown_pending: None,
+            user_replies: Vec::new(),
+            kill_events: Vec::new(),
+            hook: Box::new(NoFaults),
+            rs_ep: None,
+            axiom,
+            control: ControlState::new(),
+            cas: ChunkStore::new(),
+            metrics,
+            counters,
+            sampler,
+            wd,
+            rr_cursor: 0,
+            initialized: false,
+            tracer,
+        }
+    }
+
+    /// The flight recorder attached to this kernel.
+    pub fn tracer(&self) -> &TraceHandle {
+        &self.tracer
+    }
+
+    /// Component names indexed by endpoint, for trace rendering.
+    pub fn trace_names(&self) -> Vec<String> {
+        self.comps.iter().map(|c| c.name.to_string()).collect()
+    }
+
+    /// Renders the recorded event stream as deterministic text (one line
+    /// per event) — the artifact diffed by the trace-determinism CI gate.
+    pub fn trace_text(&self) -> String {
+        osiris_trace::render_text(&self.tracer.snapshot(), &self.trace_names())
+    }
+
+    /// Exports the recorded event stream as a Chrome `trace_event` JSON
+    /// document (loadable in `chrome://tracing` / Perfetto). When axiom
+    /// retention is enabled the control-plane log renders as an extra
+    /// instant-event lane.
+    pub fn chrome_trace(&self) -> osiris_trace::Json {
+        let mut doc = osiris_trace::chrome::chrome_trace_with_axiom(
+            &self.tracer.snapshot(),
+            &self.trace_names(),
+            self.axiom.records(),
+        );
+        // Telemetry samples render as counter lanes under the main track.
+        self.sampler.append_chrome_counters(&mut doc);
+        doc
+    }
+
+    /// The virtual-time telemetry sampler (empty unless
+    /// [`KernelConfig::timeseries`] enabled sampling).
+    pub fn timeseries(&self) -> &TimeseriesSampler {
+        &self.sampler
+    }
+
+    /// Takes one final telemetry sample at the current virtual time, so the
+    /// run-end state always appears in the export. Call before rendering
+    /// [`Kernel::timeseries`].
+    pub fn flush_timeseries(&mut self) {
+        self.sampler.sample(self.clock.now());
+    }
+
+    /// The post-mortem black box: the last configured number of events per
+    /// component, or `None` when tracing is disabled.
+    pub fn blackbox(&self) -> Option<String> {
+        self.tracer.blackbox(&self.trace_names())
+    }
+
+    /// Dumps the black box to stderr (crash post-mortem).
+    fn dump_blackbox(&self, why: &str) {
+        if let Some(dump) = self.blackbox() {
+            eprintln!("[kernel t={}] {}:\n{}", self.clock.now(), why, dump);
+        }
+    }
+
+    /// Seals `event` into the axiom: folds it into the live control state
+    /// (always — the fold *is* the control plane), appends it to the
+    /// digest-chained log (only when recording is enabled), and emits its
+    /// flight-recorder twin, if it has one, at the tracer's current stamp.
+    fn seal(&mut self, event: AxiomEvent) {
+        if let Some((lane, twin)) = trace_twin(&event) {
+            self.tracer.emit(lane, twin);
+        }
+        let now = self.clock.now();
+        self.control.apply(now, &event);
+        self.axiom.append(now, event);
+        self.counters.axiom_events.inc();
+    }
+
+    /// Seals the window close that component `idx`'s last `complete`,
+    /// `rollback` or mid-handler send staged, if any, so the axiom orders
+    /// the close before whatever the caller seals next.
+    fn seal_staged_close(&mut self, idx: usize) {
+        if let Some((reason, class)) = self.comps[idx].window.take_last_close() {
+            self.seal(AxiomEvent::WindowClose {
+                comp: idx as u8,
+                reason,
+                class,
+            });
+        }
+    }
+
+    /// The authoritative control-plane log.
+    pub fn axiom(&self) -> &AxiomLog {
+        &self.axiom
+    }
+
+    /// Serializes the axiom to its crash-consistent byte image.
+    pub fn axiom_bytes(&self) -> Vec<u8> {
+        self.axiom.to_bytes()
+    }
+
+    /// The live control state: the running reduction of the axiom.
+    pub fn control_state(&self) -> &ControlState {
+        &self.control
+    }
+
+    /// Per-component statuses in axiom vocabulary, for cross-checking the
+    /// control-state reduction against the kernel's own bookkeeping.
+    pub fn status_codes(&self) -> Vec<CompStatusCode> {
+        self.comps
+            .iter()
+            .map(|c| match c.status {
+                CompStatus::Alive => CompStatusCode::Alive,
+                CompStatus::Hung => CompStatusCode::Hung,
+                CompStatus::Crashed => CompStatusCode::Crashed,
+                CompStatus::Quarantined => CompStatusCode::Quarantined,
+            })
+            .collect()
+    }
+
+    /// Verifies the recorded axiom's digest chain end to end, counting the
+    /// check in `osiris_axiom_chain_verifications_total`.
+    pub fn verify_axiom(&self) -> Result<(), AxiomError> {
+        let verdict = self.axiom.verify();
+        match verdict {
+            Ok(()) => self.counters.axiom_chain_ok.inc(),
+            Err(_) => self.counters.axiom_chain_corrupt.inc(),
+        }
+        verdict
+    }
+
+    /// Bisects this kernel's axiom against a previously `recorded` one and
+    /// returns the first diverging event, counting any divergence in
+    /// `osiris_axiom_replay_divergence_total`. `None` means this run
+    /// re-derived the recorded history exactly.
+    pub fn check_replay_divergence(&self, recorded: &[AxiomRecord]) -> Option<Divergence> {
+        let d = bisect(self.axiom.records(), recorded);
+        if d.is_some() {
+            self.counters.axiom_replay_divergence.inc();
+        }
+        d
+    }
+
+    /// Records an uncontrolled-crash shutdown: the trace event, the black
+    /// box dump, and the state transition itself.
+    fn crash_shutdown(&mut self, reason: String) {
+        self.tracer.set_now(self.clock.now());
+        self.seal(AxiomEvent::ShutdownDecision { controlled: false });
+        self.dump_blackbox(&format!("uncontrolled crash: {reason}"));
+        self.shutdown = Some(ShutdownKind::Crash(reason));
+    }
+
+    /// Registers a component. The first component registered with
+    /// `privileged = true` becomes the Recovery Server endpoint that crash
+    /// notifications are routed to.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called after [`Kernel::init_components`].
+    pub fn register(&mut self, server: Box<dyn Server<P>>, privileged: bool) -> Endpoint {
+        assert!(!self.initialized, "register() after init_components()");
+        let idx = u8::try_from(self.comps.len()).expect("too many components");
+        let name = server.name();
+        let mut heap = Heap::new(name);
+        heap.set_tracer(self.tracer.clone(), idx);
+        let ep = idx.to_string();
+        let stats = CompStats::register(&self.metrics, &[("component", name), ("endpoint", &ep)]);
+        self.comps.push(Comp {
+            name,
+            server,
+            pristine_server: None,
+            heap,
+            pristine_image: None,
+            window: RecoveryWindow::new(),
+            inbox: VecDeque::new(),
+            status: CompStatus::Alive,
+            crash_info: None,
+            privileged,
+            stats,
+        });
+        if privileged && self.rs_ep.is_none() {
+            self.rs_ep = Some(idx);
+        }
+        Endpoint::Component(idx)
+    }
+
+    /// Installs the fault-injection hook.
+    pub fn set_fault_hook(&mut self, hook: Box<dyn FaultHook>) {
+        self.hook = hook;
+    }
+
+    /// Runs every component's `init`, captures the pristine clone images for
+    /// the Recovery Server's spare-copy pool, and resets all statistics so
+    /// that boot time is excluded from measurements (as the paper's
+    /// evaluation does).
+    pub fn init_components(&mut self) {
+        assert!(!self.initialized, "init_components() called twice");
+        self.initialized = true;
+        for idx in 0..self.comps.len() {
+            let run = self.run_handler(idx, None);
+            self.clock.advance(run.cycles);
+            self.route_messages(run.out);
+            self.register_timers(idx as u8, run.timers);
+            let comp = &mut self.comps[idx];
+            comp.pristine_image = Some(comp.heap.clone_image(&mut self.cas, None));
+            comp.pristine_server = Some(comp.server.clone_box());
+            if self.cfg.instrumentation == Instrumentation::Always {
+                comp.heap.set_force_logging(true);
+            }
+        }
+        // Boot is over: measurements start clean.
+        for comp in &mut self.comps {
+            comp.heap.reset_stats();
+            comp.window.reset_stats();
+        }
+        self.metrics.reset();
+        self.tracer.set_now(self.clock.now());
+        self.tracer.clear();
+        // Span ids and the recovery epoch restart at the boot barrier so
+        // same-seed runs mint byte-identical span streams.
+        self.next_span_id = 0;
+        self.recovery_epoch = 0;
+        self.sampler.reset(self.clock.now());
+        // The axiom likewise starts at the boot barrier: its first event
+        // seals the control-relevant configuration, so two axioms are only
+        // comparable (replay, bisect) when policy/instrumentation/topology
+        // match.
+        self.axiom.reset();
+        let instr = match self.cfg.instrumentation {
+            Instrumentation::Off => 0u8,
+            Instrumentation::WindowGated => 1,
+            Instrumentation::Always => 2,
+        };
+        let config_digest = osiris_axiom::fnv1a(
+            osiris_axiom::fnv1a_str(self.cfg.policy.name()),
+            &[
+                instr,
+                self.comps.len() as u8,
+                self.cfg.watchdog.enabled as u8,
+            ],
+        );
+        self.seal(AxiomEvent::Genesis {
+            comps: self.comps.len() as u8,
+            config_digest,
+        });
+    }
+
+    /// Number of registered components.
+    pub fn component_count(&self) -> usize {
+        self.comps.len()
+    }
+
+    /// The endpoint of the component called `name`, if registered.
+    pub fn endpoint_of(&self, name: &str) -> Option<Endpoint> {
+        self.comps
+            .iter()
+            .position(|c| c.name == name)
+            .map(|i| Endpoint::Component(i as u8))
+    }
+
+    /// Current virtual time.
+    pub fn now(&self) -> u64 {
+        self.clock.now()
+    }
+
+    /// Advances virtual time by `cycles` (user-level computation).
+    pub fn charge(&mut self, cycles: u64) {
+        self.clock.advance(cycles);
+    }
+
+    /// The cost model in effect.
+    pub fn cost(&self) -> &CostModel {
+        &self.cfg.cost
+    }
+
+    /// The shutdown state, if the system has stopped.
+    pub fn shutdown_state(&self) -> Option<&ShutdownKind> {
+        self.shutdown.as_ref()
+    }
+
+    /// Whether a controlled shutdown has been decided but the grace window
+    /// (paper §VII) is still open for state-saving syscalls.
+    pub fn shutdown_pending(&self) -> bool {
+        self.shutdown_pending.is_some()
+    }
+
+    /// Begins a controlled shutdown: immediate if no grace is configured,
+    /// otherwise deferred so applications can save state first.
+    fn begin_controlled_shutdown(&mut self, reason: String) {
+        if self.shutdown.is_some() || self.shutdown_pending.is_some() {
+            return;
+        }
+        self.tracer.set_now(self.clock.now());
+        self.seal(AxiomEvent::ShutdownDecision { controlled: true });
+        if self.cfg.shutdown_grace > 0 {
+            self.shutdown_pending =
+                Some((ShutdownKind::Controlled(reason), self.cfg.shutdown_grace));
+        } else {
+            self.shutdown = Some(ShutdownKind::Controlled(reason));
+        }
+    }
+
+    /// Finalizes a pending controlled shutdown (grace exhausted or system
+    /// quiescent).
+    fn finalize_pending_shutdown(&mut self) {
+        if let Some((kind, _)) = self.shutdown_pending.take() {
+            if self.shutdown.is_none() {
+                self.shutdown = Some(kind);
+            }
+        }
+    }
+
+    /// Forces the system into the given shutdown state (used by the host on
+    /// external aborts).
+    pub fn force_shutdown(&mut self, kind: ShutdownKind) {
+        if self.shutdown.is_none() {
+            if let ShutdownKind::Crash(reason) = kind {
+                self.crash_shutdown(reason);
+            } else {
+                self.shutdown = Some(kind);
+            }
+        }
+    }
+
+    /// The metrics registry backing every counter this kernel maintains.
+    pub fn metrics_handle(&self) -> &MetricsHandle {
+        &self.metrics
+    }
+
+    /// Mints a kernel-originated message to component `dst` (timer
+    /// payloads, crash notifications): no requester, no reply expected, no
+    /// integrity stamp.
+    fn kernel_msg(&mut self, dst: u8, span: Option<SpanInfo>, payload: P) -> Message<P> {
+        self.next_msg_id += 1;
+        Message {
+            id: MsgId(self.next_msg_id),
+            src: Endpoint::Kernel,
+            dst: Endpoint::Component(dst),
+            reply_to: None,
+            user_tag: None,
+            seep: payload.seep(),
+            span,
+            integrity: 0,
+            payload,
+        }
+    }
+
+    /// Enqueues a user syscall as a request message to `dst`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dst` is not a component endpoint or init has not run.
+    pub fn send_user_request(&mut self, dst: Endpoint, payload: P, sid: SyscallId, pid: Pid) {
+        assert!(self.initialized, "kernel not initialized");
+        let Endpoint::Component(c) = dst else {
+            panic!("user requests must target components")
+        };
+        self.counters.syscalls.inc();
+        if let Some((_, budget)) = &mut self.shutdown_pending {
+            *budget = budget.saturating_sub(1);
+        }
+        self.clock
+            .advance(self.cfg.cost.syscall_entry + self.cfg.cost.ipc_send);
+        self.tracer.set_now(self.clock.now());
+        self.tracer.emit(
+            c,
+            TraceEvent::SyscallEnter {
+                sid: sid.0,
+                pid: pid.0,
+            },
+        );
+        // Workload entry point: mint the causal span that every message,
+        // timer and continuation derived from this request will carry. The
+        // id is minted unconditionally (message identity must not depend on
+        // whether telemetry is on); the recording decision is sampled once
+        // here and carried in the span, so hop and close sites branch on a
+        // plain bool instead of the handles' shared atomics.
+        self.next_span_id += 1;
+        let span = SpanInfo {
+            id: self.next_span_id,
+            opened_at: self.clock.now(),
+            epoch_at_open: self.recovery_epoch,
+            record: self.tracer.is_enabled() || self.metrics.enabled(),
+        };
+        if span.record {
+            self.counters.spans_started.inc();
+            self.tracer.emit(
+                KERNEL_COMP,
+                TraceEvent::SpanOpen {
+                    span: span.id,
+                    sid: sid.0,
+                    pid: pid.0,
+                },
+            );
+        }
+        self.next_msg_id += 1;
+        let msg = Message {
+            id: MsgId(self.next_msg_id),
+            src: Endpoint::Process(pid),
+            dst,
+            reply_to: None,
+            user_tag: Some(sid),
+            seep: payload.seep(),
+            span: Some(span),
+            integrity: 0,
+            payload,
+        };
+        self.watchdog_arm(&msg, 0);
+        self.comps[c as usize].inbox.push_back(msg);
+    }
+
+    /// Takes the user-syscall replies produced since the last call.
+    pub fn take_user_replies(&mut self) -> Vec<(SyscallId, Pid, SysReply)> {
+        std::mem::take(&mut self.user_replies)
+    }
+
+    /// Takes the kill events (processes PM terminated outside a syscall)
+    /// produced since the last call.
+    pub fn take_kill_events(&mut self) -> Vec<Pid> {
+        std::mem::take(&mut self.kill_events)
+    }
+
+    /// Whether any timer (or scheduled transparent retry) is pending.
+    pub fn has_pending_timers(&self) -> bool {
+        !self.timers.is_empty() || self.wd.next_retry().is_some()
+    }
+
+    /// Advances the clock to the next timer or scheduled retry and delivers
+    /// its message. Returns `false` if neither was pending.
+    pub fn fire_next_timer(&mut self) -> bool {
+        let next_timer = self.timers.keys().next().copied();
+        match (next_timer, self.wd.next_retry()) {
+            (None, None) => return false,
+            (Some(t), Some(r)) if r.0 < t.0 => self.fire_retry(r),
+            (Some(t), _) => self.fire_timer(t),
+            (None, Some(r)) => self.fire_retry(r),
+        }
+        // Timer fires are the idle-time service points: a deadline that
+        // expired while nothing was runnable is detected here, bounding
+        // hang-detection latency by the armed deadline plus one heartbeat
+        // period.
+        self.service_watchdog();
+        true
+    }
+
+    fn fire_timer(&mut self, key: (u64, u64)) {
+        let (dst, span, payload) = self.timers.remove(&key).expect("timer key just observed");
+        self.clock.advance_to(key.0);
+        self.tracer.set_now(self.clock.now());
+        self.counters.timers_fired.inc();
+        let msg = self.kernel_msg(dst, span, payload);
+        self.comps[dst as usize].inbox.push_back(msg);
+    }
+
+    /// Processes queued messages until the system is quiescent (all inboxes
+    /// of runnable components empty), recovery stalls everything, or the
+    /// system shuts down.
+    pub fn pump(&mut self) {
+        assert!(self.initialized, "kernel not initialized");
+        loop {
+            if self.shutdown.is_some() {
+                return;
+            }
+            self.bounce_quarantined_mail();
+            self.service_watchdog();
+            if self.shutdown.is_some() {
+                return;
+            }
+            let Some(idx) = self.pick_runnable() else {
+                return;
+            };
+            if let Some((_, budget)) = &mut self.shutdown_pending {
+                if *budget == 0 {
+                    self.finalize_pending_shutdown();
+                    return;
+                }
+                *budget -= 1;
+            }
+            let msg = self.comps[idx]
+                .inbox
+                .pop_front()
+                .expect("picked component has mail");
+            self.process_message(idx, msg);
+            // Telemetry tick: one branch when disabled, one snapshot per
+            // crossed Δ-grid point when enabled.
+            self.sampler.maybe_sample(self.clock.now());
+        }
+    }
+
+    fn pick_runnable(&mut self) -> Option<usize> {
+        let n = self.comps.len();
+        if n == 0 {
+            return None;
+        }
+        // During recovery only the Recovery Server runs: syscall processing
+        // is stalled until recovery completes (paper §II-E).
+        if self.recovering.is_some() {
+            let rs = self.rs_ep.expect("recovery in progress requires an RS") as usize;
+            let c = &self.comps[rs];
+            if c.status == CompStatus::Alive && !c.inbox.is_empty() {
+                return Some(rs);
+            }
+            return None;
+        }
+        for off in 0..n {
+            let idx = (self.rr_cursor + off) % n;
+            let c = &self.comps[idx];
+            if c.status == CompStatus::Alive && !c.inbox.is_empty() {
+                self.rr_cursor = (idx + 1) % n;
+                return Some(idx);
+            }
+        }
+        None
+    }
+
+    /// Runs component `idx`'s handler on `msg` — or its `init` when there is
+    /// no message — and collects what it emitted. A handler panic is caught
+    /// here: this is the fault-isolation boundary, everything the kernel
+    /// does outside this call runs below it and must not panic on
+    /// component-supplied input.
+    fn run_handler(&mut self, idx: usize, msg: Option<&Message<P>>) -> HandlerRun<P> {
+        let Kernel {
+            cfg,
+            comps,
+            hook,
+            clock,
+            next_msg_id,
+            ..
+        } = self;
+        let comp = &mut comps[idx];
+        let mut ctx = Ctx {
+            comp_name: comp.name,
+            self_ep: Endpoint::Component(idx as u8),
+            heap: &mut comp.heap,
+            window: &mut comp.window,
+            policy: cfg.policy.as_ref(),
+            hook: hook.as_mut(),
+            cost: &cfg.cost,
+            now: clock.now(),
+            cycles: 0,
+            out: Vec::new(),
+            timers: Vec::new(),
+            priv_ops: Vec::new(),
+            privileged: comp.privileged,
+            next_msg_id,
+            replied: Vec::new(),
+            cur_replyable: msg
+                .is_some_and(|m| m.seep.kind == MessageKind::Request && m.seep.reply_possible),
+            cur_span: msg.and_then(|m| m.span),
+            tamper: ReplyTamper::None,
+        };
+        let server = &mut comp.server;
+        let result = match msg {
+            Some(msg) => catch_unwind(AssertUnwindSafe(|| server.handle(msg, &mut ctx))),
+            None => {
+                server.init(&mut ctx);
+                Ok(())
+            }
+        };
+        HandlerRun {
+            replied: msg.is_some_and(|m| ctx.has_replied_to(m.id)),
+            cycles: ctx.cycles,
+            tamper: ctx.tamper,
+            out: ctx.out,
+            timers: ctx.timers,
+            priv_ops: ctx.priv_ops,
+            result,
+        }
+    }
+
+    fn process_message(&mut self, idx: usize, msg: Message<P>) {
+        self.counters.ipc_delivered.inc();
+        let checkpointing = self.cfg.policy.checkpointing();
+        let cost = self.cfg.cost;
+        let deliver_cost = cost.ipc_deliver + cost.handler_base;
+        self.clock.advance(deliver_cost);
+        self.tracer.set_now(self.clock.now());
+        let src = match msg.src {
+            Endpoint::Component(c) => c,
+            _ => KERNEL_COMP,
+        };
+        let msg_id = msg.id.0;
+        self.tracer
+            .emit(idx as u8, TraceEvent::IpcDeliver { src, msg_id });
+        if let Some(span) = msg.span.filter(|s| s.record) {
+            self.counters.span_hops.inc();
+            let span = span.id;
+            self.tracer
+                .emit(idx as u8, TraceEvent::SpanHop { span, src, msg_id });
+        }
+
+        let comp = &mut self.comps[idx];
+        comp.stats.messages.inc();
+        // Top of the request-processing loop: open the recovery window
+        // (taking a checkpoint) — or mark the request unprotected for
+        // baseline policies that do no checkpointing.
+        if checkpointing {
+            comp.window.open(&mut comp.heap);
+            self.seal(AxiomEvent::WindowOpen { comp: idx as u8 });
+            if self.cfg.instrumentation == Instrumentation::Off {
+                self.comps[idx].heap.set_logging(false);
+            }
+        } else {
+            comp.window.begin_unprotected();
+        }
+        let comp = &mut self.comps[idx];
+        comp.window.charge(deliver_cost);
+        let h = comp.heap.stats();
+        let (writes_before, appends_before) = (h.writes, h.undo_appends);
+        let (coalesced_before, undo_bytes_before) = (h.coalesced_writes, h.undo_bytes_appended);
+        let cycles_in_before = comp.window.stats().cycles_in;
+
+        let HandlerRun {
+            mut out,
+            timers,
+            priv_ops,
+            cycles,
+            tamper,
+            replied,
+            result,
+        } = self.run_handler(idx, Some(&msg));
+
+        // An injected fail-silent reply tamper applies to the first
+        // outbound reply: `Drop` loses it on the wire, `Corrupt` breaks the
+        // integrity stamp sealed at send time.
+        if tamper != ReplyTamper::None {
+            if let Some(pos) = out.iter().position(|m| m.reply_to.is_some()) {
+                match tamper {
+                    ReplyTamper::Drop => {
+                        out.remove(pos);
+                    }
+                    ReplyTamper::Corrupt => out[pos].integrity ^= 0xBAD0_BAD0_BAD0_BAD0,
+                    ReplyTamper::None => {}
+                }
+            }
+        }
+
+        // Account handler cycles and memory-write costs. Logged writes
+        // happened while the window was open; unlogged ones outside (exact
+        // under window-gated instrumentation, the measurement mode).
+        // Coalesced writes were logged but elided by the journal: they pay
+        // only the memory write, not the undo append.
+        let comp = &mut self.comps[idx];
+        let h = comp.heap.stats();
+        let writes = h.writes - writes_before;
+        let appends = h.undo_appends - appends_before;
+        let coalesced = h.coalesced_writes - coalesced_before;
+        let logged = (appends + coalesced).min(writes);
+        let write_cost_in =
+            appends * (cost.mem_write + cost.undo_append) + coalesced * cost.mem_write;
+        let write_cost_out = (writes - logged) * cost.mem_write;
+        comp.window.charge_split(write_cost_in, write_cost_out);
+        let handler_cycles = cycles + write_cost_in + write_cost_out;
+        comp.stats.cycles.add(handler_cycles + deliver_cost);
+        self.clock.advance(handler_cycles);
+        self.tracer.set_now(self.clock.now());
+
+        // Messages sent before a crash point are already on the wire:
+        // deliver them regardless of the handler's fate.
+        self.route_messages(out);
+        self.register_timers(idx as u8, timers);
+
+        match result {
+            Ok(()) => {
+                let comp = &mut self.comps[idx];
+                if checkpointing {
+                    comp.window.complete(&mut comp.heap);
+                    comp.stats
+                        .window_hist
+                        .observe(comp.window.stats().cycles_in - cycles_in_before);
+                    comp.stats
+                        .undo_hist
+                        .observe(comp.heap.stats().undo_bytes_appended - undo_bytes_before);
+                }
+                self.seal_staged_close(idx);
+                self.execute_priv_ops(priv_ops);
+                self.watchdog_after_ok(msg);
+            }
+            Err(payload) => {
+                let reply_possible =
+                    msg.seep.kind == MessageKind::Request && msg.seep.reply_possible && !replied;
+                let hung = payload.downcast_ref::<InjectedHang>().is_some();
+                self.capture_fault(idx, msg, reply_possible, hung);
+            }
+        }
+    }
+
+    /// Closes a causal span at a user-reply exit point: emits the
+    /// `SpanClose` trace event and observes the end-to-end latency in the
+    /// overlap-split histograms. A `None` span (kernel-originated message)
+    /// is a no-op.
+    fn close_span(&mut self, span: Option<SpanInfo>, ok: bool) {
+        let Some(span) = span.filter(|s| s.record) else {
+            return;
+        };
+        let crossed = span.epoch_at_open != self.recovery_epoch;
+        let latency = self.clock.now().saturating_sub(span.opened_at);
+        if crossed {
+            self.counters.spans_completed_recovery.inc();
+            self.counters.span_latency_recovery.observe(latency);
+        } else {
+            self.counters.spans_completed_none.inc();
+            self.counters.span_latency_none.observe(latency);
+        }
+        self.tracer.emit(
+            KERNEL_COMP,
+            TraceEvent::SpanClose {
+                span: span.id,
+                ok,
+                crossed_recovery: crossed,
+                latency,
+            },
+        );
+    }
+
+    /// Delivers the final reply of user syscall `sid` to process `pid`:
+    /// the exit trace event on lane `from`, the span close, and the reply
+    /// the host collects with [`Kernel::take_user_replies`].
+    fn reply_to_user(
+        &mut self,
+        from: u8,
+        sid: SyscallId,
+        pid: Pid,
+        span: Option<SpanInfo>,
+        reply: SysReply,
+    ) {
+        let ok = !matches!(reply, SysReply::Err(_));
+        self.tracer.emit(
+            from,
+            TraceEvent::SyscallExit {
+                sid: sid.0,
+                pid: pid.0,
+                ok,
+            },
+        );
+        self.close_span(span, ok);
+        self.user_replies.push((sid, pid, reply));
+    }
+
+    fn route_messages(&mut self, out: Vec<Message<P>>) {
+        for msg in out {
+            if self.watchdog_rejects_reply(&msg) {
+                continue;
+            }
+            match msg.dst {
+                Endpoint::Component(c) => {
+                    self.watchdog_arm(&msg, 0);
+                    self.comps[c as usize].inbox.push_back(msg);
+                }
+                Endpoint::Process(pid) => {
+                    let reply = msg
+                        .payload
+                        .as_user_reply()
+                        .expect("messages to processes must be user replies");
+                    let from = match msg.src {
+                        Endpoint::Component(c) => c,
+                        _ => KERNEL_COMP,
+                    };
+                    match msg.user_tag {
+                        Some(sid) => self.reply_to_user(from, sid, pid, msg.span, reply),
+                        // An untagged message to a process is a kill event:
+                        // PM decided to terminate it outside any syscall.
+                        None => self.kill_events.push(pid),
+                    }
+                }
+                Endpoint::Kernel => panic!("components cannot message the kernel directly"),
+            }
+        }
+    }
+
+    fn register_timers(&mut self, owner: u8, timers: Vec<(u64, Option<SpanInfo>, P)>) {
+        for (delay, span, payload) in timers {
+            self.timer_seq += 1;
+            let at = self.clock.now() + delay;
+            self.timers
+                .insert((at, self.timer_seq), (owner, span, payload));
+        }
+    }
+
+    /// Read-only view of a component's heap, for audits and tests.
+    pub fn heap_of(&self, name: &str) -> Option<&Heap> {
+        self.comps.iter().find(|c| c.name == name).map(|c| &c.heap)
+    }
+
+    /// Collects audit facts from every component (cross-component
+    /// consistency checks are performed by the OS assembly).
+    pub fn audit_facts(&self) -> Vec<(&'static str, String, u64)> {
+        let mut out = Vec::new();
+        for c in &self.comps {
+            for (k, v) in c.server.audit_facts(&c.heap) {
+                out.push((c.name, k, v));
+            }
+        }
+        out
+    }
+
+    /// Whether any component is currently hung (awaiting heartbeat
+    /// detection).
+    pub fn any_hung(&self) -> bool {
+        self.comps.iter().any(|c| c.status == CompStatus::Hung)
+    }
+
+    /// Endpoints currently quarantined by the escalation ladder.
+    pub fn quarantined(&self) -> Vec<u8> {
+        self.comps
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| c.status == CompStatus::Quarantined)
+            .map(|(i, _)| i as u8)
+            .collect()
+    }
+
+    /// Whether a recovery is currently stalling the system.
+    pub fn recovering(&self) -> bool {
+        self.recovering.is_some()
+    }
+
+    /// True if every inbox of every runnable component is empty.
+    pub fn quiescent(&self) -> bool {
+        self.comps
+            .iter()
+            .all(|c| c.status != CompStatus::Alive || c.inbox.is_empty())
+    }
+}

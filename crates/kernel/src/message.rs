@@ -163,12 +163,13 @@ impl<P> Message<P> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use osiris_core::{SeepClass, SeepMeta};
 
+    /// The smallest protocol there is, shared by the crate's unit tests.
     #[derive(Debug)]
-    struct P;
+    pub(crate) struct P;
     impl Protocol for P {
         fn seep(&self) -> SeepMeta {
             SeepMeta::request(SeepClass::StateModifying)

@@ -11,8 +11,8 @@ use osiris_checkpoint::{Heap, PCell};
 use osiris_core::{PolicyKind, SeepClass, SeepMeta};
 use osiris_kernel::abi::{Pid, SysReply};
 use osiris_kernel::{
-    Ctx, Endpoint, FaultEffect, FaultHook, Instrumentation, Kernel, KernelConfig, Message, Probe,
-    Protocol, Server, ShutdownKind, SyscallId,
+    Ctx, Endpoint, FaultEffect, FaultHook, Instrumentation, IntentPhase, Kernel, KernelConfig,
+    Message, Probe, Protocol, Server, ShutdownKind, SyscallId,
 };
 
 /// A tiny protocol: an echo service plus a "mutator" that asks a peer to
@@ -88,9 +88,23 @@ impl Server<Msg> for MiniRs {
     }
     fn init(&mut self, _ctx: &mut Ctx<'_, Msg>) {}
     fn handle(&mut self, msg: &Message<Msg>, ctx: &mut Ctx<'_, Msg>) {
-        if let Msg::Notify(target) = msg.payload {
-            self.recoveries.fetch_add(1, Ordering::Relaxed);
-            ctx.recover(target);
+        match msg.payload {
+            Msg::Notify(target) => {
+                self.recoveries.fetch_add(1, Ordering::Relaxed);
+                ctx.recover(target);
+            }
+            // A faulty RS: every privileged operation that names a
+            // component names one that does not exist.
+            Msg::Bump => {
+                ctx.recover(250);
+                ctx.kill_hung(250);
+                ctx.quarantine(250);
+                ctx.refresh_image(250);
+                ctx.record_intent(250, IntentPhase::Issued);
+                ctx.note_escalation(250, 1, 10, true);
+                ctx.reply(msg.return_path(), Msg::UserReply(SysReply::Ok));
+            }
+            _ => {}
         }
     }
     fn clone_box(&self) -> Box<dyn Server<Msg>> {
@@ -628,4 +642,30 @@ fn rs_crash_is_recovered_by_the_kernel_itself() {
     kernel.pump();
     assert!(kernel.shutdown_state().is_none());
     assert!(!kernel.recovering());
+}
+
+#[test]
+fn out_of_range_priv_op_targets_are_rejected_not_indexed() {
+    // The privileged RS is inside the fault model, and the kernel executes
+    // its privileged ops below the catch_unwind boundary: an endpoint index
+    // past the component table must be dropped, not panic the host.
+    let (mut kernel, _) = build(PolicyKind::Enhanced, Instrumentation::WindowGated);
+    let events_before = kernel.control_state().events;
+    kernel.send_user_request(Endpoint::Component(0), Msg::Bump, SyscallId(1), Pid(1));
+    kernel.pump();
+    assert_eq!(
+        kernel.take_user_replies(),
+        vec![(SyscallId(1), Pid(1), SysReply::Ok)]
+    );
+    let alive = [osiris_axiom::CompStatusCode::Alive; 3];
+    assert_eq!(
+        kernel.status_codes(),
+        alive,
+        "no component's status changes"
+    );
+    assert!(kernel.quarantined().is_empty() && !kernel.recovering());
+    assert!(kernel.shutdown_state().is_none());
+    // Nothing was sealed on behalf of component 250: only the RS's own
+    // window open/close reached the axiom.
+    assert_eq!(kernel.control_state().events, events_before + 2);
 }

@@ -1,0 +1,196 @@
+//! Cross-commit export oracle. The determinism suites compare two runs of
+//! the *same* build; this one pins FNV digests of every export of a few
+//! fixed faulted runs, so a refactor that changes any byte of the trace,
+//! metrics, timeseries or axiom output fails here even when it stays
+//! self-consistent. The constants were captured before the kernel was split
+//! into planes (PR 12); re-capture them (run with `--nocapture`) only in a
+//! change that means to alter an export, and say so in its description.
+
+use osiris_core::{EscalationPolicy, RestartBudget};
+use osiris_faults::{DoubleInjector, FaultKind, FaultPlan, Injector, SiteId, SiteKindTag};
+use osiris_kernel::abi::OpenFlags;
+use osiris_kernel::{FaultHook, Host, ProgramRegistry, WatchdogConfig};
+use osiris_servers::{Os, OsConfig};
+
+fn plan(component: &str, site: &str, kind: FaultKind, transient: bool) -> FaultPlan {
+    FaultPlan {
+        site: SiteId {
+            component: component.into(),
+            site: site.into(),
+            kind: SiteKindTag::Block,
+        },
+        kind,
+        transient,
+    }
+}
+
+/// Every recorder on: trace (hence spans), metrics, axiom, timeseries and
+/// the watchdog, with a tight escalation ladder so a persistent fault
+/// reaches quarantine within the run.
+fn cfg() -> OsConfig {
+    OsConfig {
+        trace: osiris_trace::TraceConfig::on(),
+        axiom: osiris_axiom::AxiomConfig::on(),
+        timeseries: osiris_metrics::TimeseriesConfig::on(),
+        watchdog: WatchdogConfig::on(),
+        vm_frames: 2048,
+        escalation: EscalationPolicy {
+            budget: RestartBudget {
+                window: 50_000_000,
+                max_restarts: 3,
+            },
+            backoff_base: 5_000,
+            backoff_max: 40_000,
+            max_quarantined: 2,
+        },
+        ..Default::default()
+    }
+}
+
+/// A client that touches DS, VFS, PM and VM and tolerates every error, so
+/// each scenario's fault decides what the run looks like.
+fn registry() -> ProgramRegistry {
+    let mut registry = ProgramRegistry::new();
+    registry.register("main", |sys| {
+        let _ = sys.ds_put("golden", b"golden-payload");
+        if let Ok(fd) = sys.open("/golden", OpenFlags::RDWR_CREATE) {
+            let _ = sys.write(fd, &[7u8; 256]);
+            let _ = sys.close(fd);
+        }
+        let _ = sys.ds_get("golden");
+        let _ = sys.stat("/golden");
+        let _ = sys.getpid();
+        if let Ok(fd) = sys.open("/golden", OpenFlags::RDWR_CREATE) {
+            for _ in 0..6 {
+                let _ = sys.read(fd, 32);
+            }
+            let _ = sys.close(fd);
+        }
+        let _ = sys.unlink("/golden");
+        let _ = sys.ds_get("golden");
+        0
+    });
+    registry
+}
+
+/// Digests of `trace_text`, `metrics_prometheus`, `metrics_json`,
+/// `timeseries_json` and `axiom_bytes`, in that order.
+fn export_digests(hook: Box<dyn FaultHook>) -> [u64; 5] {
+    osiris_kernel::install_quiet_panic_hook();
+    let mut os = Os::new(cfg());
+    os.set_fault_hook(hook);
+    let mut host = Host::new(os, registry());
+    let _ = host.run("main", &[]);
+    let mut os = host.into_engine();
+    [
+        os.trace_text().into_bytes(),
+        os.metrics_prometheus().into_bytes(),
+        os.metrics_json().pretty().into_bytes(),
+        os.timeseries_json().pretty().into_bytes(),
+        os.axiom_bytes(),
+    ]
+    .map(|bytes| osiris_axiom::fnv1a(osiris_axiom::fnv1a_str(""), &bytes))
+}
+
+#[test]
+fn exports_match_digests_captured_before_the_kernel_split() {
+    use FaultKind::{Crash, Hang, ReplyCorrupt, ReplyDrop, Stall};
+    let scenarios: [(&str, FaultPlan, Option<FaultPlan>, [u64; 5]); 7] = [
+        (
+            "one crash (ds.get) and one hang (vfs.stat)",
+            plan("ds", "ds.get.entry", Crash, true),
+            Some(plan("vfs", "vfs.stat.entry", Hang, true)),
+            [
+                0x86737627b9a2c1cf,
+                0xb4083c05502063a9,
+                0x9c041334883efcf5,
+                0x9a51a6b42ed584b7,
+                0x36c01b3423a1a265,
+            ],
+        ),
+        (
+            "dropped reply probed, judged lost and retried",
+            plan("ds", "ds.get.entry", ReplyDrop, true),
+            None,
+            [
+                0xcee5c0458510d03a,
+                0xfa0666439035042c,
+                0x0ed498c21f95d13b,
+                0xab9c5196dc4a31c5,
+                0xe6d75937dd14b35f,
+            ],
+        ),
+        (
+            "stalled handler judged slow",
+            plan("vfs", "vfs.stat.entry", Stall(64), true),
+            None,
+            [
+                0x07cbd6a4c5c8e173,
+                0xcca003bc54ef746a,
+                0x33c31da9fa2d9025,
+                0xe4cb00a95acd6b4b,
+                0xf7e98d377fb4c9a3,
+            ],
+        ),
+        (
+            "corrupt reply rejected, sender restarted quiescent",
+            plan("ds", "ds.get.entry", ReplyCorrupt, true),
+            None,
+            [
+                0xcc114dfaf7e2be8c,
+                0x45ec946944180ad5,
+                0x70b675b3e6eebdd8,
+                0x663ed145f1f83b7c,
+                0x8e43a5b603945d5c,
+            ],
+        ),
+        (
+            "rollback phase faulted, fallback to fresh restart",
+            plan("vfs", "vfs.read.entry", Crash, true),
+            Some(plan("kernel", "kernel.recovery.rollback", Crash, true)),
+            [
+                0x73d8eb9b4309886f,
+                0xb84ab93139a67d99,
+                0x00258fcf4bd49d1a,
+                0xef1dd51a84c8dbe7,
+                0xbdacf99a41c7318b,
+            ],
+        ),
+        (
+            "RS crashes on every conduct, kernel completes the intent",
+            plan("vfs", "vfs.read.entry", Crash, true),
+            Some(plan("rs", "rs.recover.notify", Crash, false)),
+            [
+                0x60aa488705c18dfd,
+                0x386705b96862fd5a,
+                0x57c5b18eae6a8295,
+                0xa20dfdcad326f0ad,
+                0xb7a26b3c6361c393,
+            ],
+        ),
+        (
+            "persistent crash climbs the ladder to quarantine",
+            plan("vfs", "vfs.read.entry", Crash, false),
+            None,
+            [
+                0x082759594e49f841,
+                0xafc8173a7ed8add8,
+                0x9fc55e87d05bd3c4,
+                0xad4768018629a998,
+                0xa101da96749567b1,
+            ],
+        ),
+    ];
+    let mut mismatches = Vec::new();
+    for (name, primary, secondary, want) in scenarios {
+        let got = export_digests(match secondary {
+            Some(s) => Box::new(DoubleInjector::new(&primary, &s)),
+            None => Box::new(Injector::new(&primary)),
+        });
+        println!("{name}: {got:#018x?}");
+        if got != want {
+            mismatches.push(name);
+        }
+    }
+    assert!(mismatches.is_empty(), "exports changed: {mismatches:?}");
+}

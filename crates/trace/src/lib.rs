@@ -488,8 +488,7 @@ pub struct TraceConfig {
     pub categories: CategoryMask,
     /// Minimum severity to record.
     pub min_severity: Severity,
-    /// Mirror every recorded event to stderr (implies `enabled`). This is
-    /// the verbose replacement for the old `OSIRIS_KERNEL_TRACE` prints.
+    /// Mirror every recorded event to stderr (implies `enabled`).
     pub verbose: bool,
     /// Events per component dumped by the post-mortem black box
     /// ([`Tracer::blackbox`]); 0 disables the dump.
