@@ -22,7 +22,7 @@
 //!   byte-identical axioms.
 //! * **Zero allocation in steady state.** [`AxiomEvent`] is `Copy` with no
 //!   heap-owning field; the log's backing `Vec` is reserved up front.
-//!   `bench_axiom` proves this with a counting global allocator.
+//!   `bench_layers axiom` proves this with a counting global allocator.
 //! * **Cheap when off.** With recording disabled, appends reduce to the
 //!   control-state fold (a branch-free match on a `Copy` value); no digest
 //!   is computed and nothing is retained.
@@ -887,7 +887,7 @@ impl AxiomLog {
     ///
     /// `#[inline]` so the disabled-path check folds into the caller's emit
     /// site — the shipping configuration pays one predictable branch, which
-    /// `bench_axiom --check` holds to the same bound as the tracer.
+    /// `bench_layers axiom --check` holds to the same bound as the tracer.
     #[inline]
     pub fn append(&mut self, now: u64, event: AxiomEvent) {
         if !self.enabled {

@@ -1,17 +1,17 @@
 //! Deterministic whole-system replay against a recorded axiom.
 //!
 //! Loads the axiom written by a previous `quickstart` run (path from the
-//! first argument, `OSIRIS_AXIOM_OUT`, or `target/quickstart_axiom.bin`),
-//! verifies its digest chain, then re-executes the identical quickstart
+//! first argument, or `target/quickstart/axiom.bin`), verifies its digest
+//! chain, then re-executes the identical quickstart
 //! workload fresh. Because every event is timestamped by the virtual clock
 //! and chained in sequence order, the fresh run must re-derive the
 //! recorded history *exactly* — `bisect` of the two axioms must find no
 //! divergence — and its reduction must match the live kernel's control
 //! state and per-component statuses.
 //!
-//! The fresh run's trace and metrics exports are written alongside
-//! (`OSIRIS_REPLAY_TRACE_OUT` / `OSIRIS_REPLAY_METRICS_OUT`); the `ci.sh`
-//! `axiom_replay` gate byte-compares them against the recorded run's.
+//! The fresh run's exports are written to `target/replay` (or
+//! `$OSIRIS_OUT_DIR`) under the same names `quickstart` uses; the `ci.sh`
+//! `axiom_replay` gate `diff -r`s the two directories.
 //! Finally the tool rebuilds a whole machine from the recorded bytes via
 //! [`Os::replay`] — simulated reboot persistence — and cross-checks the
 //! adopted control state.
@@ -81,9 +81,9 @@ fn main() {
     osiris_kernel::install_quiet_panic_hook();
 
     // 1. Load and verify the recorded axiom.
-    let recorded_path = std::env::args().nth(1).unwrap_or_else(|| {
-        std::env::var("OSIRIS_AXIOM_OUT").unwrap_or_else(|_| "target/quickstart_axiom.bin".into())
-    });
+    let recorded_path = std::env::args()
+        .nth(1)
+        .unwrap_or_else(|| "target/quickstart/axiom.bin".into());
     let bytes = std::fs::read(&recorded_path)
         .unwrap_or_else(|e| panic!("read recorded axiom {recorded_path}: {e}"));
     let recorded = AxiomLog::from_bytes(&bytes).expect("decode recorded axiom");
@@ -107,34 +107,13 @@ fn main() {
         os.axiom().head_digest()
     );
 
-    // 3. Export the fresh run's trace + metrics for the ci byte-compare.
-    //    This happens before any verification so the metric counters sit
-    //    exactly where the recorded run's did at its own export point
-    //    (quickstart also exports before verifying).
-    let trace_out = std::env::var("OSIRIS_REPLAY_TRACE_OUT")
-        .unwrap_or_else(|_| "target/replay_trace.json".into());
-    if let Some(parent) = std::path::Path::new(&trace_out).parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent).expect("create trace output dir");
-        }
-    }
-    std::fs::write(&trace_out, os.chrome_trace().pretty()).expect("write replay trace");
-    let metrics_base = std::env::var("OSIRIS_REPLAY_METRICS_OUT")
-        .unwrap_or_else(|_| "target/replay_metrics".into());
-    let (prom, json) = os
-        .write_metrics(&metrics_base)
-        .expect("write replay metrics");
-    let ts_out = std::env::var("OSIRIS_REPLAY_TIMESERIES_OUT")
-        .unwrap_or_else(|_| "target/replay_timeseries.json".into());
-    let ts_path = os
-        .write_timeseries(&ts_out)
-        .expect("write replay timeseries");
-    println!(
-        "exports:   {trace_out}, {}, {} and {}",
-        prom.display(),
-        json.display(),
-        ts_path.display()
-    );
+    // 3. Export the fresh run for the ci byte-compare. This happens
+    //    before any verification so the metric counters sit exactly where
+    //    the recorded run's did at its own export point (quickstart also
+    //    exports before verifying).
+    let dir = osiris_bench::out_dir(std::env::var_os("OSIRIS_OUT_DIR"), "replay");
+    os.write_exports(&dir).expect("write replay exports");
+    println!("exports:   {}", dir.display());
     os.verify_axiom().expect("fresh chain intact");
 
     // 4. The fresh run must re-derive the recorded history exactly.

@@ -3,7 +3,10 @@
 //! Runs the forge's late-window fault campaign and a from-boot rerun
 //! baseline over the same variant plan, proves the forged records are
 //! byte-identical to the from-boot records, enforces the throughput and
-//! allocation-discipline gates, and writes `BENCH_campaign.json`.
+//! allocation-discipline gates, and writes `BENCH_campaign.json` plus the
+//! complete report with every per-injection record to
+//! `bench_campaign_full.json` in `target/bench_campaign` or
+//! `$OSIRIS_OUT_DIR`.
 //!
 //! `--check` shrinks the baseline sample (the CI gate); the forge sweep,
 //! the prefix length and every gate stay unchanged.
@@ -30,7 +33,17 @@ fn main() {
     if !check {
         std::fs::write("BENCH_campaign.json", result.to_json().pretty())
             .expect("write BENCH_campaign.json");
-        println!("results written to BENCH_campaign.json");
+        let dir = osiris_bench::out_dir(std::env::var_os("OSIRIS_OUT_DIR"), "bench_campaign");
+        let full = osiris_bench::write_out(
+            &dir,
+            "bench_campaign_full.json",
+            &result.to_json_full().pretty(),
+        )
+        .expect("write full campaign report");
+        println!(
+            "results written to BENCH_campaign.json (full report: {})",
+            full.display()
+        );
     }
 
     assert_eq!(

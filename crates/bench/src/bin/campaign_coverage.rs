@@ -8,10 +8,10 @@
 //! watchdog-detected fault kind at every core server, per policy), plus a
 //! live frontier (the policy spread must produce outcome-class flips, or
 //! the coverage-guided wave has nothing to refine). Unless invoked with
-//! `--check`, writes the coverage report to `<base>.json` and the
-//! campaign registry's Prometheus exposition (which carries the
-//! `osiris_forge_*` families) to `<base>.prom`, where `<base>` is
-//! `$OSIRIS_FORGE_OUT` or `campaign_coverage`.
+//! `--check`, writes the coverage report to `campaign_coverage.json` and
+//! the campaign registry's Prometheus exposition (which carries the
+//! `osiris_forge_*` families) to `campaign_coverage.prom`, both in
+//! `target/campaign_coverage` or `$OSIRIS_OUT_DIR`.
 //!
 //! ```text
 //! cargo run --release -p osiris-bench --bin campaign_coverage [--check]
@@ -65,16 +65,20 @@ fn main() {
     );
 
     if !check {
-        let base =
-            std::env::var("OSIRIS_FORGE_OUT").unwrap_or_else(|_| "campaign_coverage".to_string());
-        std::fs::write(format!("{base}.json"), result.report_json().pretty())
-            .expect("write coverage report");
-        std::fs::write(
-            format!("{base}.prom"),
-            result.campaign.metrics_handle().prometheus(),
-        )
-        .expect("write coverage exposition");
-        println!("results written to {base}.json / {base}.prom");
+        let dir = osiris_bench::out_dir(std::env::var_os("OSIRIS_OUT_DIR"), "campaign_coverage");
+        for (name, contents) in [
+            ("campaign_coverage.json", result.report_json().pretty()),
+            (
+                "campaign_coverage.prom",
+                result.campaign.metrics_handle().prometheus(),
+            ),
+        ] {
+            osiris_bench::write_out(&dir, name, &contents).expect("write coverage export");
+        }
+        println!(
+            "results written to {}/campaign_coverage.{{json,prom}}",
+            dir.display()
+        );
     }
 
     assert_eq!(

@@ -170,16 +170,11 @@ fn main() {
         }
     }
 
-    let out = std::env::var("OSIRIS_CAMPAIGN_OUT")
-        .unwrap_or_else(|_| "target/campaign_smoke_report.json".to_string());
-    if let Some(parent) = std::path::Path::new(&out).parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent).expect("create report dir");
-        }
-    }
+    let dir = osiris_bench::out_dir(std::env::var_os("OSIRIS_OUT_DIR"), "campaign_smoke");
     let report = campaign.report_json().pretty();
-    std::fs::write(&out, &report).expect("write campaign report");
-    println!("(report written to {out})");
+    let out = osiris_bench::write_out(&dir, "campaign_smoke.json", &report)
+        .expect("write campaign report");
+    println!("(report written to {})", out.display());
 
     // The gate: both escalation outcome classes must be observed and must
     // survive the trip through the report document.

@@ -163,16 +163,11 @@ fn main() {
         }
     }
 
-    let out = std::env::var("OSIRIS_CAMPAIGN_OUT")
-        .unwrap_or_else(|_| "target/double_fault_report.json".to_string());
-    if let Some(parent) = std::path::Path::new(&out).parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent).expect("create report dir");
-        }
-    }
+    let dir = osiris_bench::out_dir(std::env::var_os("OSIRIS_OUT_DIR"), "double_fault");
     let report = campaign.report_json().pretty();
-    std::fs::write(&out, &report).expect("write campaign report");
-    println!("(report written to {out})");
+    let out =
+        osiris_bench::write_out(&dir, "double_fault.json", &report).expect("write campaign report");
+    println!("(report written to {})", out.display());
 
     // The gate: the campaign survives faults in its own recovery path.
     if classes.contains(&Outcome::Crash) {

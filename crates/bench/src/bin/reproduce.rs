@@ -67,36 +67,16 @@ fn main() {
         ("fail_stop", table2.report.clone()),
         ("full_edfi", table3.report.clone()),
     ]);
-    let campaign_path = std::env::var("OSIRIS_CAMPAIGN_OUT")
-        .unwrap_or_else(|_| "target/campaign_report.json".to_string());
-    if let Some(parent) = std::path::Path::new(&campaign_path).parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent).expect("create campaign report dir");
-        }
-    }
-    std::fs::write(&campaign_path, campaign.pretty()).expect("write campaign report");
-    println!("(campaign report written to {campaign_path})");
+    let dir = osiris_bench::out_dir(std::env::var_os("OSIRIS_OUT_DIR"), "reproduce");
+    let campaign_path = osiris_bench::write_out(&dir, "campaign_report.json", &campaign.pretty())
+        .expect("write campaign report");
+    println!("(campaign report written to {})", campaign_path.display());
 
     // Metrics registry exposition from one fault-free suite run.
-    let metrics_base = std::env::var("OSIRIS_METRICS_OUT")
-        .unwrap_or_else(|_| "target/reproduce_metrics".to_string());
-    let (prom, mjson) =
-        osiris_bench::export_suite_metrics(&metrics_base).expect("write metrics exports");
+    let (prom, mjson) = osiris_bench::export_suite_metrics(&dir).expect("write metrics exports");
     println!(
         "(metrics written to {} and {})",
         prom.display(),
         mjson.display()
     );
-
-    println!("\n=== Undo-journal microbenchmark ===");
-    let undo = osiris_bench::bench_undo(osiris_bench::UndoBenchConfig::default());
-    print!("{}", undo.render());
-    std::fs::write("BENCH_undo.json", undo.to_json().pretty()).expect("write undo json");
-    println!("(machine-readable copy written to BENCH_undo.json)");
-
-    println!("\n=== Metrics-registry microbenchmark ===");
-    let mb = osiris_bench::bench_metrics(osiris_bench::MetricsBenchConfig::default());
-    print!("{}", mb.render());
-    std::fs::write("BENCH_metrics.json", mb.to_json().pretty()).expect("write metrics json");
-    println!("(machine-readable copy written to BENCH_metrics.json)");
 }

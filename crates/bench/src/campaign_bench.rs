@@ -201,8 +201,24 @@ impl CampaignBenchResult {
         out
     }
 
-    /// The `BENCH_campaign.json` document.
+    /// The `BENCH_campaign.json` document: the headline block, the forge
+    /// report and the campaign totals + matrix. The per-injection `records`
+    /// array (hundreds of KiB) stays out of the checked-in file; see
+    /// [`CampaignBenchResult::to_json_full`].
     pub fn to_json(&self) -> Json {
+        let mut campaign = self.forge.campaign.report_json();
+        if let Json::Obj(fields) = &mut campaign {
+            fields.retain(|(key, _)| key != "records");
+        }
+        self.json_with(campaign)
+    }
+
+    /// [`CampaignBenchResult::to_json`] plus every per-injection record.
+    pub fn to_json_full(&self) -> Json {
+        self.json_with(self.forge.campaign.report_json())
+    }
+
+    fn json_with(&self, campaign: Json) -> Json {
         let mut obj = JsonObj::new()
             .field("planned", Json::UInt(self.planned as u64))
             .field("forge_secs", Json::Num(self.forge_secs))
@@ -223,7 +239,7 @@ impl CampaignBenchResult {
                 .field("readopt_alloc_bound", Json::UInt(READOPT_ALLOC_BOUND));
         }
         obj.field("forge", self.forge.report.to_json())
-            .field("campaign", self.forge.campaign.report_json())
+            .field("campaign", campaign)
             .build()
     }
 }

@@ -191,13 +191,13 @@ pub fn survivability(model: FaultModel, threads: usize, seed: u64) -> Survivabil
 }
 
 /// Runs the benchmark suite once fault-free under the default policy and
-/// writes the kernel's metrics registry as Prometheus text plus JSON,
-/// rooted at `base` (producing `<base>.prom` and `<base>.json`).
+/// writes the kernel's metrics registry as `metrics.prom` and
+/// `metrics.json` in `dir`.
 pub fn export_suite_metrics(
-    base: &str,
+    dir: &std::path::Path,
 ) -> std::io::Result<(std::path::PathBuf, std::path::PathBuf)> {
     let (_, os) = run_suite_with(OsConfig::default(), None);
-    os.write_metrics(base)
+    os.write_metrics(&dir.join("metrics").to_string_lossy())
 }
 
 /// Like [`survivability`], for an arbitrary policy set (used by the

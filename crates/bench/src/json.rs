@@ -12,11 +12,9 @@ use osiris_trace::HistSummary;
 
 pub use osiris_trace::Json;
 
-/// Ordered JSON-object builder for the `BENCH_*.json` writers. The bench
-/// emitters share whole blocks (per-mode throughput, the disabled-overhead
-/// bound) and splice bench-specific fields between them — a shape
-/// `Json::obj`'s fixed-size array can't express without duplicating the
-/// shared blocks at every writer.
+/// Ordered JSON-object builder for the `BENCH_*.json` writers, which
+/// splice a variable number of bench-specific fields between fixed ones —
+/// a shape `Json::obj`'s fixed-size array can't express.
 #[derive(Clone, Debug, Default)]
 pub struct JsonObj(Vec<(String, Json)>);
 
@@ -46,38 +44,6 @@ pub fn alloc_count_json(n: Option<u64>) -> Json {
         Some(n) => Json::UInt(n),
         None => Json::Null,
     }
-}
-
-/// The per-mode throughput object shared by the trace, metrics and axiom
-/// benches: ns per write, implied writes/s, and the allocator-call proof.
-pub fn write_mode_json(
-    ns_per_write: f64,
-    writes_per_sec: f64,
-    steady_state_allocs: Option<u64>,
-) -> Json {
-    Json::obj([
-        ("ns_per_write", Json::Num(ns_per_write)),
-        ("writes_per_sec", Json::Num(writes_per_sec)),
-        ("steady_state_allocs", alloc_count_json(steady_state_allocs)),
-    ])
-}
-
-/// Appends the standard disabled/enabled overhead block — the shipping
-/// "attached but off" configuration's ≤[`crate::DISABLED_BOUND_PCT`]%-or-
-/// ε bound shared by the trace, metrics and axiom benches.
-pub fn overhead_fields(
-    obj: JsonObj,
-    disabled_pct: f64,
-    disabled_ns: f64,
-    within_bound: bool,
-    enabled_pct: f64,
-) -> JsonObj {
-    obj.field("disabled_overhead_pct", Json::Num(disabled_pct))
-        .field("disabled_overhead_ns_per_write", Json::Num(disabled_ns))
-        .field("disabled_bound_pct", Json::Num(crate::DISABLED_BOUND_PCT))
-        .field("disabled_epsilon_ns", Json::Num(crate::DISABLED_EPSILON_NS))
-        .field("disabled_within_bound", Json::Bool(within_bound))
-        .field("enabled_overhead_pct", Json::Num(enabled_pct))
 }
 
 /// JSON mirror of one survivability table (the native types live in

@@ -8,19 +8,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod axiom_bench;
 pub mod campaign_bench;
 pub mod experiments;
 pub mod json;
+pub mod layers;
 pub mod loc;
-pub mod metrics_bench;
+pub mod overhead;
 pub mod restart_bench;
-pub mod span_bench;
 pub mod timeout_bench;
-pub mod trace_bench;
 pub mod undo_bench;
 
-pub use axiom_bench::{bench_axiom, AxiomBenchConfig, AxiomBenchResult, AxiomModeResult};
 pub use campaign_bench::{
     bench_campaign, CampaignBenchConfig, CampaignBenchResult, ReadoptAllocs, READOPT_ALLOC_BOUND,
     RECOVERY_COVERAGE_FLOOR, SPEEDUP_FLOOR,
@@ -28,17 +25,10 @@ pub use campaign_bench::{
 pub use experiments::*;
 pub use json::{Json, ResultsJson, SurvivabilityJson};
 pub use loc::{count_workspace_loc, CrateLoc, RcbReport};
-pub use metrics_bench::{bench_metrics, MetricsBenchConfig, MetricsBenchResult, MetricsModeResult};
 pub use restart_bench::{
     bench_restart, PoolDedupResult, RestartBenchConfig, RestartBenchResult, RestartPoint,
 };
-pub use span_bench::{bench_spans, SpanBenchConfig, SpanBenchResult, SpanModeResult};
 pub use timeout_bench::{bench_timeouts, TimeoutBenchConfig, TimeoutBenchResult};
-pub use trace_bench::{
-    bench_trace, TraceBenchConfig, TraceBenchResult, TraceModeResult, DISABLED_BOUND_PCT,
-    DISABLED_EPSILON_NS,
-};
-pub use undo_bench::{bench_undo, UndoBenchConfig, UndoBenchResult, UndoModeResult};
 
 /// Installs a counting wrapper around the system allocator plus an
 /// `alloc_calls()` reader, so a `bench_*` binary can *prove* a
@@ -96,6 +86,25 @@ macro_rules! counting_allocator {
             ALLOC_CALLS.load(::std::sync::atomic::Ordering::Relaxed)
         }
     };
+}
+
+/// Where the binary called `bin` writes its files: `var` — the value of
+/// `OSIRIS_OUT_DIR`, which the binary reads and passes in, since library
+/// code never reads the environment — or `target/<bin>`.
+pub fn out_dir(var: Option<std::ffi::OsString>, bin: &str) -> std::path::PathBuf {
+    var.map_or_else(|| std::path::Path::new("target").join(bin), Into::into)
+}
+
+/// Writes `contents` to `dir/name`, creating `dir` as needed.
+pub fn write_out(
+    dir: &std::path::Path,
+    name: &str,
+    contents: &str,
+) -> std::io::Result<std::path::PathBuf> {
+    std::fs::create_dir_all(dir)?;
+    let path = dir.join(name);
+    std::fs::write(&path, contents)?;
+    Ok(path)
 }
 
 /// Geometric mean of a non-empty slice (returns 0 for empty input).

@@ -2,51 +2,29 @@
 //! journal vs the historical boxed-closure log.
 //!
 //! Drives identical write-heavy recovery windows through a [`Heap`] in each
-//! [`UndoMode`] and reports logged-write throughput, rollback throughput,
-//! peak undo bytes, and (when the caller supplies an allocation counter —
-//! see `src/bin/bench_undo.rs`) the number of allocator calls made by
-//! steady-state logging with a warm arena.
+//! [`UndoMode`] on the shared [`time_arms`] core (interleaved arms, fresh
+//! state per repetition, min-of-reps, allocator calls over one warm
+//! repetition) and reports logged-write throughput, peak undo bytes and the
+//! allocator calls steady-state logging makes. Rollback is timed directly
+//! by the whole-`Os` ledger (`checkpoint.journal.rollback_ns_per_record` in
+//! `benchmark/`), not here.
 //!
 //! The store itself (handle lookup, downcast, the actual memory write) costs
 //! the same in every mode and would otherwise dilute the log-vs-log
-//! comparison, so the harness first times the identical schedule with
-//! logging off (the *floor*) and reports each mode's **logging overhead** —
-//! time above the floor — alongside the raw end-to-end rate. The headline
+//! comparison, so a fourth arm times the identical schedule with logging
+//! off (the *floor*) and each mode reports its **logging overhead** — time
+//! above the floor — alongside the raw end-to-end rate. The headline
 //! speedup compares overheads; both raw and floor numbers are emitted so the
 //! arithmetic can be checked.
 
-use std::time::Instant;
-
-use osiris_checkpoint::{Heap, UndoMode};
+use osiris_checkpoint::{Heap, HeapStats, PBuf, PCell, PVec, UndoMode};
 use osiris_rng::Rng;
 
-use crate::json::Json;
+use crate::json::{alloc_count_json, Json};
+use crate::overhead::{time_arms, wall_clock};
 
-/// Benchmark configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct UndoBenchConfig {
-    /// Recovery windows (mark → writes → rollback) per measured mode.
-    pub windows: u64,
-    /// Logged writes per window.
-    pub writes_per_window: u64,
-    /// Windows run before measuring, to warm caches and the arena.
-    pub warmup_windows: u64,
-    /// Reads the process-wide allocation count, if the caller installed a
-    /// counting allocator. Used to prove steady-state logging makes zero
-    /// allocator calls once the arena is warm.
-    pub alloc_count: Option<fn() -> u64>,
-}
-
-impl Default for UndoBenchConfig {
-    fn default() -> Self {
-        UndoBenchConfig {
-            windows: 400,
-            writes_per_window: 4_096,
-            warmup_windows: 8,
-            alloc_count: None,
-        }
-    }
-}
+/// Floor on the typed-vs-boxed logging-overhead speedup.
+pub const UNDO_SPEEDUP_FLOOR: f64 = 5.0;
 
 /// Measurements for one undo-log implementation.
 #[derive(Clone, Copy, Debug)]
@@ -56,25 +34,23 @@ pub struct UndoModeResult {
     /// Nanoseconds per logged write spent in the undo log itself: wall-clock
     /// per write minus the no-logging floor for the identical schedule.
     pub log_overhead_ns: f64,
-    /// Undo records replayed per second during rollback.
-    pub rollback_per_sec: f64,
-    /// High-water mark of undo-log bytes across the run.
+    /// High-water mark of undo-log bytes across one repetition.
     pub peak_undo_bytes: usize,
     /// Records actually appended.
     pub undo_appends: u64,
     /// Logged writes elided by coalescing (typed mode only).
     pub coalesced_writes: u64,
-    /// Allocator calls during the measured (post-warmup) windows, if an
-    /// allocation counter was supplied.
+    /// Allocator calls during one post-warm-up repetition, if an allocation
+    /// counter was supplied.
     pub steady_state_allocs: Option<u64>,
 }
 
 /// The full comparison.
 #[derive(Clone, Copy, Debug)]
 pub struct UndoBenchResult {
-    /// Configuration echoed back.
+    /// Recovery windows (mark → writes → rollback) per repetition.
     pub windows: u64,
-    /// Configuration echoed back.
+    /// Logged writes per window.
     pub writes_per_window: u64,
     /// Nanoseconds per write for the identical schedule with logging off —
     /// the cost of the stores themselves, common to every mode.
@@ -103,53 +79,37 @@ impl UndoBenchResult {
         self.typed.writes_per_sec / self.boxed.writes_per_sec
     }
 
-    /// Renders a human-readable summary.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "undo journal: {} windows x {} logged writes (store floor {:.1} ns/write)\n",
-            self.windows, self.writes_per_window, self.floor_ns
-        ));
-        let row = |name: &str, r: &UndoModeResult| {
-            let allocs = match r.steady_state_allocs {
-                Some(n) => format!("{n}"),
-                None => "-".to_string(),
-            };
-            format!(
-                "{:<18} {:>12.0} wr/s {:>7.1} log-ns {:>12.0} rb/s {:>9} peakB {:>9} coalesced {:>8} allocs\n",
-                name,
-                r.writes_per_sec,
-                r.log_overhead_ns,
-                r.rollback_per_sec,
-                r.peak_undo_bytes,
-                r.coalesced_writes,
-                allocs
-            )
-        };
-        out.push_str(&row("boxed (before)", &self.boxed));
-        out.push_str(&row("typed no-coalesce", &self.typed_no_coalesce));
-        out.push_str(&row("typed (after)", &self.typed));
-        out.push_str(&format!(
-            "logging-overhead speedup (typed vs boxed): {:.2}x  (end-to-end incl. stores: {:.2}x)\n",
-            self.speedup(),
-            self.raw_speedup()
-        ));
+    /// Everything `bench_layers` fails on: the speedup floor and allocator
+    /// calls in the typed journal's steady state.
+    pub fn failures(&self) -> Vec<String> {
+        let mut out = Vec::new();
+        if self.speedup() < UNDO_SPEEDUP_FLOOR {
+            out.push(format!(
+                "typed journal logging overhead must be >={UNDO_SPEEDUP_FLOOR}x faster than \
+                 the boxed baseline, got {:.2}x",
+                self.speedup()
+            ));
+        }
+        if let Some(n @ 1..) = self.typed.steady_state_allocs {
+            out.push(format!(
+                "steady-state typed logging made {n} allocator calls, must make 0"
+            ));
+        }
         out
     }
 
-    /// Machine-readable form (written to `BENCH_undo.json`).
+    /// The `undo` object in `BENCH_layers.json`.
     pub fn to_json(&self) -> Json {
         let mode = |r: &UndoModeResult| {
             Json::obj([
                 ("writes_per_sec", Json::Num(r.writes_per_sec)),
                 ("log_overhead_ns_per_write", Json::Num(r.log_overhead_ns)),
-                ("rollback_per_sec", Json::Num(r.rollback_per_sec)),
                 ("peak_undo_bytes", Json::UInt(r.peak_undo_bytes as u64)),
                 ("undo_appends", Json::UInt(r.undo_appends)),
                 ("coalesced_writes", Json::UInt(r.coalesced_writes)),
                 (
                     "steady_state_allocs",
-                    crate::json::alloc_count_json(r.steady_state_allocs),
+                    alloc_count_json(r.steady_state_allocs),
                 ),
             ])
         };
@@ -164,6 +124,7 @@ impl UndoBenchResult {
                 "speedup_log_overhead_typed_vs_boxed",
                 Json::Num(self.speedup()),
             ),
+            ("speedup_floor", Json::Num(UNDO_SPEEDUP_FLOOR)),
             (
                 "speedup_end_to_end_typed_vs_boxed",
                 Json::Num(self.raw_speedup()),
@@ -187,155 +148,143 @@ enum Op {
     Buf(u32),
 }
 
-struct Schedule {
+const SCRATCH_CELLS: usize = 8;
+
+/// The workload: `windows` replays of one window's write schedule.
+struct Workload {
+    windows: u64,
+    warmup_windows: u64,
     ops: Vec<Op>,
     buf_data: [u8; 48],
 }
 
-/// The per-window write mix: skewed toward repeated stores to a few hot
-/// locations, the pattern OS servers exhibit inside one request's recovery
-/// window (counters, the active inode, the current cache page).
-fn gen_schedule(r: &mut Rng, writes: u64, scratch_cells: usize) -> Schedule {
-    let ops = (0..writes)
-        .map(|_| match r.below(16) {
-            0..=7 => Op::Cell(r.next_u64()),
-            8..=10 => Op::VecSet(r.below(4) as u32, r.next_u32()),
-            11..=13 => Op::Scratch(r.below(scratch_cells as u64) as u32, r.next_u64()),
-            _ => Op::Buf((r.below(4) * 64) as u32),
-        })
-        .collect();
-    let mut buf_data = [0u8; 48];
-    buf_data.copy_from_slice(&r.bytes(48));
-    Schedule { ops, buf_data }
+/// The arms, in interleave order.
+#[derive(Clone, Copy, PartialEq)]
+enum Arm {
+    /// Logging off: the stores themselves.
+    Floor,
+    Boxed,
+    TypedNoCoalesce,
+    Typed,
 }
 
-#[inline]
-fn apply_ops(heap: &mut Heap, w: &World, s: &Schedule) {
-    for op in &s.ops {
-        match *op {
-            Op::Cell(v) => w.hot.set(heap, v),
-            Op::Scratch(i, v) => w.scratch[i as usize].set(heap, v),
-            Op::VecSet(i, v) => w.vec.set(heap, i as usize, v),
-            Op::Buf(off) => w.buf.write_at(heap, off as usize, &s.buf_data),
-        }
-    }
-}
-
-fn run_window(heap: &mut Heap, w: &World, s: &Schedule) {
-    heap.set_logging(true);
-    let mark = heap.mark();
-    apply_ops(heap, w, s);
-    heap.rollback_to(mark);
-    heap.set_logging(false);
-}
+const ARMS: [Arm; 4] = [Arm::Floor, Arm::Boxed, Arm::TypedNoCoalesce, Arm::Typed];
 
 struct World {
-    hot: osiris_checkpoint::PCell<u64>,
-    scratch: Vec<osiris_checkpoint::PCell<u64>>,
-    vec: osiris_checkpoint::PVec<u32>,
-    buf: osiris_checkpoint::PBuf,
+    heap: Heap,
+    hot: PCell<u64>,
+    scratch: Vec<PCell<u64>>,
+    vec: PVec<u32>,
+    buf: PBuf,
 }
 
-fn build_world(heap: &mut Heap) -> World {
-    let w = World {
-        hot: heap.alloc_cell("hot", 0),
-        scratch: (0..8).map(|_| heap.alloc_cell("scratch", 0)).collect(),
-        vec: heap.alloc_vec("vec"),
-        buf: heap.alloc_buf("buf"),
-    };
-    for i in 0..8 {
-        w.vec.push(heap, i);
+impl Workload {
+    /// The per-window write mix: skewed toward repeated stores to a few hot
+    /// locations, the pattern OS servers exhibit inside one request's
+    /// recovery window (counters, the active inode, the current cache page).
+    fn sized(windows: u64, writes_per_window: u64, warmup_windows: u64) -> Workload {
+        let mut r = Rng::new(0xBE4C4);
+        let ops = (0..writes_per_window)
+            .map(|_| match r.below(16) {
+                0..=7 => Op::Cell(r.next_u64()),
+                8..=10 => Op::VecSet(r.below(4) as u32, r.next_u32()),
+                11..=13 => Op::Scratch(r.below(SCRATCH_CELLS as u64) as u32, r.next_u64()),
+                _ => Op::Buf((r.below(4) * 64) as u32),
+            })
+            .collect();
+        let mut buf_data = [0u8; 48];
+        buf_data.copy_from_slice(&r.bytes(48));
+        Workload {
+            windows,
+            warmup_windows,
+            ops,
+            buf_data,
+        }
     }
-    w.buf.write_at(heap, 0, &[0u8; 256]);
-    w
+
+    fn setup(&self, arm: Arm) -> World {
+        let mut heap = Heap::new("bench-undo");
+        if arm == Arm::Boxed {
+            heap.set_undo_mode(UndoMode::BoxedReference);
+        }
+        heap.set_coalescing(arm == Arm::Typed);
+        let mut w = World {
+            hot: heap.alloc_cell("hot", 0),
+            scratch: (0..SCRATCH_CELLS)
+                .map(|_| heap.alloc_cell("scratch", 0))
+                .collect(),
+            vec: heap.alloc_vec("vec"),
+            buf: heap.alloc_buf("buf"),
+            heap,
+        };
+        for i in 0..8 {
+            w.vec.push(&mut w.heap, i);
+        }
+        w.buf.write_at(&mut w.heap, 0, &[0u8; 256]);
+        self.run_windows(&mut w, arm, self.warmup_windows);
+        w.heap.reset_stats();
+        w
+    }
+
+    fn run_windows(&self, w: &mut World, arm: Arm, windows: u64) {
+        let logged = arm != Arm::Floor;
+        for _ in 0..windows {
+            let mark = logged.then(|| {
+                w.heap.set_logging(true);
+                w.heap.mark()
+            });
+            for op in &self.ops {
+                match *op {
+                    Op::Cell(v) => w.hot.set(&mut w.heap, v),
+                    Op::Scratch(i, v) => w.scratch[i as usize].set(&mut w.heap, v),
+                    Op::VecSet(i, v) => w.vec.set(&mut w.heap, i as usize, v),
+                    Op::Buf(off) => w.buf.write_at(&mut w.heap, off as usize, &self.buf_data),
+                }
+            }
+            if let Some(mark) = mark {
+                w.heap.rollback_to(mark);
+                w.heap.set_logging(false);
+            }
+        }
+    }
+
+    fn measure(&self, alloc_count: Option<fn() -> u64>) -> UndoBenchResult {
+        let mut stats = [HeapStats::default(); ARMS.len()];
+        let writes = self.windows * self.ops.len() as u64;
+        let arms = time_arms(
+            &ARMS,
+            writes,
+            alloc_count,
+            wall_clock(),
+            |arm| self.setup(arm),
+            |w, arm| self.run_windows(w, arm, self.windows),
+            |i, w| stats[i] = *w.heap.stats(),
+        );
+        let floor_ns = arms[0].ns_per_unit;
+        let mode = |i: usize| UndoModeResult {
+            writes_per_sec: 1e9 / arms[i].ns_per_unit,
+            log_overhead_ns: (arms[i].ns_per_unit - floor_ns).max(0.0),
+            peak_undo_bytes: stats[i].undo_bytes_peak,
+            undo_appends: stats[i].undo_appends,
+            coalesced_writes: stats[i].coalesced_writes,
+            steady_state_allocs: arms[i].steady_state_allocs,
+        };
+        UndoBenchResult {
+            windows: self.windows,
+            writes_per_window: self.ops.len() as u64,
+            floor_ns,
+            boxed: mode(1),
+            typed_no_coalesce: mode(2),
+            typed: mode(3),
+        }
+    }
 }
 
-/// Timing repetitions per measurement; the fastest is kept, which filters
-/// scheduler and frequency-scaling noise out of the small per-write numbers.
-const REPS: usize = 3;
-
-/// Times the schedule with logging off: the cost of the stores themselves.
-fn measure_floor(cfg: &UndoBenchConfig) -> f64 {
-    let mut heap = Heap::new("bench-floor");
-    let w = build_world(&mut heap);
-    let mut r = Rng::new(0xBE4C4);
-    let s = gen_schedule(&mut r, cfg.writes_per_window, w.scratch.len());
-
-    for _ in 0..cfg.warmup_windows {
-        apply_ops(&mut heap, &w, &s);
-    }
-    let mut best = f64::INFINITY;
-    for _ in 0..REPS {
-        let start = Instant::now();
-        for _ in 0..cfg.windows {
-            apply_ops(&mut heap, &w, &s);
-        }
-        best = best.min(start.elapsed().as_secs_f64().max(1e-9));
-    }
-    best * 1e9 / (cfg.windows * cfg.writes_per_window) as f64
-}
-
-fn measure(
-    mode: UndoMode,
-    coalescing: bool,
-    floor_ns: f64,
-    cfg: &UndoBenchConfig,
-) -> UndoModeResult {
-    let mut heap = Heap::new("bench");
-    heap.set_undo_mode(mode);
-    heap.set_coalescing(coalescing);
-    let w = build_world(&mut heap);
-    let mut r = Rng::new(0xBE4C4);
-    let s = gen_schedule(&mut r, cfg.writes_per_window, w.scratch.len());
-
-    for _ in 0..cfg.warmup_windows {
-        run_window(&mut heap, &w, &s);
-    }
-
-    // Allocator accounting covers one post-warmup repetition exactly; the
-    // remaining repetitions only refine the timing.
-    let allocs_before = cfg.alloc_count.map(|f| f());
-    let mut elapsed = f64::INFINITY;
-    let mut steady_state_allocs = None;
-    for rep in 0..REPS {
-        if rep == 1 {
-            steady_state_allocs = cfg.alloc_count.map(|f| f() - allocs_before.unwrap_or(0));
-        }
-        if rep + 1 == REPS {
-            heap.reset_stats();
-        }
-        let start = Instant::now();
-        for _ in 0..cfg.windows {
-            run_window(&mut heap, &w, &s);
-        }
-        elapsed = elapsed.min(start.elapsed().as_secs_f64().max(1e-9));
-    }
-
-    let stats = heap.stats();
-    let total_writes = cfg.windows * cfg.writes_per_window;
-    let ns_per_write = elapsed * 1e9 / total_writes as f64;
-    UndoModeResult {
-        writes_per_sec: total_writes as f64 / elapsed,
-        log_overhead_ns: (ns_per_write - floor_ns).max(0.0),
-        rollback_per_sec: stats.undo_appends as f64 / elapsed,
-        peak_undo_bytes: stats.undo_bytes_peak,
-        undo_appends: stats.undo_appends,
-        coalesced_writes: stats.coalesced_writes,
-        steady_state_allocs,
-    }
-}
-
-/// Runs the comparison.
-pub fn bench_undo(cfg: UndoBenchConfig) -> UndoBenchResult {
-    let floor_ns = measure_floor(&cfg);
-    UndoBenchResult {
-        windows: cfg.windows,
-        writes_per_window: cfg.writes_per_window,
-        floor_ns,
-        boxed: measure(UndoMode::BoxedReference, false, floor_ns, &cfg),
-        typed_no_coalesce: measure(UndoMode::Typed, false, floor_ns, &cfg),
-        typed: measure(UndoMode::Typed, true, floor_ns, &cfg),
-    }
+/// Runs the comparison. There is one workload size: the speedup is a ratio
+/// of two differences against the floor, and a scaled-down run does not
+/// resolve the smaller one.
+pub fn bench_undo(alloc_count: Option<fn() -> u64>) -> UndoBenchResult {
+    Workload::sized(400, 4_096, 8).measure(alloc_count)
 }
 
 #[cfg(test)]
@@ -344,20 +293,17 @@ mod tests {
 
     #[test]
     fn small_run_produces_sane_numbers() {
-        let cfg = UndoBenchConfig {
-            windows: 4,
-            writes_per_window: 512,
-            warmup_windows: 2,
-            alloc_count: None,
-        };
-        let r = bench_undo(cfg);
+        let r = Workload::sized(4, 512, 2).measure(None);
         assert!(r.boxed.writes_per_sec > 0.0);
         assert!(r.typed.writes_per_sec > 0.0);
         assert_eq!(r.boxed.coalesced_writes, 0, "reference never coalesces");
         assert!(r.typed.coalesced_writes > 0, "hot workload must coalesce");
         assert!(r.typed.peak_undo_bytes < r.boxed.peak_undo_bytes);
+        // Stats cover exactly one post-warm-up repetition.
+        assert_eq!(r.boxed.undo_appends, 4 * 512);
         let j = r.to_json().pretty();
         assert!(j.contains("speedup_log_overhead_typed_vs_boxed"));
         assert!(j.contains("store_floor_ns_per_write"));
+        assert!(!j.contains("rollback_per_sec"));
     }
 }

@@ -157,7 +157,7 @@ pub(crate) struct UndoOp {
 /// How the heap stores undo records.
 ///
 /// The typed journal is the production path; the boxed log is the historical
-/// implementation, kept as the *reference* both for the `bench_undo`
+/// implementation, kept as the *reference* both for the `bench_layers undo`
 /// before/after comparison and for the differential rollback-equivalence
 /// tests (the boxed log never coalesces, so it is the ground truth).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -1248,7 +1248,7 @@ mod tests {
     #[test]
     fn droppable_payloads_do_not_leak_on_discard_or_rollback() {
         // Strings own heap memory; exercising both exits of the journal under
-        // a leak-checking allocator (bench_undo) keeps this honest. Here we
+        // a leak-checking allocator (bench_layers undo) keeps this honest. Here we
         // at least verify values survive the round-trips intact.
         let mut h = Heap::new("t");
         let c = h.alloc_cell("x", String::from("original"));

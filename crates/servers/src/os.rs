@@ -409,6 +409,21 @@ impl Os {
         Ok(path)
     }
 
+    /// Writes every export of the run into `dir` under fixed names:
+    /// `trace.json` (Chrome trace), `metrics.prom` / `metrics.json`,
+    /// `timeseries.json` and `axiom.bin`. Two same-seed runs produce
+    /// byte-identical trees as long as both export at the same point —
+    /// before [`Os::verify_axiom`], which bumps registry counters.
+    pub fn write_exports(&mut self, dir: &std::path::Path) -> std::io::Result<()> {
+        std::fs::create_dir_all(dir)?;
+        let at = |name: &str| dir.join(name).to_string_lossy().into_owned();
+        std::fs::write(at("trace.json"), self.chrome_trace().pretty())?;
+        self.write_metrics(&at("metrics"))?;
+        self.write_timeseries(&at("timeseries.json"))?;
+        self.write_axiom(&at("axiom.bin"))?;
+        Ok(())
+    }
+
     /// Cross-component consistency audit. Call at quiescence (no in-flight
     /// syscalls). Returns human-readable violations; empty means the global
     /// state is consistent.

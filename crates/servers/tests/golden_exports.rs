@@ -73,15 +73,20 @@ fn registry() -> ProgramRegistry {
     registry
 }
 
-/// Digests of `trace_text`, `metrics_prometheus`, `metrics_json`,
-/// `timeseries_json` and `axiom_bytes`, in that order.
-fn export_digests(hook: Box<dyn FaultHook>) -> [u64; 5] {
+/// Runs the client under `hook` and returns the machine it ran on.
+fn run(hook: Box<dyn FaultHook>) -> Os {
     osiris_kernel::install_quiet_panic_hook();
     let mut os = Os::new(cfg());
     os.set_fault_hook(hook);
     let mut host = Host::new(os, registry());
     let _ = host.run("main", &[]);
-    let mut os = host.into_engine();
+    host.into_engine()
+}
+
+/// Digests of `trace_text`, `metrics_prometheus`, `metrics_json`,
+/// `timeseries_json` and `axiom_bytes`, in that order.
+fn export_digests(hook: Box<dyn FaultHook>) -> [u64; 5] {
+    let mut os = run(hook);
     [
         os.trace_text().into_bytes(),
         os.metrics_prometheus().into_bytes(),
@@ -193,4 +198,52 @@ fn exports_match_digests_captured_before_the_kernel_split() {
         }
     }
     assert!(mismatches.is_empty(), "exports changed: {mismatches:?}");
+}
+
+/// Runs the first scenario and returns every file `Os::write_exports`
+/// left in a fresh directory, sorted by name.
+fn exported_tree(tag: &str) -> Vec<(String, Vec<u8>)> {
+    let mut os = run(Box::new(DoubleInjector::new(
+        &plan("ds", "ds.get.entry", FaultKind::Crash, true),
+        &plan("vfs", "vfs.stat.entry", FaultKind::Hang, true),
+    )));
+
+    // Nested and not yet existing: write_exports must create it.
+    let root = std::env::temp_dir().join(format!("osiris-exports-{}-{tag}", std::process::id()));
+    let dir = root.join("run");
+    os.write_exports(&dir).expect("write exports");
+    assert_eq!(
+        std::fs::read(dir.join("axiom.bin")).expect("axiom.bin"),
+        os.axiom_bytes()
+    );
+    let mut tree: Vec<(String, Vec<u8>)> = std::fs::read_dir(&dir)
+        .expect("export dir")
+        .map(|entry| {
+            let entry = entry.expect("dir entry");
+            let name = entry.file_name().to_string_lossy().into_owned();
+            (name, std::fs::read(entry.path()).expect("export file"))
+        })
+        .collect();
+    tree.sort();
+    std::fs::remove_dir_all(&root).expect("remove export dir");
+    tree
+}
+
+#[test]
+fn write_exports_of_two_same_seed_runs_are_byte_identical_trees() {
+    let a = exported_tree("a");
+    let b = exported_tree("b");
+    let names: Vec<&str> = a.iter().map(|(name, _)| name.as_str()).collect();
+    assert_eq!(
+        names,
+        [
+            "axiom.bin",
+            "metrics.json",
+            "metrics.prom",
+            "timeseries.json",
+            "trace.json"
+        ]
+    );
+    assert!(a.iter().all(|(_, bytes)| !bytes.is_empty()));
+    assert!(a == b, "same-seed runs exported different trees");
 }

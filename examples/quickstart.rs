@@ -1,11 +1,12 @@
 //! Quickstart: boot the OSIRIS OS, run a workload, crash the Process
 //! Manager mid-call, and watch the system recover with error
-//! virtualization. The run is flight-recorded; a Chrome-trace JSON (open
-//! it in `chrome://tracing` or <https://ui.perfetto.dev>) is written to
-//! `target/quickstart_trace.json`, or to the path in `OSIRIS_TRACE_OUT`.
-//! The kernel's metrics registry is exported alongside it as Prometheus
-//! text and JSON (`target/quickstart_metrics.{prom,json}`, overridable via
-//! `OSIRIS_METRICS_OUT`).
+//! virtualization. The run is flight-recorded and every export lands in
+//! one directory (`target/quickstart`, or `$OSIRIS_OUT_DIR`): `trace.json`
+//! (Chrome trace — open it in `chrome://tracing` or
+//! <https://ui.perfetto.dev>), the kernel's metrics registry as
+//! `metrics.prom` / `metrics.json`, the virtual-time series the sampler
+//! collected (`timeseries.json`; the same lanes ride along in the Chrome
+//! trace as counter tracks) and the control-plane log `axiom.bin`.
 //!
 //! ```text
 //! cargo run --example quickstart
@@ -96,50 +97,22 @@ fn main() {
         }
     );
 
-    // Export the flight-recorder trace in Chrome trace_event format.
-    let out =
-        std::env::var("OSIRIS_TRACE_OUT").unwrap_or_else(|_| "target/quickstart_trace.json".into());
-    if let Some(parent) = std::path::Path::new(&out).parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent).expect("create trace output dir");
-        }
-    }
-    std::fs::write(&out, os.chrome_trace().pretty()).expect("write trace JSON");
-    println!(
-        "trace:     {} events -> {out} (open in chrome://tracing or ui.perfetto.dev)",
-        os.trace_handle().with(|t| t.len())
+    // Export everything, then verify the axiom's hash chain end to end.
+    // Verification bumps registry counters, so it comes after the export;
+    // the `axiom_replay` tool keeps the same order, reconstructs the
+    // control state from `axiom.bin` and byte-compares a replayed run's
+    // exports against these.
+    let dir = std::path::PathBuf::from(
+        std::env::var_os("OSIRIS_OUT_DIR").unwrap_or_else(|| "target/quickstart".into()),
     );
-
-    // Export the metrics registry as Prometheus text + JSON.
-    let base =
-        std::env::var("OSIRIS_METRICS_OUT").unwrap_or_else(|_| "target/quickstart_metrics".into());
-    let (prom, json) = os.write_metrics(&base).expect("write metrics exports");
-    println!("metrics:   {} and {}", prom.display(), json.display());
-
-    // Export the virtual-time series the sampler collected during the run
-    // (p50/p99/p99.9 request latency over virtual time, recovery counters).
-    // The same lanes ride along in the Chrome trace as counter tracks.
-    let ts_out = std::env::var("OSIRIS_TIMESERIES_OUT")
-        .unwrap_or_else(|_| "target/quickstart_timeseries.json".into());
-    let ts_path = os.write_timeseries(&ts_out).expect("write timeseries");
-    println!(
-        "series:    {} sampled points -> {}",
-        os.timeseries().len(),
-        ts_path.display()
-    );
-
-    // Export the authoritative control-plane log (the axiom): verify the
-    // hash chain end to end, then persist the crash-consistent image. The
-    // `axiom_replay` tool reconstructs the control state from this file and
-    // byte-compares a replayed run's exports against this one.
+    os.write_exports(&dir).expect("write exports");
     os.verify_axiom().expect("axiom chain intact");
-    let axiom_out =
-        std::env::var("OSIRIS_AXIOM_OUT").unwrap_or_else(|_| "target/quickstart_axiom.bin".into());
-    let path = os.write_axiom(&axiom_out).expect("write axiom");
     println!(
-        "axiom:     {} chained events -> {}",
+        "exports:   {} trace events, {} sampled points, {} chained axiom events -> {}",
+        os.trace_handle().with(|t| t.len()),
+        os.timeseries().len(),
         os.axiom().len(),
-        path.display()
+        dir.display()
     );
 
     assert!(outcome.completed() && violations.is_empty());
