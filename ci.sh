@@ -30,6 +30,9 @@ cargo test -q
 echo "== workspace tests =="
 cargo test -q --workspace
 
+echo "== pump_allocs in release: debug and release builds allocate differently =="
+cargo test -q --release -p osiris-servers --test pump_allocs
+
 echo "== export determinism: two identical runs, byte-identical export trees =="
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
@@ -69,7 +72,7 @@ cargo run --release -p osiris-bench --bin bench_restart -- --check
 echo "== hang_recovery example: wedge -> watchdog verdict -> rollback -> transparent retry =="
 cargo run --release --example hang_recovery >/dev/null
 
-echo "== bench_timeouts --check: hang-detection latency bound + zero-alloc armed deadlines =="
+echo "== bench_timeouts --check: hang-detection latency bound + zero-alloc armed deadlines + allocator calls per round ceiling =="
 cargo run --release -p osiris-bench --bin bench_timeouts -- --check
 
 echo "== campaign_coverage: FailStop + DoubleFault x DuringRecovery + fail-silent Hang/ReplyDrop coverage gates =="

@@ -28,7 +28,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::heap::AnyObj;
-use crate::journal::{fnv1a_bytes, IntegrityError, FNV_OFFSET, FNV_PRIME};
+use crate::journal::{fnv1a_bytes, fold_bytes, IntegrityError, FNV_OFFSET, FNV_PRIME};
 
 /// Logical page size for byte-backed payloads: objects serialize into
 /// fixed-size chunks of this many bytes (the last chunk may be shorter).
@@ -72,13 +72,16 @@ pub(crate) fn chunk_digest(bytes: &[u8]) -> u64 {
     d
 }
 
-/// An allocation-free FNV-1a sink for `fmt::Write`, used to digest the
+/// An allocation-free digest sink for `fmt::Write`, used to digest the
 /// `Debug` rendering of opaque payloads without materializing the string.
+/// Each fragment the formatter hands over is folded word-wise, so the digest
+/// depends on the fragment boundaries too; equal values of one type render
+/// through the same code and so fragment identically.
 pub(crate) struct FnvWriter(pub(crate) u64);
 
 impl fmt::Write for FnvWriter {
     fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.0 = fnv1a_bytes(self.0, s.as_bytes());
+        self.0 = fold_bytes(self.0, s.as_bytes());
         Ok(())
     }
 }

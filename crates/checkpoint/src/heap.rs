@@ -10,7 +10,9 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use osiris_trace::{TraceEvent, TraceHandle};
 
 use crate::cas::FnvWriter;
-use crate::journal::{fnv1a_bytes, fnv1a_u64, IntegrityError, Journal, FNV_OFFSET};
+use crate::journal::{
+    fnv1a_bytes, fnv1a_u64, fold_bytes, fold_word, IntegrityError, Journal, FNV_OFFSET,
+};
 use crate::map::MapKey;
 use crate::stats::HeapStats;
 
@@ -72,7 +74,7 @@ pub(crate) trait AnyObj: Any + Send + Sync + fmt::Debug {
     fn as_any_mut(&mut self) -> &mut dyn Any;
     /// Approximate resident size in bytes, for memory-overhead accounting.
     fn approx_bytes(&self) -> usize;
-    /// FNV-1a digest over the payload's type identity and content
+    /// Word-fold digest over the payload's type identity and content
     /// (allocation-free). Keys opaque chunks in the content-addressed store
     /// and feeds [`Heap::state_digest`].
     fn content_digest(&self) -> u64;
@@ -116,19 +118,23 @@ impl<T: HeapValue> AnyObj for Holder<T> {
         size_of::<T>() + self.extra_bytes
     }
     fn content_digest(&self) -> u64 {
-        let mut w = FnvWriter(FNV_OFFSET);
-        let _ = w.write_str(std::any::type_name::<T>());
-        w.0 = fnv1a_u64(w.0, size_of::<T>() as u64);
-        match self.byte_holder() {
-            // Byte payloads hash directly; everything else streams its
-            // `Debug` rendering through the FNV sink (no allocation either
-            // way). Folding the type name in first keeps two types with the
-            // same `Debug` text from colliding.
-            Some(h) => fnv1a_bytes(w.0, &h.value),
-            None => {
-                let _ = write!(w, "{:?}", self.value);
-                w.0
-            }
+        let d = fold_bytes(FNV_OFFSET, std::any::type_name::<T>().as_bytes());
+        let d = fold_word(d, size_of::<T>() as u64);
+        // Byte and plain-integer vectors fold their content directly;
+        // everything else streams its `Debug` rendering through the sink
+        // (no allocation either way). Folding the type name in first keeps
+        // two types with the same bytes or `Debug` text from colliding.
+        let any = self as &dyn Any;
+        if let Some(h) = any.downcast_ref::<Holder<Vec<u8>>>() {
+            fold_bytes(d, &h.value)
+        } else if let Some(h) = any.downcast_ref::<Holder<Vec<u32>>>() {
+            fold_ints(d, &h.value)
+        } else if let Some(h) = any.downcast_ref::<Holder<Vec<u64>>>() {
+            fold_ints(d, &h.value)
+        } else {
+            let mut w = FnvWriter(d);
+            let _ = write!(w, "{:?}", self.value);
+            w.0
         }
     }
     fn byte_holder(&self) -> Option<&Holder<Vec<u8>>> {
@@ -137,6 +143,15 @@ impl<T: HeapValue> AnyObj for Holder<T> {
     fn byte_holder_mut(&mut self) -> Option<&mut Holder<Vec<u8>>> {
         (self as &mut dyn Any).downcast_mut::<Holder<Vec<u8>>>()
     }
+}
+
+/// Folds an integer slice: its length, then one word per element.
+fn fold_ints<I: Copy + Into<u64>>(d: u64, items: &[I]) -> u64 {
+    items
+        .iter()
+        .fold(fold_word(d, items.len() as u64), |d, &x| {
+            fold_word(d, x.into())
+        })
 }
 
 /// A boxed restore closure, as stored by [`UndoMode::BoxedReference`].
@@ -875,7 +890,7 @@ impl Heap {
         self.journal.arena_len()
     }
 
-    /// The typed journal's running integrity digest (its FNV-1a offset basis
+    /// The typed journal's running integrity digest (the FNV-1a offset basis
     /// when the log is empty). Maintained incrementally at append/pop time.
     pub fn journal_digest(&self) -> u64 {
         self.journal.digest()
@@ -1243,6 +1258,30 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn integer_vector_digests_tell_content_length_and_type_apart() {
+        fn digest<T: HeapValue>(value: T) -> u64 {
+            Holder {
+                value,
+                extra_bytes: 0,
+            }
+            .content_digest()
+        }
+        let base = digest(vec![1u32, 2, 3, 4]);
+        assert_eq!(base, digest(vec![1u32, 2, 3, 4]));
+        assert_ne!(base, digest(vec![1u32, 2, 3, 5]), "one element");
+        assert_ne!(base, digest(vec![1u32, 2, 3]), "shorter");
+        assert_ne!(base, digest(vec![1u32, 2, 3, 4, 0]), "longer by a zero");
+        let wide = digest(vec![1u64, 2, 3, 4]);
+        assert_ne!(wide, digest(vec![1u64, 2, 3, 4 | 1 << 63]), "one bit");
+        assert_ne!(wide, digest(vec![1u64, 2, 3]), "shorter");
+        // Equal element values (and, for the byte vector, equal bytes) under
+        // different element types: the type name is folded in first.
+        assert_ne!(base, wide);
+        assert_ne!(digest(vec![7u32, 9]), digest(vec![7u64 | 9 << 32]));
+        assert_ne!(digest(vec![7u32]), digest(vec![7u8, 0, 0, 0]));
     }
 
     #[test]

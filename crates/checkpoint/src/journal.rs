@@ -457,7 +457,9 @@ fn mix64(mut z: u64) -> u64 {
 pub(crate) const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
-/// Folds `bytes` into an FNV-1a running digest.
+/// Folds `bytes` into a byte-serial FNV-1a running digest: one dependent
+/// multiply per byte, so only for short cold inputs (object names, manifest
+/// headers). Anything on a request path folds with [`fold_bytes`].
 pub(crate) fn fnv1a_bytes(mut digest: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         digest = (digest ^ u64::from(b)).wrapping_mul(FNV_PRIME);
@@ -468,6 +470,41 @@ pub(crate) fn fnv1a_bytes(mut digest: u64, bytes: &[u8]) -> u64 {
 /// Folds one little-endian `u64` into an FNV-1a running digest.
 pub(crate) fn fnv1a_u64(digest: u64, v: u64) -> u64 {
     fnv1a_bytes(digest, &v.to_le_bytes())
+}
+
+/// One step of the word-wise integrity fold: the FNV-1a step (xor, multiply
+/// by the FNV prime) taken over a whole 64-bit word, then a rotation.
+///
+/// For a fixed `w` the step is a bijection of `d`, and for a fixed `d` a
+/// bijection of `w` (xor, multiplication by an odd constant mod 2^64 and
+/// rotation all are). So two inputs of equal length that differ in exactly
+/// one word — in particular by a single flipped bit — can never fold to the
+/// same digest: the step that sees the differing word separates the two
+/// running digests, and every later step, seeing equal words, keeps them
+/// apart. The rotation is there for diffusion: a multiply only carries
+/// differences upward, so without it a flip of a word's top bit would stay
+/// in the digest's top bit.
+#[inline]
+pub fn fold_word(d: u64, w: u64) -> u64 {
+    (d ^ w).wrapping_mul(FNV_PRIME).rotate_left(29)
+}
+
+/// Folds `bytes` into a running digest eight at a time with [`fold_word`],
+/// then one tail word: the 0–7 leftover bytes with the length (mod 256) in
+/// the top byte. The tag makes inputs that differ only in trailing zero
+/// bytes (`[1]` and `[1, 0]`) fold differently; lengths that agree mod 256
+/// already differ by at least 32 word steps.
+#[inline]
+pub fn fold_bytes(mut d: u64, bytes: &[u8]) -> u64 {
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        d = fold_word(d, u64::from_le_bytes(w.try_into().expect("8-byte word")));
+    }
+    let rest = words.remainder();
+    let mut tail = [0u8; 8];
+    tail[..rest.len()].copy_from_slice(rest);
+    tail[7] = (bytes.len() & 0xFF) as u8;
+    fold_word(d, u64::from_le_bytes(tail))
 }
 
 /// Why an undo-journal or heap-image integrity check failed.
@@ -573,15 +610,14 @@ impl std::fmt::Display for IntegrityError {
     }
 }
 
-/// Folds one record (header scalars + arena payload bytes) into the digest.
+/// Folds one record into the digest: the header scalars packed into four
+/// words (`tag | obj`, `off | plen`, `aux`, `aux2`), then the arena payload.
 fn fold_record(digest: u64, rec: &UndoRecord, arena: &Arena) -> u64 {
-    let mut d = fnv1a_u64(digest, rec.kind.tag());
-    d = fnv1a_u64(d, u64::from(rec.obj));
-    d = fnv1a_u64(d, u64::from(rec.off));
-    d = fnv1a_u64(d, u64::from(rec.plen));
-    d = fnv1a_u64(d, rec.aux);
-    d = fnv1a_u64(d, rec.aux2);
-    fnv1a_bytes(d, arena.slice(rec.off, rec.plen as usize))
+    let mut d = fold_word(digest, rec.kind.tag() | u64::from(rec.obj) << 32);
+    d = fold_word(d, u64::from(rec.off) | u64::from(rec.plen) << 32);
+    d = fold_word(d, rec.aux);
+    d = fold_word(d, rec.aux2);
+    fold_bytes(d, arena.slice(rec.off, rec.plen as usize))
 }
 
 #[derive(Clone, Copy, Default)]
@@ -729,8 +765,8 @@ pub(crate) struct Journal {
     /// latest mark — a rollback to that mark would then miss the location.
     /// `Cell` because `mark` takes `&self`.
     barrier: Cell<u32>,
-    /// Incremental FNV-1a digest over every live record (header scalars +
-    /// payload bytes), maintained at append/pop time with no allocations.
+    /// Incremental word-fold digest over every live record (header scalars
+    /// and payload bytes), maintained at append/pop time with no allocations.
     /// [`Journal::verify`] recomputes it from scratch before a rollback
     /// trusts the log.
     digest: u64,
@@ -1214,6 +1250,103 @@ mod tests {
         assert_eq!(b, vec![1, 2, 3]);
         arena.reset();
         assert_eq!(arena.len(), 0);
+    }
+
+    /// A journal of mixed records whose buf payload lengths cross the
+    /// fold's 8-byte word boundary in both directions.
+    fn random_journal(r: &mut osiris_rng::Rng) -> Journal {
+        let mut j = Journal::new();
+        for i in 0..12u32 {
+            match r.below(3) {
+                0 => j.push_cell::<u64>(i, r.next_u64(), false),
+                1 => j.push_vec_set::<u16>(i, r.below_usize(99), r.next_u64() as u16, false),
+                _ => {
+                    let len = r.below_usize(18);
+                    let old = r.bytes(len);
+                    j.push_buf_write(i, r.below_usize(64), &old, 64, len, false)
+                }
+            };
+        }
+        j
+    }
+
+    #[test]
+    fn every_single_bit_flip_in_header_or_payload_is_detected() {
+        type Flip = fn(&mut UndoRecord, u32);
+        let header: [(&str, u32, Flip); 5] = [
+            ("obj", 32, |rec, b| rec.obj ^= 1 << b),
+            ("off", 32, |rec, b| rec.off ^= 1 << b),
+            ("plen", 32, |rec, b| rec.plen ^= 1 << b),
+            ("aux", 64, |rec, b| rec.aux ^= 1 << b),
+            ("aux2", 64, |rec, b| rec.aux2 ^= 1 << b),
+        ];
+        for case in 0..8u64 {
+            let mut j = random_journal(&mut osiris_rng::Rng::new(0xF01D_0001 ^ case));
+            let digest = j.digest();
+            assert!(j.verify().is_ok(), "case {case}");
+            // `verify` refolds every record and compares with the running
+            // digest: an error is a recomputed digest that moved (or a
+            // payload range that left the arena).
+            let must_fail = |j: &Journal, what: &str| {
+                assert!(j.verify().is_err(), "case {case}: {what} passed verify");
+            };
+            for index in 0..j.len() {
+                for (name, bits, flip) in header {
+                    for bit in 0..bits {
+                        flip(&mut j.records[index], bit);
+                        must_fail(&j, &format!("record {index} {name} bit {bit}"));
+                        flip(&mut j.records[index], bit);
+                    }
+                }
+            }
+            for byte in 0..j.arena_len() {
+                for bit in 0..8 {
+                    j.corrupt_arena_bit(byte, bit);
+                    must_fail(&j, &format!("arena byte {byte} bit {bit}"));
+                    j.corrupt_arena_bit(byte, bit);
+                }
+            }
+            assert!(j.verify().is_ok(), "case {case}");
+            assert_eq!(j.digest(), digest, "case {case}");
+        }
+    }
+
+    #[test]
+    fn trailing_zero_bytes_change_the_fold() {
+        let mut r = osiris_rng::Rng::new(0xF01D_0002);
+        for len in 0..=17 {
+            for mut bytes in [vec![0u8; len], r.bytes(len)] {
+                let short = fold_bytes(FNV_OFFSET, &bytes);
+                bytes.push(0);
+                assert_ne!(short, fold_bytes(FNV_OFFSET, &bytes), "len {len}");
+            }
+        }
+        assert_ne!(fold_bytes(7, &[1]), fold_bytes(7, &[1, 0]));
+    }
+
+    #[test]
+    fn pop_restores_the_prior_digest() {
+        let mut heap = crate::Heap::new("fold");
+        let cell = heap.alloc_cell("cell", 0u64);
+        let buf = heap.alloc_buf("buf");
+        heap.set_logging(true);
+        assert_eq!(heap.journal_digest(), FNV_OFFSET);
+        let mut r = osiris_rng::Rng::new(0xF01D_0003);
+        let mut trail = Vec::new();
+        for i in 0..40u64 {
+            trail.push((heap.mark(), heap.journal_digest()));
+            if i % 2 == 0 {
+                cell.set(&mut heap, r.next_u64());
+            } else {
+                let len = r.below_usize(18);
+                buf.write_at(&mut heap, r.below_usize(32), &r.bytes(len));
+            }
+        }
+        while let Some((mark, digest)) = trail.pop() {
+            heap.rollback_to(mark);
+            assert_eq!(heap.journal_digest(), digest);
+            assert!(heap.verify_journal().is_ok());
+        }
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub use cas::{ChunkStore, CHUNK_SIZE};
 pub use cell::PCell;
 pub use heap::{Heap, HeapValue, Mark, ObjId, UndoMode};
 pub use image::{DeepImage, HeapImage, RestoreStats};
-pub use journal::IntegrityError;
+pub use journal::{fold_bytes, fold_word, IntegrityError};
 pub use map::PMap;
 pub use stats::HeapStats;
 pub use vec::PVec;

@@ -238,6 +238,26 @@ pub trait Server<P: Protocol>: Send {
     fn clone_box(&self) -> Box<dyn Server<P>>;
 }
 
+/// The emission buffers of one handler invocation. The kernel owns them and
+/// lends them to each [`Ctx`] in turn, so a warm pump delivers a message
+/// without touching the allocator; whatever a handler pushed before it
+/// unwound is still here for the kernel to route.
+pub(crate) struct Scratch<P> {
+    pub(crate) out: Vec<Message<P>>,
+    pub(crate) timers: Vec<(u64, Option<SpanInfo>, P)>,
+    pub(crate) priv_ops: Vec<PrivOp>,
+}
+
+impl<P> Default for Scratch<P> {
+    fn default() -> Self {
+        Scratch {
+            out: Vec::new(),
+            timers: Vec::new(),
+            priv_ops: Vec::new(),
+        }
+    }
+}
+
 /// Everything a handler may do, bundled: heap access, message sends (SEEP
 /// checked against the active policy), timers, cost accounting and
 /// fault-injection probes.
@@ -251,12 +271,21 @@ pub struct Ctx<'a, P: Protocol> {
     pub(crate) cost: &'a CostModel,
     pub(crate) now: u64,
     pub(crate) cycles: u64,
-    pub(crate) out: Vec<Message<P>>,
-    pub(crate) timers: Vec<(u64, Option<SpanInfo>, P)>,
-    pub(crate) priv_ops: Vec<PrivOp>,
+    /// What the handler emits, pushed onto buffers the kernel owns and
+    /// lends for one invocation (see [`Scratch`]).
+    pub(crate) scratch: &'a mut Scratch<P>,
     pub(crate) privileged: bool,
     pub(crate) next_msg_id: &'a mut u64,
-    pub(crate) replied: Vec<MsgId>,
+    /// Whether sends are stamped with the payload digest: the watchdog's
+    /// reply-integrity check is the stamp's only reader.
+    pub(crate) stamp_sends: bool,
+    /// Id of the message being handled (`MsgId(0)`, which no message
+    /// carries, during `init`).
+    pub(crate) cur_id: MsgId,
+    /// Whether the handler replied to anything / to the message it was
+    /// given (used by the probes and the kernel's crash handling).
+    pub(crate) replied_any: bool,
+    pub(crate) replied_cur: bool,
     pub(crate) cur_replyable: bool,
     pub(crate) tamper: ReplyTamper,
     /// Span of the message being handled: inherited by every send and
@@ -312,7 +341,9 @@ impl<'a, P: Protocol> Ctx<'a, P> {
         // Seal the payload before it leaves the component: the digest is
         // what reply-integrity verification checks at delivery, so any
         // corruption between here and the receiver is detectable.
-        msg.integrity = msg.payload.digest();
+        if self.stamp_sends {
+            msg.integrity = msg.payload.digest();
+        }
         // Every outbound message passes through a SEEP: consult the policy
         // and close the recovery window on the first disallowed send.
         let meta = msg.seep;
@@ -326,7 +357,7 @@ impl<'a, P: Protocol> Ctx<'a, P> {
             msg_id: msg.id.0,
             class: meta.class.into(),
         });
-        self.out.push(msg);
+        self.scratch.out.push(msg);
     }
 
     /// Sends a request to another component; returns the message id to
@@ -381,7 +412,8 @@ impl<'a, P: Protocol> Ctx<'a, P> {
     pub fn reply(&mut self, rp: ReturnPath, payload: P) {
         let seep = payload.seep();
         let id = self.alloc_msg_id();
-        self.replied.push(rp.msg_id);
+        self.replied_any = true;
+        self.replied_cur |= rp.msg_id == self.cur_id;
         // The reply rejoins the *requester's* span (restored from the
         // return path, which may have sat in a continuation), not whatever
         // message happens to be driving this handler invocation.
@@ -403,7 +435,7 @@ impl<'a, P: Protocol> Ctx<'a, P> {
     /// span, so deferred continuations (e.g. a disk-tick completion) stay
     /// attributed to the request that armed them.
     pub fn set_timer(&mut self, delay: u64, payload: P) {
-        self.timers.push((delay, self.cur_span, payload));
+        self.scratch.timers.push((delay, self.cur_span, payload));
     }
 
     /// Executes one instrumentation site (basic-block analog): charges the
@@ -447,7 +479,7 @@ impl<'a, P: Protocol> Ctx<'a, P> {
             kind,
             now: self.now + self.cycles,
             window_open: self.window.is_open(),
-            replyable: self.cur_replyable && self.replied.is_empty(),
+            replyable: self.cur_replyable && !self.replied_any,
         }
     }
 
@@ -505,7 +537,7 @@ impl<'a, P: Protocol> Ctx<'a, P> {
     /// Panics if the calling component is not privileged.
     pub fn recover(&mut self, target: u8) {
         assert!(self.privileged, "recover() requires a privileged component");
-        self.priv_ops.push(PrivOp::Recover { target });
+        self.scratch.priv_ops.push(PrivOp::Recover { target });
     }
 
     /// Declares a hung component dead and recovers it (Recovery Server
@@ -519,7 +551,7 @@ impl<'a, P: Protocol> Ctx<'a, P> {
             self.privileged,
             "kill_hung() requires a privileged component"
         );
-        self.priv_ops.push(PrivOp::KillHung { target });
+        self.scratch.priv_ops.push(PrivOp::KillHung { target });
     }
 
     /// Quarantines a crash-looping component (Recovery Server only): the
@@ -534,7 +566,7 @@ impl<'a, P: Protocol> Ctx<'a, P> {
             self.privileged,
             "quarantine() requires a privileged component"
         );
-        self.priv_ops.push(PrivOp::Quarantine { target });
+        self.scratch.priv_ops.push(PrivOp::Quarantine { target });
     }
 
     /// Asks the kernel to refresh `target`'s spare clone image in the
@@ -551,7 +583,7 @@ impl<'a, P: Protocol> Ctx<'a, P> {
             self.privileged,
             "refresh_image() requires a privileged component"
         );
-        self.priv_ops.push(PrivOp::RefreshImage { target });
+        self.scratch.priv_ops.push(PrivOp::RefreshImage { target });
     }
 
     /// Updates the kernel's persisted recovery intent for `target`
@@ -567,7 +599,9 @@ impl<'a, P: Protocol> Ctx<'a, P> {
             self.privileged,
             "record_intent() requires a privileged component"
         );
-        self.priv_ops.push(PrivOp::RecordIntent { target, phase });
+        self.scratch
+            .priv_ops
+            .push(PrivOp::RecordIntent { target, phase });
     }
 
     /// Records an escalation-ladder decision (Recovery Server only): the
@@ -588,7 +622,7 @@ impl<'a, P: Protocol> Ctx<'a, P> {
             self.privileged,
             "note_escalation() requires a privileged component"
         );
-        self.priv_ops.push(PrivOp::NoteEscalation {
+        self.scratch.priv_ops.push(PrivOp::NoteEscalation {
             target,
             restarts_in_window,
             backoff,
@@ -607,12 +641,8 @@ impl<'a, P: Protocol> Ctx<'a, P> {
             self.privileged,
             "controlled_shutdown() requires a privileged component"
         );
-        self.priv_ops.push(PrivOp::ControlledShutdown { reason });
-    }
-
-    /// Whether this message already received a reply during this handler
-    /// invocation (used by the kernel's crash handling).
-    pub(crate) fn has_replied_to(&self, id: MsgId) -> bool {
-        self.replied.contains(&id)
+        self.scratch
+            .priv_ops
+            .push(PrivOp::ControlledShutdown { reason });
     }
 }

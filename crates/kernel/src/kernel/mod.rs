@@ -41,7 +41,7 @@ use self::recovery::PendingCrash;
 use self::watchdog::Watchdog;
 use crate::abi::{Pid, SysReply};
 use crate::clock::{CostModel, VirtualClock};
-use crate::component::{Ctx, FaultHook, InjectedHang, NoFaults, PrivOp, ReplyTamper, Server};
+use crate::component::{Ctx, FaultHook, InjectedHang, NoFaults, ReplyTamper, Scratch, Server};
 use crate::message::{Endpoint, Message, MsgId, Protocol, SpanInfo, SyscallId};
 use crate::metrics::ShutdownKind;
 
@@ -142,11 +142,9 @@ struct Comp<P: Protocol> {
     stats: CompStats,
 }
 
-/// What one handler invocation left behind.
-struct HandlerRun<P: Protocol> {
-    out: Vec<Message<P>>,
-    timers: Vec<(u64, Option<SpanInfo>, P)>,
-    priv_ops: Vec<PrivOp>,
+/// What one handler invocation left behind, besides the messages, timers
+/// and privileged ops it pushed onto the kernel's [`Scratch`].
+struct HandlerRun {
     cycles: u64,
     tamper: ReplyTamper,
     /// Whether the handler already replied to the message it was given.
@@ -176,6 +174,9 @@ pub struct Kernel<P: Protocol> {
     shutdown_pending: Option<(ShutdownKind, u32)>,
     user_replies: Vec<(SyscallId, Pid, SysReply)>,
     kill_events: Vec<Pid>,
+    /// Emission buffers lent to each handler invocation's `Ctx` and
+    /// drained right after it; empty between deliveries.
+    scratch: Scratch<P>,
     hook: Box<dyn FaultHook>,
     rs_ep: Option<u8>,
     /// The authoritative control-plane history. Only events sealed here (or
@@ -310,6 +311,7 @@ impl<P: Protocol> Kernel<P> {
             shutdown_pending: None,
             user_replies: Vec::new(),
             kill_events: Vec::new(),
+            scratch: Scratch::default(),
             hook: Box::new(NoFaults),
             rs_ep: None,
             axiom,
@@ -519,8 +521,8 @@ impl<P: Protocol> Kernel<P> {
         for idx in 0..self.comps.len() {
             let run = self.run_handler(idx, None);
             self.clock.advance(run.cycles);
-            self.route_messages(run.out);
-            self.register_timers(idx as u8, run.timers);
+            self.route_messages();
+            self.register_timers(idx as u8);
             let comp = &mut self.comps[idx];
             comp.pristine_image = Some(comp.heap.clone_image(&mut self.cas, None));
             comp.pristine_server = Some(comp.server.clone_box());
@@ -834,19 +836,26 @@ impl<P: Protocol> Kernel<P> {
     }
 
     /// Runs component `idx`'s handler on `msg` — or its `init` when there is
-    /// no message — and collects what it emitted. A handler panic is caught
-    /// here: this is the fault-isolation boundary, everything the kernel
-    /// does outside this call runs below it and must not panic on
+    /// no message. What it emitted is left in `self.scratch`, which the
+    /// handler only borrows: the buffers are the kernel's again when this
+    /// returns, whether the handler returned or unwound. A handler panic is
+    /// caught here: this is the fault-isolation boundary, everything the
+    /// kernel does outside this call runs below it and must not panic on
     /// component-supplied input.
-    fn run_handler(&mut self, idx: usize, msg: Option<&Message<P>>) -> HandlerRun<P> {
+    fn run_handler(&mut self, idx: usize, msg: Option<&Message<P>>) -> HandlerRun {
         let Kernel {
             cfg,
             comps,
             hook,
             clock,
             next_msg_id,
+            scratch,
             ..
         } = self;
+        debug_assert!(
+            scratch.out.is_empty() && scratch.timers.is_empty() && scratch.priv_ops.is_empty(),
+            "scratch not drained after the previous delivery"
+        );
         let comp = &mut comps[idx];
         let mut ctx = Ctx {
             comp_name: comp.name,
@@ -858,12 +867,13 @@ impl<P: Protocol> Kernel<P> {
             cost: &cfg.cost,
             now: clock.now(),
             cycles: 0,
-            out: Vec::new(),
-            timers: Vec::new(),
-            priv_ops: Vec::new(),
+            scratch,
             privileged: comp.privileged,
             next_msg_id,
-            replied: Vec::new(),
+            stamp_sends: cfg.watchdog.enabled,
+            cur_id: msg.map_or(MsgId(0), |m| m.id),
+            replied_any: false,
+            replied_cur: false,
             cur_replyable: msg
                 .is_some_and(|m| m.seep.kind == MessageKind::Request && m.seep.reply_possible),
             cur_span: msg.and_then(|m| m.span),
@@ -878,12 +888,9 @@ impl<P: Protocol> Kernel<P> {
             }
         };
         HandlerRun {
-            replied: msg.is_some_and(|m| ctx.has_replied_to(m.id)),
+            replied: ctx.replied_cur,
             cycles: ctx.cycles,
             tamper: ctx.tamper,
-            out: ctx.out,
-            timers: ctx.timers,
-            priv_ops: ctx.priv_ops,
             result,
         }
     }
@@ -931,9 +938,6 @@ impl<P: Protocol> Kernel<P> {
         let cycles_in_before = comp.window.stats().cycles_in;
 
         let HandlerRun {
-            mut out,
-            timers,
-            priv_ops,
             cycles,
             tamper,
             replied,
@@ -944,6 +948,7 @@ impl<P: Protocol> Kernel<P> {
         // outbound reply: `Drop` loses it on the wire, `Corrupt` breaks the
         // integrity stamp sealed at send time.
         if tamper != ReplyTamper::None {
+            let out = &mut self.scratch.out;
             if let Some(pos) = out.iter().position(|m| m.reply_to.is_some()) {
                 match tamper {
                     ReplyTamper::Drop => {
@@ -977,8 +982,8 @@ impl<P: Protocol> Kernel<P> {
 
         // Messages sent before a crash point are already on the wire:
         // deliver them regardless of the handler's fate.
-        self.route_messages(out);
-        self.register_timers(idx as u8, timers);
+        self.route_messages();
+        self.register_timers(idx as u8);
 
         match result {
             Ok(()) => {
@@ -993,10 +998,12 @@ impl<P: Protocol> Kernel<P> {
                         .observe(comp.heap.stats().undo_bytes_appended - undo_bytes_before);
                 }
                 self.seal_staged_close(idx);
-                self.execute_priv_ops(priv_ops);
+                self.execute_priv_ops();
                 self.watchdog_after_ok(msg);
             }
             Err(payload) => {
+                // Privileged ops take effect only when the handler returns.
+                self.scratch.priv_ops.clear();
                 let reply_possible =
                     msg.seep.kind == MessageKind::Request && msg.seep.reply_possible && !replied;
                 let hung = payload.downcast_ref::<InjectedHang>().is_some();
@@ -1057,8 +1064,11 @@ impl<P: Protocol> Kernel<P> {
         self.user_replies.push((sid, pid, reply));
     }
 
-    fn route_messages(&mut self, out: Vec<Message<P>>) {
-        for msg in out {
+    /// Routes what the last handler invocation sent. The buffer is drained
+    /// in place and handed back to `scratch` with its capacity.
+    fn route_messages(&mut self) {
+        let mut out = std::mem::take(&mut self.scratch.out);
+        for msg in out.drain(..) {
             if self.watchdog_rejects_reply(&msg) {
                 continue;
             }
@@ -1086,10 +1096,12 @@ impl<P: Protocol> Kernel<P> {
                 Endpoint::Kernel => panic!("components cannot message the kernel directly"),
             }
         }
+        self.scratch.out = out;
     }
 
-    fn register_timers(&mut self, owner: u8, timers: Vec<(u64, Option<SpanInfo>, P)>) {
-        for (delay, span, payload) in timers {
+    /// Registers the timers the last handler invocation set, for `owner`.
+    fn register_timers(&mut self, owner: u8) {
+        for (delay, span, payload) in self.scratch.timers.drain(..) {
             self.timer_seq += 1;
             let at = self.clock.now() + delay;
             self.timers

@@ -250,8 +250,9 @@ impl<P: Protocol> Kernel<P> {
     /// single entry point for component-supplied endpoint indices: an op
     /// naming a component that does not exist is dropped here, so a faulty
     /// RS (inside the fault model) cannot index the kernel out of bounds.
-    pub(super) fn execute_priv_ops(&mut self, ops: Vec<PrivOp>) {
-        for op in ops {
+    pub(super) fn execute_priv_ops(&mut self) {
+        let mut ops = std::mem::take(&mut self.scratch.priv_ops);
+        for op in ops.drain(..) {
             let target = match op {
                 PrivOp::Recover { target }
                 | PrivOp::KillHung { target }
@@ -317,6 +318,7 @@ impl<P: Protocol> Kernel<P> {
                 }
             }
         }
+        self.scratch.priv_ops = ops;
     }
 
     /// Refreshes `target`'s spare clone image against the content-addressed

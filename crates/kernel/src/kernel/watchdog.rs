@@ -157,6 +157,14 @@ pub(super) struct Watchdog<P> {
     slots: Vec<Option<WdSlot<P>>>,
     /// Number of occupied slots — the one-branch fast-path guard.
     armed: usize,
+    /// A lower bound on the virtual time at which a sweep of the slots can
+    /// find anything to do: no armed `deadline` and no probing `until` lies
+    /// before it, and it is 0 while a `Rejected` slot may await
+    /// reconciliation. Lowered where a slot becomes due earlier (arm, probe,
+    /// reject); made exact again when the last slot empties and by every
+    /// completed sweep, so a slot that left early costs at most one idle
+    /// sweep.
+    next_due: u64,
     /// Requests awaiting transparent re-delivery after a granted retry,
     /// keyed by (virtual due time, schedule sequence); the value carries the
     /// attempt index the re-delivery will be armed with.
@@ -169,6 +177,7 @@ impl<P> Watchdog<P> {
         Watchdog {
             slots: (0..capacity).map(|_| None).collect(),
             armed: 0,
+            next_due: u64::MAX,
             retry_wait: BTreeMap::new(),
             retry_seq: 0,
         }
@@ -183,6 +192,7 @@ impl<P> Watchdog<P> {
     pub(super) fn clear(&mut self) {
         self.slots.iter_mut().for_each(|s| *s = None);
         self.armed = 0;
+        self.next_due = u64::MAX;
         self.retry_wait.clear();
     }
 
@@ -208,6 +218,9 @@ impl<P> Watchdog<P> {
     /// Vacates slot `i`, returning what it held.
     fn take(&mut self, i: usize) -> WdSlot<P> {
         self.armed -= 1;
+        if self.armed == 0 {
+            self.next_due = u64::MAX;
+        }
         self.slots[i].take().expect("watchdog slot is occupied")
     }
 }
@@ -253,6 +266,7 @@ impl<P: Protocol> Kernel<P> {
             msg: None,
         });
         self.wd.armed += 1;
+        self.wd.next_due = self.wd.next_due.min(now + budget);
         self.counters.wd_armed_total.inc();
         self.tracer.emit(
             dst,
@@ -297,6 +311,7 @@ impl<P: Protocol> Kernel<P> {
             let slot = self.wd.slot_mut(i);
             slot.state = WdState::Rejected;
             let (sender, msg_id) = (slot.dst, slot.msg_id);
+            self.wd.next_due = 0;
             self.counters.wd_replies_rejected.inc();
             self.seal_verdict(sender, msg_id, VerdictCode::CorruptReply);
             return true;
@@ -394,6 +409,9 @@ impl<P: Protocol> Kernel<P> {
         }
         let now = self.clock.now();
         self.tracer.set_now(now);
+        if now < self.wd.next_due {
+            return;
+        }
         for i in 0..self.wd.slots.len() {
             if self.shutdown.is_some() || self.recovering.is_some() {
                 // A verdict earlier in this sweep started a conduct (or
@@ -426,11 +444,26 @@ impl<P: Protocol> Kernel<P> {
                 _ => {}
             }
         }
+        // The sweep ran to the end: the bound is exact again.
+        self.wd.next_due = self
+            .wd
+            .slots
+            .iter()
+            .flatten()
+            .filter_map(|s| match s.state {
+                WdState::Armed => Some(s.deadline),
+                WdState::Probing { until, .. } => Some(until),
+                WdState::Rejected => Some(0),
+                WdState::Doomed => None,
+            })
+            .min()
+            .unwrap_or(u64::MAX);
     }
 
     /// Starts (or extends) the heartbeat-probe round of slot `i`.
     fn watchdog_probe(&mut self, i: usize, now: u64, probes: u32, progress_at: u64) {
         let until = now + self.cfg.watchdog.probe_period;
+        self.wd.next_due = self.wd.next_due.min(until);
         let slot = self.wd.slot_mut(i);
         slot.state = WdState::Probing {
             until,

@@ -98,12 +98,15 @@ pub trait Protocol: fmt::Debug + Send + 'static {
     /// Short stable label for tracing and profiling.
     fn label(&self) -> &'static str;
 
-    /// Content digest used for reply-integrity verification: the kernel
-    /// stamps `digest()` on every reply at send time and re-verifies it at
-    /// delivery when the watchdog is enabled, so a reply whose payload was
-    /// corrupted in flight is rejected and its sender treated as crashed.
-    /// The default (constant 0) opts a protocol out of the defense while
-    /// staying source-compatible.
+    /// Content digest used for reply-integrity verification. When the
+    /// watchdog is enabled the kernel stamps `digest()` on every message a
+    /// component sends and re-verifies it when a reply to an armed request
+    /// is routed, so a reply whose payload was corrupted in flight is
+    /// rejected and its sender treated as crashed. With the watchdog
+    /// disabled nothing reads the stamp and `digest()` is never called, so
+    /// a protocol whose digest is expensive pays for it only under an
+    /// enabled watchdog. The default (constant 0) opts a protocol out of
+    /// the defense while staying source-compatible.
     fn digest(&self) -> u64 {
         0
     }
@@ -128,9 +131,9 @@ pub struct Message<P> {
     /// The causal request span this message belongs to, if any.
     pub span: Option<SpanInfo>,
     /// Integrity digest of the payload ([`Protocol::digest`]), stamped at
-    /// send time. Verified on reply delivery when the watchdog is enabled;
-    /// a mismatch means the payload was corrupted after the sender sealed
-    /// it, and the reply is rejected.
+    /// send time and verified on reply delivery when the watchdog is
+    /// enabled (0 and unread otherwise); a mismatch means the payload was
+    /// corrupted after the sender sealed it, and the reply is rejected.
     pub integrity: u64,
     /// The payload.
     pub payload: P,

@@ -669,3 +669,92 @@ fn out_of_range_priv_op_targets_are_rejected_not_indexed() {
     // window open/close reached the axiom.
     assert_eq!(kernel.control_state().events, events_before + 2);
 }
+
+/// Crashes once at `site` and records `(site, replyable)` of every probe.
+struct CrashOnceRecording {
+    site: &'static str,
+    fired: bool,
+    seen: Arc<std::sync::Mutex<Vec<(&'static str, bool)>>>,
+}
+
+impl FaultHook for CrashOnceRecording {
+    fn on_site(&mut self, probe: &Probe) -> FaultEffect {
+        self.seen
+            .lock()
+            .expect("probe log")
+            .push((probe.site, probe.replyable));
+        if probe.site == self.site && !self.fired {
+            self.fired = true;
+            FaultEffect::Panic
+        } else {
+            FaultEffect::None
+        }
+    }
+}
+
+#[test]
+fn crashed_invocation_leaves_nothing_behind_in_the_lent_scratch() {
+    // The handler's emission buffers belong to the kernel and are lent to
+    // each invocation. The relay sends one request to its peer and then
+    // panics: that request is routed exactly once, and the relay's next
+    // delivery starts from a clean slate.
+    let (mut kernel, _) = build(PolicyKind::Naive, Instrumentation::WindowGated);
+    let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+    kernel.set_fault_hook(Box::new(CrashOnceRecording {
+        site: "worker.relay.post",
+        fired: false,
+        seen: Arc::clone(&seen),
+    }));
+    let relay = Endpoint::Component(2);
+    kernel.send_user_request(relay, Msg::Echo(1), SyscallId(1), Pid(1));
+    kernel.send_user_request(relay, Msg::BumpViaPeer, SyscallId(2), Pid(1));
+    kernel.pump();
+    assert_eq!(
+        kernel.take_user_replies(),
+        vec![
+            (SyscallId(1), Pid(1), SysReply::Val(1)),
+            (
+                SyscallId(2),
+                Pid(1),
+                SysReply::Err(osiris_kernel::abi::Errno::ECRASH)
+            ),
+        ]
+    );
+    assert_eq!(counter_of(&kernel, 0), 1, "the Bump sent before the crash");
+
+    // The restarted relay handles two more requests: each produces its own
+    // reply and nothing else. A Bump left in `out` would reach the peer a
+    // second time, a stale `replied_*` flag would make the probe report the
+    // request as already answered.
+    kernel.send_user_request(relay, Msg::Echo(7), SyscallId(3), Pid(1));
+    kernel.send_user_request(relay, Msg::ArmTick, SyscallId(4), Pid(1));
+    kernel.pump();
+    assert_eq!(
+        kernel.take_user_replies(),
+        vec![
+            (SyscallId(3), Pid(1), SysReply::Val(7)),
+            (SyscallId(4), Pid(1), SysReply::Ok),
+        ]
+    );
+    assert_eq!(counter_of(&kernel, 0), 1, "no message was routed twice");
+    assert!(kernel.quiescent());
+    assert!(kernel.fire_next_timer(), "the one timer ArmTick set");
+    kernel.pump();
+    assert!(!kernel.has_pending_timers());
+    assert_eq!(
+        counter_of(&kernel, 1),
+        1100,
+        "the +100 Naive keeps and exactly one Tick"
+    );
+    let seen = seen.lock().expect("probe log");
+    let echoes: Vec<bool> = seen
+        .iter()
+        .filter(|(site, _)| *site == "worker.echo")
+        .map(|(_, replyable)| *replyable)
+        .collect();
+    assert_eq!(
+        echoes,
+        [true, true],
+        "every delivery starts unreplied: {seen:?}"
+    );
+}

@@ -703,9 +703,13 @@ impl OsEngine for Os {
 
     fn pump(&mut self) -> Vec<(SyscallId, Pid, SysReply)> {
         self.kernel.pump();
-        let mut replies = std::mem::take(&mut self.pending_refusals);
-        replies.extend(self.kernel.take_user_replies());
-        replies
+        let replies = self.kernel.take_user_replies();
+        if self.pending_refusals.is_empty() {
+            return replies;
+        }
+        let mut all = std::mem::take(&mut self.pending_refusals);
+        all.extend(replies);
+        all
     }
 
     fn take_kill_events(&mut self) -> Vec<Pid> {

@@ -239,9 +239,9 @@ impl ProcessManager {
             Syscall::GetPPid => {
                 ctx.site("pm.getppid.entry");
                 let h = self.h();
-                match h.procs.get(ctx.heap_ref(), &pid.0) {
-                    Some(p) => {
-                        let ppid = ctx.site_val("pm.getppid.read", u64::from(p.ppid)) as u32;
+                match h.procs.with(ctx.heap_ref(), &pid.0, |p| p.ppid) {
+                    Some(ppid) => {
+                        let ppid = ctx.site_val("pm.getppid.read", u64::from(ppid)) as u32;
                         ctx.reply(rp, OsMsg::UserReply(SysReply::Proc(Pid(ppid))));
                     }
                     None => ctx.reply(rp, OsMsg::UserReply(SysReply::Err(Errno::ESRCH))),

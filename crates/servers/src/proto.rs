@@ -335,18 +335,19 @@ impl Protocol for OsMsg {
         }
     }
 
-    /// Reply-integrity digest: an FNV-1a fold over the variant label and the
+    /// Reply-integrity digest: a fold over the variant label and the
     /// payload bytes that matter to the requester's continuation. Covers the
     /// reply variants (the only payloads the integrity check inspects) and
-    /// stays allocation-free — scalars fold as little-endian bytes, byte
-    /// payloads fold as-is.
+    /// stays allocation-free — scalars fold as little-endian bytes with
+    /// FNV-1a, byte payloads (a read reply is a whole page) word-wise.
     fn digest(&self) -> u64 {
         use osiris_axiom::{fnv1a, fnv1a_str};
+        use osiris_checkpoint::fold_bytes;
         use OsMsg::*;
         let seed = fnv1a_str(self.label());
         match self {
             RVal(v) => fnv1a(seed, &v.to_le_bytes()),
-            RData(bytes) => fnv1a(seed, bytes),
+            RData(bytes) => fold_bytes(seed, bytes),
             RErr(e) => fnv1a(seed, &[*e as u8]),
             UserReply(r) => {
                 let tag = |h, t: u8| fnv1a(h, &[t]);
@@ -359,7 +360,7 @@ impl Protocol for OsMsg {
                         let h = fnv1a(tag(seed, 4), &a.0.to_le_bytes());
                         fnv1a(h, &b.0.to_le_bytes())
                     }
-                    SysReply::Data(bytes) => fnv1a(tag(seed, 5), bytes),
+                    SysReply::Data(bytes) => fold_bytes(tag(seed, 5), bytes),
                     SysReply::Names(names) => names
                         .iter()
                         .fold(tag(seed, 6), |h, n| fnv1a(fnv1a_str(n), &h.to_le_bytes())),
@@ -588,6 +589,18 @@ mod tests {
             OsMsg::UserReply(SysReply::Err(Errno::EIO)).digest(),
             OsMsg::UserReply(SysReply::Err(Errno::ENOENT)).digest()
         );
+        // …also when only the last byte differs, on either side of the
+        // word fold's 8-byte boundary and over a whole page…
+        for len in [7, 8, 9, 4096] {
+            let a = vec![0x5A; len];
+            let mut b = a.clone();
+            b[len - 1] ^= 1;
+            assert_ne!(
+                OsMsg::RData(a).digest(),
+                OsMsg::RData(b).digest(),
+                "len {len}"
+            );
+        }
         // …different variants differ…
         assert_ne!(OsMsg::ROk.digest(), OsMsg::RCrash.digest());
         assert_ne!(

@@ -413,10 +413,12 @@ impl VfsServer {
             let s = (chunk_start % BLOCK_SIZE as u64) as usize;
             let e = s + (chunk_end - chunk_start) as usize;
             match h.file_blocks.get(ctx.heap_ref(), &(ino, idx)) {
-                Some(block) => {
-                    let bytes = self.cached(block, ctx.heap_ref()).expect("ensured above");
-                    data.extend_from_slice(&bytes[s..e]);
-                }
+                Some(block) => h
+                    .cache
+                    .with(ctx.heap_ref(), &block, |c| {
+                        data.extend_from_slice(&c.data[s..e])
+                    })
+                    .expect("ensured above"),
                 None => data.extend(std::iter::repeat_n(0u8, e - s)),
             }
         }

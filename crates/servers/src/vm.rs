@@ -217,8 +217,8 @@ impl VmManager {
             Syscall::VmStat => {
                 // Purely read-only: fully recoverable end to end.
                 ctx.site("vm.stat");
-                match h.spaces.get(ctx.heap_ref(), &pid.0) {
-                    Some(s) => ctx.reply(rp, OsMsg::UserReply(SysReply::Val(s.resident() as i64))),
+                match h.spaces.with(ctx.heap_ref(), &pid.0, |s| s.resident()) {
+                    Some(n) => ctx.reply(rp, OsMsg::UserReply(SysReply::Val(n as i64))),
                     None => ctx.reply(rp, OsMsg::UserReply(SysReply::Err(Errno::ESRCH))),
                 }
             }
