@@ -5,6 +5,7 @@
 //! `--check` runs the scaled-down workload and enforces the three
 //! invariants without writing the JSON artifact — the CI gate.
 
+use osiris_bench::timeout_bench::DETECT_BOUND;
 use osiris_bench::{bench_timeouts, TimeoutBenchConfig};
 
 /// Ceiling on whole-OS allocator calls per steady put/get round (two
@@ -40,7 +41,7 @@ fn main() {
         "hang-detection latency {} cycles exceeds the armed-deadline + \
          one-heartbeat bound of {} cycles",
         result.detect_max,
-        result.detect_bound,
+        DETECT_BOUND,
     );
     let delta = result.armed_hot_path_allocs().expect("counter installed");
     assert_eq!(
@@ -59,6 +60,6 @@ fn main() {
     println!(
         "OK: detection within bound ({} <= {}), armed hot path added {} allocator calls, \
          {per_round:.2} calls per round (ceiling {STEADY_ALLOCS_PER_ROUND_CEILING})",
-        result.detect_max, result.detect_bound, delta
+        result.detect_max, DETECT_BOUND, delta
     );
 }

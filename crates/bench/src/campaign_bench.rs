@@ -97,7 +97,6 @@ impl CampaignBenchConfig {
         Forge::new(ForgeConfig {
             script: ScriptWorkload {
                 stress_rounds: self.stress_rounds,
-                ..ScriptWorkload::default()
             },
             inject_at: Boundary::Late,
             threads: self.threads,
@@ -247,10 +246,7 @@ impl CampaignBenchResult {
 /// Measures allocator calls for one warmed snapshot adoption at the given
 /// prefix scale.
 fn readopt_allocs(stress_rounds: u32, alloc_count: fn() -> u64) -> u64 {
-    let script = ScriptWorkload {
-        stress_rounds,
-        ..ScriptWorkload::default()
-    };
+    let script = ScriptWorkload { stress_rounds };
     let mut store = ChunkStore::new();
     let mut parent = Os::new(forge_config(PolicyKind::Enhanced));
     let run = script.run_range(&mut parent, 0..ScriptWorkload::BULK_STEPS);

@@ -382,11 +382,7 @@ pub fn table4(scale: f64) -> Vec<Table4Row> {
     BENCHMARKS
         .iter()
         .map(|bench| {
-            let monolith = bench_score(
-                Monolith::with_cost(Default::default(), 64, 65_536),
-                bench,
-                scale,
-            );
+            let monolith = bench_score(Monolith::with_sizes(64, 65_536), bench, scale);
             let osiris = bench_score(
                 osiris_engine(PolicyKind::Enhanced, Instrumentation::Off),
                 bench,

@@ -89,10 +89,13 @@ fn workspace_root() -> PathBuf {
 }
 
 /// Counts source lines for every workspace crate (plus the facade,
-/// examples and integration tests, attributed as non-RCB).
+/// examples and integration tests, attributed as non-RCB). A crate's row is
+/// its `src/`; its `tests/` directory drives it from outside, so nobody has
+/// to trust it and it is counted in the `tests` row.
 pub fn count_workspace_loc() -> RcbReport {
     let root = workspace_root();
     let mut crates = Vec::new();
+    let mut tests_loc = count_dir(&root.join("tests"));
     if let Ok(entries) = std::fs::read_dir(root.join("crates")) {
         let mut dirs: Vec<PathBuf> = entries
             .flatten()
@@ -106,17 +109,17 @@ pub fn count_workspace_loc() -> RcbReport {
                 .and_then(|n| n.to_str())
                 .unwrap_or("?")
                 .to_string();
-            let loc = count_dir(&dir);
+            let loc = count_dir(&dir.join("src"));
+            tests_loc += count_dir(&dir.join("tests"));
             let rcb = RCB_CRATES.contains(&name.as_str());
             crates.push(CrateLoc { name, loc, rcb });
         }
     }
-    for (name, sub) in [
-        ("facade", "src"),
-        ("examples", "examples"),
-        ("tests", "tests"),
+    for (name, loc) in [
+        ("facade", count_dir(&root.join("src"))),
+        ("examples", count_dir(&root.join("examples"))),
+        ("tests", tests_loc),
     ] {
-        let loc = count_dir(&root.join(sub));
         if loc > 0 {
             crates.push(CrateLoc {
                 name: name.to_string(),
@@ -151,5 +154,16 @@ mod tests {
                 name
             );
         }
+    }
+
+    #[test]
+    fn integration_tests_are_not_trusted_code() {
+        let report = count_workspace_loc();
+        let kernel = workspace_root().join("crates/kernel");
+        let row = report.crates.iter().find(|c| c.name == "kernel").unwrap();
+        assert_eq!(row.loc, count_dir(&kernel.join("src")));
+        assert!(count_dir(&kernel.join("tests")) > 0);
+        let tests = report.crates.iter().find(|c| c.name == "tests").unwrap();
+        assert!(!tests.rcb && tests.loc > count_dir(&kernel.join("tests")));
     }
 }

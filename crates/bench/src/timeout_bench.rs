@@ -12,7 +12,7 @@
 //!   `osiris_watchdog_detection_latency_cycles` histogram against the
 //!   bound, exact-max included.
 //! * **Arming is allocation-free in steady state.** The watchdog slot table
-//!   is preallocated at boot ([`WatchdogConfig::capacity`]), so arming and
+//!   is preallocated at boot ([`WatchdogConfig::CAPACITY`]), so arming and
 //!   disarming a deadline on every request must add **zero** allocator
 //!   calls over the same workload with the watchdog disabled. Boot-time
 //!   costs differ (the slot table itself), so the benchmark measures the
@@ -24,12 +24,17 @@
 //! claims; the full run also writes `BENCH_timeouts.json`.
 
 use osiris_kernel::{
-    FaultEffect, FaultHook, Host, Probe, ProgramRegistry, RunOutcome, WatchdogConfig,
+    cost, FaultEffect, FaultHook, Host, Probe, ProgramRegistry, RunOutcome, WatchdogConfig,
 };
 use osiris_metrics::SeriesValue;
 use osiris_servers::{Os, OsConfig};
 
 use crate::json::{Json, JsonObj};
+
+/// The detection-latency bound: the longer armed deadline plus one
+/// heartbeat period.
+pub const DETECT_BOUND: u64 = WatchdogConfig::DEADLINE_STATE_MODIFYING + cost::HEARTBEAT_INTERVAL;
+const _: () = assert!(WatchdogConfig::DEADLINE_STATE_MODIFYING >= WatchdogConfig::DEADLINE);
 
 /// Benchmark configuration.
 #[derive(Clone, Copy, Debug)]
@@ -68,8 +73,6 @@ impl TimeoutBenchConfig {
 /// The measurements.
 #[derive(Clone, Copy, Debug)]
 pub struct TimeoutBenchResult {
-    /// Watchdog configuration the runs used (for the bound).
-    pub watchdog: WatchdogConfig,
     /// Hang incidents the fault hook actually injected.
     pub hangs: u64,
     /// Samples in the detection-latency histogram (hung verdicts).
@@ -78,10 +81,6 @@ pub struct TimeoutBenchResult {
     pub detect_max: u64,
     /// Mean detection latency, virtual cycles.
     pub detect_mean: f64,
-    /// The bound: max armed deadline + one heartbeat period.
-    pub detect_bound: u64,
-    /// The heartbeat period the bound uses.
-    pub heartbeat: u64,
     /// Rounds per steady-state run (the increment base).
     pub steady_rounds: u64,
     /// Allocator-call increment (double run minus single run), watchdog
@@ -95,19 +94,13 @@ impl TimeoutBenchResult {
     /// The latency claim: every hung verdict landed within the armed
     /// deadline plus one heartbeat period.
     pub fn detection_within_bound(&self) -> bool {
-        self.detect_count > 0 && self.detect_max <= self.detect_bound
+        self.detect_count > 0 && self.detect_max <= DETECT_BOUND
     }
 
     /// Allocator calls the armed-deadline hot path added per steady-state
     /// run (`None` without a counting allocator).
     pub fn armed_hot_path_allocs(&self) -> Option<i64> {
         Some(self.allocs_on? as i64 - self.allocs_off? as i64)
-    }
-
-    /// The allocation claim: arming deadlines on every request adds zero
-    /// allocator calls in steady state.
-    pub fn zero_armed_allocs(&self) -> bool {
-        self.armed_hot_path_allocs() == Some(0)
     }
 
     /// Renders a human-readable summary.
@@ -126,9 +119,9 @@ impl TimeoutBenchResult {
             self.detect_count,
             self.detect_max,
             self.detect_mean,
-            self.detect_bound - self.heartbeat,
-            self.heartbeat,
-            self.detect_bound,
+            DETECT_BOUND - cost::HEARTBEAT_INTERVAL,
+            cost::HEARTBEAT_INTERVAL,
+            DETECT_BOUND,
             self.steady_rounds,
             allocs(self.allocs_off),
             allocs(self.allocs_on),
@@ -149,7 +142,7 @@ impl TimeoutBenchResult {
             .field("hung_verdicts", Json::UInt(self.detect_count))
             .field("detect_max_cycles", Json::UInt(self.detect_max))
             .field("detect_mean_cycles", Json::Num(self.detect_mean))
-            .field("detect_bound_cycles", Json::UInt(self.detect_bound))
+            .field("detect_bound_cycles", Json::UInt(DETECT_BOUND))
             .field(
                 "detection_within_bound",
                 Json::Bool(self.detection_within_bound()),
@@ -247,9 +240,6 @@ fn run_allocs(cfg: &TimeoutBenchConfig, os_cfg: OsConfig, rounds: u64) -> Option
 pub fn bench_timeouts(cfg: TimeoutBenchConfig) -> TimeoutBenchResult {
     // Detection-latency run: wedge the DS repeatedly; each wedge is only
     // visible through the watchdog (a hang has no crash signal).
-    let os_cfg = wd_cfg();
-    let wd = os_cfg.watchdog;
-    let heartbeat = os_cfg.cost.heartbeat_interval;
     let hang_rounds = cfg.hang_incidents * 4 + 20;
     let mut os_cfg_hang = wd_cfg();
     os_cfg_hang.escalation = osiris_core::EscalationPolicy::unbounded();
@@ -294,13 +284,10 @@ pub fn bench_timeouts(cfg: TimeoutBenchConfig) -> TimeoutBenchResult {
         .map(|(double, single)| double - single);
 
     TimeoutBenchResult {
-        watchdog: wd,
         hangs,
         detect_count,
         detect_max,
         detect_mean,
-        detect_bound: wd.deadline.max(wd.deadline_state_modifying) + heartbeat,
-        heartbeat,
         steady_rounds: r,
         allocs_off,
         allocs_on,
@@ -320,7 +307,7 @@ mod tests {
             r.detection_within_bound(),
             "detection latency {} exceeds bound {}",
             r.detect_max,
-            r.detect_bound
+            DETECT_BOUND
         );
         // Without a counting allocator the alloc claim is unmeasured.
         assert!(r.armed_hot_path_allocs().is_none());

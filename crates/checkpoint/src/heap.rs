@@ -1034,11 +1034,6 @@ impl Heap {
         self.stats = HeapStats::default();
         self.journal.reset_reuse();
     }
-
-    /// Debug helper: names of all allocated objects, in allocation order.
-    pub fn object_names(&self) -> Vec<&'static str> {
-        self.objs.iter().map(|o| o.name).collect()
-    }
 }
 
 /// Downcast helper for the boxed undo closures, which capture only the

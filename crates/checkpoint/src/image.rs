@@ -262,93 +262,10 @@ impl Heap {
             self.id(),
             "image belongs to a different heap"
         );
-        image.verify()?;
-        // The `bytes()` total summed at clone time must still match the
-        // manifest rows (drift here means the accounting Table VI reports
-        // was wrong); checked against the store below for dirty rows.
-        let row_bytes: usize = image.entries.iter().map(|e| e.abytes).sum();
-        if row_bytes != image.bytes {
-            return Err(IntegrityError::ImageBytes {
-                expected: image.bytes as u64,
-                actual: row_bytes as u64,
-            });
-        }
-        assert!(
-            image.entries.len() <= self.objs.len(),
-            "image has more objects than the live heap"
-        );
-
-        // Pass 1 — verify every chunk a dirty object will read, and check
-        // the store's byte accounting against the manifest's claimed length.
-        let mut stats = RestoreStats::default();
-        for (i, e) in image.entries.iter().enumerate() {
-            if self.epoch_of(i) == e.epoch {
-                stats.clean_objects += 1;
-                stats.clean_chunks += e.chunk_count();
-                continue;
-            }
-            stats.dirty_objects += 1;
-            stats.dirty_chunks += e.chunk_count();
-            match &e.payload {
-                EntryPayload::Bytes { len, chunks, .. } => {
-                    let mut stored = 0usize;
-                    for c in chunks {
-                        store.verify_chunk(*c)?;
-                        stored += store.chunk_bytes(*c).expect("chunk verified resident");
-                    }
-                    if stored != *len {
-                        return Err(IntegrityError::ImageBytes {
-                            expected: *len as u64,
-                            actual: stored as u64,
-                        });
-                    }
-                    stats.bytes_restored += len;
-                }
-                EntryPayload::Opaque { chunk } => {
-                    store.verify_chunk(*chunk)?;
-                    stats.bytes_restored += e.abytes;
-                }
-            }
-        }
-
-        // Pass 2 — write dirty objects back. Byte payloads are rebuilt in
-        // place (clear + extend within existing capacity: allocation-free
-        // when the live buffer did not shrink its capacity); opaque payloads
-        // are cloned out of the store. Restored objects take the manifest
-        // epoch, so the heap ends up clean with respect to the image.
-        for (i, e) in image.entries.iter().enumerate() {
-            if self.epoch_of(i) == e.epoch {
-                continue;
-            }
-            let obj = &mut self.objs[i];
-            assert_eq!(obj.name, e.name, "object table shape changed");
-            match &e.payload {
-                EntryPayload::Bytes {
-                    extra_bytes,
-                    chunks,
-                    ..
-                } => {
-                    let h = obj
-                        .data
-                        .byte_holder_mut()
-                        .expect("manifest byte row over non-byte object");
-                    h.value.clear();
-                    for c in chunks {
-                        h.value
-                            .extend_from_slice(store.bytes_of(*c).expect("chunk verified"));
-                    }
-                    h.extra_bytes = *extra_bytes;
-                }
-                EntryPayload::Opaque { chunk } => {
-                    obj.data = store.opaque_of(*chunk).expect("chunk verified").clone_obj();
-                }
-            }
-            self.set_epoch(i, e.epoch);
-        }
+        let stats = self.write_back(image, store, 0, |live, e| live == e.epoch)?;
         // Objects allocated after the snapshot are not part of the restored
         // state (same semantics as the historical deep restore).
         self.objs.truncate(image.entries.len());
-        self.discard_log();
         Ok(stats)
     }
 
@@ -387,7 +304,35 @@ impl Heap {
         store: &ChunkStore,
         donor_write_epoch: u64,
     ) -> Result<RestoreStats, IntegrityError> {
+        assert_eq!(
+            image.entries.len(),
+            self.objs.len(),
+            "adopting heap's object table must match the donor's"
+        );
+        let floor = self.adopt_floor.unwrap_or_else(|| self.write_epoch());
+        let stats = self.write_back(image, store, donor_write_epoch, |live, e| {
+            live == e.epoch && e.epoch <= floor
+        })?;
+        self.adopt_floor = Some(self.write_epoch());
+        Ok(stats)
+    }
+
+    /// The verify pass and the write-back pass behind
+    /// [`Heap::restore_image`] and [`Heap::adopt_image`]. `clean(live epoch,
+    /// manifest row)` names the objects both passes skip; the write counter
+    /// is raised to at least `raise_to` between the passes, so the stamped
+    /// epochs stay below it. Discards the undo log.
+    fn write_back(
+        &mut self,
+        image: &HeapImage,
+        store: &ChunkStore,
+        raise_to: u64,
+        clean: impl Fn(u64, &ImageEntry) -> bool,
+    ) -> Result<RestoreStats, IntegrityError> {
         image.verify()?;
+        // The `bytes()` total summed at clone time must still match the
+        // manifest rows (drift here means the accounting Table VI reports
+        // was wrong); checked against the store below for dirty rows.
         let row_bytes: usize = image.entries.iter().map(|e| e.abytes).sum();
         if row_bytes != image.bytes {
             return Err(IntegrityError::ImageBytes {
@@ -395,15 +340,13 @@ impl Heap {
                 actual: row_bytes as u64,
             });
         }
-        assert_eq!(
-            image.entries.len(),
-            self.objs.len(),
-            "adopting heap's object table must match the donor's"
+        assert!(
+            image.entries.len() <= self.objs.len(),
+            "image has more objects than the live heap"
         );
-        let floor = self.adopt_floor.unwrap_or_else(|| self.write_epoch());
-        let clean = |live: u64, e: &ImageEntry| live == e.epoch && e.epoch <= floor;
 
-        // Pass 1 — verify every chunk a dirty object will read.
+        // Pass 1 — verify every chunk a dirty object will read, and check
+        // the store's byte accounting against the manifest's claimed length.
         let mut stats = RestoreStats::default();
         for (i, e) in image.entries.iter().enumerate() {
             if clean(self.epoch_of(i), e) {
@@ -435,14 +378,18 @@ impl Heap {
             }
         }
 
-        // Pass 2 — write dirty objects back and stamp donor epochs.
-        self.raise_write_epoch(donor_write_epoch);
+        // Pass 2 — write dirty objects back. Byte payloads are rebuilt in
+        // place (clear + extend within existing capacity: allocation-free
+        // when the live buffer did not shrink its capacity); opaque payloads
+        // are cloned out of the store. Restored objects take the manifest
+        // epoch, so the heap ends up clean with respect to the image.
+        self.raise_write_epoch(raise_to);
         for (i, e) in image.entries.iter().enumerate() {
             if clean(self.epoch_of(i), e) {
                 continue;
             }
             let obj = &mut self.objs[i];
-            assert_eq!(obj.name, e.name, "object table shape differs from donor");
+            assert_eq!(obj.name, e.name, "object table shape differs from image");
             match &e.payload {
                 EntryPayload::Bytes {
                     extra_bytes,
@@ -467,7 +414,6 @@ impl Heap {
             self.set_epoch(i, e.epoch);
         }
         self.discard_log();
-        self.adopt_floor = Some(self.write_epoch());
         Ok(stats)
     }
 

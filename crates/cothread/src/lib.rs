@@ -217,18 +217,6 @@ impl<C: HeapValue> CoPool<C> {
         self.current.set(heap, None);
         Some(ThreadId(cur))
     }
-
-    /// Blocked threads and whether each still holds a continuation —
-    /// used by audits and tests.
-    pub fn blocked_threads(&self, heap: &Heap) -> Vec<ThreadId> {
-        let mut out = Vec::new();
-        self.slots.for_each(heap, |id, s| {
-            if s.state == CoState::Blocked {
-                out.push(ThreadId(*id));
-            }
-        });
-        out
-    }
 }
 
 #[cfg(test)]

@@ -380,14 +380,6 @@ impl Campaign {
         self
     }
 
-    /// Streams campaign outcomes into `handle` instead of a private
-    /// registry — e.g. the OS run's own registry, so one export carries
-    /// both kernel and campaign series.
-    pub fn with_metrics(mut self, handle: MetricsHandle) -> Campaign {
-        self.metrics = handle;
-        self
-    }
-
     /// The registry campaign series are streamed into.
     pub fn metrics_handle(&self) -> &MetricsHandle {
         &self.metrics

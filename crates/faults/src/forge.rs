@@ -6,7 +6,7 @@
 //! every injected run, even though every variant of one injection site
 //! shares the exact same fault-free prefix. The forge removes that
 //! redundancy with the OS fork substrate
-//! ([`osiris_servers::Os::snapshot`] / [`osiris_servers::Os::fork`]):
+//! ([`osiris_servers::Os::snapshot_into`] / [`osiris_servers::Os::fork_from`]):
 //!
 //! 1. **Prefix discovery** — a [`StepProfiler`]-instrumented run of the
 //!    deterministic [`ScriptWorkload`] maps every instrumentation site to
@@ -96,16 +96,8 @@ impl ScriptRun {
 /// — the property the snapshot-fork campaign rests on. Syscall ids are
 /// minted per step (`(step+1)*10_000 + seq`), keeping the id stream of a
 /// forked suffix identical to the same suffix of a full run.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct ScriptWorkload {
-    /// Virtual cycles charged to user compute before each syscall.
-    pub charge_per_call: u64,
-    /// Bounded transparent retries of `ECRASH` replies (error
-    /// virtualization: the request was discarded, retrying is the
-    /// documented contract).
-    pub ecrash_retries: u32,
-    /// Timer fires tolerated without progress before declaring a hang.
-    pub max_idle_fires: u32,
     /// Extra bulk-I/O rounds appended to each step of the bulk phase
     /// (steps `0..`[`ScriptWorkload::BULK_STEPS`]). Each round overwrites
     /// a fixed data-store key, rewrites a fixed root file and toggles the
@@ -114,16 +106,13 @@ pub struct ScriptWorkload {
     pub stress_rounds: u32,
 }
 
-impl Default for ScriptWorkload {
-    fn default() -> Self {
-        ScriptWorkload {
-            charge_per_call: 5,
-            ecrash_retries: 4,
-            max_idle_fires: 10_000,
-            stress_rounds: 0,
-        }
-    }
-}
+/// Virtual cycles charged to user compute before each scripted syscall.
+const CHARGE_PER_CALL: u64 = 5;
+/// Bounded transparent retries of `ECRASH` replies (error virtualization:
+/// the request was discarded, retrying is the documented contract).
+const ECRASH_RETRIES: u32 = 4;
+/// Timer fires tolerated without progress before declaring a hang.
+const MAX_IDLE_FIRES: u32 = 10_000;
 
 /// Drives the engine for one workload run (or a sub-range of steps).
 struct Driver<'a, E: OsEngine> {
@@ -148,8 +137,8 @@ impl<'a, E: OsEngine> Driver<'a, E> {
         if self.terminal() {
             return None;
         }
-        for _ in 0..=self.cfg.ecrash_retries {
-            self.os.charge_user(self.cfg.charge_per_call);
+        for _ in 0..=ECRASH_RETRIES {
+            self.os.charge_user(CHARGE_PER_CALL);
             let sid = SyscallId(self.sid_base + self.seq);
             self.seq += 1;
             self.os.submit(sid, Pid::INIT, call.clone());
@@ -191,7 +180,7 @@ impl<'a, E: OsEngine> Driver<'a, E> {
                 return None;
             }
             idle += 1;
-            if idle > self.cfg.max_idle_fires {
+            if idle > MAX_IDLE_FIRES {
                 self.stall = Some(format!(
                     "no reply for sid {} after {idle} timer fires",
                     sid.0

@@ -8,6 +8,7 @@ use osiris_faults::forge::{forge_config, ScriptWorkload, StepProfiler};
 use osiris_faults::{FaultKind, FaultPlan, Injector};
 use osiris_kernel::NoFaults;
 use osiris_servers::Os;
+use osiris_trace::{Category, CategoryMask};
 
 const STEPS: usize = ScriptWorkload::STEPS;
 
@@ -147,6 +148,28 @@ fn readopt_matches_fresh_fork() {
     assert_eq!(want.0, got.0, "metrics diverge after readopt");
     assert_eq!(want.1, got.1, "axiom diverges after readopt");
     assert_eq!(want.2, got.2, "trace diverges after readopt");
+}
+
+/// Adoption restores the tracer's ring but not its filter, so a worker
+/// whose trace mask differs from the donor's must be refused: it would
+/// record the suffix with its own mask, not the snapshot's.
+#[test]
+fn readopt_refuses_a_different_trace_filter() {
+    let mut windows_only = forge_config(PolicyKind::Enhanced);
+    windows_only.trace.categories = CategoryMask::of(&[Category::Window]);
+    let mut store = ChunkStore::new();
+    let mut parent = Os::new(windows_only);
+    let prefix = ScriptWorkload::default().run_range(&mut parent, 0..3);
+    assert!(prefix.clean());
+    let snap = parent.snapshot_into(&mut store, None);
+
+    let mut worker = Os::new(forge_config(PolicyKind::Enhanced));
+    assert_eq!(worker.config().trace.categories, CategoryMask::ALL);
+    assert!(
+        worker.try_readopt(&snap, &store).is_none(),
+        "a worker filtering with another category mask re-adopted the snapshot"
+    );
+    snap.release(&mut store);
 }
 
 #[test]

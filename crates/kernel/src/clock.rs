@@ -6,7 +6,8 @@
 //! fixed cycle cost, so relative overheads (microkernel vs monolith,
 //! instrumented vs not) are measurable and reproducible. Absolute values are
 //! meaningless by design; only ratios matter, exactly as in the paper's
-//! evaluation.
+//! evaluation. The calibration is fixed: the costs are the constants of
+//! [`cost`], not configuration.
 
 /// A monotonically increasing virtual clock counting cycles.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -40,66 +41,46 @@ impl VirtualClock {
 
 /// Cycle costs of architectural events.
 ///
-/// The defaults are loosely calibrated so the reproduction exhibits the
-/// paper's *shapes*: IPC-heavy syscalls pay a multiple of a direct call
-/// (Table IV), and per-write undo logging costs roughly twice a plain write
-/// (Table V's 23% unoptimized overhead shrinking to ~5% when window-gated).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CostModel {
+/// One fixed calibration, as in the paper's evaluation (§V-A, Tables
+/// IV–VI): the kernel, the servers and the monolith read these constants
+/// directly, and nothing can configure them. They are loosely calibrated so
+/// the reproduction exhibits the paper's *shapes*: IPC-heavy syscalls pay a
+/// multiple of a direct call (Table IV), and per-write undo logging costs
+/// roughly twice a plain write (Table V's 23% unoptimized overhead shrinking
+/// to ~5% when window-gated).
+pub mod cost {
     /// Sending one message (trap + copy).
-    pub ipc_send: u64,
+    pub const IPC_SEND: u64 = 40;
     /// Delivering a message to a component (context switch + dispatch).
-    pub ipc_deliver: u64,
+    pub const IPC_DELIVER: u64 = 140;
     /// User→kernel syscall entry/exit overhead.
-    pub syscall_entry: u64,
+    pub const SYSCALL_ENTRY: u64 = 60;
     /// Fixed cost of running a request handler (decode, dispatch).
-    pub handler_base: u64,
+    pub const HANDLER_BASE: u64 = 25;
     /// One instrumentation site (the basic-block analog).
-    pub site: u64,
+    pub const SITE: u64 = 4;
     /// One logical memory write through a persistent container.
-    pub mem_write: u64,
+    pub const MEM_WRITE: u64 = 3;
     /// Appending one undo-log record (only while logging is on).
-    pub undo_append: u64,
+    pub const UNDO_APPEND: u64 = 7;
     /// Undoing one record during rollback.
-    pub undo_rollback: u64,
+    pub const UNDO_ROLLBACK: u64 = 5;
     /// Fixed cost of the restart phase (activate spare clone).
-    pub restart_base: u64,
+    pub const RESTART_BASE: u64 = 5_000;
     /// Per-kilobyte cost of state transfer during restart.
-    pub restart_per_kb: u64,
+    pub const RESTART_PER_KB: u64 = 120;
     /// Fixed cost of the reconciliation phase.
-    pub reconcile: u64,
+    pub const RECONCILE: u64 = 600;
     /// Disk access latency (driver request → completion interrupt).
-    pub disk_latency: u64,
+    pub const DISK_LATENCY: u64 = 25_000;
     /// Interval between Recovery Server heartbeat rounds.
-    pub heartbeat_interval: u64,
+    pub const HEARTBEAT_INTERVAL: u64 = 2_000_000;
     /// One unit of user-level computation.
-    pub user_compute: u64,
+    pub const USER_COMPUTE: u64 = 1;
     /// Extra cycles charged per unit of an injected `Stall(factor)` fault.
-    /// Sized so a small factor already blows past the default watchdog
-    /// deadline while the component keeps making progress (slow, not hung).
-    pub stall_quantum: u64,
-}
-
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            ipc_send: 40,
-            ipc_deliver: 140,
-            syscall_entry: 60,
-            handler_base: 25,
-            site: 4,
-            mem_write: 3,
-            undo_append: 7,
-            undo_rollback: 5,
-            restart_base: 5_000,
-            restart_per_kb: 120,
-            reconcile: 600,
-            disk_latency: 25_000,
-            heartbeat_interval: 2_000_000,
-            user_compute: 1,
-            stall_quantum: 400_000,
-        }
-    }
+    /// Sized so a small factor already blows past the watchdog deadline
+    /// while the component keeps making progress (slow, not hung).
+    pub const STALL_QUANTUM: u64 = 400_000;
 }
 
 #[cfg(test)]
@@ -118,12 +99,11 @@ mod tests {
 
     #[test]
     fn default_costs_have_expected_ordering() {
-        let m = CostModel::default();
         // Undo logging must cost more than a plain write (that's the
         // instrumentation overhead being measured)…
-        assert!(m.undo_append > m.mem_write);
+        const { assert!(cost::UNDO_APPEND > cost::MEM_WRITE) };
         // …and IPC must dwarf a direct call (that's the microkernel tax).
-        assert!(m.ipc_send + m.ipc_deliver > m.handler_base);
-        assert!(m.disk_latency > m.ipc_deliver);
+        const { assert!(cost::IPC_SEND + cost::IPC_DELIVER > cost::HANDLER_BASE) };
+        const { assert!(cost::DISK_LATENCY > cost::IPC_DELIVER) };
     }
 }

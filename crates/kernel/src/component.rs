@@ -14,7 +14,7 @@ use std::fmt;
 use osiris_checkpoint::Heap;
 use osiris_core::{MessageKind, RecoveryPolicy, RecoveryWindow};
 
-use crate::clock::CostModel;
+use crate::clock::cost;
 use crate::message::{Endpoint, Message, MsgId, Protocol, ReturnPath, SpanInfo};
 
 /// What kind of instrumentation site a probe marks.
@@ -43,7 +43,7 @@ pub enum FaultEffect {
     /// Fail-silent: the value is XORed with the given mask.
     Perturb(u64),
     /// Fail-silent: the handler completes correctly but charges
-    /// `factor` × `CostModel::stall_quantum` extra cycles — a slow-but-live
+    /// `factor` × [`cost::STALL_QUANTUM`] extra cycles — a slow-but-live
     /// component the watchdog must classify as *slow*, not hung.
     Stall(u32),
     /// Fail-silent: the handler completes but its first outbound reply is
@@ -268,7 +268,6 @@ pub struct Ctx<'a, P: Protocol> {
     pub(crate) window: &'a mut RecoveryWindow,
     pub(crate) policy: &'a dyn RecoveryPolicy,
     pub(crate) hook: &'a mut dyn FaultHook,
-    pub(crate) cost: &'a CostModel,
     pub(crate) now: u64,
     pub(crate) cycles: u64,
     /// What the handler emits, pushed onto buffers the kernel owns and
@@ -305,11 +304,6 @@ impl<P: Protocol> fmt::Debug for Ctx<'_, P> {
 }
 
 impl<'a, P: Protocol> Ctx<'a, P> {
-    /// The component's own endpoint.
-    pub fn self_endpoint(&self) -> Endpoint {
-        self.self_ep
-    }
-
     /// Current virtual time (at handler entry).
     pub fn now(&self) -> u64 {
         self.now
@@ -348,7 +342,7 @@ impl<'a, P: Protocol> Ctx<'a, P> {
         // and close the recovery window on the first disallowed send.
         let meta = msg.seep;
         self.window.on_send(self.policy, &meta, self.heap);
-        self.charge(self.cost.ipc_send);
+        self.charge(cost::IPC_SEND);
         self.heap.trace_emit(osiris_trace::TraceEvent::IpcSend {
             dst: match msg.dst {
                 Endpoint::Component(c) => c,
@@ -447,7 +441,7 @@ impl<'a, P: Protocol> Ctx<'a, P> {
     /// armed fail-stop or hang fault fires here — this is the injected
     /// fault, unwound and handled by the kernel.
     pub fn site(&mut self, site: &'static str) {
-        self.charge(self.cost.site);
+        self.charge(cost::SITE);
         self.window.tick_site();
         let probe = self.probe(site, SiteKind::Block);
         match self.hook.on_site(&probe) {
@@ -463,7 +457,7 @@ impl<'a, P: Protocol> Ctx<'a, P> {
     fn apply_silent(&mut self, effect: FaultEffect) {
         match effect {
             FaultEffect::Stall(factor) => {
-                let extra = self.cost.stall_quantum.saturating_mul(factor as u64);
+                let extra = cost::STALL_QUANTUM.saturating_mul(factor as u64);
                 self.charge(extra);
             }
             FaultEffect::DropReply => self.tamper = ReplyTamper::Drop,
@@ -486,7 +480,7 @@ impl<'a, P: Protocol> Ctx<'a, P> {
     /// A value-producing site: like [`Ctx::site`], but an armed fail-silent
     /// fault may perturb the returned value.
     pub fn site_val(&mut self, site: &'static str, value: u64) -> u64 {
-        self.charge(self.cost.site);
+        self.charge(cost::SITE);
         self.window.tick_site();
         let probe = self.probe(site, SiteKind::Value);
         match self.hook.on_site(&probe) {
@@ -503,7 +497,7 @@ impl<'a, P: Protocol> Ctx<'a, P> {
     /// A branch site: like [`Ctx::site`], but an armed fail-silent fault may
     /// flip the condition.
     pub fn site_branch(&mut self, site: &'static str, cond: bool) -> bool {
-        self.charge(self.cost.site);
+        self.charge(cost::SITE);
         self.window.tick_site();
         let probe = self.probe(site, SiteKind::Branch);
         match self.hook.on_site(&probe) {

@@ -671,14 +671,15 @@ impl RunOutcome {
     }
 }
 
+/// Declare a hang after this many consecutive timer fires yielding no
+/// process progress.
+const MAX_IDLE_TIMER_FIRES: u32 = 10_000;
+
 /// Host limits (defence against livelock under injected faults).
 #[derive(Clone, Copy, Debug)]
 pub struct HostConfig {
     /// Abort the run once virtual time exceeds this.
     pub max_virtual_time: u64,
-    /// Declare a hang after this many consecutive timer fires yielding no
-    /// process progress.
-    pub max_idle_timer_fires: u32,
     /// Per-call budget for transparent `ECRASH` retries (see
     /// [`Sys::set_retry_ecrash`]): after this many failed attempts of one
     /// call, `ECRASH` is surfaced to the program. The default is far above
@@ -699,7 +700,6 @@ impl Default for HostConfig {
     fn default() -> Self {
         HostConfig {
             max_virtual_time: 500_000_000_000,
-            max_idle_timer_fires: 10_000,
             ecrash_retry_budget: 64,
             ecrash_backoff_base: 1_000,
             ecrash_backoff_max: 250_000,
@@ -758,11 +758,6 @@ impl<E: OsEngine> Host<E> {
     /// The wrapped engine (metrics inspection after a run).
     pub fn engine(&self) -> &E {
         &self.engine
-    }
-
-    /// Mutable engine access.
-    pub fn engine_mut(&mut self) -> &mut E {
-        &mut self.engine
     }
 
     /// Consumes the host, returning the engine.
@@ -1022,7 +1017,7 @@ impl<E: OsEngine> Host<E> {
             }
             let mut fired = 0u32;
             let mut progressed = false;
-            while fired < self.cfg.max_idle_timer_fires {
+            while fired < MAX_IDLE_TIMER_FIRES {
                 if !self.engine.fire_next_timer() {
                     break;
                 }

@@ -40,7 +40,7 @@ use self::counters::{CompStats, KernelCounters};
 use self::recovery::PendingCrash;
 use self::watchdog::Watchdog;
 use crate::abi::{Pid, SysReply};
-use crate::clock::{CostModel, VirtualClock};
+use crate::clock::{cost, VirtualClock};
 use crate::component::{Ctx, FaultHook, InjectedHang, NoFaults, ReplyTamper, Scratch, Server};
 use crate::message::{Endpoint, Message, MsgId, Protocol, SpanInfo, SyscallId};
 use crate::metrics::ShutdownKind;
@@ -63,8 +63,6 @@ pub struct KernelConfig {
     pub policy: Box<dyn RecoveryPolicy>,
     /// Instrumentation mode.
     pub instrumentation: Instrumentation,
-    /// The cycle-cost model.
-    pub cost: CostModel,
     /// Shutdown grace: when a controlled shutdown is decided, keep serving
     /// messages for up to this many more deliveries so applications can
     /// save their state before the system stops (paper §VII, the
@@ -97,7 +95,6 @@ impl Default for KernelConfig {
         KernelConfig {
             policy: Box::new(osiris_core::Enhanced),
             instrumentation: Instrumentation::WindowGated,
-            cost: CostModel::default(),
             shutdown_grace: 0,
             trace: TraceConfig::default(),
             metrics: MetricsConfig::default(),
@@ -296,7 +293,6 @@ impl<P: Protocol> Kernel<P> {
         if cfg.timeseries.enabled {
             counters.track_sampled(&mut sampler);
         }
-        let wd = Watchdog::new(cfg.watchdog.capacity);
         Kernel {
             cfg,
             clock: VirtualClock::new(),
@@ -320,7 +316,7 @@ impl<P: Protocol> Kernel<P> {
             metrics,
             counters,
             sampler,
-            wd,
+            wd: Watchdog::new(),
             rr_cursor: 0,
             initialized: false,
             tracer,
@@ -590,11 +586,6 @@ impl<P: Protocol> Kernel<P> {
         self.clock.advance(cycles);
     }
 
-    /// The cost model in effect.
-    pub fn cost(&self) -> &CostModel {
-        &self.cfg.cost
-    }
-
     /// The shutdown state, if the system has stopped.
     pub fn shutdown_state(&self) -> Option<&ShutdownKind> {
         self.shutdown.as_ref()
@@ -627,18 +618,6 @@ impl<P: Protocol> Kernel<P> {
     fn finalize_pending_shutdown(&mut self) {
         if let Some((kind, _)) = self.shutdown_pending.take() {
             if self.shutdown.is_none() {
-                self.shutdown = Some(kind);
-            }
-        }
-    }
-
-    /// Forces the system into the given shutdown state (used by the host on
-    /// external aborts).
-    pub fn force_shutdown(&mut self, kind: ShutdownKind) {
-        if self.shutdown.is_none() {
-            if let ShutdownKind::Crash(reason) = kind {
-                self.crash_shutdown(reason);
-            } else {
                 self.shutdown = Some(kind);
             }
         }
@@ -681,8 +660,7 @@ impl<P: Protocol> Kernel<P> {
         if let Some((_, budget)) = &mut self.shutdown_pending {
             *budget = budget.saturating_sub(1);
         }
-        self.clock
-            .advance(self.cfg.cost.syscall_entry + self.cfg.cost.ipc_send);
+        self.clock.advance(cost::SYSCALL_ENTRY + cost::IPC_SEND);
         self.tracer.set_now(self.clock.now());
         self.tracer.emit(
             c,
@@ -864,7 +842,6 @@ impl<P: Protocol> Kernel<P> {
             window: &mut comp.window,
             policy: cfg.policy.as_ref(),
             hook: hook.as_mut(),
-            cost: &cfg.cost,
             now: clock.now(),
             cycles: 0,
             scratch,
@@ -898,8 +875,7 @@ impl<P: Protocol> Kernel<P> {
     fn process_message(&mut self, idx: usize, msg: Message<P>) {
         self.counters.ipc_delivered.inc();
         let checkpointing = self.cfg.policy.checkpointing();
-        let cost = self.cfg.cost;
-        let deliver_cost = cost.ipc_deliver + cost.handler_base;
+        let deliver_cost = cost::IPC_DELIVER + cost::HANDLER_BASE;
         self.clock.advance(deliver_cost);
         self.tracer.set_now(self.clock.now());
         let src = match msg.src {
@@ -972,8 +948,8 @@ impl<P: Protocol> Kernel<P> {
         let coalesced = h.coalesced_writes - coalesced_before;
         let logged = (appends + coalesced).min(writes);
         let write_cost_in =
-            appends * (cost.mem_write + cost.undo_append) + coalesced * cost.mem_write;
-        let write_cost_out = (writes - logged) * cost.mem_write;
+            appends * (cost::MEM_WRITE + cost::UNDO_APPEND) + coalesced * cost::MEM_WRITE;
+        let write_cost_out = (writes - logged) * cost::MEM_WRITE;
         comp.window.charge_split(write_cost_in, write_cost_out);
         let handler_cycles = cycles + write_cost_in + write_cost_out;
         comp.stats.cycles.add(handler_cycles + deliver_cost);
@@ -1124,12 +1100,6 @@ impl<P: Protocol> Kernel<P> {
             }
         }
         out
-    }
-
-    /// Whether any component is currently hung (awaiting heartbeat
-    /// detection).
-    pub fn any_hung(&self) -> bool {
-        self.comps.iter().any(|c| c.status == CompStatus::Hung)
     }
 
     /// Endpoints currently quarantined by the escalation ladder.

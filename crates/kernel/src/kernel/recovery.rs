@@ -17,6 +17,7 @@ use osiris_trace::{TraceEvent, KERNEL_COMP};
 
 use super::{Comp, CompStatus, Kernel};
 use crate::abi::{Errno, SysReply};
+use crate::clock::cost;
 use crate::component::{FaultEffect, IntentPhase, PrivOp, Probe, SiteKind};
 use crate::message::{Endpoint, Message, MsgId, Protocol};
 
@@ -494,14 +495,13 @@ impl<P: Protocol> Kernel<P> {
             );
             decision = RecoveryDecision::new(RecoveryAction::FreshRestart, false);
         }
-        let cost = self.cfg.cost;
 
         // Attempt loop: each recovery phase is itself fallible — a journal
         // or image integrity violation, or a fault injected inside the
         // phase, degrades to the next rung of the fallback chain instead of
         // executing a phase whose inputs cannot be trusted.
         let mut action = decision.action;
-        let mut recovery_cycles = cost.reconcile;
+        let mut recovery_cycles = cost::RECONCILE;
         loop {
             match action {
                 RecoveryAction::RollbackAndErrorReply
@@ -524,9 +524,9 @@ impl<P: Protocol> Kernel<P> {
                         .map(|i| i.dirty_bytes_for(&comp.heap))
                         .unwrap_or_else(|| comp.heap.resident_bytes());
                     recovery_cycles +=
-                        cost.restart_base + (dirty_bytes as u64 / 1024) * cost.restart_per_kb;
+                        cost::RESTART_BASE + (dirty_bytes as u64 / 1024) * cost::RESTART_PER_KB;
                     // Rollback phase: apply the undo log in reverse.
-                    recovery_cycles += comp.heap.log_len() as u64 * cost.undo_rollback;
+                    recovery_cycles += comp.heap.log_len() as u64 * cost::UNDO_ROLLBACK;
                     comp.window.rollback(&mut comp.heap);
                     comp.restart_server();
                     self.counters.recovered_rollback.inc();
@@ -565,8 +565,8 @@ impl<P: Protocol> Kernel<P> {
                     self.counters.restart_chunks_dirty.add(stats.dirty_chunks);
                     // Restart cost is proportional to the bytes actually
                     // copied, not to the resident heap size.
-                    recovery_cycles += cost.restart_base
-                        + (stats.bytes_restored as u64 / 1024) * cost.restart_per_kb;
+                    recovery_cycles += cost::RESTART_BASE
+                        + (stats.bytes_restored as u64 / 1024) * cost::RESTART_PER_KB;
                     self.tracer.emit(
                         KERNEL_COMP,
                         TraceEvent::CowRestore {
@@ -583,7 +583,7 @@ impl<P: Protocol> Kernel<P> {
                 }
                 RecoveryAction::ContinueAsIs => {
                     let comp = &mut self.comps[t];
-                    recovery_cycles += cost.restart_base;
+                    recovery_cycles += cost::RESTART_BASE;
                     comp.window.complete(&mut comp.heap);
                     comp.restart_server();
                     if pending.quiescent {

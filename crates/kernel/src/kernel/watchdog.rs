@@ -37,36 +37,37 @@ pub struct WatchdogConfig {
     /// Master switch. Disabled by default: every hot path below reduces to
     /// one branch, and the kernel behaves exactly as without a watchdog.
     pub enabled: bool,
-    /// Deadline armed on non-state-modifying requests, in virtual cycles.
-    /// Sized above the worst fault-free request chain in the default cost
-    /// model (a ~50-hop disk-bound chain costs ≈ 1.25M cycles).
-    pub deadline: u64,
-    /// Deadline armed on state-modifying requests (longer: such requests
-    /// fan out to other servers and the disk).
-    pub deadline_state_modifying: u64,
-    /// Heartbeat-probe period after a deadline expires: how long the
-    /// watchdog waits between progress checks before issuing a verdict.
-    pub probe_period: u64,
-    /// Probe rounds granted to a component that keeps making progress
-    /// before the watchdog gives up watching (verdict `Slow`).
-    pub max_probes: u32,
-    /// Transparent retries granted per request (attempt indices
-    /// `0..max_retries` may be re-driven; the next failure surfaces).
-    pub max_retries: u32,
-    /// Base backoff before the first retry; attempt `n` waits
-    /// `backoff_base << n` plus jitter.
-    pub backoff_base: u64,
     /// Seed for the deterministic retry jitter (FNV-folded with the message
     /// id and attempt, so two same-seed runs schedule identical retries).
     pub jitter_seed: u64,
-    /// Preallocated deadline slots. Requests arriving while all slots are
-    /// armed simply go unwatched (the RS heartbeat remains the backstop);
-    /// the armed-deadline hot path never allocates.
-    pub capacity: usize,
 }
 
 impl WatchdogConfig {
-    /// The watchdog enabled with default deadlines, probing and backoff.
+    /// Deadline armed on non-state-modifying requests, in virtual cycles.
+    /// Sized above the worst fault-free request chain in the cost model (a
+    /// ~50-hop disk-bound chain costs ≈ 1.25M cycles).
+    pub const DEADLINE: u64 = 1_500_000;
+    /// Deadline armed on state-modifying requests (longer: such requests
+    /// fan out to other servers and the disk).
+    pub const DEADLINE_STATE_MODIFYING: u64 = 3_000_000;
+    /// Heartbeat-probe period after a deadline expires: how long the
+    /// watchdog waits between progress checks before issuing a verdict.
+    pub const PROBE_PERIOD: u64 = 2_000_000;
+    /// Probe rounds granted to a component that keeps making progress
+    /// before the watchdog gives up watching (verdict `Slow`).
+    pub const MAX_PROBES: u32 = 8;
+    /// Transparent retries granted per request (attempt indices
+    /// `0..MAX_RETRIES` may be re-driven; the next failure surfaces).
+    pub const MAX_RETRIES: u32 = 2;
+    /// Base backoff before the first retry; attempt `n` waits
+    /// `BACKOFF_BASE << n` plus jitter.
+    pub const BACKOFF_BASE: u64 = 250_000;
+    /// Preallocated deadline slots. Requests arriving while all slots are
+    /// armed simply go unwatched (the RS heartbeat remains the backstop);
+    /// the armed-deadline hot path never allocates.
+    pub const CAPACITY: usize = 64;
+
+    /// The watchdog enabled with the default jitter seed.
     pub fn on() -> Self {
         WatchdogConfig {
             enabled: true,
@@ -75,18 +76,16 @@ impl WatchdogConfig {
     }
 
     /// Deterministic exponential backoff with seeded jitter: attempt `n`
-    /// waits `backoff_base << n` plus an FNV-derived jitter of up to a
+    /// waits `BACKOFF_BASE << n` plus an FNV-derived jitter of up to a
     /// quarter base, so identical configurations schedule byte-identical
     /// retries and a retry storm never synchronizes.
     fn backoff(&self, msg_id: u64, attempt: u8) -> u64 {
-        let base = self
-            .backoff_base
-            .saturating_mul(1u64 << attempt.min(16) as u32);
+        let base = Self::BACKOFF_BASE.saturating_mul(1u64 << attempt.min(16) as u32);
         let h = osiris_axiom::fnv1a(
             osiris_axiom::fnv1a(self.jitter_seed, &msg_id.to_le_bytes()),
             &[attempt],
         );
-        base + h % (self.backoff_base / 4).max(1)
+        base + h % (Self::BACKOFF_BASE / 4)
     }
 }
 
@@ -94,14 +93,7 @@ impl Default for WatchdogConfig {
     fn default() -> Self {
         WatchdogConfig {
             enabled: false,
-            deadline: 1_500_000,
-            deadline_state_modifying: 3_000_000,
-            probe_period: 2_000_000,
-            max_probes: 8,
-            max_retries: 2,
-            backoff_base: 250_000,
             jitter_seed: 0x0517_C0DE,
-            capacity: 64,
         }
     }
 }
@@ -152,7 +144,7 @@ struct WdSlot<P> {
 
 /// The watchdog's own state: the deadline slot table and the retry queue.
 pub(super) struct Watchdog<P> {
-    /// Preallocated deadline slots (fixed at [`WatchdogConfig::capacity`];
+    /// Preallocated deadline slots (fixed at [`WatchdogConfig::CAPACITY`];
     /// the armed hot path never allocates).
     slots: Vec<Option<WdSlot<P>>>,
     /// Number of occupied slots — the one-branch fast-path guard.
@@ -173,9 +165,9 @@ pub(super) struct Watchdog<P> {
 }
 
 impl<P> Watchdog<P> {
-    pub(super) fn new(capacity: usize) -> Self {
+    pub(super) fn new() -> Self {
         Watchdog {
-            slots: (0..capacity).map(|_| None).collect(),
+            slots: (0..WatchdogConfig::CAPACITY).map(|_| None).collect(),
             armed: 0,
             next_due: u64::MAX,
             retry_wait: BTreeMap::new(),
@@ -232,8 +224,7 @@ impl<P: Protocol> Kernel<P> {
     /// when every slot is busy (unwatched requests fall back to the RS
     /// heartbeat). Never allocates.
     pub(super) fn watchdog_arm(&mut self, msg: &Message<P>, attempt: u8) {
-        let w = &self.cfg.watchdog;
-        if !(w.enabled
+        if !(self.cfg.watchdog.enabled
             && msg.seep.kind == MessageKind::Request
             && msg.seep.reply_possible
             && msg.seep.bounded)
@@ -250,9 +241,9 @@ impl<P: Protocol> Kernel<P> {
         // requests fan out to other servers and the disk, so they get the
         // longer budget.
         let budget = if msg.seep.class.is_state_modifying() {
-            w.deadline_state_modifying
+            WatchdogConfig::DEADLINE_STATE_MODIFYING
         } else {
-            w.deadline
+            WatchdogConfig::DEADLINE
         };
         let now = self.clock.now();
         self.wd.slots[i] = Some(WdSlot {
@@ -462,7 +453,7 @@ impl<P: Protocol> Kernel<P> {
 
     /// Starts (or extends) the heartbeat-probe round of slot `i`.
     fn watchdog_probe(&mut self, i: usize, now: u64, probes: u32, progress_at: u64) {
-        let until = now + self.cfg.watchdog.probe_period;
+        let until = now + WatchdogConfig::PROBE_PERIOD;
         self.wd.next_due = self.wd.next_due.min(until);
         let slot = self.wd.slot_mut(i);
         slot.state = WdState::Probing {
@@ -515,9 +506,7 @@ impl<P: Protocol> Kernel<P> {
                         self.seal_verdict(dst, msg_id, VerdictCode::ReplyLost);
                         self.watchdog_reconcile(slot);
                     }
-                    WdState::Probing { probes, .. }
-                        if probes + 1 >= self.cfg.watchdog.max_probes =>
-                    {
+                    WdState::Probing { probes, .. } if probes + 1 >= WatchdogConfig::MAX_PROBES => {
                         // Still in the component's queue after every probe
                         // round: the system is making progress, just slowly.
                         // Stop watching.
@@ -545,7 +534,6 @@ impl<P: Protocol> Kernel<P> {
         attempt: u8,
         epoch_at_arm: u64,
     ) -> Option<Message<P>> {
-        let w = self.cfg.watchdog;
         let msg_id = failed.id.0;
         // Idempotence comes from the SEEP classification: non-state-
         // modifying requests re-drive transparently; state-modifying ones
@@ -554,13 +542,13 @@ impl<P: Protocol> Kernel<P> {
         // cannot duplicate them.
         let idempotent = !failed.seep.class.is_state_modifying();
         let effects_undone = self.recovery_epoch > epoch_at_arm;
-        let budget_left = (attempt as u32) < w.max_retries;
+        let budget_left = (attempt as u32) < WatchdogConfig::MAX_RETRIES;
         let target_usable = self.comps[from as usize].status != CompStatus::Quarantined
             && self.shutdown.is_none()
             && self.shutdown_pending.is_none();
         let granted = budget_left && target_usable && (idempotent || effects_undone);
         let backoff = if granted {
-            w.backoff(msg_id, attempt)
+            self.cfg.watchdog.backoff(msg_id, attempt)
         } else {
             0
         };

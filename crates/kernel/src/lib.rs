@@ -26,7 +26,7 @@ mod kernel;
 mod message;
 mod metrics;
 
-pub use clock::{CostModel, VirtualClock};
+pub use clock::{cost, VirtualClock};
 pub use component::{
     Ctx, FaultEffect, FaultHook, InjectedCrash, InjectedHang, IntentPhase, NoFaults, PrivOp, Probe,
     Server, SiteKind,

@@ -8,7 +8,7 @@
 //! isolates the architectural cost of compartmentalization itself.
 //!
 //! The cost model is shared with the microkernel simulator; the monolith
-//! simply never pays `ipc_send`/`ipc_deliver`, performs file I/O
+//! simply never pays `IPC_SEND`/`IPC_DELIVER`, performs file I/O
 //! synchronously (a cache miss charges the disk latency directly instead of
 //! parking a server thread), and does no undo logging.
 
@@ -20,7 +20,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use osiris_kernel::abi::{
     Errno, Fd, FileStat, OpenFlags, Pid, SeekFrom, Signal, SysReply, Syscall,
 };
-use osiris_kernel::{CostModel, OsEngine, ShutdownKind, SyscallId, VirtualClock};
+use osiris_kernel::{cost, OsEngine, ShutdownKind, SyscallId, VirtualClock};
 
 const MAX_FDS: u32 = 64;
 const BLOCK_SIZE: usize = 1024;
@@ -102,7 +102,6 @@ struct MPipe {
 /// ```
 #[derive(Debug)]
 pub struct Monolith {
-    cost: CostModel,
     clock: VirtualClock,
     procs: HashMap<u32, Proc>,
     next_pid: u32,
@@ -133,16 +132,16 @@ impl Default for Monolith {
 }
 
 impl Monolith {
-    /// Creates a monolith with the default cost model and the same cache
-    /// capacity as the OSIRIS VFS (64 blocks).
+    /// Creates a monolith with the same cache capacity (64 blocks) and
+    /// frame pool as the default OSIRIS configuration.
     pub fn new() -> Self {
-        Self::with_cost(CostModel::default(), 64, 65_536)
+        Self::with_sizes(64, 65_536)
     }
 
-    /// Creates a monolith with an explicit cost model, buffer-cache capacity
-    /// and frame-pool size (use the same values as the OSIRIS configuration
+    /// Creates a monolith with an explicit buffer-cache capacity and
+    /// frame-pool size (use the same values as the OSIRIS configuration
     /// being compared against).
-    pub fn with_cost(cost: CostModel, cache_cap: usize, frames: u64) -> Self {
+    pub fn with_sizes(cache_cap: usize, frames: u64) -> Self {
         let mut nodes = HashMap::new();
         let mut root = BTreeMap::new();
         nodes.insert(2, Node::Dir(BTreeMap::new()));
@@ -153,7 +152,6 @@ impl Monolith {
         let mut procs = HashMap::new();
         procs.insert(1, Proc::fresh(0));
         Monolith {
-            cost,
             clock: VirtualClock::new(),
             procs,
             next_pid: 2,
@@ -197,7 +195,7 @@ impl Monolith {
             return;
         }
         if is_read {
-            self.charge(self.cost.disk_latency / 8);
+            self.charge(cost::DISK_LATENCY / 8);
         }
         if self.cache.len() >= self.cache_cap {
             self.cache.pop_front();
@@ -310,7 +308,7 @@ impl Monolith {
         let Some(proc) = self.procs.get(&pid).cloned() else {
             return;
         };
-        self.charge(self.cost.handler_base + proc.resident() * self.cost.mem_write);
+        self.charge(cost::HANDLER_BASE + proc.resident() * cost::MEM_WRITE);
         self.free_frames += proc.resident();
         // Children: reap zombies, reparent the rest to init.
         let children: Vec<u32> = self
@@ -375,7 +373,7 @@ impl Monolith {
     }
 
     fn dispatch(&mut self, sid: SyscallId, pid: Pid, call: Syscall) {
-        let base = self.cost.syscall_entry + self.cost.handler_base;
+        let base = cost::SYSCALL_ENTRY + cost::HANDLER_BASE;
         self.charge(base);
         match call {
             Syscall::Spawn { .. } | Syscall::Fork => {
@@ -394,7 +392,7 @@ impl Monolith {
                 let mut cp = parent.clone();
                 cp.ppid = pid.0;
                 cp.state = ProcState::Alive;
-                self.charge(need * self.cost.mem_write);
+                self.charge(need * cost::MEM_WRITE);
                 self.procs.insert(child, cp);
                 // Inherit descriptors.
                 let entries: Vec<(u32, u32)> = self
@@ -426,7 +424,7 @@ impl Monolith {
                 // Spawn additionally loads the binary: one cache touch.
                 if matches!(call, Syscall::Spawn { .. }) {
                     self.touch_block(0, u64::from(child) % 8, true);
-                    self.charge(IMG_PAGES * self.cost.mem_write);
+                    self.charge(IMG_PAGES * cost::MEM_WRITE);
                 }
                 self.reply(sid, pid, SysReply::Proc(Pid(child)));
             }
@@ -441,7 +439,7 @@ impl Monolith {
                 self.free_frames += old;
                 self.free_frames -= IMG_PAGES;
                 self.touch_block(0, u64::from(pid.0) % 8, true);
-                self.charge(IMG_PAGES * self.cost.mem_write);
+                self.charge(IMG_PAGES * cost::MEM_WRITE);
                 self.reply(sid, pid, SysReply::Ok);
             }
             Syscall::Exit { code } => self.terminate(pid.0, code),
@@ -504,7 +502,7 @@ impl Monolith {
                         return;
                     }
                     self.free_frames -= pages as u64;
-                    self.charge(pages as u64 * self.cost.mem_write);
+                    self.charge(pages as u64 * cost::MEM_WRITE);
                 } else {
                     self.free_frames += (-pages) as u64;
                 }
@@ -523,7 +521,7 @@ impl Monolith {
                     return;
                 }
                 self.free_frames -= pages;
-                self.charge(pages * self.cost.mem_write);
+                self.charge(pages * cost::MEM_WRITE);
                 let r = match self.procs.get_mut(&pid.0) {
                     Some(p) => {
                         let id = p.mappings.keys().max().copied().unwrap_or(0) + 1;
@@ -638,7 +636,7 @@ impl Monolith {
                 let r = match self.fds.get(&(pid.0, fd.0)) {
                     Some(_) => {
                         // Synchronous flush: one disk latency.
-                        self.charge(self.cost.disk_latency / 8);
+                        self.charge(cost::DISK_LATENCY / 8);
                         SysReply::Ok
                     }
                     None => SysReply::Err(Errno::EBADF),
@@ -1064,7 +1062,6 @@ impl OsEngine for Monolith {
     }
 
     fn charge_user(&mut self, units: u64) {
-        let c = self.cost.user_compute;
-        self.charge(units * c);
+        self.charge(units * cost::USER_COMPUTE);
     }
 }

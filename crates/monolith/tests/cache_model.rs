@@ -3,7 +3,7 @@
 //! VFS write-back cache so the Table IV comparison is apples-to-apples.
 
 use osiris_kernel::abi::{OpenFlags, Pid, SysReply, Syscall};
-use osiris_kernel::{CostModel, OsEngine, SyscallId};
+use osiris_kernel::{cost, OsEngine, SyscallId};
 use osiris_monolith::Monolith;
 
 fn call(m: &mut Monolith, sid: u64, call: Syscall) -> SysReply {
@@ -13,9 +13,8 @@ fn call(m: &mut Monolith, sid: u64, call: Syscall) -> SysReply {
 
 #[test]
 fn read_misses_charge_latency_hits_do_not() {
-    let cost = CostModel::default();
     // Cache of 4 blocks over a 16-block file.
-    let mut m = Monolith::with_cost(cost, 4, 1024);
+    let mut m = Monolith::with_sizes(4, 1024);
     let fd = match call(
         &mut m,
         1,
@@ -39,7 +38,7 @@ fn read_misses_charge_latency_hits_do_not() {
     );
     let write_cost = m.now() - before;
     assert!(
-        write_cost < cost.disk_latency / 8,
+        write_cost < cost::DISK_LATENCY / 8,
         "writes must not pay the read-miss latency: {write_cost}"
     );
     // Seek back and read it all: most blocks were evicted (cache 4 < 16),
@@ -56,7 +55,7 @@ fn read_misses_charge_latency_hits_do_not() {
     call(&mut m, 4, Syscall::Read { fd, len: 16 * 1024 });
     let cold_read = m.now() - before;
     assert!(
-        cold_read > 10 * (cost.disk_latency / 8),
+        cold_read > 10 * (cost::DISK_LATENCY / 8),
         "a cold 16-block read must pay multiple miss latencies: {cold_read}"
     );
     // Immediately re-reading the hot tail is nearly free.
@@ -72,14 +71,14 @@ fn read_misses_charge_latency_hits_do_not() {
     call(&mut m, 6, Syscall::Read { fd, len: 2048 });
     let hot_read = m.now() - before;
     assert!(
-        hot_read < cost.disk_latency / 8,
+        hot_read < cost::DISK_LATENCY / 8,
         "hot blocks must be served from the cache: {hot_read}"
     );
 }
 
 #[test]
 fn unlink_purges_cached_blocks() {
-    let mut m = Monolith::with_cost(CostModel::default(), 8, 1024);
+    let mut m = Monolith::with_sizes(8, 1024);
     let fd = match call(
         &mut m,
         1,

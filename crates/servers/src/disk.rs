@@ -7,7 +7,7 @@
 //! block always commits before a later-submitted read of the same block.
 
 use osiris_checkpoint::{Heap, PCell, PMap};
-use osiris_kernel::{Ctx, Message, ReturnPath, Server};
+use osiris_kernel::{cost, Ctx, Message, ReturnPath, Server};
 
 use crate::proto::OsMsg;
 
@@ -34,19 +34,14 @@ struct Handles {
     ops: PCell<u64>,
 }
 
-/// The disk driver component.
-#[derive(Clone, Debug)]
+/// The disk driver component: answers each request after
+/// [`cost::DISK_LATENCY`] cycles.
+#[derive(Clone, Debug, Default)]
 pub struct DiskDriver {
-    latency: u64,
     h: Option<Handles>,
 }
 
 impl DiskDriver {
-    /// Creates a driver with the given access latency in cycles.
-    pub fn new(latency: u64) -> Self {
-        DiskDriver { latency, h: None }
-    }
-
     fn h(&self) -> Handles {
         self.h.expect("disk used before init")
     }
@@ -82,7 +77,7 @@ impl Server<OsMsg> for DiskDriver {
                         op: DiskOp::Read { block: *block },
                     },
                 );
-                ctx.set_timer(self.latency, OsMsg::DiskTick { token });
+                ctx.set_timer(cost::DISK_LATENCY, OsMsg::DiskTick { token });
             }
             OsMsg::DiskWrite { block, data } => {
                 ctx.site("disk.write.queue");
@@ -99,7 +94,7 @@ impl Server<OsMsg> for DiskDriver {
                         },
                     },
                 );
-                ctx.set_timer(self.latency, OsMsg::DiskTick { token });
+                ctx.set_timer(cost::DISK_LATENCY, OsMsg::DiskTick { token });
             }
             OsMsg::DiskTick { token } => {
                 // Stale tokens (rolled-back queue entries) are ignored.

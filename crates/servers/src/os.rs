@@ -8,7 +8,7 @@ use osiris_checkpoint::{ChunkStore, RestoreStats};
 use osiris_core::{EscalationPolicy, PolicyKind, RecoveryPolicy};
 use osiris_kernel::abi::{Pid, SysReply, Syscall};
 use osiris_kernel::{
-    ComponentReport, CostModel, Endpoint, FaultHook, Instrumentation, Kernel, KernelConfig,
+    cost, ComponentReport, Endpoint, FaultHook, Instrumentation, Kernel, KernelConfig,
     KernelMetrics, KernelSnapshot, OsEngine, ShutdownKind, SyscallId,
 };
 
@@ -30,8 +30,6 @@ pub struct OsConfig {
     pub custom_policy: Option<Box<dyn RecoveryPolicy>>,
     /// Checkpointing instrumentation mode.
     pub instrumentation: Instrumentation,
-    /// Cycle-cost model.
-    pub cost: CostModel,
     /// Size of the VM frame pool.
     pub vm_frames: u64,
     /// VFS block-cache capacity, in blocks.
@@ -81,7 +79,6 @@ impl Default for OsConfig {
             policy: PolicyKind::Enhanced,
             custom_policy: None,
             instrumentation: Instrumentation::WindowGated,
-            cost: CostModel::default(),
             vm_frames: 65_536,
             vfs_cache_blocks: 64,
             vfs_threads: 4,
@@ -112,7 +109,6 @@ impl Clone for OsConfig {
             policy: self.policy,
             custom_policy: self.custom_policy.as_ref().map(|p| p.clone_box()),
             instrumentation: self.instrumentation,
-            cost: self.cost,
             vm_frames: self.vm_frames,
             vfs_cache_blocks: self.vfs_cache_blocks,
             vfs_threads: self.vfs_threads,
@@ -142,7 +138,7 @@ pub struct Os {
     kernel: Kernel<OsMsg>,
     topo: Topology,
     pending_refusals: Vec<(SyscallId, Pid, SysReply)>,
-    /// The boot configuration, retained so [`Os::fork`] can reboot an
+    /// The boot configuration, retained so [`Os::fork_from`] can reboot an
     /// identical twin before adopting a snapshot.
     cfg: OsConfig,
 }
@@ -164,7 +160,6 @@ impl Os {
         let kcfg = KernelConfig {
             policy,
             instrumentation: cfg.instrumentation,
-            cost: cfg.cost,
             shutdown_grace: cfg.shutdown_grace,
             trace: cfg.trace.clone(),
             metrics: cfg.metrics,
@@ -172,14 +167,9 @@ impl Os {
             timeseries: cfg.timeseries,
             watchdog: cfg.watchdog,
         };
-        let heartbeat = kcfg.cost.heartbeat_interval;
-        let disk_latency = kcfg.cost.disk_latency;
         let mut kernel = Kernel::new(kcfg);
         let topo = Topology::CANONICAL;
-        let rs = kernel.register(
-            Box::new(RecoveryServer::new(topo, heartbeat, cfg.escalation)),
-            true,
-        );
+        let rs = kernel.register(Box::new(RecoveryServer::new(topo, cfg.escalation)), true);
         let pm = kernel.register(Box::new(ProcessManager::new(topo)), false);
         let vm = kernel.register(Box::new(VmManager::new(topo, cfg.vm_frames)), false);
         let vfs = kernel.register(
@@ -187,7 +177,7 @@ impl Os {
             false,
         );
         let ds = kernel.register(Box::new(DataStore::new(topo)), false);
-        let disk = kernel.register(Box::new(DiskDriver::new(disk_latency)), false);
+        let disk = kernel.register(Box::new(DiskDriver::default()), false);
         debug_assert_eq!(
             (rs, pm, vm, vfs, ds, disk),
             (topo.rs, topo.pm, topo.vm, topo.vfs, topo.ds, topo.disk),
@@ -232,19 +222,6 @@ impl Os {
     /// The axiom serialized to its crash-consistent on-disk format.
     pub fn axiom_bytes(&self) -> Vec<u8> {
         self.kernel.axiom_bytes()
-    }
-
-    /// Writes the serialized axiom to `path`, creating parent directories
-    /// as needed.
-    pub fn write_axiom(&self, path: &str) -> std::io::Result<std::path::PathBuf> {
-        let path = std::path::PathBuf::from(path);
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        std::fs::write(&path, self.kernel.axiom_bytes())?;
-        Ok(path)
     }
 
     /// Verifies the axiom's hash chain end to end (also bumps the
@@ -355,11 +332,6 @@ impl Os {
         &self.kernel
     }
 
-    /// Mutable kernel access.
-    pub fn kernel_mut(&mut self) -> &mut Kernel<OsMsg> {
-        &mut self.kernel
-    }
-
     /// The flight recorder attached to the kernel.
     pub fn trace_handle(&self) -> &osiris_trace::TraceHandle {
         self.kernel.tracer()
@@ -395,20 +367,6 @@ impl Os {
         self.kernel.timeseries().to_json()
     }
 
-    /// Writes [`Os::timeseries_json`] to `path`, creating parent
-    /// directories as needed.
-    pub fn write_timeseries(&mut self, path: &str) -> std::io::Result<std::path::PathBuf> {
-        let doc = self.timeseries_json();
-        let path = std::path::PathBuf::from(path);
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        std::fs::write(&path, doc.pretty())?;
-        Ok(path)
-    }
-
     /// Writes every export of the run into `dir` under fixed names:
     /// `trace.json` (Chrome trace), `metrics.prom` / `metrics.json`,
     /// `timeseries.json` and `axiom.bin`. Two same-seed runs produce
@@ -419,9 +377,8 @@ impl Os {
         let at = |name: &str| dir.join(name).to_string_lossy().into_owned();
         std::fs::write(at("trace.json"), self.chrome_trace().pretty())?;
         self.write_metrics(&at("metrics"))?;
-        self.write_timeseries(&at("timeseries.json"))?;
-        self.write_axiom(&at("axiom.bin"))?;
-        Ok(())
+        std::fs::write(at("timeseries.json"), self.timeseries_json().pretty())?;
+        std::fs::write(at("axiom.bin"), self.axiom_bytes())
     }
 
     /// Cross-component consistency audit. Call at quiescence (no in-flight
@@ -515,61 +472,26 @@ impl Os {
         &self.cfg
     }
 
-    /// Captures the whole OS into a self-contained [`OsSnapshot`] backed by
-    /// its own private chunk store. For O(dirty) sequential captures that
-    /// deduplicate across snapshots, use [`Os::snapshot_into`] with a
-    /// shared store instead.
+    /// Captures the OS into `store` (shared with other snapshots; chunks
+    /// dedupe across them). Passing the previous snapshot of the *same* OS
+    /// as `prev` makes the capture O(dirty): objects unchanged since `prev`
+    /// reshare its chunks without rehashing.
     ///
     /// # Panics
     ///
     /// Panics unless the OS is quiescent and fault-free (no recovery or
     /// shutdown in flight, no pending replies, every component alive with a
     /// closed recovery window).
-    pub fn snapshot(&self) -> OsSnapshot {
-        let mut store = ChunkStore::new();
-        let kernel = self.snapshot_kernel(&mut store, None);
-        OsSnapshot {
-            cfg: self.cfg.clone(),
-            kernel,
-            store: Some(store),
-        }
-    }
-
-    /// Captures the OS into `store` (shared with other snapshots; chunks
-    /// dedupe across them). Passing the previous snapshot of the *same* OS
-    /// as `prev` makes the capture O(dirty): objects unchanged since `prev`
-    /// reshare its chunks without rehashing.
     pub fn snapshot_into(&self, store: &mut ChunkStore, prev: Option<&OsSnapshot>) -> OsSnapshot {
-        let kernel = self.snapshot_kernel(store, prev);
-        OsSnapshot {
-            cfg: self.cfg.clone(),
-            kernel,
-            store: None,
-        }
-    }
-
-    fn snapshot_kernel(
-        &self,
-        store: &mut ChunkStore,
-        prev: Option<&OsSnapshot>,
-    ) -> KernelSnapshot<OsMsg> {
         assert!(
             self.pending_refusals.is_empty(),
             "snapshot with undelivered shutdown refusals"
         );
         self.kernel.sync_registry();
-        self.kernel.snapshot_into(store, prev.map(|p| &p.kernel))
-    }
-
-    /// Forks a new OS from a self-contained snapshot (see [`Os::snapshot`]).
-    /// The fork is byte-equivalent to the donor at capture time: running
-    /// the same steps produces identical metrics, axiom, trace and
-    /// telemetry exports.
-    pub fn fork(snap: &OsSnapshot) -> Os {
-        let store = snap.store.as_ref().expect(
-            "Os::fork needs a self-contained snapshot; use Os::fork_from with the shared store",
-        );
-        Self::fork_from(snap, store).0
+        OsSnapshot {
+            cfg: self.cfg.clone(),
+            kernel: self.kernel.snapshot_into(store, prev.map(|p| &p.kernel)),
+        }
     }
 
     /// Forks a new OS from a snapshot whose chunks live in `store`. Boots a
@@ -577,7 +499,9 @@ impl Os {
     /// deterministic, so the twin's pristine images and clone-pool store
     /// re-derive the donor's exactly (asserted) — then adopts the snapshot:
     /// only objects the donor dirtied after boot are copied (O(dirty)).
-    /// Returns the forked OS and the restore cost.
+    /// The fork is byte-equivalent to the donor at capture time: running
+    /// the same steps produces identical metrics, axiom, trace and
+    /// telemetry exports. Returns the forked OS and the restore cost.
     pub fn fork_from(snap: &OsSnapshot, store: &ChunkStore) -> (Os, RestoreStats) {
         let mut os = Os::new(snap.cfg.clone());
         // The fault-free-prefix invariant: a same-config boot reproduces
@@ -611,35 +535,61 @@ impl Os {
 /// Whether two configurations boot byte-identical systems, for the purpose
 /// of deciding snapshot adoption. Conservative: custom policies compare by
 /// name only, so two distinct custom policies sharing a name must not be
-/// mixed within one forge.
+/// mixed within one forge. Both structs are destructured without `..`, so a
+/// field added later does not compile until it is compared here.
 fn config_compatible(a: &OsConfig, b: &OsConfig) -> bool {
-    let policy_name = |c: &OsConfig| c.custom_policy.as_ref().map(|p| p.name().to_string());
-    a.policy == b.policy
-        && policy_name(a) == policy_name(b)
-        && a.instrumentation == b.instrumentation
-        && a.cost == b.cost
-        && a.vm_frames == b.vm_frames
-        && a.vfs_cache_blocks == b.vfs_cache_blocks
-        && a.vfs_threads == b.vfs_threads
-        && a.escalation == b.escalation
-        && a.shutdown_grace == b.shutdown_grace
-        && a.trace.enabled == b.trace.enabled
-        && a.trace.capacity == b.trace.capacity
-        && a.metrics == b.metrics
-        && a.axiom == b.axiom
-        && a.timeseries == b.timeseries
-        && a.watchdog == b.watchdog
+    let OsConfig {
+        policy,
+        custom_policy,
+        instrumentation,
+        vm_frames,
+        vfs_cache_blocks,
+        vfs_threads,
+        escalation,
+        shutdown_grace,
+        trace,
+        metrics,
+        axiom,
+        timeseries,
+        watchdog,
+    } = a;
+    let osiris_trace::TraceConfig {
+        enabled,
+        capacity,
+        categories,
+        min_severity,
+        verbose,
+        blackbox_tail,
+    } = trace;
+    let policy_name =
+        |p: &Option<Box<dyn RecoveryPolicy>>| p.as_ref().map(|p| p.name().to_string());
+    *policy == b.policy
+        && policy_name(custom_policy) == policy_name(&b.custom_policy)
+        && *instrumentation == b.instrumentation
+        && *vm_frames == b.vm_frames
+        && *vfs_cache_blocks == b.vfs_cache_blocks
+        && *vfs_threads == b.vfs_threads
+        && *escalation == b.escalation
+        && *shutdown_grace == b.shutdown_grace
+        && *enabled == b.trace.enabled
+        && *capacity == b.trace.capacity
+        && *categories == b.trace.categories
+        && *min_severity == b.trace.min_severity
+        && *verbose == b.trace.verbose
+        && *blackbox_tail == b.trace.blackbox_tail
+        && *metrics == b.metrics
+        && *axiom == b.axiom
+        && *timeseries == b.timeseries
+        && *watchdog == b.watchdog
 }
 
 /// A captured OS: the kernel snapshot plus the boot configuration needed to
-/// fork twins. Self-contained when made by [`Os::snapshot`] (owns its chunk
-/// store); store-relative when made by [`Os::snapshot_into`] (the caller's
-/// shared store holds the chunks, and [`OsSnapshot::release`] must be
-/// called before discarding the snapshot to return its references).
+/// fork twins. The chunks live in the store it was captured into
+/// ([`Os::snapshot_into`]), and [`OsSnapshot::release`] must be called
+/// before discarding the snapshot to return its references.
 pub struct OsSnapshot {
     cfg: OsConfig,
     kernel: KernelSnapshot<OsMsg>,
-    store: Option<ChunkStore>,
 }
 
 impl OsSnapshot {
@@ -659,14 +609,9 @@ impl OsSnapshot {
         self.kernel.manifest_bytes()
     }
 
-    /// Releases a store-relative snapshot's chunk references back to
-    /// `store`. Dropping such a snapshot without releasing leaks resident
-    /// chunks in the shared store. Self-contained snapshots just drop.
+    /// Releases the snapshot's chunk references back to `store`. Dropping
+    /// a snapshot without releasing leaks resident chunks in the store.
     pub fn release(self, store: &mut ChunkStore) {
-        assert!(
-            self.store.is_none(),
-            "release() is for store-relative snapshots; self-contained ones just drop"
-        );
         self.kernel.release(store);
     }
 }
@@ -733,7 +678,6 @@ impl OsEngine for Os {
     }
 
     fn charge_user(&mut self, units: u64) {
-        let c = self.kernel.cost().user_compute;
-        self.kernel.charge(units * c);
+        self.kernel.charge(units * cost::USER_COMPUTE);
     }
 }

@@ -23,7 +23,7 @@
 
 use osiris_checkpoint::{Heap, PCell, PMap};
 use osiris_core::{EscalationPolicy, EscalationStep};
-use osiris_kernel::{Ctx, Endpoint, IntentPhase, Message, Server};
+use osiris_kernel::{cost, Ctx, Endpoint, IntentPhase, Message, Server};
 
 use crate::proto::OsMsg;
 use crate::topology::Topology;
@@ -53,19 +53,17 @@ struct Handles {
 #[derive(Clone, Debug)]
 pub struct RecoveryServer {
     topo: Topology,
-    heartbeat_interval: u64,
     escalation: EscalationPolicy,
     h: Option<Handles>,
 }
 
 impl RecoveryServer {
     /// Creates an RS that heartbeats all core servers every
-    /// `heartbeat_interval` cycles and escalates crash-looping services
-    /// per `escalation`.
-    pub fn new(topo: Topology, heartbeat_interval: u64, escalation: EscalationPolicy) -> Self {
+    /// [`cost::HEARTBEAT_INTERVAL`] cycles and escalates crash-looping
+    /// services per `escalation`.
+    pub fn new(topo: Topology, escalation: EscalationPolicy) -> Self {
         RecoveryServer {
             topo,
-            heartbeat_interval,
             escalation,
             h: None,
         }
@@ -138,7 +136,7 @@ impl RecoveryServer {
         ctx.notify(self.topo.ds, OsMsg::StatusPublish { round });
         ctx.site("rs.hb.published");
         h.round.set(ctx.heap(), round + 1);
-        ctx.set_timer(self.heartbeat_interval, OsMsg::HeartbeatTick);
+        ctx.set_timer(cost::HEARTBEAT_INTERVAL, OsMsg::HeartbeatTick);
         ctx.site("rs.hb.armed");
         // Post-round bookkeeping: compact restart statistics.
         let mut total_restarts = 0;
@@ -185,7 +183,7 @@ impl Server<OsMsg> for RecoveryServer {
             }
         }
         self.h = Some(h);
-        ctx.set_timer(self.heartbeat_interval, OsMsg::HeartbeatTick);
+        ctx.set_timer(cost::HEARTBEAT_INTERVAL, OsMsg::HeartbeatTick);
     }
 
     fn handle(&mut self, msg: &Message<OsMsg>, ctx: &mut Ctx<'_, OsMsg>) {

@@ -188,15 +188,14 @@ fn backoff_schedule_is_deterministic_per_seed() {
     );
     // Jitter is bounded: every backoff stays within base·2^attempt plus a
     // quarter-base of jitter.
-    let wd = wd_cfg().watchdog;
     for (_, attempt, granted, backoff) in &da {
         if !granted {
             continue;
         }
-        let base = wd.backoff_base << u64::from(*attempt);
+        let base = WatchdogConfig::BACKOFF_BASE << u64::from(*attempt);
         assert!(u64::from(*backoff) >= base, "backoff under base: {da:?}");
         assert!(
-            u64::from(*backoff) < base + (wd.backoff_base / 4).max(1),
+            u64::from(*backoff) < base + WatchdogConfig::BACKOFF_BASE / 4,
             "jitter out of range: {da:?}"
         );
     }

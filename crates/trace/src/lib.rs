@@ -111,11 +111,6 @@ impl CategoryMask {
         self.0 & cat.bit() != 0
     }
 
-    /// Union of two masks.
-    pub fn union(self, other: CategoryMask) -> CategoryMask {
-        CategoryMask(self.0 | other.0)
-    }
-
     /// This mask with `cat` removed.
     pub fn without(self, cat: Category) -> CategoryMask {
         CategoryMask(self.0 & !cat.bit())

@@ -25,7 +25,7 @@
 //! exactly how the paper uses Unixbench.
 
 use osiris_kernel::abi::{OpenFlags, SeekFrom};
-use osiris_kernel::{Host, HostConfig, OsEngine, ProgramRegistry, RunOutcome, Sys};
+use osiris_kernel::{Host, OsEngine, ProgramRegistry, RunOutcome, Sys};
 
 /// The twelve benchmark names, in the paper's table order.
 pub const BENCHMARKS: [&str; 12] = [
@@ -373,7 +373,7 @@ pub fn run_benchmark_with<E: OsEngine>(
     retry: bool,
 ) -> BenchResult {
     osiris_kernel::install_quiet_panic_hook();
-    let mut host = Host::new(engine, registry).with_config(HostConfig::default());
+    let mut host = Host::new(engine, registry);
     let start = host.engine().now();
     let iter_arg = iters.to_string();
     let args: Vec<&str> = if retry {

@@ -208,7 +208,7 @@ fn engines_agree_on_random_scripts() {
             }),
             ops.clone(),
         );
-        let monolith_trace = trace_on(Monolith::with_cost(Default::default(), 64, 1024), ops);
+        let monolith_trace = trace_on(Monolith::with_sizes(64, 1024), ops);
         assert_eq!(osiris_trace, monolith_trace, "case seed {case}");
     }
 }

@@ -48,12 +48,10 @@ fn main() {
         i32::from(meta.size as usize != payload.len())
     });
 
-    let cfg = OsConfig {
+    let mut os = Os::new(OsConfig {
         watchdog: WatchdogConfig::on(),
         ..Default::default()
-    };
-    let wd = cfg.watchdog;
-    let mut os = Os::new(cfg);
+    });
     os.set_fault_hook(Box::new(Injector::new(&plan)));
     let mut host = Host::new(os, registry);
     let outcome = host.run("main", &[]);
@@ -91,7 +89,7 @@ fn main() {
     println!("the hang was invisible to the client: the stat request wedged the");
     println!(
         "VFS, the watchdog declared it hung once the {}-cycle deadline expired,",
-        wd.deadline
+        WatchdogConfig::DEADLINE
     );
     println!("the RS rolled the transaction back, and one retry finished the job.");
 }

@@ -155,14 +155,13 @@ impl FaultHook for RotatingHang {
 /// continuously in flight: every wedge is detected by the virtual-time
 /// watchdog (no crash signal exists), the workload completes, and the
 /// retry machinery never amplifies — the axiom's sealed retry decisions
-/// show at most `max_retries` grants per message, storm or not.
+/// show at most `MAX_RETRIES` grants per message, storm or not.
 #[test]
 fn hang_storm_during_recovery_does_not_amplify_retries() {
     osiris::install_quiet_panic_hook();
-    let watchdog = WatchdogConfig::on();
     let mut os = Os::new(OsConfig {
         vm_frames: 2048,
-        watchdog,
+        watchdog: WatchdogConfig::on(),
         axiom: AxiomConfig::on(),
         escalation: EscalationPolicy::unbounded(),
         ..Default::default()
@@ -189,7 +188,7 @@ fn hang_storm_during_recovery_does_not_amplify_retries() {
     assert!(os.audit().is_empty(), "audit: {:?}", os.audit());
 
     // No retry amplification: the sealed decisions grant at most
-    // `max_retries` attempts per message, and the aggregate counters agree.
+    // `MAX_RETRIES` attempts per message, and the aggregate counters agree.
     let mut grants_per_msg = std::collections::BTreeMap::new();
     for r in os.kernel().axiom().records() {
         if let AxiomEvent::RetryDecision {
@@ -203,12 +202,12 @@ fn hang_storm_during_recovery_does_not_amplify_retries() {
     }
     for (msg_id, grants) in &grants_per_msg {
         assert!(
-            *grants <= watchdog.max_retries,
+            *grants <= WatchdogConfig::MAX_RETRIES,
             "retry amplification on msg {msg_id}: {grants} grants"
         );
     }
     assert!(
-        m.retries_granted <= u64::from(watchdog.max_retries) * m.wd_expired,
+        m.retries_granted <= u64::from(WatchdogConfig::MAX_RETRIES) * m.wd_expired,
         "aggregate retry volume must stay within the per-expiry budget: {m:?}"
     );
 }
