@@ -22,7 +22,7 @@
 //!   byte-identical axioms.
 //! * **Zero allocation in steady state.** [`AxiomEvent`] is `Copy` with no
 //!   heap-owning field; the log's backing `Vec` is reserved up front.
-//!   `bench_layers axiom` proves this with a counting global allocator.
+//!   The `gates` binary proves this with a counting global allocator.
 //! * **Cheap when off.** With recording disabled, appends reduce to the
 //!   control-state fold (a branch-free match on a `Copy` value); no digest
 //!   is computed and nothing is retained.
@@ -886,8 +886,8 @@ impl AxiomLog {
     /// No-op when recording is disabled.
     ///
     /// `#[inline]` so the disabled-path check folds into the caller's emit
-    /// site — the shipping configuration pays one predictable branch, which
-    /// `bench_layers axiom --check` holds to the same bound as the tracer.
+    /// site — the shipping configuration pays one predictable branch
+    /// (`axiom.delta_ns_per_msg` in `benchmark/`).
     #[inline]
     pub fn append(&mut self, now: u64, event: AxiomEvent) {
         if !self.enabled {

@@ -4,8 +4,8 @@
 //! quickstart-scale workload) with the fail-silent wave enabled and
 //! enforces the sweep-completeness gates: 100% of the planned FailStop
 //! matrix, ≥90% of the full DoubleFault × DuringRecovery space within the
-//! budget, 100% of the fail-silent Hang and ReplyDrop plan space (every
-//! watchdog-detected fault kind at every core server, per policy), plus a
+//! budget, 100% of the fail-silent plan space (Hang, Stall, ReplyDrop and
+//! ReplyCorrupt at every core server, per policy), plus a
 //! live frontier (the policy spread must produce outcome-class flips, or
 //! the coverage-guided wave has nothing to refine). Unless invoked with
 //! `--check`, writes the coverage report to `campaign_coverage.json` and
@@ -17,8 +17,11 @@
 //! cargo run --release -p osiris-bench --bin campaign_coverage [--check]
 //! ```
 
-use osiris_bench::RECOVERY_COVERAGE_FLOOR;
 use osiris_faults::{forge_config_fail_silent, Forge, ForgeConfig};
+
+/// Minimum DoubleFault × DuringRecovery coverage (percent) within the
+/// budget.
+const RECOVERY_COVERAGE_FLOOR: f64 = 90.0;
 
 fn main() {
     let check = std::env::args().any(|a| a == "--check" || a == "--quick");
@@ -94,24 +97,9 @@ fn main() {
         report.recovery_space_pct()
     );
     assert!(
-        report.fail_silent_hang.0 > 0,
-        "the fail-silent wave must plan hang cells"
-    );
-    assert_eq!(
-        report.fail_silent_hang_pct(),
-        100.0,
-        "fail-silent Hang plan space not fully covered: {:?}",
-        report.fail_silent_hang
-    );
-    assert!(
-        report.fail_silent_reply_drop.0 > 0,
-        "the fail-silent wave must plan reply-drop cells"
-    );
-    assert_eq!(
-        report.fail_silent_reply_drop_pct(),
-        100.0,
-        "fail-silent ReplyDrop plan space not fully covered: {:?}",
-        report.fail_silent_reply_drop
+        report.fail_silent.0 > 0 && report.fail_silent_pct() == 100.0,
+        "fail-silent plan space (hang, stall, reply-drop, reply-corrupt) not fully covered: {:?}",
+        report.fail_silent
     );
     assert!(
         report.frontier.flips > 0,

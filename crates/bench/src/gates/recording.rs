@@ -1,0 +1,372 @@
+//! Recording is allocation-free once warm, in every layer that records on
+//! the hot path: the typed undo journal, the flight recorder, the metrics
+//! registry, the axiom log and request spans.
+//!
+//! Each drive builds the layer the way the kernel does, warms it (so
+//! arenas, rings and logs reach their working capacity), then counts the
+//! allocator calls of one recording repetition and reads back what the
+//! layer retained. Schedules are precomputed from fixed seeds, so the
+//! retained counts are functions of the sizes alone.
+
+use osiris_axiom::{
+    ActionCode, AxiomConfig, AxiomEvent, AxiomLog, CloseCode, ControlState, IntentPhaseCode,
+    SeepClassCode,
+};
+use osiris_checkpoint::{Heap, PBuf, PCell, PVec};
+use osiris_metrics::{MetricsConfig, MetricsHandle};
+use osiris_rng::Rng;
+use osiris_trace::{TraceConfig, TraceEvent, TraceHandle, KERNEL_COMP};
+
+use super::{Checks, Scale, Want};
+
+const SCRATCH_CELLS: usize = 8;
+
+/// One precomputed logged write.
+#[derive(Clone, Copy)]
+enum Op {
+    /// Hot counter cell: the dominant store in real servers.
+    Cell(u64),
+    Scratch(u32, u64),
+    VecSet(u32, u32),
+    /// 48-byte write at the given offset.
+    Buf(u32),
+}
+
+struct World {
+    heap: Heap,
+    hot: PCell<u64>,
+    scratch: Vec<PCell<u64>>,
+    vec: PVec<u32>,
+    buf: PBuf,
+}
+
+/// `windows` recovery windows (mark → writes → rollback), each replaying
+/// `ops`.
+fn run_windows(w: &mut World, ops: &[Op], windows: u64) {
+    let buf_data = [0xA5u8; 48];
+    for _ in 0..windows {
+        w.heap.set_logging(true);
+        let mark = w.heap.mark();
+        for op in ops {
+            match *op {
+                Op::Cell(v) => w.hot.set(&mut w.heap, v),
+                Op::Scratch(i, v) => w.scratch[i as usize].set(&mut w.heap, v),
+                Op::VecSet(i, v) => w.vec.set(&mut w.heap, i as usize, v),
+                Op::Buf(off) => w.buf.write_at(&mut w.heap, off as usize, &buf_data),
+            }
+        }
+        w.heap.rollback_to(mark);
+        w.heap.set_logging(false);
+    }
+}
+
+/// The undo journal (`group` "undo", no tracer) and the flight recorder
+/// (`group` "trace", a recording tracer attached to the same heap) share
+/// one drive: write-heavy windows skewed toward repeated stores to a few
+/// hot locations, the pattern a server shows inside one request's window,
+/// so both the append and the coalesce emit points run.
+fn heap_windows(group: &str, tracer: Option<TraceHandle>, scale: Scale, c: &mut Checks) {
+    let (windows, writes_per_window, warmup_windows) = match scale {
+        Scale::Full => (100, 4_096, 8),
+        Scale::Small => (4, 4_096, 1),
+    };
+    let mut r = Rng::new(0xBE4C4);
+    let ops: Vec<Op> = (0..writes_per_window)
+        .map(|_| match r.below(16) {
+            0..=7 => Op::Cell(r.next_u64()),
+            8..=10 => Op::VecSet(r.below(4) as u32, r.next_u32()),
+            11..=13 => Op::Scratch(r.below(SCRATCH_CELLS as u64) as u32, r.next_u64()),
+            _ => Op::Buf((r.below(4) * 64) as u32),
+        })
+        .collect();
+
+    let mut heap = Heap::new("gate-recording");
+    if let Some(t) = &tracer {
+        heap.set_tracer(t.clone(), 0);
+    }
+    let mut w = World {
+        hot: heap.alloc_cell("hot", 0),
+        scratch: (0..SCRATCH_CELLS)
+            .map(|_| heap.alloc_cell("scratch", 0))
+            .collect(),
+        vec: heap.alloc_vec("vec"),
+        buf: heap.alloc_buf("buf"),
+        heap,
+    };
+    for i in 0..8 {
+        w.vec.push(&mut w.heap, i);
+    }
+    w.buf.write_at(&mut w.heap, 0, &[0u8; 256]);
+    run_windows(&mut w, &ops, warmup_windows);
+    w.heap.reset_stats();
+
+    let ((), allocs) = c.counted(|| run_windows(&mut w, &ops, windows));
+    let stats = *w.heap.stats();
+    c.push_allocs(format!("{group}/recording_allocs"), allocs, Want::Eq(0));
+    c.push(
+        format!("{group}/undo_appends_plus_coalesced_writes"),
+        stats.undo_appends + stats.coalesced_writes,
+        Want::Eq(windows * ops.len() as u64),
+    );
+    c.push(
+        format!("{group}/coalesced_writes"),
+        stats.coalesced_writes,
+        Want::AtLeast(1),
+    );
+    if let Some(t) = &tracer {
+        // The run must reach the steady-state overwrite path, not only
+        // initial fills.
+        c.push(
+            format!("{group}/ring_wrapped"),
+            t.with(|t| t.has_wrapped()) as u64,
+            Want::Eq(1),
+        );
+    }
+}
+
+/// Counter adds alternating with histogram observations through handles
+/// registered once: relaxed `fetch_add`s on a shared slot, and a bucket
+/// bump under the series mutex.
+fn metrics(scale: Scale, c: &mut Checks) {
+    let (rounds, writes_per_round, warmup_rounds) = match scale {
+        Scale::Full => (100, 2_048, 4),
+        Scale::Small => (4, 256, 1),
+    };
+    let mut r = Rng::new(0x3E7A);
+    // (is_add, value): small deltas and latency-like magnitudes.
+    let ops: Vec<(bool, u64)> = (0..writes_per_round)
+        .map(|i| {
+            let v = r.below(1 << 14) + 1;
+            if i % 2 == 0 {
+                (true, v % 7 + 1)
+            } else {
+                (false, v)
+            }
+        })
+        .collect();
+    let handle = MetricsHandle::new(MetricsConfig { enabled: true });
+    let labels = [("component", "gate")];
+    let counter = handle.counter("osiris_gate_ops_total", "gate counter", &labels);
+    let hist = handle.hist("osiris_gate_latency_cycles", "gate histogram", &labels);
+    let run = |rounds: u64| {
+        for _ in 0..rounds {
+            for &(is_add, v) in &ops {
+                if is_add {
+                    counter.add(v);
+                } else {
+                    hist.observe(v);
+                }
+            }
+        }
+    };
+    run(warmup_rounds);
+    let ((), allocs) = c.counted(|| run(rounds));
+    let total_rounds = warmup_rounds + rounds;
+    let added: u64 = ops.iter().filter(|o| o.0).map(|o| o.1).sum();
+    c.push_allocs("metrics/recording_allocs".into(), allocs, Want::Eq(0));
+    c.push(
+        "metrics/counter_total".into(),
+        counter.get(),
+        Want::Eq(total_rounds * added),
+    );
+    c.push(
+        "metrics/observations".into(),
+        hist.get().count(),
+        Want::Eq(total_rounds * writes_per_round / 2),
+    );
+}
+
+/// Serialized axiom log: a 24-byte header plus 41 bytes per record.
+const AXIOM_HEADER_BYTES: u64 = 24;
+const AXIOM_RECORD_BYTES: u64 = 41;
+
+/// One open/close pair per window, with every 16th window expanded into
+/// the full crash → intent → decision → done sequence so the fold's array
+/// writes run, not just its counters.
+fn axiom_schedule(r: &mut Rng, windows: u64) -> Vec<AxiomEvent> {
+    let mut events = vec![AxiomEvent::Genesis {
+        comps: 6,
+        config_digest: 0xA71,
+    }];
+    for w in 0..windows {
+        let comp = r.below(6) as u8;
+        events.push(AxiomEvent::WindowOpen { comp });
+        if w % 16 == 15 {
+            events.extend([
+                AxiomEvent::WindowClose {
+                    comp,
+                    reason: CloseCode::Rollback,
+                    class: SeepClassCode::StateModifying,
+                },
+                AxiomEvent::Crash { comp },
+                AxiomEvent::IntentRecorded {
+                    comp,
+                    phase: IntentPhaseCode::Notified,
+                },
+                AxiomEvent::RecoveryDecision {
+                    comp,
+                    action: ActionCode::RollbackErrorReply,
+                },
+                AxiomEvent::RecoveryDone {
+                    comp,
+                    cycles: r.below(10_000),
+                },
+            ]);
+        } else {
+            events.push(AxiomEvent::WindowClose {
+                comp,
+                reason: CloseCode::Completed,
+                class: SeepClassCode::None,
+            });
+        }
+    }
+    events
+}
+
+/// The kernel's two-step emit for every control-plane transition it seals:
+/// fold the event into the live [`ControlState`], then FNV-chain a
+/// fixed-width record into the [`AxiomLog`], which is sized at
+/// [`AxiomLog::new`] time.
+fn axiom(scale: Scale, c: &mut Checks) {
+    let (windows, warmup_windows) = match scale {
+        Scale::Full => (40_000, 1_000),
+        Scale::Small => (2_000, 100),
+    };
+    let mut r = Rng::new(0xA10);
+    let events = axiom_schedule(&mut r, windows);
+    let warmup = axiom_schedule(&mut r, warmup_windows);
+    let mut control = ControlState::new();
+    let mut log = AxiomLog::new(AxiomConfig {
+        enabled: true,
+        capacity: events.len(),
+    });
+    let emit = |control: &mut ControlState, log: &mut AxiomLog, events: &[AxiomEvent]| {
+        let mut now = 0u64;
+        for e in events {
+            now += 7;
+            control.apply(now, e);
+            log.append(now, *e);
+        }
+    };
+    emit(&mut control, &mut log, &warmup);
+    control = ControlState::new();
+    log.reset();
+    let ((), allocs) = c.counted(|| emit(&mut control, &mut log, &events));
+    let n = events.len() as u64;
+    c.push_allocs("axiom/recording_allocs".into(), allocs, Want::Eq(0));
+    c.push(
+        "axiom/records_retained".into(),
+        log.len() as u64,
+        Want::Eq(n),
+    );
+    c.push(
+        "axiom/log_bytes".into(),
+        log.bytes_len() as u64,
+        Want::Eq(AXIOM_HEADER_BYTES + AXIOM_RECORD_BYTES * n),
+    );
+}
+
+/// The kernel's span lifecycle with both recorders on — `SpanOpen` at
+/// `send_user_request`, a `SpanHop` per delivery, `SpanClose` at the reply
+/// with the latency split by recovery overlap — against a preallocated
+/// trace ring and the `osiris_span_*` series, registered as
+/// `KernelCounters::register` does.
+fn spans(scale: Scale, c: &mut Checks) {
+    const HOPS_PER_SPAN: u64 = 3;
+    /// Every 16th span has a recovery between its open and its close.
+    const RECOVERY_EVERY: u64 = 16;
+    let (spans, warmup_spans) = match scale {
+        Scale::Full => (40_000, 1_000),
+        Scale::Small => (640, 64),
+    };
+    let tracer = TraceHandle::new(TraceConfig::on());
+    let metrics = MetricsHandle::new(MetricsConfig { enabled: true });
+    let counter = |name: &str, labels: &[(&str, &str)]| metrics.counter(name, "span gate", labels);
+    let latency = |overlap: &str| {
+        let labels = [("overlap", overlap)];
+        metrics.hist("osiris_span_latency_cycles", "span gate", &labels)
+    };
+    let started = counter("osiris_span_started_total", &[]);
+    let completed_none = counter("osiris_span_completed_total", &[("overlap", "none")]);
+    let completed_recovery = counter("osiris_span_completed_total", &[("overlap", "recovery")]);
+    let (latency_none, latency_recovery) = (latency("none"), latency("recovery"));
+    let hops = counter("osiris_span_hops_total", &[]);
+
+    let run = |spans: u64| {
+        let mut now = 0u64;
+        for s in 0..spans {
+            now += 13;
+            let (span, opened_at) = (s + 1, now);
+            started.inc();
+            tracer.set_now(now);
+            tracer.emit(
+                KERNEL_COMP,
+                TraceEvent::SpanOpen {
+                    span,
+                    sid: s,
+                    pid: 1,
+                },
+            );
+            for h in 0..HOPS_PER_SPAN {
+                now += 7;
+                hops.inc();
+                tracer.set_now(now);
+                let hop = TraceEvent::SpanHop {
+                    span,
+                    src: ((h + 1) % 6) as u8,
+                    msg_id: s * HOPS_PER_SPAN + h,
+                };
+                tracer.emit((h % 6) as u8, hop);
+            }
+            // A span that crosses a recovery also waits out its 400 cycles.
+            let crossed = s % RECOVERY_EVERY == RECOVERY_EVERY - 1;
+            now += if crossed { 413 } else { 13 };
+            let latency = now - opened_at;
+            let (completed, hist) = if crossed {
+                (&completed_recovery, &latency_recovery)
+            } else {
+                (&completed_none, &latency_none)
+            };
+            completed.inc();
+            hist.observe(latency);
+            tracer.set_now(now);
+            let close = TraceEvent::SpanClose {
+                span,
+                ok: !crossed,
+                crossed_recovery: crossed,
+                latency,
+            };
+            tracer.emit(KERNEL_COMP, close);
+        }
+    };
+    run(warmup_spans);
+    tracer.clear();
+    metrics.reset();
+    let ((), allocs) = c.counted(|| run(spans));
+    c.push_allocs("spans/recording_allocs".into(), allocs, Want::Eq(0));
+    for (what, got, want) in [
+        ("spans_recorded", started.get(), spans),
+        ("hops_recorded", hops.get(), spans * HOPS_PER_SPAN),
+        (
+            "closed_across_recovery",
+            completed_recovery.get(),
+            spans / RECOVERY_EVERY,
+        ),
+        (
+            "closed_without_recovery",
+            completed_none.get(),
+            spans - spans / RECOVERY_EVERY,
+        ),
+    ] {
+        c.push(format!("spans/{what}"), got, Want::Eq(want));
+    }
+}
+
+pub(super) fn checks(scale: Scale, c: &mut Checks) {
+    heap_windows("undo", None, scale, c);
+    let tracer = TraceHandle::new(TraceConfig::on());
+    heap_windows("trace", Some(tracer), scale, c);
+    metrics(scale, c);
+    axiom(scale, c);
+    spans(scale, c);
+}

@@ -12,40 +12,6 @@ use osiris_trace::HistSummary;
 
 pub use osiris_trace::Json;
 
-/// Ordered JSON-object builder for the `BENCH_*.json` writers, which
-/// splice a variable number of bench-specific fields between fixed ones —
-/// a shape `Json::obj`'s fixed-size array can't express.
-#[derive(Clone, Debug, Default)]
-pub struct JsonObj(Vec<(String, Json)>);
-
-impl JsonObj {
-    /// An empty object.
-    pub fn new() -> JsonObj {
-        JsonObj(Vec::new())
-    }
-
-    /// Appends one field (insertion order is render order).
-    pub fn field(mut self, key: &str, value: Json) -> JsonObj {
-        self.0.push((key.to_string(), value));
-        self
-    }
-
-    /// Finishes the object.
-    pub fn build(self) -> Json {
-        Json::Obj(self.0)
-    }
-}
-
-/// An optional allocator-call count: `null` when no counting allocator was
-/// installed (shared by every `steady_state_allocs` /
-/// `cow_restore_allocs` field).
-pub fn alloc_count_json(n: Option<u64>) -> Json {
-    match n {
-        Some(n) => Json::UInt(n),
-        None => Json::Null,
-    }
-}
-
 /// JSON mirror of one survivability table (the native types live in
 /// `osiris-faults`, which has no serialization code at all).
 #[derive(Clone, Debug)]

@@ -8,30 +8,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod campaign_bench;
 pub mod experiments;
+pub mod gates;
 pub mod json;
-pub mod layers;
 pub mod loc;
-pub mod overhead;
-pub mod restart_bench;
-pub mod timeout_bench;
-pub mod undo_bench;
 
-pub use campaign_bench::{
-    bench_campaign, CampaignBenchConfig, CampaignBenchResult, ReadoptAllocs, READOPT_ALLOC_BOUND,
-    RECOVERY_COVERAGE_FLOOR, SPEEDUP_FLOOR,
-};
 pub use experiments::*;
 pub use json::{Json, ResultsJson, SurvivabilityJson};
 pub use loc::{count_workspace_loc, CrateLoc, RcbReport};
-pub use restart_bench::{
-    bench_restart, PoolDedupResult, RestartBenchConfig, RestartBenchResult, RestartPoint,
-};
-pub use timeout_bench::{bench_timeouts, TimeoutBenchConfig, TimeoutBenchResult};
 
 /// Installs a counting wrapper around the system allocator plus an
-/// `alloc_calls()` reader, so a `bench_*` binary can *prove* a
+/// `alloc_calls()` reader, so the `gates` binary can *prove* a
 /// zero-allocator-calls steady-state claim. Expand once at the top level
 /// of a binary; the expansion defines the `#[global_allocator]` for that
 /// binary, so it cannot be used from a library or more than once.

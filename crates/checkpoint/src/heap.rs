@@ -172,9 +172,9 @@ pub(crate) struct UndoOp {
 /// How the heap stores undo records.
 ///
 /// The typed journal is the production path; the boxed log is the historical
-/// implementation, kept as the *reference* both for the `bench_layers undo`
-/// before/after comparison and for the differential rollback-equivalence
-/// tests (the boxed log never coalesces, so it is the ground truth).
+/// implementation, kept as the *reference* for the differential
+/// rollback-equivalence tests (the boxed log never coalesces, so it is the
+/// ground truth).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum UndoMode {
     /// Typed, allocation-free journal with an old-value arena (default).
@@ -1282,8 +1282,8 @@ mod tests {
     #[test]
     fn droppable_payloads_do_not_leak_on_discard_or_rollback() {
         // Strings own heap memory; exercising both exits of the journal under
-        // a leak-checking allocator (bench_layers undo) keeps this honest. Here we
-        // at least verify values survive the round-trips intact.
+        // a leak-checking allocator would keep this honest. Here we at least
+        // verify values survive the round-trips intact.
         let mut h = Heap::new("t");
         let c = h.alloc_cell("x", String::from("original"));
         h.set_logging(true);

@@ -14,8 +14,8 @@
 //!
 //! The historical deep copy survives as [`DeepImage`] /
 //! [`Heap::clone_image_deep`]: the reference implementation for the
-//! differential state-equivalence tests and the `bench_restart` baseline,
-//! exactly as [`crate::UndoMode::BoxedReference`] is kept for the journal.
+//! differential state-equivalence tests, exactly as
+//! [`crate::UndoMode::BoxedReference`] is kept for the journal.
 
 use crate::cas::{ChunkStore, CHUNK_SIZE};
 use crate::heap::{Heap, Obj};
@@ -557,8 +557,8 @@ fn deep_digest(heap_id: u32, objs: &[Obj]) -> u64 {
 }
 
 /// The historical deep copy of a heap's entire object graph, kept as the
-/// reference implementation for differential tests and as the O(heap)
-/// baseline in `bench_restart` (the pre-COW behavior).
+/// reference implementation for differential tests (the O(heap) pre-COW
+/// behavior).
 pub struct DeepImage {
     objs: Vec<Obj>,
     heap_id: u32,

@@ -1438,7 +1438,7 @@ impl Forge {
     /// the variant's boundary, arms the injector there and runs the
     /// suffix. This is the classic campaign cost model and it produces
     /// the same records the forged sweep produces (fork equivalence) —
-    /// the baseline the `bench_campaign` speedup gate compares against.
+    /// the reference the `gates` fork-equivalence rows compare against.
     pub fn run_baseline(&self, variants: &[ForgeVariant]) -> Vec<InjectionRecord> {
         osiris_kernel::install_quiet_panic_hook();
         run_parallel(variants.to_vec(), self.config.threads, |v| {

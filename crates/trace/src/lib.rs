@@ -13,15 +13,15 @@
 //!   produce byte-identical event streams.
 //! * **Zero allocation in steady state.** The ring is allocated once, at
 //!   construction (or when tracing is first enabled); emitting an event
-//!   writes a [`Copy`] record into a pre-existing slot. `bench_layers trace`
+//!   writes a [`Copy`] record into a pre-existing slot. The `gates` binary
 //!   proves this with a counting global allocator.
 //! * **No cost-model perturbation.** Emitting never touches the virtual
 //!   clock; tracing is an observer of the cost model, not a participant.
 //!   The recorder is told the current virtual time via
 //!   [`TraceHandle::set_now`].
 //! * **Cheap when off.** The disabled path is a single relaxed atomic load,
-//!   so always-on emit points in hot paths (undo-log appends) stay within
-//!   the `bench_layers undo` performance envelope.
+//!   so always-on emit points in hot paths (undo-log appends) stay cheap
+//!   (`trace.delta_ns_per_msg` in `benchmark/`).
 //!
 //! The crate sits just above `osiris-axiom` (the authoritative
 //! control-plane log), from which it re-exports the shared
