@@ -1,79 +1,137 @@
-//! Runs the complete evaluation: RCB accounting, Tables I-VI and Figure 3,
-//! in paper order. Expect a few minutes of runtime for the fault-injection
-//! campaigns.
+//! Runs the evaluation: RCB accounting, Tables I-VI and Figure 3, in paper
+//! order, plus the §VII kill-requester ablation on request.
+//!
+//! ```text
+//! reproduce                  # everything but the ablation; writes reproduce_results.json
+//! reproduce table2 figure3   # only the named experiments; writes nothing
+//! ```
+//!
+//! Names: `rcb table1 table2 table3 table4 table5 table6 figure3
+//! ablation_killreq`. The seeds, the iteration scale and the Figure 3
+//! interval ladder are written here once. Expect a few minutes for the
+//! fault-injection campaigns.
 
+use osiris_bench as b;
+use osiris_core::PolicyKind;
 use osiris_faults::FaultModel;
 
+const NAMES: &str = "rcb table1 table2 table3 table4 table5 table6 figure3 ablation_killreq";
+/// Plan seed of the fail-stop campaigns (Table II and the ablation).
+const FAIL_STOP_SEED: u64 = 0xfa11_5709;
+/// Plan seed of the full-EDFI campaign (Table III).
+const FULL_EDFI_SEED: u64 = 0xedf1_edf1;
+/// Iteration-count multiplier of the Unixbench analogs.
+const SCALE: f64 = 1.0;
+
+/// Runs `make` and prints its rendering under a header, if `name` is wanted.
+fn section<T>(
+    wanted: &dyn Fn(&str) -> bool,
+    name: &str,
+    make: impl FnOnce() -> T,
+    render: impl FnOnce(&T) -> String,
+) -> Option<T> {
+    wanted(name).then(|| {
+        println!("=== {name} ===");
+        let value = make();
+        println!("{}", render(&value));
+        value
+    })
+}
+
 fn main() {
+    let names: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(bad) = names.iter().find(|n| !NAMES.split(' ').any(|k| k == *n)) {
+        eprintln!("reproduce: unknown experiment `{bad}`; names: {NAMES}");
+        std::process::exit(2);
+    }
+    let full = names.is_empty();
+    // The ablation is an extension, not one of the paper's tables: named only.
+    let wanted = |name: &str| names.iter().any(|n| n == name) || full && name != "ablation_killreq";
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4);
+    // Figure 3's service-disruption intervals: 25k .. 12.8M cycles.
+    let intervals: Vec<u64> = (0..10).map(|k| 25_000u64 << k).collect();
 
-    println!("=== RCB (paper V-A) ===");
-    let rcb = osiris_bench::count_workspace_loc();
-    println!(
-        "RCB {} LoC of {} total ({:.1}%)\n",
-        rcb.rcb_total(),
-        rcb.total(),
-        rcb.rcb_pct()
+    let rcb = section(&wanted, "rcb", b::count_workspace_loc, |rcb| {
+        let mut out = format!("{:<14} {:>8}  RCB?\n", "Crate", "LoC");
+        for c in &rcb.crates {
+            let mark = if c.rcb { "yes" } else { "" };
+            out += &format!("{:<14} {:>8}  {mark}\n", c.name, c.loc);
+        }
+        let (rcb_loc, total, pct) = (rcb.rcb_total(), rcb.total(), rcb.rcb_pct());
+        out + &format!("RCB {rcb_loc} LoC of {total} total ({pct:.1}%)\n")
+    });
+    let table1 = section(&wanted, "table1", b::table1, |t| t.render());
+    let campaign = |name: &str, policies: &[PolicyKind], model, seed| {
+        let make = || b::survivability_for(policies, model, threads, seed);
+        section(&wanted, name, make, |t| t.render())
+    };
+    let standard = &PolicyKind::STANDARD;
+    let table2 = campaign("table2", standard, FaultModel::FailStop, FAIL_STOP_SEED);
+    let table3 = campaign("table3", standard, FaultModel::FullEdfi, FULL_EDFI_SEED);
+    let table4 = section(
+        &wanted,
+        "table4",
+        || b::table4(SCALE),
+        |r| b::render_table4(r),
+    );
+    let table5 = section(
+        &wanted,
+        "table5",
+        || b::table5(SCALE),
+        |r| b::render_table5(r),
+    );
+    let table6 = section(&wanted, "table6", b::table6, |r| b::render_table6(r));
+    let figure3 = section(
+        &wanted,
+        "figure3",
+        || b::figure3(&intervals, SCALE),
+        |p| b::render_figure3(p, &intervals),
+    );
+    // §VII extension: requester-scoped SEEPs with the kill-requester
+    // reconciliation (`enhanced-kill`) vs the stock enhanced policy.
+    let ablation = [PolicyKind::Enhanced, PolicyKind::EnhancedKill];
+    campaign(
+        "ablation_killreq",
+        &ablation,
+        FaultModel::TransientFailStop,
+        FAIL_STOP_SEED,
     );
 
-    println!("=== Table I ===");
-    let table1 = osiris_bench::table1();
-    println!("{}", table1.render());
-
-    println!("=== Table II ===");
-    let table2 = osiris_bench::survivability(FaultModel::FailStop, threads, 0xfa11_5709);
-    println!("{}", table2.render());
-
-    println!("=== Table III ===");
-    let table3 = osiris_bench::survivability(FaultModel::FullEdfi, threads, 0xedf1_edf1);
-    println!("{}", table3.render());
-
-    println!("=== Table IV ===");
-    let table4 = osiris_bench::table4(1.0);
-    println!("{}", osiris_bench::render_table4(&table4));
-
-    println!("=== Table V ===");
-    let table5 = osiris_bench::table5(1.0);
-    println!("{}", osiris_bench::render_table5(&table5));
-
-    println!("=== Table VI ===");
-    let table6 = osiris_bench::table6();
-    println!("{}", osiris_bench::render_table6(&table6));
-
-    println!("=== Figure 3 ===");
-    let intervals: Vec<u64> = (0..10).map(|k| 25_000u64 << k).collect();
-    let figure3 = osiris_bench::figure3(&intervals, 1.0);
-    print!("{}", osiris_bench::render_figure3(&figure3, &intervals));
-
-    let results = osiris_bench::ResultsJson {
-        rcb,
-        table1,
-        table2: (&table2).into(),
-        table3: (&table3).into(),
-        table4,
-        table5,
-        table6,
-        figure3,
+    // Only the full run has every block of the results document.
+    if !full {
+        return;
+    }
+    const RAN: &str = "the full run ran every experiment";
+    let (table2, table3) = (table2.expect(RAN), table3.expect(RAN));
+    // Full per-injection campaign report (matrix + records for both fault
+    // models), the machine-readable companion to Tables II/III.
+    let report = b::Json::obj([
+        ("fail_stop", table2.report.clone()),
+        ("full_edfi", table3.report.clone()),
+    ]);
+    let results = b::ResultsJson {
+        rcb: rcb.expect(RAN),
+        table1: table1.expect(RAN),
+        table2,
+        table3,
+        table4: table4.expect(RAN),
+        table5: table5.expect(RAN),
+        table6: table6.expect(RAN),
+        figure3: figure3.expect(RAN),
     };
     let json = results.to_json().pretty();
     std::fs::write("reproduce_results.json", &json).expect("write results json");
     println!("\n(machine-readable copy written to reproduce_results.json)");
 
-    // Full per-injection campaign report (matrix + records for both fault
-    // models), the machine-readable companion to Tables II/III.
-    let campaign = osiris_bench::Json::obj([
-        ("fail_stop", table2.report.clone()),
-        ("full_edfi", table3.report.clone()),
-    ]);
-    let dir = osiris_bench::out_dir(std::env::var_os("OSIRIS_OUT_DIR"), "reproduce");
-    let campaign_path = osiris_bench::write_out(&dir, "campaign_report.json", &campaign.pretty())
+    let dir = b::out_dir(std::env::var_os("OSIRIS_OUT_DIR"), "reproduce");
+    let campaign_path = b::write_out(&dir, "campaign_report.json", &report.pretty())
         .expect("write campaign report");
     println!("(campaign report written to {})", campaign_path.display());
 
     // Metrics registry exposition from one fault-free suite run.
-    let (prom, mjson) = osiris_bench::export_suite_metrics(&dir).expect("write metrics exports");
+    let (prom, mjson) = b::export_suite_metrics(&dir).expect("write metrics exports");
     println!(
         "(metrics written to {} and {})",
         prom.display(),

@@ -2,9 +2,9 @@
 
 use osiris_core::{EscalationPolicy, PolicyKind};
 use osiris_faults::{
-    campaign::model_label, classify_run, plan_faults, run_parallel, Campaign, DoubleInjector,
-    FaultKind, FaultModel, FaultPlan, InjectionRecord, Injector, Outcome, PeriodicCrash, Recorder,
-    RecoveryActionTag, SiteProfile, Tally,
+    campaign::model_label, forge::forge_config, plan_faults, run_parallel, Campaign,
+    DoubleInjector, FaultKind, FaultModel, FaultPlan, InjectionRecord, Injector, Outcome,
+    PeriodicCrash, Recorder, SiteProfile, Tally,
 };
 use osiris_kernel::FaultHook;
 use osiris_kernel::{Instrumentation, OsEngine, ProgramRegistry};
@@ -28,23 +28,6 @@ fn campaign_config(policy: PolicyKind) -> OsConfig {
         vm_frames: 8192,
         ..Default::default()
     }
-}
-
-/// Campaign config for injected runs: flight-record quietly (small ring,
-/// kernel auto-dump off) so a run that ends in an uncontrolled crash can
-/// hand its trace tail to the campaign observer's black-box dump.
-fn injection_config(policy: PolicyKind) -> OsConfig {
-    let mut cfg = campaign_config(policy);
-    cfg.trace = osiris_trace::TraceConfig {
-        enabled: true,
-        capacity: 2048,
-        blackbox_tail: 0,
-        ..Default::default()
-    };
-    // Retain the axiom so each injection's MTTR can be decomposed into its
-    // recovery critical path (detect → execute → replay) after the run.
-    cfg.axiom = osiris_axiom::AxiomConfig::on();
-    cfg
 }
 
 // ---------------------------------------------------------------------
@@ -100,16 +83,12 @@ pub fn table1() -> Table1 {
     let mut cycles_p = 0.0;
     let mut cycles_e = 0.0;
     for server in SERVERS {
-        let (pc, pw) = pess
-            .iter()
-            .find(|(n, _, _)| n == server)
-            .map(|(_, c, w)| (*c, *w as f64))
-            .unwrap_or((0.0, 0.0));
-        let (ec, ew) = enh
-            .iter()
-            .find(|(n, _, _)| n == server)
-            .map(|(_, c, w)| (*c, *w as f64))
-            .unwrap_or((0.0, 0.0));
+        let of = |run: &[(String, f64, u64)]| {
+            run.iter()
+                .find(|(n, _, _)| n == server)
+                .map_or((0.0, 0.0), |(_, c, w)| (*c, *w as f64))
+        };
+        let ((pc, pw), (ec, ew)) = (of(&pess), of(&enh));
         wp += pc * pw;
         cycles_p += pw;
         we += ec * ew;
@@ -163,9 +142,6 @@ pub struct SurvivabilityTable {
     pub faults: usize,
     /// Outcome tallies, in policy order.
     pub rows: Vec<(PolicyKind, Tally)>,
-    /// Per-injection records (site, fault, outcome, recovery action,
-    /// latency), in completion order across all policies.
-    pub records: Vec<InjectionRecord>,
     /// The campaign observer's final report document — the payload of
     /// `campaign_report.json`.
     pub report: osiris_trace::Json,
@@ -184,12 +160,6 @@ pub fn profile_suite() -> SiteProfile {
     handle.profile().restrict_to(&SERVERS)
 }
 
-/// Runs one survivability campaign: every planned fault, injected in its
-/// own fresh run, for each of the four recovery policies.
-pub fn survivability(model: FaultModel, threads: usize, seed: u64) -> SurvivabilityTable {
-    survivability_for(&PolicyKind::STANDARD, model, threads, seed)
-}
-
 /// Runs the benchmark suite once fault-free under the default policy and
 /// writes the kernel's metrics registry as `metrics.prom` and
 /// `metrics.json` in `dir`.
@@ -200,8 +170,9 @@ pub fn export_suite_metrics(
     os.write_metrics(&dir.join("metrics").to_string_lossy())
 }
 
-/// Like [`survivability`], for an arbitrary policy set (used by the
-/// kill-requester ablation of paper §VII).
+/// Runs one survivability campaign: every planned fault, injected in its
+/// own fresh run, for each of `policies` (Tables II/III sweep
+/// [`PolicyKind::STANDARD`], the §VII kill-requester ablation its own pair).
 pub fn survivability_for(
     policies: &[PolicyKind],
     model: FaultModel,
@@ -235,61 +206,16 @@ pub fn survivability_for(
         // slot, so records, axiom chain and report are identical on every
         // thread count.
         let jobs: Vec<_> = plans.iter().cloned().enumerate().collect();
-        let campaign = &campaign;
-        let primary = &primary;
         let runs = plans.len();
         let outcomes: Vec<Outcome> = run_parallel(jobs, threads, |(idx, plan)| {
-            let injector: Box<dyn FaultHook> = match primary {
+            let injector: Box<dyn FaultHook> = match &primary {
                 Some(p) => Box::new(DoubleInjector::new(p, &plan)),
                 None => Box::new(Injector::new(&plan)),
             };
-            let (outcome, os) = run_suite_with(injection_config(policy), Some(injector));
-            let violations = if outcome.completed() {
-                os.audit().len()
-            } else {
-                0
-            };
-            let m = os.metrics();
-            let class = classify_run(&outcome, violations, m.quarantines);
-            // An uncontrolled crash carries its flight-recorder tail so the
-            // campaign observer can dump a post-mortem black box.
-            let blackbox = (class == Outcome::Crash).then(|| {
-                let tail = os.trace_handle().with(|t| t.tail_per_comp(12));
-                osiris_trace::render_text(&tail, &os.kernel().trace_names())
-            });
-            // Join the run's axiom + span metrics into the per-injection
-            // MTTR critical path and request-latency split.
-            let (critical_path, span_latency_clean, span_latency_recovery) =
-                osiris_faults::run_attribution(
-                    os.kernel().axiom().records(),
-                    &os.metrics_snapshot(),
-                );
-            campaign.record_at(
-                policy_i * runs + idx,
-                InjectionRecord {
-                    site: plan.site.clone(),
-                    kind: plan.kind,
-                    policy: policy.to_string(),
-                    outcome: class,
-                    action: RecoveryActionTag::from_counts(
-                        m.recovered_rollback,
-                        m.recovered_fresh,
-                        m.recovered_quiescent,
-                        m.recovered_naive,
-                        m.controlled_shutdowns,
-                    ),
-                    run_cycles: os.kernel().now(),
-                    recoveries: m.recovered_rollback
-                        + m.recovered_fresh
-                        + m.recovered_quiescent
-                        + m.recovered_naive,
-                    recovery_cycles: m.recovery_cycles,
-                    critical_path,
-                    span_latency_clean,
-                    span_latency_recovery,
-                    blackbox,
-                },
-            );
+            let (outcome, os) = run_suite_with(forge_config(policy), Some(injector));
+            let rec = InjectionRecord::from_run(&os, &outcome, &plan, policy);
+            let class = rec.outcome;
+            campaign.record_at(policy_i * runs + idx, rec);
             class
         });
         rows.push((policy, outcomes.into_iter().collect()));
@@ -298,7 +224,6 @@ pub fn survivability_for(
         model,
         faults: plans.len(),
         rows,
-        records: campaign.records(),
         report: campaign.report_json(),
     }
 }

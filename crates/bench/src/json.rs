@@ -12,59 +12,23 @@ use osiris_trace::HistSummary;
 
 pub use osiris_trace::Json;
 
-/// JSON mirror of one survivability table (the native types live in
-/// `osiris-faults`, which has no serialization code at all).
-#[derive(Clone, Debug)]
-pub struct SurvivabilityJson {
-    /// Fault model name.
-    pub model: String,
-    /// Faults injected per policy.
-    pub faults: usize,
-    /// Per-policy outcome counts: (policy, pass, fail, shutdown, crash).
-    pub rows: Vec<(String, usize, usize, usize, usize)>,
-}
-
-impl From<&SurvivabilityTable> for SurvivabilityJson {
-    fn from(t: &SurvivabilityTable) -> Self {
-        SurvivabilityJson {
-            model: format!("{:?}", t.model),
-            faults: t.faults,
-            rows: t
-                .rows
-                .iter()
-                .map(|(p, tally)| {
-                    (
-                        p.to_string(),
-                        tally.pass,
-                        tally.fail,
-                        tally.shutdown,
-                        tally.crash,
-                    )
-                })
-                .collect(),
-        }
-    }
-}
-
-impl SurvivabilityJson {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("model", Json::Str(self.model.clone())),
-            ("faults", Json::UInt(self.faults as u64)),
-            (
-                "rows",
-                Json::arr(&self.rows, |(policy, pass, fail, shutdown, crash)| {
-                    Json::obj([
-                        ("policy", Json::Str(policy.clone())),
-                        ("pass", Json::UInt(*pass as u64)),
-                        ("fail", Json::UInt(*fail as u64)),
-                        ("shutdown", Json::UInt(*shutdown as u64)),
-                        ("crash", Json::UInt(*crash as u64)),
-                    ])
-                }),
-            ),
-        ])
-    }
+fn survivability_json(t: &SurvivabilityTable) -> Json {
+    Json::obj([
+        ("model", Json::Str(format!("{:?}", t.model))),
+        ("faults", Json::UInt(t.faults as u64)),
+        (
+            "rows",
+            Json::arr(&t.rows, |(policy, tally)| {
+                Json::obj([
+                    ("policy", Json::Str(policy.to_string())),
+                    ("pass", Json::UInt(tally.pass as u64)),
+                    ("fail", Json::UInt(tally.fail as u64)),
+                    ("shutdown", Json::UInt(tally.shutdown as u64)),
+                    ("crash", Json::UInt(tally.crash as u64)),
+                ])
+            }),
+        ),
+    ])
 }
 
 fn rcb_json(r: &RcbReport) -> Json {
@@ -158,9 +122,9 @@ pub struct ResultsJson {
     /// Table I.
     pub table1: Table1,
     /// Table II.
-    pub table2: SurvivabilityJson,
+    pub table2: SurvivabilityTable,
     /// Table III.
-    pub table3: SurvivabilityJson,
+    pub table3: SurvivabilityTable,
     /// Table IV.
     pub table4: Vec<Table4Row>,
     /// Table V.
@@ -177,8 +141,8 @@ impl ResultsJson {
         Json::obj([
             ("rcb", rcb_json(&self.rcb)),
             ("table1", table1_json(&self.table1)),
-            ("table2", self.table2.to_json()),
-            ("table3", self.table3.to_json()),
+            ("table2", survivability_json(&self.table2)),
+            ("table3", survivability_json(&self.table3)),
             ("table4", Json::arr(&self.table4, table4_json)),
             ("table5", Json::arr(&self.table5, table5_json)),
             ("table6", Json::arr(&self.table6, table6_json)),

@@ -2,8 +2,9 @@
 //!
 //! One function per table/figure of the paper's evaluation (§VI). Each
 //! returns structured data and can render the paper-style text table; the
-//! `src/bin/*` binaries are thin wrappers. Experiment sizes are
-//! parameterized so integration tests can run scaled-down versions.
+//! `reproduce` binary is a thin wrapper that owns the seeds and scales.
+//! Experiment sizes are parameterized so integration tests can run
+//! scaled-down versions.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -14,7 +15,7 @@ pub mod json;
 pub mod loc;
 
 pub use experiments::*;
-pub use json::{Json, ResultsJson, SurvivabilityJson};
+pub use json::{Json, ResultsJson};
 pub use loc::{count_workspace_loc, CrateLoc, RcbReport};
 
 /// Installs a counting wrapper around the system allocator plus an

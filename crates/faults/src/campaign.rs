@@ -22,10 +22,13 @@ use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 use osiris_axiom::{AxiomConfig, AxiomEvent, AxiomLog, AxiomRecord, OutcomeCode};
+use osiris_core::PolicyKind;
+use osiris_kernel::RunOutcome;
 use osiris_metrics::MetricsHandle;
+use osiris_servers::Os;
 use osiris_trace::{HistSummary, Json};
 
-use crate::{FaultKind, FaultModel, Outcome, SiteId, Tally};
+use crate::{classify_run, FaultKind, FaultModel, FaultPlan, Outcome, SiteId, Tally};
 
 /// Maps a campaign [`Outcome`] onto the axiom's compact outcome vocabulary
 /// (`Quarantined` collapses into `Degraded` — both are "survived benched").
@@ -229,24 +232,6 @@ impl CriticalPath {
     }
 }
 
-/// Joins one finished run's observability artifacts into its attribution
-/// fields: the recovery [`CriticalPath`] from the run's axiom records and
-/// the end-to-end request-latency split (clean / crossed-a-recovery) from
-/// its metrics snapshot. Missing artifacts degrade to zeros: an empty
-/// axiom yields an all-zero path, an absent latency family empty digests.
-pub fn run_attribution(
-    axiom: &[AxiomRecord],
-    snapshot: &osiris_metrics::MetricsSnapshot,
-) -> (CriticalPath, HistSummary, HistSummary) {
-    let latency = |overlap: &str| match snapshot
-        .find("osiris_span_latency_cycles", &[("overlap", overlap)])
-    {
-        Some(osiris_metrics::SeriesValue::Hist(h)) => h.summary(),
-        _ => HistSummary::default(),
-    };
-    (critical_path(axiom), latency("none"), latency("recovery"))
-}
-
 /// A latency digest as JSON: the quantile fields the campaign report
 /// carries per injection for the request-latency split.
 fn latency_json(h: &HistSummary) -> Json {
@@ -291,6 +276,67 @@ pub struct InjectionRecord {
     /// Flight-recorder tail of the run, carried only for uncontrolled
     /// crashes (the black-box dump).
     pub blackbox: Option<String>,
+}
+
+impl InjectionRecord {
+    /// The one injection epilogue, shared by the from-boot tables, the
+    /// forge and the examples: audits `os` (only when the run completed),
+    /// classifies `outcome`, and joins the run's metrics and axiom into
+    /// the record — recovery counters, the MTTR [`CriticalPath`] (all-zero
+    /// without a retained axiom) and the request-latency split (empty
+    /// without the span family). An uncontrolled crash carries the last
+    /// 12 flight-recorder events per component as its black box.
+    pub fn from_run(
+        os: &Os,
+        outcome: &RunOutcome,
+        plan: &FaultPlan,
+        policy: PolicyKind,
+    ) -> InjectionRecord {
+        let violations = if outcome.completed() {
+            os.audit().len()
+        } else {
+            0
+        };
+        let m = os.metrics();
+        let [rollback, fresh, quiescent, naive] = [
+            m.recovered_rollback,
+            m.recovered_fresh,
+            m.recovered_quiescent,
+            m.recovered_naive,
+        ];
+        let class = classify_run(outcome, violations, m.quarantines);
+        let blackbox = (class == Outcome::Crash).then(|| {
+            let tail = os.trace_handle().with(|t| t.tail_per_comp(12));
+            osiris_trace::render_text(&tail, &os.kernel().trace_names())
+        });
+        let snapshot = os.metrics_snapshot();
+        let latency = |overlap: &str| match snapshot
+            .find("osiris_span_latency_cycles", &[("overlap", overlap)])
+        {
+            Some(osiris_metrics::SeriesValue::Hist(h)) => h.summary(),
+            _ => HistSummary::default(),
+        };
+        InjectionRecord {
+            site: plan.site.clone(),
+            kind: plan.kind,
+            policy: policy.to_string(),
+            outcome: class,
+            action: RecoveryActionTag::from_counts(
+                rollback,
+                fresh,
+                quiescent,
+                naive,
+                m.controlled_shutdowns,
+            ),
+            run_cycles: os.kernel().now(),
+            recoveries: rollback + fresh + quiescent + naive,
+            recovery_cycles: m.recovery_cycles,
+            critical_path: critical_path(os.kernel().axiom().records()),
+            span_latency_clean: latency("none"),
+            span_latency_recovery: latency("recovery"),
+            blackbox,
+        }
+    }
 }
 
 struct State {
@@ -445,7 +491,8 @@ impl Campaign {
             .or_default()
             .add(rec.outcome);
         st.done += 1;
-        let crash_dump = if rec.outcome == Outcome::Crash
+        let crash_dump = if self.live
+            && rec.outcome == Outcome::Crash
             && rec.blackbox.is_some()
             && st.blackbox_dumps < self.max_blackbox_dumps
         {
@@ -548,17 +595,9 @@ impl Campaign {
             })
             .collect();
         // The all-policy grand total: the same columns as the per-row
-        // tallies (including degraded/quarantined), so the JSON report and
-        // the rendered matrix footer agree.
+        // tallies, so the JSON report and the rendered matrix footer agree.
         let mut totals = Tally::default();
-        for t in st.matrix.values() {
-            totals.pass += t.pass;
-            totals.fail += t.fail;
-            totals.degraded += t.degraded;
-            totals.quarantined += t.quarantined;
-            totals.shutdown += t.shutdown;
-            totals.crash += t.crash;
-        }
+        st.matrix.values().for_each(|t| totals.absorb(t));
         let records: Vec<&InjectionRecord> = st.slots.iter().flatten().collect();
         Json::obj([
             ("campaign", Json::Str(self.label.clone())),
@@ -608,8 +647,9 @@ fn render_matrix_locked(matrix: &BTreeMap<(String, String), Tally>) -> String {
         "crash",
         "surv%"
     );
-    let mut per_policy: BTreeMap<&str, Tally> = BTreeMap::new();
-    for ((policy, component), t) in matrix {
+    // Every row — per pair, per policy, grand total — has the full column
+    // set of the `totals` object in `campaign_report.json`.
+    let mut row = |policy: &str, component: &str, t: &Tally| {
         out.push_str(&format!(
             "  {:<14} {:<10} {:>6} {:>6} {:>9} {:>11} {:>9} {:>6} {:>6.1}%\n",
             policy,
@@ -622,50 +662,18 @@ fn render_matrix_locked(matrix: &BTreeMap<(String, String), Tally>) -> String {
             t.crash,
             t.survivability()
         ));
-        let agg = per_policy.entry(policy).or_default();
-        agg.pass += t.pass;
-        agg.fail += t.fail;
-        agg.degraded += t.degraded;
-        agg.quarantined += t.quarantined;
-        agg.shutdown += t.shutdown;
-        agg.crash += t.crash;
+    };
+    let mut per_policy: BTreeMap<&str, Tally> = BTreeMap::new();
+    for ((policy, component), t) in matrix {
+        row(policy, component, t);
+        per_policy.entry(policy).or_default().absorb(t);
     }
     let mut total = Tally::default();
-    for (policy, t) in per_policy {
-        out.push_str(&format!(
-            "  {:<14} {:<10} {:>6} {:>6} {:>9} {:>11} {:>9} {:>6} {:>6.1}%\n",
-            policy,
-            "(all)",
-            t.pass,
-            t.fail,
-            t.degraded,
-            t.quarantined,
-            t.shutdown,
-            t.crash,
-            t.survivability()
-        ));
-        total.pass += t.pass;
-        total.fail += t.fail;
-        total.degraded += t.degraded;
-        total.quarantined += t.quarantined;
-        total.shutdown += t.shutdown;
-        total.crash += t.crash;
+    for (policy, t) in &per_policy {
+        row(policy, "(all)", t);
+        total.absorb(t);
     }
-    // All-policy grand total, with the full column set (including the
-    // degraded/quarantined ladder outcomes), matching the `totals` object
-    // in `campaign_report.json`.
-    out.push_str(&format!(
-        "  {:<14} {:<10} {:>6} {:>6} {:>9} {:>11} {:>9} {:>6} {:>6.1}%\n",
-        "(total)",
-        "",
-        total.pass,
-        total.fail,
-        total.degraded,
-        total.quarantined,
-        total.shutdown,
-        total.crash,
-        total.survivability()
-    ));
+    row("(total)", "", &total);
     out
 }
 

@@ -47,13 +47,10 @@ use osiris_rng::Rng;
 use osiris_servers::{Os, OsConfig, OsSnapshot};
 use osiris_trace::Json;
 
-use crate::campaign::{
-    kind_label, model_label, run_attribution, site_digest128, Campaign, InjectionRecord,
-    RecoveryActionTag,
-};
+use crate::campaign::{kind_label, model_label, site_digest128, Campaign, InjectionRecord};
 use crate::{
-    classify_run, plan_faults, run_parallel, DoubleInjector, FaultKind, FaultModel, FaultPlan,
-    Injector, Outcome, SiteId, SiteProfile,
+    plan_faults, run_parallel, DoubleInjector, FaultKind, FaultModel, FaultPlan, Injector, Outcome,
+    SiteId, SiteProfile,
 };
 
 /// The five core servers eligible for fail-stop injection (paper order).
@@ -848,9 +845,12 @@ fn frontier(variants: &[ForgeVariant], outcomes: &[Outcome]) -> FrontierReport {
 // The forge
 // ---------------------------------------------------------------------
 
-/// Campaign-config for forged runs: flight-record quietly and retain the
-/// axiom (mirrors the bench crate's injection config), with a smaller
-/// frame pool to keep restart image copies cheap.
+/// The one injection config — forged runs, the from-boot tables and the
+/// examples all boot it: flight-record quietly (small ring, kernel
+/// auto-dump off) so an uncontrolled crash can hand its trace tail to
+/// [`InjectionRecord::from_run`], retain the axiom so each injection's
+/// MTTR decomposes into its critical path, and keep the frame pool small
+/// so restart image copies stay cheap (recovery semantics are unaffected).
 pub fn forge_config(policy: PolicyKind) -> OsConfig {
     let mut cfg = OsConfig::with_policy(policy);
     cfg.vm_frames = 8192;
@@ -994,16 +994,6 @@ impl ForgeReport {
         pct(self.fail_silent)
     }
 
-    /// FailSilent hang-cell coverage in percent.
-    pub fn fail_silent_hang_pct(&self) -> f64 {
-        pct(self.fail_silent_hang)
-    }
-
-    /// FailSilent reply-drop-cell coverage in percent.
-    pub fn fail_silent_reply_drop_pct(&self) -> f64 {
-        pct(self.fail_silent_reply_drop)
-    }
-
     /// The report as a JSON object (embedded in `campaign_report.json`).
     pub fn to_json(&self) -> Json {
         Json::obj([
@@ -1039,7 +1029,7 @@ impl ForgeReport {
             ),
             (
                 "fail_silent_hang_coverage_pct",
-                Json::Num(self.fail_silent_hang_pct()),
+                Json::Num(pct(self.fail_silent_hang)),
             ),
             (
                 "fail_silent_reply_drop_cells",
@@ -1047,7 +1037,7 @@ impl ForgeReport {
             ),
             (
                 "fail_silent_reply_drop_coverage_pct",
-                Json::Num(self.fail_silent_reply_drop_pct()),
+                Json::Num(pct(self.fail_silent_reply_drop)),
             ),
             ("outcome_cells", Json::UInt(self.outcome_cells as u64)),
             ("frontier_flips", Json::UInt(self.frontier.flips)),
@@ -1532,38 +1522,6 @@ impl Forge {
         };
         os.set_fault_hook(hook);
         let run = self.script.run_range(os, from_step..ScriptWorkload::STEPS);
-        let violations = if run.outcome.completed() {
-            os.audit().len()
-        } else {
-            0
-        };
-        let m = os.metrics();
-        let class = classify_run(&run.outcome, violations, m.quarantines);
-        let blackbox = (class == Outcome::Crash).then(|| os.blackbox()).flatten();
-        let (critical_path, span_latency_clean, span_latency_recovery) =
-            run_attribution(os.kernel().axiom().records(), &os.metrics_snapshot());
-        InjectionRecord {
-            site: v.plan.site.clone(),
-            kind: v.plan.kind,
-            policy: v.policy.to_string(),
-            outcome: class,
-            action: RecoveryActionTag::from_counts(
-                m.recovered_rollback,
-                m.recovered_fresh,
-                m.recovered_quiescent,
-                m.recovered_naive,
-                m.controlled_shutdowns,
-            ),
-            run_cycles: os.kernel().now(),
-            recoveries: m.recovered_rollback
-                + m.recovered_fresh
-                + m.recovered_quiescent
-                + m.recovered_naive,
-            recovery_cycles: m.recovery_cycles,
-            critical_path,
-            span_latency_clean,
-            span_latency_recovery,
-            blackbox,
-        }
+        InjectionRecord::from_run(os, &run.outcome, &v.plan, v.policy)
     }
 }

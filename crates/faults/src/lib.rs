@@ -27,8 +27,8 @@ pub mod campaign;
 pub mod forge;
 
 pub use campaign::{
-    critical_path, run_attribution, site_digest, site_digest128, Campaign, CriticalPath,
-    InjectionRecord, RecoveryActionTag,
+    critical_path, site_digest, site_digest128, Campaign, CriticalPath, InjectionRecord,
+    RecoveryActionTag,
 };
 pub use forge::{
     forge_config_fail_silent, Boundary, CoverageMap, Forge, ForgeConfig, ForgePlan, ForgeReport,
@@ -584,6 +584,16 @@ impl Tally {
             Outcome::Shutdown => self.shutdown += 1,
             Outcome::Crash => self.crash += 1,
         }
+    }
+
+    /// Adds every count of `t`.
+    pub(crate) fn absorb(&mut self, t: &Tally) {
+        self.pass += t.pass;
+        self.fail += t.fail;
+        self.degraded += t.degraded;
+        self.quarantined += t.quarantined;
+        self.shutdown += t.shutdown;
+        self.crash += t.crash;
     }
 
     /// Total runs.

@@ -2,7 +2,12 @@
 //! full coverage of the planned spaces, and a live frontier.
 
 use osiris_core::PolicyKind;
-use osiris_faults::{Forge, ForgeConfig, ForgeResult};
+use osiris_faults::{forge_config_fail_silent, Forge, ForgeConfig, ForgeResult, Outcome};
+use osiris_metrics::validate_prometheus;
+
+/// Minimum DoubleFault × DuringRecovery coverage (percent) within the
+/// budget.
+const RECOVERY_COVERAGE_FLOOR: f64 = 90.0;
 
 fn sweep(threads: usize) -> ForgeResult {
     let forge = Forge::new(ForgeConfig {
@@ -66,4 +71,55 @@ fn forge_budget_truncation_is_visible() {
         res.report.recovery_space
     );
     assert_eq!(res.report.injections, 150);
+}
+
+/// The sweep-completeness floors of the default four-policy sweep with the
+/// fail-silent wave on (hang / stall / reply-drop / reply-corrupt at every
+/// core server need armed deadlines, so the whole sweep runs under the
+/// watchdog config): 100% of the FailStop matrix, ≥ 90% of the
+/// DoubleFault × DuringRecovery space, 100% of a non-empty fail-silent
+/// plan, nothing deferred by the budget, and a live frontier — the policy
+/// spread must flip outcome classes or the refinement wave has nothing to
+/// refine.
+#[test]
+fn default_sweep_clears_the_coverage_floors() {
+    let result = Forge::new(ForgeConfig {
+        fail_silent_wave: true,
+        os_config: forge_config_fail_silent,
+        budget: 1024,
+        ..ForgeConfig::default()
+    })
+    .run();
+    let report = &result.report;
+    assert_eq!(report.fail_stop_pct(), 100.0, "{:?}", report.fail_stop);
+    assert!(
+        report.recovery_space_pct() >= RECOVERY_COVERAGE_FLOOR,
+        "recovery space {:?} below {RECOVERY_COVERAGE_FLOOR}%",
+        report.recovery_space
+    );
+    assert!(
+        report.fail_silent.0 > 0 && report.fail_silent_pct() == 100.0,
+        "fail-silent plan space not fully covered: {:?}",
+        report.fail_silent
+    );
+    assert!(report.frontier.flips > 0, "no recovery-failure frontier");
+    assert_eq!(report.dropped, 0, "the budget truncated the base waves");
+    // One scrape carries the campaign series and the osiris_forge_* families.
+    let prom = result.campaign.metrics_handle().prometheus();
+    assert!(prom.contains("osiris_forge_forks_total"), "{prom}");
+    validate_prometheus(&prom).expect("campaign exposition is well-formed");
+}
+
+/// Forged runs go through the same epilogue as from-boot runs: exactly the
+/// uncontrolled crashes carry a flight-recorder tail.
+#[test]
+fn exactly_the_crashes_carry_a_black_box() {
+    let records = Forge::new(ForgeConfig::default()).run().campaign.records();
+    let crashes = records.iter().filter(|r| r.outcome == Outcome::Crash);
+    assert!(crashes.count() > 0, "the default sweep has crashes to dump");
+    for r in &records {
+        let tail = r.blackbox.as_deref();
+        assert_eq!(tail.is_some(), r.outcome == Outcome::Crash, "{:?}", r.site);
+        assert_ne!(tail, Some(""), "empty tail for {:?}", r.site);
+    }
 }

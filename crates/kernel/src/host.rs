@@ -120,9 +120,7 @@ pub struct Sys {
     to_host: Sender<(Pid, ProcAction)>,
     from_host: Receiver<ProcInput>,
     retry_ecrash: bool,
-    retry_budget: u32,
-    retry_backoff_base: u64,
-    retry_backoff_max: u64,
+    cfg: HostConfig,
 }
 
 impl std::fmt::Debug for Sys {
@@ -162,9 +160,10 @@ impl Sys {
             return 0;
         }
         let doublings = (attempt - 2).min(16);
-        self.retry_backoff_base
+        self.cfg
+            .ecrash_backoff_base
             .saturating_mul(1u64 << doublings)
-            .min(self.retry_backoff_max)
+            .min(self.cfg.ecrash_backoff_max)
     }
 
     fn call(&mut self, sc: Syscall) -> Result<SysReply, Errno> {
@@ -186,7 +185,7 @@ impl Sys {
                     // keeps answering ECRASH; surface it once the per-call
                     // budget is spent instead of livelocking.
                     attempts += 1;
-                    if attempts >= self.retry_budget {
+                    if attempts >= self.cfg.ecrash_retry_budget {
                         return Err(Errno::ECRASH);
                     }
                     let backoff = self.retry_backoff(attempts);
@@ -710,8 +709,8 @@ impl Default for HostConfig {
 
 enum Resume {
     Reply(Pid, SysReply),
-    Start(Pid, Arc<ProgramFn>, Vec<String>),
-    StartFork(Pid, ForkFn),
+    /// Start a process: a registered program or a fork closure.
+    Start(Pid, Vec<String>, ForkFn),
 }
 
 struct ProcEntry {
@@ -795,7 +794,11 @@ impl<E: OsEngine> Host<E> {
         let mut carried_kills: Vec<Pid> = Vec::new();
 
         let root_args: Vec<String> = root_args.iter().map(|s| s.to_string()).collect();
-        resume_q.push_back(Resume::Start(Pid::INIT, root, root_args));
+        resume_q.push_back(Resume::Start(
+            Pid::INIT,
+            root_args,
+            Box::new(move |sys| root(sys)),
+        ));
 
         let outcome = loop {
             // Phase 1: if a process is running, wait for its next action.
@@ -835,29 +838,18 @@ impl<E: OsEngine> Host<E> {
                         } else {
                             next_sid += 1;
                             let sid = SyscallId(next_sid);
-                            pending.insert(
-                                sid,
-                                PendingCall {
-                                    pid,
-                                    kind: PendingKind::Plain,
-                                },
-                            );
-                            if let Some(p) = procs.get_mut(&pid) {
-                                p.blocked_on = Some(sid);
-                            }
                             // Spawn carries host-side info to start the child
                             // when PM confirms.
-                            if let Syscall::Spawn { ref prog, ref args } = sc {
-                                pending.insert(
-                                    sid,
-                                    PendingCall {
-                                        pid,
-                                        kind: PendingKind::Spawn {
-                                            prog: prog.clone(),
-                                            args: args.clone(),
-                                        },
-                                    },
-                                );
+                            let kind = match &sc {
+                                Syscall::Spawn { prog, args } => PendingKind::Spawn {
+                                    prog: prog.clone(),
+                                    args: args.clone(),
+                                },
+                                _ => PendingKind::Plain,
+                            };
+                            pending.insert(sid, PendingCall { pid, kind });
+                            if let Some(p) = procs.get_mut(&pid) {
+                                p.blocked_on = Some(sid);
                             }
                             self.engine.submit(sid, pid, sc);
                         }
@@ -944,7 +936,11 @@ impl<E: OsEngine> Host<E> {
                             if !dead.contains(&pid) {
                                 resume_q.push_back(Resume::Reply(pid, SysReply::Proc(child)));
                             }
-                            resume_q.push_back(Resume::Start(child, f, args));
+                            resume_q.push_back(Resume::Start(
+                                child,
+                                args,
+                                Box::new(move |sys| f(sys)),
+                            ));
                         } else if !dead.contains(&pid) {
                             resume_q.push_back(Resume::Reply(pid, reply));
                         }
@@ -955,7 +951,7 @@ impl<E: OsEngine> Host<E> {
                             if !dead.contains(&pid) {
                                 resume_q.push_back(Resume::Reply(pid, SysReply::Proc(child)));
                             }
-                            resume_q.push_back(Resume::StartFork(child, cf));
+                            resume_q.push_back(Resume::Start(child, Vec::new(), cf));
                         } else if !dead.contains(&pid) {
                             resume_q.push_back(Resume::Reply(pid, reply));
                         }
@@ -976,7 +972,6 @@ impl<E: OsEngine> Host<E> {
                     let what = match &r {
                         Resume::Reply(pid, rep) => format!("resume {} with {:?}", pid, rep),
                         Resume::Start(pid, _, _) => format!("start {}", pid),
-                        Resume::StartFork(pid, _) => format!("start-fork {}", pid),
                     };
                     eprintln!("[host] {}", what);
                 }
@@ -991,13 +986,8 @@ impl<E: OsEngine> Host<E> {
                             }
                         }
                     }
-                    Resume::Start(pid, f, args) => {
-                        let entry = self.start_process(pid, f, args, action_tx.clone());
-                        procs.insert(pid, entry);
-                        running = Some(pid);
-                    }
-                    Resume::StartFork(pid, f) => {
-                        let entry = self.start_fork(pid, f, action_tx.clone());
+                    Resume::Start(pid, args, body) => {
+                        let entry = self.start(pid, args, body, action_tx.clone());
                         procs.insert(pid, entry);
                         running = Some(pid);
                     }
@@ -1064,71 +1054,32 @@ impl<E: OsEngine> Host<E> {
         outcome
     }
 
-    fn start_process(
+    /// Spawns the thread of process `pid`, parked until the host resumes
+    /// it, running `body` (a registered program or a fork closure).
+    fn start(
         &self,
         pid: Pid,
-        f: Arc<ProgramFn>,
         args: Vec<String>,
+        body: ForkFn,
         action_tx: Sender<(Pid, ProcAction)>,
     ) -> ProcEntry {
-        let (input_tx, input_rx) = channel::<ProcInput>();
-        let registry = Arc::clone(&self.registry);
-        let (retry_budget, retry_backoff_base, retry_backoff_max) = (
-            self.cfg.ecrash_retry_budget,
-            self.cfg.ecrash_backoff_base,
-            self.cfg.ecrash_backoff_max,
-        );
+        let (input_tx, from_host) = channel::<ProcInput>();
+        let mut sys = Sys {
+            pid,
+            args,
+            registry: Arc::clone(&self.registry),
+            to_host: action_tx.clone(),
+            from_host,
+            retry_ecrash: false,
+            cfg: self.cfg,
+        };
         let handle = std::thread::Builder::new()
             .name(format!("osiris-{}", pid))
             .spawn(move || {
-                let mut sys = Sys {
-                    pid,
-                    args,
-                    registry,
-                    to_host: action_tx.clone(),
-                    from_host: input_rx,
-                    retry_ecrash: false,
-                    retry_budget,
-                    retry_backoff_base,
-                    retry_backoff_max,
-                };
-                let result = catch_unwind(AssertUnwindSafe(|| f(&mut sys)));
+                let result = catch_unwind(AssertUnwindSafe(|| body(&mut sys)));
                 finish_thread(pid, result, &action_tx);
             })
             .expect("spawn process thread");
-        ProcEntry {
-            input_tx,
-            handle: Some(handle),
-            blocked_on: None,
-        }
-    }
-
-    fn start_fork(&self, pid: Pid, f: ForkFn, action_tx: Sender<(Pid, ProcAction)>) -> ProcEntry {
-        let (input_tx, input_rx) = channel::<ProcInput>();
-        let registry = Arc::clone(&self.registry);
-        let (retry_budget, retry_backoff_base, retry_backoff_max) = (
-            self.cfg.ecrash_retry_budget,
-            self.cfg.ecrash_backoff_base,
-            self.cfg.ecrash_backoff_max,
-        );
-        let handle = std::thread::Builder::new()
-            .name(format!("osiris-{}", pid))
-            .spawn(move || {
-                let mut sys = Sys {
-                    pid,
-                    args: Vec::new(),
-                    registry,
-                    to_host: action_tx.clone(),
-                    from_host: input_rx,
-                    retry_ecrash: false,
-                    retry_budget,
-                    retry_backoff_base,
-                    retry_backoff_max,
-                };
-                let result = catch_unwind(AssertUnwindSafe(|| f(&mut sys)));
-                finish_thread(pid, result, &action_tx);
-            })
-            .expect("spawn fork thread");
         ProcEntry {
             input_tx,
             handle: Some(handle),

@@ -6,9 +6,12 @@
 //! virtual time under both conservative recovery policies.
 
 use osiris_core::{EscalationPolicy, PolicyKind, RestartBudget};
-use osiris_faults::{classify_run, FaultKind, FaultPlan, Injector, Outcome, SiteId, SiteKindTag};
-use osiris_kernel::abi::{Errno, OpenFlags};
-use osiris_kernel::{Host, ProgramRegistry, RunOutcome};
+use osiris_faults::{
+    Campaign, FaultKind, FaultModel, FaultPlan, InjectionRecord, Injector, Outcome, SiteId,
+    SiteKindTag,
+};
+use osiris_kernel::abi::{Errno, Fd, OpenFlags};
+use osiris_kernel::{Host, ProgramRegistry, RunOutcome, Sys};
 use osiris_servers::{Os, OsConfig};
 use osiris_trace::TraceConfig;
 
@@ -31,8 +34,8 @@ fn tight_ladder() -> EscalationPolicy {
 
 /// Persistent fail-stop on the read dispatch site: fires on every
 /// execution, the fault model the ladder exists for.
-fn hot_read_fault() -> Injector {
-    Injector::new(&FaultPlan {
+fn hot_read_plan() -> FaultPlan {
+    FaultPlan {
         site: SiteId {
             component: "vfs".to_string(),
             site: "vfs.read.entry".to_string(),
@@ -40,64 +43,70 @@ fn hot_read_fault() -> Injector {
         },
         kind: FaultKind::Crash,
         transient: false,
-    })
+    }
 }
 
-/// Sets up a file, releases every descriptor, then hammers the crashing
-/// read path tolerating `E_CRASH` — the well-written-client contract from
-/// the paper's error-virtualization argument. Exits 0 only if *all* reads
-/// failed with `E_CRASH` (crash replies while restarting, bounced replies
-/// once quarantined).
+/// Sets up a file and releases every descriptor before the crash loop:
+/// the quarantined server never sees the exit-time cleanup notification,
+/// so anything still held would (correctly) trip the consistency audit.
+/// Returns the stale fd, or `None` if a step failed.
+fn write_and_release(sys: &mut Sys) -> Option<Fd> {
+    let fd = sys.open("/tmp/hot", OpenFlags::RDWR_CREATE).ok()?;
+    sys.write(fd, &[7u8; 512]).ok()?;
+    sys.close(fd).ok()?;
+    sys.unlink("/tmp/hot").ok()?;
+    Some(fd)
+}
+
+/// `main` hammers the crashing read path tolerating `E_CRASH` — the
+/// well-written-client contract from the paper's error-virtualization
+/// argument. Exits 0 only if *all* reads failed with `E_CRASH` (crash
+/// replies while restarting, bounced replies once quarantined).
+/// `intolerant` issues the same reads but treats a failed one as fatal to
+/// itself: it still terminates, with 1.
 fn registry() -> ProgramRegistry {
     let mut registry = ProgramRegistry::new();
-    registry.register("main", |sys| {
-        let fd = match sys.open("/tmp/hot", OpenFlags::RDWR_CREATE) {
-            Ok(fd) => fd,
-            Err(_) => return 10,
+    registry.register("intolerant", |sys| {
+        let Some(fd) = write_and_release(sys) else {
+            return 10;
         };
-        if sys.write(fd, &[7u8; 512]).is_err() {
-            return 11;
-        }
-        // Drop all VFS state before the crash loop: the quarantined server
-        // never sees the exit-time cleanup notification, so anything still
-        // held here would (correctly) trip the consistency audit.
-        if sys.close(fd).is_err() || sys.unlink("/tmp/hot").is_err() {
-            return 12;
-        }
-        let mut bounced = 0;
+        // Every read is issued (no short-circuit), so the ladder runs out.
+        let failed = (0..READS).filter(|_| sys.read(fd, 64).is_err()).count();
+        i32::from(failed > 0)
+    });
+    registry.register("main", |sys| {
+        let Some(fd) = write_and_release(sys) else {
+            return 10;
+        };
         for _ in 0..READS {
             // The site fires before fd validation, so the stale fd still
             // exercises the hot path.
             match sys.read(fd, 64) {
-                Err(Errno::ECRASH) => bounced += 1,
+                Err(Errno::ECRASH) => {}
                 Ok(_) => return 13,
                 Err(_) => return 14,
             }
         }
-        if bounced == READS {
-            0
-        } else {
-            15
-        }
+        0
     });
     registry
 }
 
-fn run_hot_loop(policy: PolicyKind) -> (RunOutcome, Os) {
+fn run_hot_loop(program: &str, policy: PolicyKind) -> (RunOutcome, Os) {
     osiris_kernel::install_quiet_panic_hook();
     let mut cfg = OsConfig::with_policy(policy);
     cfg.escalation = tight_ladder();
     cfg.trace = TraceConfig::on();
     let mut os = Os::new(cfg);
-    os.set_fault_hook(Box::new(hot_read_fault()));
+    os.set_fault_hook(Box::new(Injector::new(&hot_read_plan())));
     let mut host = Host::new(os, registry());
-    let outcome = host.run("main", &[]);
+    let outcome = host.run(program, &[]);
     (outcome, host.into_engine())
 }
 
 /// The full ladder contract for one policy.
 fn assert_bounded_and_degraded(policy: PolicyKind) {
-    let (outcome, os) = run_hot_loop(policy);
+    let (outcome, os) = run_hot_loop("main", policy);
     assert!(
         matches!(outcome, RunOutcome::Completed { init_code: 0, .. }),
         "{policy:?}: crash loop must not take the system down: {outcome:?}"
@@ -123,14 +132,10 @@ fn assert_bounded_and_degraded(policy: PolicyKind) {
     assert_eq!(os.kernel().quarantined(), vec![3], "{policy:?}");
 
     // The quarantined server held no state for the dead process, so the
-    // cross-component audit stays clean and the run classifies as degraded.
+    // cross-component audit stays clean (and the run classifies as
+    // degraded: `ladder_classes_reach_the_campaign_report`).
     let violations = os.audit();
     assert!(violations.is_empty(), "{policy:?}: audit: {violations:?}");
-    assert_eq!(
-        classify_run(&outcome, violations.len(), m.quarantines),
-        Outcome::Degraded,
-        "{policy:?}"
-    );
 
     // Every ladder rung left a flight-recorder event.
     let text = os.trace_text();
@@ -171,13 +176,43 @@ fn persistent_vfs_crash_loop_quarantines_under_pessimistic() {
     assert_bounded_and_degraded(PolicyKind::Pessimistic);
 }
 
+/// Both ladder outcome classes, through the campaign's one injection path
+/// and into its report: the tolerant client degrades, the intolerant one
+/// fails its run and classifies as quarantined — under either policy the
+/// run terminates instead of crash-looping.
+#[test]
+fn ladder_classes_reach_the_campaign_report() {
+    let campaign = Campaign::new("escalation", FaultModel::FailStop, 4).quiet();
+    for policy in [PolicyKind::Enhanced, PolicyKind::Pessimistic] {
+        for (program, want) in [
+            ("main", Outcome::Degraded),
+            ("intolerant", Outcome::Quarantined),
+        ] {
+            let (outcome, os) = run_hot_loop(program, policy);
+            assert!(outcome.completed(), "{program}/{policy:?}: {outcome:?}");
+            let rec = InjectionRecord::from_run(&os, &outcome, &hot_read_plan(), policy);
+            assert_eq!(rec.outcome, want, "{program}/{policy:?}");
+            assert!(rec.blackbox.is_none(), "only crashes carry a black box");
+            campaign.record(rec);
+        }
+    }
+    let report = campaign.report_json().pretty();
+    for class in ["degraded", "quarantined"] {
+        assert_eq!(
+            report.matches(&format!("\"outcome\": \"{class}\"")).count(),
+            2,
+            "one {class} record per policy:\n{report}"
+        );
+    }
+}
+
 /// Acceptance: the whole escalation path — crashes, backoff timers,
 /// quarantine, bounced mail — is driven off the virtual clock, so two
 /// identical runs export byte-identical traces and metrics.
 #[test]
 fn escalated_runs_are_byte_identical() {
-    let (_, a) = run_hot_loop(PolicyKind::Enhanced);
-    let (_, b) = run_hot_loop(PolicyKind::Enhanced);
+    let (_, a) = run_hot_loop("main", PolicyKind::Enhanced);
+    let (_, b) = run_hot_loop("main", PolicyKind::Enhanced);
     assert_eq!(a.trace_text(), b.trace_text());
     assert_eq!(a.chrome_trace().pretty(), b.chrome_trace().pretty());
     assert_eq!(a.metrics_prometheus(), b.metrics_prometheus());

@@ -7,7 +7,8 @@
 
 use osiris_core::PolicyKind;
 use osiris_faults::{
-    classify_run, DoubleInjector, FaultKind, FaultPlan, Outcome, SiteId, SiteKindTag,
+    classify_run, plan_faults, Campaign, DoubleInjector, FaultKind, FaultModel, FaultPlan,
+    InjectionRecord, Outcome, SiteId, SiteKindTag, SiteProfile, Tally,
 };
 use osiris_kernel::abi::{Errno, OpenFlags};
 use osiris_kernel::{Host, ProgramRegistry, RunOutcome};
@@ -172,6 +173,44 @@ fn rs_crash_mid_conduct_is_redriven_from_intent_log() {
 
     let text = os.trace_text();
     assert!(text.contains("IntentReplayed"), "trace: {text}");
+}
+
+/// The whole synthesized `DuringRecovery` plan space (recovery sites never
+/// show up in a fault-free profile, so the profile argument is unused):
+/// no secondary fault inside the recovery machinery ends in an
+/// uncontrolled crash, and every kernel registers the fallback and
+/// journal-integrity families.
+#[test]
+fn no_during_recovery_secondary_crashes_the_system() {
+    let plans = plan_faults(&SiteProfile::default(), FaultModel::DuringRecovery, 1);
+    let campaign = Campaign::new("t", FaultModel::DuringRecovery, plans.len()).quiet();
+    let mut rollback_phase_seen = false;
+    for secondary in &plans {
+        let (outcome, os) = run_with_secondary(secondary.clone());
+        let rec = InjectionRecord::from_run(&os, &outcome, secondary, PolicyKind::Enhanced);
+        assert_ne!(rec.outcome, Outcome::Crash, "{:?}: {outcome:?}", rec.site);
+        if secondary.site.site == "kernel.recovery.rollback" {
+            rollback_phase_seen = true;
+            let prom = os.metrics_prometheus();
+            for family in [
+                "osiris_recovery_fallback_total",
+                "osiris_journal_integrity_checks_total",
+                "osiris_recovery_fallback_intent_replays_total",
+            ] {
+                assert!(prom.contains(family), "{family} missing:\n{prom}");
+            }
+        }
+        campaign.record(rec);
+    }
+    assert!(rollback_phase_seen, "rollback-phase plan not synthesized");
+    let tally: Tally = campaign.records().iter().map(|r| r.outcome).collect();
+    assert!(tally.survivability() > 0.0, "{tally:?}");
+    let report = campaign.report_json().pretty();
+    assert!(
+        report.contains("\"model\": \"during-recovery\""),
+        "{report}"
+    );
+    assert!(report.contains(&format!("\"completed_runs\": {}", plans.len())));
 }
 
 /// Acceptance: recovery-path faults are driven off the same virtual clock

@@ -12,12 +12,12 @@
 //! cargo run --release --example fault_injection
 //! ```
 
+use osiris::faults::forge::forge_config;
 use osiris::faults::{
-    classify_run, plan_faults, run_parallel, Campaign, FaultModel, InjectionRecord, Injector,
-    Outcome, Recorder, RecoveryActionTag, Tally,
+    plan_faults, run_parallel, Campaign, FaultModel, InjectionRecord, Injector, Recorder,
 };
-use osiris::workloads::{build_testsuite, run_suite_with};
-use osiris::{Host, Os, OsConfig, PolicyKind, TraceConfig};
+use osiris::workloads::run_suite_with;
+use osiris::{OsConfig, PolicyKind};
 
 fn main() {
     osiris::install_quiet_panic_hook();
@@ -49,87 +49,18 @@ fn main() {
         FaultModel::FailStop,
         plans.len() * policies.len(),
     );
-    println!(
-        "{:<14} {:>6} {:>6} {:>9} {:>11} {:>9} {:>6}   (injecting on {} threads)",
-        "policy", "pass", "fail", "degraded", "quarantined", "shutdown", "crash", threads
-    );
+    println!("injecting on {threads} threads (live matrix on stderr)...");
     for policy in policies {
-        let campaign = &campaign;
-        let outcomes: Vec<Outcome> = run_parallel(plans.clone(), threads, |plan| {
-            let injector = Injector::new(&plan);
-            // Flight-record quietly (kernel auto-dump off) so a crashing
-            // run can hand its trace tail to the campaign's black box.
-            let mut cfg = OsConfig::with_policy(policy);
-            cfg.trace = TraceConfig {
-                enabled: true,
-                capacity: 2048,
-                blackbox_tail: 0,
-                ..Default::default()
-            };
-            // Retain the axiom so each injection's MTTR decomposes into
-            // its recovery critical path (zeros without retention).
-            cfg.axiom = osiris::axiom::AxiomConfig::on();
-            let mut os = Os::new(cfg);
-            os.set_fault_hook(Box::new(injector));
-            let (registry, _) = build_testsuite();
-            let mut host = Host::new(os, registry);
-            let outcome = host.run("suite", &[]);
-            let os = host.into_engine();
-            let violations = if outcome.completed() {
-                os.audit().len()
-            } else {
-                0
-            };
-            let m = os.metrics();
-            // Escalation-aware classification: runs that survived because a
-            // crash-looping component was quarantined report as degraded or
-            // quarantined rather than pass/crash.
-            let class = classify_run(&outcome, violations, m.quarantines);
-            let blackbox = (class == Outcome::Crash).then(|| {
-                let tail = os.trace_handle().with(|t| t.tail_per_comp(12));
-                osiris::trace::render_text(&tail, &os.kernel().trace_names())
-            });
-            let (critical_path, span_latency_clean, span_latency_recovery) =
-                osiris::faults::run_attribution(
-                    os.kernel().axiom().records(),
-                    &os.metrics_snapshot(),
-                );
-            campaign.record(InjectionRecord {
-                site: plan.site.clone(),
-                kind: plan.kind,
-                policy: policy.to_string(),
-                outcome: class,
-                action: RecoveryActionTag::from_counts(
-                    m.recovered_rollback,
-                    m.recovered_fresh,
-                    m.recovered_quiescent,
-                    m.recovered_naive,
-                    m.controlled_shutdowns,
-                ),
-                run_cycles: os.kernel().now(),
-                recoveries: m.recovered_rollback
-                    + m.recovered_fresh
-                    + m.recovered_quiescent
-                    + m.recovered_naive,
-                recovery_cycles: m.recovery_cycles,
-                critical_path,
-                span_latency_clean,
-                span_latency_recovery,
-                blackbox,
-            });
-            class
+        run_parallel(plans.clone(), threads, |plan| {
+            // `forge_config` flight-records quietly and retains the axiom;
+            // `from_run` audits, classifies (escalation-aware: a run that
+            // survived by quarantining a crash-looping component reports
+            // as degraded/quarantined) and attaches the black box of an
+            // uncontrolled crash.
+            let (outcome, os) =
+                run_suite_with(forge_config(policy), Some(Box::new(Injector::new(&plan))));
+            campaign.record(InjectionRecord::from_run(&os, &outcome, &plan, policy));
         });
-        let t: Tally = outcomes.into_iter().collect();
-        println!(
-            "{:<14} {:>5} {:>6} {:>9} {:>11} {:>9} {:>6}",
-            policy.to_string(),
-            t.pass,
-            t.fail,
-            t.degraded,
-            t.quarantined,
-            t.shutdown,
-            t.crash
-        );
     }
 
     println!("\nfinal campaign matrix ({} runs):", campaign.done());
