@@ -57,6 +57,11 @@ cargo run --release -p osiris-bench --bin axiom_bisect -- \
 echo "== gates: every exact-count claim (restore, watchdog, forge, recording layers); no clock, no file writes =="
 cargo run --release -p osiris-bench --bin gates
 
+echo "== benchmark/: builds against the facade, passes its tests, and a --quick run fails no operation =="
+CARGO_TARGET_DIR=target cargo build --release --manifest-path benchmark/Cargo.toml
+CARGO_TARGET_DIR=target cargo test -q --manifest-path benchmark/Cargo.toml
+benchmark/run.sh --quick >/dev/null
+
 echo "== hang_recovery example: wedge -> watchdog verdict -> rollback -> transparent retry =="
 cargo run --release --example hang_recovery >/dev/null
 

@@ -18,8 +18,8 @@ use osiris_servers::Os;
 
 use super::{Checks, Scale, Want};
 
-/// Most allocator calls one snapshot adoption may make; 156 today.
-const READOPT_ALLOC_BOUND: u64 = 256;
+/// Most allocator calls one snapshot adoption may make: what it makes today.
+const READOPT_ALLOC_BOUND: u64 = 156;
 
 /// Allocator calls of one warmed snapshot adoption after a clean prefix of
 /// `stress_rounds` bulk rounds per step.

@@ -27,10 +27,10 @@ const DETECT_BOUND: u64 = WatchdogConfig::DEADLINE_STATE_MODIFYING + cost::HEART
 const _: () = assert!(WatchdogConfig::DEADLINE_STATE_MODIFYING >= WatchdogConfig::DEADLINE);
 
 /// Ceiling on whole-OS allocator calls per steady put/get round (two
-/// syscalls through `Host`); 18.13 today. What is left is the workload's
+/// syscalls through `Host`); 16.13 today. What is left is the workload's
 /// own (`Host` hand-off, syscall arguments, the DS value clone, the reply
 /// vector); the pump adds none.
-const ALLOCS_PER_ROUND_CEILING: u64 = 19;
+const ALLOCS_PER_ROUND_CEILING: u64 = 17;
 
 /// Wedges one component (fail-silent hang, no crash signal) whenever its
 /// window is open and `interval` cycles have passed since the last wedge,

@@ -48,12 +48,22 @@ impl Heap {
 }
 
 impl<T: HeapValue> PCell<T> {
-    /// Returns a clone of the stored value.
+    /// Returns a copy of the stored value. Only for `Copy` payloads: read
+    /// anything else by borrow ([`PCell::with`]), or spell a deliberate deep
+    /// copy [`PCell::cloned`].
     ///
     /// # Panics
     ///
     /// Panics if used with a heap other than the allocating one.
-    pub fn get(&self, heap: &Heap) -> T {
+    pub fn get(&self, heap: &Heap) -> T
+    where
+        T: Copy,
+    {
+        heap.holder::<T>(self.id).value
+    }
+
+    /// Returns a deep copy of the stored value.
+    pub fn cloned(&self, heap: &Heap) -> T {
         heap.holder::<T>(self.id).value.clone()
     }
 
@@ -62,15 +72,23 @@ impl<T: HeapValue> PCell<T> {
         f(&heap.holder::<T>(self.id).value)
     }
 
-    /// Replaces the stored value, logging the old one for rollback.
+    /// Replaces the stored value; the old one moves into the undo journal
+    /// (or is dropped when no record is owed). Never clones.
     pub fn set(&self, heap: &mut Heap, value: T) {
-        heap.log_cell_set::<T>(self.id);
-        heap.holder_mut::<T>(self.id).value = value;
+        let owed = heap.note_cell_write::<T>(self.id);
+        let old = std::mem::replace(&mut heap.holder_mut::<T>(self.id).value, value);
+        if owed {
+            heap.log_cell_old(self.id, old);
+        }
     }
 
-    /// Mutates the stored value in place through `f`, logging the old value.
+    /// Mutates the stored value in place through `f`, logging a copy of the
+    /// old value first when a record is owed.
     pub fn update<R>(&self, heap: &mut Heap, f: impl FnOnce(&mut T) -> R) -> R {
-        heap.log_cell_set::<T>(self.id);
+        if heap.note_cell_write::<T>(self.id) {
+            let old = heap.holder::<T>(self.id).value.clone();
+            heap.log_cell_old(self.id, old);
+        }
         f(&mut heap.holder_mut::<T>(self.id).value)
     }
 }
@@ -84,9 +102,9 @@ mod tests {
         let mut h = Heap::new("t");
         let c = h.alloc_cell("v", String::from("a"));
         c.set(&mut h, "b".into());
-        assert_eq!(c.get(&h), "b");
+        assert_eq!(c.cloned(&h), "b");
         c.update(&mut h, |s| s.push('c'));
-        assert_eq!(c.get(&h), "bc");
+        assert_eq!(c.cloned(&h), "bc");
         assert!(c.with(&h, |s| s.len() == 2));
     }
 
@@ -98,9 +116,9 @@ mod tests {
         let m = h.mark();
         c.update(&mut h, |v| v.push(4));
         c.update(&mut h, |v| v.clear());
-        assert_eq!(c.get(&h), Vec::<i32>::new());
+        assert!(c.with(&h, |v| v.is_empty()));
         h.rollback_to(m);
-        assert_eq!(c.get(&h), vec![1, 2, 3]);
+        assert_eq!(c.cloned(&h), vec![1, 2, 3]);
     }
 
     #[test]

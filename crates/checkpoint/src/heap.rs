@@ -417,8 +417,9 @@ impl Heap {
             .expect("heap object type mismatch")
     }
 
-    /// Mutable access to the payload of `id`. Callers must have logged the
-    /// undo record first. Does **not** touch statistics.
+    /// Mutable access to the payload of `id`. Does **not** touch statistics
+    /// or the journal: the caller pairs it with a `note_*` gate and, when
+    /// the gate says a record is owed, a `log_*_old` call.
     pub(crate) fn holder_mut<T: HeapValue>(&mut self, id: ObjId) -> &mut Holder<T> {
         assert_eq!(
             id.heap_id, self.id,
@@ -434,10 +435,14 @@ impl Heap {
 
     // -- logging entry points, one per container mutation shape -------------
     //
-    // Each counts the logical write, then — only if logging is on — consults
-    // the coalescing index *before* cloning the old value, so coalesced
-    // stores skip both the clone and the append: the fast path of a warm
-    // window touches no allocator at all.
+    // One ownership rule: the container *moves* the value a store displaces
+    // into the journal (`log_*_old` take it by value) and clones only where
+    // the old value must also stay behind — an in-place `update`, or a
+    // `PMap::insert`/`remove`/`PVec::pop` that returns what it displaced.
+    // Each store first calls a `note_*` gate, which counts the logical write
+    // and dirties the object whether or not logging is on, and says whether
+    // a record is owed at all: with logging off, or on a coalesced store,
+    // nothing is cloned and the allocator is never touched.
 
     /// Common bookkeeping for a logged append.
     fn account_append(&mut self, bytes: usize) {
@@ -463,17 +468,43 @@ impl Heap {
         self.mode == UndoMode::Typed
     }
 
-    pub(crate) fn log_cell_set<T: HeapValue>(&mut self, id: ObjId) {
+    /// Counts one logical write to `id` and dirties it. Returns whether the
+    /// caller owes an undo record (logging is on).
+    #[inline]
+    pub(crate) fn note_write(&mut self, id: ObjId) -> bool {
         self.stats.writes += 1;
         self.touch(id.index);
-        if !self.logging {
-            return;
+        self.logging
+    }
+
+    /// [`Heap::note_write`] for a whole-cell store, which coalesces: no
+    /// record is owed when one since the last mark already covers the cell.
+    pub(crate) fn note_cell_write<T: HeapValue>(&mut self, id: ObjId) -> bool {
+        if !self.note_write(id) {
+            return false;
         }
         if self.typed() && self.coalescing && self.journal.cell_covered::<T>(id.index) {
             self.account_coalesced();
-            return;
+            return false;
         }
-        let old = self.holder::<T>(id).value.clone();
+        true
+    }
+
+    /// [`Heap::note_write`] for a store to vector slot `index` (coalesces
+    /// like a cell store).
+    pub(crate) fn note_vec_set_write<T: HeapValue>(&mut self, id: ObjId, index: usize) -> bool {
+        if !self.note_write(id) {
+            return false;
+        }
+        if self.typed() && self.coalescing && self.journal.vec_covered::<T>(id.index, index) {
+            self.account_coalesced();
+            return false;
+        }
+        true
+    }
+
+    /// Appends the undo record of a cell store that displaced `old`.
+    pub(crate) fn log_cell_old<T: HeapValue>(&mut self, id: ObjId, old: T) {
         let bytes = match self.mode {
             UndoMode::Typed => self.journal.push_cell(id.index, old, self.coalescing),
             UndoMode::BoxedReference => {
@@ -491,17 +522,9 @@ impl Heap {
         self.account_append(bytes);
     }
 
-    pub(crate) fn log_vec_set<T: HeapValue>(&mut self, id: ObjId, index: usize) {
-        self.stats.writes += 1;
-        self.touch(id.index);
-        if !self.logging {
-            return;
-        }
-        if self.typed() && self.coalescing && self.journal.vec_covered::<T>(id.index, index) {
-            self.account_coalesced();
-            return;
-        }
-        let old = self.holder::<Vec<T>>(id).value[index].clone();
+    /// Appends the undo record of a store that displaced `old` from vector
+    /// slot `index`.
+    pub(crate) fn log_vec_set_old<T: HeapValue>(&mut self, id: ObjId, index: usize, old: T) {
         let bytes = match self.mode {
             UndoMode::Typed => self
                 .journal
@@ -522,9 +545,7 @@ impl Heap {
     }
 
     pub(crate) fn log_vec_push<T: HeapValue>(&mut self, id: ObjId) {
-        self.stats.writes += 1;
-        self.touch(id.index);
-        if !self.logging {
+        if !self.note_write(id) {
             return;
         }
         let bytes = match self.mode {
@@ -546,13 +567,8 @@ impl Heap {
         self.account_append(bytes);
     }
 
-    pub(crate) fn log_vec_pop<T: HeapValue>(&mut self, id: ObjId, last: &T) {
-        self.stats.writes += 1;
-        self.touch(id.index);
-        if !self.logging {
-            return;
-        }
-        let old = last.clone();
+    /// Appends the undo record of a pop that removed `old`.
+    pub(crate) fn log_vec_pop_old<T: HeapValue>(&mut self, id: ObjId, old: T) {
         let bytes = match self.mode {
             UndoMode::Typed => self.journal.push_vec_pop(id.index, old),
             UndoMode::BoxedReference => {
@@ -572,26 +588,26 @@ impl Heap {
         self.account_append(bytes);
     }
 
-    pub(crate) fn log_vec_truncate<T: HeapValue>(&mut self, id: ObjId, new_len: usize) {
-        self.stats.writes += 1;
-        self.touch(id.index);
-        if !self.logging {
+    /// Shortens vector `id` to `new_len` (the caller checked it is shorter),
+    /// moving the removed tail into the journal when logging.
+    pub(crate) fn truncate_vec<T: HeapValue>(&mut self, id: ObjId, new_len: usize) {
+        let logging = self.note_write(id);
+        assert_eq!(
+            id.heap_id, self.id,
+            "handle used with foreign heap `{}`",
+            self.name
+        );
+        let h = boxed_holder_mut::<Vec<T>>(&mut self.objs, id.index);
+        if !logging {
+            h.value.truncate(new_len);
+            h.extra_bytes = new_len * size_of::<T>();
             return;
         }
+        let tail = h.value.drain(new_len..);
         let bytes = match self.mode {
-            UndoMode::Typed => {
-                // Borrow the tail straight out of the object and clone each
-                // element into the arena — no intermediate `Vec` allocation.
-                let holder = self.objs[id.index as usize]
-                    .data
-                    .as_any()
-                    .downcast_ref::<Holder<Vec<T>>>()
-                    .expect("heap object type mismatch");
-                self.journal
-                    .push_vec_truncate(id.index, &holder.value[new_len..])
-            }
+            UndoMode::Typed => self.journal.push_vec_truncate(id.index, tail),
             UndoMode::BoxedReference => {
-                let tail: Vec<T> = self.holder::<Vec<T>>(id).value[new_len..].to_vec();
+                let tail: Vec<T> = tail.collect();
                 let bytes = WORD + tail.len() * size_of::<T>();
                 let obj = id.index;
                 self.boxed_log.push(UndoOp {
@@ -606,36 +622,30 @@ impl Heap {
                 bytes
             }
         };
+        h.extra_bytes = new_len * size_of::<T>();
         self.account_append(bytes);
     }
 
-    pub(crate) fn log_map_insert<K: MapKey, V: HeapValue>(
+    /// Appends the undo record of a map store under `key` that displaced
+    /// `old` (`None`: the key was absent).
+    pub(crate) fn log_map_insert_old<K: MapKey, V: HeapValue>(
         &mut self,
         id: ObjId,
-        key: &K,
-        old: Option<&V>,
+        key: K,
+        old: Option<V>,
     ) {
-        self.stats.writes += 1;
-        self.touch(id.index);
-        if !self.logging {
-            return;
-        }
         let bytes = match self.mode {
-            UndoMode::Typed => self
-                .journal
-                .push_map_insert(id.index, key.clone(), old.cloned()),
+            UndoMode::Typed => self.journal.push_map_insert(id.index, key, old),
             UndoMode::BoxedReference => {
-                let undo_key = key.clone();
-                let undo_old = old.cloned();
                 let obj = id.index;
                 self.boxed_log.push(UndoOp {
                     bytes: WORD + size_of::<K>() + size_of::<V>(),
                     obj,
                     undo: Box::new(move |objs| {
                         let h = boxed_holder_mut::<BTreeMap<K, V>>(objs, obj);
-                        match undo_old {
-                            Some(v) => h.value.insert(undo_key, v),
-                            None => h.value.remove(&undo_key),
+                        match old {
+                            Some(v) => h.value.insert(key, v),
+                            None => h.value.remove(&key),
                         };
                         h.extra_bytes = h.value.len() * (size_of::<K>() + size_of::<V>());
                     }),
@@ -646,26 +656,23 @@ impl Heap {
         self.account_append(bytes);
     }
 
-    pub(crate) fn log_map_remove<K: MapKey, V: HeapValue>(&mut self, id: ObjId, key: &K, old: &V) {
-        self.stats.writes += 1;
-        self.touch(id.index);
-        if !self.logging {
-            return;
-        }
+    /// Appends the undo record of a map removal that took out `key → old`.
+    pub(crate) fn log_map_remove_old<K: MapKey, V: HeapValue>(
+        &mut self,
+        id: ObjId,
+        key: K,
+        old: V,
+    ) {
         let bytes = match self.mode {
-            UndoMode::Typed => self
-                .journal
-                .push_map_remove(id.index, key.clone(), old.clone()),
+            UndoMode::Typed => self.journal.push_map_remove(id.index, key, old),
             UndoMode::BoxedReference => {
-                let undo_key = key.clone();
-                let undo_val = old.clone();
                 let obj = id.index;
                 self.boxed_log.push(UndoOp {
                     bytes: WORD + size_of::<K>() + size_of::<V>(),
                     obj,
                     undo: Box::new(move |objs| {
                         let h = boxed_holder_mut::<BTreeMap<K, V>>(objs, obj);
-                        h.value.insert(undo_key, undo_val);
+                        h.value.insert(key, old);
                         h.extra_bytes = h.value.len() * (size_of::<K>() + size_of::<V>());
                     }),
                 });
@@ -1204,7 +1211,7 @@ mod tests {
         assert_eq!(h.log_len(), 3, "reference mode never coalesces");
         assert_eq!(h.stats().coalesced_writes, 0);
         h.rollback_to(m);
-        assert_eq!(c.get(&h), "a");
+        assert_eq!(c.cloned(&h), "a");
         assert!(v.is_empty(&h));
     }
 
@@ -1291,9 +1298,9 @@ mod tests {
         c.set(&mut h, "one".into());
         c.set(&mut h, "two".into());
         h.rollback_to(m);
-        assert_eq!(c.get(&h), "original");
+        assert_eq!(c.cloned(&h), "original");
         c.set(&mut h, "three".into());
         h.discard_log();
-        assert_eq!(c.get(&h), "three");
+        assert_eq!(c.cloned(&h), "three");
     }
 }

@@ -718,7 +718,7 @@ mod tests {
         let img = h.clone_image(&mut store, None);
         c.update(&mut h, |v| v.push(4));
         h.restore_image(&img, &store).expect("restore");
-        assert_eq!(c.get(&h), vec![1, 2, 3]);
+        assert_eq!(c.cloned(&h), vec![1, 2, 3]);
         img.release(&mut store);
     }
 

@@ -150,15 +150,14 @@ impl Arena {
         off_u32(off)
     }
 
-    /// Clones each element of `items` into the arena, contiguously; returns
-    /// the offset of the first element.
-    pub(crate) fn push_clone_slice<T: Clone>(&mut self, items: &[T]) -> u32 {
-        self.note_reuse(std::mem::size_of_val(items));
+    /// Moves each of `items` into the arena, contiguously; returns the
+    /// offset of the first element.
+    pub(crate) fn push_values<T>(&mut self, items: impl ExactSizeIterator<Item = T>) -> u32 {
+        self.note_reuse(items.len() * size_of::<T>());
         let off = self.bytes.len();
         for item in items {
-            let clone = item.clone();
-            self.push_raw(&clone);
-            std::mem::forget(clone);
+            self.push_raw(&item);
+            std::mem::forget(item);
         }
         off_u32(off)
     }
@@ -179,7 +178,7 @@ impl Arena {
     ///
     /// # Safety
     ///
-    /// `off` must come from a `push_value`/`push_clone_slice` call for the
+    /// `off` must come from a `push_value`/`push_values` call for the
     /// same `T`, and each stored value must be taken at most once (the bytes
     /// are logically moved out; taking twice would double-drop).
     #[allow(unsafe_code)]
@@ -1004,9 +1003,15 @@ impl Journal {
         bytes
     }
 
-    pub(crate) fn push_vec_truncate<T: HeapValue>(&mut self, obj: u32, tail: &[T]) -> usize {
-        let bytes = WORD + std::mem::size_of_val(tail);
-        let off = self.arena.push_clone_slice(tail);
+    pub(crate) fn push_vec_truncate<T: HeapValue>(
+        &mut self,
+        obj: u32,
+        tail: impl ExactSizeIterator<Item = T>,
+    ) -> usize {
+        let count = tail.len();
+        let plen = count * size_of::<T>();
+        let bytes = WORD + plen;
+        let off = self.arena.push_values(tail);
         self.seal(UndoRecord {
             kind: UndoKind::VecTruncate {
                 restore: restore_vec_truncate::<T>,
@@ -1014,8 +1019,8 @@ impl Journal {
             },
             obj,
             off,
-            plen: off_u32(std::mem::size_of_val(tail)),
-            aux: tail.len() as u64,
+            plen: off_u32(plen),
+            aux: count as u64,
             aux2: 0,
             bytes,
             prev: 0,

@@ -18,7 +18,7 @@ use crate::heap::{Heap, HeapValue, Holder, ObjId};
 /// let mut heap = Heap::new("demo");
 /// let m = heap.alloc_map::<u32, String>("procs");
 /// m.insert(&mut heap, 1, "init".into());
-/// assert_eq!(m.get(&heap, &1).as_deref(), Some("init"));
+/// assert_eq!(m.with(&heap, &1, |name| name.len()), Some(4));
 /// ```
 pub struct PMap<K, V> {
     id: ObjId,
@@ -71,8 +71,21 @@ impl<K: MapKey, V: HeapValue> PMap<K, V> {
         self.len(heap) == 0
     }
 
-    /// Returns a clone of the value stored under `key`.
-    pub fn get(&self, heap: &Heap, key: &K) -> Option<V> {
+    /// Returns a copy of the value stored under `key`. Only for `Copy`
+    /// values: read anything else by borrow ([`PMap::with`]), or spell a
+    /// deliberate deep copy [`PMap::cloned`].
+    pub fn get(&self, heap: &Heap, key: &K) -> Option<V>
+    where
+        V: Copy,
+    {
+        heap.holder::<BTreeMap<K, V>>(self.id)
+            .value
+            .get(key)
+            .copied()
+    }
+
+    /// Returns a deep copy of the value stored under `key`.
+    pub fn cloned(&self, heap: &Heap, key: &K) -> Option<V> {
         heap.holder::<BTreeMap<K, V>>(self.id)
             .value
             .get(key)
@@ -96,45 +109,49 @@ impl<K: MapKey, V: HeapValue> PMap<K, V> {
         f(&heap.holder::<BTreeMap<K, V>>(self.id).value)
     }
 
-    /// Inserts `value` under `key`, returning the previous value. The
-    /// previous binding (or absence) is logged for rollback.
+    /// Inserts `value` under `key`, returning the previous value. When a
+    /// record is owed, the displaced binding (or its absence) moves into the
+    /// undo journal and the caller gets the one copy made of it; otherwise
+    /// nothing is cloned.
     pub fn insert(&self, heap: &mut Heap, key: K, value: V) -> Option<V> {
-        let old = heap
-            .holder::<BTreeMap<K, V>>(self.id)
-            .value
-            .get(&key)
-            .cloned();
-        heap.log_map_insert::<K, V>(self.id, &key, old.as_ref());
+        let undo_key = heap.note_write(self.id).then(|| key.clone());
         let h = heap.holder_mut::<BTreeMap<K, V>>(self.id);
         let prev = h.value.insert(key, value);
         refresh_bytes(h);
-        prev.or(old)
+        let Some(undo_key) = undo_key else {
+            return prev;
+        };
+        let copy = prev.clone();
+        heap.log_map_insert_old(self.id, undo_key, prev);
+        copy
     }
 
-    /// Removes the binding for `key`, returning its value. Logged for
-    /// rollback. Removing an absent key logs nothing.
+    /// Removes the binding for `key`, returning its value. When a record is
+    /// owed, the removed key and value move into the undo journal and the
+    /// caller gets the one copy made of the value. Removing an absent key
+    /// logs nothing.
     pub fn remove(&self, heap: &mut Heap, key: &K) -> Option<V> {
-        let old = heap
-            .holder::<BTreeMap<K, V>>(self.id)
-            .value
-            .get(key)
-            .cloned()?;
-        heap.log_map_remove::<K, V>(self.id, key, &old);
         let h = heap.holder_mut::<BTreeMap<K, V>>(self.id);
-        let out = h.value.remove(key);
+        let (key, old) = h.value.remove_entry(key)?;
         refresh_bytes(h);
-        out.or(Some(old))
+        if !heap.note_write(self.id) {
+            return Some(old);
+        }
+        let copy = old.clone();
+        heap.log_map_remove_old(self.id, key, old);
+        Some(copy)
     }
 
-    /// Mutates the value under `key` in place, logging the old value.
-    /// Returns `None` (without calling `f`) if the key is absent.
+    /// Mutates the value under `key` in place, logging a copy of the old
+    /// value first when a record is owed. Returns `None` (without calling
+    /// `f`) if the key is absent.
     pub fn update<R>(&self, heap: &mut Heap, key: &K, f: impl FnOnce(&mut V) -> R) -> Option<R> {
-        let old = heap
-            .holder::<BTreeMap<K, V>>(self.id)
-            .value
-            .get(key)
-            .cloned()?;
-        heap.log_map_insert::<K, V>(self.id, key, Some(&old));
+        let cur = heap.holder::<BTreeMap<K, V>>(self.id).value.get(key)?;
+        let undo = heap.logging().then(|| (key.clone(), cur.clone()));
+        heap.note_write(self.id);
+        if let Some((key, old)) = undo {
+            heap.log_map_insert_old(self.id, key, Some(old));
+        }
         let h = heap.holder_mut::<BTreeMap<K, V>>(self.id);
         h.value.get_mut(key).map(f)
     }
@@ -197,9 +214,9 @@ mod tests {
         m.remove(&mut h, &1);
         m.update(&mut h, &2, |v| *v = "TWO".into());
         h.rollback_to(mark);
-        assert_eq!(m.get(&h, &1).as_deref(), Some("one"));
-        assert_eq!(m.get(&h, &2).as_deref(), Some("two"));
-        assert_eq!(m.get(&h, &3), None);
+        assert_eq!(m.cloned(&h, &1).as_deref(), Some("one"));
+        assert_eq!(m.cloned(&h, &2).as_deref(), Some("two"));
+        assert_eq!(m.cloned(&h, &3), None);
         assert_eq!(m.len(&h), 2);
     }
 
@@ -259,7 +276,7 @@ mod tests {
         m.insert(&mut h, "b".into(), vec![2]);
         m.remove(&mut h, &"a".to_string());
         h.rollback_to(mark);
-        assert_eq!(m.get(&h, &"a".to_string()), Some(vec![1]));
-        assert_eq!(m.get(&h, &"b".to_string()), None);
+        assert_eq!(m.cloned(&h, &"a".to_string()), Some(vec![1]));
+        assert_eq!(m.cloned(&h, &"b".to_string()), None);
     }
 }

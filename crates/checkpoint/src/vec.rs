@@ -77,9 +77,13 @@ impl<T: HeapValue> PVec<T> {
         self.len(heap) == 0
     }
 
-    /// Returns a clone of the element at `index`, if present.
-    pub fn get(&self, heap: &Heap, index: usize) -> Option<T> {
-        heap.holder::<Vec<T>>(self.id).value.get(index).cloned()
+    /// Returns a copy of the element at `index`, if present. Only for
+    /// `Copy` elements; read anything else by borrow ([`PVec::with`]).
+    pub fn get(&self, heap: &Heap, index: usize) -> Option<T>
+    where
+        T: Copy,
+    {
+        heap.holder::<Vec<T>>(self.id).value.get(index).copied()
     }
 
     /// Applies `f` to a shared reference of the whole vector.
@@ -100,48 +104,55 @@ impl<T: HeapValue> PVec<T> {
         refresh_bytes(h);
     }
 
-    /// Removes and returns the last element, logging the inverse.
+    /// Removes and returns the last element, logging a copy of it when a
+    /// record is owed. Popping an empty vector logs nothing.
     pub fn pop(&self, heap: &mut Heap) -> Option<T> {
-        let last = heap.holder::<Vec<T>>(self.id).value.last().cloned()?;
-        heap.log_vec_pop::<T>(self.id, &last);
         let h = heap.holder_mut::<Vec<T>>(self.id);
-        h.value.pop();
+        let last = h.value.pop()?;
         refresh_bytes(h);
+        if heap.note_write(self.id) {
+            heap.log_vec_pop_old(self.id, last.clone());
+        }
         Some(last)
     }
 
-    /// Overwrites the element at `index`, logging the old value.
+    /// Overwrites the element at `index`; the old one moves into the undo
+    /// journal (or is dropped when no record is owed).
     ///
     /// # Panics
     ///
     /// Panics if `index` is out of bounds.
     pub fn set(&self, heap: &mut Heap, index: usize, value: T) {
         assert!(index < self.len(heap), "PVec::set index out of bounds");
-        heap.log_vec_set::<T>(self.id, index);
-        heap.holder_mut::<Vec<T>>(self.id).value[index] = value;
+        let owed = heap.note_vec_set_write::<T>(self.id, index);
+        let slot = &mut heap.holder_mut::<Vec<T>>(self.id).value[index];
+        let old = std::mem::replace(slot, value);
+        if owed {
+            heap.log_vec_set_old(self.id, index, old);
+        }
     }
 
-    /// Mutates the element at `index` in place, logging the old value.
+    /// Mutates the element at `index` in place, logging a copy of the old
+    /// value first when a record is owed.
     ///
     /// # Panics
     ///
     /// Panics if `index` is out of bounds.
     pub fn update<R>(&self, heap: &mut Heap, index: usize, f: impl FnOnce(&mut T) -> R) -> R {
         assert!(index < self.len(heap), "PVec::update index out of bounds");
-        heap.log_vec_set::<T>(self.id, index);
+        if heap.note_vec_set_write::<T>(self.id, index) {
+            let old = heap.holder::<Vec<T>>(self.id).value[index].clone();
+            heap.log_vec_set_old(self.id, index, old);
+        }
         f(&mut heap.holder_mut::<Vec<T>>(self.id).value[index])
     }
 
-    /// Shortens the vector to `len`, logging the removed tail.
+    /// Shortens the vector to `len`; the removed tail moves into the undo
+    /// journal.
     pub fn truncate(&self, heap: &mut Heap, len: usize) {
-        let cur = heap.holder::<Vec<T>>(self.id).value.len();
-        if len >= cur {
-            return;
+        if len < self.len(heap) {
+            heap.truncate_vec::<T>(self.id, len);
         }
-        heap.log_vec_truncate::<T>(self.id, len);
-        let h = heap.holder_mut::<Vec<T>>(self.id);
-        h.value.truncate(len);
-        refresh_bytes(h);
     }
 
     /// Clears the vector, logging the full old contents.

@@ -8,7 +8,13 @@
 //! one-boxed-closure-per-store implementation, which never coalesces and
 //! therefore serves as ground truth. After every rollback — and at the end —
 //! the two heaps must be byte-identical.
+//!
+//! The second half pins the ownership rule of the map and cell stores: a
+//! displaced value moves into the journal, so a store clones at most once
+//! (and never with logging off), and every value that enters either log
+//! leaves it exactly once.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 
 use osiris_checkpoint::{Heap, UndoMode};
@@ -47,7 +53,7 @@ struct Snapshot {
 fn snapshot(heap: &Heap, w: &World) -> Snapshot {
     Snapshot {
         cell: w.cell.get(heap),
-        text: w.text.get(heap),
+        text: w.text.cloned(heap),
         vec: w.vec.snapshot(heap),
         map: w.map.snapshot(heap),
         buf: w.buf.snapshot(heap),
@@ -286,4 +292,204 @@ fn coalescing_actually_reduces_undo_volume() {
     b.rollback_to(mb);
     assert_eq!(ca.get(&a), cb.get(&b));
     assert_eq!(ca.get(&a), 0);
+}
+
+// ---------------------------------------------------------------------------
+// Ownership: clone counts, and map-heavy streams under both undo modes
+// ---------------------------------------------------------------------------
+
+thread_local! {
+    /// `Tracked` clones made on this thread.
+    static CLONES: Cell<u64> = const { Cell::new(0) };
+    /// `Tracked` values alive on this thread (created or cloned, not yet
+    /// dropped). A double drop drives it negative; a leak leaves it positive.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+}
+
+/// A payload that counts its clones and its live instances per thread.
+#[derive(Debug, PartialEq, Eq)]
+struct Tracked(u64);
+
+impl Tracked {
+    fn new(v: u64) -> Tracked {
+        LIVE.with(|l| l.set(l.get() + 1));
+        Tracked(v)
+    }
+}
+
+impl Clone for Tracked {
+    fn clone(&self) -> Tracked {
+        CLONES.with(|c| c.set(c.get() + 1));
+        Tracked::new(self.0)
+    }
+}
+
+impl Drop for Tracked {
+    fn drop(&mut self) {
+        LIVE.with(|l| l.set(l.get() - 1));
+    }
+}
+
+/// Clones made while `f` runs.
+fn clones_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = CLONES.with(Cell::get);
+    let out = f();
+    (CLONES.with(Cell::get) - before, out)
+}
+
+#[test]
+fn a_store_clones_the_displaced_value_once_when_logging_and_never_otherwise() {
+    for mode in [UndoMode::Typed, UndoMode::BoxedReference] {
+        for logging in [false, true] {
+            let mut h = Heap::new("clones");
+            h.set_undo_mode(mode);
+            let m = h.alloc_map::<u32, Tracked>("m");
+            let c = h.alloc_cell("c", Tracked::new(0));
+            for k in 0..3 {
+                m.insert(&mut h, k, Tracked::new(u64::from(k)));
+            }
+            h.set_logging(logging);
+            let want = u64::from(logging);
+            let what = format!("{mode:?}, logging {logging}");
+
+            let (n, _) = clones_during(|| m.update(&mut h, &0, |v| v.0 += 10));
+            assert_eq!(n, want, "update ({what})");
+            let (n, prev) = clones_during(|| m.insert(&mut h, 1, Tracked::new(11)));
+            assert_eq!(n, want, "insert over an existing key ({what})");
+            assert_eq!(prev, Some(Tracked::new(1)));
+            let (n, prev) = clones_during(|| m.insert(&mut h, 7, Tracked::new(7)));
+            assert_eq!((n, prev), (0, None), "insert of a fresh key ({what})");
+            let (n, gone) = clones_during(|| m.remove(&mut h, &2));
+            assert_eq!(n, want, "remove ({what})");
+            assert_eq!(gone, Some(Tracked::new(2)));
+            let (n, seen) = clones_during(|| m.with(&h, &0, |v| v.0));
+            assert_eq!((n, seen), (0, Some(10)), "with ({what})");
+            let (n, ()) = clones_during(|| c.set(&mut h, Tracked::new(1)));
+            assert_eq!(n, 0, "PCell::set ({what})");
+            let (n, ()) = clones_during(|| c.set(&mut h, Tracked::new(2)));
+            assert_eq!(n, 0, "coalesced PCell::set ({what})");
+        }
+    }
+    assert_eq!(LIVE.with(Cell::get), 0, "a payload leaked or dropped twice");
+}
+
+/// An inode-like value: a tracked payload beside a nested map, like a VFS
+/// directory.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct Node {
+    tag: Tracked,
+    entries: BTreeMap<String, u64>,
+}
+
+struct Maps {
+    blobs: osiris_checkpoint::PMap<String, Vec<u8>>,
+    nodes: osiris_checkpoint::PMap<u64, Node>,
+}
+
+fn build_maps(heap: &mut Heap) -> Maps {
+    Maps {
+        blobs: heap.alloc_map("blobs"),
+        nodes: heap.alloc_map("nodes"),
+    }
+}
+
+/// Applies the insert / update / remove numbered `op` to one of the two maps
+/// and renders what the store handed back, so the caller can compare both
+/// heaps' answers.
+fn map_op(heap: &mut Heap, w: &Maps, op: u64, key: u64, fill: u64) -> String {
+    let name = format!("k{key}");
+    match op {
+        0 => format!(
+            "{:?}",
+            w.blobs.insert(heap, name, fill.to_le_bytes().to_vec())
+        ),
+        1 => format!("{:?}", w.blobs.update(heap, &name, |v| v.push(fill as u8))),
+        2 => format!("{:?}", w.blobs.remove(heap, &name)),
+        3 => {
+            let node = Node {
+                tag: Tracked::new(fill),
+                entries: BTreeMap::from([(name, fill)]),
+            };
+            format!("{:?}", w.nodes.insert(heap, key, node))
+        }
+        4 => format!(
+            "{:?}",
+            w.nodes.update(heap, &key, |n| {
+                n.tag.0 ^= fill;
+                n.entries.insert(format!("e{}", fill % 7), fill)
+            })
+        ),
+        _ => format!("{:?}", w.nodes.remove(heap, &key)),
+    }
+}
+
+/// Everything of `HeapStats` that does not depend on where the undo records
+/// are stored (only the typed journal has an arena to reuse).
+fn mode_free(stats: &osiris_checkpoint::HeapStats) -> osiris_checkpoint::HeapStats {
+    osiris_checkpoint::HeapStats {
+        arena_reuse_bytes: 0,
+        ..*stats
+    }
+}
+
+fn run_map_case(case: u64) {
+    // The typed journal's digest folds the raw representation of its
+    // payloads, heap pointers included, and the boxed log keeps none: the
+    // digest cannot be compared across the two. What must hold after every
+    // step is that the typed chain verifies, that a rollback restores the
+    // digest its mark saw, and that the boxed side's stays empty.
+    let empty = Heap::new("empty").journal_digest();
+    let mut r = Rng::new(0x0A57_ED00 ^ case.wrapping_mul(0x9E37_79B9));
+    let mut a = Heap::new("typed");
+    let wa = build_maps(&mut a);
+    let mut b = Heap::new("boxed");
+    b.set_undo_mode(UndoMode::BoxedReference);
+    let wb = build_maps(&mut b);
+    a.set_logging(true);
+    b.set_logging(true);
+    let mut marks = vec![(a.mark(), b.mark(), a.journal_digest())];
+    for step in 0..STEPS {
+        let what = format!("case {case} step {step}");
+        match r.below(100) {
+            0..=74 => {
+                let (op, key, fill) = (r.below(6), r.below(5), r.next_u64());
+                assert_eq!(
+                    map_op(&mut a, &wa, op, key, fill),
+                    map_op(&mut b, &wb, op, key, fill),
+                    "{what}"
+                );
+            }
+            75..=82 => marks.push((a.mark(), b.mark(), a.journal_digest())),
+            83..=92 => {
+                let i = r.below_usize(marks.len());
+                let (ma, mb, digest) = marks[i];
+                marks.truncate(i + 1);
+                a.rollback_to(ma);
+                b.rollback_to(mb);
+                assert_eq!(a.journal_digest(), digest, "{what}");
+            }
+            _ => {
+                a.discard_log();
+                b.discard_log();
+                assert_eq!(a.journal_digest(), empty, "{what}");
+                marks.clear();
+                marks.push((a.mark(), b.mark(), empty));
+            }
+        }
+        assert!(a.verify_journal().is_ok(), "{what}");
+        assert_eq!(b.journal_digest(), empty, "{what}");
+        assert_eq!(wa.blobs.snapshot(&a), wb.blobs.snapshot(&b), "{what}");
+        assert_eq!(wa.nodes.snapshot(&a), wb.nodes.snapshot(&b), "{what}");
+        assert_eq!(mode_free(a.stats()), mode_free(b.stats()), "{what}");
+        assert_eq!(a.log_len(), b.log_len(), "maps never coalesce, {what}");
+    }
+}
+
+#[test]
+fn map_streams_agree_under_both_undo_modes_and_drop_every_payload_once() {
+    for case in 0..CASES / 4 {
+        run_map_case(case);
+        // Both heaps, their journals and every snapshot are gone.
+        assert_eq!(LIVE.with(Cell::get), 0, "case {case}: leak or double drop");
+    }
 }

@@ -150,6 +150,40 @@ fn readopt_matches_fresh_fork() {
     assert_eq!(want.2, got.2, "trace diverges after readopt");
 }
 
+/// The per-message counters are plain kernel fields published into the
+/// registry at read points; a snapshot is one. A fork, and a worker that
+/// ran something else and re-adopts, must export the donor's counters
+/// exactly, straight away, and count on from them.
+#[test]
+fn fork_and_readopt_export_the_donors_counters() {
+    let script = ScriptWorkload::default();
+    let mut store = ChunkStore::new();
+    let mut donor = Os::new(forge_config(PolicyKind::Enhanced));
+    assert!(script.run_range(&mut donor, 0..3).clean());
+    // No read between the run and the capture: the snapshot publishes.
+    let snap = donor.snapshot_into(&mut store, None);
+    let want = (donor.metrics_prometheus(), donor.metrics_json().pretty());
+    assert!(donor.metrics().syscalls > 0 && donor.metrics().ipc_delivered > 0);
+
+    let (mut forked, _stats) = Os::fork_from(&snap, &store);
+    let mut worker = Os::new(forge_config(PolicyKind::Enhanced));
+    assert!(script.run_range(&mut worker, 0..6).clean());
+    worker
+        .try_readopt(&snap, &store)
+        .expect("same-config worker re-adopts");
+    for (who, os) in [("fork", &mut forked), ("readopted worker", &mut worker)] {
+        let got = (os.metrics_prometheus(), os.metrics_json().pretty());
+        assert!(want == got, "{who} does not export the donor's counters");
+        assert_eq!(os.metrics().syscalls, donor.metrics().syscalls, "{who}");
+    }
+    assert!(script.run_range(&mut donor, 3..STEPS).clean());
+    assert!(script.run_range(&mut worker, 3..STEPS).clean());
+    assert!(
+        donor.metrics_prometheus() == worker.metrics_prometheus(),
+        "the readopted worker counts on from the donor's totals"
+    );
+}
+
 /// Adoption restores the tracer's ring but not its filter, so a worker
 /// whose trace mask differs from the donor's must be refused: it would
 /// record the suffix with its own mask, not the snapshot's.

@@ -6,10 +6,17 @@
 //! Rows are in registration order, which is exposition order, so reordering
 //! them changes every exported byte. [`KernelMetrics`] and
 //! [`ComponentReport`] are views assembled from these handles.
+//!
+//! Rows of kind `counter`, `gauge` and `hist` are registry handles, written
+//! where the event happens (crashes, recoveries, verdicts: rare). Rows of
+//! kind `tally` and `dist` are the series written per message or per
+//! syscall: plain fields of the kernel, bumped on the delivery path without
+//! an atomic or a lock, and published into their registry slots by
+//! [`Kernel::publish`] at the points something reads the registry.
 
 use std::collections::BTreeSet;
 
-use osiris_metrics::{Counter, Gauge, Hist, MetricsHandle, TimeseriesSampler};
+use osiris_metrics::{Counter, Dist, Gauge, Hist, MetricsHandle, Tally, TimeseriesSampler};
 
 use super::Kernel;
 use crate::message::Protocol;
@@ -48,6 +55,17 @@ macro_rules! series_table {
                     ), )+)*
                 }
             }
+
+            /// Writes every `tally` and `dist` row into its registry slot.
+            pub(super) fn publish(&self) {
+                $($( series_table!(@publish $kind self.$field); )+)*
+            }
+
+            /// Takes every `tally` and `dist` row back from its registry
+            /// slot, after the registry was reset or restored.
+            pub(super) fn reload(&mut self) {
+                $($( series_table!(@reload $kind self.$field); )+)*
+            }
         }
     };
     (
@@ -69,6 +87,14 @@ macro_rules! series_table {
     (@ty counter) => { Counter };
     (@ty gauge) => { Gauge };
     (@ty hist) => { Hist };
+    (@ty tally) => { Tally };
+    (@ty dist) => { Dist };
+    (@publish tally $series:expr) => { $series.publish() };
+    (@publish dist $series:expr) => { $series.publish() };
+    (@publish $kind:ident $series:expr) => {};
+    (@reload tally $series:expr) => { $series.reload() };
+    (@reload dist $series:expr) => { $series.reload() };
+    (@reload $kind:ident $series:expr) => {};
     (@labels $base:ident) => { $base };
     (@labels $base:ident $($k:literal = $v:literal),+) => {{
         debug_assert!($base.is_empty(), "a table has runtime labels or static ones, not both");
@@ -82,21 +108,20 @@ macro_rules! series_table {
 
 series_table! {
     /// Per-component registry series, labelled `{component, endpoint}` at
-    /// registration. Live counters/histograms are written at event time; the
-    /// gauges and `*_total` mirrors of the checkpoint heap's hot-path tallies
-    /// are refreshed by [`Kernel::sync_registry`].
+    /// registration. The gauges and `*_total` mirrors of the checkpoint
+    /// heap's hot-path tallies are refreshed by [`Kernel::sync_registry`].
     struct CompStats;
-    counter "osiris_comp_cycles_total": "Virtual cycles spent running this component's handlers" {
+    tally "osiris_comp_cycles_total": "Virtual cycles spent running this component's handlers" {
         cycles
     }
-    counter "osiris_comp_messages_total": "Messages handled" { messages }
+    tally "osiris_comp_messages_total": "Messages handled" { messages }
     counter "osiris_comp_crashes_total": "Fail-stop crashes observed in this component" { crashes }
     counter "osiris_comp_recoveries_total": "Times this component was recovered" { recoveries }
     hist "osiris_comp_recovery_latency_cycles": "Virtual cycles charged per recovery" {
         recovery_hist
     }
-    hist "osiris_comp_window_cycles": "In-window cycles per completed request" { window_hist }
-    hist "osiris_comp_undo_window_bytes": "Undo bytes appended per completed request window" {
+    dist "osiris_comp_window_cycles": "In-window cycles per completed request" { window_hist }
+    dist "osiris_comp_undo_window_bytes": "Undo bytes appended per completed request window" {
         undo_hist
     }
     // Mirrored at sync points (not hot-path writes):
@@ -138,11 +163,11 @@ series_table! {
 series_table! {
     /// Kernel-wide registry series.
     struct KernelCounters, names via kernel_series_name;
-    counter "osiris_kernel_ipc_delivered_total": "Messages delivered between endpoints" {
+    tally "osiris_kernel_ipc_delivered_total": "Messages delivered between endpoints" {
         ipc_delivered
     }
-    counter "osiris_kernel_syscalls_total": "User syscalls submitted" { syscalls }
-    counter "osiris_kernel_timers_fired_total": "Timer events fired" { timers_fired }
+    tally "osiris_kernel_syscalls_total": "User syscalls submitted" { syscalls }
+    tally "osiris_kernel_timers_fired_total": "Timer events fired" { timers_fired }
     counter "osiris_kernel_hangs_total": "Components detected hung" { hangs }
     counter "osiris_kernel_recoveries_total": "Recoveries executed, by action" {
         recovered_rollback("action" = "rollback"),
@@ -194,7 +219,7 @@ series_table! {
         pool_refresh_skipped("result" = "skipped"),
     }
     // Axiom-log series:
-    counter "osiris_axiom_events_total":
+    tally "osiris_axiom_events_total":
         "Control-plane events folded into the axiom control state" { axiom_events }
     gauge "osiris_axiom_bytes": "Serialized size of the recorded axiom log" { axiom_bytes }
     counter "osiris_axiom_chain_verifications_total":
@@ -208,23 +233,23 @@ series_table! {
     }
     // Causal request-span series (end-to-end latency attribution, split by
     // whether the request overlapped a crash capture or recovery):
-    counter "osiris_span_started_total": "Causal request spans minted at workload entry points" {
+    tally "osiris_span_started_total": "Causal request spans minted at workload entry points" {
         spans_started
     }
-    counter "osiris_span_completed_total": "Causal request spans closed, by recovery overlap" {
+    tally "osiris_span_completed_total": "Causal request spans closed, by recovery overlap" {
         spans_completed_none("overlap" = "none"),
         spans_completed_recovery("overlap" = "recovery"),
     }
-    hist "osiris_span_latency_cycles":
+    dist "osiris_span_latency_cycles":
         "End-to-end virtual cycles per request span, by recovery overlap" {
         span_latency_none("overlap" = "none"),
         span_latency_recovery("overlap" = "recovery"),
     }
-    counter "osiris_span_hops_total": "Span-carrying message deliveries (causal hops)" {
+    tally "osiris_span_hops_total": "Span-carrying message deliveries (causal hops)" {
         span_hops
     }
     // Virtual-time watchdog series (fail-silent fault tolerance):
-    counter "osiris_watchdog_armed_total": "Watchdog deadlines armed on bounded requests" {
+    tally "osiris_watchdog_armed_total": "Watchdog deadlines armed on bounded requests" {
         wd_armed_total
     }
     counter "osiris_watchdog_deadline_expired_total":
@@ -258,31 +283,53 @@ impl KernelCounters {
     /// of `timeseries.json`.
     pub(super) fn track_sampled(&self, sampler: &mut TimeseriesSampler) {
         macro_rules! track {
-            ($method:ident $field:ident) => {
-                sampler.$method(kernel_series_name!($field), self.$field.clone())
+            ($method:ident $field:ident $reader:ident) => {
+                sampler.$method(kernel_series_name!($field), self.$field.$reader())
             };
         }
-        track!(track_hist span_latency_none);
-        track!(track_hist span_latency_recovery);
-        track!(track_counter spans_started);
-        track!(track_counter spans_completed_none);
-        track!(track_counter spans_completed_recovery);
-        track!(track_counter recovery_cycles);
-        track!(track_counter hangs);
-        track!(track_counter axiom_events);
+        track!(track_hist span_latency_none reader);
+        track!(track_hist span_latency_recovery reader);
+        track!(track_counter spans_started reader);
+        track!(track_counter spans_completed_none reader);
+        track!(track_counter spans_completed_recovery reader);
+        track!(track_counter recovery_cycles clone);
+        track!(track_counter hangs clone);
+        track!(track_counter axiom_events reader);
     }
 }
 
 impl<P: Protocol> Kernel<P> {
+    /// Writes the kernel's plain per-message series (`tally` and `dist`
+    /// rows) into their registry slots. Runs wherever something is about to
+    /// read the registry: [`Kernel::sync_registry`], [`Kernel::metrics`],
+    /// [`Kernel::metrics_handle`], a due telemetry sample, a snapshot
+    /// capture.
+    pub(super) fn publish(&self) {
+        self.counters.publish();
+        for c in &self.comps {
+            c.stats.publish();
+        }
+    }
+
+    /// Takes the plain series back from the registry after it was reset
+    /// (boot barrier) or restored (snapshot adoption).
+    pub(super) fn reload_published(&mut self) {
+        self.counters.reload();
+        for c in &mut self.comps {
+            c.stats.reload();
+        }
+    }
+
     /// System-wide metrics, assembled as a view over the registry. The
     /// crash total is derived from the per-component crash counters — the
     /// kernel keeps no separate tally.
     pub fn metrics(&self) -> KernelMetrics {
+        self.publish();
         let c = &self.counters;
         KernelMetrics {
-            ipc_delivered: c.ipc_delivered.get(),
-            syscalls: c.syscalls.get(),
-            timers_fired: c.timers_fired.get(),
+            ipc_delivered: c.ipc_delivered.published(),
+            syscalls: c.syscalls.published(),
+            timers_fired: c.timers_fired.published(),
             crashes: self.comps.iter().map(|c| c.stats.crashes.get()).sum(),
             quarantines: self.comps.iter().map(|c| c.stats.quarantines.get()).sum(),
             hangs: c.hangs.get(),
@@ -292,7 +339,7 @@ impl<P: Protocol> Kernel<P> {
             recovered_quiescent: c.recovered_quiescent.get(),
             controlled_shutdowns: c.controlled_shutdowns.get(),
             recovery_cycles: c.recovery_cycles.get(),
-            wd_armed: c.wd_armed_total.get(),
+            wd_armed: c.wd_armed_total.published(),
             wd_expired: c.wd_expired.get(),
             wd_probes: c.wd_probes.get(),
             wd_verdicts: c.wd_verdict_hung.get()
@@ -306,11 +353,12 @@ impl<P: Protocol> Kernel<P> {
         }
     }
 
-    /// Refreshes the registry series that mirror externally maintained
-    /// state: heap residency and checkpoint tallies (kept as plain fields
-    /// on the store's hot path) and window coverage counters. Call before
+    /// Refreshes the registry series that mirror state kept elsewhere as
+    /// plain fields: the kernel's own per-message series, heap residency
+    /// and checkpoint tallies, and window coverage counters. Call before
     /// exporting; [`Kernel::component_reports`] does it automatically.
     pub fn sync_registry(&self) {
+        self.publish();
         self.counters.axiom_bytes.set(if self.axiom.enabled() {
             self.axiom.bytes_len() as u64
         } else {
@@ -368,15 +416,15 @@ impl<P: Protocol> Kernel<P> {
                 name: c.name,
                 endpoint: i as u8,
                 window: *c.window.stats(),
-                cycles: c.stats.cycles.get(),
-                messages: c.stats.messages.get(),
+                cycles: c.stats.cycles.published(),
+                messages: c.stats.messages.published(),
                 heap_bytes: c.stats.heap_bytes.get() as usize,
                 clone_bytes: c.stats.clone_bytes.get() as usize,
                 clone_dedup_bytes: c.stats.clone_dedup_bytes.get() as usize,
                 undo_window_peak_bytes: c.stats.undo_window_peak_bytes.get() as usize,
                 recovery_latency: c.stats.recovery_hist.summary(),
-                window_cycles: c.stats.window_hist.summary(),
-                undo_window_bytes: c.stats.undo_hist.summary(),
+                window_cycles: c.stats.window_hist.published_summary(),
+                undo_window_bytes: c.stats.undo_hist.published_summary(),
                 writes: c.stats.writes.get(),
                 undo_appends: c.stats.undo_appends.get(),
                 coalesced_writes: c.stats.coalesced_writes.get(),

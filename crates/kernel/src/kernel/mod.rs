@@ -364,6 +364,7 @@ impl<P: Protocol> Kernel<P> {
     /// run-end state always appears in the export. Call before rendering
     /// [`Kernel::timeseries`].
     pub fn flush_timeseries(&mut self) {
+        self.publish();
         self.sampler.sample(self.clock.now());
     }
 
@@ -532,6 +533,7 @@ impl<P: Protocol> Kernel<P> {
             comp.window.reset_stats();
         }
         self.metrics.reset();
+        self.reload_published();
         self.tracer.set_now(self.clock.now());
         self.tracer.clear();
         // Span ids and the recovery epoch restart at the boot barrier so
@@ -623,8 +625,12 @@ impl<P: Protocol> Kernel<P> {
         }
     }
 
-    /// The metrics registry backing every counter this kernel maintains.
+    /// The metrics registry backing every counter this kernel maintains,
+    /// with the kernel's plain per-message series published into it first.
+    /// The mirrored heap and window series additionally need
+    /// [`Kernel::sync_registry`].
     pub fn metrics_handle(&self) -> &MetricsHandle {
+        self.publish();
         &self.metrics
     }
 
@@ -781,9 +787,12 @@ impl<P: Protocol> Kernel<P> {
                 .pop_front()
                 .expect("picked component has mail");
             self.process_message(idx, msg);
-            // Telemetry tick: one branch when disabled, one snapshot per
-            // crossed Δ-grid point when enabled.
-            self.sampler.maybe_sample(self.clock.now());
+            // Telemetry tick: one branch when disabled, one publish and one
+            // snapshot per crossed Δ-grid point when enabled.
+            if self.sampler.due(self.clock.now()) {
+                self.counters.publish();
+                self.sampler.maybe_sample(self.clock.now());
+            }
         }
     }
 
@@ -1056,7 +1065,7 @@ impl<P: Protocol> Kernel<P> {
                 Endpoint::Process(pid) => {
                     let reply = msg
                         .payload
-                        .as_user_reply()
+                        .into_user_reply()
                         .expect("messages to processes must be user replies");
                     let from = match msg.src {
                         Endpoint::Component(c) => c,

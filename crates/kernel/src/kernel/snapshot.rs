@@ -200,6 +200,7 @@ impl<P: Protocol + Clone> Kernel<P> {
             self.wd.is_idle(),
             "snapshot with armed watchdog deadlines or parked retries"
         );
+        self.publish();
         let comps = self
             .comps
             .iter()
@@ -359,6 +360,7 @@ impl<P: Protocol + Clone> Kernel<P> {
         self.axiom = snap.axiom.clone();
         self.control = snap.control.clone();
         self.metrics.restore_from(&snap.metrics);
+        self.reload_published();
         self.tracer.restore_state(&snap.tracer);
         self.sampler.restore_state(&snap.timeseries);
         total

@@ -492,7 +492,7 @@ impl<P: Protocol> Kernel<P> {
             }
             CompStatus::Alive => {
                 let captured = slot.msg.is_some();
-                let progress = self.comps[dst as usize].stats.messages.get();
+                let progress = self.comps[dst as usize].stats.messages.local();
                 match state {
                     // Start the heartbeat-probe round: async completions (a
                     // disk reply still in flight) get one probe period to

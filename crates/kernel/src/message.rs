@@ -92,8 +92,10 @@ pub trait Protocol: fmt::Debug + Send + 'static {
     }
 
     /// If this payload is the final reply to a user syscall, the reply to
-    /// deliver to the process; `None` for inter-component payloads.
-    fn as_user_reply(&self) -> Option<crate::abi::SysReply>;
+    /// deliver to the process; `None` for inter-component payloads. By
+    /// value: the kernel owns the routed message, so the reply (up to a
+    /// read's whole buffer) moves out instead of being copied.
+    fn into_user_reply(self) -> Option<crate::abi::SysReply>;
 
     /// Short stable label for tracing and profiling.
     fn label(&self) -> &'static str;
@@ -184,7 +186,7 @@ pub(crate) mod tests {
             P
         }
 
-        fn as_user_reply(&self) -> Option<crate::abi::SysReply> {
+        fn into_user_reply(self) -> Option<crate::abi::SysReply> {
             None
         }
         fn label(&self) -> &'static str {

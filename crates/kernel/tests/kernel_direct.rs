@@ -65,9 +65,9 @@ impl Protocol for Msg {
     fn crash_notify(target: u8) -> Self {
         Msg::Notify(target)
     }
-    fn as_user_reply(&self) -> Option<SysReply> {
+    fn into_user_reply(self) -> Option<SysReply> {
         match self {
-            Msg::UserReply(r) => Some(r.clone()),
+            Msg::UserReply(r) => Some(r),
             _ => None,
         }
     }

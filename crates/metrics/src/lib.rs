@@ -14,8 +14,12 @@
 //! relaxed load, so a disabled registry costs well under a nanosecond per
 //! write and an enabled one performs no allocation in steady state —
 //! counters and gauges are `Arc<AtomicU64>` slots created at registration
-//! time, histograms are preallocated [`Log2Hist`] arrays behind a mutex
-//! that is only touched at per-window (not per-operation) frequency.
+//! time, histograms are preallocated [`Log2Hist`] arrays behind a mutex.
+//!
+//! A series with one writer that is written per message does not pay for
+//! the shared slot on every write: its writer keeps a [`Tally`] or a
+//! [`Dist`] — a plain field it bumps — and publishes it into the slot at
+//! the points something reads the registry (export, sample, snapshot).
 //!
 //! Registration is idempotent: asking for the same `(family, labels)`
 //! series twice returns handles sharing one slot, which is what lets
@@ -340,6 +344,26 @@ impl MetricsHandle {
         }
     }
 
+    /// Registers (or finds) a counter series for a single writer that
+    /// publishes it at read points (see [`Tally`]).
+    pub fn tally(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Tally {
+        let slot = self.counter(name, help, labels);
+        Tally {
+            n: slot.get(),
+            slot,
+        }
+    }
+
+    /// Registers (or finds) a histogram series for a single writer that
+    /// publishes it at read points (see [`Dist`]).
+    pub fn dist(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Dist {
+        let slot = self.hist(name, help, labels);
+        Dist {
+            h: slot.get(),
+            slot,
+        }
+    }
+
     /// Zeroes every registered series (counters and gauges to 0,
     /// histograms to empty). Registration survives; the kernel uses this
     /// to exclude boot-time activity from reports.
@@ -461,6 +485,15 @@ impl Hist {
         }
     }
 
+    /// Overwrites the distribution. For mirroring an externally maintained
+    /// histogram into the registry at a sync point, as
+    /// [`Counter::set_total`] does for a count.
+    pub fn set(&self, h: &Log2Hist) {
+        if self.on.load(Ordering::Relaxed) {
+            *self.h.lock().unwrap() = *h;
+        }
+    }
+
     /// A copy of the underlying histogram.
     pub fn get(&self) -> Log2Hist {
         *self.h.lock().unwrap()
@@ -469,6 +502,98 @@ impl Hist {
     /// Condensed digest of the underlying histogram.
     pub fn summary(&self) -> HistSummary {
         self.h.lock().unwrap().summary()
+    }
+}
+
+/// A counter series whose single writer counts in a plain field and
+/// publishes the total into the registry slot at read points.
+///
+/// Bumping is a plain add: no shared flag is consulted and nothing is
+/// written that another thread can see. The registry's enabled gate applies
+/// at [`Tally::publish`], so a disabled registry still exports zeros. Every
+/// reader goes through the slot ([`Tally::published`], [`Tally::reader`], a
+/// registry snapshot), so the writer must publish before anything reads,
+/// and [`Tally::reload`] after the registry was reset or restored.
+#[derive(Debug)]
+pub struct Tally {
+    n: u64,
+    slot: Counter,
+}
+
+impl Tally {
+    /// Adds 1.
+    #[inline]
+    pub fn inc(&mut self) {
+        self.n += 1;
+    }
+
+    /// Adds `n`.
+    #[inline]
+    pub fn add(&mut self, n: u64) {
+        self.n += n;
+    }
+
+    /// The writer's own running total, published or not.
+    pub fn local(&self) -> u64 {
+        self.n
+    }
+
+    /// Writes the running total into the registry slot.
+    pub fn publish(&self) {
+        self.slot.set_total(self.n);
+    }
+
+    /// Takes the registry slot's value as the running total.
+    pub fn reload(&mut self) {
+        self.n = self.slot.get();
+    }
+
+    /// The total as of the last [`Tally::publish`].
+    pub fn published(&self) -> u64 {
+        self.slot.get()
+    }
+
+    /// A read handle on the registry slot (for the timeseries sampler).
+    pub fn reader(&self) -> Counter {
+        self.slot.clone()
+    }
+}
+
+/// A histogram series whose single writer observes into a plain
+/// [`Log2Hist`] and publishes it at read points; the histogram twin of
+/// [`Tally`], with the same rules.
+#[derive(Debug)]
+pub struct Dist {
+    h: Log2Hist,
+    slot: Hist,
+}
+
+impl Dist {
+    /// Records one sample.
+    #[inline]
+    pub fn observe(&mut self, value: u64) {
+        self.h.record(value);
+    }
+
+    /// Writes the distribution into the registry slot.
+    pub fn publish(&self) {
+        self.slot.set(&self.h);
+    }
+
+    /// Takes the registry slot's distribution as the running one.
+    pub fn reload(&mut self) {
+        self.h = self.slot.get();
+    }
+
+    /// Condensed digest of the distribution as of the last
+    /// [`Dist::publish`].
+    pub fn published_summary(&self) -> HistSummary {
+        self.slot.summary()
+    }
+
+    /// A read handle on the registry slot (for the timeseries sampler).
+    pub fn reader(&self) -> Hist {
+        self.slot.clone()
     }
 }
 
@@ -580,6 +705,36 @@ mod tests {
         m.set_enabled(true);
         c.inc();
         assert_eq!(c.get(), 1);
+    }
+
+    #[test]
+    fn tally_and_dist_reach_the_registry_only_when_published() {
+        let m = MetricsHandle::default();
+        let mut t = m.tally("osiris_tally_total", "t", &[]);
+        let mut d = m.dist("osiris_dist", "d", &[]);
+        t.add(3);
+        d.observe(40);
+        assert_eq!((t.local(), t.published()), (3, 0));
+        assert!(d.reader().get().is_empty());
+        t.publish();
+        d.publish();
+        assert_eq!(t.reader().get(), 3);
+        assert_eq!(d.published_summary().count, 1);
+        // A reset registry is what the writer continues from once reloaded.
+        m.reset();
+        t.reload();
+        d.reload();
+        t.inc();
+        t.publish();
+        d.publish();
+        assert_eq!(t.published(), 1);
+        assert!(d.reader().get().is_empty());
+        // The gate applies at publish: a disabled registry keeps exporting
+        // what it held.
+        m.set_enabled(false);
+        t.add(10);
+        t.publish();
+        assert_eq!((t.local(), t.published()), (11, 1));
     }
 
     #[test]

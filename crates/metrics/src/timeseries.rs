@@ -233,13 +233,19 @@ impl TimeseriesSampler {
         self.next_due = state.next_due;
     }
 
+    /// Whether [`Self::maybe_sample`] would record at `now`. A writer that
+    /// publishes its series at read points asks this first.
+    pub fn due(&self, now: u64) -> bool {
+        self.cfg.enabled && now >= self.next_due
+    }
+
     /// Takes one sample per tracked series if the monotone virtual clock
     /// has crossed the next interval-grid point. Call at any convenient
     /// pump frequency; a burst of calls within one interval records one
     /// sample, and a long jump across several intervals records one sample
     /// at `now` (the intermediate grid points are unobservable anyway).
     pub fn maybe_sample(&mut self, now: u64) {
-        if !self.cfg.enabled || now < self.next_due {
+        if !self.due(now) {
             return;
         }
         self.sample(now);

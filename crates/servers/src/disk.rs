@@ -107,7 +107,7 @@ impl Server<OsMsg> for DiskDriver {
                     DiskOp::Read { block } => {
                         let data = h
                             .blocks
-                            .get(ctx.heap_ref(), &block)
+                            .cloned(ctx.heap_ref(), &block)
                             .unwrap_or_else(|| vec![0u8; BLOCK_SIZE]);
                         ctx.reply(p.rp, OsMsg::RData(data));
                     }

@@ -67,7 +67,7 @@ impl DataStore {
             }
             Syscall::DsGet { key } => {
                 ctx.site("ds.get.entry");
-                match h.store.get(ctx.heap_ref(), key) {
+                match h.store.cloned(ctx.heap_ref(), key) {
                     Some(v) => ctx.reply(rp, OsMsg::UserReply(SysReply::Data(v))),
                     None => ctx.reply(rp, OsMsg::UserReply(SysReply::Err(Errno::ENOKEY))),
                 }

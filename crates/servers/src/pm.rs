@@ -35,7 +35,7 @@ struct Proc {
     pending_sigs: Vec<Signal>,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 struct Waiter {
     /// `Some(pid)` for `waitpid`, `None` for `wait_any`.
     target: Option<u32>,
@@ -307,10 +307,10 @@ impl ProcessManager {
     fn fork(&self, parent: Pid, rp: ReturnPath, ctx: &mut Ctx<'_, OsMsg>) {
         ctx.site("pm.fork.entry");
         let h = self.h();
-        let Some(pproc) = h.procs.get(ctx.heap_ref(), &parent.0) else {
+        if !h.procs.contains_key(ctx.heap_ref(), &parent.0) {
             ctx.reply(rp, OsMsg::UserReply(SysReply::Err(Errno::ESRCH)));
             return;
-        };
+        }
         ctx.site("pm.fork.validate");
         let child = self.alloc_pid(ctx);
         let id = ctx.send_request(
@@ -329,7 +329,6 @@ impl ProcessManager {
                 rp,
             },
         );
-        let _ = pproc;
         ctx.site("pm.fork.vm_sent");
     }
 
@@ -483,8 +482,7 @@ impl ProcessManager {
                 ctx.site("pm.fork.commit");
                 let prog = h
                     .procs
-                    .get(ctx.heap_ref(), &parent)
-                    .map(|p| p.prog)
+                    .with(ctx.heap_ref(), &parent, |p| p.prog.clone())
                     .unwrap_or_else(|| "?".into());
                 h.procs.insert(
                     ctx.heap(),
@@ -536,7 +534,7 @@ impl ProcessManager {
     fn terminate(&self, pid: u32, code: i32, self_exit: bool, ctx: &mut Ctx<'_, OsMsg>) {
         let h = self.h();
         ctx.site("pm.term.entry");
-        let Some(proc) = h.procs.get(ctx.heap_ref(), &pid) else {
+        let Some(ppid) = h.procs.with(ctx.heap_ref(), &pid, |p| p.ppid) else {
             return;
         };
 
@@ -576,7 +574,6 @@ impl ProcessManager {
         ctx.site("pm.term.released");
 
         // Wake a waiting parent, or become a zombie.
-        let ppid = proc.ppid;
         let waiter = h
             .waiters
             .get(ctx.heap_ref(), &ppid)
@@ -636,18 +633,18 @@ impl ProcessManager {
     ) {
         ctx.site("pm.kill.entry");
         let h = self.h();
-        let Some(tproc) = h.procs.get(ctx.heap_ref(), &target.0) else {
+        // Of a live target: whether it masks SIGTERM.
+        let masks_term = h.procs.with(ctx.heap_ref(), &target.0, |p| {
+            (p.state == ProcState::Alive).then(|| p.masked.contains(&Signal::SigTerm))
+        });
+        let Some(masks_term) = masks_term.flatten() else {
             ctx.reply(rp, OsMsg::UserReply(SysReply::Err(Errno::ESRCH)));
             return;
         };
-        if tproc.state != ProcState::Alive {
-            ctx.reply(rp, OsMsg::UserReply(SysReply::Err(Errno::ESRCH)));
-            return;
-        }
         ctx.site("pm.kill.validate");
         let fatal = match sig {
             Signal::SigKill => true,
-            Signal::SigTerm => !tproc.masked.contains(&Signal::SigTerm),
+            Signal::SigTerm => !masks_term,
             Signal::SigUsr1 | Signal::SigUsr2 => false,
         };
         if ctx.site_branch("pm.kill.fatal", fatal) {

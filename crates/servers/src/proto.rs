@@ -292,9 +292,9 @@ impl Protocol for OsMsg {
         OsMsg::KillRequester { pid }
     }
 
-    fn as_user_reply(&self) -> Option<SysReply> {
+    fn into_user_reply(self) -> Option<SysReply> {
         match self {
-            OsMsg::UserReply(r) => Some(r.clone()),
+            OsMsg::UserReply(r) => Some(r),
             _ => None,
         }
     }
@@ -617,9 +617,9 @@ mod tests {
     #[test]
     fn user_reply_projection() {
         assert_eq!(
-            OsMsg::UserReply(SysReply::Ok).as_user_reply(),
+            OsMsg::UserReply(SysReply::Ok).into_user_reply(),
             Some(SysReply::Ok)
         );
-        assert_eq!(OsMsg::Ping.as_user_reply(), None);
+        assert_eq!(OsMsg::Ping.into_user_reply(), None);
     }
 }

@@ -14,7 +14,7 @@
 //! anywhere before commit therefore rolls back to a state where the request
 //! simply never happened.
 
-use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use osiris_checkpoint::{Heap, PCell, PMap, PVec};
 use osiris_cothread::{CoPool, ThreadId};
@@ -46,10 +46,62 @@ fn fnv(s: &str) -> u64 {
     h
 }
 
+/// A directory's `name → inode` bindings: a name-sorted vector of shared
+/// names. The undo record of a directory update is a copy of the whole
+/// inode, and this copy is one allocation whatever the directory holds (a
+/// `BTreeMap<String, u64>` costs one per name plus one per tree node). Same
+/// size and `Debug` rendering as that map, so the undo-byte accounting and
+/// the state digest do not see the difference.
+#[derive(Clone, Default, PartialEq, Eq)]
+struct DirEntries(Vec<(Arc<str>, u64)>);
+
+impl DirEntries {
+    fn slot(&self, name: &str) -> Result<usize, usize> {
+        self.0.binary_search_by(|(n, _)| (**n).cmp(name))
+    }
+
+    fn get(&self, name: &str) -> Option<u64> {
+        self.slot(name).ok().map(|i| self.0[i].1)
+    }
+
+    fn insert(&mut self, name: &str, ino: u64) {
+        match self.slot(name) {
+            Ok(i) => self.0[i].1 = ino,
+            Err(i) => self.0.insert(i, (Arc::from(name), ino)),
+        }
+    }
+
+    fn remove(&mut self, name: &str) {
+        if let Ok(i) = self.slot(name) {
+            self.0.remove(i);
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    fn names(&self) -> impl Iterator<Item = &str> {
+        self.0.iter().map(|(n, _)| &**n)
+    }
+}
+
+impl std::fmt::Debug for DirEntries {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_map()
+            .entries(self.0.iter().map(|(n, i)| (n, i)))
+            .finish()
+    }
+}
+
+// An explicit tag: left to itself the compiler would hide the tag in the
+// vector's spare capacity values and shrink the inode by a word, and every
+// undo record of the inode table is charged `size_of::<Inode>()`.
 #[derive(Clone, Debug, PartialEq, Eq)]
+#[repr(u8)]
 enum InodeKind {
     File { size: u64 },
-    Dir { entries: BTreeMap<String, u64> },
+    Dir { entries: DirEntries },
 }
 
 #[derive(Clone, Debug)]
@@ -64,7 +116,7 @@ enum OpenTarget {
     PipeW { id: u32 },
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 struct OpenFile {
     target: OpenTarget,
     offset: u64,
@@ -237,51 +289,65 @@ impl VfsServer {
         }
     }
 
+    /// A copy of `block`'s cached bytes, for read-modify-write.
     fn cached(&self, block: u64, heap: &Heap) -> Option<Vec<u8>> {
-        self.h().cache.get(heap, &block).map(|c| c.data)
+        self.h().cache.with(heap, &block, |c| c.data.clone())
     }
 
     // ------------------------------------------------------------------
     // Path resolution
     // ------------------------------------------------------------------
 
-    /// Resolves `path` to `(parent_ino, leaf_name, Option<leaf_ino>)`.
-    fn resolve(&self, path: &str, heap: &Heap) -> Result<(u64, String, Option<u64>), Errno> {
-        let h = self.h();
+    /// Looks `name` up in directory `dir`.
+    fn lookup(&self, dir: u64, name: &str, heap: &Heap) -> Result<Option<u64>, Errno> {
+        self.h()
+            .inodes
+            .with(heap, &dir, |node| match &node.kind {
+                InodeKind::Dir { entries } => Ok(entries.get(name)),
+                InodeKind::File { .. } => Err(Errno::ENOTDIR),
+            })
+            .ok_or(Errno::ENOENT)?
+    }
+
+    /// Resolves `path` to `(parent_ino, leaf_name, Option<leaf_ino>)`. The
+    /// leaf name borrows from `path`; the walk reads every directory in
+    /// place.
+    fn resolve<'p>(
+        &self,
+        path: &'p str,
+        heap: &Heap,
+    ) -> Result<(u64, &'p str, Option<u64>), Errno> {
         if !path.starts_with('/') || path.len() > 512 {
             return Err(Errno::EINVAL);
         }
-        let parts: Vec<&str> = path.split('/').filter(|p| !p.is_empty()).collect();
-        if parts.is_empty() {
+        let mut parts = path.split('/').filter(|p| !p.is_empty());
+        let Some(mut leaf) = parts.next() else {
             // The root itself: parent is root, no leaf.
-            return Ok((ROOT_INO, String::new(), Some(ROOT_INO)));
-        }
+            return Ok((ROOT_INO, "", Some(ROOT_INO)));
+        };
         let mut dir = ROOT_INO;
-        for part in &parts[..parts.len() - 1] {
-            let node = h.inodes.get(heap, &dir).ok_or(Errno::ENOENT)?;
-            match node.kind {
-                InodeKind::Dir { ref entries } => {
-                    dir = *entries.get(*part).ok_or(Errno::ENOENT)?;
-                }
-                InodeKind::File { .. } => return Err(Errno::ENOTDIR),
-            }
+        for next in parts {
+            dir = self.lookup(dir, leaf, heap)?.ok_or(Errno::ENOENT)?;
+            leaf = next;
         }
-        let leaf = parts[parts.len() - 1].to_string();
-        let node = h.inodes.get(heap, &dir).ok_or(Errno::ENOENT)?;
-        match node.kind {
-            InodeKind::Dir { ref entries } => {
-                let ino = entries.get(&leaf).copied();
-                Ok((dir, leaf, ino))
-            }
-            InodeKind::File { .. } => Err(Errno::ENOTDIR),
-        }
+        Ok((dir, leaf, self.lookup(dir, leaf, heap)?))
     }
 
     fn file_size(&self, ino: u64, heap: &Heap) -> Option<u64> {
-        match self.h().inodes.get(heap, &ino)?.kind {
+        self.h().inodes.with(heap, &ino, |node| match node.kind {
             InodeKind::File { size } => Some(size),
             InodeKind::Dir { .. } => None,
-        }
+        })?
+    }
+
+    /// Whether the inode a path just resolved to is a directory.
+    fn is_dir(&self, ino: u64, heap: &Heap) -> bool {
+        self.h()
+            .inodes
+            .with(heap, &ino, |node| {
+                matches!(node.kind, InodeKind::Dir { .. })
+            })
+            .expect("resolved inode exists")
     }
 
     /// Frees all data blocks of `ino` (cache entries included).
@@ -631,12 +697,9 @@ impl VfsServer {
         h.pool.finish(ctx.heap(), tid);
         // A thread freed up: give the oldest backlogged operation a chance.
         if !h.backlog.is_empty(ctx.heap_ref()) {
-            let cont = h.backlog.get(ctx.heap_ref(), 0).expect("nonempty");
             // Remove index 0 by rebuilding the tail (backlogs are short).
-            let rest: Vec<VfsCont> = {
-                let all = h.backlog.snapshot(ctx.heap_ref());
-                all[1..].to_vec()
-            };
+            let mut rest = h.backlog.snapshot(ctx.heap_ref());
+            let cont = rest.remove(0);
             h.backlog.clear(ctx.heap());
             for c in rest {
                 h.backlog.push(ctx.heap(), c);
@@ -668,11 +731,7 @@ impl VfsServer {
         };
         let ino = match ino {
             Some(i) => {
-                let node = h
-                    .inodes
-                    .get(ctx.heap_ref(), &i)
-                    .expect("resolved inode exists");
-                if matches!(node.kind, InodeKind::Dir { .. }) {
+                if self.is_dir(i, ctx.heap_ref()) {
                     ctx.reply(rp, OsMsg::UserReply(SysReply::Err(Errno::EISDIR)));
                     return;
                 }
@@ -700,7 +759,7 @@ impl VfsServer {
                 );
                 h.inodes.update(ctx.heap(), &parent, |n| {
                     if let InodeKind::Dir { entries } = &mut n.kind {
-                        entries.insert(leaf.clone(), i);
+                        entries.insert(leaf, i);
                     }
                 });
                 ctx.site("vfs.open.created");
@@ -845,18 +904,21 @@ impl VfsServer {
     fn pipe_read(&self, pid: Pid, id: u32, len: u32, rp: ReturnPath, ctx: &mut Ctx<'_, OsMsg>) {
         let h = self.h();
         ctx.site("vfs.pipe.read");
-        let Some(pipe) = h.pipes.get(ctx.heap_ref(), &id) else {
+        let Some((buffered, writers)) = h
+            .pipes
+            .with(ctx.heap_ref(), &id, |p| (p.buf.len(), p.writers))
+        else {
             ctx.reply(rp, OsMsg::UserReply(SysReply::Err(Errno::EPIPE)));
             return;
         };
-        if !pipe.buf.is_empty() {
-            let k = (len as usize).min(pipe.buf.len());
+        if buffered > 0 {
+            let k = (len as usize).min(buffered);
             let data = h
                 .pipes
                 .update(ctx.heap(), &id, |p| p.buf.drain(..k).collect::<Vec<u8>>())
                 .unwrap_or_default();
             ctx.reply(rp, OsMsg::UserReply(SysReply::Data(data)));
-        } else if ctx.site_branch("vfs.pipe.read_eof", pipe.writers == 0) {
+        } else if ctx.site_branch("vfs.pipe.read_eof", writers == 0) {
             ctx.reply(rp, OsMsg::UserReply(SysReply::Data(Vec::new())));
         } else {
             h.pipes.update(ctx.heap(), &id, |p| {
@@ -873,11 +935,11 @@ impl VfsServer {
     fn pipe_write(&self, id: u32, bytes: &[u8], rp: ReturnPath, ctx: &mut Ctx<'_, OsMsg>) {
         let h = self.h();
         ctx.site("vfs.pipe.write");
-        let Some(pipe) = h.pipes.get(ctx.heap_ref(), &id) else {
+        let Some(readers) = h.pipes.with(ctx.heap_ref(), &id, |p| p.readers) else {
             ctx.reply(rp, OsMsg::UserReply(SysReply::Err(Errno::EPIPE)));
             return;
         };
-        if pipe.readers == 0 {
+        if readers == 0 {
             ctx.reply(rp, OsMsg::UserReply(SysReply::Err(Errno::EPIPE)));
             return;
         }
@@ -934,19 +996,21 @@ impl VfsServer {
         ctx.site("vfs.stat.entry");
         match self.resolve(path, ctx.heap_ref()) {
             Ok((_, _, Some(ino))) => {
-                let node = h.inodes.get(ctx.heap_ref(), &ino).expect("resolved");
-                let st = match node.kind {
-                    InodeKind::File { size } => FileStat {
-                        size,
-                        is_dir: false,
-                        nlink: 1,
-                    },
-                    InodeKind::Dir { ref entries } => FileStat {
-                        size: 0,
-                        is_dir: true,
-                        nlink: entries.len() as u32 + 2,
-                    },
-                };
+                let st = h
+                    .inodes
+                    .with(ctx.heap_ref(), &ino, |node| match &node.kind {
+                        InodeKind::File { size } => FileStat {
+                            size: *size,
+                            is_dir: false,
+                            nlink: 1,
+                        },
+                        InodeKind::Dir { entries } => FileStat {
+                            size: 0,
+                            is_dir: true,
+                            nlink: entries.len() as u32 + 2,
+                        },
+                    })
+                    .expect("resolved");
                 ctx.reply(rp, OsMsg::UserReply(SysReply::StatInfo(st)));
             }
             Ok((_, _, None)) => ctx.reply(rp, OsMsg::UserReply(SysReply::Err(Errno::ENOENT))),
@@ -967,13 +1031,13 @@ impl VfsServer {
                     i,
                     Inode {
                         kind: InodeKind::Dir {
-                            entries: BTreeMap::new(),
+                            entries: DirEntries::default(),
                         },
                     },
                 );
                 h.inodes.update(ctx.heap(), &parent, |n| {
                     if let InodeKind::Dir { entries } = &mut n.kind {
-                        entries.insert(leaf.clone(), i);
+                        entries.insert(leaf, i);
                     }
                 });
                 ctx.site("vfs.mkdir.done");
@@ -988,15 +1052,18 @@ impl VfsServer {
         ctx.site("vfs.readdir.entry");
         match self.resolve(path, ctx.heap_ref()) {
             Ok((_, _, Some(ino))) => {
-                let node = h.inodes.get(ctx.heap_ref(), &ino).expect("resolved");
-                match node.kind {
-                    InodeKind::Dir { ref entries } => {
-                        let names: Vec<String> = entries.keys().cloned().collect();
-                        ctx.reply(rp, OsMsg::UserReply(SysReply::Names(names)));
-                    }
-                    InodeKind::File { .. } => {
-                        ctx.reply(rp, OsMsg::UserReply(SysReply::Err(Errno::ENOTDIR)))
-                    }
+                let names = h
+                    .inodes
+                    .with(ctx.heap_ref(), &ino, |node| match &node.kind {
+                        InodeKind::Dir { entries } => {
+                            Some(entries.names().map(str::to_string).collect())
+                        }
+                        InodeKind::File { .. } => None,
+                    })
+                    .expect("resolved");
+                match names {
+                    Some(names) => ctx.reply(rp, OsMsg::UserReply(SysReply::Names(names))),
+                    None => ctx.reply(rp, OsMsg::UserReply(SysReply::Err(Errno::ENOTDIR))),
                 }
             }
             Ok((_, _, None)) => ctx.reply(rp, OsMsg::UserReply(SysReply::Err(Errno::ENOENT))),
@@ -1009,8 +1076,7 @@ impl VfsServer {
         ctx.site("vfs.unlink.entry");
         match self.resolve(path, ctx.heap_ref()) {
             Ok((parent, leaf, Some(ino))) => {
-                let node = h.inodes.get(ctx.heap_ref(), &ino).expect("resolved");
-                if matches!(node.kind, InodeKind::Dir { .. }) {
+                if self.is_dir(ino, ctx.heap_ref()) {
                     ctx.reply(rp, OsMsg::UserReply(SysReply::Err(Errno::EISDIR)));
                     return;
                 }
@@ -1028,7 +1094,7 @@ impl VfsServer {
                 h.inodes.remove(ctx.heap(), &ino);
                 h.inodes.update(ctx.heap(), &parent, |n| {
                     if let InodeKind::Dir { entries } = &mut n.kind {
-                        entries.remove(&leaf);
+                        entries.remove(leaf);
                     }
                 });
                 ctx.site("vfs.unlink.done");
@@ -1066,12 +1132,12 @@ impl VfsServer {
         };
         h.inodes.update(ctx.heap(), &src.0, |n| {
             if let InodeKind::Dir { entries } = &mut n.kind {
-                entries.remove(&src.1);
+                entries.remove(src.1);
             }
         });
         h.inodes.update(ctx.heap(), &dst.0, |n| {
             if let InodeKind::Dir { entries } = &mut n.kind {
-                entries.insert(dst.1.clone(), src.2);
+                entries.insert(dst.1, src.2);
             }
         });
         ctx.site("vfs.rename.done");
@@ -1295,7 +1361,7 @@ impl Server<OsMsg> for VfsServer {
     fn init(&mut self, ctx: &mut Ctx<'_, OsMsg>) {
         let threads = self.threads;
         let heap = ctx.heap();
-        let mut root_entries = BTreeMap::new();
+        let mut root_entries = DirEntries::default();
         let inodes = heap.alloc_map::<u64, Inode>("vfs.inodes");
         // Pre-create /tmp and /bin.
         inodes.insert(
@@ -1303,7 +1369,7 @@ impl Server<OsMsg> for VfsServer {
             2,
             Inode {
                 kind: InodeKind::Dir {
-                    entries: BTreeMap::new(),
+                    entries: DirEntries::default(),
                 },
             },
         );
@@ -1312,12 +1378,12 @@ impl Server<OsMsg> for VfsServer {
             3,
             Inode {
                 kind: InodeKind::Dir {
-                    entries: BTreeMap::new(),
+                    entries: DirEntries::default(),
                 },
             },
         );
-        root_entries.insert("tmp".to_string(), 2);
-        root_entries.insert("bin".to_string(), 3);
+        root_entries.insert("tmp", 2);
+        root_entries.insert("bin", 3);
         inodes.insert(
             heap,
             ROOT_INO,
@@ -1441,5 +1507,40 @@ impl Server<OsMsg> for VfsServer {
 
     fn clone_box(&self) -> Box<dyn Server<OsMsg>> {
         Box::new(self.clone())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeMap;
+
+    use super::*;
+
+    /// What `DirEntries` replaced, for the two things that must not move.
+    #[allow(dead_code)]
+    enum MapKind {
+        File { size: u64 },
+        Dir { entries: BTreeMap<String, u64> },
+    }
+
+    #[test]
+    fn dir_entries_are_a_name_sorted_map_with_the_old_size_and_rendering() {
+        let mut dir = DirEntries::default();
+        let mut map = BTreeMap::new();
+        for (name, ino) in [("tmp", 2), ("bin", 3), ("a b", 9), ("tmp", 4), ("zz", 5)] {
+            dir.insert(name, ino);
+            map.insert(name.to_string(), ino);
+        }
+        dir.remove("a b");
+        dir.remove("absent");
+        map.remove("a b");
+        assert_eq!(
+            (dir.get("tmp"), dir.get("a b"), dir.len()),
+            (Some(4), None, 3)
+        );
+        assert!(dir.names().eq(map.keys().map(String::as_str)));
+        assert_eq!(format!("{dir:?}"), format!("{map:?}"));
+        assert_eq!(format!("{dir:#?}"), format!("{map:#?}"));
+        assert_eq!(size_of::<InodeKind>(), size_of::<MapKind>());
     }
 }

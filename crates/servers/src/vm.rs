@@ -132,14 +132,14 @@ impl VmManager {
         match call {
             Syscall::Brk { pages } => {
                 ctx.site("vm.brk.entry");
-                let Some(space) = h.spaces.get(ctx.heap_ref(), &pid.0) else {
+                let Some(data_pages) = h.spaces.with(ctx.heap_ref(), &pid.0, |s| s.data_pages)
+                else {
                     ctx.reply(rp, OsMsg::UserReply(SysReply::Err(Errno::ESRCH)));
                     return;
                 };
                 // Value probe: a perturbed target size is the classic
                 // fail-silent accounting bug (caught later by the audit).
-                let new =
-                    ctx.site_val("vm.brk.target", (space.data_pages as i64 + pages) as u64) as i64;
+                let new = ctx.site_val("vm.brk.target", (data_pages as i64 + pages) as u64) as i64;
                 if new < 0 {
                     ctx.reply(rp, OsMsg::UserReply(SysReply::Err(Errno::EINVAL)));
                     return;
@@ -194,11 +194,14 @@ impl VmManager {
             }
             Syscall::Munmap { id } => {
                 ctx.site("vm.munmap.entry");
-                let Some(space) = h.spaces.get(ctx.heap_ref(), &pid.0) else {
+                let Some(mapped) = h
+                    .spaces
+                    .with(ctx.heap_ref(), &pid.0, |s| s.mappings.get(id).copied())
+                else {
                     ctx.reply(rp, OsMsg::UserReply(SysReply::Err(Errno::ESRCH)));
                     return;
                 };
-                let Some(pages) = space.mappings.get(id).copied() else {
+                let Some(pages) = mapped else {
                     ctx.reply(rp, OsMsg::UserReply(SysReply::Err(Errno::EINVAL)));
                     return;
                 };
@@ -276,34 +279,32 @@ impl Server<OsMsg> for VmManager {
             }
             OsMsg::VmFork { parent, child } => {
                 ctx.site("vm.fork.entry");
-                let Some(pspace) = h.spaces.get(ctx.heap_ref(), &parent.0) else {
+                let Some(need) = h.spaces.with(ctx.heap_ref(), &parent.0, Space::resident) else {
                     ctx.reply(msg.return_path(), OsMsg::RErr(Errno::ESRCH));
                     return;
                 };
-                let need = pspace.resident();
                 let Some(taken) = self.alloc_frames(child.0, need, ctx) else {
                     ctx.reply(msg.return_path(), OsMsg::RErr(Errno::ENOMEM));
                     return;
                 };
-                h.spaces.insert(
-                    ctx.heap(),
-                    child.0,
-                    Space {
-                        data_pages: pspace.data_pages,
-                        mappings: pspace.mappings.clone(),
-                        frames: taken,
-                    },
-                );
+                let child_space = h.spaces.with(ctx.heap_ref(), &parent.0, |p| Space {
+                    data_pages: p.data_pages,
+                    mappings: p.mappings.clone(),
+                    frames: taken,
+                });
+                h.spaces
+                    .insert(ctx.heap(), child.0, child_space.expect("parent seen above"));
                 ctx.site("vm.fork.commit");
                 ctx.reply(msg.return_path(), OsMsg::ROk);
             }
             OsMsg::VmExecReset { pid } => {
                 ctx.site("vm.exec_reset.entry");
-                let Some(old) = h.spaces.get(ctx.heap_ref(), &pid.0) else {
+                let Some(old_frames) = h.spaces.with(ctx.heap_ref(), &pid.0, |s| s.frames.clone())
+                else {
                     ctx.reply(msg.return_path(), OsMsg::RErr(Errno::ESRCH));
                     return;
                 };
-                self.release_frames(&old.frames, ctx);
+                self.release_frames(&old_frames, ctx);
                 let Some(taken) = self.alloc_frames(pid.0, IMG_PAGES, ctx) else {
                     ctx.reply(msg.return_path(), OsMsg::RErr(Errno::ENOMEM));
                     return;
@@ -329,10 +330,10 @@ impl Server<OsMsg> for VmManager {
             OsMsg::VmUsage { pid } => {
                 // Read-only query: contractually writes nothing.
                 ctx.site("vm.usage");
-                let usage = h.spaces.get(ctx.heap_ref(), &pid.0);
+                let usage = h.spaces.with(ctx.heap_ref(), &pid.0, Space::resident);
                 ctx.site("vm.usage.lookup");
                 match usage {
-                    Some(s) => ctx.reply(msg.return_path(), OsMsg::RVal(s.resident())),
+                    Some(pages) => ctx.reply(msg.return_path(), OsMsg::RVal(pages)),
                     None => ctx.reply(msg.return_path(), OsMsg::RErr(Errno::ESRCH)),
                 }
             }

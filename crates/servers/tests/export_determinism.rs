@@ -10,6 +10,7 @@
 
 use osiris_axiom::{bisect, AxiomConfig};
 use osiris_core::PolicyKind;
+use osiris_faults::forge::ScriptWorkload;
 use osiris_faults::PeriodicCrash;
 use osiris_kernel::{FaultHook, Host, ProgramRegistry};
 use osiris_metrics::{validate_prometheus, MetricsConfig, SeriesValue, TimeseriesConfig};
@@ -157,6 +158,50 @@ fn disabled_registry_reads_zero() {
             SeriesValue::Counter(n) | SeriesValue::Gauge(n) => *n == 0,
             SeriesValue::Hist(h) => h.is_empty(),
         })));
+}
+
+/// The forge's scripted workload (PM, VM, VFS and DS, two bulk rounds a
+/// step) with every recorder on, returning the Prometheus text, the metrics
+/// JSON and `timeseries.json`. With `poll`, something reads the registry
+/// after every step, as a dashboard polling a live system would.
+fn scripted_run(poll: bool) -> [String; 3] {
+    let script = ScriptWorkload { stress_rounds: 2 };
+    let mut os = Os::new(recorded_cfg());
+    let mut seen = 0;
+    for step in 0..ScriptWorkload::STEPS {
+        let run = script.run_range(&mut os, step..step + 1);
+        assert!(run.clean(), "step {step}: {:?}", run.outcome);
+        if poll {
+            assert!(!os.metrics_snapshot().families.is_empty());
+            let syscalls = os.metrics().syscalls;
+            assert!(syscalls > seen, "a mid-run read sees the run so far");
+            seen = syscalls;
+            let handled: u64 = os.reports().iter().map(|r| r.messages).sum();
+            assert_eq!(handled, os.metrics().ipc_delivered);
+        }
+    }
+    [
+        os.metrics_prometheus(),
+        os.metrics_json().pretty(),
+        os.timeseries_json().pretty(),
+    ]
+}
+
+/// The per-message series are plain fields of the kernel, published into
+/// the registry wherever something reads it. Reading must not be
+/// observable: a run polled after every step ends with the same bytes as
+/// the same run left alone.
+#[test]
+fn mid_run_reads_leave_every_export_byte_identical() {
+    let alone = scripted_run(false);
+    let polled = scripted_run(true);
+    for (what, (a, b)) in ["Prometheus text", "metrics JSON", "timeseries.json"]
+        .iter()
+        .zip(alone.iter().zip(&polled))
+    {
+        assert!(a.contains("osiris_"), "{what} must not be empty");
+        assert!(a == b, "{what} differs after mid-run reads");
+    }
 }
 
 #[test]

@@ -71,9 +71,9 @@ impl Protocol for AppMsg {
     fn crash_notify(target: u8) -> Self {
         AppMsg::Notify(target)
     }
-    fn as_user_reply(&self) -> Option<SysReply> {
+    fn into_user_reply(self) -> Option<SysReply> {
         match self {
-            AppMsg::ClientReply(r) => Some(r.clone()),
+            AppMsg::ClientReply(r) => Some(r),
             _ => None,
         }
     }
