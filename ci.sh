@@ -14,6 +14,12 @@ find crates/kernel/src -name '*.rs' -exec wc -l {} + |
 echo "== one injection path: only InjectionRecord::from_run builds a record from a run =="
 test "$(grep -rln "RecoveryActionTag::from_counts(" crates/*/src examples)" = crates/faults/src/campaign.rs
 
+echo "== one metrics store: no shared slots in osiris-metrics, no publish/mirror step in the kernel =="
+if grep -rn 'Atomic\|Mutex' crates/metrics/src ||
+    grep -rn 'publish(\|reload_published(\|sync_registry(' crates/kernel/src; then
+    exit 1
+fi
+
 echo "== repo-root size cap: no tracked file at the root over 64 KiB (dumps belong under target/) =="
 git ls-files -z -- ':(glob)*' | xargs -0 wc -c |
     awk '$2 != "total" && $1 > 65536 { print "over 64 KiB: " $2 " (" $1 " bytes)"; bad = 1 } END { exit bad }'

@@ -117,7 +117,7 @@ fn main() {
     os.verify_axiom().expect("fresh chain intact");
 
     // 4. The fresh run must re-derive the recorded history exactly.
-    if let Some(d) = os.kernel().check_replay_divergence(recorded.records()) {
+    if let Some(d) = os.check_replay_divergence(recorded.records()) {
         panic!("replay diverged from the recorded axiom\n{}", d.describe());
     }
     println!("bisect:    no divergence — replay re-derived the recorded history");

@@ -13,8 +13,9 @@ use osiris_axiom::{
     SeepClassCode,
 };
 use osiris_checkpoint::{Heap, PBuf, PCell, PVec};
-use osiris_metrics::{MetricsConfig, MetricsHandle};
+use osiris_metrics::Registry;
 use osiris_rng::Rng;
+use osiris_servers::{Os, OsConfig};
 use osiris_trace::{TraceConfig, TraceEvent, TraceHandle, KERNEL_COMP};
 
 use super::{Checks, Scale, Want};
@@ -124,9 +125,9 @@ fn heap_windows(group: &str, tracer: Option<TraceHandle>, scale: Scale, c: &mut 
     }
 }
 
-/// Counter adds alternating with histogram observations through handles
-/// registered once: relaxed `fetch_add`s on a shared slot, and a bucket
-/// bump under the series mutex.
+/// Counter adds alternating with histogram observations through ids
+/// registered once: an indexed add, and a bucket bump in an indexed
+/// histogram.
 fn metrics(scale: Scale, c: &mut Checks) {
     let (rounds, writes_per_round, warmup_rounds) = match scale {
         Scale::Full => (100, 2_048, 4),
@@ -144,17 +145,17 @@ fn metrics(scale: Scale, c: &mut Checks) {
             }
         })
         .collect();
-    let handle = MetricsHandle::new(MetricsConfig { enabled: true });
+    let mut m = Registry::default();
     let labels = [("component", "gate")];
-    let counter = handle.counter("osiris_gate_ops_total", "gate counter", &labels);
-    let hist = handle.hist("osiris_gate_latency_cycles", "gate histogram", &labels);
-    let run = |rounds: u64| {
+    let counter = m.counter("osiris_gate_ops_total", "gate counter", &labels);
+    let hist = m.hist("osiris_gate_latency_cycles", "gate histogram", &labels);
+    let mut run = |rounds: u64| {
         for _ in 0..rounds {
             for &(is_add, v) in &ops {
                 if is_add {
-                    counter.add(v);
+                    m.add(counter, v);
                 } else {
-                    hist.observe(v);
+                    m.observe(hist, v);
                 }
             }
         }
@@ -166,14 +167,38 @@ fn metrics(scale: Scale, c: &mut Checks) {
     c.push_allocs("metrics/recording_allocs".into(), allocs, Want::Eq(0));
     c.push(
         "metrics/counter_total".into(),
-        counter.get(),
+        m.total(counter),
         Want::Eq(total_rounds * added),
     );
     c.push(
         "metrics/observations".into(),
-        hist.get().count(),
+        m.histogram(hist).count(),
         Want::Eq(total_rounds * writes_per_round / 2),
     );
+}
+
+/// What a fork pays to carry the registry: a snapshot is two array clones
+/// however much the `Os` has run (the schema is fixed at boot), and writing
+/// one back into a same-schema registry reuses its storage.
+fn metrics_snapshot(c: &mut Checks) {
+    let fresh = Os::new(OsConfig::default());
+    let (_, warm) = osiris_workloads::run_suite_with(OsConfig::default(), None);
+    for (group, os) in [("metrics/fresh_boot", &fresh), ("metrics", &warm)] {
+        let live = os.kernel().registry();
+        let (values, snapshot_allocs) = c.counted(|| live.values().clone());
+        let mut fork = live.clone();
+        let ((), restore_allocs) = c.counted(|| fork.restore(&values));
+        c.push_allocs(
+            format!("{group}/snapshot_allocs"),
+            snapshot_allocs,
+            Want::Eq(2),
+        );
+        c.push_allocs(
+            format!("{group}/restore_allocs"),
+            restore_allocs,
+            Want::Eq(0),
+        );
+    }
 }
 
 /// Serialized axiom log: a 24-byte header plus 41 bytes per record.
@@ -280,24 +305,26 @@ fn spans(scale: Scale, c: &mut Checks) {
         Scale::Small => (640, 64),
     };
     let tracer = TraceHandle::new(TraceConfig::on());
-    let metrics = MetricsHandle::new(MetricsConfig { enabled: true });
-    let counter = |name: &str, labels: &[(&str, &str)]| metrics.counter(name, "span gate", labels);
-    let latency = |overlap: &str| {
-        let labels = [("overlap", overlap)];
-        metrics.hist("osiris_span_latency_cycles", "span gate", &labels)
-    };
+    let mut m = Registry::default();
+    let mut counter = |name: &str, labels: &[(&str, &str)]| m.counter(name, "span gate", labels);
     let started = counter("osiris_span_started_total", &[]);
     let completed_none = counter("osiris_span_completed_total", &[("overlap", "none")]);
     let completed_recovery = counter("osiris_span_completed_total", &[("overlap", "recovery")]);
-    let (latency_none, latency_recovery) = (latency("none"), latency("recovery"));
     let hops = counter("osiris_span_hops_total", &[]);
+    let [latency_none, latency_recovery] = ["none", "recovery"].map(|overlap| {
+        m.hist(
+            "osiris_span_latency_cycles",
+            "span gate",
+            &[("overlap", overlap)],
+        )
+    });
 
-    let run = |spans: u64| {
+    let run = |m: &mut Registry, spans: u64| {
         let mut now = 0u64;
         for s in 0..spans {
             now += 13;
             let (span, opened_at) = (s + 1, now);
-            started.inc();
+            m.inc(started);
             tracer.set_now(now);
             tracer.emit(
                 KERNEL_COMP,
@@ -309,7 +336,7 @@ fn spans(scale: Scale, c: &mut Checks) {
             );
             for h in 0..HOPS_PER_SPAN {
                 now += 7;
-                hops.inc();
+                m.inc(hops);
                 tracer.set_now(now);
                 let hop = TraceEvent::SpanHop {
                     span,
@@ -323,12 +350,12 @@ fn spans(scale: Scale, c: &mut Checks) {
             now += if crossed { 413 } else { 13 };
             let latency = now - opened_at;
             let (completed, hist) = if crossed {
-                (&completed_recovery, &latency_recovery)
+                (completed_recovery, latency_recovery)
             } else {
-                (&completed_none, &latency_none)
+                (completed_none, latency_none)
             };
-            completed.inc();
-            hist.observe(latency);
+            m.inc(completed);
+            m.observe(hist, latency);
             tracer.set_now(now);
             let close = TraceEvent::SpanClose {
                 span,
@@ -339,22 +366,22 @@ fn spans(scale: Scale, c: &mut Checks) {
             tracer.emit(KERNEL_COMP, close);
         }
     };
-    run(warmup_spans);
+    run(&mut m, warmup_spans);
     tracer.clear();
-    metrics.reset();
-    let ((), allocs) = c.counted(|| run(spans));
+    m.reset();
+    let ((), allocs) = c.counted(|| run(&mut m, spans));
     c.push_allocs("spans/recording_allocs".into(), allocs, Want::Eq(0));
     for (what, got, want) in [
-        ("spans_recorded", started.get(), spans),
-        ("hops_recorded", hops.get(), spans * HOPS_PER_SPAN),
+        ("spans_recorded", m.total(started), spans),
+        ("hops_recorded", m.total(hops), spans * HOPS_PER_SPAN),
         (
             "closed_across_recovery",
-            completed_recovery.get(),
+            m.total(completed_recovery),
             spans / RECOVERY_EVERY,
         ),
         (
             "closed_without_recovery",
-            completed_none.get(),
+            m.total(completed_none),
             spans - spans / RECOVERY_EVERY,
         ),
     ] {
@@ -367,6 +394,7 @@ pub(super) fn checks(scale: Scale, c: &mut Checks) {
     let tracer = TraceHandle::new(TraceConfig::on());
     heap_windows("trace", Some(tracer), scale, c);
     metrics(scale, c);
+    metrics_snapshot(c);
     axiom(scale, c);
     spans(scale, c);
 }

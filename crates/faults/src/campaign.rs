@@ -18,13 +18,13 @@
 //! Progress and dumps go to **stderr**; stdout stays reserved for the
 //! deterministic table output the CI diff gates compare.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Mutex;
 
 use osiris_axiom::{AxiomConfig, AxiomEvent, AxiomLog, AxiomRecord, OutcomeCode};
 use osiris_core::PolicyKind;
 use osiris_kernel::RunOutcome;
-use osiris_metrics::MetricsHandle;
+use osiris_metrics::Registry;
 use osiris_servers::Os;
 use osiris_trace::{HistSummary, Json};
 
@@ -283,9 +283,9 @@ impl InjectionRecord {
     /// forge and the examples: audits `os` (only when the run completed),
     /// classifies `outcome`, and joins the run's metrics and axiom into
     /// the record — recovery counters, the MTTR [`CriticalPath`] (all-zero
-    /// without a retained axiom) and the request-latency split (empty
-    /// without the span family). An uncontrolled crash carries the last
-    /// 12 flight-recorder events per component as its black box.
+    /// without a retained axiom) and the request-latency split. An
+    /// uncontrolled crash carries the last 12 flight-recorder events per
+    /// component as its black box.
     pub fn from_run(
         os: &Os,
         outcome: &RunOutcome,
@@ -309,13 +309,7 @@ impl InjectionRecord {
             let tail = os.trace_handle().with(|t| t.tail_per_comp(12));
             osiris_trace::render_text(&tail, &os.kernel().trace_names())
         });
-        let snapshot = os.metrics_snapshot();
-        let latency = |overlap: &str| match snapshot
-            .find("osiris_span_latency_cycles", &[("overlap", overlap)])
-        {
-            Some(osiris_metrics::SeriesValue::Hist(h)) => h.summary(),
-            _ => HistSummary::default(),
-        };
+        let [span_latency_clean, span_latency_recovery] = os.kernel().span_latency();
         InjectionRecord {
             site: plan.site.clone(),
             kind: plan.kind,
@@ -332,8 +326,8 @@ impl InjectionRecord {
             recoveries: rollback + fresh + quiescent + naive,
             recovery_cycles: m.recovery_cycles,
             critical_path: critical_path(os.kernel().axiom().records()),
-            span_latency_clean: latency("none"),
-            span_latency_recovery: latency("recovery"),
+            span_latency_clean,
+            span_latency_recovery,
             blackbox,
         }
     }
@@ -350,6 +344,9 @@ struct State {
     /// Next slot for the sequential [`Campaign::record`] ingest path.
     next_seq: usize,
     blackbox_dumps: usize,
+    /// Families a campaign runner appended ([`Campaign::append_metrics`]),
+    /// exported after the derived campaign families.
+    appendix: Registry,
 }
 
 /// Folds the filled record slots, in slot order, into the campaign-level
@@ -377,6 +374,56 @@ fn derive_axiom(slots: &[Option<InjectionRecord>]) -> AxiomLog {
     log
 }
 
+/// Folds the filled record slots, in slot order, into the campaign's
+/// registry: outcome counts and run/recovery cycle distributions, labelled
+/// by policy, component, model and outcome. Derived on demand like the
+/// axiom, so series register in plan order on every thread count and the
+/// exposition is byte-identical across them.
+fn derive_metrics(slots: &[Option<InjectionRecord>], model: FaultModel) -> Registry {
+    let model = model_label(model);
+    let mut m = Registry::default();
+    // The registry finds a series by comparing label strings: ask it once
+    // per distinct (policy, component, outcome), not once per record.
+    let mut ids = HashMap::new();
+    for rec in slots.iter().flatten() {
+        let (policy, component) = (rec.policy.as_str(), rec.site.component.as_str());
+        let by_policy = [("policy", policy), ("model", model)];
+        let (outcomes, run_cycles, recovery_cycles) = ids
+            .entry((policy, component, rec.outcome))
+            .or_insert_with(|| {
+                let outcomes = m.counter(
+                    "osiris_campaign_outcomes_total",
+                    "Fault-injection runs by policy, component, model and outcome",
+                    &[
+                        ("policy", policy),
+                        ("component", component),
+                        ("model", model),
+                        ("outcome", &rec.outcome.to_string()),
+                    ],
+                );
+                let run_cycles = m.hist(
+                    "osiris_campaign_run_cycles",
+                    "Virtual cycles per injected run",
+                    &by_policy,
+                );
+                (outcomes, run_cycles, None)
+            });
+        m.inc(*outcomes);
+        m.observe(*run_cycles, rec.run_cycles);
+        if rec.recoveries > 0 {
+            let recovery_cycles = *recovery_cycles.get_or_insert_with(|| {
+                m.hist(
+                    "osiris_campaign_recovery_cycles",
+                    "Virtual cycles spent in recovery per run that recovered",
+                    &by_policy,
+                )
+            });
+            m.observe(recovery_cycles, rec.recovery_cycles);
+        }
+    }
+    m
+}
+
 /// Thread-safe live observer for a fault-injection campaign.
 pub struct Campaign {
     label: String,
@@ -385,7 +432,6 @@ pub struct Campaign {
     progress_every: usize,
     max_blackbox_dumps: usize,
     live: bool,
-    metrics: MetricsHandle,
     inner: Mutex<State>,
 }
 
@@ -409,13 +455,13 @@ impl Campaign {
             progress_every: (total / 10).max(1),
             max_blackbox_dumps: 3,
             live: true,
-            metrics: MetricsHandle::default(),
             inner: Mutex::new(State {
                 done: 0,
                 matrix: BTreeMap::new(),
                 slots: Vec::new(),
                 next_seq: 0,
                 blackbox_dumps: 0,
+                appendix: Registry::default(),
             }),
         }
     }
@@ -426,15 +472,29 @@ impl Campaign {
         self
     }
 
-    /// The registry campaign series are streamed into.
-    pub fn metrics_handle(&self) -> &MetricsHandle {
-        &self.metrics
+    /// The campaign's registry: the `osiris_campaign_*` families derived
+    /// from the records ingested so far, in plan order, then whatever
+    /// [`Campaign::append_metrics`] added.
+    pub fn metrics_handle(&self) -> Registry {
+        let st = self.inner.lock().expect("campaign lock");
+        let mut m = derive_metrics(&st.slots, self.model);
+        m.append(st.appendix.clone());
+        m
+    }
+
+    /// Appends the runner's own families (the forge's `osiris_forge_*`)
+    /// to the campaign's exposition, so one scrape carries both.
+    pub fn append_metrics(&self, extra: Registry) {
+        self.inner
+            .lock()
+            .expect("campaign lock")
+            .appendix
+            .append(extra);
     }
 
     /// Ingests one completed run into the next sequential slot: updates
-    /// the matrix, streams the registry series, prints progress at
-    /// checkpoints, and dumps the black box of the first few uncontrolled
-    /// crashes.
+    /// the matrix, prints progress at checkpoints, and dumps the black box
+    /// of the first few uncontrolled crashes.
     pub fn record(&self, rec: InjectionRecord) {
         let run = {
             let mut st = self.inner.lock().expect("campaign lock");
@@ -448,38 +508,9 @@ impl Campaign {
     /// Ingests the completed run with plan index `run` into its slot.
     /// Campaign runners hand each [`crate::run_parallel`] worker its job
     /// index and record through this, so the record list, the matrix and
-    /// the derived axiom chain are identical on every thread count.
+    /// the derived axiom chain and registry are identical on every thread
+    /// count.
     pub fn record_at(&self, run: usize, rec: InjectionRecord) {
-        let model = model_label(self.model);
-        self.metrics
-            .counter(
-                "osiris_campaign_outcomes_total",
-                "Fault-injection runs by policy, component, model and outcome",
-                &[
-                    ("policy", &rec.policy),
-                    ("component", &rec.site.component),
-                    ("model", model),
-                    ("outcome", &rec.outcome.to_string()),
-                ],
-            )
-            .inc();
-        self.metrics
-            .hist(
-                "osiris_campaign_run_cycles",
-                "Virtual cycles per injected run",
-                &[("policy", &rec.policy), ("model", model)],
-            )
-            .observe(rec.run_cycles);
-        if rec.recoveries > 0 {
-            self.metrics
-                .hist(
-                    "osiris_campaign_recovery_cycles",
-                    "Virtual cycles spent in recovery per run that recovered",
-                    &[("policy", &rec.policy), ("model", model)],
-                )
-                .observe(rec.recovery_cycles);
-        }
-
         let mut st = self.inner.lock().expect("campaign lock");
         if st.slots.len() <= run {
             st.slots.resize_with(run + 1, || None);
@@ -519,7 +550,11 @@ impl Campaign {
         if let Some((done, matrix)) = progress {
             eprintln!(
                 "[campaign {}] {}/{} runs ({})\n{}",
-                self.label, done, self.total, model, matrix
+                self.label,
+                done,
+                self.total,
+                model_label(self.model),
+                matrix
             );
         }
     }

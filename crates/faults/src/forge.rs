@@ -43,6 +43,7 @@ use osiris_checkpoint::ChunkStore;
 use osiris_core::PolicyKind;
 use osiris_kernel::abi::{Errno, Fd, OpenFlags, Pid, SeekFrom, Signal, SysReply, Syscall};
 use osiris_kernel::{FaultEffect, FaultHook, NoFaults, OsEngine, Probe, RunOutcome, SyscallId};
+use osiris_metrics::Registry;
 use osiris_rng::Rng;
 use osiris_servers::{Os, OsConfig, OsSnapshot};
 use osiris_trace::Json;
@@ -1364,47 +1365,52 @@ impl Forge {
             campaign.record(art.record.clone());
         }
 
-        // Export the osiris_forge_* families through the campaign's
-        // registry, so one scrape carries campaign and forge series.
-        let mh = campaign.metrics_handle();
+        // Export the osiris_forge_* families after the campaign's own, so
+        // one scrape carries campaign and forge series.
+        let mut m = Registry::default();
+        let mut count = |name: &str, help: &str, labels: &[(&str, &str)], n: u64| {
+            let c = m.counter(name, help, labels);
+            m.add(c, n);
+        };
         for (policy, (forks, readopts)) in &per_policy {
-            mh.counter(
+            count(
                 "osiris_forge_forks_total",
                 "Fresh fork-from-snapshot boots by policy",
                 &[("policy", policy)],
-            )
-            .add(*forks);
-            mh.counter(
+                *forks,
+            );
+            count(
                 "osiris_forge_readopts_total",
                 "Worker OS snapshot re-adoptions (boot-free forks) by policy",
                 &[("policy", policy)],
-            )
-            .add(*readopts);
+                *readopts,
+            );
         }
-        mh.counter(
+        count(
             "osiris_forge_fork_dirty_bytes_total",
             "Bytes copied back adopting snapshots (the O(dirty) fork work)",
             &[],
-        )
-        .add(stats.fork_dirty_bytes);
-        mh.counter(
+            stats.fork_dirty_bytes,
+        );
+        count(
             "osiris_forge_snapshots_total",
             "Prefix snapshots taken",
             &[],
-        )
-        .add(stats.snapshots);
-        mh.gauge(
+            stats.snapshots,
+        );
+        let cells = m.gauge(
             "osiris_forge_cells_covered",
             "Distinct (component, window, policy, model, outcome) cells observed",
             &[],
-        )
-        .set(coverage.cells_covered() as u64);
-        mh.counter(
+        );
+        m.set(cells, coverage.cells_covered() as u64);
+        let flips = m.counter(
             "osiris_forge_frontier_flips_total",
             "Outcome-class flips between neighboring variants",
             &[],
-        )
-        .add(front.flips);
+        );
+        m.add(flips, front.flips);
+        campaign.append_metrics(m);
 
         let report = ForgeReport {
             injections: total,

@@ -59,11 +59,12 @@ fn rec(run: usize, policy: &str, outcome: Outcome) -> InjectionRecord {
 }
 
 /// Records fed through `record_at` from a thread pool must yield the same
-/// records, axiom chain and report regardless of thread count.
+/// records, axiom chain, report and metrics exposition (Prometheus text and
+/// JSON) regardless of thread count.
 #[test]
 fn campaign_slots_are_thread_count_invariant() {
     let total = 60;
-    let mut baseline: Option<(Vec<u8>, String)> = None;
+    let mut baseline: Option<(Vec<u8>, [String; 3])> = None;
     for threads in [1, 4, 16] {
         let campaign = Campaign::new("order", FaultModel::FailStop, total).quiet();
         let outcomes = [Outcome::Pass, Outcome::Fail, Outcome::Shutdown];
@@ -73,15 +74,23 @@ fn campaign_slots_are_thread_count_invariant() {
             campaign.record_at(i, rec(i, policy, outcomes[i % 3]));
         });
         assert_eq!(campaign.done(), total);
-        let fingerprint = (campaign.axiom_bytes(), campaign.report_json().pretty());
+        let text = [
+            campaign.report_json().pretty(),
+            campaign.metrics_handle().prometheus(),
+            campaign.metrics_handle().json().pretty(),
+        ];
+        assert!(text[1].contains("osiris_campaign_outcomes_total"));
+        let fingerprint = (campaign.axiom_bytes(), text);
         match &baseline {
             None => baseline = Some(fingerprint),
             Some(want) => {
                 assert_eq!(want.0, fingerprint.0, "axiom diverges at {threads} threads");
-                assert_eq!(
-                    want.1, fingerprint.1,
-                    "report diverges at {threads} threads"
-                );
+                for (what, (a, b)) in ["report", "Prometheus text", "metrics JSON"]
+                    .iter()
+                    .zip(want.1.iter().zip(&fingerprint.1))
+                {
+                    assert!(a == b, "{what} diverges at {threads} threads");
+                }
             }
         }
     }

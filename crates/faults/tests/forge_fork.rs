@@ -150,17 +150,15 @@ fn readopt_matches_fresh_fork() {
     assert_eq!(want.2, got.2, "trace diverges after readopt");
 }
 
-/// The per-message counters are plain kernel fields published into the
-/// registry at read points; a snapshot is one. A fork, and a worker that
-/// ran something else and re-adopts, must export the donor's counters
-/// exactly, straight away, and count on from them.
+/// A snapshot carries the registry's values. A fork, and a worker that ran
+/// something else and re-adopts, must export the donor's counters exactly,
+/// straight away, and count on from them.
 #[test]
 fn fork_and_readopt_export_the_donors_counters() {
     let script = ScriptWorkload::default();
     let mut store = ChunkStore::new();
     let mut donor = Os::new(forge_config(PolicyKind::Enhanced));
     assert!(script.run_range(&mut donor, 0..3).clean());
-    // No read between the run and the capture: the snapshot publishes.
     let snap = donor.snapshot_into(&mut store, None);
     let want = (donor.metrics_prometheus(), donor.metrics_json().pretty());
     assert!(donor.metrics().syscalls > 0 && donor.metrics().ipc_delivered > 0);
@@ -181,6 +179,36 @@ fn fork_and_readopt_export_the_donors_counters() {
     assert!(
         donor.metrics_prometheus() == worker.metrics_prometheus(),
         "the readopted worker counts on from the donor's totals"
+    );
+}
+
+/// Snapshot → adopt → snapshot on a forked `Os` is the identity: the fork
+/// re-adopts its own capture after running on and exports what it exported
+/// at the capture, and a capture of that state forks into the same bytes.
+#[test]
+fn snapshot_adopt_snapshot_round_trips_on_a_fork() {
+    let script = ScriptWorkload::default();
+    let mut store = ChunkStore::new();
+    let mut donor = Os::new(forge_config(PolicyKind::Enhanced));
+    assert!(script.run_range(&mut donor, 0..3).clean());
+    let snap = donor.snapshot_into(&mut store, None);
+    let (mut forked, _stats) = Os::fork_from(&snap, &store);
+    assert!(script.run_range(&mut forked, 3..5).clean());
+
+    let first = forked.snapshot_into(&mut store, None);
+    let want = exports(&mut forked);
+    assert!(script.run_range(&mut forked, 5..STEPS).clean());
+    assert!(want != exports(&mut forked), "the fork ran on");
+    forked
+        .try_readopt(&first, &store)
+        .expect("a fork re-adopts its own capture");
+    assert!(want == exports(&mut forked), "adopt is not the inverse");
+    let second = forked.snapshot_into(&mut store, None);
+    let (mut again, _stats) = Os::fork_from(&second, &store);
+    assert!(want == exports(&mut again), "the second capture differs");
+    assert_eq!(
+        forked.metrics_json().pretty(),
+        again.metrics_json().pretty()
     );
 }
 

@@ -1,28 +1,32 @@
 //! The kernel's metric series, declared once.
 //!
 //! Each `series_table!` below is the single place a family's name, kind,
-//! help text and label sets are written: the handle struct, its `register`
-//! and the timeseries sampler's display names are all generated from it.
-//! Rows are in registration order, which is exposition order, so reordering
-//! them changes every exported byte. [`KernelMetrics`] and
-//! [`ComponentReport`] are views assembled from these handles.
+//! help text and label sets are written: the struct of series ids, its
+//! `register` and the timeseries sampler's display names are all generated
+//! from it. Rows are in registration order, which is exposition order, so
+//! reordering them changes every exported byte.
 //!
-//! Rows of kind `counter`, `gauge` and `hist` are registry handles, written
-//! where the event happens (crashes, recoveries, verdicts: rare). Rows of
-//! kind `tally` and `dist` are the series written per message or per
-//! syscall: plain fields of the kernel, bumped on the delivery path without
-//! an atomic or a lock, and published into their registry slots by
-//! [`Kernel::publish`] at the points something reads the registry.
+//! The kernel owns its registry and writes a series where the event
+//! happens, with a plain indexed add. A series whose value already lives
+//! somewhere else (heap residency and write tallies, window coverage, the
+//! clone pool, the axiom's size) is never written during a run: its row
+//! only reserves the place in the exposition, and `Kernel::view` computes
+//! it when something reads: [`Kernel::metrics_snapshot`] for every export,
+//! [`Kernel::component_reports`] for [`ComponentReport`]. [`KernelMetrics`]
+//! has no computed field and reads the registry as it is.
 
 use std::collections::BTreeSet;
 
-use osiris_metrics::{Counter, Dist, Gauge, Hist, MetricsHandle, Tally, TimeseriesSampler};
+use osiris_metrics::{
+    CounterId, GaugeId, HistId, MetricsSnapshot, Registry, TimeseriesSampler, Values,
+};
+use osiris_trace::HistSummary;
 
 use super::Kernel;
 use crate::message::Protocol;
 use crate::metrics::{ComponentReport, KernelMetrics};
 
-/// Declares a struct of registry handles from rows of the form
+/// Declares a struct of series ids from rows of the form
 /// `kind "family": "help" { field, field("label" = "value"), ... }`.
 /// `names via m` additionally defines `m!(field)`: the series' display name
 /// (`family{label="value"}`) as a string literal.
@@ -35,6 +39,7 @@ macro_rules! series_table {
         } )*
     ) => {
         $(#[$meta])*
+        #[derive(Clone, Copy)]
         pub(super) struct $name {
             $($( pub(super) $field: series_table!(@ty $kind), )+)*
         }
@@ -46,7 +51,7 @@ macro_rules! series_table {
 
             /// Registers every series in table order. A series carries the
             /// table's runtime labels `base` unless its row gives static ones.
-            pub(super) fn register(m: &MetricsHandle, base: &[(&str, &str)]) -> Self {
+            pub(super) fn register(m: &mut Registry, base: &[(&str, &str)]) -> Self {
                 $name {
                     $($( $field: m.$kind(
                         $family,
@@ -54,17 +59,6 @@ macro_rules! series_table {
                         series_table!(@labels base $($($k = $v),+)?),
                     ), )+)*
                 }
-            }
-
-            /// Writes every `tally` and `dist` row into its registry slot.
-            pub(super) fn publish(&self) {
-                $($( series_table!(@publish $kind self.$field); )+)*
-            }
-
-            /// Takes every `tally` and `dist` row back from its registry
-            /// slot, after the registry was reset or restored.
-            pub(super) fn reload(&mut self) {
-                $($( series_table!(@reload $kind self.$field); )+)*
             }
         }
     };
@@ -84,17 +78,9 @@ macro_rules! series_table {
             $($( ($field) => { series_table!(@name $family $($($k = $v),+)?) }; )+)*
         }
     };
-    (@ty counter) => { Counter };
-    (@ty gauge) => { Gauge };
-    (@ty hist) => { Hist };
-    (@ty tally) => { Tally };
-    (@ty dist) => { Dist };
-    (@publish tally $series:expr) => { $series.publish() };
-    (@publish dist $series:expr) => { $series.publish() };
-    (@publish $kind:ident $series:expr) => {};
-    (@reload tally $series:expr) => { $series.reload() };
-    (@reload dist $series:expr) => { $series.reload() };
-    (@reload $kind:ident $series:expr) => {};
+    (@ty counter) => { CounterId };
+    (@ty gauge) => { GaugeId };
+    (@ty hist) => { HistId };
     (@labels $base:ident) => { $base };
     (@labels $base:ident $($k:literal = $v:literal),+) => {{
         debug_assert!($base.is_empty(), "a table has runtime labels or static ones, not both");
@@ -108,23 +94,22 @@ macro_rules! series_table {
 
 series_table! {
     /// Per-component registry series, labelled `{component, endpoint}` at
-    /// registration. The gauges and `*_total` mirrors of the checkpoint
-    /// heap's hot-path tallies are refreshed by [`Kernel::sync_registry`].
+    /// registration.
     struct CompStats;
-    tally "osiris_comp_cycles_total": "Virtual cycles spent running this component's handlers" {
+    counter "osiris_comp_cycles_total": "Virtual cycles spent running this component's handlers" {
         cycles
     }
-    tally "osiris_comp_messages_total": "Messages handled" { messages }
+    counter "osiris_comp_messages_total": "Messages handled" { messages }
     counter "osiris_comp_crashes_total": "Fail-stop crashes observed in this component" { crashes }
     counter "osiris_comp_recoveries_total": "Times this component was recovered" { recoveries }
     hist "osiris_comp_recovery_latency_cycles": "Virtual cycles charged per recovery" {
         recovery_hist
     }
-    dist "osiris_comp_window_cycles": "In-window cycles per completed request" { window_hist }
-    dist "osiris_comp_undo_window_bytes": "Undo bytes appended per completed request window" {
+    hist "osiris_comp_window_cycles": "In-window cycles per completed request" { window_hist }
+    hist "osiris_comp_undo_window_bytes": "Undo bytes appended per completed request window" {
         undo_hist
     }
-    // Mirrored at sync points (not hot-path writes):
+    // Kept by the heap, the clone pool and the window; computed by `view`:
     gauge "osiris_comp_heap_bytes": "Current resident heap size in bytes" { heap_bytes }
     gauge "osiris_comp_clone_bytes": "Size of the pristine clone image kept for recovery" {
         clone_bytes
@@ -163,11 +148,11 @@ series_table! {
 series_table! {
     /// Kernel-wide registry series.
     struct KernelCounters, names via kernel_series_name;
-    tally "osiris_kernel_ipc_delivered_total": "Messages delivered between endpoints" {
+    counter "osiris_kernel_ipc_delivered_total": "Messages delivered between endpoints" {
         ipc_delivered
     }
-    tally "osiris_kernel_syscalls_total": "User syscalls submitted" { syscalls }
-    tally "osiris_kernel_timers_fired_total": "Timer events fired" { timers_fired }
+    counter "osiris_kernel_syscalls_total": "User syscalls submitted" { syscalls }
+    counter "osiris_kernel_timers_fired_total": "Timer events fired" { timers_fired }
     counter "osiris_kernel_hangs_total": "Components detected hung" { hangs }
     counter "osiris_kernel_recoveries_total": "Recoveries executed, by action" {
         recovered_rollback("action" = "rollback"),
@@ -199,7 +184,8 @@ series_table! {
         image_ok("kind" = "image", "result" = "ok"),
         image_corrupt("kind" = "image", "result" = "corrupt"),
     }
-    // Content-addressed clone-pool series:
+    // Content-addressed clone-pool series (the first three computed by
+    // `view` from the store):
     gauge "osiris_cas_chunks": "Chunks resident in the content-addressed clone-pool store" {
         cas_chunks
     }
@@ -218,8 +204,8 @@ series_table! {
         pool_refreshed("result" = "refreshed"),
         pool_refresh_skipped("result" = "skipped"),
     }
-    // Axiom-log series:
-    tally "osiris_axiom_events_total":
+    // Axiom-log series (`osiris_axiom_bytes` computed by `view`):
+    counter "osiris_axiom_events_total":
         "Control-plane events folded into the axiom control state" { axiom_events }
     gauge "osiris_axiom_bytes": "Serialized size of the recorded axiom log" { axiom_bytes }
     counter "osiris_axiom_chain_verifications_total":
@@ -233,23 +219,23 @@ series_table! {
     }
     // Causal request-span series (end-to-end latency attribution, split by
     // whether the request overlapped a crash capture or recovery):
-    tally "osiris_span_started_total": "Causal request spans minted at workload entry points" {
+    counter "osiris_span_started_total": "Causal request spans minted at workload entry points" {
         spans_started
     }
-    tally "osiris_span_completed_total": "Causal request spans closed, by recovery overlap" {
+    counter "osiris_span_completed_total": "Causal request spans closed, by recovery overlap" {
         spans_completed_none("overlap" = "none"),
         spans_completed_recovery("overlap" = "recovery"),
     }
-    dist "osiris_span_latency_cycles":
+    hist "osiris_span_latency_cycles":
         "End-to-end virtual cycles per request span, by recovery overlap" {
         span_latency_none("overlap" = "none"),
         span_latency_recovery("overlap" = "recovery"),
     }
-    tally "osiris_span_hops_total": "Span-carrying message deliveries (causal hops)" {
+    counter "osiris_span_hops_total": "Span-carrying message deliveries (causal hops)" {
         span_hops
     }
     // Virtual-time watchdog series (fail-silent fault tolerance):
-    tally "osiris_watchdog_armed_total": "Watchdog deadlines armed on bounded requests" {
+    counter "osiris_watchdog_armed_total": "Watchdog deadlines armed on bounded requests" {
         wd_armed_total
     }
     counter "osiris_watchdog_deadline_expired_total":
@@ -283,153 +269,148 @@ impl KernelCounters {
     /// of `timeseries.json`.
     pub(super) fn track_sampled(&self, sampler: &mut TimeseriesSampler) {
         macro_rules! track {
-            ($method:ident $field:ident $reader:ident) => {
-                sampler.$method(kernel_series_name!($field), self.$field.$reader())
+            ($method:ident $field:ident) => {
+                sampler.$method(kernel_series_name!($field), self.$field)
             };
         }
-        track!(track_hist span_latency_none reader);
-        track!(track_hist span_latency_recovery reader);
-        track!(track_counter spans_started reader);
-        track!(track_counter spans_completed_none reader);
-        track!(track_counter spans_completed_recovery reader);
-        track!(track_counter recovery_cycles clone);
-        track!(track_counter hangs clone);
-        track!(track_counter axiom_events reader);
+        track!(track_hist span_latency_none);
+        track!(track_hist span_latency_recovery);
+        track!(track_counter spans_started);
+        track!(track_counter spans_completed_none);
+        track!(track_counter spans_completed_recovery);
+        track!(track_counter recovery_cycles);
+        track!(track_counter hangs);
+        track!(track_counter axiom_events);
     }
 }
 
 impl<P: Protocol> Kernel<P> {
-    /// Writes the kernel's plain per-message series (`tally` and `dist`
-    /// rows) into their registry slots. Runs wherever something is about to
-    /// read the registry: [`Kernel::sync_registry`], [`Kernel::metrics`],
-    /// [`Kernel::metrics_handle`], a due telemetry sample, a snapshot
-    /// capture.
-    pub(super) fn publish(&self) {
-        self.counters.publish();
-        for c in &self.comps {
-            c.stats.publish();
-        }
+    /// The live registry: the schema, and every series the kernel writes as
+    /// events happen. The computed series read zero here; exposition goes
+    /// through [`Kernel::metrics_snapshot`].
+    pub fn registry(&self) -> &Registry {
+        &self.metrics
     }
 
-    /// Takes the plain series back from the registry after it was reset
-    /// (boot barrier) or restored (snapshot adoption).
-    pub(super) fn reload_published(&mut self) {
-        self.counters.reload();
-        for c in &mut self.comps {
-            c.stats.reload();
-        }
-    }
-
-    /// System-wide metrics, assembled as a view over the registry. The
-    /// crash total is derived from the per-component crash counters — the
+    /// System-wide metrics, read from the registry. The crash and
+    /// quarantine totals are sums over the per-component counters — the
     /// kernel keeps no separate tally.
     pub fn metrics(&self) -> KernelMetrics {
-        self.publish();
-        let c = &self.counters;
+        let (m, c) = (&self.metrics, &self.counters);
+        let over_comps = |series: fn(&CompStats) -> CounterId| {
+            self.comps.iter().map(|c| m.total(series(&c.stats))).sum()
+        };
         KernelMetrics {
-            ipc_delivered: c.ipc_delivered.published(),
-            syscalls: c.syscalls.published(),
-            timers_fired: c.timers_fired.published(),
-            crashes: self.comps.iter().map(|c| c.stats.crashes.get()).sum(),
-            quarantines: self.comps.iter().map(|c| c.stats.quarantines.get()).sum(),
-            hangs: c.hangs.get(),
-            recovered_rollback: c.recovered_rollback.get(),
-            recovered_fresh: c.recovered_fresh.get(),
-            recovered_naive: c.recovered_naive.get(),
-            recovered_quiescent: c.recovered_quiescent.get(),
-            controlled_shutdowns: c.controlled_shutdowns.get(),
-            recovery_cycles: c.recovery_cycles.get(),
-            wd_armed: c.wd_armed_total.published(),
-            wd_expired: c.wd_expired.get(),
-            wd_probes: c.wd_probes.get(),
-            wd_verdicts: c.wd_verdict_hung.get()
-                + c.wd_verdict_slow.get()
-                + c.wd_verdict_reply_lost.get()
-                + c.wd_verdict_corrupt.get(),
-            wd_replies_rejected: c.wd_replies_rejected.get(),
-            retries_granted: c.retry_granted.get(),
-            retries_denied: c.retry_denied.get(),
-            retries_exhausted: c.retry_exhausted.get(),
+            ipc_delivered: m.total(c.ipc_delivered),
+            syscalls: m.total(c.syscalls),
+            timers_fired: m.total(c.timers_fired),
+            crashes: over_comps(|s| s.crashes),
+            quarantines: over_comps(|s| s.quarantines),
+            hangs: m.total(c.hangs),
+            recovered_rollback: m.total(c.recovered_rollback),
+            recovered_fresh: m.total(c.recovered_fresh),
+            recovered_naive: m.total(c.recovered_naive),
+            recovered_quiescent: m.total(c.recovered_quiescent),
+            controlled_shutdowns: m.total(c.controlled_shutdowns),
+            recovery_cycles: m.total(c.recovery_cycles),
+            wd_armed: m.total(c.wd_armed_total),
+            wd_expired: m.total(c.wd_expired),
+            wd_probes: m.total(c.wd_probes),
+            wd_verdicts: m.total(c.wd_verdict_hung)
+                + m.total(c.wd_verdict_slow)
+                + m.total(c.wd_verdict_reply_lost)
+                + m.total(c.wd_verdict_corrupt),
+            wd_replies_rejected: m.total(c.wd_replies_rejected),
+            retries_granted: m.total(c.retry_granted),
+            retries_denied: m.total(c.retry_denied),
+            retries_exhausted: m.total(c.retry_exhausted),
         }
     }
 
-    /// Refreshes the registry series that mirror state kept elsewhere as
-    /// plain fields: the kernel's own per-message series, heap residency
-    /// and checkpoint tallies, and window coverage counters. Call before
-    /// exporting; [`Kernel::component_reports`] does it automatically.
-    pub fn sync_registry(&self) {
-        self.publish();
-        self.counters.axiom_bytes.set(if self.axiom.enabled() {
-            self.axiom.bytes_len() as u64
-        } else {
-            0
-        });
-        self.counters.cas_chunks.set(self.cas.chunk_count() as u64);
-        self.counters
-            .cas_bytes
-            .set(self.cas.resident_bytes() as u64);
-        self.counters
-            .cas_dedup_hits
-            .set_total(self.cas.dedup_hits());
+    /// The registry's values as a reader sees them: what the kernel
+    /// recorded, plus the series whose value lives elsewhere — axiom size,
+    /// clone-pool residency, heap residency and write tallies, window
+    /// coverage — computed now from their owners. Like every write, these
+    /// stay zero in a disabled registry.
+    fn view(&self) -> Values {
+        let mut v = self.metrics.values().clone();
+        let k = &self.counters;
+        if self.axiom.enabled() {
+            v.set(k.axiom_bytes, self.axiom.bytes_len() as u64);
+        }
+        v.set(k.cas_chunks, self.cas.chunk_count() as u64);
+        v.set(k.cas_bytes, self.cas.resident_bytes() as u64);
+        v.add(k.cas_dedup_hits, self.cas.dedup_hits());
         // Attribute each store chunk's resident bytes to the first image
         // (in endpoint order) that references it: per-component deduped
         // cost, summing to the store's resident total.
         let mut seen: BTreeSet<u64> = BTreeSet::new();
         for c in &self.comps {
-            let h = c.heap.stats();
-            c.stats.heap_bytes.set(c.heap.resident_bytes() as u64);
-            c.stats
-                .clone_bytes
-                .set(c.pristine_image.as_ref().map(|i| i.bytes()).unwrap_or(0) as u64);
-            let dedup: usize = c
-                .pristine_image
-                .as_ref()
-                .map(|i| {
-                    i.chunk_refs()
-                        .filter(|d| seen.insert(*d))
-                        .map(|d| self.cas.chunk_bytes(d).unwrap_or(0))
-                        .sum()
-                })
-                .unwrap_or(0);
-            c.stats.clone_dedup_bytes.set(dedup as u64);
-            c.stats
-                .undo_window_peak_bytes
-                .set(h.undo_bytes_window_peak.max(h.undo_bytes_peak) as u64);
-            c.stats.writes.set_total(h.writes);
-            c.stats.undo_appends.set_total(h.undo_appends);
-            c.stats.coalesced_writes.set_total(h.coalesced_writes);
-            let w = c.window.stats();
-            c.stats.window_opens.set_total(w.opens);
-            c.stats.window_rollbacks.set_total(w.rollbacks);
+            let (s, h, w) = (&c.stats, c.heap.stats(), c.window.stats());
+            let image = c.pristine_image.as_ref();
+            v.set(s.heap_bytes, c.heap.resident_bytes() as u64);
+            v.set(s.clone_bytes, image.map_or(0, |i| i.bytes()) as u64);
+            let dedup: usize = image.map_or(0, |i| {
+                i.chunk_refs()
+                    .filter(|d| seen.insert(*d))
+                    .map(|d| self.cas.chunk_bytes(d).unwrap_or(0))
+                    .sum()
+            });
+            v.set(s.clone_dedup_bytes, dedup as u64);
+            v.set(
+                s.undo_window_peak_bytes,
+                h.undo_bytes_window_peak.max(h.undo_bytes_peak) as u64,
+            );
+            v.add(s.writes, h.writes);
+            v.add(s.undo_appends, h.undo_appends);
+            v.add(s.coalesced_writes, h.coalesced_writes);
+            v.add(s.window_opens, w.opens);
+            v.add(s.window_rollbacks, w.rollbacks);
         }
+        v
     }
 
-    /// Per-component reports for the evaluation tables: views assembled
-    /// from the metrics registry (live counters and histograms) plus the
-    /// window and heap state the registry mirrors.
+    /// A deep copy of every family for exposition, computed series
+    /// included.
+    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
+        self.metrics.snapshot_of(&self.view())
+    }
+
+    /// End-to-end request-latency digests: spans that never overlapped a
+    /// recovery, then spans that crossed a crash capture or recovery.
+    pub fn span_latency(&self) -> [HistSummary; 2] {
+        let c = &self.counters;
+        [c.span_latency_none, c.span_latency_recovery].map(|h| self.metrics.histogram(h).summary())
+    }
+
+    /// Per-component reports for the evaluation tables: the registry's
+    /// series, computed ones included, plus the window state.
     pub fn component_reports(&self) -> Vec<ComponentReport> {
-        self.sync_registry();
+        let v = self.view();
         self.comps
             .iter()
             .enumerate()
-            .map(|(i, c)| ComponentReport {
-                name: c.name,
-                endpoint: i as u8,
-                window: *c.window.stats(),
-                cycles: c.stats.cycles.published(),
-                messages: c.stats.messages.published(),
-                heap_bytes: c.stats.heap_bytes.get() as usize,
-                clone_bytes: c.stats.clone_bytes.get() as usize,
-                clone_dedup_bytes: c.stats.clone_dedup_bytes.get() as usize,
-                undo_window_peak_bytes: c.stats.undo_window_peak_bytes.get() as usize,
-                recovery_latency: c.stats.recovery_hist.summary(),
-                window_cycles: c.stats.window_hist.published_summary(),
-                undo_window_bytes: c.stats.undo_hist.published_summary(),
-                writes: c.stats.writes.get(),
-                undo_appends: c.stats.undo_appends.get(),
-                coalesced_writes: c.stats.coalesced_writes.get(),
-                crashes: c.stats.crashes.get(),
-                recoveries: c.stats.recoveries.get(),
+            .map(|(i, c)| {
+                let s = &c.stats;
+                ComponentReport {
+                    name: c.name,
+                    endpoint: i as u8,
+                    window: *c.window.stats(),
+                    cycles: v.total(s.cycles),
+                    messages: v.total(s.messages),
+                    heap_bytes: v.level(s.heap_bytes) as usize,
+                    clone_bytes: v.level(s.clone_bytes) as usize,
+                    clone_dedup_bytes: v.level(s.clone_dedup_bytes) as usize,
+                    undo_window_peak_bytes: v.level(s.undo_window_peak_bytes) as usize,
+                    recovery_latency: v.histogram(s.recovery_hist).summary(),
+                    window_cycles: v.histogram(s.window_hist).summary(),
+                    undo_window_bytes: v.histogram(s.undo_hist).summary(),
+                    writes: v.total(s.writes),
+                    undo_appends: v.total(s.undo_appends),
+                    coalesced_writes: v.total(s.coalesced_writes),
+                    crashes: v.total(s.crashes),
+                    recoveries: v.total(s.recoveries),
+                }
             })
             .collect()
     }
@@ -462,8 +443,7 @@ mod tests {
         let mut kernel: Kernel<P> = Kernel::new(Default::default());
         kernel.register(Box::new(Idle), false);
         kernel.init_components();
-        kernel.sync_registry();
-        let prom = kernel.metrics_handle().prometheus();
+        let prom = osiris_metrics::render_prometheus(&kernel.metrics_snapshot());
         osiris_metrics::validate_prometheus(&prom).expect("exposition must lint");
         let mut from = 0;
         for family in KernelCounters::FAMILIES.iter().chain(CompStats::FAMILIES) {

@@ -33,7 +33,7 @@ use osiris_axiom::{
 };
 use osiris_checkpoint::{ChunkStore, Heap, HeapImage};
 use osiris_core::{MessageKind, RecoveryPolicy, RecoveryWindow};
-use osiris_metrics::{MetricsConfig, MetricsHandle, TimeseriesConfig, TimeseriesSampler};
+use osiris_metrics::{MetricsConfig, Registry, TimeseriesConfig, TimeseriesSampler};
 use osiris_trace::{TraceConfig, TraceEvent, TraceHandle, KERNEL_COMP};
 
 use self::counters::{CompStats, KernelCounters};
@@ -73,7 +73,7 @@ pub struct KernelConfig {
     pub trace: TraceConfig,
     /// Metrics-registry configuration. Enabled by default: the kernel's own
     /// accounting ([`crate::KernelMetrics`], [`crate::ComponentReport`])
-    /// reads from the registry, so disabling it also zeroes those views.
+    /// reads from the registry, so disabling it also zeroes those reports.
     pub metrics: MetricsConfig,
     /// Axiom-log configuration. The kernel *always* folds control-plane
     /// events into its live [`ControlState`] (that fold is the control
@@ -186,7 +186,8 @@ pub struct Kernel<P: Protocol> {
     /// clone image: identical chunks across components are stored once and
     /// refcounted, so the spare-copy pool's resident cost is deduplicated.
     cas: ChunkStore,
-    metrics: MetricsHandle,
+    /// Every number the kernel reports, written where the event happens.
+    metrics: Registry,
     counters: KernelCounters,
     /// Virtual-time telemetry: Δ-cycle snapshots of the latency/crash/
     /// recovery series, exported as `timeseries.json` and Chrome counter
@@ -286,8 +287,8 @@ impl<P: Protocol> Kernel<P> {
     /// Creates a kernel with the given configuration.
     pub fn new(cfg: KernelConfig) -> Self {
         let tracer = TraceHandle::new(cfg.trace.clone());
-        let metrics = MetricsHandle::new(cfg.metrics);
-        let counters = KernelCounters::register(&metrics, &[]);
+        let mut metrics = Registry::new(cfg.metrics);
+        let counters = KernelCounters::register(&mut metrics, &[]);
         let axiom = AxiomLog::new(cfg.axiom);
         let mut sampler = TimeseriesSampler::new(cfg.timeseries);
         if cfg.timeseries.enabled {
@@ -364,8 +365,7 @@ impl<P: Protocol> Kernel<P> {
     /// run-end state always appears in the export. Call before rendering
     /// [`Kernel::timeseries`].
     pub fn flush_timeseries(&mut self) {
-        self.publish();
-        self.sampler.sample(self.clock.now());
+        self.sampler.sample(self.clock.now(), &self.metrics);
     }
 
     /// The post-mortem black box: the last configured number of events per
@@ -392,7 +392,7 @@ impl<P: Protocol> Kernel<P> {
         let now = self.clock.now();
         self.control.apply(now, &event);
         self.axiom.append(now, event);
-        self.counters.axiom_events.inc();
+        self.metrics.inc(self.counters.axiom_events);
     }
 
     /// Seals the window close that component `idx`'s last `complete`,
@@ -439,12 +439,12 @@ impl<P: Protocol> Kernel<P> {
 
     /// Verifies the recorded axiom's digest chain end to end, counting the
     /// check in `osiris_axiom_chain_verifications_total`.
-    pub fn verify_axiom(&self) -> Result<(), AxiomError> {
+    pub fn verify_axiom(&mut self) -> Result<(), AxiomError> {
         let verdict = self.axiom.verify();
-        match verdict {
-            Ok(()) => self.counters.axiom_chain_ok.inc(),
-            Err(_) => self.counters.axiom_chain_corrupt.inc(),
-        }
+        self.metrics.inc(match verdict {
+            Ok(()) => self.counters.axiom_chain_ok,
+            Err(_) => self.counters.axiom_chain_corrupt,
+        });
         verdict
     }
 
@@ -452,10 +452,10 @@ impl<P: Protocol> Kernel<P> {
     /// returns the first diverging event, counting any divergence in
     /// `osiris_axiom_replay_divergence_total`. `None` means this run
     /// re-derived the recorded history exactly.
-    pub fn check_replay_divergence(&self, recorded: &[AxiomRecord]) -> Option<Divergence> {
+    pub fn check_replay_divergence(&mut self, recorded: &[AxiomRecord]) -> Option<Divergence> {
         let d = bisect(self.axiom.records(), recorded);
         if d.is_some() {
-            self.counters.axiom_replay_divergence.inc();
+            self.metrics.inc(self.counters.axiom_replay_divergence);
         }
         d
     }
@@ -483,7 +483,8 @@ impl<P: Protocol> Kernel<P> {
         let mut heap = Heap::new(name);
         heap.set_tracer(self.tracer.clone(), idx);
         let ep = idx.to_string();
-        let stats = CompStats::register(&self.metrics, &[("component", name), ("endpoint", &ep)]);
+        let stats =
+            CompStats::register(&mut self.metrics, &[("component", name), ("endpoint", &ep)]);
         self.comps.push(Comp {
             name,
             server,
@@ -533,7 +534,6 @@ impl<P: Protocol> Kernel<P> {
             comp.window.reset_stats();
         }
         self.metrics.reset();
-        self.reload_published();
         self.tracer.set_now(self.clock.now());
         self.tracer.clear();
         // Span ids and the recovery epoch restart at the boot barrier so
@@ -625,15 +625,6 @@ impl<P: Protocol> Kernel<P> {
         }
     }
 
-    /// The metrics registry backing every counter this kernel maintains,
-    /// with the kernel's plain per-message series published into it first.
-    /// The mirrored heap and window series additionally need
-    /// [`Kernel::sync_registry`].
-    pub fn metrics_handle(&self) -> &MetricsHandle {
-        self.publish();
-        &self.metrics
-    }
-
     /// Mints a kernel-originated message to component `dst` (timer
     /// payloads, crash notifications): no requester, no reply expected, no
     /// integrity stamp.
@@ -662,7 +653,7 @@ impl<P: Protocol> Kernel<P> {
         let Endpoint::Component(c) = dst else {
             panic!("user requests must target components")
         };
-        self.counters.syscalls.inc();
+        self.metrics.inc(self.counters.syscalls);
         if let Some((_, budget)) = &mut self.shutdown_pending {
             *budget = budget.saturating_sub(1);
         }
@@ -679,8 +670,8 @@ impl<P: Protocol> Kernel<P> {
         // timer and continuation derived from this request will carry. The
         // id is minted unconditionally (message identity must not depend on
         // whether telemetry is on); the recording decision is sampled once
-        // here and carried in the span, so hop and close sites branch on a
-        // plain bool instead of the handles' shared atomics.
+        // here and carried in the span, so hop and close sites branch on
+        // one bool.
         self.next_span_id += 1;
         let span = SpanInfo {
             id: self.next_span_id,
@@ -689,7 +680,7 @@ impl<P: Protocol> Kernel<P> {
             record: self.tracer.is_enabled() || self.metrics.enabled(),
         };
         if span.record {
-            self.counters.spans_started.inc();
+            self.metrics.inc(self.counters.spans_started);
             self.tracer.emit(
                 KERNEL_COMP,
                 TraceEvent::SpanOpen {
@@ -753,7 +744,7 @@ impl<P: Protocol> Kernel<P> {
         let (dst, span, payload) = self.timers.remove(&key).expect("timer key just observed");
         self.clock.advance_to(key.0);
         self.tracer.set_now(self.clock.now());
-        self.counters.timers_fired.inc();
+        self.metrics.inc(self.counters.timers_fired);
         let msg = self.kernel_msg(dst, span, payload);
         self.comps[dst as usize].inbox.push_back(msg);
     }
@@ -787,12 +778,9 @@ impl<P: Protocol> Kernel<P> {
                 .pop_front()
                 .expect("picked component has mail");
             self.process_message(idx, msg);
-            // Telemetry tick: one branch when disabled, one publish and one
-            // snapshot per crossed Δ-grid point when enabled.
-            if self.sampler.due(self.clock.now()) {
-                self.counters.publish();
-                self.sampler.maybe_sample(self.clock.now());
-            }
+            // Telemetry tick: one branch when disabled, one sample per
+            // crossed Δ-grid point when enabled.
+            self.sampler.maybe_sample(self.clock.now(), &self.metrics);
         }
     }
 
@@ -882,7 +870,7 @@ impl<P: Protocol> Kernel<P> {
     }
 
     fn process_message(&mut self, idx: usize, msg: Message<P>) {
-        self.counters.ipc_delivered.inc();
+        self.metrics.inc(self.counters.ipc_delivered);
         let checkpointing = self.cfg.policy.checkpointing();
         let deliver_cost = cost::IPC_DELIVER + cost::HANDLER_BASE;
         self.clock.advance(deliver_cost);
@@ -895,14 +883,14 @@ impl<P: Protocol> Kernel<P> {
         self.tracer
             .emit(idx as u8, TraceEvent::IpcDeliver { src, msg_id });
         if let Some(span) = msg.span.filter(|s| s.record) {
-            self.counters.span_hops.inc();
+            self.metrics.inc(self.counters.span_hops);
             let span = span.id;
             self.tracer
                 .emit(idx as u8, TraceEvent::SpanHop { span, src, msg_id });
         }
 
         let comp = &mut self.comps[idx];
-        comp.stats.messages.inc();
+        self.metrics.inc(comp.stats.messages);
         // Top of the request-processing loop: open the recovery window
         // (taking a checkpoint) — or mark the request unprotected for
         // baseline policies that do no checkpointing.
@@ -961,7 +949,8 @@ impl<P: Protocol> Kernel<P> {
         let write_cost_out = (writes - logged) * cost::MEM_WRITE;
         comp.window.charge_split(write_cost_in, write_cost_out);
         let handler_cycles = cycles + write_cost_in + write_cost_out;
-        comp.stats.cycles.add(handler_cycles + deliver_cost);
+        self.metrics
+            .add(comp.stats.cycles, handler_cycles + deliver_cost);
         self.clock.advance(handler_cycles);
         self.tracer.set_now(self.clock.now());
 
@@ -975,12 +964,14 @@ impl<P: Protocol> Kernel<P> {
                 let comp = &mut self.comps[idx];
                 if checkpointing {
                     comp.window.complete(&mut comp.heap);
-                    comp.stats
-                        .window_hist
-                        .observe(comp.window.stats().cycles_in - cycles_in_before);
-                    comp.stats
-                        .undo_hist
-                        .observe(comp.heap.stats().undo_bytes_appended - undo_bytes_before);
+                    self.metrics.observe(
+                        comp.stats.window_hist,
+                        comp.window.stats().cycles_in - cycles_in_before,
+                    );
+                    self.metrics.observe(
+                        comp.stats.undo_hist,
+                        comp.heap.stats().undo_bytes_appended - undo_bytes_before,
+                    );
                 }
                 self.seal_staged_close(idx);
                 self.execute_priv_ops();
@@ -1007,13 +998,14 @@ impl<P: Protocol> Kernel<P> {
         };
         let crossed = span.epoch_at_open != self.recovery_epoch;
         let latency = self.clock.now().saturating_sub(span.opened_at);
-        if crossed {
-            self.counters.spans_completed_recovery.inc();
-            self.counters.span_latency_recovery.observe(latency);
+        let c = &self.counters;
+        let (completed, hist) = if crossed {
+            (c.spans_completed_recovery, c.span_latency_recovery)
         } else {
-            self.counters.spans_completed_none.inc();
-            self.counters.span_latency_none.observe(latency);
-        }
+            (c.spans_completed_none, c.span_latency_none)
+        };
+        self.metrics.inc(completed);
+        self.metrics.observe(hist, latency);
         self.tracer.emit(
             KERNEL_COMP,
             TraceEvent::SpanClose {

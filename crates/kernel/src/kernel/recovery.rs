@@ -12,10 +12,10 @@ use osiris_core::{
     decide_recovery, fallback_action, CrashContext, MessageKind, RecoveryAction, RecoveryDecision,
     RecoveryWindow,
 };
-use osiris_metrics::Counter;
+use osiris_metrics::{CounterId, Registry};
 use osiris_trace::{TraceEvent, KERNEL_COMP};
 
-use super::{Comp, CompStatus, Kernel};
+use super::{CompStatus, Kernel};
 use crate::abi::{Errno, SysReply};
 use crate::clock::cost;
 use crate::component::{FaultEffect, IntentPhase, PrivOp, Probe, SiteKind};
@@ -67,29 +67,32 @@ impl<P> PendingCrash<P> {
 const MAX_INTENT_REPLAYS: u32 = 2;
 
 /// Counts one pre-recovery integrity check and reports whether it passed.
-fn integrity_ok<E>(check: Result<(), E>, ok: &Counter, corrupt: &Counter) -> bool {
-    match check {
-        Ok(()) => ok.inc(),
-        Err(_) => corrupt.inc(),
-    }
+fn integrity_ok<E>(
+    metrics: &mut Registry,
+    check: Result<(), E>,
+    ok: CounterId,
+    corrupt: CounterId,
+) -> bool {
+    metrics.inc(if check.is_ok() { ok } else { corrupt });
     check.is_ok()
 }
 
-impl<P: Protocol> Comp<P> {
+impl<P: Protocol> Kernel<P> {
     /// The tail every recovering action shares: a fresh server object cloned
-    /// from the pristine one, re-bound to the heap as the action left it.
-    fn restart_server(&mut self) {
-        self.server = self
+    /// from the pristine one, re-bound to the heap as the action left it,
+    /// counted as a recovery of the component and under its `action`.
+    fn restart_server(&mut self, t: usize, action: CounterId) {
+        let comp = &mut self.comps[t];
+        comp.server = comp
             .pristine_server
             .as_ref()
             .expect("pristine captured at init")
             .clone_box();
-        self.server.on_restore(&mut self.heap);
-        self.stats.recoveries.inc();
+        comp.server.on_restore(&mut comp.heap);
+        self.metrics.inc(comp.stats.recoveries);
+        self.metrics.inc(action);
     }
-}
 
-impl<P: Protocol> Kernel<P> {
     /// Crash capture: component `idx`'s handler unwound while serving `msg`
     /// (`hung` when the panic was an injected wedge rather than a fail-stop
     /// crash). Freezes the crash-time facts and starts the recovery.
@@ -110,7 +113,7 @@ impl<P: Protocol> Kernel<P> {
         if hung {
             // The component is wedged: it stops processing messages until
             // the Recovery Server's heartbeat declares it dead.
-            self.counters.hangs.inc();
+            self.metrics.inc(self.counters.hangs);
             self.seal(AxiomEvent::HangDetected { comp: idx as u8 });
             let in_recovery_code = self.recovering.is_some();
             let comp = &mut self.comps[idx];
@@ -122,7 +125,7 @@ impl<P: Protocol> Kernel<P> {
                 in_recovery_code,
             ));
         } else {
-            self.comps[idx].stats.crashes.inc();
+            self.metrics.inc(self.comps[idx].stats.crashes);
             self.seal(AxiomEvent::Crash { comp: idx as u8 });
             self.handle_crash(idx, msg, reply_possible);
         }
@@ -167,7 +170,7 @@ impl<P: Protocol> Kernel<P> {
     pub(super) fn mark_crashed(&mut self, target: u8) {
         let comp = &mut self.comps[target as usize];
         comp.status = CompStatus::Crashed;
-        comp.stats.crashes.inc();
+        self.metrics.inc(comp.stats.crashes);
         self.seal(AxiomEvent::Crash { comp: target });
     }
 
@@ -230,7 +233,7 @@ impl<P: Protocol> Kernel<P> {
             self.tracer.set_now(self.clock.now());
             self.seal(AxiomEvent::IntentReplayed { comp: target });
             if self.control.intent(target).replays <= MAX_INTENT_REPLAYS {
-                self.counters.intent_replays.inc();
+                self.metrics.inc(self.counters.intent_replays);
                 if self.recovering.is_none() {
                     self.recovering = Some(target);
                 }
@@ -240,7 +243,7 @@ impl<P: Protocol> Kernel<P> {
                 // The RS keeps dying while conducting this recovery
                 // (a persistent fault in its conduct path): stop trusting it
                 // with this target and complete the recovery directly.
-                self.counters.intent_completed.inc();
+                self.metrics.inc(self.counters.intent_completed);
                 self.recovering = Some(target);
                 self.execute_recovery(target);
             }
@@ -276,7 +279,7 @@ impl<P: Protocol> Kernel<P> {
                     }
                 }
                 PrivOp::ControlledShutdown { reason } => {
-                    self.counters.controlled_shutdowns.inc();
+                    self.metrics.inc(self.counters.controlled_shutdowns);
                     self.begin_controlled_shutdown(reason.to_string());
                 }
                 PrivOp::Quarantine { target } => self.execute_quarantine(target),
@@ -300,19 +303,18 @@ impl<P: Protocol> Kernel<P> {
                         backoff,
                         exhausted,
                     });
-                    let stats = &self.comps[target as usize].stats;
-                    stats
-                        .escalation_restarts_window
-                        .set(restarts_in_window as u64);
+                    let stats = self.comps[target as usize].stats;
+                    self.metrics
+                        .set(stats.escalation_restarts_window, restarts_in_window as u64);
                     self.tracer.set_now(self.clock.now());
                     if backoff > 0 {
-                        stats.escalation_backoff_arms.inc();
+                        self.metrics.inc(stats.escalation_backoff_arms);
                         let delay = backoff;
                         self.tracer
                             .emit(KERNEL_COMP, TraceEvent::BackoffArmed { target, delay });
                     }
                     if exhausted {
-                        stats.escalation_budget_exhausted.inc();
+                        self.metrics.inc(stats.escalation_budget_exhausted);
                         self.tracer
                             .emit(KERNEL_COMP, TraceEvent::BudgetExhausted { target });
                     }
@@ -334,6 +336,7 @@ impl<P: Protocol> Kernel<P> {
             comps,
             cas,
             counters,
+            metrics,
             ..
         } = self;
         let comp = &mut comps[target as usize];
@@ -341,14 +344,14 @@ impl<P: Protocol> Kernel<P> {
             Some(prev) if comp.status == CompStatus::Alive && comp.heap.clean_for(&prev) => prev,
             kept => {
                 comp.pristine_image = kept;
-                counters.pool_refresh_skipped.inc();
+                metrics.inc(counters.pool_refresh_skipped);
                 return false;
             }
         };
         let fresh = comp.heap.clone_image(cas, Some(&prev));
         prev.release(cas);
         comp.pristine_image = Some(fresh);
-        counters.pool_refreshed.inc();
+        metrics.inc(counters.pool_refreshed);
         true
     }
 
@@ -363,7 +366,7 @@ impl<P: Protocol> Kernel<P> {
             self.send_crash_reply(target, pending.msg);
         }
         self.comps[t].status = CompStatus::Quarantined;
-        self.comps[t].stats.quarantines.inc();
+        self.metrics.inc(self.comps[t].stats.quarantines);
         // A benched component will never be restarted: return its clone
         // image's chunk references to the pool so shared chunks survive
         // only as long as some live component still needs them.
@@ -388,7 +391,7 @@ impl<P: Protocol> Kernel<P> {
             }
             while let Some(msg) = self.comps[idx].inbox.pop_front() {
                 if msg.seep.kind == MessageKind::Request {
-                    self.comps[idx].stats.quarantine_refusals.inc();
+                    self.metrics.inc(self.comps[idx].stats.quarantine_refusals);
                     self.tracer.set_now(self.clock.now());
                     self.send_crash_reply(idx as u8, msg);
                 }
@@ -429,12 +432,12 @@ impl<P: Protocol> Kernel<P> {
     fn note_fallback(&mut self, action: &mut RecoveryAction, target: u8) {
         let from = *action;
         let to = fallback_action(from).expect("terminal recovery actions have no phase to fail");
-        match from {
+        self.metrics.inc(match from {
             RecoveryAction::RollbackAndErrorReply | RecoveryAction::RollbackAndKillRequester => {
-                self.counters.fb_rollback_fresh.inc()
+                self.counters.fb_rollback_fresh
             }
-            _ => self.counters.fb_fresh_shutdown.inc(),
-        }
+            _ => self.counters.fb_fresh_shutdown,
+        });
         self.tracer.set_now(self.clock.now());
         self.seal_fallback(target, from, to);
         *action = to;
@@ -487,7 +490,7 @@ impl<P: Protocol> Kernel<P> {
             // code under the single-fault model. The kernel's intent log
             // makes the interrupted conduct re-drivable, so the crashed RS
             // can be fresh-restarted instead of taking the system down.
-            self.counters.fb_crash_fresh.inc();
+            self.metrics.inc(self.counters.fb_crash_fresh);
             self.seal_fallback(
                 target,
                 RecoveryAction::UncontrolledCrash,
@@ -507,9 +510,10 @@ impl<P: Protocol> Kernel<P> {
                 RecoveryAction::RollbackAndErrorReply
                 | RecoveryAction::RollbackAndKillRequester => {
                     let journal_ok = integrity_ok(
+                        &mut self.metrics,
                         self.comps[t].heap.verify_journal(),
-                        &self.counters.journal_ok,
-                        &self.counters.journal_corrupt,
+                        self.counters.journal_ok,
+                        self.counters.journal_corrupt,
                     );
                     if !journal_ok || self.recovery_phase_faulted("kernel.recovery.rollback") {
                         self.note_fallback(&mut action, target);
@@ -528,8 +532,7 @@ impl<P: Protocol> Kernel<P> {
                     // Rollback phase: apply the undo log in reverse.
                     recovery_cycles += comp.heap.log_len() as u64 * cost::UNDO_ROLLBACK;
                     comp.window.rollback(&mut comp.heap);
-                    comp.restart_server();
-                    self.counters.recovered_rollback.inc();
+                    self.restart_server(t, self.counters.recovered_rollback);
                     break;
                 }
                 RecoveryAction::FreshRestart => {
@@ -538,9 +541,10 @@ impl<P: Protocol> Kernel<P> {
                         .as_ref()
                         .expect("pristine captured at init");
                     let image_ok = integrity_ok(
+                        &mut self.metrics,
                         image.verify(),
-                        &self.counters.image_ok,
-                        &self.counters.image_corrupt,
+                        self.counters.image_ok,
+                        self.counters.image_corrupt,
                     );
                     if !image_ok || self.recovery_phase_faulted("kernel.recovery.restart") {
                         self.note_fallback(&mut action, target);
@@ -557,12 +561,14 @@ impl<P: Protocol> Kernel<P> {
                         .as_ref()
                         .expect("pristine captured at init");
                     let Ok(stats) = comp.heap.restore_image(image, &self.cas) else {
-                        self.counters.image_corrupt.inc();
+                        self.metrics.inc(self.counters.image_corrupt);
                         self.note_fallback(&mut action, target);
                         continue;
                     };
-                    self.counters.restart_chunks_clean.add(stats.clean_chunks);
-                    self.counters.restart_chunks_dirty.add(stats.dirty_chunks);
+                    self.metrics
+                        .add(self.counters.restart_chunks_clean, stats.clean_chunks);
+                    self.metrics
+                        .add(self.counters.restart_chunks_dirty, stats.dirty_chunks);
                     // Restart cost is proportional to the bytes actually
                     // copied, not to the resident heap size.
                     recovery_cycles += cost::RESTART_BASE
@@ -577,24 +583,25 @@ impl<P: Protocol> Kernel<P> {
                         },
                     );
                     comp.window.complete(&mut comp.heap);
-                    comp.restart_server();
-                    self.counters.recovered_fresh.inc();
+                    self.restart_server(t, self.counters.recovered_fresh);
                     break;
                 }
                 RecoveryAction::ContinueAsIs => {
                     let comp = &mut self.comps[t];
                     recovery_cycles += cost::RESTART_BASE;
                     comp.window.complete(&mut comp.heap);
-                    comp.restart_server();
-                    if pending.quiescent {
-                        self.counters.recovered_quiescent.inc();
-                    } else {
-                        self.counters.recovered_naive.inc();
-                    }
+                    self.restart_server(
+                        t,
+                        if pending.quiescent {
+                            self.counters.recovered_quiescent
+                        } else {
+                            self.counters.recovered_naive
+                        },
+                    );
                     break;
                 }
                 RecoveryAction::ControlledShutdown => {
-                    self.counters.controlled_shutdowns.inc();
+                    self.metrics.inc(self.counters.controlled_shutdowns);
                     let reason = format!(
                         "unrecoverable crash in {} (window {}, reply {})",
                         self.comps[t].name,
@@ -647,7 +654,8 @@ impl<P: Protocol> Kernel<P> {
         }
 
         self.comps[t].status = CompStatus::Alive;
-        self.counters.recovery_cycles.add(recovery_cycles);
+        self.metrics
+            .add(self.counters.recovery_cycles, recovery_cycles);
         self.clock.advance(recovery_cycles);
         self.tracer.set_now(self.clock.now());
         // The rollback/complete above staged a window close for the
@@ -661,7 +669,8 @@ impl<P: Protocol> Kernel<P> {
         // A completed recovery also advances the epoch, so spans opened
         // while the recovery was in flight are flagged at close.
         self.recovery_epoch += 1;
-        self.comps[t].stats.recovery_hist.observe(recovery_cycles);
+        self.metrics
+            .observe(self.comps[t].stats.recovery_hist, recovery_cycles);
         self.recovering = None;
         self.resolve_intent(target);
 
@@ -673,9 +682,9 @@ impl<P: Protocol> Kernel<P> {
         // component is restored, but the only consistent global outcome
         // left is a controlled shutdown.
         if self.recovery_phase_faulted("kernel.recovery.reconcile") {
-            self.counters.fb_reconcile_shutdown.inc();
+            self.metrics.inc(self.counters.fb_reconcile_shutdown);
             self.seal_fallback(target, action, RecoveryAction::ControlledShutdown);
-            self.counters.controlled_shutdowns.inc();
+            self.metrics.inc(self.counters.controlled_shutdowns);
             self.begin_controlled_shutdown(format!(
                 "fault in reconciliation after recovering {}",
                 self.comps[t].name

@@ -8,7 +8,7 @@ use std::collections::{BTreeMap, VecDeque};
 use osiris_axiom::{AxiomLog, CompStatusCode, ControlState};
 use osiris_checkpoint::{ChunkStore, HeapImage, HeapStats, RestoreStats};
 use osiris_core::RecoveryWindow;
-use osiris_metrics::{MetricsSnapshot, TimeseriesState};
+use osiris_metrics::{TimeseriesState, Values};
 use osiris_trace::TracerState;
 
 use super::{CompStatus, Kernel};
@@ -81,7 +81,7 @@ pub struct KernelSnapshot<P: Protocol> {
     rr_cursor: usize,
     axiom: AxiomLog,
     control: ControlState,
-    metrics: MetricsSnapshot,
+    metrics: Values,
     tracer: TracerState,
     timeseries: TimeseriesState,
     cas: CasFingerprint,
@@ -200,7 +200,6 @@ impl<P: Protocol + Clone> Kernel<P> {
             self.wd.is_idle(),
             "snapshot with armed watchdog deadlines or parked retries"
         );
-        self.publish();
         let comps = self
             .comps
             .iter()
@@ -252,7 +251,7 @@ impl<P: Protocol + Clone> Kernel<P> {
             rr_cursor: self.rr_cursor,
             axiom: self.axiom.clone(),
             control: self.control.clone(),
-            metrics: self.metrics.snapshot(),
+            metrics: self.metrics.values().clone(),
             tracer: self.tracer.export_state(),
             timeseries: self.sampler.export_state(),
             cas: self.cas_fingerprint(),
@@ -359,8 +358,7 @@ impl<P: Protocol + Clone> Kernel<P> {
         self.hook = Box::new(NoFaults);
         self.axiom = snap.axiom.clone();
         self.control = snap.control.clone();
-        self.metrics.restore_from(&snap.metrics);
-        self.reload_published();
+        self.metrics.restore(&snap.metrics);
         self.tracer.restore_state(&snap.tracer);
         self.sampler.restore_state(&snap.timeseries);
         total

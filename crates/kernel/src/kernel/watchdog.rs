@@ -109,9 +109,6 @@ enum WdState {
         until: u64,
         /// Probe rounds already spent.
         probes: u32,
-        /// The component's message counter at the last check — the
-        /// progress signal the heartbeat protocol compares against.
-        progress_at: u64,
     },
     /// Verdict issued; the slot only waits for the recovery machinery's
     /// crash reply so the retry interception can find the arm metadata.
@@ -258,7 +255,7 @@ impl<P: Protocol> Kernel<P> {
         });
         self.wd.armed += 1;
         self.wd.next_due = self.wd.next_due.min(now + budget);
-        self.counters.wd_armed_total.inc();
+        self.metrics.inc(self.counters.wd_armed_total);
         self.tracer.emit(
             dst,
             TraceEvent::DeadlineArmed {
@@ -272,12 +269,12 @@ impl<P: Protocol> Kernel<P> {
     /// Counts and seals one verdict on `comp`'s handling of `msg_id`.
     fn seal_verdict(&mut self, comp: u8, msg_id: u64, verdict: VerdictCode) {
         let c = &self.counters;
-        match verdict {
-            VerdictCode::Hung => c.wd_verdict_hung.inc(),
-            VerdictCode::Slow => c.wd_verdict_slow.inc(),
-            VerdictCode::ReplyLost => c.wd_verdict_reply_lost.inc(),
-            VerdictCode::CorruptReply => c.wd_verdict_corrupt.inc(),
-        }
+        self.metrics.inc(match verdict {
+            VerdictCode::Hung => c.wd_verdict_hung,
+            VerdictCode::Slow => c.wd_verdict_slow,
+            VerdictCode::ReplyLost => c.wd_verdict_reply_lost,
+            VerdictCode::CorruptReply => c.wd_verdict_corrupt,
+        });
         self.seal(AxiomEvent::WatchdogVerdict {
             comp,
             verdict,
@@ -303,7 +300,7 @@ impl<P: Protocol> Kernel<P> {
             slot.state = WdState::Rejected;
             let (sender, msg_id) = (slot.dst, slot.msg_id);
             self.wd.next_due = 0;
-            self.counters.wd_replies_rejected.inc();
+            self.metrics.inc(self.counters.wd_replies_rejected);
             self.seal_verdict(sender, msg_id, VerdictCode::CorruptReply);
             return true;
         }
@@ -415,7 +412,7 @@ impl<P: Protocol> Kernel<P> {
             };
             match slot.state {
                 WdState::Armed if now >= slot.deadline => {
-                    self.counters.wd_expired.inc();
+                    self.metrics.inc(self.counters.wd_expired);
                     self.seal(AxiomEvent::DeadlineExpired {
                         comp: slot.dst,
                         msg_id: slot.msg_id,
@@ -452,17 +449,13 @@ impl<P: Protocol> Kernel<P> {
     }
 
     /// Starts (or extends) the heartbeat-probe round of slot `i`.
-    fn watchdog_probe(&mut self, i: usize, now: u64, probes: u32, progress_at: u64) {
+    fn watchdog_probe(&mut self, i: usize, now: u64, probes: u32) {
         let until = now + WatchdogConfig::PROBE_PERIOD;
         self.wd.next_due = self.wd.next_due.min(until);
         let slot = self.wd.slot_mut(i);
-        slot.state = WdState::Probing {
-            until,
-            probes,
-            progress_at,
-        };
+        slot.state = WdState::Probing { until, probes };
         let (target, msg_id) = (slot.dst, slot.msg_id);
-        self.counters.wd_probes.inc();
+        self.metrics.inc(self.counters.wd_probes);
         self.tracer
             .emit(target, TraceEvent::WatchdogProbe { target, msg_id });
     }
@@ -479,7 +472,8 @@ impl<P: Protocol> Kernel<P> {
                 // escalation ladder) exactly as on the fail-stop crash path.
                 slot.state = WdState::Doomed;
                 let detection = now - slot.armed_at;
-                self.counters.wd_detect_latency.observe(detection);
+                self.metrics
+                    .observe(self.counters.wd_detect_latency, detection);
                 self.seal_verdict(dst, msg_id, VerdictCode::Hung);
                 self.mark_crashed(dst);
                 self.start_recovery(dst);
@@ -492,12 +486,11 @@ impl<P: Protocol> Kernel<P> {
             }
             CompStatus::Alive => {
                 let captured = slot.msg.is_some();
-                let progress = self.comps[dst as usize].stats.messages.local();
                 match state {
                     // Start the heartbeat-probe round: async completions (a
                     // disk reply still in flight) get one probe period to
                     // surface before any verdict.
-                    WdState::Armed => self.watchdog_probe(i, now, 0, progress),
+                    WdState::Armed => self.watchdog_probe(i, now, 0),
                     WdState::Probing { .. } if captured => {
                         // The handler completed long ago and a full probe
                         // period passed with no reply on the wire: the reply
@@ -513,9 +506,7 @@ impl<P: Protocol> Kernel<P> {
                         self.wd.take(i);
                         self.seal_verdict(dst, msg_id, VerdictCode::Slow);
                     }
-                    WdState::Probing { probes, .. } => {
-                        self.watchdog_probe(i, now, probes + 1, progress)
-                    }
+                    WdState::Probing { probes, .. } => self.watchdog_probe(i, now, probes + 1),
                     _ => {}
                 }
             }
@@ -560,7 +551,7 @@ impl<P: Protocol> Kernel<P> {
             backoff: backoff.min(u32::MAX as u64) as u32,
         });
         if granted {
-            self.counters.retry_granted.inc();
+            self.metrics.inc(self.counters.retry_granted);
             self.tracer.emit(
                 from,
                 TraceEvent::RetryScheduled {
@@ -577,9 +568,9 @@ impl<P: Protocol> Kernel<P> {
                 .insert((at, self.wd.retry_seq), (attempt + 1, failed));
             None
         } else {
-            self.counters.retry_denied.inc();
+            self.metrics.inc(self.counters.retry_denied);
             if !budget_left {
-                self.counters.retry_exhausted.inc();
+                self.metrics.inc(self.counters.retry_exhausted);
                 let target = from;
                 self.tracer
                     .emit(from, TraceEvent::RetryExhausted { target, msg_id });

@@ -1,10 +1,10 @@
 //! Kernel- and component-level metrics backing the evaluation tables.
 //!
-//! Since the unified registry landed, [`KernelMetrics`] and
-//! [`ComponentReport`] are *views*: the kernel assembles them on demand
-//! from its `osiris-metrics` registry series (see
-//! `Kernel::metrics_handle`), so these structs, the Prometheus/JSON
-//! exports, and the campaign observer all read the same counters.
+//! [`KernelMetrics`] and [`ComponentReport`] are *views*: the kernel
+//! assembles them on demand from its `osiris-metrics` registry (see
+//! `Kernel::metrics` and `Kernel::component_reports`), so these structs,
+//! the Prometheus/JSON exports, and the campaign observer all read the same
+//! numbers.
 
 use osiris_core::WindowStats;
 use osiris_trace::HistSummary;

@@ -77,14 +77,15 @@ pub fn hist_json(h: &Log2Hist) -> Json {
 
 #[cfg(test)]
 mod tests {
-    use crate::MetricsHandle;
+    use crate::Registry;
 
     #[test]
     fn json_round_trips_structure() {
-        let m = MetricsHandle::default();
-        m.counter("osiris_j_total", "j", &[("component", "pm")])
-            .add(3);
-        m.hist("osiris_j_hist", "jh", &[]).observe(5);
+        let mut m = Registry::default();
+        let c = m.counter("osiris_j_total", "j", &[("component", "pm")]);
+        m.add(c, 3);
+        let h = m.hist("osiris_j_hist", "jh", &[]);
+        m.observe(h, 5);
         let text = m.json().pretty();
         assert!(text.contains("\"name\": \"osiris_j_total\""));
         assert!(text.contains("\"component\": \"pm\""));
@@ -97,7 +98,7 @@ mod tests {
 
     #[test]
     fn empty_hist_has_empty_buckets() {
-        let m = MetricsHandle::default();
+        let mut m = Registry::default();
         let _ = m.hist("osiris_empty_hist", "e", &[]);
         let text = m.json().pretty();
         assert!(text.contains("\"buckets\": []"));

@@ -1,35 +1,29 @@
-//! # osiris-metrics — unified metrics registry
+//! # osiris-metrics — one metrics store
 //!
-//! One source of truth for every number the evaluation reports: typed
-//! [`Counter`], [`Gauge`], and log2-histogram ([`Hist`]) handles organized
-//! into named families with static label sets. The kernel's per-component
-//! accounting, the checkpoint heap statistics, and the fault-injection
-//! campaign all register here, and two exporters ([`prom`] text exposition
-//! and [`export`] JSON) serialize a consistent snapshot at run end.
+//! One source of truth for every number the evaluation reports. A
+//! [`Registry`] is a *schema* — named families (help text, kind) and their
+//! labelled series, in registration order — plus the [`Values`] those series
+//! hold: one `u64` per counter or gauge and one [`Log2Hist`] per histogram,
+//! in plain arrays. Registering a series returns a `Copy` typed id
+//! ([`CounterId`], [`GaugeId`], [`HistId`]); a write is an indexed add or
+//! `record` through `&mut`, a read is an indexed load through `&`.
 //!
 //! ## Design
 //!
-//! The registry follows the flight recorder's discipline
-//! (`osiris-trace`): a shared `AtomicBool` gates every write with a single
-//! relaxed load, so a disabled registry costs well under a nanosecond per
-//! write and an enabled one performs no allocation in steady state —
-//! counters and gauges are `Arc<AtomicU64>` slots created at registration
-//! time, histograms are preallocated [`Log2Hist`] arrays behind a mutex.
+//! A registry is plain state with one writer: whoever owns it. The kernel
+//! holds its registry by value and bumps it as events happen; a campaign
+//! derives its registry from its records when asked. Nothing is shared, so
+//! there is nothing to lock or publish, and a reader can never see one
+//! series fresher than another.
 //!
-//! A series with one writer that is written per message does not pay for
-//! the shared slot on every write: its writer keeps a [`Tally`] or a
-//! [`Dist`] — a plain field it bumps — and publishes it into the slot at
-//! the points something reads the registry (export, sample, snapshot).
-//!
-//! Registration is idempotent: asking for the same `(family, labels)`
-//! series twice returns handles sharing one slot, which is what lets
-//! `KernelMetrics` and `ComponentReport` act as *views* over the registry
-//! instead of parallel bookkeeping. Families keep their series in
-//! registration order and label sets are fixed at registration, so two
-//! runs with the same configuration export byte-identical text.
-
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+//! Registration is idempotent and may happen at any time: asking for the
+//! same `(family, labels)` series twice returns the same id. Families keep
+//! their series in registration order and label sets are fixed at
+//! registration, so two runs with the same configuration export
+//! byte-identical text. The schema is only walked to register and to
+//! export: [`Registry::values`] and [`Registry::restore`] move the numbers
+//! between two registries of the same schema (a fork and its donor) as two
+//! array copies, without touching a name.
 
 pub use osiris_trace::hist::{HistSummary, Log2Hist};
 
@@ -41,11 +35,11 @@ pub use export::render_json;
 pub use prom::{render_prometheus, validate_prometheus};
 pub use timeseries::{TimeseriesConfig, TimeseriesSampler, TimeseriesState};
 
-/// Configuration for a [`MetricsHandle`].
+/// Configuration for a [`Registry`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MetricsConfig {
-    /// Whether writes through handles are recorded. Registration and
-    /// export work either way; a disabled registry exports zeros.
+    /// Whether writes are recorded. Registration and export work either
+    /// way; a disabled registry lists every series and reads zero.
     pub enabled: bool,
 }
 
@@ -61,7 +55,7 @@ impl MetricsConfig {
         MetricsConfig { enabled: true }
     }
 
-    /// Recording off: every write is a single relaxed load.
+    /// Recording off: every write is one predictable branch.
     pub fn off() -> MetricsConfig {
         MetricsConfig { enabled: false }
     }
@@ -89,16 +83,91 @@ impl MetricKind {
     }
 }
 
-enum Slot {
-    Scalar(Arc<AtomicU64>),
-    Hist(Arc<Mutex<Log2Hist>>),
+/// A registered counter series: a monotonically increasing count.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CounterId(u32);
+
+/// A registered gauge series: a point-in-time level.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct GaugeId(u32);
+
+/// A registered histogram series.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct HistId(u32);
+
+/// The numbers of a [`Registry`], indexed by the ids its schema handed out.
+/// A clone is a snapshot; [`Registry::restore`] writes one back.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Values {
+    on: bool,
+    scalars: Vec<u64>,
+    hists: Vec<Log2Hist>,
 }
 
+impl Values {
+    /// Adds 1.
+    #[inline]
+    pub fn inc(&mut self, c: CounterId) {
+        self.add(c, 1);
+    }
+
+    /// Adds `n`.
+    #[inline]
+    pub fn add(&mut self, c: CounterId, n: u64) {
+        if self.on {
+            self.scalars[c.0 as usize] += n;
+        }
+    }
+
+    /// Sets the level.
+    #[inline]
+    pub fn set(&mut self, g: GaugeId, n: u64) {
+        if self.on {
+            self.scalars[g.0 as usize] = n;
+        }
+    }
+
+    /// Raises the level to `n` if it is below (high-water mark).
+    #[inline]
+    pub fn set_max(&mut self, g: GaugeId, n: u64) {
+        if self.on {
+            let v = &mut self.scalars[g.0 as usize];
+            *v = (*v).max(n);
+        }
+    }
+
+    /// Records one sample.
+    #[inline]
+    pub fn observe(&mut self, h: HistId, value: u64) {
+        if self.on {
+            self.hists[h.0 as usize].record(value);
+        }
+    }
+
+    /// A counter's running total.
+    pub fn total(&self, c: CounterId) -> u64 {
+        self.scalars[c.0 as usize]
+    }
+
+    /// A gauge's current level.
+    pub fn level(&self, g: GaugeId) -> u64 {
+        self.scalars[g.0 as usize]
+    }
+
+    /// A histogram series' distribution.
+    pub fn histogram(&self, h: HistId) -> &Log2Hist {
+        &self.hists[h.0 as usize]
+    }
+}
+
+#[derive(Clone)]
 struct Series {
     labels: Vec<(String, String)>,
-    slot: Slot,
+    /// Index into the value array of the family's kind.
+    slot: u32,
 }
 
+#[derive(Clone)]
 struct Family {
     name: String,
     help: String,
@@ -106,110 +175,198 @@ struct Family {
     series: Vec<Series>,
 }
 
-#[derive(Default)]
-struct Registry {
+/// A metrics registry: the schema and the values, owned by its one writer.
+/// It dereferences to its [`Values`], so `registry.inc(id)` and
+/// `registry.total(id)` are the write and the read.
+#[derive(Clone)]
+pub struct Registry {
     families: Vec<Family>,
+    values: Values,
+}
+
+impl Default for Registry {
+    fn default() -> Self {
+        Registry::new(MetricsConfig::default())
+    }
+}
+
+impl std::fmt::Debug for Registry {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Registry")
+            .field("enabled", &self.enabled())
+            .field("families", &self.families.len())
+            .finish_non_exhaustive()
+    }
+}
+
+impl std::ops::Deref for Registry {
+    type Target = Values;
+
+    fn deref(&self) -> &Values {
+        &self.values
+    }
+}
+
+impl std::ops::DerefMut for Registry {
+    fn deref_mut(&mut self) -> &mut Values {
+        &mut self.values
+    }
 }
 
 impl Registry {
-    fn family_mut(&mut self, name: &str, help: &str, kind: MetricKind) -> &mut Family {
-        if let Some(i) = self.families.iter().position(|f| f.name == name) {
-            let f = &self.families[i];
-            assert_eq!(
-                f.kind, kind,
-                "metric family {name:?} re-registered with a different kind"
-            );
-            return &mut self.families[i];
+    /// Creates an empty registry with the given config.
+    pub fn new(config: MetricsConfig) -> Registry {
+        Registry {
+            families: Vec::new(),
+            values: Values {
+                on: config.enabled,
+                scalars: Vec::new(),
+                hists: Vec::new(),
+            },
         }
-        assert!(
-            valid_name(name),
-            "invalid metric family name {name:?}: use [a-zA-Z_][a-zA-Z0-9_]*"
+    }
+
+    /// Whether writes are recorded.
+    pub fn enabled(&self) -> bool {
+        self.values.on
+    }
+
+    /// Registers (or finds) a counter series and returns its id.
+    pub fn counter(&mut self, name: &str, help: &str, labels: &[(&str, &str)]) -> CounterId {
+        CounterId(self.series(name, help, MetricKind::Counter, labels))
+    }
+
+    /// Registers (or finds) a gauge series and returns its id.
+    pub fn gauge(&mut self, name: &str, help: &str, labels: &[(&str, &str)]) -> GaugeId {
+        GaugeId(self.series(name, help, MetricKind::Gauge, labels))
+    }
+
+    /// Registers (or finds) a histogram series and returns its id.
+    pub fn hist(&mut self, name: &str, help: &str, labels: &[(&str, &str)]) -> HistId {
+        HistId(self.series(name, help, MetricKind::Histogram, labels))
+    }
+
+    /// The slot of series `(name, labels)`, registering the family and the
+    /// series (with a zero value) on first sight.
+    fn series(&mut self, name: &str, help: &str, kind: MetricKind, labels: &[(&str, &str)]) -> u32 {
+        let family = match self.families.iter().position(|f| f.name == name) {
+            Some(i) => &mut self.families[i],
+            None => {
+                assert!(
+                    valid_name(name),
+                    "invalid metric family name {name:?}: use [a-zA-Z_][a-zA-Z0-9_]*"
+                );
+                self.families.push(Family {
+                    name: name.to_string(),
+                    help: help.to_string(),
+                    kind,
+                    series: Vec::new(),
+                });
+                self.families.last_mut().unwrap()
+            }
+        };
+        assert_eq!(
+            family.kind, kind,
+            "metric family {name:?} re-registered with a different kind"
         );
-        self.families.push(Family {
-            name: name.to_string(),
-            help: help.to_string(),
-            kind,
-            series: Vec::new(),
-        });
-        self.families.last_mut().unwrap()
-    }
-
-    fn scalar(
-        &mut self,
-        name: &str,
-        help: &str,
-        kind: MetricKind,
-        labels: &[(&str, &str)],
-    ) -> Arc<AtomicU64> {
-        let family = self.family_mut(name, help, kind);
         if let Some(s) = family.series.iter().find(|s| label_eq(&s.labels, labels)) {
-            match &s.slot {
-                Slot::Scalar(v) => return Arc::clone(v),
-                Slot::Hist(_) => unreachable!("kind checked per family"),
-            }
+            return s.slot;
         }
-        let v = Arc::new(AtomicU64::new(0));
+        for (k, _) in labels {
+            assert!(valid_name(k), "invalid label name {k:?}");
+        }
+        let slot = match kind {
+            MetricKind::Histogram => {
+                self.values.hists.push(Log2Hist::new());
+                self.values.hists.len() - 1
+            }
+            _ => {
+                self.values.scalars.push(0);
+                self.values.scalars.len() - 1
+            }
+        } as u32;
         family.series.push(Series {
-            labels: own_labels(labels),
-            slot: Slot::Scalar(Arc::clone(&v)),
+            labels: labels
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect(),
+            slot,
         });
-        v
+        slot
     }
 
-    fn hist(&mut self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Mutex<Log2Hist>> {
-        let family = self.family_mut(name, help, MetricKind::Histogram);
-        if let Some(s) = family.series.iter().find(|s| label_eq(&s.labels, labels)) {
-            match &s.slot {
-                Slot::Hist(h) => return Arc::clone(h),
-                Slot::Scalar(_) => unreachable!("kind checked per family"),
-            }
+    /// Zeroes every series (counters and gauges to 0, histograms to empty).
+    /// Registration survives; the kernel uses this to exclude boot-time
+    /// activity from reports.
+    pub fn reset(&mut self) {
+        self.values.scalars.fill(0);
+        self.values.hists.fill(Log2Hist::new());
+    }
+
+    /// The current values; clone them for a snapshot.
+    pub fn values(&self) -> &Values {
+        &self.values
+    }
+
+    /// Overwrites the values with a snapshot taken from a registry of the
+    /// same schema (the fork case: both sides registered the same series in
+    /// the same order). Two array copies into storage this registry already
+    /// holds; whether either side records does not matter.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the series counts differ.
+    pub fn restore(&mut self, values: &Values) {
+        assert_eq!(
+            (values.scalars.len(), values.hists.len()),
+            (self.values.scalars.len(), self.values.hists.len()),
+            "metrics restore across different schemas"
+        );
+        self.values.scalars.copy_from_slice(&values.scalars);
+        self.values.hists.copy_from_slice(&values.hists);
+    }
+
+    /// Appends every family of `other`, with its values, after this
+    /// registry's own.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a family name is registered on both sides.
+    pub fn append(&mut self, other: Registry) {
+        let (scalars, hists) = (self.values.scalars.len(), self.values.hists.len());
+        for mut family in other.families {
+            assert!(
+                self.families.iter().all(|f| f.name != family.name),
+                "metric family {:?} appended twice",
+                family.name
+            );
+            let base = match family.kind {
+                MetricKind::Histogram => hists,
+                _ => scalars,
+            } as u32;
+            family.series.iter_mut().for_each(|s| s.slot += base);
+            self.families.push(family);
         }
-        let h = Arc::new(Mutex::new(Log2Hist::new()));
-        family.series.push(Series {
-            labels: own_labels(labels),
-            slot: Slot::Hist(Arc::clone(&h)),
-        });
-        h
+        self.values.scalars.extend(other.values.scalars);
+        self.values.hists.extend(other.values.hists);
     }
 
-    fn reset(&mut self) {
-        for f in &self.families {
-            for s in &f.series {
-                match &s.slot {
-                    Slot::Scalar(v) => v.store(0, Ordering::Relaxed),
-                    Slot::Hist(h) => h.lock().unwrap().reset(),
-                }
-            }
-        }
+    /// A deep copy of every family, for exposition.
+    pub fn snapshot(&self) -> MetricsSnapshot {
+        self.snapshot_of(&self.values)
     }
 
-    fn restore_from(&mut self, snap: &MetricsSnapshot) {
-        self.reset();
-        for f in &snap.families {
-            // Touch the family even when it carries no series yet, so the
-            // restored exposition lists exactly the donor's families in the
-            // donor's registration order.
-            self.family_mut(&f.name, &f.help, f.kind);
-            for s in &f.series {
-                let labels: Vec<(&str, &str)> = s
-                    .labels
-                    .iter()
-                    .map(|(k, v)| (k.as_str(), v.as_str()))
-                    .collect();
-                match &s.value {
-                    SeriesValue::Counter(n) | SeriesValue::Gauge(n) => {
-                        self.scalar(&f.name, &f.help, f.kind, &labels)
-                            .store(*n, Ordering::Relaxed);
-                    }
-                    SeriesValue::Hist(h) => {
-                        *self.hist(&f.name, &f.help, &labels).lock().unwrap() = **h;
-                    }
-                }
-            }
-        }
-    }
-
-    fn snapshot(&self) -> MetricsSnapshot {
+    /// [`Registry::snapshot`] of this schema over `values`: a copy of this
+    /// registry's own values, possibly with more filled in.
+    pub fn snapshot_of(&self, values: &Values) -> MetricsSnapshot {
+        let series = |f: &Family, s: &Series| SeriesSnapshot {
+            labels: s.labels.clone(),
+            value: match f.kind {
+                MetricKind::Counter => SeriesValue::Counter(values.scalars[s.slot as usize]),
+                MetricKind::Gauge => SeriesValue::Gauge(values.scalars[s.slot as usize]),
+                MetricKind::Histogram => SeriesValue::Hist(Box::new(values.hists[s.slot as usize])),
+            },
+        };
         MetricsSnapshot {
             families: self
                 .families
@@ -218,37 +375,21 @@ impl Registry {
                     name: f.name.clone(),
                     help: f.help.clone(),
                     kind: f.kind,
-                    series: f
-                        .series
-                        .iter()
-                        .map(|s| SeriesSnapshot {
-                            labels: s.labels.clone(),
-                            value: match &s.slot {
-                                Slot::Scalar(v) => {
-                                    let n = v.load(Ordering::Relaxed);
-                                    match f.kind {
-                                        MetricKind::Counter => SeriesValue::Counter(n),
-                                        _ => SeriesValue::Gauge(n),
-                                    }
-                                }
-                                Slot::Hist(h) => SeriesValue::Hist(Box::new(*h.lock().unwrap())),
-                            },
-                        })
-                        .collect(),
+                    series: f.series.iter().map(|s| series(f, s)).collect(),
                 })
                 .collect(),
         }
     }
-}
 
-fn own_labels(labels: &[(&str, &str)]) -> Vec<(String, String)> {
-    for (k, _) in labels {
-        assert!(valid_name(k), "invalid label name {k:?}");
+    /// Renders the current state in Prometheus text exposition format.
+    pub fn prometheus(&self) -> String {
+        prom::render_prometheus(&self.snapshot())
     }
-    labels
-        .iter()
-        .map(|(k, v)| (k.to_string(), v.to_string()))
-        .collect()
+
+    /// Renders the current state as a JSON document.
+    pub fn json(&self) -> osiris_trace::Json {
+        export::render_json(&self.snapshot())
+    }
 }
 
 fn label_eq(a: &[(String, String)], b: &[(&str, &str)]) -> bool {
@@ -265,336 +406,6 @@ fn valid_name(name: &str) -> bool {
             .next()
             .is_some_and(|c| c.is_ascii_alphabetic() || c == '_')
         && name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
-}
-
-/// A shared handle to the metrics registry. Cheap to clone; all clones
-/// (and every [`Counter`]/[`Gauge`]/[`Hist`] minted from them) write to
-/// the same underlying slots.
-#[derive(Clone)]
-pub struct MetricsHandle {
-    on: Arc<AtomicBool>,
-    inner: Arc<Mutex<Registry>>,
-}
-
-impl Default for MetricsHandle {
-    fn default() -> Self {
-        MetricsHandle::new(MetricsConfig::default())
-    }
-}
-
-impl std::fmt::Debug for MetricsHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MetricsHandle")
-            .field("enabled", &self.enabled())
-            .finish_non_exhaustive()
-    }
-}
-
-impl MetricsHandle {
-    /// Creates a registry with the given config.
-    pub fn new(config: MetricsConfig) -> MetricsHandle {
-        MetricsHandle {
-            on: Arc::new(AtomicBool::new(config.enabled)),
-            inner: Arc::new(Mutex::new(Registry::default())),
-        }
-    }
-
-    /// Whether writes are currently recorded.
-    pub fn enabled(&self) -> bool {
-        self.on.load(Ordering::Relaxed)
-    }
-
-    /// Flips recording on or off at runtime.
-    pub fn set_enabled(&self, enabled: bool) {
-        self.on.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Registers (or finds) a counter series and returns its handle.
-    pub fn counter(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Counter {
-        let v = self
-            .inner
-            .lock()
-            .unwrap()
-            .scalar(name, help, MetricKind::Counter, labels);
-        Counter {
-            on: Arc::clone(&self.on),
-            v,
-        }
-    }
-
-    /// Registers (or finds) a gauge series and returns its handle.
-    pub fn gauge(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Gauge {
-        let v = self
-            .inner
-            .lock()
-            .unwrap()
-            .scalar(name, help, MetricKind::Gauge, labels);
-        Gauge {
-            on: Arc::clone(&self.on),
-            v,
-        }
-    }
-
-    /// Registers (or finds) a histogram series and returns its handle.
-    pub fn hist(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Hist {
-        let h = self.inner.lock().unwrap().hist(name, help, labels);
-        Hist {
-            on: Arc::clone(&self.on),
-            h,
-        }
-    }
-
-    /// Registers (or finds) a counter series for a single writer that
-    /// publishes it at read points (see [`Tally`]).
-    pub fn tally(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Tally {
-        let slot = self.counter(name, help, labels);
-        Tally {
-            n: slot.get(),
-            slot,
-        }
-    }
-
-    /// Registers (or finds) a histogram series for a single writer that
-    /// publishes it at read points (see [`Dist`]).
-    pub fn dist(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Dist {
-        let slot = self.hist(name, help, labels);
-        Dist {
-            h: slot.get(),
-            slot,
-        }
-    }
-
-    /// Zeroes every registered series (counters and gauges to 0,
-    /// histograms to empty). Registration survives; the kernel uses this
-    /// to exclude boot-time activity from reports.
-    pub fn reset(&self) {
-        self.inner.lock().unwrap().reset();
-    }
-
-    /// A deep, consistent copy of every registered family.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        self.inner.lock().unwrap().snapshot()
-    }
-
-    /// Overwrites the registry with a snapshot taken from another registry:
-    /// every existing series is zeroed, then each snapshotted family and
-    /// series is (re-)registered in snapshot order and set to its recorded
-    /// value. Registration is idempotent and order-preserving, so when the
-    /// live registry's families are a boot-time prefix-subsequence of the
-    /// snapshot's (the fork case: both sides booted identically, the donor
-    /// may have registered more afterwards), the restored exposition is
-    /// byte-identical to the donor's. Writes bypass the enabled gate — a
-    /// restore mirrors the donor no matter which side is recording.
-    pub fn restore_from(&self, snap: &MetricsSnapshot) {
-        self.inner.lock().unwrap().restore_from(snap);
-    }
-
-    /// Renders the current state in Prometheus text exposition format.
-    pub fn prometheus(&self) -> String {
-        prom::render_prometheus(&self.snapshot())
-    }
-
-    /// Renders the current state as a JSON document.
-    pub fn json(&self) -> osiris_trace::Json {
-        export::render_json(&self.snapshot())
-    }
-}
-
-/// A monotonically increasing counter backed by a registry slot.
-#[derive(Clone, Debug)]
-pub struct Counter {
-    on: Arc<AtomicBool>,
-    v: Arc<AtomicU64>,
-}
-
-impl Counter {
-    /// Adds 1.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Adds `n`. A disabled registry makes this a single relaxed load.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        if self.on.load(Ordering::Relaxed) {
-            self.v.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Overwrites the total. For mirroring an externally maintained
-    /// monotone counter (e.g. the checkpoint heap's hot-path tallies)
-    /// into the registry at a sync point.
-    #[inline]
-    pub fn set_total(&self, n: u64) {
-        if self.on.load(Ordering::Relaxed) {
-            self.v.store(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.v.load(Ordering::Relaxed)
-    }
-}
-
-/// A point-in-time gauge backed by a registry slot.
-#[derive(Clone, Debug)]
-pub struct Gauge {
-    on: Arc<AtomicBool>,
-    v: Arc<AtomicU64>,
-}
-
-impl Gauge {
-    /// Sets the value.
-    #[inline]
-    pub fn set(&self, n: u64) {
-        if self.on.load(Ordering::Relaxed) {
-            self.v.store(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Sets the value only if `n` is larger (high-water mark).
-    #[inline]
-    pub fn set_max(&self, n: u64) {
-        if self.on.load(Ordering::Relaxed) {
-            self.v.fetch_max(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.v.load(Ordering::Relaxed)
-    }
-}
-
-/// A log2-histogram series backed by a registry slot. Observation locks
-/// a mutex, so use it at per-window frequency, not per-operation.
-#[derive(Clone, Debug)]
-pub struct Hist {
-    on: Arc<AtomicBool>,
-    h: Arc<Mutex<Log2Hist>>,
-}
-
-impl Hist {
-    /// Records one sample.
-    #[inline]
-    pub fn observe(&self, value: u64) {
-        if self.on.load(Ordering::Relaxed) {
-            self.h.lock().unwrap().record(value);
-        }
-    }
-
-    /// Overwrites the distribution. For mirroring an externally maintained
-    /// histogram into the registry at a sync point, as
-    /// [`Counter::set_total`] does for a count.
-    pub fn set(&self, h: &Log2Hist) {
-        if self.on.load(Ordering::Relaxed) {
-            *self.h.lock().unwrap() = *h;
-        }
-    }
-
-    /// A copy of the underlying histogram.
-    pub fn get(&self) -> Log2Hist {
-        *self.h.lock().unwrap()
-    }
-
-    /// Condensed digest of the underlying histogram.
-    pub fn summary(&self) -> HistSummary {
-        self.h.lock().unwrap().summary()
-    }
-}
-
-/// A counter series whose single writer counts in a plain field and
-/// publishes the total into the registry slot at read points.
-///
-/// Bumping is a plain add: no shared flag is consulted and nothing is
-/// written that another thread can see. The registry's enabled gate applies
-/// at [`Tally::publish`], so a disabled registry still exports zeros. Every
-/// reader goes through the slot ([`Tally::published`], [`Tally::reader`], a
-/// registry snapshot), so the writer must publish before anything reads,
-/// and [`Tally::reload`] after the registry was reset or restored.
-#[derive(Debug)]
-pub struct Tally {
-    n: u64,
-    slot: Counter,
-}
-
-impl Tally {
-    /// Adds 1.
-    #[inline]
-    pub fn inc(&mut self) {
-        self.n += 1;
-    }
-
-    /// Adds `n`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.n += n;
-    }
-
-    /// The writer's own running total, published or not.
-    pub fn local(&self) -> u64 {
-        self.n
-    }
-
-    /// Writes the running total into the registry slot.
-    pub fn publish(&self) {
-        self.slot.set_total(self.n);
-    }
-
-    /// Takes the registry slot's value as the running total.
-    pub fn reload(&mut self) {
-        self.n = self.slot.get();
-    }
-
-    /// The total as of the last [`Tally::publish`].
-    pub fn published(&self) -> u64 {
-        self.slot.get()
-    }
-
-    /// A read handle on the registry slot (for the timeseries sampler).
-    pub fn reader(&self) -> Counter {
-        self.slot.clone()
-    }
-}
-
-/// A histogram series whose single writer observes into a plain
-/// [`Log2Hist`] and publishes it at read points; the histogram twin of
-/// [`Tally`], with the same rules.
-#[derive(Debug)]
-pub struct Dist {
-    h: Log2Hist,
-    slot: Hist,
-}
-
-impl Dist {
-    /// Records one sample.
-    #[inline]
-    pub fn observe(&mut self, value: u64) {
-        self.h.record(value);
-    }
-
-    /// Writes the distribution into the registry slot.
-    pub fn publish(&self) {
-        self.slot.set(&self.h);
-    }
-
-    /// Takes the registry slot's distribution as the running one.
-    pub fn reload(&mut self) {
-        self.h = self.slot.get();
-    }
-
-    /// Condensed digest of the distribution as of the last
-    /// [`Dist::publish`].
-    pub fn published_summary(&self) -> HistSummary {
-        self.slot.summary()
-    }
-
-    /// A read handle on the registry slot (for the timeseries sampler).
-    pub fn reader(&self) -> Hist {
-        self.slot.clone()
-    }
 }
 
 /// Deep copy of the registry at one instant.
@@ -674,103 +485,134 @@ mod tests {
     use super::*;
 
     #[test]
-    fn registration_dedupes_and_shares_slots() {
-        let m = MetricsHandle::default();
+    fn registration_dedupes_to_one_series() {
+        let mut m = Registry::default();
         let a = m.counter("osiris_test_total", "test counter", &[("component", "pm")]);
         let b = m.counter("osiris_test_total", "test counter", &[("component", "pm")]);
         let other = m.counter("osiris_test_total", "test counter", &[("component", "vfs")]);
-        a.add(3);
-        b.inc();
-        other.inc();
-        assert_eq!(a.get(), 4);
-        assert_eq!(b.get(), 4);
-        assert_eq!(other.get(), 1);
+        assert_eq!(a, b);
+        m.add(a, 3);
+        m.inc(b);
+        m.inc(other);
+        assert_eq!(m.total(a), 4);
+        assert_eq!(m.total(other), 1);
         let snap = m.snapshot();
         assert_eq!(snap.families.len(), 1);
         assert_eq!(snap.families[0].series.len(), 2);
     }
 
     #[test]
-    fn disabled_registry_records_nothing() {
-        let m = MetricsHandle::new(MetricsConfig::off());
+    fn disabled_registry_lists_every_series_and_reads_zero() {
+        let mut m = Registry::new(MetricsConfig::off());
         let c = m.counter("osiris_off_total", "off", &[]);
         let g = m.gauge("osiris_off_gauge", "off", &[]);
         let h = m.hist("osiris_off_hist", "off", &[]);
-        c.add(10);
-        g.set(5);
-        h.observe(7);
-        assert_eq!(c.get(), 0);
-        assert_eq!(g.get(), 0);
-        assert!(h.get().is_empty());
-        m.set_enabled(true);
-        c.inc();
-        assert_eq!(c.get(), 1);
+        m.add(c, 10);
+        m.set(g, 5);
+        m.set_max(g, 6);
+        m.observe(h, 7);
+        assert_eq!((m.total(c), m.level(g)), (0, 0));
+        assert!(m.histogram(h).is_empty());
+        assert_eq!(m.snapshot().families.len(), 3);
     }
 
     #[test]
-    fn tally_and_dist_reach_the_registry_only_when_published() {
-        let m = MetricsHandle::default();
-        let mut t = m.tally("osiris_tally_total", "t", &[]);
-        let mut d = m.dist("osiris_dist", "d", &[]);
-        t.add(3);
-        d.observe(40);
-        assert_eq!((t.local(), t.published()), (3, 0));
-        assert!(d.reader().get().is_empty());
-        t.publish();
-        d.publish();
-        assert_eq!(t.reader().get(), 3);
-        assert_eq!(d.published_summary().count, 1);
-        // A reset registry is what the writer continues from once reloaded.
-        m.reset();
-        t.reload();
-        d.reload();
-        t.inc();
-        t.publish();
-        d.publish();
-        assert_eq!(t.published(), 1);
-        assert!(d.reader().get().is_empty());
-        // The gate applies at publish: a disabled registry keeps exporting
-        // what it held.
-        m.set_enabled(false);
-        t.add(10);
-        t.publish();
-        assert_eq!((t.local(), t.published()), (11, 1));
+    fn values_round_trip_between_same_schema_registries() {
+        let build = || {
+            let mut m = Registry::default();
+            let c = m.counter("osiris_rt_total", "c", &[("k", "v")]);
+            let h = m.hist("osiris_rt_hist", "h", &[]);
+            (m, c, h)
+        };
+        let (mut donor, c, h) = build();
+        donor.add(c, 3);
+        donor.observe(h, 40);
+        let snap = donor.values().clone();
+        donor.inc(c);
+        let (mut fork, ..) = build();
+        fork.restore(&snap);
+        assert_eq!(fork.total(c), 3);
+        assert_eq!(fork.histogram(h).count(), 1);
+        assert_eq!(fork.values(), &snap);
+        assert_ne!(donor.values(), &snap);
+    }
+
+    #[test]
+    #[should_panic(expected = "different schemas")]
+    fn restore_refuses_a_different_schema() {
+        let mut a = Registry::default();
+        a.counter("osiris_a_total", "a", &[]);
+        let b = Registry::default();
+        a.restore(b.values());
+    }
+
+    #[test]
+    fn append_keeps_both_sides_series_and_values() {
+        let mut a = Registry::default();
+        let ac = a.counter("osiris_a_total", "a", &[]);
+        a.add(ac, 2);
+        let mut b = Registry::default();
+        let bc = b.counter("osiris_b_total", "b", &[("k", "v")]);
+        let bh = b.hist("osiris_b_hist", "b", &[]);
+        b.add(bc, 5);
+        b.observe(bh, 9);
+        a.append(b);
+        let snap = a.snapshot();
+        let names: Vec<_> = snap.families.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, ["osiris_a_total", "osiris_b_total", "osiris_b_hist"]);
+        assert!(matches!(
+            snap.find("osiris_a_total", &[]),
+            Some(SeriesValue::Counter(2))
+        ));
+        assert!(matches!(
+            snap.find("osiris_b_total", &[("k", "v")]),
+            Some(SeriesValue::Counter(5))
+        ));
+        match snap.find("osiris_b_hist", &[]) {
+            Some(SeriesValue::Hist(h)) => assert_eq!(h.count(), 1),
+            other => panic!("unexpected: {other:?}"),
+        }
+        // Registering after an append lands behind the appended slots.
+        let late = a.counter("osiris_a_total", "a", &[("late", "1")]);
+        a.inc(late);
+        assert_eq!((a.total(ac), a.total(late)), (2, 1));
     }
 
     #[test]
     fn reset_zeroes_but_keeps_registration() {
-        let m = MetricsHandle::default();
+        let mut m = Registry::default();
         let c = m.counter("osiris_reset_total", "r", &[]);
         let h = m.hist("osiris_reset_hist", "r", &[]);
-        c.add(9);
-        h.observe(100);
+        m.add(c, 9);
+        m.observe(h, 100);
         m.reset();
-        assert_eq!(c.get(), 0);
-        assert!(h.get().is_empty());
+        assert_eq!(m.total(c), 0);
+        assert!(m.histogram(h).is_empty());
         assert_eq!(m.snapshot().families.len(), 2);
     }
 
     #[test]
     fn gauge_set_max_is_a_high_water_mark() {
-        let m = MetricsHandle::default();
+        let mut m = Registry::default();
         let g = m.gauge("osiris_peak", "p", &[]);
-        g.set_max(10);
-        g.set_max(4);
-        assert_eq!(g.get(), 10);
+        m.set_max(g, 10);
+        m.set_max(g, 4);
+        assert_eq!(m.level(g), 10);
     }
 
     #[test]
     #[should_panic(expected = "different kind")]
     fn kind_conflict_panics() {
-        let m = MetricsHandle::default();
+        let mut m = Registry::default();
         let _ = m.counter("osiris_conflict", "c", &[]);
         let _ = m.gauge("osiris_conflict", "g", &[]);
     }
 
     #[test]
     fn find_locates_series() {
-        let m = MetricsHandle::default();
-        m.counter("osiris_find_total", "f", &[("k", "v")]).add(2);
+        let mut m = Registry::default();
+        let c = m.counter("osiris_find_total", "f", &[("k", "v")]);
+        m.add(c, 2);
         let snap = m.snapshot();
         match snap.find("osiris_find_total", &[("k", "v")]) {
             Some(SeriesValue::Counter(2)) => {}

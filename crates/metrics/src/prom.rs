@@ -211,28 +211,28 @@ fn resolve_family<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{MetricsConfig, MetricsHandle};
+    use crate::{MetricsConfig, Registry};
 
-    fn sample_handle() -> MetricsHandle {
-        let m = MetricsHandle::new(MetricsConfig::on());
-        m.counter("osiris_ipc_total", "IPC messages delivered", &[])
-            .add(12);
-        m.gauge("osiris_heap_bytes", "live heap", &[("component", "pm")])
-            .set(4096);
+    fn sample_registry() -> Registry {
+        let mut m = Registry::new(MetricsConfig::on());
+        let c = m.counter("osiris_ipc_total", "IPC messages delivered", &[]);
+        m.add(c, 12);
+        let g = m.gauge("osiris_heap_bytes", "live heap", &[("component", "pm")]);
+        m.set(g, 4096);
         let h = m.hist(
             "osiris_latency_cycles",
             "recovery latency",
             &[("component", "pm")],
         );
         for v in [0, 1, 3, 900, 70_000] {
-            h.observe(v);
+            m.observe(h, v);
         }
         m
     }
 
     #[test]
     fn rendered_output_validates() {
-        let text = sample_handle().prometheus();
+        let text = sample_registry().prometheus();
         validate_prometheus(&text).unwrap();
         assert!(text.contains("# HELP osiris_ipc_total IPC messages delivered\n"));
         assert!(text.contains("# TYPE osiris_ipc_total counter\n"));
@@ -249,10 +249,10 @@ mod tests {
 
     #[test]
     fn hist_buckets_are_cumulative() {
-        let m = MetricsHandle::default();
+        let mut m = Registry::default();
         let h = m.hist("osiris_h", "h", &[]);
-        h.observe(1);
-        h.observe(2);
+        m.observe(h, 1);
+        m.observe(h, 2);
         let text = m.prometheus();
         // bucket_of(1)=1 (le=1), bucket_of(2)=2 (le=3).
         assert!(text.contains("osiris_h_bucket{le=\"1\"} 1\n"));

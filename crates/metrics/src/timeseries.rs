@@ -1,13 +1,13 @@
 //! Virtual-time telemetry: a deterministic time-series sampler over
 //! registry series.
 //!
-//! The registry ([`crate::MetricsHandle`]) answers "what happened over the
+//! The registry ([`crate::Registry`]) answers "what happened over the
 //! whole run"; this module answers "when" — how p99 request latency moved
 //! *during* a crash storm, when the crash counter stepped, how recovery
-//! cycles accrued. A [`TimeseriesSampler`] holds cheap clones of selected
-//! [`Counter`]/[`Hist`] handles and, every Δ virtual cycles, snapshots each
-//! into a fixed ring of `Copy` sample points (a counter total, or a full
-//! [`HistSummary`] with p50/p90/p99/p99.9).
+//! cycles accrued. A [`TimeseriesSampler`] holds the ids of selected
+//! counter and histogram series and, every Δ virtual cycles, reads each
+//! from the registry's values into a fixed ring of `Copy` sample points (a
+//! counter total, or a full [`HistSummary`] with p50/p90/p99/p99.9).
 //!
 //! Everything is keyed to the virtual clock, never the wall clock, so two
 //! same-seed runs produce byte-identical [`TimeseriesSampler::to_json`]
@@ -15,7 +15,7 @@
 //! the most recent `capacity` points per series; when it wraps, the oldest
 //! points are overwritten (flight-recorder discipline, like `osiris-trace`).
 
-use crate::{Counter, Hist};
+use crate::{CounterId, HistId, Values};
 use osiris_trace::hist::HistSummary;
 use osiris_trace::Json;
 
@@ -77,9 +77,10 @@ pub enum SampleValue {
     Hist(HistSummary),
 }
 
+#[derive(Clone, Copy)]
 enum Source {
-    Counter(Counter),
-    Hist(Hist),
+    Counter(CounterId),
+    Hist(HistId),
 }
 
 struct Tracked {
@@ -167,8 +168,8 @@ impl TimeseriesSampler {
         self.cfg.interval
     }
 
-    /// Tracks a counter series under `name` (shares the registry slot).
-    pub fn track_counter(&mut self, name: &str, c: Counter) {
+    /// Tracks a counter series under `name`.
+    pub fn track_counter(&mut self, name: &str, c: CounterId) {
         self.tracked.push(Tracked {
             name: name.to_string(),
             source: Source::Counter(c),
@@ -177,8 +178,8 @@ impl TimeseriesSampler {
         });
     }
 
-    /// Tracks a histogram series under `name` (shares the registry slot).
-    pub fn track_hist(&mut self, name: &str, h: Hist) {
+    /// Tracks a histogram series under `name`.
+    pub fn track_hist(&mut self, name: &str, h: HistId) {
         self.tracked.push(Tracked {
             name: name.to_string(),
             source: Source::Hist(h),
@@ -189,7 +190,7 @@ impl TimeseriesSampler {
 
     /// Drops every recorded point and re-arms the sampling grid at `now`
     /// (the boot barrier: measurements start clean, like
-    /// [`crate::MetricsHandle::reset`]).
+    /// [`crate::Registry::reset`]).
     pub fn reset(&mut self, now: u64) {
         for t in &mut self.tracked {
             t.points.clear();
@@ -233,35 +234,31 @@ impl TimeseriesSampler {
         self.next_due = state.next_due;
     }
 
-    /// Whether [`Self::maybe_sample`] would record at `now`. A writer that
-    /// publishes its series at read points asks this first.
-    pub fn due(&self, now: u64) -> bool {
-        self.cfg.enabled && now >= self.next_due
-    }
-
-    /// Takes one sample per tracked series if the monotone virtual clock
-    /// has crossed the next interval-grid point. Call at any convenient
-    /// pump frequency; a burst of calls within one interval records one
-    /// sample, and a long jump across several intervals records one sample
-    /// at `now` (the intermediate grid points are unobservable anyway).
-    pub fn maybe_sample(&mut self, now: u64) {
-        if !self.due(now) {
+    /// Takes one sample per tracked series from `values` if the monotone
+    /// virtual clock has crossed the next interval-grid point. Call at any
+    /// convenient pump frequency; a burst of calls within one interval
+    /// records one sample, and a long jump across several intervals records
+    /// one sample at `now` (the intermediate grid points are unobservable
+    /// anyway).
+    pub fn maybe_sample(&mut self, now: u64, values: &Values) {
+        if !self.cfg.enabled || now < self.next_due {
             return;
         }
-        self.sample(now);
+        self.sample(now, values);
         self.next_due = (now / self.cfg.interval + 1) * self.cfg.interval;
     }
 
-    /// Unconditionally snapshots every tracked series at `t` (also the
-    /// run-end flush, so the final state always appears in the export).
-    pub fn sample(&mut self, t: u64) {
+    /// Unconditionally reads every tracked series from `values` at `t`
+    /// (also the run-end flush, so the final state always appears in the
+    /// export).
+    pub fn sample(&mut self, t: u64, values: &Values) {
         if !self.cfg.enabled {
             return;
         }
         for tr in &mut self.tracked {
-            let value = match &tr.source {
-                Source::Counter(c) => SampleValue::Counter(c.get()),
-                Source::Hist(h) => SampleValue::Hist(h.summary()),
+            let value = match tr.source {
+                Source::Counter(c) => SampleValue::Counter(values.total(c)),
+                Source::Hist(h) => SampleValue::Hist(values.histogram(h).summary()),
             };
             tr.push(self.cfg.capacity, Sample { t, value });
         }
@@ -377,10 +374,10 @@ impl TimeseriesSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MetricsHandle;
+    use crate::Registry;
 
-    fn sampler(interval: u64, capacity: usize) -> (TimeseriesSampler, Counter, Hist) {
-        let m = MetricsHandle::default();
+    fn sampler(interval: u64, capacity: usize) -> (TimeseriesSampler, Registry, CounterId, HistId) {
+        let mut m = Registry::default();
         let c = m.counter("osiris_ts_total", "t", &[]);
         let h = m.hist("osiris_ts_hist", "t", &[]);
         let mut s = TimeseriesSampler::new(TimeseriesConfig {
@@ -388,21 +385,21 @@ mod tests {
             interval,
             capacity,
         });
-        s.track_counter("osiris_ts_total", c.clone());
-        s.track_hist("osiris_ts_hist{overlap=\"none\"}", h.clone());
-        (s, c, h)
+        s.track_counter("osiris_ts_total", c);
+        s.track_hist("osiris_ts_hist{overlap=\"none\"}", h);
+        (s, m, c, h)
     }
 
     #[test]
     fn samples_land_on_the_interval_grid() {
-        let (mut s, c, _) = sampler(100, 16);
-        c.add(1);
-        s.maybe_sample(50); // before the first grid point: nothing
+        let (mut s, mut m, c, _) = sampler(100, 16);
+        m.add(c, 1);
+        s.maybe_sample(50, &m); // before the first grid point: nothing
         assert!(s.is_empty());
-        s.maybe_sample(100); // on the grid
-        s.maybe_sample(130); // same interval: no second sample
-        c.add(1);
-        s.maybe_sample(250); // crossed 200
+        s.maybe_sample(100, &m); // on the grid
+        s.maybe_sample(130, &m); // same interval: no second sample
+        m.add(c, 1);
+        s.maybe_sample(250, &m); // crossed 200
         let pts = s.series("osiris_ts_total").unwrap();
         assert_eq!(pts.len(), 2);
         assert_eq!((pts[0].t, pts[0].value), (100, SampleValue::Counter(1)));
@@ -411,10 +408,10 @@ mod tests {
 
     #[test]
     fn ring_keeps_the_most_recent_points() {
-        let (mut s, c, _) = sampler(10, 3);
+        let (mut s, mut m, c, _) = sampler(10, 3);
         for i in 1..=5u64 {
-            c.add(1);
-            s.maybe_sample(i * 10);
+            m.add(c, 1);
+            s.maybe_sample(i * 10, &m);
         }
         let pts = s.series("osiris_ts_total").unwrap();
         assert_eq!(pts.len(), 3);
@@ -427,12 +424,12 @@ mod tests {
 
     #[test]
     fn hist_samples_capture_the_digest() {
-        let (mut s, _, h) = sampler(10, 8);
+        let (mut s, mut m, _, h) = sampler(10, 8);
         for _ in 0..99 {
-            h.observe(8);
+            m.observe(h, 8);
         }
-        h.observe(1 << 30);
-        s.sample(10);
+        m.observe(h, 1 << 30);
+        s.sample(10, &m);
         let pts = s.series("osiris_ts_hist{overlap=\"none\"}").unwrap();
         match pts[0].value {
             SampleValue::Hist(d) => {
@@ -446,36 +443,36 @@ mod tests {
 
     #[test]
     fn disabled_sampler_records_nothing() {
-        let m = MetricsHandle::default();
+        let mut m = Registry::default();
         let c = m.counter("osiris_ts_off_total", "t", &[]);
         let mut s = TimeseriesSampler::new(TimeseriesConfig::default());
         assert!(!s.enabled());
         s.track_counter("osiris_ts_off_total", c);
-        s.maybe_sample(1_000_000);
-        s.sample(2_000_000);
+        s.maybe_sample(1_000_000, &m);
+        s.sample(2_000_000, &m);
         assert!(s.is_empty());
     }
 
     #[test]
     fn reset_clears_points_and_rearms_the_grid() {
-        let (mut s, c, _) = sampler(100, 8);
-        c.inc();
-        s.maybe_sample(100);
+        let (mut s, mut m, c, _) = sampler(100, 8);
+        m.inc(c);
+        s.maybe_sample(100, &m);
         assert_eq!(s.len(), 2);
         s.reset(150);
         assert!(s.is_empty());
-        s.maybe_sample(150); // old grid point: already past reset's re-arm
+        s.maybe_sample(150, &m); // old grid point: already past reset's re-arm
         assert!(s.is_empty());
-        s.maybe_sample(200); // next grid point after the reset
+        s.maybe_sample(200, &m); // next grid point after the reset
         assert_eq!(s.len(), 2);
     }
 
     #[test]
     fn json_is_column_oriented_and_deterministic() {
-        let (mut s, c, h) = sampler(10, 8);
-        c.add(3);
-        h.observe(7);
-        s.sample(10);
+        let (mut s, mut m, c, h) = sampler(10, 8);
+        m.add(c, 3);
+        m.observe(h, 7);
+        s.sample(10, &m);
         let text = s.to_json().pretty();
         assert!(text.contains("\"interval\": 10"), "{text}");
         assert!(text.contains("\"kind\": \"counter\""), "{text}");
@@ -488,16 +485,16 @@ mod tests {
 
     #[test]
     fn chrome_counters_append_into_a_trace_document() {
-        let (mut s, c, _) = sampler(10, 8);
-        c.add(2);
-        s.sample(10);
+        let (mut s, mut m, c, _) = sampler(10, 8);
+        m.add(c, 2);
+        s.sample(10, &m);
         let mut doc = Json::obj([("traceEvents", Json::Arr(vec![]))]);
         s.append_chrome_counters(&mut doc);
         let text = doc.pretty();
         assert!(text.contains("\"ph\": \"C\""), "{text}");
         assert!(text.contains("\"osiris_ts_total\""), "{text}");
         // An empty sampler leaves the document untouched.
-        let (s2, _, _) = sampler(10, 8);
+        let (s2, ..) = sampler(10, 8);
         let mut doc2 = Json::obj([("traceEvents", Json::Arr(vec![]))]);
         s2.append_chrome_counters(&mut doc2);
         assert!(!doc2.pretty().contains("\"C\""));

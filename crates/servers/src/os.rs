@@ -224,10 +224,21 @@ impl Os {
         self.kernel.axiom_bytes()
     }
 
-    /// Verifies the axiom's hash chain end to end (also bumps the
-    /// chain-verification counters).
-    pub fn verify_axiom(&self) -> Result<(), osiris_axiom::AxiomError> {
+    /// Verifies the axiom's hash chain end to end, counting the check in
+    /// the chain-verification counters.
+    pub fn verify_axiom(&mut self) -> Result<(), osiris_axiom::AxiomError> {
         self.kernel.verify_axiom()
+    }
+
+    /// Bisects this run's axiom against a previously `recorded` one and
+    /// returns the first diverging event, counting a divergence in
+    /// `osiris_axiom_replay_divergence_total`. `None` means this run
+    /// re-derived the recorded history exactly.
+    pub fn check_replay_divergence(
+        &mut self,
+        recorded: &[osiris_axiom::AxiomRecord],
+    ) -> Option<osiris_axiom::Divergence> {
+        self.kernel.check_replay_divergence(recorded)
     }
 
     /// The control state maintained by the kernel's live fold over the
@@ -296,16 +307,10 @@ impl Os {
         self.kernel.metrics()
     }
 
-    /// The metrics registry backing every counter the kernel maintains.
-    pub fn metrics_handle(&self) -> &osiris_metrics::MetricsHandle {
-        self.kernel.metrics_handle()
-    }
-
-    /// A consistent snapshot of the registry, with the mirrored heap and
-    /// window series refreshed first.
+    /// A deep copy of every registry family for exposition, with the heap,
+    /// window and clone-pool series computed now.
     pub fn metrics_snapshot(&self) -> osiris_metrics::MetricsSnapshot {
-        self.kernel.sync_registry();
-        self.kernel.metrics_handle().snapshot()
+        self.kernel.metrics_snapshot()
     }
 
     /// The registry rendered in Prometheus text exposition format.
@@ -487,7 +492,6 @@ impl Os {
             self.pending_refusals.is_empty(),
             "snapshot with undelivered shutdown refusals"
         );
-        self.kernel.sync_registry();
         OsSnapshot {
             cfg: self.cfg.clone(),
             kernel: self.kernel.snapshot_into(store, prev.map(|p| &p.kernel)),

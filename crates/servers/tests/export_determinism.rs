@@ -92,7 +92,7 @@ fn fault_free_exports_are_byte_identical() {
 
 #[test]
 fn faulted_exports_are_byte_identical_and_record_recovery() {
-    let (os, [text, chrome, prom, ..]) = identical_pair(true);
+    let (mut os, [text, chrome, prom, ..]) = identical_pair(true);
     // The injected crashes must be visible in the trace: crash capture,
     // the RS notification, the decision and the completed recovery.
     for needle in [
@@ -142,6 +142,9 @@ fn disabled_tracer_records_nothing() {
     assert!(os.trace_handle().with(|t| t.is_empty()));
 }
 
+/// A disabled registry still lists every family and reads zero through all
+/// three views: `KernelMetrics`, `ComponentReport` and the exposition,
+/// computed series included.
 #[test]
 fn disabled_registry_reads_zero() {
     let mut cfg = OsConfig::with_policy(PolicyKind::Enhanced);
@@ -150,8 +153,25 @@ fn disabled_registry_reads_zero() {
     let m = os.metrics();
     assert_eq!(m.syscalls, 0, "disabled registry views read zero");
     assert_eq!(m.ipc_delivered, 0);
-    assert!(os
-        .metrics_snapshot()
+    assert_eq!(m.timers_fired + m.crashes + m.wd_armed, 0);
+    let reports = os.reports();
+    assert!(reports.iter().any(|r| r.window.opens > 0), "the suite ran");
+    for r in reports {
+        let counted = [r.cycles, r.messages, r.writes, r.undo_appends, r.crashes];
+        assert!(counted.iter().all(|n| *n == 0), "{}: {counted:?}", r.name);
+        assert_eq!(
+            (r.heap_bytes, r.clone_bytes, r.clone_dedup_bytes),
+            (0, 0, 0)
+        );
+        assert_eq!((r.window_cycles.count, r.undo_window_bytes.count), (0, 0));
+    }
+    let snap = os.metrics_snapshot();
+    let on = Os::new(OsConfig::with_policy(PolicyKind::Enhanced)).metrics_snapshot();
+    assert_eq!(snap.families.len(), 53);
+    for (off, on) in snap.families.iter().zip(&on.families) {
+        assert_eq!((&off.name, off.series.len()), (&on.name, on.series.len()));
+    }
+    assert!(snap
         .families
         .iter()
         .all(|f| f.series.iter().all(|s| match &s.value {
@@ -187,10 +207,8 @@ fn scripted_run(poll: bool) -> [String; 3] {
     ]
 }
 
-/// The per-message series are plain fields of the kernel, published into
-/// the registry wherever something reads it. Reading must not be
-/// observable: a run polled after every step ends with the same bytes as
-/// the same run left alone.
+/// Reading the registry must not be observable: a run polled after every
+/// step ends with the same bytes as the same run left alone.
 #[test]
 fn mid_run_reads_leave_every_export_byte_identical() {
     let alone = scripted_run(false);

@@ -9,7 +9,11 @@
 use osiris_core::{EscalationPolicy, RestartBudget};
 use osiris_faults::{DoubleInjector, FaultKind, FaultPlan, Injector, SiteId, SiteKindTag};
 use osiris_kernel::abi::OpenFlags;
-use osiris_kernel::{FaultHook, Host, ProgramRegistry, WatchdogConfig};
+use osiris_kernel::{
+    ComponentReport, FaultHook, Host, KernelMetrics, ProgramRegistry, WatchdogConfig,
+};
+use osiris_metrics::timeseries::SampleValue;
+use osiris_metrics::{HistSummary, MetricsSnapshot, SeriesValue};
 use osiris_servers::{Os, OsConfig};
 
 fn plan(component: &str, site: &str, kind: FaultKind, transient: bool) -> FaultPlan {
@@ -246,4 +250,261 @@ fn write_exports_of_two_same_seed_runs_are_byte_identical_trees() {
     );
     assert!(a.iter().all(|(_, bytes)| !bytes.is_empty()));
     assert!(a == b, "same-seed runs exported different trees");
+}
+
+/// The scalar of series `name{labels}`.
+fn scalar(snap: &MetricsSnapshot, name: &str, labels: &[(&str, &str)]) -> u64 {
+    match snap.find(name, labels) {
+        Some(SeriesValue::Counter(n) | SeriesValue::Gauge(n)) => *n,
+        other => panic!("{name}{labels:?}: {other:?}"),
+    }
+}
+
+/// The digest of histogram series `name{labels}`.
+fn digest(snap: &MetricsSnapshot, name: &str, labels: &[(&str, &str)]) -> HistSummary {
+    match snap.find(name, labels) {
+        Some(SeriesValue::Hist(h)) => h.summary(),
+        other => panic!("{name}{labels:?}: {other:?}"),
+    }
+}
+
+/// The sum over every series of scalar family `name`.
+fn family_sum(snap: &MetricsSnapshot, name: &str) -> u64 {
+    let family = snap.families.iter().find(|f| f.name == name);
+    let series = &family.unwrap_or_else(|| panic!("no family {name}")).series;
+    series
+        .iter()
+        .map(|s| match &s.value {
+            SeriesValue::Counter(n) | SeriesValue::Gauge(n) => *n,
+            SeriesValue::Hist(_) => panic!("{name} is a histogram"),
+        })
+        .sum()
+}
+
+/// One number, one store: after a faulted run every `KernelMetrics` field,
+/// every `ComponentReport` counter and the last point of every sampled
+/// time series is the value the exposition carries for the same series.
+/// The structs are destructured in full, so a new field fails to compile
+/// here until it is mapped to its series.
+#[test]
+fn reports_timeseries_and_exposition_read_the_same_numbers() {
+    let mut os = run(Box::new(DoubleInjector::new(
+        &plan("ds", "ds.get.entry", FaultKind::Crash, true),
+        &plan("vfs", "vfs.stat.entry", FaultKind::Hang, true),
+    )));
+    let _ = os.timeseries_json(); // the run-end sample
+    let snap = os.metrics_snapshot();
+    let one = |name: &str| scalar(&snap, name, &[]);
+    let by = |name: &str, key: &str, value: &str| scalar(&snap, name, &[(key, value)]);
+
+    let KernelMetrics {
+        ipc_delivered,
+        syscalls,
+        timers_fired,
+        crashes,
+        quarantines,
+        hangs,
+        recovered_rollback,
+        recovered_fresh,
+        recovered_naive,
+        recovered_quiescent,
+        controlled_shutdowns,
+        recovery_cycles,
+        wd_armed,
+        wd_expired,
+        wd_probes,
+        wd_verdicts,
+        wd_replies_rejected,
+        retries_granted,
+        retries_denied,
+        retries_exhausted,
+    } = os.metrics();
+    assert!(syscalls > 0 && crashes > 0 && hangs > 0 && wd_armed > 0);
+    let recovered = |action: &str| by("osiris_kernel_recoveries_total", "action", action);
+    for (field, got, want) in [
+        (
+            "ipc_delivered",
+            ipc_delivered,
+            one("osiris_kernel_ipc_delivered_total"),
+        ),
+        ("syscalls", syscalls, one("osiris_kernel_syscalls_total")),
+        (
+            "timers_fired",
+            timers_fired,
+            one("osiris_kernel_timers_fired_total"),
+        ),
+        (
+            "crashes",
+            crashes,
+            family_sum(&snap, "osiris_comp_crashes_total"),
+        ),
+        (
+            "quarantines",
+            quarantines,
+            family_sum(&snap, "osiris_quarantine_total"),
+        ),
+        ("hangs", hangs, one("osiris_kernel_hangs_total")),
+        (
+            "recovered_rollback",
+            recovered_rollback,
+            recovered("rollback"),
+        ),
+        ("recovered_fresh", recovered_fresh, recovered("fresh")),
+        ("recovered_naive", recovered_naive, recovered("naive")),
+        (
+            "recovered_quiescent",
+            recovered_quiescent,
+            recovered("quiescent"),
+        ),
+        (
+            "controlled_shutdowns",
+            controlled_shutdowns,
+            one("osiris_kernel_controlled_shutdowns_total"),
+        ),
+        (
+            "recovery_cycles",
+            recovery_cycles,
+            one("osiris_kernel_recovery_cycles_total"),
+        ),
+        ("wd_armed", wd_armed, one("osiris_watchdog_armed_total")),
+        (
+            "wd_expired",
+            wd_expired,
+            one("osiris_watchdog_deadline_expired_total"),
+        ),
+        ("wd_probes", wd_probes, one("osiris_watchdog_probes_total")),
+        (
+            "wd_verdicts",
+            wd_verdicts,
+            family_sum(&snap, "osiris_watchdog_verdicts_total"),
+        ),
+        (
+            "wd_replies_rejected",
+            wd_replies_rejected,
+            one("osiris_watchdog_replies_rejected_total"),
+        ),
+        (
+            "retries_granted",
+            retries_granted,
+            by("osiris_retry_decisions_total", "result", "granted"),
+        ),
+        (
+            "retries_denied",
+            retries_denied,
+            by("osiris_retry_decisions_total", "result", "denied"),
+        ),
+        (
+            "retries_exhausted",
+            retries_exhausted,
+            one("osiris_retry_exhausted_total"),
+        ),
+    ] {
+        assert_eq!(got, want, "KernelMetrics::{field}");
+    }
+
+    for report in os.reports() {
+        let ComponentReport {
+            name,
+            endpoint,
+            window,
+            cycles,
+            messages,
+            heap_bytes,
+            clone_bytes,
+            clone_dedup_bytes,
+            undo_window_peak_bytes,
+            recovery_latency,
+            window_cycles,
+            undo_window_bytes,
+            writes,
+            undo_appends,
+            coalesced_writes,
+            crashes,
+            recoveries,
+        } = report;
+        let endpoint = endpoint.to_string();
+        let labels = [("component", name), ("endpoint", endpoint.as_str())];
+        assert!(heap_bytes > 0 && clone_bytes > 0, "{name}");
+        for (field, got, series) in [
+            ("cycles", cycles, "osiris_comp_cycles_total"),
+            ("messages", messages, "osiris_comp_messages_total"),
+            ("heap_bytes", heap_bytes as u64, "osiris_comp_heap_bytes"),
+            ("clone_bytes", clone_bytes as u64, "osiris_comp_clone_bytes"),
+            (
+                "clone_dedup_bytes",
+                clone_dedup_bytes as u64,
+                "osiris_comp_clone_dedup_bytes",
+            ),
+            (
+                "undo_window_peak_bytes",
+                undo_window_peak_bytes as u64,
+                "osiris_comp_undo_window_peak_bytes",
+            ),
+            ("writes", writes, "osiris_comp_writes_total"),
+            (
+                "undo_appends",
+                undo_appends,
+                "osiris_comp_undo_appends_total",
+            ),
+            (
+                "coalesced_writes",
+                coalesced_writes,
+                "osiris_comp_coalesced_writes_total",
+            ),
+            ("crashes", crashes, "osiris_comp_crashes_total"),
+            ("recoveries", recoveries, "osiris_comp_recoveries_total"),
+            (
+                "window.opens",
+                window.opens,
+                "osiris_comp_window_opens_total",
+            ),
+            (
+                "window.rollbacks",
+                window.rollbacks,
+                "osiris_comp_window_rollbacks_total",
+            ),
+        ] {
+            assert_eq!(got, scalar(&snap, series, &labels), "{name}: {field}");
+        }
+        for (field, got, series) in [
+            (
+                "recovery_latency",
+                recovery_latency,
+                "osiris_comp_recovery_latency_cycles",
+            ),
+            ("window_cycles", window_cycles, "osiris_comp_window_cycles"),
+            (
+                "undo_window_bytes",
+                undo_window_bytes,
+                "osiris_comp_undo_window_bytes",
+            ),
+        ] {
+            assert_eq!(got, digest(&snap, series, &labels), "{name}: {field}");
+        }
+    }
+
+    let overlap = |family: &'static str, value: &'static str| (family, vec![("overlap", value)]);
+    let sampled = [
+        overlap("osiris_span_latency_cycles", "none"),
+        overlap("osiris_span_latency_cycles", "recovery"),
+        ("osiris_span_started_total", vec![]),
+        overlap("osiris_span_completed_total", "none"),
+        overlap("osiris_span_completed_total", "recovery"),
+        ("osiris_kernel_recovery_cycles_total", vec![]),
+        ("osiris_kernel_hangs_total", vec![]),
+        ("osiris_axiom_events_total", vec![]),
+    ];
+    for (family, labels) in sampled {
+        let name = match labels.first() {
+            Some((k, v)) => format!("{family}{{{k}=\"{v}\"}}"),
+            None => family.to_string(),
+        };
+        let points = os.timeseries().series(&name);
+        let last = points.as_ref().and_then(|p| p.last());
+        let last = last.unwrap_or_else(|| panic!("{name} has no sample"));
+        match last.value {
+            SampleValue::Counter(n) => assert_eq!(n, scalar(&snap, family, &labels), "{name}"),
+            SampleValue::Hist(d) => assert_eq!(d, digest(&snap, family, &labels), "{name}"),
+        }
+    }
 }

@@ -22,8 +22,8 @@
 //! * [`workloads`] — the prototype test suite and Unixbench analogs.
 //! * [`trace`] — the deterministic flight recorder (event ring, histograms,
 //!   Chrome-trace export, post-mortem black box).
-//! * [`metrics`] — the unified metrics registry (typed counter/gauge/
-//!   histogram handles, Prometheus and JSON exposition).
+//! * [`metrics`] — the metrics registry (typed counter/gauge/
+//!   histogram series ids, Prometheus and JSON exposition).
 //! * [`axiom`] — the authoritative control-plane log: hash-chained typed
 //!   events, pure control-state reduction, whole-system replay, divergence
 //!   bisection.
@@ -69,7 +69,7 @@ pub use osiris_kernel::{
     install_quiet_panic_hook, Host, Instrumentation, OsEngine, ProgramRegistry, RunOutcome,
     ShutdownKind, Sys, WatchdogConfig,
 };
-pub use osiris_metrics::{MetricsConfig, MetricsHandle};
+pub use osiris_metrics::{MetricsConfig, Registry};
 pub use osiris_monolith::Monolith;
 pub use osiris_servers::{Os, OsConfig};
 pub use osiris_trace::{TraceConfig, TraceEvent, TraceHandle};
