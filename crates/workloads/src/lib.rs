@@ -17,8 +17,10 @@ pub use unixbench::{
     CYCLES_PER_SECOND,
 };
 
+pub use osiris_kernel::{ForkFn, Host, HostConfig, ProgramFn, ProgramRegistry, Sys};
+
 use osiris_core::PolicyKind;
-use osiris_kernel::{Host, OsEngine, RunOutcome};
+use osiris_kernel::{OsEngine, RunOutcome};
 use osiris_servers::{Os, OsConfig};
 
 /// Runs the full prototype test suite on a freshly booted OSIRIS OS under
