@@ -20,6 +20,12 @@ if grep -rn 'Atomic\|Mutex' crates/metrics/src ||
     exit 1
 fi
 
+echo "== one run token: the RCB spawns no thread and owns no channel; the process host has no channel =="
+if grep -rnE 'thread::(spawn|Builder|scope)|mpsc' crates/{kernel,core,checkpoint,cothread}/src ||
+    grep -n 'mpsc\|channel(' crates/workloads/src/host.rs; then
+    exit 1
+fi
+
 echo "== repo-root size cap: no tracked file at the root over 64 KiB (dumps belong under target/) =="
 git ls-files -z -- ':(glob)*' | xargs -0 wc -c |
     awk '$2 != "total" && $1 > 65536 { print "over 64 KiB: " $2 " (" $1 " bytes)"; bad = 1 } END { exit bad }'

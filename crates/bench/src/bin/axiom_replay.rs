@@ -24,9 +24,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use osiris_axiom::{reduce, AxiomLog};
 use osiris_core::PolicyKind;
 use osiris_kernel::abi::{Errno, OpenFlags};
-use osiris_kernel::{FaultEffect, FaultHook, Host, Probe, ProgramRegistry};
+use osiris_kernel::{FaultEffect, FaultHook, Probe};
 use osiris_servers::{Os, OsConfig};
 use osiris_trace::TraceConfig;
+use osiris_workloads::{Host, ProgramRegistry};
 
 /// The quickstart fault: a single fail-stop crash in PM's fork path.
 struct CrashForkOnce(AtomicBool);

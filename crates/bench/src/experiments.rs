@@ -7,9 +7,10 @@ use osiris_faults::{
     PeriodicCrash, Recorder, SiteProfile, Tally,
 };
 use osiris_kernel::FaultHook;
-use osiris_kernel::{Instrumentation, OsEngine, ProgramRegistry};
+use osiris_kernel::{Instrumentation, OsEngine};
 use osiris_monolith::Monolith;
 use osiris_servers::{Os, OsConfig};
+use osiris_workloads::ProgramRegistry;
 use osiris_workloads::{
     default_iters, register_unixbench, run_benchmark_with, run_suite_with, BENCHMARKS,
 };

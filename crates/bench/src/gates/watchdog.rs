@@ -14,11 +14,10 @@
 //!   cancels boot — must be equal with the watchdog on and off, and stay
 //!   under a ceiling per put/get round.
 
-use osiris_kernel::{
-    cost, FaultEffect, FaultHook, Host, Probe, ProgramRegistry, RunOutcome, WatchdogConfig,
-};
+use osiris_kernel::{cost, FaultEffect, FaultHook, Probe, RunOutcome, WatchdogConfig};
 use osiris_metrics::SeriesValue;
 use osiris_servers::{Os, OsConfig};
+use osiris_workloads::{Host, ProgramRegistry};
 
 use super::{Checks, Scale, Want};
 

@@ -144,6 +144,15 @@ mod tests {
         assert!(pct > 1.0 && pct < 60.0, "rcb {}%", pct);
     }
 
+    /// The process host is a workload driver and left the kernel crate in
+    /// PR 21 (8,860 lines, 27.7 % before); only the engine contract stays.
+    #[test]
+    fn rcb_stays_under_its_ceiling() {
+        let report = count_workspace_loc();
+        assert!(report.rcb_total() <= 8_200, "rcb {}", report.rcb_total());
+        assert!(report.rcb_pct() < 26.0, "rcb {}%", report.rcb_pct());
+    }
+
     #[test]
     fn rcb_crates_are_present() {
         let report = count_workspace_loc();

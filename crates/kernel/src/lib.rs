@@ -1,6 +1,7 @@
 //! The OSIRIS microkernel substrate: deterministic message passing,
 //! event-driven components, crash detection and recovery mechanics, plus the
-//! user-process host that runs workload programs against a simulated OS.
+//! engine contract ([`OsEngine`], [`RunOutcome`]) a workload driver runs a
+//! simulated OS through.
 //!
 //! This crate reproduces the role MINIX 3 plays in the OSIRIS prototype
 //! (paper §V): a small trusted kernel providing scheduling and message
@@ -11,9 +12,10 @@
 //! property the paper obtains from MMU isolation.
 //!
 //! The crate is deliberately generic: [`Kernel`] works with any protocol
-//! type implementing [`Protocol`], and [`Host`] with any [`OsEngine`]. The
-//! `osiris-servers` crate assembles the five core servers into the full OS;
-//! `osiris-monolith` implements the same ABI without compartmentalization.
+//! type implementing [`Protocol`]. The `osiris-servers` crate assembles the
+//! five core servers into the full OS; `osiris-monolith` implements the same
+//! ABI without compartmentalization; the process host that drives either
+//! through [`OsEngine`] is `osiris_workloads::Host`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -21,7 +23,7 @@
 pub mod abi;
 mod clock;
 mod component;
-mod host;
+mod engine;
 mod kernel;
 mod message;
 mod metrics;
@@ -31,7 +33,7 @@ pub use component::{
     Ctx, FaultEffect, FaultHook, InjectedCrash, InjectedHang, IntentPhase, NoFaults, PrivOp, Probe,
     Server, SiteKind,
 };
-pub use host::{ForkFn, Host, HostConfig, OsEngine, ProgramFn, ProgramRegistry, RunOutcome, Sys};
+pub use engine::{OsEngine, RunOutcome};
 pub use kernel::{
     CasFingerprint, CompSnapshot, Instrumentation, Kernel, KernelConfig, KernelSnapshot,
     WatchdogConfig,
@@ -42,8 +44,8 @@ pub use metrics::{ComponentReport, KernelMetrics, ShutdownKind};
 use std::sync::Once;
 
 /// Installs a process-wide panic hook that silences the panics used as
-/// control flow by the simulator (injected faults and process exits), while
-/// delegating genuine panics to the previous hook.
+/// control flow by the simulator (injected faults), while delegating
+/// genuine panics to the previous hook.
 ///
 /// Fault-injection campaigns unwind thousands of injected crashes; without
 /// this hook every one of them would print a backtrace banner.
@@ -53,10 +55,7 @@ pub fn install_quiet_panic_hook() {
         let previous = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
             let payload = info.payload();
-            if payload.is::<InjectedCrash>()
-                || payload.is::<InjectedHang>()
-                || payload.is::<crate::host::ProcExit>()
-            {
+            if payload.is::<InjectedCrash>() || payload.is::<InjectedHang>() {
                 return;
             }
             previous(info);

@@ -92,7 +92,7 @@ struct MPipe {
 /// The monolithic OS engine.
 ///
 /// ```
-/// use osiris_kernel::{Host, ProgramRegistry};
+/// use osiris_workloads::{Host, ProgramRegistry};
 /// use osiris_monolith::Monolith;
 ///
 /// let mut registry = ProgramRegistry::new();

@@ -2,12 +2,13 @@
 //! monolith and would on the microkernel OS (semantics, not timing).
 
 use osiris_kernel::abi::{Errno, OpenFlags, SeekFrom, Signal};
-use osiris_kernel::{Host, OsEngine, ProgramRegistry, RunOutcome};
+use osiris_kernel::{OsEngine, RunOutcome};
 use osiris_monolith::Monolith;
+use osiris_workloads::{Host, ProgramRegistry};
 
 fn run<F>(prog: F) -> (RunOutcome, Monolith)
 where
-    F: Fn(&mut osiris_kernel::Sys) -> i32 + Send + Sync + 'static,
+    F: Fn(&mut osiris_workloads::Sys) -> i32 + Send + Sync + 'static,
 {
     osiris_kernel::install_quiet_panic_hook();
     let mut registry = ProgramRegistry::new();

@@ -16,12 +16,12 @@
 //!
 //! [`Os`] wires everything together and implements
 //! [`osiris_kernel::OsEngine`], so workload programs written against
-//! [`osiris_kernel::Sys`] run on it unmodified.
+//! `osiris_workloads::Sys` run on it unmodified.
 //!
 //! # Example
 //!
 //! ```
-//! use osiris_kernel::{Host, ProgramRegistry};
+//! use osiris_workloads::{Host, ProgramRegistry};
 //! use osiris_servers::{Os, OsConfig};
 //!
 //! let mut registry = ProgramRegistry::new();

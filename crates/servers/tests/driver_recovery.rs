@@ -7,8 +7,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use osiris_core::PolicyKind;
 use osiris_kernel::abi::{Errno, OpenFlags, SeekFrom};
-use osiris_kernel::{FaultEffect, FaultHook, Host, Probe, ProgramRegistry, RunOutcome};
+use osiris_kernel::{FaultEffect, FaultHook, Probe, RunOutcome};
 use osiris_servers::{Os, OsConfig};
+use osiris_workloads::{Host, ProgramRegistry};
 
 struct CrashOnce {
     site: &'static str,
@@ -27,7 +28,7 @@ impl FaultHook for CrashOnce {
 
 /// Writes past the cache capacity, then reads everything back — forcing
 /// disk reads that the injected driver crash will interrupt.
-fn thrash(sys: &mut osiris_kernel::Sys) -> Result<usize, Errno> {
+fn thrash(sys: &mut osiris_workloads::Sys) -> Result<usize, Errno> {
     let fd = sys.open("/tmp/drv", OpenFlags::RDWR_CREATE)?;
     for _ in 0..96 {
         sys.write(fd, &[3u8; 1024])?;

@@ -11,9 +11,10 @@ use osiris_faults::{
     SiteKindTag,
 };
 use osiris_kernel::abi::{Errno, Fd, OpenFlags};
-use osiris_kernel::{Host, ProgramRegistry, RunOutcome, Sys};
+use osiris_kernel::RunOutcome;
 use osiris_servers::{Os, OsConfig};
 use osiris_trace::TraceConfig;
+use osiris_workloads::{Host, ProgramRegistry, Sys};
 
 const MAX_RESTARTS: u32 = 3;
 const READS: u32 = 10;

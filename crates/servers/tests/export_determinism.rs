@@ -12,11 +12,12 @@ use osiris_axiom::{bisect, AxiomConfig};
 use osiris_core::PolicyKind;
 use osiris_faults::forge::ScriptWorkload;
 use osiris_faults::PeriodicCrash;
-use osiris_kernel::{FaultHook, Host, ProgramRegistry};
+use osiris_kernel::FaultHook;
 use osiris_metrics::{validate_prometheus, MetricsConfig, SeriesValue, TimeseriesConfig};
 use osiris_servers::{Os, OsConfig};
 use osiris_trace::{TraceConfig, TraceEvent};
 use osiris_workloads::run_suite_with;
+use osiris_workloads::{Host, ProgramRegistry};
 
 /// Every recorder on (metrics is on by default).
 fn recorded_cfg() -> OsConfig {

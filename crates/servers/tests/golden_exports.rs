@@ -9,12 +9,11 @@
 use osiris_core::{EscalationPolicy, RestartBudget};
 use osiris_faults::{DoubleInjector, FaultKind, FaultPlan, Injector, SiteId, SiteKindTag};
 use osiris_kernel::abi::OpenFlags;
-use osiris_kernel::{
-    ComponentReport, FaultHook, Host, KernelMetrics, ProgramRegistry, WatchdogConfig,
-};
+use osiris_kernel::{ComponentReport, FaultHook, KernelMetrics, WatchdogConfig};
 use osiris_metrics::timeseries::SampleValue;
 use osiris_metrics::{HistSummary, MetricsSnapshot, SeriesValue};
 use osiris_servers::{Os, OsConfig};
+use osiris_workloads::{Host, ProgramRegistry};
 
 fn plan(component: &str, site: &str, kind: FaultKind, transient: bool) -> FaultPlan {
     FaultPlan {

@@ -12,10 +12,9 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use osiris_core::PolicyKind;
-use osiris_kernel::{
-    FaultEffect, FaultHook, Host, Probe, ProgramRegistry, RunOutcome, ShutdownKind,
-};
+use osiris_kernel::{FaultEffect, FaultHook, Probe, RunOutcome, ShutdownKind};
 use osiris_servers::{Os, OsConfig};
+use osiris_workloads::{Host, ProgramRegistry};
 
 struct CrashOnce {
     site: &'static str,

@@ -5,21 +5,20 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use osiris_core::PolicyKind;
 use osiris_kernel::abi::{Errno, OpenFlags, SeekFrom, Signal};
-use osiris_kernel::{
-    FaultEffect, FaultHook, Host, OsEngine, Probe, ProgramRegistry, RunOutcome, ShutdownKind,
-};
+use osiris_kernel::{FaultEffect, FaultHook, OsEngine, Probe, RunOutcome, ShutdownKind};
 use osiris_servers::{Os, OsConfig};
+use osiris_workloads::{Host, ProgramRegistry};
 
 fn run_one<F>(prog: F) -> (RunOutcome, Os)
 where
-    F: Fn(&mut osiris_kernel::Sys) -> i32 + Send + Sync + 'static,
+    F: Fn(&mut osiris_workloads::Sys) -> i32 + Send + Sync + 'static,
 {
     run_with_policy(PolicyKind::Enhanced, prog)
 }
 
 fn run_with_policy<F>(policy: PolicyKind, prog: F) -> (RunOutcome, Os)
 where
-    F: Fn(&mut osiris_kernel::Sys) -> i32 + Send + Sync + 'static,
+    F: Fn(&mut osiris_workloads::Sys) -> i32 + Send + Sync + 'static,
 {
     osiris_kernel::install_quiet_panic_hook();
     let mut registry = ProgramRegistry::new();
@@ -448,7 +447,7 @@ impl FaultHook for CrashOnce {
 fn run_with_crash(
     policy: PolicyKind,
     site: &'static str,
-    prog: fn(&mut osiris_kernel::Sys) -> i32,
+    prog: fn(&mut osiris_workloads::Sys) -> i32,
 ) -> (RunOutcome, Os) {
     osiris_kernel::install_quiet_panic_hook();
     let mut registry = ProgramRegistry::new();
@@ -506,7 +505,7 @@ fn pessimistic_policy_shuts_down_where_enhanced_recovers() {
     // `pm.spawn.load_sent` runs after the read-only VfsExecLoad request:
     // enhanced keeps the window open (recovers), pessimistic closed it at
     // the send (controlled shutdown).
-    let prog: fn(&mut osiris_kernel::Sys) -> i32 = |sys| match sys.spawn("child_ok", &[]) {
+    let prog: fn(&mut osiris_workloads::Sys) -> i32 = |sys| match sys.spawn("child_ok", &[]) {
         Err(Errno::ECRASH) => 0,
         Ok(child) => {
             let _ = sys.waitpid(child);
@@ -532,7 +531,7 @@ fn pessimistic_policy_shuts_down_where_enhanced_recovers() {
 #[test]
 fn ds_crash_after_announce_recovers_under_enhanced() {
     // The DS `Announce` trace notification is DS's first outgoing SEEP.
-    let prog: fn(&mut osiris_kernel::Sys) -> i32 = |sys| {
+    let prog: fn(&mut osiris_workloads::Sys) -> i32 = |sys| {
         match sys.ds_put("k", b"v") {
             Err(Errno::ECRASH) => {
                 // Error virtualization discarded the request entirely.

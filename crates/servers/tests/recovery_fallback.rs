@@ -11,9 +11,10 @@ use osiris_faults::{
     InjectionRecord, Outcome, SiteId, SiteKindTag, SiteProfile, Tally,
 };
 use osiris_kernel::abi::{Errno, OpenFlags};
-use osiris_kernel::{Host, ProgramRegistry, RunOutcome};
+use osiris_kernel::RunOutcome;
 use osiris_servers::{Os, OsConfig};
 use osiris_trace::TraceConfig;
+use osiris_workloads::{Host, ProgramRegistry};
 
 fn plan(component: &str, site: &str, transient: bool) -> FaultPlan {
     FaultPlan {

@@ -7,10 +7,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use osiris_core::PolicyKind;
 use osiris_kernel::abi::Errno;
-use osiris_kernel::{
-    FaultEffect, FaultHook, Host, Probe, ProgramRegistry, RunOutcome, ShutdownKind,
-};
+use osiris_kernel::{FaultEffect, FaultHook, Probe, RunOutcome, ShutdownKind};
 use osiris_servers::{Os, OsConfig};
+use osiris_workloads::{Host, ProgramRegistry};
 
 struct CrashOnce {
     site: &'static str,
@@ -30,7 +29,7 @@ impl FaultHook for CrashOnce {
 /// Program: does some work, hits an unrecoverable crash (PM after its VM
 /// send), then — when syscalls start failing with `ESHUTDOWN` — persists
 /// its progress into the data store before going down.
-fn saving_program(sys: &mut osiris_kernel::Sys) -> i32 {
+fn saving_program(sys: &mut osiris_workloads::Sys) -> i32 {
     sys.ds_put("progress", b"step-1").unwrap();
     // This fork triggers the unrecoverable crash; during the grace window
     // the call is refused with ESHUTDOWN rather than silently dying.

@@ -4,13 +4,14 @@
 
 use osiris_core::PolicyKind;
 use osiris_kernel::abi::{OpenFlags, SeekFrom};
-use osiris_kernel::{Host, ProgramRegistry, RunOutcome};
+use osiris_kernel::RunOutcome;
 use osiris_servers::{Os, OsConfig};
+use osiris_workloads::{Host, ProgramRegistry};
 
 /// Each child writes a multi-block file, evicts it from the cache by
 /// writing a second file, then reads the first back — guaranteeing a cold
 /// read that parks a cooperative thread on the disk.
-fn cold_reader(tag: u32) -> impl Fn(&mut osiris_kernel::Sys) -> i32 + Send + Sync + 'static {
+fn cold_reader(tag: u32) -> impl Fn(&mut osiris_workloads::Sys) -> i32 + Send + Sync + 'static {
     move |sys| {
         let a = format!("/tmp/bl_a{tag}");
         let b = format!("/tmp/bl_b{tag}");

@@ -7,9 +7,9 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use osiris_kernel::abi::{Errno, Fd, OpenFlags, SeekFrom};
-use osiris_kernel::{Host, ProgramRegistry, Sys};
 use osiris_rng::Rng;
 use osiris_servers::{Os, OsConfig};
+use osiris_workloads::{Host, ProgramRegistry, Sys};
 
 const CASES: u64 = 40;
 

@@ -5,9 +5,10 @@
 
 use osiris_axiom::AxiomEvent;
 use osiris_faults::{FaultKind, FaultPlan, Injector, SiteId, SiteKindTag};
-use osiris_kernel::{Host, ProgramRegistry, RunOutcome, WatchdogConfig};
+use osiris_kernel::{RunOutcome, WatchdogConfig};
 use osiris_metrics::validate_prometheus;
 use osiris_servers::{Os, OsConfig};
+use osiris_workloads::{Host, ProgramRegistry};
 
 fn wd_cfg() -> OsConfig {
     OsConfig {

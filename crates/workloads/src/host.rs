@@ -2,43 +2,38 @@
 //! lock-step with a simulated OS.
 //!
 //! Programs are ordinary Rust closures that issue syscalls through a
-//! [`Sys`] handle. Exactly one process executes at any instant: the host
-//! resumes a process, then blocks until that process issues its next action
-//! (syscall, compute, exit). Syscall arrival order is therefore fully
-//! deterministic, which the fault-injection experiments depend on.
+//! [`Sys`] handle. Exactly one process executes at any instant, so syscall
+//! arrival order is fully deterministic, which the fault-injection
+//! experiments depend on.
+//!
+//! There is no scheduler thread. Everything a run shares (the engine, the
+//! pending calls, the resume queue) sits behind one `Mutex`, and holding it
+//! is the *run token*. The process that issues a syscall takes the token,
+//! submits the call, pumps the OS and pops the next process to resume
+//! itself; when that process is the caller it simply returns with its
+//! reply. Only when another process is due does it put the reply in that
+//! process's inbox, signal its `Condvar` and park on its own; a process
+//! that is due to start gets a thread spawned into the run's scope by
+//! whoever popped it. A parked thread touches nothing but its inbox. Init
+//! runs on the thread that called [`Host::run`], so a program that never
+//! forks involves no second thread at all. The engine crosses threads with
+//! the token, hence `OsEngine: Send`.
 //!
 //! The host is generic over [`OsEngine`], implemented both by the
 //! compartmentalized OSIRIS OS (`osiris-servers`) and by the monolithic
-//! baseline (`osiris-monolith`).
+//! baseline (`osiris-monolith`). It is a workload driver and enforces no
+//! invariant of the OS, which is why it lives here and not in the kernel.
 
+use std::any::Any;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::Scope;
 
-use crate::abi::{Errno, Fd, FileStat, OpenFlags, Pid, SeekFrom, Signal, SysReply, Syscall};
-use crate::message::SyscallId;
-use crate::metrics::ShutdownKind;
-
-/// A simulated operating system, as seen by the process host.
-pub trait OsEngine {
-    /// Submits a user syscall. Replies arrive later via [`OsEngine::pump`].
-    fn submit(&mut self, sid: SyscallId, pid: Pid, call: Syscall);
-    /// Runs the OS until quiescent; returns completed syscall replies in
-    /// deterministic order.
-    fn pump(&mut self) -> Vec<(SyscallId, Pid, SysReply)>;
-    /// Kill events: processes the OS decided to terminate since last call.
-    fn take_kill_events(&mut self) -> Vec<Pid>;
-    /// Fires the next pending timer, if any.
-    fn fire_next_timer(&mut self) -> bool;
-    /// The shutdown state, if the OS has stopped.
-    fn shutdown_state(&self) -> Option<ShutdownKind>;
-    /// Current virtual time.
-    fn now(&self) -> u64;
-    /// Charges user-level computation to the virtual clock.
-    fn charge_user(&mut self, units: u64);
-}
+use osiris_kernel::abi::{
+    Errno, Fd, FileStat, OpenFlags, Pid, SeekFrom, Signal, SysReply, Syscall,
+};
+use osiris_kernel::{OsEngine, RunOutcome, SyscallId};
 
 /// A user program: receives its [`Sys`] handle, returns an exit code.
 pub type ProgramFn = dyn Fn(&mut Sys) -> i32 + Send + Sync;
@@ -51,10 +46,8 @@ pub struct ProgramRegistry {
 
 impl std::fmt::Debug for ProgramRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut names: Vec<_> = self.map.keys().collect();
-        names.sort();
         f.debug_struct("ProgramRegistry")
-            .field("programs", &names)
+            .field("programs", &self.names())
             .finish()
     }
 }
@@ -89,41 +82,54 @@ impl ProgramRegistry {
 /// Closure run by a forked child (see [`Sys::fork_run`]).
 pub type ForkFn = Box<dyn FnOnce(&mut Sys) -> i32 + Send>;
 
-enum ProcAction {
-    Syscall(Syscall),
+/// What the host must remember about a call until its reply arrives.
+enum PendingKind {
+    Plain,
+    Spawn { prog: String, args: Vec<String> },
     Fork(ForkFn),
+}
+
+/// What a process does with the run token.
+enum Action {
+    Call(Syscall, PendingKind),
     Compute(u64),
     Done(i32),
 }
 
-enum ProcInput {
-    Reply(SysReply),
-    Killed,
-}
+/// The reply that tells a process it was killed or the run is over.
+const KILLED: SysReply = SysReply::Err(Errno::EKILLED);
 
-/// Panic payload used to unwind a user-program thread.
-pub(crate) enum ProcExit {
+/// Payload that unwinds a user-program thread. Raised with `resume_unwind`,
+/// which runs no panic hook.
+enum ProcExit {
     Exited(i32),
     Killed,
 }
 
+/// The run as a process sees it.
+trait Token {
+    /// Takes the run token, applies `action` of process `pid` and runs the
+    /// scheduler; returns once `pid` is due again, with its reply.
+    fn act(&self, pid: Pid, action: Action) -> SysReply;
+}
+
 /// The syscall interface handed to user programs.
 ///
-/// Every method issues a request to the simulated OS and blocks (the real
-/// thread parks) until the reply arrives. `Err(Errno::ECRASH)` means the
-/// servicing OS component crashed and was recovered; well-written programs
-/// treat it like any other error (paper §III-C).
-pub struct Sys {
+/// Every method issues a request to the simulated OS and returns when the
+/// reply arrives (the real thread parks while other processes run).
+/// `Err(Errno::ECRASH)` means the servicing OS component crashed and was
+/// recovered; well-written programs treat it like any other error (paper
+/// §III-C).
+pub struct Sys<'a> {
     pid: Pid,
     args: Vec<String>,
-    registry: Arc<ProgramRegistry>,
-    to_host: Sender<(Pid, ProcAction)>,
-    from_host: Receiver<ProcInput>,
+    registry: &'a ProgramRegistry,
+    run: &'a dyn Token,
     retry_ecrash: bool,
     cfg: HostConfig,
 }
 
-impl std::fmt::Debug for Sys {
+impl std::fmt::Debug for Sys<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Sys")
             .field("pid", &self.pid)
@@ -132,7 +138,7 @@ impl std::fmt::Debug for Sys {
     }
 }
 
-impl Sys {
+impl Sys<'_> {
     /// The calling process's pid (as assigned at creation; also available
     /// via the `getpid` syscall).
     pub fn pid(&self) -> Pid {
@@ -166,21 +172,29 @@ impl Sys {
             .min(self.cfg.ecrash_backoff_max)
     }
 
+    /// Hands `action` to the run; unwinds the thread if the answer is that
+    /// the process was killed.
+    fn act(&mut self, action: Action) -> SysReply {
+        match self.run.act(self.pid, action) {
+            KILLED => resume_unwind(Box::new(ProcExit::Killed)),
+            reply => reply,
+        }
+    }
+
     fn call(&mut self, sc: Syscall) -> Result<SysReply, Errno> {
         let mut attempts: u32 = 0;
         loop {
-            if self
-                .to_host
-                .send((self.pid, ProcAction::Syscall(sc.clone())))
-                .is_err()
-            {
-                std::panic::panic_any(ProcExit::Killed);
-            }
-            match self.from_host.recv() {
-                Ok(ProcInput::Reply(SysReply::Err(Errno::EKILLED))) | Ok(ProcInput::Killed) => {
-                    std::panic::panic_any(ProcExit::Killed)
-                }
-                Ok(ProcInput::Reply(SysReply::Err(Errno::ECRASH))) if self.retry_ecrash => {
+            // Spawn carries host-side info to start the child when PM
+            // confirms.
+            let kind = match &sc {
+                Syscall::Spawn { prog, args } => PendingKind::Spawn {
+                    prog: prog.clone(),
+                    args: args.clone(),
+                },
+                _ => PendingKind::Plain,
+            };
+            match self.act(Action::Call(sc.clone(), kind)) {
+                SysReply::Err(Errno::ECRASH) if self.retry_ecrash => {
                     // Bounded retry: a crash-looping (or quarantined) server
                     // keeps answering ECRASH; surface it once the per-call
                     // budget is spent instead of livelocking.
@@ -192,33 +206,21 @@ impl Sys {
                     if backoff > 0 {
                         self.compute(backoff);
                     }
-                    continue;
                 }
-                Ok(ProcInput::Reply(SysReply::Err(e))) => return Err(e),
-                Ok(ProcInput::Reply(r)) => return Ok(r),
-                Err(_) => std::panic::panic_any(ProcExit::Killed),
+                SysReply::Err(e) => return Err(e),
+                r => return Ok(r),
             }
         }
     }
 
     /// Performs `units` of pure computation (advances virtual time only).
     pub fn compute(&mut self, units: u64) {
-        if self
-            .to_host
-            .send((self.pid, ProcAction::Compute(units)))
-            .is_err()
-        {
-            std::panic::panic_any(ProcExit::Killed);
-        }
-        match self.from_host.recv() {
-            Ok(ProcInput::Reply(_)) => {}
-            _ => std::panic::panic_any(ProcExit::Killed),
-        }
+        self.act(Action::Compute(units));
     }
 
     /// Terminates the calling process immediately with `code`.
     pub fn exit(&mut self, code: i32) -> ! {
-        std::panic::panic_any(ProcExit::Exited(code));
+        resume_unwind(Box::new(ProcExit::Exited(code)));
     }
 
     // --- process management ---
@@ -253,21 +255,11 @@ impl Sys {
     where
         F: FnOnce(&mut Sys) -> i32 + Send + 'static,
     {
-        if self
-            .to_host
-            .send((self.pid, ProcAction::Fork(Box::new(child_fn))))
-            .is_err()
-        {
-            std::panic::panic_any(ProcExit::Killed);
-        }
-        match self.from_host.recv() {
-            Ok(ProcInput::Reply(SysReply::Proc(pid))) => Ok(pid),
-            Ok(ProcInput::Reply(SysReply::Err(Errno::EKILLED))) | Ok(ProcInput::Killed) => {
-                std::panic::panic_any(ProcExit::Killed)
-            }
-            Ok(ProcInput::Reply(SysReply::Err(e))) => Err(e),
-            Ok(ProcInput::Reply(other)) => panic!("fork: unexpected reply {:?}", other),
-            Err(_) => std::panic::panic_any(ProcExit::Killed),
+        let kind = PendingKind::Fork(Box::new(child_fn));
+        match self.act(Action::Call(Syscall::Fork, kind)) {
+            SysReply::Proc(pid) => Ok(pid),
+            SysReply::Err(e) => Err(e),
+            other => panic!("fork: unexpected reply {:?}", other),
         }
     }
 
@@ -290,7 +282,7 @@ impl Sys {
         self.call(call)?;
         self.args = args.iter().map(|s| s.to_string()).collect();
         let code = f(self);
-        std::panic::panic_any(ProcExit::Exited(code));
+        self.exit(code)
     }
 
     /// Waits for the specific child `pid` to exit; returns its exit code.
@@ -647,29 +639,6 @@ impl Sys {
     }
 }
 
-/// How a full workload run ended.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum RunOutcome {
-    /// Every process exited; per-pid exit codes and init's code.
-    Completed {
-        /// Exit code of the root (init) process.
-        init_code: i32,
-        /// Exit codes of all processes, keyed by raw pid.
-        exit_codes: BTreeMap<u32, i32>,
-    },
-    /// The OS stopped itself (controlled) or crashed (uncontrolled).
-    Shutdown(ShutdownKind),
-    /// No process could make progress and no timer resolved it.
-    Hang(String),
-}
-
-impl RunOutcome {
-    /// Whether the run completed (regardless of exit codes).
-    pub fn completed(&self) -> bool {
-        matches!(self, RunOutcome::Completed { .. })
-    }
-}
-
 /// Declare a hang after this many consecutive timer fires yielding no
 /// process progress.
 const MAX_IDLE_TIMER_FIRES: u32 = 10_000;
@@ -691,8 +660,6 @@ pub struct HostConfig {
     pub ecrash_backoff_base: u64,
     /// Cap on the exponential retry backoff.
     pub ecrash_backoff_max: u64,
-    /// Log every process action and reply to stderr.
-    pub verbose: bool,
 }
 
 impl Default for HostConfig {
@@ -702,27 +669,22 @@ impl Default for HostConfig {
             ecrash_retry_budget: 64,
             ecrash_backoff_base: 1_000,
             ecrash_backoff_max: 250_000,
-            verbose: false,
         }
     }
 }
 
+/// The next process to get the CPU.
 enum Resume {
     Reply(Pid, SysReply),
     /// Start a process: a registered program or a fork closure.
     Start(Pid, Vec<String>, ForkFn),
 }
 
-struct ProcEntry {
-    input_tx: Sender<ProcInput>,
-    handle: Option<JoinHandle<()>>,
-    blocked_on: Option<SyscallId>,
-}
-
-enum PendingKind {
-    Plain,
-    Spawn { prog: String, args: Vec<String> },
-    Fork { f: Option<ForkFn> },
+/// A started process: where its thread parks and what wakes it up with.
+#[derive(Default)]
+struct Proc {
+    wake: Arc<Condvar>,
+    inbox: Option<SysReply>,
 }
 
 struct PendingCall {
@@ -730,11 +692,268 @@ struct PendingCall {
     kind: PendingKind,
 }
 
+/// Everything a run shares; whoever holds its lock holds the run token.
+struct State<'e, E> {
+    engine: &'e mut E,
+    procs: HashMap<Pid, Proc>,
+    dead: HashSet<Pid>,
+    exit_codes: BTreeMap<u32, i32>,
+    pending: HashMap<SyscallId, PendingCall>,
+    resume_q: VecDeque<Resume>,
+    next_sid: u64,
+    /// Replies/kills discovered while firing idle timers, carried back to
+    /// the single reply-handling path at the top of `schedule`.
+    carried_replies: Vec<(SyscallId, Pid, SysReply)>,
+    carried_kills: Vec<Pid>,
+    /// Set once, when the run is over and every parked thread leaves: its
+    /// outcome, or a genuine panic raised under the token for `Host::run`
+    /// to re-raise.
+    end: Option<Result<RunOutcome, Box<dyn Any + Send>>>,
+}
+
+impl<E: OsEngine> State<'_, E> {
+    fn submit(&mut self, pid: Pid, call: Syscall, kind: Option<PendingKind>) {
+        self.next_sid += 1;
+        let sid = SyscallId(self.next_sid);
+        if let Some(kind) = kind {
+            self.pending.insert(sid, PendingCall { pid, kind });
+        }
+        self.engine.submit(sid, pid, call);
+    }
+
+    /// Puts `reply` in the inbox of `pid` and wakes its thread, if started.
+    fn deliver(&mut self, pid: Pid, reply: SysReply) {
+        if let Some(p) = self.procs.get_mut(&pid) {
+            p.inbox = Some(reply);
+            p.wake.notify_one();
+        }
+    }
+
+    /// Ends the run: every parked thread wakes up and leaves.
+    fn finish(&mut self, end: Result<RunOutcome, Box<dyn Any + Send>>) {
+        self.end.get_or_insert(end);
+        for p in self.procs.values() {
+            p.wake.notify_one();
+        }
+    }
+
+    /// Lets the OS work until one process is due or the run is over.
+    fn schedule(
+        &mut self,
+        registry: &ProgramRegistry,
+        cfg: &HostConfig,
+    ) -> Result<Resume, RunOutcome> {
+        loop {
+            // Collect replies / kill events (including any carried over
+            // from the idle timer loop below).
+            let mut replies = std::mem::take(&mut self.carried_replies);
+            replies.extend(self.engine.pump());
+            let mut kills = std::mem::take(&mut self.carried_kills);
+            kills.extend(self.engine.take_kill_events());
+            for victim in kills {
+                if self.dead.insert(victim) {
+                    self.deliver(victim, KILLED);
+                    self.exit_codes.entry(victim.0).or_insert(-9);
+                }
+            }
+            for (sid, pid, reply) in replies {
+                let Some(call) = self.pending.remove(&sid) else {
+                    continue;
+                };
+                debug_assert_eq!(call.pid, pid);
+                // A confirmed spawn or fork starts the child right after
+                // its parent resumes.
+                let child = match (call.kind, &reply) {
+                    (PendingKind::Spawn { prog, args }, SysReply::Proc(child)) => {
+                        let f = registry
+                            .get(&prog)
+                            .expect("spawn validated against the registry");
+                        Some(Resume::Start(*child, args, Box::new(move |sys| f(sys))))
+                    }
+                    (PendingKind::Fork(f), SysReply::Proc(child)) => {
+                        Some(Resume::Start(*child, Vec::new(), f))
+                    }
+                    _ => None,
+                };
+                if !self.dead.contains(&pid) {
+                    self.resume_q.push_back(Resume::Reply(pid, reply));
+                }
+                self.resume_q.extend(child);
+            }
+
+            if let Some(kind) = self.engine.shutdown_state() {
+                return Err(RunOutcome::Shutdown(kind));
+            }
+            if self.engine.now() > cfg.max_virtual_time {
+                return Err(RunOutcome::Hang("virtual time limit exceeded".into()));
+            }
+
+            // Resume exactly one process (or start a child).
+            match self.resume_q.pop_front() {
+                Some(Resume::Reply(pid, _)) if self.dead.contains(&pid) => continue,
+                Some(Resume::Start(pid, args, body)) => {
+                    self.procs.insert(pid, Proc::default());
+                    return Ok(Resume::Start(pid, args, body));
+                }
+                Some(next) => return Ok(next),
+                None => {}
+            }
+
+            // Idle — everyone is blocked inside the OS. Advance virtual
+            // time; bounded so a silent wedge becomes a hang.
+            let live = self.procs.keys().filter(|p| !self.dead.contains(p)).count();
+            if live == 0 {
+                let init_code = self.exit_codes.get(&Pid::INIT.0).copied().unwrap_or(-1);
+                return Err(RunOutcome::Completed {
+                    init_code,
+                    exit_codes: std::mem::take(&mut self.exit_codes),
+                });
+            }
+            let mut progressed = false;
+            for _ in 0..MAX_IDLE_TIMER_FIRES {
+                if !self.engine.fire_next_timer() {
+                    break;
+                }
+                let replies = self.engine.pump();
+                let kills = self.engine.take_kill_events();
+                if !replies.is_empty() || !kills.is_empty() {
+                    self.carried_replies = replies;
+                    self.carried_kills = kills;
+                    progressed = true;
+                    break;
+                }
+                if self.engine.shutdown_state().is_some() {
+                    break;
+                }
+            }
+            if let Some(kind) = self.engine.shutdown_state() {
+                return Err(RunOutcome::Shutdown(kind));
+            }
+            if !progressed {
+                return Err(RunOutcome::Hang(format!(
+                    "{} live process(es) blocked with no resolvable event",
+                    live
+                )));
+            }
+        }
+    }
+}
+
+/// Takes the run token. `act` catches what the engine raises, so the lock
+/// is poisoned only by a panic that has already ended the run; the flag
+/// must not hide that panic's message behind its own.
+fn token<T>(state: &Mutex<T>) -> MutexGuard<'_, T> {
+    state.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// One `Host::run` as a process thread sees it: the shared state and the
+/// scope its children's threads are spawned in. Every thread has a copy.
+struct Run<'scope, 'env, 'e, E> {
+    state: &'scope Mutex<State<'e, E>>,
+    scope: &'scope Scope<'scope, 'env>,
+    registry: &'scope ProgramRegistry,
+    cfg: HostConfig,
+}
+
+impl<'e, E: OsEngine> Run<'_, '_, 'e, E> {
+    /// Runs process `pid` on the calling thread, to its exit.
+    fn process(&self, pid: Pid, args: Vec<String>, body: ForkFn) {
+        let mut sys = Sys {
+            pid,
+            args,
+            registry: self.registry,
+            run: self,
+            retry_ecrash: false,
+            cfg: self.cfg,
+        };
+        let code = match catch_unwind(AssertUnwindSafe(|| body(&mut sys))) {
+            Ok(code) => code,
+            Err(payload) => match payload.downcast_ref::<ProcExit>() {
+                Some(ProcExit::Exited(code)) => *code,
+                Some(ProcExit::Killed) => return, // already accounted for
+                // A bug in the program itself: report a distinctive exit
+                // code.
+                None => 101,
+            },
+        };
+        self.act(pid, Action::Done(code));
+    }
+
+    /// Runs the scheduler and passes the turn on: to `me` (the reply is
+    /// returned), to a parked process, or to a child on a thread of its own.
+    fn hand_over(&self, st: &mut State<'e, E>, me: Pid) -> Option<SysReply> {
+        match st.schedule(self.registry, &self.cfg) {
+            Ok(Resume::Reply(pid, reply)) if pid == me => return Some(reply),
+            Ok(Resume::Reply(pid, reply)) => st.deliver(pid, reply),
+            Ok(Resume::Start(pid, args, body)) => {
+                // The child's thread gets its own copy of the handles.
+                let run = Run { ..*self };
+                std::thread::Builder::new()
+                    .name(format!("osiris-{}", pid))
+                    .spawn_scoped(self.scope, move || run.process(pid, args, body))
+                    .expect("spawn process thread");
+            }
+            Err(outcome) => st.finish(Ok(outcome)),
+        }
+        None
+    }
+}
+
+impl<E: OsEngine> Token for Run<'_, '_, '_, E> {
+    fn act(&self, pid: Pid, action: Action) -> SysReply {
+        let mut st = token(self.state);
+        // The guard stays outside `catch_unwind`: a panicking engine neither
+        // poisons the lock nor strands the threads parked behind it.
+        let turn = catch_unwind(AssertUnwindSafe(|| {
+            let mut leaving = st.dead.contains(&pid);
+            match action {
+                Action::Compute(units) => {
+                    st.engine.charge_user(units);
+                    if !leaving {
+                        return Some(SysReply::Ok);
+                    }
+                }
+                Action::Call(call, kind) if !leaving => st.submit(pid, call, Some(kind)),
+                Action::Call(..) => {}
+                Action::Done(code) => {
+                    st.exit_codes.insert(pid.0, code);
+                    if st.dead.insert(pid) {
+                        st.submit(pid, Syscall::Exit { code }, None);
+                    }
+                    leaving = true;
+                }
+            }
+            let mine = self.hand_over(&mut st, pid);
+            if leaving {
+                Some(KILLED)
+            } else {
+                mine
+            }
+        }));
+        match turn {
+            Ok(Some(reply)) => return reply,
+            Ok(None) => {}
+            Err(payload) => st.finish(Err(payload)),
+        }
+        // Park until the turn comes back. Only the inbox is touched here.
+        let wake = Arc::clone(&st.procs[&pid].wake);
+        loop {
+            if let Some(reply) = st.procs.get_mut(&pid).and_then(|p| p.inbox.take()) {
+                return reply;
+            }
+            if st.end.is_some() {
+                return KILLED;
+            }
+            st = wake.wait(st).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
 /// Runs workload programs against an [`OsEngine`] in deterministic
 /// lock-step.
 pub struct Host<E: OsEngine> {
     engine: E,
-    registry: Arc<ProgramRegistry>,
+    registry: ProgramRegistry,
     cfg: HostConfig,
 }
 
@@ -743,7 +962,7 @@ impl<E: OsEngine> Host<E> {
     pub fn new(engine: E, registry: ProgramRegistry) -> Self {
         Host {
             engine,
-            registry: Arc::new(registry),
+            registry,
             cfg: HostConfig::default(),
         }
     }
@@ -764,345 +983,61 @@ impl<E: OsEngine> Host<E> {
         self.engine
     }
 
-    /// Boots the workload: starts `root_prog` as the init process (pid 1,
-    /// pre-created by the OS at boot) and runs until every process exits,
-    /// the OS shuts down, or no progress is possible.
-    ///
-    /// Set [`HostConfig::verbose`] to log every action and reply to stderr.
+    /// Boots the workload: runs `root_prog` as the init process (pid 1,
+    /// pre-created by the OS at boot) on the calling thread, its descendants
+    /// on threads of their own, until every process exits, the OS shuts
+    /// down, or no progress is possible.
     ///
     /// # Panics
     ///
-    /// Panics if `root_prog` is not registered.
+    /// Panics if `root_prog` is not registered, and re-raises a panic of
+    /// the engine.
     pub fn run(&mut self, root_prog: &str, root_args: &[&str]) -> RunOutcome {
-        let trace = self.cfg.verbose;
         let root = self
             .registry
             .get(root_prog)
             .unwrap_or_else(|| panic!("program `{}` not registered", root_prog));
-
-        let (action_tx, action_rx) = channel::<(Pid, ProcAction)>();
-        let mut procs: HashMap<Pid, ProcEntry> = HashMap::new();
-        let mut dead: HashSet<Pid> = HashSet::new();
-        let mut exit_codes: BTreeMap<u32, i32> = BTreeMap::new();
-        let mut pending: HashMap<SyscallId, PendingCall> = HashMap::new();
-        let mut resume_q: VecDeque<Resume> = VecDeque::new();
-        let mut running: Option<Pid> = None;
-        let mut next_sid: u64 = 0;
-        // Replies/kills discovered while firing idle timers, carried back to
-        // the single reply-handling path at the top of the loop.
-        let mut carried_replies: Vec<(SyscallId, Pid, SysReply)> = Vec::new();
-        let mut carried_kills: Vec<Pid> = Vec::new();
-
-        let root_args: Vec<String> = root_args.iter().map(|s| s.to_string()).collect();
-        resume_q.push_back(Resume::Start(
-            Pid::INIT,
-            root_args,
-            Box::new(move |sys| root(sys)),
-        ));
-
-        let outcome = loop {
-            // Phase 1: if a process is running, wait for its next action.
-            if let Some(pid) = running {
-                let Ok((apid, action)) = action_rx.recv() else {
-                    break RunOutcome::Hang("all process threads vanished".into());
-                };
-                debug_assert_eq!(apid, pid, "lock-step violation");
-                if trace {
-                    let what = match &action {
-                        ProcAction::Compute(u) => format!("compute({})", u),
-                        ProcAction::Syscall(sc) => format!("syscall {}", sc.name()),
-                        ProcAction::Fork(_) => "fork".to_string(),
-                        ProcAction::Done(c) => format!("done({})", c),
-                    };
-                    eprintln!("[host] {} -> {}", pid, what);
-                }
-                match action {
-                    ProcAction::Compute(units) => {
-                        self.engine.charge_user(units);
-                        if dead.contains(&pid) {
-                            let _ = procs[&pid].input_tx.send(ProcInput::Killed);
-                            running = None;
-                        } else {
-                            let _ = procs[&pid].input_tx.send(ProcInput::Reply(SysReply::Ok));
-                            // Still running: loop back and await its next action.
-                        }
-                    }
-                    ProcAction::Syscall(sc) => {
-                        running = None;
-                        if dead.contains(&pid) {
-                            let _ = procs[&pid].input_tx.send(ProcInput::Killed);
-                        } else if matches!(sc, Syscall::Exit { .. }) {
-                            // One-way: no reply will come.
-                            next_sid += 1;
-                            self.engine.submit(SyscallId(next_sid), pid, sc);
-                        } else {
-                            next_sid += 1;
-                            let sid = SyscallId(next_sid);
-                            // Spawn carries host-side info to start the child
-                            // when PM confirms.
-                            let kind = match &sc {
-                                Syscall::Spawn { prog, args } => PendingKind::Spawn {
-                                    prog: prog.clone(),
-                                    args: args.clone(),
-                                },
-                                _ => PendingKind::Plain,
-                            };
-                            pending.insert(sid, PendingCall { pid, kind });
-                            if let Some(p) = procs.get_mut(&pid) {
-                                p.blocked_on = Some(sid);
-                            }
-                            self.engine.submit(sid, pid, sc);
-                        }
-                    }
-                    ProcAction::Fork(f) => {
-                        running = None;
-                        if dead.contains(&pid) {
-                            let _ = procs[&pid].input_tx.send(ProcInput::Killed);
-                        } else {
-                            next_sid += 1;
-                            let sid = SyscallId(next_sid);
-                            pending.insert(
-                                sid,
-                                PendingCall {
-                                    pid,
-                                    kind: PendingKind::Fork { f: Some(f) },
-                                },
-                            );
-                            if let Some(p) = procs.get_mut(&pid) {
-                                p.blocked_on = Some(sid);
-                            }
-                            self.engine.submit(sid, pid, Syscall::Fork);
-                        }
-                    }
-                    ProcAction::Done(code) => {
-                        running = None;
-                        exit_codes.insert(pid.0, code);
-                        if !dead.contains(&pid) {
-                            dead.insert(pid);
-                            next_sid += 1;
-                            self.engine
-                                .submit(SyscallId(next_sid), pid, Syscall::Exit { code });
-                        }
-                        if let Some(p) = procs.get_mut(&pid) {
-                            p.blocked_on = None;
-                        }
-                    }
-                }
-                continue;
-            }
-
-            // Phase 2: nobody is running — let the OS work and collect
-            // replies / kill events (including any carried over from the
-            // idle timer loop below).
-            let mut replies = std::mem::take(&mut carried_replies);
-            replies.extend(self.engine.pump());
-            let mut kills = std::mem::take(&mut carried_kills);
-            kills.extend(self.engine.take_kill_events());
-            for victim in kills {
-                if dead.insert(victim) {
-                    if let Some(p) = procs.get(&victim) {
-                        if p.blocked_on.is_some() {
-                            let _ = p.input_tx.send(ProcInput::Killed);
-                        }
-                    }
-                    exit_codes.entry(victim.0).or_insert(-9);
-                }
-            }
-            for (sid, pid, reply) in replies {
-                if trace {
-                    eprintln!("[host] reply to {} ({:?}): {:?}", pid, sid, reply);
-                }
-                let Some(call) = pending.remove(&sid) else {
-                    continue;
-                };
-                debug_assert_eq!(call.pid, pid);
-                if let Some(p) = procs.get_mut(&pid) {
-                    if p.blocked_on == Some(sid) {
-                        p.blocked_on = None;
-                    }
-                }
-                match call.kind {
-                    PendingKind::Plain => {
-                        if !dead.contains(&pid) {
-                            resume_q.push_back(Resume::Reply(pid, reply));
-                        }
-                    }
-                    PendingKind::Spawn { prog, args } => {
-                        if let SysReply::Proc(child) = reply {
-                            let f = self
-                                .registry
-                                .get(&prog)
-                                .expect("spawn validated against the registry");
-                            if !dead.contains(&pid) {
-                                resume_q.push_back(Resume::Reply(pid, SysReply::Proc(child)));
-                            }
-                            resume_q.push_back(Resume::Start(
-                                child,
-                                args,
-                                Box::new(move |sys| f(sys)),
-                            ));
-                        } else if !dead.contains(&pid) {
-                            resume_q.push_back(Resume::Reply(pid, reply));
-                        }
-                    }
-                    PendingKind::Fork { mut f } => {
-                        if let SysReply::Proc(child) = reply {
-                            let cf = f.take().expect("fork closure present");
-                            if !dead.contains(&pid) {
-                                resume_q.push_back(Resume::Reply(pid, SysReply::Proc(child)));
-                            }
-                            resume_q.push_back(Resume::Start(child, Vec::new(), cf));
-                        } else if !dead.contains(&pid) {
-                            resume_q.push_back(Resume::Reply(pid, reply));
-                        }
-                    }
-                }
-            }
-
-            if let Some(kind) = self.engine.shutdown_state() {
-                break RunOutcome::Shutdown(kind);
-            }
-            if self.engine.now() > self.cfg.max_virtual_time {
-                break RunOutcome::Hang("virtual time limit exceeded".into());
-            }
-
-            // Phase 3: resume exactly one process (or start a child).
-            if let Some(r) = resume_q.pop_front() {
-                if trace {
-                    let what = match &r {
-                        Resume::Reply(pid, rep) => format!("resume {} with {:?}", pid, rep),
-                        Resume::Start(pid, _, _) => format!("start {}", pid),
-                    };
-                    eprintln!("[host] {}", what);
-                }
-                match r {
-                    Resume::Reply(pid, reply) => {
-                        if dead.contains(&pid) {
-                            continue;
-                        }
-                        if let Some(p) = procs.get(&pid) {
-                            if p.input_tx.send(ProcInput::Reply(reply)).is_ok() {
-                                running = Some(pid);
-                            }
-                        }
-                    }
-                    Resume::Start(pid, args, body) => {
-                        let entry = self.start(pid, args, body, action_tx.clone());
-                        procs.insert(pid, entry);
-                        running = Some(pid);
-                    }
-                }
-                continue;
-            }
-
-            // Phase 4: idle — everyone is blocked inside the OS. Advance
-            // virtual time; bounded so a silent wedge becomes a hang.
-            let live = procs.keys().filter(|p| !dead.contains(p)).count();
-            if live == 0 {
-                let init_code = exit_codes.get(&Pid::INIT.0).copied().unwrap_or(-1);
-                break RunOutcome::Completed {
-                    init_code,
-                    exit_codes: exit_codes.clone(),
-                };
-            }
-            let mut fired = 0u32;
-            let mut progressed = false;
-            while fired < MAX_IDLE_TIMER_FIRES {
-                if !self.engine.fire_next_timer() {
-                    break;
-                }
-                fired += 1;
-                let replies = self.engine.pump();
-                let kills = self.engine.take_kill_events();
-                if !replies.is_empty() || !kills.is_empty() {
-                    // Carry them back to the canonical handling path at the
-                    // top of the loop (it knows about spawn/fork pendings).
-                    carried_replies = replies;
-                    carried_kills = kills;
-                    progressed = true;
-                    break;
-                }
-                if self.engine.shutdown_state().is_some() {
-                    break;
-                }
-            }
-            if let Some(kind) = self.engine.shutdown_state() {
-                break RunOutcome::Shutdown(kind);
-            }
-            if !progressed {
-                break RunOutcome::Hang(format!(
-                    "{} live process(es) blocked with no resolvable event",
-                    live
-                ));
-            }
+        let root_args = root_args.iter().map(|s| s.to_string()).collect();
+        let state = Mutex::new(State {
+            engine: &mut self.engine,
+            procs: HashMap::new(),
+            dead: HashSet::new(),
+            exit_codes: BTreeMap::new(),
+            pending: HashMap::new(),
+            resume_q: VecDeque::from([Resume::Start(
+                Pid::INIT,
+                root_args,
+                Box::new(move |sys| root(sys)),
+            )]),
+            next_sid: 0,
+            carried_replies: Vec::new(),
+            carried_kills: Vec::new(),
+            end: None,
+        });
+        // The first dispatch starts init, unless the OS is down already.
+        let first = token(&state).schedule(&self.registry, &self.cfg);
+        let (pid, args, body) = match first {
+            Ok(Resume::Start(pid, args, body)) => (pid, args, body),
+            Ok(Resume::Reply(..)) => unreachable!("no call was submitted yet"),
+            Err(outcome) => return outcome,
         };
-
-        // Tear down: release every parked thread and join.
-        for (_, p) in procs.iter() {
-            // Dropping the sender unblocks the thread's recv with Err.
-            let _ = p.input_tx.send(ProcInput::Killed);
-        }
-        drop(action_tx);
-        // Drain any stray actions so senders don't block (unbounded channel:
-        // sends never block, but be tidy and consume).
-        while action_rx.try_recv().is_ok() {}
-        for (_, mut p) in procs.drain() {
-            if let Some(h) = p.handle.take() {
-                let _ = h.join();
-            }
-        }
-        outcome
-    }
-
-    /// Spawns the thread of process `pid`, parked until the host resumes
-    /// it, running `body` (a registered program or a fork closure).
-    fn start(
-        &self,
-        pid: Pid,
-        args: Vec<String>,
-        body: ForkFn,
-        action_tx: Sender<(Pid, ProcAction)>,
-    ) -> ProcEntry {
-        let (input_tx, from_host) = channel::<ProcInput>();
-        let mut sys = Sys {
-            pid,
-            args,
-            registry: Arc::clone(&self.registry),
-            to_host: action_tx.clone(),
-            from_host,
-            retry_ecrash: false,
-            cfg: self.cfg,
-        };
-        let handle = std::thread::Builder::new()
-            .name(format!("osiris-{}", pid))
-            .spawn(move || {
-                let result = catch_unwind(AssertUnwindSafe(|| body(&mut sys)));
-                finish_thread(pid, result, &action_tx);
-            })
-            .expect("spawn process thread");
-        ProcEntry {
-            input_tx,
-            handle: Some(handle),
-            blocked_on: None,
+        // Leaving the scope joins every process thread.
+        std::thread::scope(|scope| {
+            let run = Run {
+                state: &state,
+                scope,
+                registry: &self.registry,
+                cfg: self.cfg,
+            };
+            run.process(pid, args, body);
+        });
+        let st = state.into_inner().unwrap_or_else(PoisonError::into_inner);
+        match st
+            .end
+            .expect("every process thread has left, so the run ended")
+        {
+            Ok(outcome) => outcome,
+            Err(payload) => resume_unwind(payload),
         }
     }
-}
-
-fn finish_thread(
-    pid: Pid,
-    result: Result<i32, Box<dyn std::any::Any + Send>>,
-    action_tx: &Sender<(Pid, ProcAction)>,
-) {
-    let code = match result {
-        Ok(code) => code,
-        Err(payload) => match payload.downcast::<ProcExit>() {
-            Ok(pe) => match *pe {
-                ProcExit::Exited(code) => code,
-                ProcExit::Killed => return, // host already accounted for us
-            },
-            // A bug in the program itself: report a distinctive exit code.
-            Err(_) => 101,
-        },
-    };
-    let _ = action_tx.send((pid, ProcAction::Done(code)));
 }

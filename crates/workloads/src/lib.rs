@@ -2,12 +2,13 @@
 //! test suite (paper §VI, "a homegrown set of 89 programs") and analogs of
 //! the twelve Unixbench programs used for the performance experiments.
 //!
-//! Both workloads are written against the neutral [`osiris_kernel::Sys`]
-//! ABI, so they run unmodified on the compartmentalized OSIRIS OS
+//! Both workloads are written against the neutral [`Sys`] ABI of the
+//! process [`Host`], which lives here too, so they run unmodified on the compartmentalized OSIRIS OS
 //! (`osiris-servers`) and on the monolithic baseline (`osiris-monolith`).
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod host;
 pub mod testsuite;
 pub mod unixbench;
 
@@ -17,7 +18,7 @@ pub use unixbench::{
     CYCLES_PER_SECOND,
 };
 
-pub use osiris_kernel::{ForkFn, Host, HostConfig, ProgramFn, ProgramRegistry, Sys};
+pub use host::{ForkFn, Host, HostConfig, ProgramFn, ProgramRegistry, Sys};
 
 use osiris_core::PolicyKind;
 use osiris_kernel::{OsEngine, RunOutcome};

@@ -13,8 +13,8 @@
 //! failure rather than a reason to wedge, matching the paper's outcome
 //! classification ("fail" = suite completed with failures, system alive).
 
+use crate::{ProgramRegistry, Sys};
 use osiris_kernel::abi::{Errno, OpenFlags, SeekFrom, Signal};
-use osiris_kernel::{ProgramRegistry, Sys};
 
 type TestFn = fn(&mut Sys) -> Result<(), Errno>;
 

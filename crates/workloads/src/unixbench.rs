@@ -24,8 +24,9 @@
 //! and ratios between systems are meaningful while absolute values are not —
 //! exactly how the paper uses Unixbench.
 
+use crate::{Host, ProgramRegistry, Sys};
 use osiris_kernel::abi::{OpenFlags, SeekFrom};
-use osiris_kernel::{Host, OsEngine, ProgramRegistry, RunOutcome, Sys};
+use osiris_kernel::{OsEngine, RunOutcome};
 
 /// The twelve benchmark names, in the paper's table order.
 pub const BENCHMARKS: [&str; 12] = [

@@ -6,10 +6,10 @@
 use std::sync::{Arc, Mutex};
 
 use osiris_kernel::abi::{OpenFlags, SeekFrom};
-use osiris_kernel::{Host, ProgramRegistry, Sys};
 use osiris_monolith::Monolith;
 use osiris_rng::Rng;
 use osiris_servers::{Os, OsConfig};
+use osiris_workloads::{Host, ProgramRegistry, Sys};
 
 const CASES: u64 = 48;
 

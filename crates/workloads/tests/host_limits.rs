@@ -1,40 +1,74 @@
-//! Host-level behaviours: run limits, hang detection, kill events and
-//! teardown — using the monolith-free mini engine from `kernel_direct` is
-//! unnecessary here; a trivial engine suffices.
+//! Host-level behaviours: run limits, hang detection, kill events,
+//! teardown, and who holds the run token when. A trivial engine suffices.
 
-use osiris_kernel::abi::{Pid, SysReply, Syscall};
-use osiris_kernel::{
-    Host, HostConfig, OsEngine, ProgramRegistry, RunOutcome, ShutdownKind, SyscallId,
-};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
+use std::thread::ThreadId;
 
-/// An engine that answers `getpid` and swallows everything else (so any
-/// other call blocks forever) — a deliberately broken OS for limit tests.
+use osiris_kernel::abi::{Pid, Signal, SysReply, Syscall};
+use osiris_kernel::{OsEngine, RunOutcome, ShutdownKind, SyscallId};
+use osiris_workloads::{Host, HostConfig, ProgramRegistry};
+
+/// What [`BlackHole`] does with a `sleep`.
+#[derive(Default, PartialEq)]
+enum OnSleep {
+    #[default]
+    Swallow,
+    ShutDown,
+    PanicInPump,
+}
+
+/// An engine that answers `getpid`, `fork` and `kill` and swallows
+/// everything else (so any other call blocks forever) — a deliberately
+/// broken OS for limit tests. It logs the thread and, for submits, the
+/// process behind every `submit` and `pump`.
 #[derive(Default)]
 struct BlackHole {
     replies: Vec<(SyscallId, Pid, SysReply)>,
+    kills: Vec<Pid>,
+    forks: u32,
     now: u64,
+    on_sleep: OnSleep,
+    slept: bool,
+    calls: Vec<(ThreadId, Option<Pid>)>,
 }
 
 impl OsEngine for BlackHole {
     fn submit(&mut self, sid: SyscallId, pid: Pid, call: Syscall) {
         self.now += 100;
+        self.calls.push((std::thread::current().id(), Some(pid)));
         match call {
             Syscall::GetPid => self.replies.push((sid, pid, SysReply::Proc(pid))),
-            Syscall::Exit { .. } => {}
+            Syscall::Fork => {
+                self.forks += 1;
+                let child = SysReply::Proc(Pid(1 + self.forks));
+                self.replies.push((sid, pid, child));
+            }
+            Syscall::Kill { pid: victim, .. } => {
+                self.kills.push(victim);
+                self.replies.push((sid, pid, SysReply::Ok));
+            }
+            Syscall::Sleep { .. } => self.slept = true,
             _ => {} // swallowed: the caller blocks forever
         }
     }
     fn pump(&mut self) -> Vec<(SyscallId, Pid, SysReply)> {
+        self.calls.push((std::thread::current().id(), None));
+        assert!(
+            !(self.slept && self.on_sleep == OnSleep::PanicInPump),
+            "pump blew up"
+        );
         std::mem::take(&mut self.replies)
     }
     fn take_kill_events(&mut self) -> Vec<Pid> {
-        Vec::new()
+        std::mem::take(&mut self.kills)
     }
     fn fire_next_timer(&mut self) -> bool {
         false
     }
     fn shutdown_state(&self) -> Option<ShutdownKind> {
-        None
+        (self.slept && self.on_sleep == OnSleep::ShutDown)
+            .then(|| ShutdownKind::Controlled("slept".into()))
     }
     fn now(&self) -> u64 {
         self.now
@@ -225,4 +259,124 @@ fn sys_exit_terminates_immediately() {
         RunOutcome::Completed { init_code, .. } => assert_eq!(init_code, 7),
         other => panic!("{other:?}"),
     }
+}
+
+#[test]
+fn a_lone_process_makes_its_own_engine_calls() {
+    osiris_kernel::install_quiet_panic_hook();
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let mut registry = ProgramRegistry::new();
+    let log = Arc::clone(&seen);
+    registry.register("main", move |sys| {
+        for _ in 0..100 {
+            let before = std::thread::current().id();
+            sys.getpid().unwrap();
+            log.lock()
+                .unwrap()
+                .push((before, std::thread::current().id()));
+        }
+        0
+    });
+    let mut host = Host::new(BlackHole::default(), registry);
+    assert!(host.run("main", &[]).completed());
+    // Nobody but the process touches the engine: the first dispatch (one
+    // pump), 100 getpids and the exit are submitted and pumped by the thread
+    // the program runs on (the caller's: init gets no thread of its own).
+    let seen = seen.lock().unwrap();
+    let program = seen[0].0;
+    assert!(seen.iter().all(|&ids| ids == (program, program)));
+    let calls = &host.engine().calls;
+    assert_eq!(calls.len(), 1 + 2 * 101);
+    assert!(calls.iter().all(|&(thread, _)| thread == program));
+    assert_eq!(program, std::thread::current().id());
+}
+
+/// Sets its flag when dropped: tells that a parked thread was unwound.
+struct Released(Arc<AtomicBool>);
+
+impl Drop for Released {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::SeqCst);
+    }
+}
+
+#[test]
+fn a_child_parked_in_a_swallowed_call_is_released_when_the_run_ends() {
+    osiris_kernel::install_quiet_panic_hook();
+    for on_sleep in [OnSleep::Swallow, OnSleep::ShutDown] {
+        let released = Arc::new(AtomicBool::new(false));
+        let mut registry = ProgramRegistry::new();
+        let flag = Arc::clone(&released);
+        registry.register("main", move |sys| {
+            let flag = Released(Arc::clone(&flag));
+            sys.fork_run(move |c| {
+                let _flag = flag;
+                let _ = c.read(osiris_kernel::abi::Fd(0), 1); // swallowed
+                0
+            })
+            .unwrap();
+            let _ = sys.sleep(10); // swallowed, or the OS goes down
+            0
+        });
+        let engine = BlackHole {
+            on_sleep,
+            ..Default::default()
+        };
+        // `run` returning at all means every process thread was joined.
+        match Host::new(engine, registry).run("main", &[]) {
+            RunOutcome::Hang(reason) => assert!(reason.starts_with("2 live"), "{reason}"),
+            RunOutcome::Shutdown(kind) => assert!(kind.is_controlled()),
+            other => panic!("{other:?}"),
+        }
+        assert!(released.load(Ordering::SeqCst));
+    }
+}
+
+#[test]
+fn killing_a_blocked_process_costs_no_further_engine_call() {
+    osiris_kernel::install_quiet_panic_hook();
+    let mut registry = ProgramRegistry::new();
+    registry.register("main", |sys| {
+        let child = sys
+            .fork_run(|c| {
+                let _ = c.read(osiris_kernel::abi::Fd(0), 1); // swallowed
+                0
+            })
+            .unwrap();
+        sys.getpid().unwrap(); // the child runs and blocks meanwhile
+        sys.kill(child, Signal::SigKill).unwrap();
+        0
+    });
+    let mut host = Host::new(BlackHole::default(), registry);
+    match host.run("main", &[]) {
+        RunOutcome::Completed { exit_codes, .. } => {
+            assert_eq!(exit_codes, [(1, 0), (2, -9)].into());
+        }
+        other => panic!("{other:?}"),
+    }
+    // The victim's one submit is its `read`: no exit, nothing after the kill.
+    let by_victim = |&&(_, pid): &&(ThreadId, Option<Pid>)| pid == Some(Pid(2));
+    assert_eq!(host.engine().calls.iter().filter(by_victim).count(), 1);
+}
+
+#[test]
+#[should_panic(expected = "pump blew up")]
+fn an_engine_panic_under_the_token_is_the_panic_of_run() {
+    osiris_kernel::install_quiet_panic_hook();
+    let mut registry = ProgramRegistry::new();
+    registry.register("main", |sys| {
+        sys.fork_run(|c| {
+            // The parent is parked when this makes `pump` panic.
+            let _ = c.sleep(1);
+            0
+        })
+        .unwrap();
+        let _ = sys.read(osiris_kernel::abi::Fd(0), 1); // swallowed
+        0
+    });
+    let engine = BlackHole {
+        on_sleep: OnSleep::PanicInPump,
+        ..Default::default()
+    };
+    Host::new(engine, registry).run("main", &[]);
 }

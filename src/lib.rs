@@ -13,13 +13,14 @@
 //!   `PMap`, `PVec`, `PBuf`).
 //! * [`core`] — the recovery framework: SEEPs, recovery windows, policies,
 //!   reconciliation decisions.
-//! * [`kernel`] — the deterministic microkernel substrate and the
-//!   user-process host ([`Sys`], [`Host`], [`ProgramRegistry`]).
+//! * [`kernel`] — the deterministic microkernel substrate and the engine
+//!   contract ([`OsEngine`], [`RunOutcome`]).
 //! * [`servers`] — the five core servers (PM, VM, VFS, DS, RS) plus the
 //!   disk driver, assembled as [`Os`].
 //! * [`monolith`] — the monolithic baseline with the same syscall ABI.
 //! * [`faults`] — EDFI-style fault injection and campaign tooling.
-//! * [`workloads`] — the prototype test suite and Unixbench analogs.
+//! * [`workloads`] — the user-process host ([`Sys`], [`Host`],
+//!   [`ProgramRegistry`]), the prototype test suite and Unixbench analogs.
 //! * [`trace`] — the deterministic flight recorder (event ring, histograms,
 //!   Chrome-trace export, post-mortem black box).
 //! * [`metrics`] — the metrics registry (typed counter/gauge/
@@ -66,10 +67,10 @@ pub use osiris_core::{
     RecoveryAction, RecoveryPolicy, RecoveryWindow, RestartBudget, SeepClass, SeepMeta, Stateless,
 };
 pub use osiris_kernel::{
-    install_quiet_panic_hook, Host, Instrumentation, OsEngine, ProgramRegistry, RunOutcome,
-    ShutdownKind, Sys, WatchdogConfig,
+    install_quiet_panic_hook, Instrumentation, OsEngine, RunOutcome, ShutdownKind, WatchdogConfig,
 };
 pub use osiris_metrics::{MetricsConfig, Registry};
 pub use osiris_monolith::Monolith;
 pub use osiris_servers::{Os, OsConfig};
 pub use osiris_trace::{TraceConfig, TraceEvent, TraceHandle};
+pub use osiris_workloads::{Host, ProgramRegistry, Sys};
