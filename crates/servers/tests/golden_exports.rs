@@ -3,7 +3,8 @@
 //! fixed faulted runs, so a refactor that changes any byte of the trace,
 //! metrics, timeseries or axiom output fails here even when it stays
 //! self-consistent. The constants were captured before the kernel was split
-//! into planes (PR 12); re-capture them (run with `--nocapture`) only in a
+//! into planes (PR 12), the Chrome document's before it was streamed
+//! (PR 24); re-capture them (run with `--nocapture`) only in a
 //! change that means to alter an export, and say so in its description.
 
 use osiris_core::{EscalationPolicy, RestartBudget};
@@ -87,8 +88,8 @@ fn run(hook: Box<dyn FaultHook>) -> Os {
 }
 
 /// Digests of `trace_text`, `metrics_prometheus`, `metrics_json`,
-/// `timeseries_json` and `axiom_bytes`, in that order.
-fn export_digests(hook: Box<dyn FaultHook>) -> [u64; 5] {
+/// `timeseries_json`, `axiom_bytes` and `chrome_trace`, in that order.
+fn export_digests(hook: Box<dyn FaultHook>) -> [u64; 6] {
     let mut os = run(hook);
     [
         os.trace_text().into_bytes(),
@@ -96,6 +97,7 @@ fn export_digests(hook: Box<dyn FaultHook>) -> [u64; 5] {
         os.metrics_json().pretty().into_bytes(),
         os.timeseries_json().pretty().into_bytes(),
         os.axiom_bytes(),
+        os.chrome_trace().pretty().into_bytes(),
     ]
     .map(|bytes| osiris_axiom::fnv1a(osiris_axiom::fnv1a_str(""), &bytes))
 }
@@ -103,7 +105,7 @@ fn export_digests(hook: Box<dyn FaultHook>) -> [u64; 5] {
 #[test]
 fn exports_match_digests_captured_before_the_kernel_split() {
     use FaultKind::{Crash, Hang, ReplyCorrupt, ReplyDrop, Stall};
-    let scenarios: [(&str, FaultPlan, Option<FaultPlan>, [u64; 5]); 7] = [
+    let scenarios: [(&str, FaultPlan, Option<FaultPlan>, [u64; 6]); 7] = [
         (
             "one crash (ds.get) and one hang (vfs.stat)",
             plan("ds", "ds.get.entry", Crash, true),
@@ -114,6 +116,7 @@ fn exports_match_digests_captured_before_the_kernel_split() {
                 0x9c041334883efcf5,
                 0x9a51a6b42ed584b7,
                 0x36c01b3423a1a265,
+                0x12d184c75256a693,
             ],
         ),
         (
@@ -126,6 +129,7 @@ fn exports_match_digests_captured_before_the_kernel_split() {
                 0x0ed498c21f95d13b,
                 0xab9c5196dc4a31c5,
                 0xe6d75937dd14b35f,
+                0xf16344f4c56f167b,
             ],
         ),
         (
@@ -138,6 +142,7 @@ fn exports_match_digests_captured_before_the_kernel_split() {
                 0x33c31da9fa2d9025,
                 0xe4cb00a95acd6b4b,
                 0xf7e98d377fb4c9a3,
+                0x66405bcf0a136278,
             ],
         ),
         (
@@ -150,6 +155,7 @@ fn exports_match_digests_captured_before_the_kernel_split() {
                 0x70b675b3e6eebdd8,
                 0x663ed145f1f83b7c,
                 0x8e43a5b603945d5c,
+                0xbe393aac4fb90ebf,
             ],
         ),
         (
@@ -162,6 +168,7 @@ fn exports_match_digests_captured_before_the_kernel_split() {
                 0x00258fcf4bd49d1a,
                 0xef1dd51a84c8dbe7,
                 0xbdacf99a41c7318b,
+                0x47349c58c8deafed,
             ],
         ),
         (
@@ -174,6 +181,7 @@ fn exports_match_digests_captured_before_the_kernel_split() {
                 0x57c5b18eae6a8295,
                 0xa20dfdcad326f0ad,
                 0xb7a26b3c6361c393,
+                0x37251837b3f5a1f4,
             ],
         ),
         (
@@ -186,6 +194,7 @@ fn exports_match_digests_captured_before_the_kernel_split() {
                 0x9fc55e87d05bd3c4,
                 0xad4768018629a998,
                 0xa101da96749567b1,
+                0xfb6e905a5280cd14,
             ],
         ),
     ];
@@ -214,10 +223,17 @@ fn exported_tree(tag: &str) -> Vec<(String, Vec<u8>)> {
     // Nested and not yet existing: write_exports must create it.
     let root = std::env::temp_dir().join(format!("osiris-exports-{}-{tag}", std::process::id()));
     let dir = root.join("run");
+    // Rendered first: `write_exports` takes the run-end timeseries sample
+    // after it writes the trace, so a later render has one more point.
+    let chrome = os.chrome_trace().pretty();
     os.write_exports(&dir).expect("write exports");
     assert_eq!(
         std::fs::read(dir.join("axiom.bin")).expect("axiom.bin"),
         os.axiom_bytes()
+    );
+    assert_eq!(
+        std::fs::read(dir.join("trace.json")).expect("trace.json"),
+        chrome.into_bytes()
     );
     let mut tree: Vec<(String, Vec<u8>)> = std::fs::read_dir(&dir)
         .expect("export dir")
