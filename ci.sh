@@ -26,6 +26,13 @@ if grep -rnE 'thread::(spawn|Builder|scope)|mpsc' crates/{kernel,core,checkpoint
     exit 1
 fi
 
+echo "== one event table, one writer: chrome.rs builds no Json tree, the kernel holds no trace vocabulary, no path becomes a lossy string =="
+if grep -n 'Json::' crates/trace/src/chrome.rs ||
+    grep -rn 'fn trace_twin' crates/kernel/src ||
+    grep -rn to_string_lossy crates/*/src src examples; then
+    exit 1
+fi
+
 echo "== repo-root size cap: no tracked file at the root over 64 KiB (dumps belong under target/) =="
 git ls-files -z -- ':(glob)*' | xargs -0 wc -c |
     awk '$2 != "total" && $1 > 65536 { print "over 64 KiB: " $2 " (" $1 " bytes)"; bad = 1 } END { exit bad }'

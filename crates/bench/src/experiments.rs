@@ -168,7 +168,7 @@ pub fn export_suite_metrics(
     dir: &std::path::Path,
 ) -> std::io::Result<(std::path::PathBuf, std::path::PathBuf)> {
     let (_, os) = run_suite_with(OsConfig::default(), None);
-    os.write_metrics(&dir.join("metrics").to_string_lossy())
+    os.write_metrics(&dir.join("metrics"))
 }
 
 /// Runs one survivability campaign: every planned fault, injected in its

@@ -16,6 +16,7 @@ use osiris_checkpoint::{Heap, PBuf, PCell, PVec};
 use osiris_metrics::Registry;
 use osiris_rng::Rng;
 use osiris_servers::{Os, OsConfig};
+use osiris_trace::chrome::ChromeTrace;
 use osiris_trace::{TraceConfig, TraceEvent, TraceHandle, KERNEL_COMP};
 
 use super::{Checks, Scale, Want};
@@ -389,6 +390,80 @@ fn spans(scale: Scale, c: &mut Checks) {
     }
 }
 
+/// The Chrome document is streamed, not built: writing a wrapped ring into
+/// a buffer that is already large enough calls the allocator no more for
+/// four times the records.
+fn chrome_export(scale: Scale, c: &mut Checks) {
+    let capacities = match scale {
+        Scale::Full => [1_024, 4_096],
+        Scale::Small => [64, 256],
+    };
+    let names: Vec<String> = ["rs", "pm", "vm", "vfs", "ds", "disk"]
+        .map(String::from)
+        .into();
+    for capacity in capacities {
+        let tracer = TraceHandle::new(TraceConfig {
+            capacity,
+            ..TraceConfig::on()
+        });
+        for i in 0..2 * capacity as u64 {
+            let (span, msg_id, comp) = (i / 4, i, (i % 6) as u8);
+            tracer.set_now(i * 7);
+            let event = match i % 4 {
+                0 => TraceEvent::SpanOpen {
+                    span,
+                    sid: i,
+                    pid: 1,
+                },
+                1 => TraceEvent::IpcSend {
+                    dst: comp,
+                    msg_id,
+                    class: SeepClassCode::StateModifying,
+                },
+                2 => TraceEvent::SpanHop {
+                    span,
+                    src: KERNEL_COMP,
+                    msg_id,
+                },
+                _ => TraceEvent::SpanClose {
+                    span,
+                    ok: true,
+                    crossed_recovery: false,
+                    latency: 21,
+                },
+            };
+            tracer.emit(if i % 2 == 0 { KERNEL_COMP } else { comp }, event);
+        }
+        let doc = ChromeTrace {
+            records: tracer.snapshot(),
+            names: names.clone(),
+            axiom: &[],
+            counters: &(),
+        };
+        let mut text = Vec::with_capacity(capacity * 1_024);
+        let (written, allocs) = c.counted(|| doc.write_to(&mut text));
+        written.expect("writing to a Vec cannot fail");
+        c.push_allocs(
+            format!("chrome/{capacity}_records/render_allocs"),
+            allocs,
+            Want::Eq(0),
+        );
+        c.push(
+            format!("chrome/{capacity}_records/ring_wrapped"),
+            tracer.with(|t| t.has_wrapped()) as u64,
+            Want::Eq(1),
+        );
+        // One object per record, plus the process, one thread per name, the
+        // kernel and the span lane.
+        let events = text.windows(7).filter(|w| w == b"\n    {\n").count();
+        c.push(
+            format!("chrome/{capacity}_records/events_written"),
+            events as u64,
+            Want::Eq((capacity + names.len() + 3) as u64),
+        );
+    }
+}
+
 pub(super) fn checks(scale: Scale, c: &mut Checks) {
     heap_windows("undo", None, scale, c);
     let tracer = TraceHandle::new(TraceConfig::on());
@@ -397,4 +472,5 @@ pub(super) fn checks(scale: Scale, c: &mut Checks) {
     metrics_snapshot(c);
     axiom(scale, c);
     spans(scale, c);
+    chrome_export(scale, c);
 }

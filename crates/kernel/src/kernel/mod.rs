@@ -29,12 +29,13 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use osiris_axiom::{
     bisect, AxiomConfig, AxiomError, AxiomEvent, AxiomLog, AxiomRecord, CompStatusCode,
-    ControlState, Divergence, VerdictCode,
+    ControlState, Divergence,
 };
 use osiris_checkpoint::{ChunkStore, Heap, HeapImage};
 use osiris_core::{MessageKind, RecoveryPolicy, RecoveryWindow};
 use osiris_metrics::{MetricsConfig, Registry, TimeseriesConfig, TimeseriesSampler};
-use osiris_trace::{TraceConfig, TraceEvent, TraceHandle, KERNEL_COMP};
+use osiris_trace::chrome::ChromeTrace;
+use osiris_trace::{trace_twin, TraceConfig, TraceEvent, TraceHandle, KERNEL_COMP};
 
 use self::counters::{CompStats, KernelCounters};
 use self::recovery::PendingCrash;
@@ -68,8 +69,7 @@ pub struct KernelConfig {
     /// save their state before the system stops (paper §VII, the
     /// Otherworld-style extension). `0` shuts down immediately.
     pub shutdown_grace: u32,
-    /// Flight-recorder configuration. Disabled by default; setting
-    /// `trace.verbose` additionally mirrors every recorded event to stderr.
+    /// Flight-recorder configuration. Disabled by default.
     pub trace: TraceConfig,
     /// Metrics-registry configuration. Enabled by default: the kernel's own
     /// accounting ([`crate::KernelMetrics`], [`crate::ComponentReport`])
@@ -210,79 +210,6 @@ impl<P: Protocol> std::fmt::Debug for Kernel<P> {
     }
 }
 
-/// The flight-recorder twin of a control-plane event: the lane it is drawn
-/// on and the trace event carrying the same facts. Window bookkeeping,
-/// intents and pool refreshes have no trace vocabulary; `EscalationStep`
-/// and `RetryDecision` fan out conditionally and are traced by their
-/// callers.
-fn trace_twin(event: &AxiomEvent) -> Option<(u8, TraceEvent)> {
-    Some(match *event {
-        AxiomEvent::Crash { comp } => (comp, TraceEvent::Crash { target: comp }),
-        AxiomEvent::HangDetected { comp } => (comp, TraceEvent::HangDetected { target: comp }),
-        AxiomEvent::IntentReplayed { comp } => {
-            (KERNEL_COMP, TraceEvent::IntentReplayed { target: comp })
-        }
-        AxiomEvent::RecoveryDecision { comp, action } => (
-            KERNEL_COMP,
-            TraceEvent::RecoveryDecision {
-                target: comp,
-                action,
-            },
-        ),
-        AxiomEvent::RecoveryFallback { comp, from, to } => (
-            KERNEL_COMP,
-            TraceEvent::RecoveryFallback {
-                target: comp,
-                from,
-                to,
-            },
-        ),
-        AxiomEvent::RecoveryDone { comp, cycles } => (
-            KERNEL_COMP,
-            TraceEvent::RecoveryDone {
-                target: comp,
-                cycles,
-            },
-        ),
-        AxiomEvent::Quarantined { comp } => (KERNEL_COMP, TraceEvent::Quarantined { target: comp }),
-        AxiomEvent::ShutdownDecision { controlled } => {
-            (KERNEL_COMP, TraceEvent::ShutdownDecision { controlled })
-        }
-        AxiomEvent::DeadlineExpired { comp, msg_id, .. } => (
-            comp,
-            TraceEvent::DeadlineExpired {
-                target: comp,
-                msg_id,
-            },
-        ),
-        // A corrupt-reply verdict is recorded as the rejection it caused.
-        AxiomEvent::WatchdogVerdict {
-            comp,
-            verdict: VerdictCode::CorruptReply,
-            msg_id,
-        } => (
-            comp,
-            TraceEvent::ReplyRejected {
-                sender: comp,
-                msg_id,
-            },
-        ),
-        AxiomEvent::WatchdogVerdict {
-            comp,
-            verdict,
-            msg_id,
-        } => (
-            comp,
-            TraceEvent::WatchdogVerdict {
-                target: comp,
-                msg_id,
-                verdict,
-            },
-        ),
-        _ => return None,
-    })
-}
-
 impl<P: Protocol> Kernel<P> {
     /// Creates a kernel with the given configuration.
     pub fn new(cfg: KernelConfig) -> Self {
@@ -343,16 +270,15 @@ impl<P: Protocol> Kernel<P> {
     /// Exports the recorded event stream as a Chrome `trace_event` JSON
     /// document (loadable in `chrome://tracing` / Perfetto). When axiom
     /// retention is enabled the control-plane log renders as an extra
-    /// instant-event lane.
-    pub fn chrome_trace(&self) -> osiris_trace::Json {
-        let mut doc = osiris_trace::chrome::chrome_trace_with_axiom(
-            &self.tracer.snapshot(),
-            &self.trace_names(),
-            self.axiom.records(),
-        );
-        // Telemetry samples render as counter lanes under the main track.
-        self.sampler.append_chrome_counters(&mut doc);
-        doc
+    /// instant-event lane, and telemetry samples as counter lanes under the
+    /// main track.
+    pub fn chrome_trace(&self) -> ChromeTrace<'_, TimeseriesSampler> {
+        ChromeTrace {
+            records: self.tracer.snapshot(),
+            names: self.trace_names(),
+            axiom: self.axiom.records(),
+            counters: &self.sampler,
+        }
     }
 
     /// The virtual-time telemetry sampler (empty unless

@@ -466,10 +466,14 @@ impl MetricsSnapshot {
 /// `<base>.json`. Returns the two paths written.
 pub fn write_exports(
     snapshot: &MetricsSnapshot,
-    base: &str,
+    base: &std::path::Path,
 ) -> std::io::Result<(std::path::PathBuf, std::path::PathBuf)> {
-    let prom_path = std::path::PathBuf::from(format!("{base}.prom"));
-    let json_path = std::path::PathBuf::from(format!("{base}.json"));
+    // Appended to the OS string: a path need not be UTF-8.
+    let [prom_path, json_path] = [".prom", ".json"].map(|suffix| {
+        let mut path = base.as_os_str().to_owned();
+        path.push(suffix);
+        std::path::PathBuf::from(path)
+    });
     if let Some(dir) = prom_path.parent() {
         if !dir.as_os_str().is_empty() {
             std::fs::create_dir_all(dir)?;

@@ -16,8 +16,9 @@
 //! points are overwritten (flight-recorder discipline, like `osiris-trace`).
 
 use crate::{CounterId, HistId, Values};
+use osiris_trace::chrome::ChromeLane;
 use osiris_trace::hist::HistSummary;
-use osiris_trace::Json;
+use osiris_trace::{Json, JsonWriter};
 
 /// Configuration for a [`TimeseriesSampler`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -326,46 +327,32 @@ impl TimeseriesSampler {
             ),
         ])
     }
+}
 
-    /// The recorded series as Chrome `trace_event` counter events (`ph:
-    /// "C"`): one event per sample, named after the series, so the trace
-    /// viewer draws each as a stacked-area counter lane under the main
-    /// track. Histogram samples carry their p50/p99/p99.9 as separate
-    /// counter components.
-    pub fn chrome_counters(&self) -> Vec<Json> {
-        let mut events = Vec::with_capacity(self.len());
+/// The recorded series as Chrome `trace_event` counter events (`ph: "C"`):
+/// one event per sample, named after the series, so the trace viewer draws
+/// each as a stacked-area counter lane under the main track. Histogram
+/// samples carry their p50/p99/p99.9 as separate counter components.
+impl ChromeLane for TimeseriesSampler {
+    fn write_events<W: std::io::Write>(&self, w: &mut JsonWriter<W>) {
         for t in &self.tracked {
             for s in t.in_order() {
-                let args = match s.value {
-                    SampleValue::Counter(v) => Json::obj([("value", Json::UInt(v))]),
-                    SampleValue::Hist(h) => Json::obj([
-                        ("p50", Json::UInt(h.p50)),
-                        ("p99", Json::UInt(h.p99)),
-                        ("p999", Json::UInt(h.p999)),
-                    ]),
-                };
-                events.push(Json::obj([
-                    ("name", Json::Str(t.name.clone())),
-                    ("ph", Json::Str("C".to_string())),
-                    ("ts", Json::UInt(s.t)),
-                    ("pid", Json::UInt(1)),
-                    ("args", args),
-                ]));
-            }
-        }
-        events
-    }
-
-    /// Appends [`Self::chrome_counters`] to a Chrome trace document's
-    /// `traceEvents` array in place (no-op when nothing was recorded).
-    pub fn append_chrome_counters(&self, doc: &mut Json) {
-        if self.is_empty() {
-            return;
-        }
-        if let Json::Obj(pairs) = doc {
-            if let Some((_, Json::Arr(events))) = pairs.iter_mut().find(|(k, _)| k == "traceEvents")
-            {
-                events.extend(self.chrome_counters());
+                w.begin_object();
+                w.key("name").str(&t.name);
+                w.key("ph").str("C");
+                w.key("ts").scalar(s.t);
+                w.key("pid").scalar(1);
+                w.key("args").begin_object();
+                match s.value {
+                    SampleValue::Counter(v) => w.key("value").scalar(v),
+                    SampleValue::Hist(h) => {
+                        w.key("p50").scalar(h.p50);
+                        w.key("p99").scalar(h.p99);
+                        w.key("p999").scalar(h.p999);
+                    }
+                }
+                w.end_object();
+                w.end_object();
             }
         }
     }
@@ -485,18 +472,21 @@ mod tests {
 
     #[test]
     fn chrome_counters_append_into_a_trace_document() {
+        use osiris_trace::chrome::ChromeTrace;
         let (mut s, mut m, c, _) = sampler(10, 8);
         m.add(c, 2);
         s.sample(10, &m);
-        let mut doc = Json::obj([("traceEvents", Json::Arr(vec![]))]);
-        s.append_chrome_counters(&mut doc);
-        let text = doc.pretty();
+        let doc = |counters| ChromeTrace {
+            records: vec![],
+            names: vec![],
+            axiom: &[],
+            counters,
+        };
+        let text = doc(&s).pretty();
         assert!(text.contains("\"ph\": \"C\""), "{text}");
         assert!(text.contains("\"osiris_ts_total\""), "{text}");
         // An empty sampler leaves the document untouched.
         let (s2, ..) = sampler(10, 8);
-        let mut doc2 = Json::obj([("traceEvents", Json::Arr(vec![]))]);
-        s2.append_chrome_counters(&mut doc2);
-        assert!(!doc2.pretty().contains("\"C\""));
+        assert!(!doc(&s2).pretty().contains("\"C\""));
     }
 }

@@ -3,6 +3,9 @@
 //! [`OsEngine`].
 
 use std::collections::BTreeSet;
+use std::fs::File;
+use std::io::{BufWriter, Write};
+use std::path::{Path, PathBuf};
 
 use osiris_checkpoint::{ChunkStore, RestoreStats};
 use osiris_core::{EscalationPolicy, PolicyKind, RecoveryPolicy};
@@ -11,6 +14,7 @@ use osiris_kernel::{
     cost, ComponentReport, Endpoint, FaultHook, Instrumentation, Kernel, KernelConfig,
     KernelMetrics, KernelSnapshot, OsEngine, ShutdownKind, SyscallId,
 };
+use osiris_trace::chrome::ChromeTrace;
 
 use crate::disk::DiskDriver;
 use crate::ds::DataStore;
@@ -325,10 +329,7 @@ impl Os {
 
     /// Writes both exposition formats to `<base>.prom` and `<base>.json`,
     /// creating parent directories as needed. Returns the paths written.
-    pub fn write_metrics(
-        &self,
-        base: &str,
-    ) -> std::io::Result<(std::path::PathBuf, std::path::PathBuf)> {
+    pub fn write_metrics(&self, base: &Path) -> std::io::Result<(PathBuf, PathBuf)> {
         osiris_metrics::write_exports(&self.metrics_snapshot(), base)
     }
 
@@ -349,7 +350,7 @@ impl Os {
 
     /// The recorded event stream as a Chrome `trace_event` JSON document
     /// (load the serialized form in `chrome://tracing` or Perfetto).
-    pub fn chrome_trace(&self) -> osiris_trace::Json {
+    pub fn chrome_trace(&self) -> ChromeTrace<'_, osiris_metrics::TimeseriesSampler> {
         self.kernel.chrome_trace()
     }
 
@@ -377,13 +378,15 @@ impl Os {
     /// `timeseries.json` and `axiom.bin`. Two same-seed runs produce
     /// byte-identical trees as long as both export at the same point —
     /// before [`Os::verify_axiom`], which bumps registry counters.
-    pub fn write_exports(&mut self, dir: &std::path::Path) -> std::io::Result<()> {
+    pub fn write_exports(&mut self, dir: &Path) -> std::io::Result<()> {
         std::fs::create_dir_all(dir)?;
-        let at = |name: &str| dir.join(name).to_string_lossy().into_owned();
-        std::fs::write(at("trace.json"), self.chrome_trace().pretty())?;
-        self.write_metrics(&at("metrics"))?;
-        std::fs::write(at("timeseries.json"), self.timeseries_json().pretty())?;
-        std::fs::write(at("axiom.bin"), self.axiom_bytes())
+        let mut trace = BufWriter::new(File::create(dir.join("trace.json"))?);
+        self.chrome_trace().write_to(&mut trace)?;
+        trace.flush()?;
+        self.write_metrics(&dir.join("metrics"))?;
+        let timeseries = dir.join("timeseries.json");
+        std::fs::write(timeseries, self.timeseries_json().pretty())?;
+        std::fs::write(dir.join("axiom.bin"), self.axiom_bytes())
     }
 
     /// Cross-component consistency audit. Call at quiescence (no in-flight
@@ -562,7 +565,6 @@ fn config_compatible(a: &OsConfig, b: &OsConfig) -> bool {
         capacity,
         categories,
         min_severity,
-        verbose,
         blackbox_tail,
     } = trace;
     let policy_name =
@@ -579,7 +581,6 @@ fn config_compatible(a: &OsConfig, b: &OsConfig) -> bool {
         && *capacity == b.trace.capacity
         && *categories == b.trace.categories
         && *min_severity == b.trace.min_severity
-        && *verbose == b.trace.verbose
         && *blackbox_tail == b.trace.blackbox_tail
         && *metrics == b.metrics
         && *axiom == b.axiom

@@ -213,8 +213,8 @@ fn exports_match_digests_captured_before_the_kernel_split() {
 }
 
 /// Runs the first scenario and returns every file `Os::write_exports`
-/// left in a fresh directory, sorted by name.
-fn exported_tree(tag: &str) -> Vec<(String, Vec<u8>)> {
+/// left in a fresh directory called `leaf`, sorted by name.
+fn exported_tree(tag: &str, leaf: &std::ffi::OsStr) -> Vec<(String, Vec<u8>)> {
     let mut os = run(Box::new(DoubleInjector::new(
         &plan("ds", "ds.get.entry", FaultKind::Crash, true),
         &plan("vfs", "vfs.stat.entry", FaultKind::Hang, true),
@@ -222,7 +222,7 @@ fn exported_tree(tag: &str) -> Vec<(String, Vec<u8>)> {
 
     // Nested and not yet existing: write_exports must create it.
     let root = std::env::temp_dir().join(format!("osiris-exports-{}-{tag}", std::process::id()));
-    let dir = root.join("run");
+    let dir = root.join(leaf);
     // Rendered first: `write_exports` takes the run-end timeseries sample
     // after it writes the trace, so a later render has one more point.
     let chrome = os.chrome_trace().pretty();
@@ -250,8 +250,8 @@ fn exported_tree(tag: &str) -> Vec<(String, Vec<u8>)> {
 
 #[test]
 fn write_exports_of_two_same_seed_runs_are_byte_identical_trees() {
-    let a = exported_tree("a");
-    let b = exported_tree("b");
+    let a = exported_tree("a", "run".as_ref());
+    let b = exported_tree("b", "run".as_ref());
     let names: Vec<&str> = a.iter().map(|(name, _)| name.as_str()).collect();
     assert_eq!(
         names,
@@ -265,6 +265,16 @@ fn write_exports_of_two_same_seed_runs_are_byte_identical_trees() {
     );
     assert!(a.iter().all(|(_, bytes)| !bytes.is_empty()));
     assert!(a == b, "same-seed runs exported different trees");
+}
+
+/// A path is not text: `$OSIRIS_OUT_DIR` may name a directory that is not
+/// UTF-8, and every file must land in it, not in a U+FFFD look-alike.
+#[cfg(unix)]
+#[test]
+fn write_exports_fills_a_directory_whose_name_is_not_utf8() {
+    use std::os::unix::ffi::OsStrExt;
+    let tree = exported_tree("c", std::ffi::OsStr::from_bytes(b"osiris-\xff"));
+    assert!(tree == exported_tree("d", "run".as_ref()));
 }
 
 /// The scalar of series `name{labels}`.

@@ -1,15 +1,22 @@
 //! Chrome `trace_event`-format export.
 //!
-//! Converts a [`TraceRecord`] stream into the JSON Object Format consumed
-//! by `chrome://tracing` and Perfetto: one "process" (the simulated OS)
-//! with one "thread" per component, recovery windows and recoveries drawn
-//! as duration slices, syscalls as async spans keyed by syscall id, and
-//! everything else as instant events. Timestamps are virtual-clock cycles
-//! reported in the `ts` microsecond field — the absolute unit is
-//! meaningless, only the deterministic relative layout matters.
+//! Writes a [`TraceRecord`] stream as the JSON Object Format consumed by
+//! `chrome://tracing` and Perfetto: one "process" (the simulated OS) with
+//! one "thread" per component, recovery windows and recoveries drawn as
+//! duration slices, syscalls and request spans as async pairs keyed by
+//! their ids, and everything else as instant events. Timestamps are
+//! virtual-clock cycles reported in the `ts` microsecond field — the
+//! absolute unit is meaningless, only the deterministic relative layout
+//! matters.
+//!
+//! What an event looks like is its row of the event table in the crate
+//! root; this module is the one loop that writes rows, in a fixed key
+//! order: `name, ph, [cat, id], ts, [dur], pid, tid, [s], args`.
 
-use crate::json::Json;
-use crate::{comp_name, TraceEvent, TraceRecord, KERNEL_COMP};
+use std::io::{self, Write};
+
+use crate::json::{into_text, JsonWriter};
+use crate::{comp_name, Field, Lane, TraceRecord, KERNEL_COMP};
 use osiris_axiom::AxiomRecord;
 
 /// `tid` used for kernel-originated events (Perfetto dislikes 255-ish
@@ -21,14 +28,12 @@ const KERNEL_TID: u64 = 999;
 /// history reads as one ordered track in the viewer.
 const AXIOM_TID: u64 = 998;
 
-/// `tid` for the causal-request-span lane: span open/close pairs render as
-/// async duration events (`b`/`e` keyed by span id) on their own named
-/// thread, so overlapping requests stack instead of colliding.
+/// `tid` for the causal-request-span lane, so overlapping requests stack
+/// instead of colliding.
 const SPAN_TID: u64 = 997;
 
 /// `tid` for the watchdog lane: armed deadlines, expiries, probes,
-/// verdicts and retry decisions render on their own named thread so the
-/// fail-silent detection machinery reads as one ordered track.
+/// verdicts and retry decisions read as one ordered track.
 const WATCHDOG_TID: u64 = 996;
 
 fn tid(comp: u8) -> u64 {
@@ -39,558 +44,221 @@ fn tid(comp: u8) -> u64 {
     }
 }
 
-fn event_json(name: &str, ph: &str, r: &TraceRecord, mut args: Vec<(String, Json)>) -> Json {
-    let mut pairs = vec![
-        ("name".to_string(), Json::Str(name.to_string())),
-        ("ph".to_string(), Json::Str(ph.to_string())),
-        ("ts".to_string(), Json::UInt(r.now)),
-        ("pid".to_string(), Json::UInt(1)),
-        ("tid".to_string(), Json::UInt(tid(r.comp))),
-    ];
-    args.push(("seq".to_string(), Json::UInt(r.seq)));
-    pairs.push(("args".to_string(), Json::Obj(args)));
-    Json::Obj(pairs)
+/// More events for a [`ChromeTrace`], written after the records and the
+/// axiom lane. `osiris-metrics` implements it for its sampler's counter
+/// lanes, which this crate cannot name; `()` has none.
+pub trait ChromeLane {
+    /// Writes each event as one object into the open `traceEvents` array.
+    fn write_events<W: Write>(&self, w: &mut JsonWriter<W>);
 }
 
-fn kv(k: &str, v: Json) -> (String, Json) {
-    (k.to_string(), v)
+impl ChromeLane for () {
+    fn write_events<W: Write>(&self, _w: &mut JsonWriter<W>) {}
 }
 
-/// Rewrites a built event onto the span lane: async-correlation `cat`/`id`
-/// fields (the viewer pairs `b`/`e` by them) and the dedicated `tid`.
-fn span_lane(mut e: Json, span: u64) -> Json {
-    if let Json::Obj(pairs) = &mut e {
-        for (k, v) in pairs.iter_mut() {
-            if k == "tid" {
-                *v = Json::UInt(SPAN_TID);
+/// A Chrome trace document over a recorded run. It is written straight
+/// into its destination, never built as a value.
+pub struct ChromeTrace<'a, C = ()> {
+    /// The events, in chronological order.
+    pub records: Vec<TraceRecord>,
+    /// Display names by component index (the kernel's component table
+    /// order); an index beyond it falls back to `c<n>`.
+    pub names: Vec<String>,
+    /// The control-plane log, drawn as one more instant-event lane (`tid`
+    /// 998); empty when axiom retention is disabled.
+    pub axiom: &'a [AxiomRecord],
+    /// Events appended after everything else.
+    pub counters: &'a C,
+}
+
+impl<C: ChromeLane> ChromeTrace<'_, C> {
+    /// The document as text: two-space indentation, trailing newline.
+    pub fn pretty(&self) -> String {
+        let mut w = JsonWriter::new(Vec::new());
+        self.write(&mut w);
+        into_text(w)
+    }
+
+    /// Streams the same text into `out`, which should be buffered.
+    pub fn write_to(&self, out: impl Write) -> io::Result<()> {
+        let mut w = JsonWriter::new(out);
+        self.write(&mut w);
+        w.finish().map(drop)
+    }
+
+    fn write<W: Write>(&self, w: &mut JsonWriter<W>) {
+        w.begin_object();
+        w.key("traceEvents").begin_array();
+
+        // Metadata: name the process, one thread per component, and each
+        // extra lane that has something on it.
+        metadata(w, "process_name", None, "osiris (virtual cycles)");
+        for (i, name) in (0..).zip(&self.names) {
+            metadata(w, "thread_name", Some(i), name);
+        }
+        let lane_used = |lane| self.records.iter().any(|r| r.event.meta().lane == lane);
+        for (used, tid, name) in [
+            (true, KERNEL_TID, "kernel"),
+            (!self.axiom.is_empty(), AXIOM_TID, "axiom"),
+            (lane_used(Lane::Span), SPAN_TID, "spans"),
+            (lane_used(Lane::Watchdog), WATCHDOG_TID, "watchdog"),
+        ] {
+            if used {
+                metadata(w, "thread_name", Some(tid), name);
             }
         }
-        pairs.insert(2, ("cat".to_string(), Json::Str("span".into())));
-        pairs.insert(3, ("id".to_string(), Json::UInt(span)));
-    }
-    e
-}
 
-/// Rewrites a built event onto the watchdog lane.
-fn watchdog_lane(mut e: Json) -> Json {
-    if let Json::Obj(pairs) = &mut e {
-        for (k, v) in pairs.iter_mut() {
-            if k == "tid" {
-                *v = Json::UInt(WATCHDOG_TID);
-            }
+        for r in &self.records {
+            self.write_record(w, r);
         }
-    }
-    e
-}
-
-/// Renders `records` as a complete Chrome trace document.
-///
-/// `names` maps component indices to display names (the kernel's component
-/// table order); unknown indices fall back to `c<n>`.
-pub fn chrome_trace(records: &[TraceRecord], names: &[String]) -> Json {
-    chrome_trace_with_axiom(records, names, &[])
-}
-
-/// One axiom record rendered as a Chrome instant event on the axiom lane:
-/// the event's canonical snake_case name, the full typed payload as a
-/// `detail` arg, and the chain digest so a viewer row can be matched back
-/// to the exact log record.
-pub fn axiom_instant(rec: &AxiomRecord, names: &[String]) -> Json {
-    let mut args = vec![
-        ("seq".to_string(), Json::UInt(rec.seq)),
-        (
-            "digest".to_string(),
-            Json::Str(format!("{:016x}", rec.digest)),
-        ),
-        ("detail".to_string(), Json::Str(format!("{:?}", rec.event))),
-    ];
-    if let Some(comp) = rec.event.comp() {
-        args.insert(1, ("comp".to_string(), Json::Str(comp_name(comp, names))));
-    }
-    Json::Obj(vec![
-        (
-            "name".to_string(),
-            Json::Str(format!("axiom.{}", rec.event.name())),
-        ),
-        ("ph".to_string(), Json::Str("i".to_string())),
-        ("ts".to_string(), Json::UInt(rec.now)),
-        ("pid".to_string(), Json::UInt(1)),
-        ("tid".to_string(), Json::UInt(AXIOM_TID)),
-        ("s".to_string(), Json::Str("t".to_string())),
-        ("args".to_string(), Json::Obj(args)),
-    ])
-}
-
-/// Like [`chrome_trace`], with the authoritative control-plane log
-/// rendered as an additional instant-event lane (`tid` 998, thread name
-/// `axiom`). Pass an empty slice when axiom retention is disabled.
-pub fn chrome_trace_with_axiom(
-    records: &[TraceRecord],
-    names: &[String],
-    axiom: &[AxiomRecord],
-) -> Json {
-    let mut events = Vec::with_capacity(records.len() + axiom.len() + names.len() + 3);
-
-    // Metadata: name the process and one thread per component.
-    events.push(Json::obj([
-        ("name", Json::Str("process_name".into())),
-        ("ph", Json::Str("M".into())),
-        ("pid", Json::UInt(1)),
-        (
-            "args",
-            Json::obj([("name", Json::Str("osiris (virtual cycles)".into()))]),
-        ),
-    ]));
-    for (i, name) in names.iter().enumerate() {
-        events.push(Json::obj([
-            ("name", Json::Str("thread_name".into())),
-            ("ph", Json::Str("M".into())),
-            ("pid", Json::UInt(1)),
-            ("tid", Json::UInt(i as u64)),
-            ("args", Json::obj([("name", Json::Str(name.clone()))])),
-        ]));
-    }
-    events.push(Json::obj([
-        ("name", Json::Str("thread_name".into())),
-        ("ph", Json::Str("M".into())),
-        ("pid", Json::UInt(1)),
-        ("tid", Json::UInt(KERNEL_TID)),
-        ("args", Json::obj([("name", Json::Str("kernel".into()))])),
-    ]));
-    if !axiom.is_empty() {
-        events.push(Json::obj([
-            ("name", Json::Str("thread_name".into())),
-            ("ph", Json::Str("M".into())),
-            ("pid", Json::UInt(1)),
-            ("tid", Json::UInt(AXIOM_TID)),
-            ("args", Json::obj([("name", Json::Str("axiom".into()))])),
-        ]));
-    }
-    let has_spans = records.iter().any(|r| {
-        matches!(
-            r.event,
-            TraceEvent::SpanOpen { .. } | TraceEvent::SpanHop { .. } | TraceEvent::SpanClose { .. }
-        )
-    });
-    if has_spans {
-        events.push(Json::obj([
-            ("name", Json::Str("thread_name".into())),
-            ("ph", Json::Str("M".into())),
-            ("pid", Json::UInt(1)),
-            ("tid", Json::UInt(SPAN_TID)),
-            ("args", Json::obj([("name", Json::Str("spans".into()))])),
-        ]));
-    }
-    let has_watchdog = records
-        .iter()
-        .any(|r| r.event.category() == crate::Category::Watchdog);
-    if has_watchdog {
-        events.push(Json::obj([
-            ("name", Json::Str("thread_name".into())),
-            ("ph", Json::Str("M".into())),
-            ("pid", Json::UInt(1)),
-            ("tid", Json::UInt(WATCHDOG_TID)),
-            ("args", Json::obj([("name", Json::Str("watchdog".into()))])),
-        ]));
-    }
-
-    for r in records {
-        match &r.event {
-            TraceEvent::IpcSend { dst, msg_id, class } => events.push(event_json(
-                "ipc_send",
-                "i",
-                r,
-                vec![
-                    kv("dst", Json::Str(comp_name(*dst, names))),
-                    kv("msg_id", Json::UInt(*msg_id)),
-                    kv("class", Json::Str(format!("{class:?}"))),
-                ],
-            )),
-            TraceEvent::IpcDeliver { src, msg_id } => events.push(event_json(
-                "ipc_deliver",
-                "i",
-                r,
-                vec![
-                    kv("src", Json::Str(comp_name(*src, names))),
-                    kv("msg_id", Json::UInt(*msg_id)),
-                ],
-            )),
-            // Windows never overlap within a component, so B/E pairs on the
-            // component's tid nest correctly.
-            TraceEvent::WindowOpen => events.push(event_json("window", "B", r, vec![])),
-            TraceEvent::WindowClose { reason, class } => {
-                // An unmatched E (close without a recorded open, e.g. after
-                // ring wraparound) confuses viewers less than an unmatched
-                // B, and Perfetto tolerates both.
-                events.push(event_json(
-                    "window",
-                    "E",
-                    r,
-                    vec![
-                        kv("reason", Json::Str(format!("{reason:?}"))),
-                        kv("class", Json::Str(format!("{class:?}"))),
-                    ],
-                ))
-            }
-            TraceEvent::UndoAppend { bytes } => events.push(event_json(
-                "undo_append",
-                "i",
-                r,
-                vec![kv("bytes", Json::UInt(*bytes as u64))],
-            )),
-            TraceEvent::UndoCoalesce => events.push(event_json("undo_coalesce", "i", r, vec![])),
-            TraceEvent::CheckpointMark { log_len } => events.push(event_json(
-                "checkpoint_mark",
-                "i",
-                r,
-                vec![kv("log_len", Json::UInt(*log_len as u64))],
-            )),
-            TraceEvent::Rollback { records, bytes } => events.push(event_json(
-                "rollback",
-                "i",
-                r,
-                vec![
-                    kv("records", Json::UInt(*records as u64)),
-                    kv("bytes", Json::UInt(*bytes as u64)),
-                ],
-            )),
-            TraceEvent::Discard { records, bytes } => events.push(event_json(
-                "discard",
-                "i",
-                r,
-                vec![
-                    kv("records", Json::UInt(*records as u64)),
-                    kv("bytes", Json::UInt(*bytes as u64)),
-                ],
-            )),
-            TraceEvent::Crash { target } => events.push(event_json(
-                "crash",
-                "i",
-                r,
-                vec![kv("target", Json::Str(comp_name(*target, names)))],
-            )),
-            TraceEvent::HangDetected { target } => events.push(event_json(
-                "hang_detected",
-                "i",
-                r,
-                vec![kv("target", Json::Str(comp_name(*target, names)))],
-            )),
-            TraceEvent::RsCrashNotified { target } => events.push(event_json(
-                "rs_crash_notified",
-                "i",
-                r,
-                vec![kv("target", Json::Str(comp_name(*target, names)))],
-            )),
-            TraceEvent::RecoveryDecision { target, action } => events.push(event_json(
-                "recovery_decision",
-                "i",
-                r,
-                vec![
-                    kv("target", Json::Str(comp_name(*target, names))),
-                    kv("action", Json::Str(format!("{action:?}"))),
-                ],
-            )),
-            // Recovery latency renders as a complete slice ending at the
-            // RecoveryDone timestamp (the clock has already been charged).
-            TraceEvent::RecoveryDone { target, cycles } => {
-                let mut e = event_json(
-                    "recovery",
-                    "X",
-                    r,
-                    vec![
-                        kv("target", Json::Str(comp_name(*target, names))),
-                        kv("cycles", Json::UInt(*cycles)),
-                    ],
-                );
-                if let Json::Obj(pairs) = &mut e {
-                    for (k, v) in pairs.iter_mut() {
-                        if k == "ts" {
-                            *v = Json::UInt(r.now.saturating_sub(*cycles));
-                        }
-                    }
-                    pairs.insert(3, ("dur".to_string(), Json::UInt(*cycles)));
-                }
-                events.push(e)
-            }
-            // Syscalls to one server can interleave, so use async spans
-            // keyed by syscall id instead of B/E stack slices.
-            TraceEvent::SyscallEnter { sid, pid } => {
-                let mut e = event_json("syscall", "b", r, vec![kv("pid", Json::UInt(*pid as u64))]);
-                if let Json::Obj(pairs) = &mut e {
-                    pairs.insert(2, ("cat".to_string(), Json::Str("syscall".into())));
-                    pairs.insert(3, ("id".to_string(), Json::UInt(*sid)));
-                }
-                events.push(e)
-            }
-            TraceEvent::SyscallExit { sid, pid, ok } => {
-                let mut e = event_json(
-                    "syscall",
-                    "e",
-                    r,
-                    vec![
-                        kv("pid", Json::UInt(*pid as u64)),
-                        kv("ok", Json::Bool(*ok)),
-                    ],
-                );
-                if let Json::Obj(pairs) = &mut e {
-                    pairs.insert(2, ("cat".to_string(), Json::Str("syscall".into())));
-                    pairs.insert(3, ("id".to_string(), Json::UInt(*sid)));
-                }
-                events.push(e)
-            }
-            TraceEvent::ShutdownDecision { controlled } => events.push(event_json(
-                "shutdown_decision",
-                "i",
-                r,
-                vec![kv("controlled", Json::Bool(*controlled))],
-            )),
-            TraceEvent::BudgetExhausted { target } => events.push(event_json(
-                "budget_exhausted",
-                "i",
-                r,
-                vec![kv("target", Json::Str(comp_name(*target, names)))],
-            )),
-            TraceEvent::BackoffArmed { target, delay } => events.push(event_json(
-                "backoff_armed",
-                "i",
-                r,
-                vec![
-                    kv("target", Json::Str(comp_name(*target, names))),
-                    kv("delay", Json::UInt(*delay)),
-                ],
-            )),
-            TraceEvent::Quarantined { target } => events.push(event_json(
-                "quarantined",
-                "i",
-                r,
-                vec![kv("target", Json::Str(comp_name(*target, names)))],
-            )),
-            TraceEvent::RecoveryFallback { target, from, to } => events.push(event_json(
-                "recovery_fallback",
-                "i",
-                r,
-                vec![
-                    kv("target", Json::Str(comp_name(*target, names))),
-                    kv("from", Json::Str(format!("{from:?}"))),
-                    kv("to", Json::Str(format!("{to:?}"))),
-                ],
-            )),
-            TraceEvent::IntentReplayed { target } => events.push(event_json(
-                "intent_replayed",
-                "i",
-                r,
-                vec![kv("target", Json::Str(comp_name(*target, names)))],
-            )),
-            TraceEvent::CowRestore {
-                target,
-                clean,
-                dirty,
-                bytes,
-            } => events.push(event_json(
-                "cow_restore",
-                "i",
-                r,
-                vec![
-                    kv("target", Json::Str(comp_name(*target, names))),
-                    kv("clean", Json::UInt(*clean as u64)),
-                    kv("dirty", Json::UInt(*dirty as u64)),
-                    kv("bytes", Json::UInt(*bytes as u64)),
-                ],
-            )),
-            // Requests overlap freely, so spans use async b/e pairs keyed
-            // by span id on a dedicated lane, like syscalls on their tids.
-            TraceEvent::SpanOpen { span, sid, pid } => {
-                let e = event_json(
-                    "span",
-                    "b",
-                    r,
-                    vec![
-                        kv("sid", Json::UInt(*sid)),
-                        kv("pid", Json::UInt(*pid as u64)),
-                    ],
-                );
-                events.push(span_lane(e, *span))
-            }
-            TraceEvent::SpanHop { span, src, msg_id } => {
-                let e = event_json(
-                    "span_hop",
-                    "n",
-                    r,
-                    vec![
-                        kv("src", Json::Str(comp_name(*src, names))),
-                        kv("msg_id", Json::UInt(*msg_id)),
-                    ],
-                );
-                events.push(span_lane(e, *span))
-            }
-            TraceEvent::SpanClose {
-                span,
-                ok,
-                crossed_recovery,
-                latency,
-            } => {
-                let e = event_json(
-                    "span",
-                    "e",
-                    r,
-                    vec![
-                        kv("ok", Json::Bool(*ok)),
-                        kv("crossed_recovery", Json::Bool(*crossed_recovery)),
-                        kv("latency", Json::UInt(*latency)),
-                    ],
-                );
-                events.push(span_lane(e, *span))
-            }
-            TraceEvent::DeadlineArmed {
-                target,
-                msg_id,
-                deadline,
-            } => {
-                let e = event_json(
-                    "deadline_armed",
-                    "i",
-                    r,
-                    vec![
-                        kv("target", Json::Str(comp_name(*target, names))),
-                        kv("msg_id", Json::UInt(*msg_id)),
-                        kv("deadline", Json::UInt(*deadline)),
-                    ],
-                );
-                events.push(watchdog_lane(e))
-            }
-            TraceEvent::DeadlineExpired { target, msg_id } => {
-                let e = event_json(
-                    "deadline_expired",
-                    "i",
-                    r,
-                    vec![
-                        kv("target", Json::Str(comp_name(*target, names))),
-                        kv("msg_id", Json::UInt(*msg_id)),
-                    ],
-                );
-                events.push(watchdog_lane(e))
-            }
-            TraceEvent::WatchdogProbe { target, msg_id } => {
-                let e = event_json(
-                    "watchdog_probe",
-                    "i",
-                    r,
-                    vec![
-                        kv("target", Json::Str(comp_name(*target, names))),
-                        kv("msg_id", Json::UInt(*msg_id)),
-                    ],
-                );
-                events.push(watchdog_lane(e))
-            }
-            TraceEvent::WatchdogVerdict {
-                target,
-                msg_id,
-                verdict,
-            } => {
-                let e = event_json(
-                    "watchdog_verdict",
-                    "i",
-                    r,
-                    vec![
-                        kv("target", Json::Str(comp_name(*target, names))),
-                        kv("msg_id", Json::UInt(*msg_id)),
-                        kv("verdict", Json::Str(format!("{verdict:?}"))),
-                    ],
-                );
-                events.push(watchdog_lane(e))
-            }
-            TraceEvent::RetryScheduled {
-                target,
-                msg_id,
-                attempt,
-                backoff,
-            } => {
-                let e = event_json(
-                    "retry_scheduled",
-                    "i",
-                    r,
-                    vec![
-                        kv("target", Json::Str(comp_name(*target, names))),
-                        kv("msg_id", Json::UInt(*msg_id)),
-                        kv("attempt", Json::UInt(*attempt as u64)),
-                        kv("backoff", Json::UInt(*backoff)),
-                    ],
-                );
-                events.push(watchdog_lane(e))
-            }
-            TraceEvent::RetryExhausted { target, msg_id } => {
-                let e = event_json(
-                    "retry_exhausted",
-                    "i",
-                    r,
-                    vec![
-                        kv("target", Json::Str(comp_name(*target, names))),
-                        kv("msg_id", Json::UInt(*msg_id)),
-                    ],
-                );
-                events.push(watchdog_lane(e))
-            }
-            TraceEvent::ReplyRejected { sender, msg_id } => {
-                let e = event_json(
-                    "reply_rejected",
-                    "i",
-                    r,
-                    vec![
-                        kv("sender", Json::Str(comp_name(*sender, names))),
-                        kv("msg_id", Json::UInt(*msg_id)),
-                    ],
-                );
-                events.push(watchdog_lane(e))
-            }
+        for rec in self.axiom {
+            self.write_axiom(w, rec);
         }
+        self.counters.write_events(w);
+
+        w.end_array();
+        w.key("displayTimeUnit").str("ns");
+        w.end_object();
     }
 
-    for rec in axiom {
-        events.push(axiom_instant(rec, names));
+    fn write_record<W: Write>(&self, w: &mut JsonWriter<W>, r: &TraceRecord) {
+        let meta = r.event.meta();
+        // What the event contributes outside its `args`.
+        let (mut id, mut dur) = (0, None);
+        r.event.fields(|_, field| match field {
+            Field::Id(v) => id = v,
+            Field::Dur(v) => dur = Some(v),
+            _ => {}
+        });
+        // The viewer pairs async events by `cat` + `id`.
+        let (cat, tid) = match meta.lane {
+            Lane::Own => (None, tid(r.comp)),
+            Lane::Syscall => (Some("syscall"), tid(r.comp)),
+            Lane::Span => (Some("span"), SPAN_TID),
+            Lane::Watchdog => (None, WATCHDOG_TID),
+        };
+        w.begin_object();
+        w.key("name").str(meta.name);
+        w.key("ph").str(meta.ph);
+        if let Some(cat) = cat {
+            w.key("cat").str(cat);
+            w.key("id").scalar(id);
+        }
+        w.key("ts").scalar(r.now.saturating_sub(dur.unwrap_or(0)));
+        if let Some(dur) = dur {
+            w.key("dur").scalar(dur);
+        }
+        w.key("pid").scalar(1);
+        w.key("tid").scalar(tid);
+        w.key("args").begin_object();
+        r.event.fields(|key, field| match field {
+            Field::U64(v) | Field::Dur(v) => w.key(key).scalar(v),
+            Field::Bool(v) => w.key(key).scalar(v),
+            Field::Comp(c) => w.key(key).str(&comp_name(c, &self.names)),
+            Field::Code(code) => w.key(key).text(format_args!("{code:?}")),
+            Field::Id(_) => {}
+        });
+        w.key("seq").scalar(r.seq);
+        w.end_object();
+        w.end_object();
     }
 
-    Json::obj([
-        ("traceEvents", Json::Arr(events)),
-        ("displayTimeUnit", Json::Str("ns".into())),
-    ])
+    /// One axiom record as an instant event on the axiom lane: the
+    /// event's canonical snake_case name, the full typed payload as a
+    /// `detail` arg, and the chain digest so a viewer row can be matched
+    /// back to the exact log record.
+    fn write_axiom<W: Write>(&self, w: &mut JsonWriter<W>, rec: &AxiomRecord) {
+        w.begin_object();
+        w.key("name")
+            .text(format_args!("axiom.{}", rec.event.name()));
+        w.key("ph").str("i");
+        w.key("ts").scalar(rec.now);
+        w.key("pid").scalar(1);
+        w.key("tid").scalar(AXIOM_TID);
+        w.key("s").str("t");
+        w.key("args").begin_object();
+        w.key("seq").scalar(rec.seq);
+        if let Some(comp) = rec.event.comp() {
+            w.key("comp").str(&comp_name(comp, &self.names));
+        }
+        w.key("digest").text(format_args!("{:016x}", rec.digest));
+        w.key("detail").text(format_args!("{:?}", rec.event));
+        w.end_object();
+        w.end_object();
+    }
+}
+
+fn metadata<W: Write>(w: &mut JsonWriter<W>, what: &str, tid: Option<u64>, name: &str) {
+    w.begin_object();
+    w.key("name").str(what);
+    w.key("ph").str("M");
+    w.key("pid").scalar(1);
+    if let Some(tid) = tid {
+        w.key("tid").scalar(tid);
+    }
+    w.key("args").begin_object();
+    w.key("name").str(name);
+    w.end_object();
+    w.end_object();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CloseCode, TraceRecord};
+    use crate::{CloseCode, TraceEvent, TraceRecord};
+
+    fn chrome_trace_with_axiom(
+        records: &[TraceRecord],
+        names: &[String],
+        axiom: &[AxiomRecord],
+    ) -> String {
+        ChromeTrace {
+            records: records.to_vec(),
+            names: names.to_vec(),
+            axiom,
+            counters: &(),
+        }
+        .pretty()
+    }
+
+    fn rec(now: u64, seq: u64, comp: u8, event: TraceEvent) -> TraceRecord {
+        TraceRecord {
+            now,
+            seq,
+            comp,
+            event,
+        }
+    }
+
+    fn chrome_trace(records: &[TraceRecord], names: &[String]) -> String {
+        chrome_trace_with_axiom(records, names, &[])
+    }
 
     #[test]
     fn exports_valid_structure() {
         let names = vec!["rs".to_string(), "pm".to_string()];
         let recs = vec![
-            TraceRecord {
-                now: 10,
-                seq: 0,
-                comp: 1,
-                event: TraceEvent::WindowOpen,
-            },
-            TraceRecord {
-                now: 40,
-                seq: 1,
-                comp: 1,
-                event: TraceEvent::WindowClose {
+            rec(10, 0, 1, TraceEvent::WindowOpen),
+            rec(
+                40,
+                1,
+                1,
+                TraceEvent::WindowClose {
                     reason: CloseCode::Completed,
                     class: crate::SeepClassCode::None,
                 },
-            },
-            TraceRecord {
-                now: 900,
-                seq: 0,
-                comp: 0,
-                event: TraceEvent::RecoveryDone {
+            ),
+            rec(
+                900,
+                0,
+                0,
+                TraceEvent::RecoveryDone {
                     target: 1,
                     cycles: 600,
                 },
-            },
+            ),
         ];
-        let doc = chrome_trace(&recs, &names);
-        let text = doc.pretty();
+        let text = chrome_trace(&recs, &names);
         assert!(text.contains("\"traceEvents\""));
         assert!(text.contains("\"thread_name\""));
         assert!(text.contains("\"ph\": \"B\""));
@@ -616,8 +284,7 @@ mod tests {
         );
         log.append(9, AxiomEvent::WindowOpen { comp: 1 });
         let names = vec!["rs".to_string(), "pm".to_string()];
-        let doc = chrome_trace_with_axiom(&[], &names, log.records());
-        let text = doc.pretty();
+        let text = chrome_trace_with_axiom(&[], &names, log.records());
         assert!(text.contains("\"axiom.genesis\""), "{text}");
         assert!(text.contains("\"axiom.window_open\""), "{text}");
         assert!(text.contains("\"comp\": \"pm\""), "{text}");
@@ -628,7 +295,7 @@ mod tests {
         let digest = format!("{:016x}", log.records()[0].digest);
         assert!(text.contains(&digest), "{text}");
         // No lane, no metadata when the axiom is empty.
-        let empty = chrome_trace_with_axiom(&[], &names, &[]).pretty();
+        let empty = chrome_trace_with_axiom(&[], &names, &[]);
         assert!(!empty.contains("\"tid\": 998"), "{empty}");
     }
 
@@ -638,13 +305,8 @@ mod tests {
         // (quotes, backslashes, control chars) must come out escaped, not
         // as broken JSON.
         let names = vec!["a\"b\\c\nd\u{1}".to_string()];
-        let recs = vec![TraceRecord {
-            now: 3,
-            seq: 0,
-            comp: 5,
-            event: TraceEvent::Crash { target: 0 },
-        }];
-        let text = chrome_trace(&recs, &names).pretty();
+        let recs = vec![rec(3, 0, 5, TraceEvent::Crash { target: 0 })];
+        let text = chrome_trace(&recs, &names);
         assert!(
             text.contains("\"target\": \"a\\\"b\\\\c\\nd\\u0001\""),
             "{text}"
@@ -660,39 +322,39 @@ mod tests {
     fn span_lane_renders_async_pairs() {
         let names = vec!["pm".to_string()];
         let recs = vec![
-            TraceRecord {
-                now: 10,
-                seq: 0,
-                comp: crate::KERNEL_COMP,
-                event: TraceEvent::SpanOpen {
+            rec(
+                10,
+                0,
+                crate::KERNEL_COMP,
+                TraceEvent::SpanOpen {
                     span: 42,
                     sid: 7,
                     pid: 3,
                 },
-            },
-            TraceRecord {
-                now: 15,
-                seq: 0,
-                comp: 0,
-                event: TraceEvent::SpanHop {
+            ),
+            rec(
+                15,
+                0,
+                0,
+                TraceEvent::SpanHop {
                     span: 42,
                     src: crate::KERNEL_COMP,
                     msg_id: 9,
                 },
-            },
-            TraceRecord {
-                now: 90,
-                seq: 1,
-                comp: crate::KERNEL_COMP,
-                event: TraceEvent::SpanClose {
+            ),
+            rec(
+                90,
+                1,
+                crate::KERNEL_COMP,
+                TraceEvent::SpanClose {
                     span: 42,
                     ok: true,
                     crossed_recovery: false,
                     latency: 80,
                 },
-            },
+            ),
         ];
-        let text = chrome_trace(&recs, &names).pretty();
+        let text = chrome_trace(&recs, &names);
         // Open/close render as an async pair correlated by cat+id on the
         // dedicated span lane, plus its thread_name metadata row.
         assert!(text.contains("\"ph\": \"b\""), "{text}");
@@ -703,7 +365,7 @@ mod tests {
         assert!(text.contains("\"name\": \"spans\""), "{text}");
         assert!(text.contains("\"crossed_recovery\": false"), "{text}");
         // No span events → no span lane metadata.
-        let empty = chrome_trace(&[], &names).pretty();
+        let empty = chrome_trace(&[], &names);
         assert!(!empty.contains("\"tid\": 997"), "{empty}");
     }
 
@@ -713,17 +375,17 @@ mod tests {
         // component name with quotes, backslashes and control chars flows
         // into the SpanHop `src` arg and must come out escaped.
         let names = vec!["a\"b\\c\nd\u{1}".to_string()];
-        let recs = vec![TraceRecord {
-            now: 3,
-            seq: 0,
-            comp: 5,
-            event: TraceEvent::SpanHop {
+        let recs = vec![rec(
+            3,
+            0,
+            5,
+            TraceEvent::SpanHop {
                 span: 1,
                 src: 0,
                 msg_id: 2,
             },
-        }];
-        let text = chrome_trace(&recs, &names).pretty();
+        )];
+        let text = chrome_trace(&recs, &names);
         assert!(
             text.contains("\"src\": \"a\\\"b\\\\c\\nd\\u0001\""),
             "{text}"
@@ -737,50 +399,42 @@ mod tests {
     fn watchdog_lane_renders_instants() {
         let names = vec!["vfs".to_string()];
         let recs = vec![
-            TraceRecord {
-                now: 10,
-                seq: 0,
-                comp: crate::KERNEL_COMP,
-                event: TraceEvent::DeadlineArmed {
+            rec(
+                10,
+                0,
+                crate::KERNEL_COMP,
+                TraceEvent::DeadlineArmed {
                     target: 0,
                     msg_id: 7,
                     deadline: 1_500_010,
                 },
-            },
-            TraceRecord {
-                now: 1_500_010,
-                seq: 1,
-                comp: crate::KERNEL_COMP,
-                event: TraceEvent::WatchdogVerdict {
+            ),
+            rec(
+                1_500_010,
+                1,
+                crate::KERNEL_COMP,
+                TraceEvent::WatchdogVerdict {
                     target: 0,
                     msg_id: 7,
                     verdict: crate::VerdictCode::Hung,
                 },
-            },
+            ),
         ];
-        let text = chrome_trace(&recs, &names).pretty();
+        let text = chrome_trace(&recs, &names);
         assert!(text.contains("\"deadline_armed\""), "{text}");
         assert!(text.contains("\"watchdog_verdict\""), "{text}");
         assert!(text.contains("\"verdict\": \"Hung\""), "{text}");
         assert!(text.contains("\"tid\": 996"), "{text}");
         assert!(text.contains("\"name\": \"watchdog\""), "{text}");
         // No watchdog events → no watchdog lane metadata.
-        let empty = chrome_trace(&[], &names).pretty();
+        let empty = chrome_trace(&[], &names);
         assert!(!empty.contains("\"tid\": 996"), "{empty}");
     }
 
     #[test]
     fn deterministic_render() {
         let names = vec!["pm".to_string()];
-        let recs = vec![TraceRecord {
-            now: 1,
-            seq: 0,
-            comp: 0,
-            event: TraceEvent::UndoAppend { bytes: 8 },
-        }];
-        assert_eq!(
-            chrome_trace(&recs, &names).pretty(),
-            chrome_trace(&recs, &names).pretty()
-        );
+        let recs = vec![rec(1, 0, 0, TraceEvent::UndoAppend { bytes: 8 })];
+        assert_eq!(chrome_trace(&recs, &names), chrome_trace(&recs, &names));
     }
 }

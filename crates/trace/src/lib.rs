@@ -26,9 +26,10 @@
 //! The crate sits just above `osiris-axiom` (the authoritative
 //! control-plane log), from which it re-exports the shared
 //! [`CloseCode`]/[`SeepClassCode`]/[`ActionCode`] vocabularies; the
-//! checkpoint/core/kernel layers all emit through it. The small hand-rolled
-//! [`Json`] value tree (used by the Chrome `trace_event` exporter in
-//! [`chrome`]) lives here too and is re-exported by `osiris-bench`.
+//! checkpoint/core/kernel layers all emit through it. The workspace's
+//! hand-rolled JSON layer lives here too: the streaming [`JsonWriter`] the
+//! Chrome `trace_event` exporter in [`chrome`] writes through, and the
+//! [`Json`] value tree `osiris-bench` re-exports.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,8 +39,10 @@ pub mod hist;
 pub mod json;
 
 pub use hist::{HistSummary, Log2Hist};
-pub use json::Json;
+pub use json::{Json, JsonWriter};
 
+use std::borrow::Cow;
+use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -85,8 +88,21 @@ pub enum Category {
 }
 
 impl Category {
+    /// Every category, in bit order.
+    pub const ALL: [Category; 9] = [
+        Category::Ipc,
+        Category::Window,
+        Category::Undo,
+        Category::Checkpoint,
+        Category::Recovery,
+        Category::Syscall,
+        Category::Shutdown,
+        Category::Span,
+        Category::Watchdog,
+    ];
+
     /// The bit this category occupies in a [`CategoryMask`].
-    pub fn bit(self) -> u16 {
+    pub const fn bit(self) -> u16 {
         1 << (self as u16)
     }
 }
@@ -97,13 +113,19 @@ pub struct CategoryMask(pub u16);
 
 impl CategoryMask {
     /// Every category enabled.
-    pub const ALL: CategoryMask = CategoryMask(0x1FF);
+    pub const ALL: CategoryMask = CategoryMask::of(&Category::ALL);
     /// No category enabled.
     pub const NONE: CategoryMask = CategoryMask(0);
 
     /// Builds a mask from individual categories.
-    pub fn of(cats: &[Category]) -> CategoryMask {
-        CategoryMask(cats.iter().fold(0, |m, c| m | c.bit()))
+    pub const fn of(cats: &[Category]) -> CategoryMask {
+        let mut mask = 0;
+        let mut i = 0;
+        while i < cats.len() {
+            mask |= cats[i].bit();
+            i += 1;
+        }
+        CategoryMask(mask)
     }
 
     /// Whether `cat` is enabled in this mask.
@@ -123,338 +145,437 @@ impl Default for CategoryMask {
     }
 }
 
+use osiris_axiom::AxiomEvent;
 pub use osiris_axiom::{ActionCode, CloseCode, SeepClassCode, VerdictCode};
 
-/// A typed, fixed-size trace event. Every variant is `Copy` and contains no
-/// heap-owning field, so emitting one never allocates.
+/// Where the Chrome export draws an event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TraceEvent {
+pub enum Lane {
+    /// The emitting component's own thread.
+    Own,
+    /// The emitting component's thread, as an async pair keyed by syscall
+    /// id: syscalls to one server interleave, so `B`/`E` would not nest.
+    Syscall,
+    /// The span lane, as async events keyed by span id: requests overlap
+    /// freely.
+    Span,
+    /// The watchdog lane.
+    Watchdog,
+}
+
+/// What is the same for every event of one [`TraceEvent`] variant.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct EventMeta {
+    /// Export name, snake_case. The two halves of a slice share theirs.
+    pub name: &'static str,
+    /// Filter category.
+    pub category: Category,
+    /// Inherent severity.
+    pub severity: Severity,
+    /// Chrome `trace_event` phase: `i` instant, `B`/`E` a slice on the
+    /// emitter's stack (windows never overlap within a component), `X` a
+    /// complete slice, `b`/`e`/`n` an async pair and its instants.
+    pub ph: &'static str,
+    /// Export lane.
+    pub lane: Lane,
+}
+
+/// One field of an event, as the typed value an export renders.
+pub(crate) enum Field<'a> {
+    /// An integer.
+    U64(u64),
+    /// A flag.
+    Bool(bool),
+    /// A component id, shown by name.
+    Comp(u8),
+    /// A shared-vocabulary code, shown as its `Debug` text.
+    Code(&'a dyn fmt::Debug),
+    /// The key of an async pair: the event's `id`, not an argument.
+    Id(u64),
+    /// An integer that is also the length of the slice ending at the
+    /// record's timestamp (the clock has already been charged).
+    Dur(u64),
+}
+
+/// Declares [`TraceEvent`] from its one description: per variant, the
+/// docs, then `Variant(name, category, severity, ph, lane)` — its
+/// [`EventMeta`] — and its fields, each `name: type => kind` with the
+/// [`Field`] it is shown as. A new variant needs its row here and an emit
+/// site.
+macro_rules! event_table {
+    ($(
+        $(#[$vdoc:meta])*
+        $variant:ident($name:literal, $category:ident, $severity:ident, $ph:literal, $lane:ident)
+        $({ $( $(#[$fdoc:meta])* $field:ident: $ty:ty => $kind:ident, )* })?
+    )*) => {
+        /// A typed, fixed-size trace event. Every variant is `Copy` and
+        /// contains no heap-owning field, so emitting one never allocates.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub enum TraceEvent {
+            $( $(#[$vdoc])* $variant $({ $( $(#[$fdoc])* $field: $ty, )* })?, )*
+        }
+
+        impl TraceEvent {
+            /// This variant's static description.
+            pub fn meta(&self) -> &'static EventMeta {
+                match self {
+                    $( TraceEvent::$variant { .. } => &EventMeta {
+                        name: $name,
+                        category: Category::$category,
+                        severity: Severity::$severity,
+                        ph: $ph,
+                        lane: Lane::$lane,
+                    }, )*
+                }
+            }
+
+            /// Shows this event's fields to `show`, in declaration order.
+            pub(crate) fn fields(&self, mut show: impl FnMut(&'static str, Field<'_>)) {
+                match *self {
+                    $( TraceEvent::$variant $({ $($field,)* })? => {
+                        $($( show(stringify!($field), event_table!(@$kind $field)); )*)?
+                    } )*
+                }
+            }
+
+            /// One event of every variant.
+            #[cfg(test)]
+            fn samples() -> Vec<TraceEvent> {
+                vec![$( TraceEvent::$variant $({ $($field: event_table!(@sample $kind),)* })? ),*]
+            }
+        }
+    };
+    (@u64 $f:ident) => { Field::U64(u64::from($f)) };
+    (@bool $f:ident) => { Field::Bool($f) };
+    (@comp $f:ident) => { Field::Comp($f) };
+    (@code $f:ident) => { Field::Code(&$f) };
+    (@id $f:ident) => { Field::Id($f) };
+    (@dur $f:ident) => { Field::Dur($f) };
+    (@sample bool) => { true };
+    (@sample code) => { tests::SampleCode::SAMPLE };
+    (@sample $int:ident) => { 1 };
+}
+
+event_table! {
     /// A component (or the kernel on behalf of a user process) sent a
     /// message to `dst`.
-    IpcSend {
+    IpcSend("ipc_send", Ipc, Info, "i", Own) {
         /// Receiving component.
-        dst: u8,
+        dst: u8 => comp,
         /// Monotone per-run message id.
-        msg_id: u64,
+        msg_id: u64 => u64,
         /// SEEP class engraved on the message.
-        class: SeepClassCode,
-    },
+        class: SeepClassCode => code,
+    }
     /// The kernel delivered message `msg_id` from `src` to the recording
     /// component and is about to dispatch its handler.
-    IpcDeliver {
+    IpcDeliver("ipc_deliver", Ipc, Info, "i", Own) {
         /// Sending component ([`KERNEL_COMP`] for kernel-originated).
-        src: u8,
+        src: u8 => comp,
         /// Monotone per-run message id.
-        msg_id: u64,
-    },
+        msg_id: u64 => u64,
+    }
     /// A recovery window opened (undo logging armed).
-    WindowOpen,
+    WindowOpen("window", Window, Info, "B", Own)
+    // An unmatched E (a close whose open the ring overwrote) confuses
+    // viewers less than an unmatched B, and Perfetto tolerates both.
     /// A recovery window closed.
-    WindowClose {
+    WindowClose("window", Window, Info, "E", Own) {
         /// Why it closed.
-        reason: CloseCode,
+        reason: CloseCode => code,
         /// SEEP class of the send that closed it, if any.
-        class: SeepClassCode,
-    },
+        class: SeepClassCode => code,
+    }
     /// The undo journal appended an old-value record of `bytes` bytes.
-    UndoAppend {
+    UndoAppend("undo_append", Undo, Debug, "i", Own) {
         /// Payload bytes captured into the journal.
-        bytes: u32,
-    },
+        bytes: u32 => u64,
+    }
     /// A write to an already-logged location was elided (coalesced).
-    UndoCoalesce,
+    UndoCoalesce("undo_coalesce", Undo, Debug, "i", Own)
     /// A checkpoint mark was taken at undo-log length `log_len`.
-    CheckpointMark {
+    CheckpointMark("checkpoint_mark", Checkpoint, Debug, "i", Own) {
         /// Journal length at the mark.
-        log_len: u32,
-    },
+        log_len: u32 => u64,
+    }
     /// The journal rolled back `records` records (`bytes` payload bytes).
-    Rollback {
+    Rollback("rollback", Checkpoint, Warn, "i", Own) {
         /// Records undone.
-        records: u32,
+        records: u32 => u64,
         /// Payload bytes restored.
-        bytes: u32,
-    },
+        bytes: u32 => u64,
+    }
     /// The journal discarded `records` records on commit.
-    Discard {
+    Discard("discard", Checkpoint, Debug, "i", Own) {
         /// Records discarded.
-        records: u32,
+        records: u32 => u64,
         /// Payload bytes released.
-        bytes: u32,
-    },
+        bytes: u32 => u64,
+    }
     /// Component `target` crashed (fail-stop fault captured).
-    Crash {
+    Crash("crash", Recovery, Warn, "i", Own) {
         /// Crashed component.
-        target: u8,
-    },
+        target: u8 => comp,
+    }
     /// Component `target` was declared hung by the heartbeat protocol.
-    HangDetected {
+    HangDetected("hang_detected", Recovery, Warn, "i", Own) {
         /// Hung component.
-        target: u8,
-    },
+        target: u8 => comp,
+    }
     /// The Recovery Server was notified of a crash.
-    RsCrashNotified {
+    RsCrashNotified("rs_crash_notified", Recovery, Warn, "i", Own) {
         /// Crashed component the RS was told about.
-        target: u8,
-    },
+        target: u8 => comp,
+    }
     /// The recovery policy decided how to recover `target`.
-    RecoveryDecision {
+    RecoveryDecision("recovery_decision", Recovery, Warn, "i", Own) {
         /// Component being recovered.
-        target: u8,
+        target: u8 => comp,
         /// Chosen action.
-        action: ActionCode,
-    },
+        action: ActionCode => code,
+    }
     /// Recovery of `target` finished, charging `cycles` virtual cycles.
-    RecoveryDone {
+    RecoveryDone("recovery", Recovery, Warn, "X", Own) {
         /// Recovered component.
-        target: u8,
+        target: u8 => comp,
         /// Virtual cycles spent (restart + rollback + reconciliation).
-        cycles: u64,
-    },
+        cycles: u64 => dur,
+    }
     /// A user process entered a syscall serviced by the recording component.
-    SyscallEnter {
+    SyscallEnter("syscall", Syscall, Info, "b", Syscall) {
         /// Monotone syscall id (the kernel's message id for the request).
-        sid: u64,
+        sid: u64 => id,
         /// Calling process.
-        pid: u32,
-    },
+        pid: u32 => u64,
+    }
     /// A syscall completed and its reply was routed back to the process.
-    SyscallExit {
+    SyscallExit("syscall", Syscall, Info, "e", Syscall) {
         /// Syscall id matching the corresponding [`TraceEvent::SyscallEnter`].
-        sid: u64,
+        sid: u64 => id,
         /// Calling process.
-        pid: u32,
+        pid: u32 => u64,
         /// Whether the reply is a success (false for error replies,
         /// including virtualized `E_CRASH`).
-        ok: bool,
-    },
+        ok: bool => bool,
+    }
     /// The system decided to shut down.
-    ShutdownDecision {
+    ShutdownDecision("shutdown_decision", Shutdown, Error, "i", Own) {
         /// True for a controlled (state-flushing) shutdown, false for an
         /// uncontrolled crash stop.
-        controlled: bool,
-    },
+        controlled: bool => bool,
+    }
     /// Component `target` exhausted its restart budget inside the sliding
     /// window: the escalation ladder is stepping past plain restarts.
-    BudgetExhausted {
+    BudgetExhausted("budget_exhausted", Recovery, Warn, "i", Own) {
         /// Crash-looping component.
-        target: u8,
-    },
+        target: u8 => comp,
+    }
     /// Recovery of `target` was deferred by `delay` virtual cycles of
     /// exponential restart backoff.
-    BackoffArmed {
+    BackoffArmed("backoff_armed", Recovery, Warn, "i", Own) {
         /// Component whose recovery is deferred.
-        target: u8,
+        target: u8 => comp,
         /// Backoff delay in virtual cycles.
-        delay: u64,
-    },
+        delay: u64 => u64,
+    }
     /// Component `target` was quarantined: no further restarts, messages
     /// to it are bounced with an immediate crash reply.
-    Quarantined {
+    Quarantined("quarantined", Recovery, Warn, "i", Own) {
         /// Benched component.
-        target: u8,
-    },
+        target: u8 => comp,
+    }
     /// A recovery phase for `target` could not be executed (journal or
     /// image integrity violation, or a fault inside the phase itself); the
     /// kernel degraded from `from` to the next rung of the fallback chain.
-    RecoveryFallback {
+    RecoveryFallback("recovery_fallback", Recovery, Warn, "i", Own) {
         /// Component whose recovery degraded.
-        target: u8,
+        target: u8 => comp,
         /// The action that failed.
-        from: ActionCode,
+        from: ActionCode => code,
         /// The action tried next.
-        to: ActionCode,
-    },
+        to: ActionCode => code,
+    }
     /// The RS crashed mid-conduct and the persisted recovery intent for
     /// `target` was re-driven (or completed by the kernel directly).
-    IntentReplayed {
+    IntentReplayed("intent_replayed", Recovery, Warn, "i", Own) {
         /// Component whose in-flight recovery was re-driven.
-        target: u8,
-    },
+        target: u8 => comp,
+    }
     /// A FreshRestart restored `target` from its copy-on-write manifest:
     /// only the `dirty` diverged chunks were written back, the `clean`
     /// chunks were skipped, making restart cost O(dirty state).
-    CowRestore {
+    CowRestore("cow_restore", Recovery, Warn, "i", Own) {
         /// Restored component.
-        target: u8,
+        target: u8 => comp,
         /// Chunks skipped because the live object had not diverged.
-        clean: u32,
+        clean: u32 => u64,
         /// Chunks verified and written back.
-        dirty: u32,
+        dirty: u32 => u64,
         /// Bytes actually copied into the heap.
-        bytes: u32,
-    },
+        bytes: u32 => u64,
+    }
     /// A causal request span was minted at a workload entry point.
-    SpanOpen {
+    SpanOpen("span", Span, Info, "b", Span) {
         /// Span id (monotone per run).
-        span: u64,
+        span: u64 => id,
         /// Syscall id of the originating user request.
-        sid: u64,
+        sid: u64 => u64,
         /// Calling process.
-        pid: u32,
-    },
+        pid: u32 => u64,
+    }
     /// A span-carrying message was delivered to the recording component:
     /// one causal hop of the request's cross-component call chain.
-    SpanHop {
+    SpanHop("span_hop", Span, Info, "n", Span) {
         /// Span id.
-        span: u64,
+        span: u64 => id,
         /// Sending component ([`KERNEL_COMP`] for kernel-originated).
-        src: u8,
+        src: u8 => comp,
         /// Delivered message id.
-        msg_id: u64,
-    },
+        msg_id: u64 => u64,
+    }
     /// A span closed: the originating request's reply was routed back to
     /// the user process.
-    SpanClose {
+    SpanClose("span", Span, Info, "e", Span) {
         /// Span id.
-        span: u64,
+        span: u64 => id,
         /// Whether the reply was a success (false for error replies,
         /// including virtualized `E_CRASH`/`E_SHUTDOWN`).
-        ok: bool,
+        ok: bool => bool,
         /// Whether at least one crash/hang capture or completed recovery
         /// happened between span open and close.
-        crossed_recovery: bool,
+        crossed_recovery: bool => bool,
         /// End-to-end virtual cycles from open to close.
-        latency: u64,
-    },
+        latency: u64 => u64,
+    }
     /// The kernel armed a per-request watchdog deadline for a message
     /// delivered to `target`.
-    DeadlineArmed {
+    DeadlineArmed("deadline_armed", Watchdog, Debug, "i", Watchdog) {
         /// Component the request was delivered to.
-        target: u8,
+        target: u8 => comp,
         /// Armed message id.
-        msg_id: u64,
+        msg_id: u64 => u64,
         /// Absolute virtual-clock deadline.
-        deadline: u64,
-    },
+        deadline: u64 => u64,
+    }
     /// An armed deadline expired with no reply observed.
-    DeadlineExpired {
+    DeadlineExpired("deadline_expired", Watchdog, Warn, "i", Watchdog) {
         /// Component the request was delivered to.
-        target: u8,
+        target: u8 => comp,
         /// Expired message id.
-        msg_id: u64,
-    },
+        msg_id: u64 => u64,
+    }
     /// The watchdog sampled `target`'s progress counters to distinguish a
     /// hung component from a slow one.
-    WatchdogProbe {
+    WatchdogProbe("watchdog_probe", Watchdog, Debug, "i", Watchdog) {
         /// Probed component.
-        target: u8,
+        target: u8 => comp,
         /// Message id of the request under suspicion.
-        msg_id: u64,
-    },
+        msg_id: u64 => u64,
+    }
     /// The watchdog concluded its probe with a verdict.
-    WatchdogVerdict {
+    WatchdogVerdict("watchdog_verdict", Watchdog, Warn, "i", Watchdog) {
         /// Component the verdict concerns.
-        target: u8,
+        target: u8 => comp,
         /// Message id of the request under suspicion.
-        msg_id: u64,
+        msg_id: u64 => u64,
         /// What the probe concluded.
-        verdict: VerdictCode,
-    },
+        verdict: VerdictCode => code,
+    }
     /// The kernel granted a transparent retry: the original request will be
     /// re-delivered after `backoff` virtual cycles.
-    RetryScheduled {
+    RetryScheduled("retry_scheduled", Watchdog, Warn, "i", Watchdog) {
         /// Component the request targets.
-        target: u8,
+        target: u8 => comp,
         /// Retried message id (stable across attempts).
-        msg_id: u64,
+        msg_id: u64 => u64,
         /// Attempt number of the upcoming re-delivery (1 = first retry).
-        attempt: u8,
+        attempt: u8 => u64,
         /// Backoff (incl. deterministic jitter) before the resend.
-        backoff: u64,
-    },
+        backoff: u64 => u64,
+    }
     /// Retries for `msg_id` were denied or exhausted; the requester sees
     /// the virtualized crash reply.
-    RetryExhausted {
+    RetryExhausted("retry_exhausted", Watchdog, Warn, "i", Watchdog) {
         /// Component the request targeted.
-        target: u8,
+        target: u8 => comp,
         /// Message id whose retries ended.
-        msg_id: u64,
-    },
+        msg_id: u64 => u64,
+    }
     /// A reply failed integrity verification and was rejected; the sender
     /// is treated as crashed.
-    ReplyRejected {
+    ReplyRejected("reply_rejected", Watchdog, Warn, "i", Watchdog) {
         /// Component that sent the corrupt reply.
-        sender: u8,
+        sender: u8 => comp,
         /// Message id of the rejected reply's request.
-        msg_id: u64,
-    },
+        msg_id: u64 => u64,
+    }
 }
 
 impl TraceEvent {
     /// The category this event belongs to.
     pub fn category(&self) -> Category {
-        match self {
-            TraceEvent::IpcSend { .. } | TraceEvent::IpcDeliver { .. } => Category::Ipc,
-            TraceEvent::WindowOpen | TraceEvent::WindowClose { .. } => Category::Window,
-            TraceEvent::UndoAppend { .. } | TraceEvent::UndoCoalesce => Category::Undo,
-            TraceEvent::CheckpointMark { .. }
-            | TraceEvent::Rollback { .. }
-            | TraceEvent::Discard { .. } => Category::Checkpoint,
-            TraceEvent::Crash { .. }
-            | TraceEvent::HangDetected { .. }
-            | TraceEvent::RsCrashNotified { .. }
-            | TraceEvent::RecoveryDecision { .. }
-            | TraceEvent::RecoveryDone { .. }
-            | TraceEvent::BudgetExhausted { .. }
-            | TraceEvent::BackoffArmed { .. }
-            | TraceEvent::Quarantined { .. }
-            | TraceEvent::RecoveryFallback { .. }
-            | TraceEvent::IntentReplayed { .. }
-            | TraceEvent::CowRestore { .. } => Category::Recovery,
-            TraceEvent::SyscallEnter { .. } | TraceEvent::SyscallExit { .. } => Category::Syscall,
-            TraceEvent::ShutdownDecision { .. } => Category::Shutdown,
-            TraceEvent::SpanOpen { .. }
-            | TraceEvent::SpanHop { .. }
-            | TraceEvent::SpanClose { .. } => Category::Span,
-            TraceEvent::DeadlineArmed { .. }
-            | TraceEvent::DeadlineExpired { .. }
-            | TraceEvent::WatchdogProbe { .. }
-            | TraceEvent::WatchdogVerdict { .. }
-            | TraceEvent::RetryScheduled { .. }
-            | TraceEvent::RetryExhausted { .. }
-            | TraceEvent::ReplyRejected { .. } => Category::Watchdog,
-        }
+        self.meta().category
     }
 
     /// The inherent severity of this event.
     pub fn severity(&self) -> Severity {
-        match self {
-            TraceEvent::UndoAppend { .. }
-            | TraceEvent::UndoCoalesce
-            | TraceEvent::CheckpointMark { .. }
-            | TraceEvent::Discard { .. }
-            | TraceEvent::DeadlineArmed { .. }
-            | TraceEvent::WatchdogProbe { .. } => Severity::Debug,
-            TraceEvent::IpcSend { .. }
-            | TraceEvent::IpcDeliver { .. }
-            | TraceEvent::WindowOpen
-            | TraceEvent::WindowClose { .. }
-            | TraceEvent::SyscallEnter { .. }
-            | TraceEvent::SyscallExit { .. }
-            | TraceEvent::SpanOpen { .. }
-            | TraceEvent::SpanHop { .. }
-            | TraceEvent::SpanClose { .. } => Severity::Info,
-            TraceEvent::Rollback { .. }
-            | TraceEvent::Crash { .. }
-            | TraceEvent::HangDetected { .. }
-            | TraceEvent::RsCrashNotified { .. }
-            | TraceEvent::RecoveryDecision { .. }
-            | TraceEvent::RecoveryDone { .. }
-            | TraceEvent::BudgetExhausted { .. }
-            | TraceEvent::BackoffArmed { .. }
-            | TraceEvent::Quarantined { .. }
-            | TraceEvent::RecoveryFallback { .. }
-            | TraceEvent::IntentReplayed { .. }
-            | TraceEvent::CowRestore { .. }
-            | TraceEvent::DeadlineExpired { .. }
-            | TraceEvent::WatchdogVerdict { .. }
-            | TraceEvent::RetryScheduled { .. }
-            | TraceEvent::RetryExhausted { .. }
-            | TraceEvent::ReplyRejected { .. } => Severity::Warn,
-            TraceEvent::ShutdownDecision { .. } => Severity::Error,
-        }
+        self.meta().severity
     }
+}
+
+/// The flight-recorder twin of a control-plane event: the lane it is drawn
+/// on and the trace event carrying the same facts. Window bookkeeping,
+/// intents and pool refreshes have no trace vocabulary; `EscalationStep`
+/// and `RetryDecision` fan out conditionally and are traced by their
+/// callers.
+pub fn trace_twin(event: &AxiomEvent) -> Option<(u8, TraceEvent)> {
+    use TraceEvent as T;
+    Some(match *event {
+        AxiomEvent::Crash { comp: target } => (target, T::Crash { target }),
+        AxiomEvent::HangDetected { comp: target } => (target, T::HangDetected { target }),
+        AxiomEvent::IntentReplayed { comp: target } => (KERNEL_COMP, T::IntentReplayed { target }),
+        AxiomEvent::RecoveryDecision {
+            comp: target,
+            action,
+        } => (KERNEL_COMP, T::RecoveryDecision { target, action }),
+        AxiomEvent::RecoveryFallback {
+            comp: target,
+            from,
+            to,
+        } => (KERNEL_COMP, T::RecoveryFallback { target, from, to }),
+        AxiomEvent::RecoveryDone {
+            comp: target,
+            cycles,
+        } => (KERNEL_COMP, T::RecoveryDone { target, cycles }),
+        AxiomEvent::Quarantined { comp: target } => (KERNEL_COMP, T::Quarantined { target }),
+        AxiomEvent::ShutdownDecision { controlled } => {
+            (KERNEL_COMP, T::ShutdownDecision { controlled })
+        }
+        AxiomEvent::DeadlineExpired {
+            comp: target,
+            msg_id,
+            ..
+        } => (target, T::DeadlineExpired { target, msg_id }),
+        // A corrupt-reply verdict is recorded as the rejection it caused.
+        AxiomEvent::WatchdogVerdict {
+            comp: sender,
+            verdict: VerdictCode::CorruptReply,
+            msg_id,
+        } => (sender, T::ReplyRejected { sender, msg_id }),
+        AxiomEvent::WatchdogVerdict {
+            comp: target,
+            verdict,
+            msg_id,
+        } => (
+            target,
+            T::WatchdogVerdict {
+                target,
+                msg_id,
+                verdict,
+            },
+        ),
+        _ => return None,
+    })
 }
 
 /// One recorded event: virtual timestamp, per-component sequence number,
@@ -483,8 +604,6 @@ pub struct TraceConfig {
     pub categories: CategoryMask,
     /// Minimum severity to record.
     pub min_severity: Severity,
-    /// Mirror every recorded event to stderr (implies `enabled`).
-    pub verbose: bool,
     /// Events per component dumped by the post-mortem black box
     /// ([`Tracer::blackbox`]); 0 disables the dump.
     pub blackbox_tail: usize,
@@ -497,7 +616,6 @@ impl Default for TraceConfig {
             capacity: 16 * 1024,
             categories: CategoryMask::ALL,
             min_severity: Severity::Debug,
-            verbose: false,
             blackbox_tail: 32,
         }
     }
@@ -567,9 +685,10 @@ impl Tracer {
     /// Records `event` for component `comp` if it passes the filters.
     /// Never allocates once the ring has been sized.
     pub fn emit(&mut self, comp: u8, event: TraceEvent) {
+        let meta = event.meta();
         if !self.cfg.enabled
-            || !self.cfg.categories.contains(event.category())
-            || event.severity() < self.cfg.min_severity
+            || !self.cfg.categories.contains(meta.category)
+            || meta.severity < self.cfg.min_severity
         {
             return;
         }
@@ -582,9 +701,6 @@ impl Tracer {
             comp,
             event,
         };
-        if self.cfg.verbose {
-            eprintln!("[trace t={} c={} #{}] {:?}", rec.now, comp, seq, event);
-        }
         if self.cfg.capacity == 0 {
             return;
         }
@@ -718,12 +834,8 @@ pub struct TraceHandle {
 }
 
 impl TraceHandle {
-    /// Creates a handle around a fresh recorder. `verbose` implies
-    /// `enabled`.
-    pub fn new(mut cfg: TraceConfig) -> TraceHandle {
-        if cfg.verbose {
-            cfg.enabled = true;
-        }
+    /// Creates a handle around a fresh recorder.
+    pub fn new(cfg: TraceConfig) -> TraceHandle {
         let on = cfg.enabled;
         TraceHandle {
             on: Arc::new(AtomicBool::new(on)),
@@ -829,14 +941,13 @@ impl Default for TraceHandle {
 
 /// Resolves a component id to a display name. Ids beyond `names` render as
 /// `kernel` (for [`KERNEL_COMP`]) or `c<n>`.
-pub fn comp_name(comp: u8, names: &[String]) -> String {
+pub fn comp_name(comp: u8, names: &[String]) -> Cow<'_, str> {
     if comp == KERNEL_COMP {
-        "kernel".to_string()
+        "kernel".into()
     } else {
         names
             .get(comp as usize)
-            .cloned()
-            .unwrap_or_else(|| format!("c{comp}"))
+            .map_or_else(|| format!("c{comp}").into(), |name| name.as_str().into())
     }
 }
 
@@ -846,13 +957,9 @@ pub fn comp_name(comp: u8, names: &[String]) -> String {
 pub fn render_text(records: &[TraceRecord], names: &[String]) -> String {
     let mut out = String::new();
     for r in records {
-        out.push_str(&format!(
-            "t={:<10} {:<8} #{:<5} {:?}\n",
-            r.now,
-            comp_name(r.comp, names),
-            r.seq,
-            r.event
-        ));
+        let name = comp_name(r.comp, names);
+        writeln!(out, "t={:<10} {name:<8} #{:<5} {:?}", r.now, r.seq, r.event)
+            .expect("writing to a String cannot fail");
     }
     out
 }
@@ -860,6 +967,51 @@ pub fn render_text(records: &[TraceRecord], names: &[String]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The value [`TraceEvent::samples`] gives a field of this code type.
+    pub(super) trait SampleCode {
+        const SAMPLE: Self;
+    }
+    impl SampleCode for CloseCode {
+        const SAMPLE: Self = CloseCode::Manual;
+    }
+    impl SampleCode for SeepClassCode {
+        const SAMPLE: Self = SeepClassCode::None;
+    }
+    impl SampleCode for ActionCode {
+        const SAMPLE: Self = ActionCode::FreshRestart;
+    }
+    impl SampleCode for VerdictCode {
+        const SAMPLE: Self = VerdictCode::Slow;
+    }
+
+    #[test]
+    fn every_table_row_is_well_formed() {
+        let mut seen = std::collections::HashSet::new();
+        for (i, event) in (0..).zip(TraceEvent::samples()) {
+            let meta = event.meta();
+            // A name is shared only by the halves of one slice or pair.
+            assert!(seen.insert((meta.name, meta.ph)), "{meta:?} twice");
+            assert!(CategoryMask::ALL.contains(meta.category), "{meta:?}");
+            let text = chrome::ChromeTrace {
+                records: vec![TraceRecord {
+                    now: 9,
+                    seq: i,
+                    comp: 0,
+                    event,
+                }],
+                names: vec![],
+                axiom: &[],
+                counters: &(),
+            }
+            .pretty();
+            let args_end = format!("\"seq\": {i}\n      }}\n    }}\n  ],");
+            assert!(text.contains(&args_end), "{event:?}: {text}");
+        }
+        for (i, category) in Category::ALL.into_iter().enumerate() {
+            assert_eq!(category.bit(), 1 << i, "{category:?} out of bit order");
+        }
+    }
 
     #[test]
     fn disabled_records_nothing() {
