@@ -221,6 +221,10 @@ mod tests {
         .pretty()
     }
 
+    fn chrome_trace(records: &[TraceRecord], names: &[String]) -> String {
+        chrome_trace_with_axiom(records, names, &[])
+    }
+
     fn rec(now: u64, seq: u64, comp: u8, event: TraceEvent) -> TraceRecord {
         TraceRecord {
             now,
@@ -228,10 +232,6 @@ mod tests {
             comp,
             event,
         }
-    }
-
-    fn chrome_trace(records: &[TraceRecord], names: &[String]) -> String {
-        chrome_trace_with_axiom(records, names, &[])
     }
 
     #[test]
