@@ -207,7 +207,7 @@ mod tests {
     use super::*;
     use crate::{CloseCode, TraceEvent, TraceRecord};
 
-    fn chrome_trace_with_axiom(
+    fn render_with_axiom(
         records: &[TraceRecord],
         names: &[String],
         axiom: &[AxiomRecord],
@@ -221,8 +221,8 @@ mod tests {
         .pretty()
     }
 
-    fn chrome_trace(records: &[TraceRecord], names: &[String]) -> String {
-        chrome_trace_with_axiom(records, names, &[])
+    fn render(records: &[TraceRecord], names: &[String]) -> String {
+        render_with_axiom(records, names, &[])
     }
 
     fn rec(now: u64, seq: u64, comp: u8, event: TraceEvent) -> TraceRecord {
@@ -258,7 +258,7 @@ mod tests {
                 },
             ),
         ];
-        let text = chrome_trace(&recs, &names);
+        let text = render(&recs, &names);
         assert!(text.contains("\"traceEvents\""));
         assert!(text.contains("\"thread_name\""));
         assert!(text.contains("\"ph\": \"B\""));
@@ -284,7 +284,7 @@ mod tests {
         );
         log.append(9, AxiomEvent::WindowOpen { comp: 1 });
         let names = vec!["rs".to_string(), "pm".to_string()];
-        let text = chrome_trace_with_axiom(&[], &names, log.records());
+        let text = render_with_axiom(&[], &names, log.records());
         assert!(text.contains("\"axiom.genesis\""), "{text}");
         assert!(text.contains("\"axiom.window_open\""), "{text}");
         assert!(text.contains("\"comp\": \"pm\""), "{text}");
@@ -295,7 +295,7 @@ mod tests {
         let digest = format!("{:016x}", log.records()[0].digest);
         assert!(text.contains(&digest), "{text}");
         // No lane, no metadata when the axiom is empty.
-        let empty = chrome_trace_with_axiom(&[], &names, &[]);
+        let empty = render_with_axiom(&[], &names, &[]);
         assert!(!empty.contains("\"tid\": 998"), "{empty}");
     }
 
@@ -306,7 +306,7 @@ mod tests {
         // as broken JSON.
         let names = vec!["a\"b\\c\nd\u{1}".to_string()];
         let recs = vec![rec(3, 0, 5, TraceEvent::Crash { target: 0 })];
-        let text = chrome_trace(&recs, &names);
+        let text = render(&recs, &names);
         assert!(
             text.contains("\"target\": \"a\\\"b\\\\c\\nd\\u0001\""),
             "{text}"
@@ -354,7 +354,7 @@ mod tests {
                 },
             ),
         ];
-        let text = chrome_trace(&recs, &names);
+        let text = render(&recs, &names);
         // Open/close render as an async pair correlated by cat+id on the
         // dedicated span lane, plus its thread_name metadata row.
         assert!(text.contains("\"ph\": \"b\""), "{text}");
@@ -365,7 +365,7 @@ mod tests {
         assert!(text.contains("\"name\": \"spans\""), "{text}");
         assert!(text.contains("\"crossed_recovery\": false"), "{text}");
         // No span events → no span lane metadata.
-        let empty = chrome_trace(&[], &names);
+        let empty = render(&[], &names);
         assert!(!empty.contains("\"tid\": 997"), "{empty}");
     }
 
@@ -385,7 +385,7 @@ mod tests {
                 msg_id: 2,
             },
         )];
-        let text = chrome_trace(&recs, &names);
+        let text = render(&recs, &names);
         assert!(
             text.contains("\"src\": \"a\\\"b\\\\c\\nd\\u0001\""),
             "{text}"
@@ -420,14 +420,14 @@ mod tests {
                 },
             ),
         ];
-        let text = chrome_trace(&recs, &names);
+        let text = render(&recs, &names);
         assert!(text.contains("\"deadline_armed\""), "{text}");
         assert!(text.contains("\"watchdog_verdict\""), "{text}");
         assert!(text.contains("\"verdict\": \"Hung\""), "{text}");
         assert!(text.contains("\"tid\": 996"), "{text}");
         assert!(text.contains("\"name\": \"watchdog\""), "{text}");
         // No watchdog events → no watchdog lane metadata.
-        let empty = chrome_trace(&[], &names);
+        let empty = render(&[], &names);
         assert!(!empty.contains("\"tid\": 996"), "{empty}");
     }
 
@@ -435,6 +435,6 @@ mod tests {
     fn deterministic_render() {
         let names = vec!["pm".to_string()];
         let recs = vec![rec(1, 0, 0, TraceEvent::UndoAppend { bytes: 8 })];
-        assert_eq!(chrome_trace(&recs, &names), chrome_trace(&recs, &names));
+        assert_eq!(render(&recs, &names), render(&recs, &names));
     }
 }
