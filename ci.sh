@@ -33,6 +33,12 @@ if grep -n 'Json::' crates/trace/src/chrome.rs ||
     exit 1
 fi
 
+echo "== one control-plane vocabulary: the RCB mirrors no axiom code, the axiom has no converter beyond codes!'s from_u8 =="
+if grep -rnE 'enum (CompStatus|IntentPhase|RecoveryAction|RecoveryPhase)\b' crates/{kernel,core}/src ||
+    grep -rnE 'fn \w+_u8\(|fn \w+_from\(' crates/axiom/src | grep -v 'fn from_u8('; then
+    exit 1
+fi
+
 echo "== repo-root size cap: no tracked file at the root over 64 KiB (dumps belong under target/) =="
 git ls-files -z -- ':(glob)*' | xargs -0 wc -c |
     awk '$2 != "total" && $1 > 65536 { print "over 64 KiB: " $2 " (" $1 " bytes)"; bad = 1 } END { exit bad }'

@@ -14,8 +14,8 @@ use crate::{AxiomEvent, AxiomRecord, IntentPhaseCode};
 /// [`ControlState`] `Copy`-free but allocation-free.
 pub const MAX_COMPS: usize = 32;
 
-/// Liveness status of one component, as reduced from the axiom (mirrors
-/// the kernel's `CompStatus`).
+/// Liveness status of one component, as reduced from the axiom: the only
+/// liveness the kernel has (it schedules, probes and bounces by it).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum CompStatusCode {
     /// Running normally.

@@ -563,8 +563,6 @@ pub struct Fig3Point {
     pub interval: u64,
     /// Benchmark score under that fault load.
     pub score: f64,
-    /// PM crashes injected during the run.
-    pub crashes: u64,
     /// Whether the benchmark completed without functional degradation.
     pub ok: bool,
 }
@@ -590,7 +588,6 @@ pub fn figure3(intervals: &[u64], scale: f64) -> Vec<Fig3Point> {
                 bench: bench.to_string(),
                 interval,
                 score: r.score,
-                crashes: 0, // filled below if the engine were retained
                 ok: r.ok,
             });
         }

@@ -109,7 +109,6 @@ fn fig3_json(p: &Fig3Point) -> Json {
         ("bench", Json::Str(p.bench.clone())),
         ("interval", Json::UInt(p.interval)),
         ("score", Json::Num(p.score)),
-        ("crashes", Json::UInt(p.crashes)),
         ("ok", Json::Bool(p.ok)),
     ])
 }

@@ -31,7 +31,7 @@
 //! ```
 //! use osiris_checkpoint::Heap;
 //! use osiris_core::{
-//!     decide_recovery, CrashContext, Enhanced, RecoveryAction, RecoveryWindow,
+//!     ActionCode, decide_recovery, CrashContext, Enhanced, RecoveryWindow,
 //!     SeepClass, SeepMeta,
 //! };
 //!
@@ -59,7 +59,7 @@
 //!         requester_is_process: true,
 //!     },
 //! );
-//! assert_eq!(decision.action, RecoveryAction::RollbackAndErrorReply);
+//! assert_eq!(decision.action, ActionCode::RollbackErrorReply);
 //!
 //! // Roll back: the component is again in its top-of-loop state.
 //! window.rollback(&mut heap);
@@ -79,7 +79,7 @@ pub use policy::{
     Enhanced, EnhancedKill, Naive, Pessimistic, PolicyKind, RecoveryPolicy, Stateless,
 };
 pub use recovery::{
-    decide_recovery, fallback_action, CrashContext, RecoveryAction, RecoveryDecision, RecoveryPhase,
+    decide_recovery, fallback_action, system_survives, ActionCode, CrashContext, RecoveryDecision,
 };
 pub use seep::{MessageKind, SeepClass, SeepMeta};
 pub use window::{CloseReason, RecoveryWindow, WindowStats};

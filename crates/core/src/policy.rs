@@ -13,7 +13,7 @@
 
 use std::fmt;
 
-use crate::recovery::{CrashContext, RecoveryAction, RecoveryDecision};
+use crate::recovery::{ActionCode, CrashContext, RecoveryDecision};
 use crate::seep::SeepMeta;
 
 /// A system-wide recovery policy.
@@ -133,7 +133,7 @@ impl RecoveryPolicy for Stateless {
         true
     }
     fn reconcile(&self, crash: &CrashContext) -> RecoveryDecision {
-        RecoveryDecision::new(RecoveryAction::FreshRestart, crash.reply_possible)
+        RecoveryDecision::new(ActionCode::FreshRestart, crash.reply_possible)
     }
     fn kind(&self) -> PolicyKind {
         PolicyKind::Stateless
@@ -158,7 +158,7 @@ impl RecoveryPolicy for Naive {
         true
     }
     fn reconcile(&self, crash: &CrashContext) -> RecoveryDecision {
-        RecoveryDecision::new(RecoveryAction::ContinueAsIs, crash.reply_possible)
+        RecoveryDecision::new(ActionCode::ContinueAsIs, crash.reply_possible)
     }
     fn kind(&self) -> PolicyKind {
         PolicyKind::Naive
@@ -225,17 +225,17 @@ impl RecoveryPolicy for EnhancedKill {
     }
     fn reconcile(&self, crash: &CrashContext) -> RecoveryDecision {
         if crash.in_recovery_code {
-            return RecoveryDecision::new(RecoveryAction::UncontrolledCrash, false);
+            return RecoveryDecision::new(ActionCode::UncontrolledCrash, false);
         }
         if crash.window_open && crash.scoped_sends && crash.requester_is_process {
             // The window stayed open across requester-scoped sends; clean
             // them by killing the requester (no error reply: it is dying).
-            return RecoveryDecision::new(RecoveryAction::RollbackAndKillRequester, false);
+            return RecoveryDecision::new(ActionCode::RollbackKillRequester, false);
         }
         if crash.window_open && crash.reply_possible {
-            RecoveryDecision::new(RecoveryAction::RollbackAndErrorReply, true)
+            RecoveryDecision::new(ActionCode::RollbackErrorReply, true)
         } else {
-            RecoveryDecision::new(RecoveryAction::ControlledShutdown, false)
+            RecoveryDecision::new(ActionCode::ControlledShutdown, false)
         }
     }
     fn kind(&self) -> PolicyKind {
@@ -252,12 +252,12 @@ fn osiris_reconcile(crash: &CrashContext) -> RecoveryDecision {
     if crash.in_recovery_code {
         // A second fault inside recovery violates the single-fault model;
         // there is nothing consistent left to restore.
-        return RecoveryDecision::new(RecoveryAction::UncontrolledCrash, false);
+        return RecoveryDecision::new(ActionCode::UncontrolledCrash, false);
     }
     if crash.window_open && crash.reply_possible {
-        RecoveryDecision::new(RecoveryAction::RollbackAndErrorReply, true)
+        RecoveryDecision::new(ActionCode::RollbackErrorReply, true)
     } else {
-        RecoveryDecision::new(RecoveryAction::ControlledShutdown, false)
+        RecoveryDecision::new(ActionCode::ControlledShutdown, false)
     }
 }
 
@@ -295,7 +295,7 @@ mod tests {
         for p in [PolicyKind::Pessimistic, PolicyKind::Enhanced] {
             let p = p.instantiate();
             let d = p.reconcile(&ctx(false, true));
-            assert_eq!(d.action, RecoveryAction::ControlledShutdown, "{}", p.name());
+            assert_eq!(d.action, ActionCode::ControlledShutdown, "{}", p.name());
         }
     }
 
@@ -304,12 +304,7 @@ mod tests {
         for p in [PolicyKind::Pessimistic, PolicyKind::Enhanced] {
             let p = p.instantiate();
             let d = p.reconcile(&ctx(true, true));
-            assert_eq!(
-                d.action,
-                RecoveryAction::RollbackAndErrorReply,
-                "{}",
-                p.name()
-            );
+            assert_eq!(d.action, ActionCode::RollbackErrorReply, "{}", p.name());
             assert!(d.error_reply);
         }
     }
@@ -317,7 +312,7 @@ mod tests {
     #[test]
     fn osiris_policies_shutdown_when_no_reply_possible() {
         let d = Enhanced.reconcile(&ctx(true, false));
-        assert_eq!(d.action, RecoveryAction::ControlledShutdown);
+        assert_eq!(d.action, ActionCode::ControlledShutdown);
     }
 
     #[test]
@@ -329,7 +324,7 @@ mod tests {
             scoped_sends: false,
             requester_is_process: true,
         });
-        assert_eq!(d.action, RecoveryAction::UncontrolledCrash);
+        assert_eq!(d.action, ActionCode::UncontrolledCrash);
     }
 
     #[test]
@@ -345,10 +340,10 @@ mod tests {
             scoped_sends: true,
             requester_is_process: true,
         });
-        assert_eq!(d.action, RecoveryAction::RollbackAndKillRequester);
+        assert_eq!(d.action, ActionCode::RollbackKillRequester);
         // Without scoped sends it behaves exactly like Enhanced.
         let d = p.reconcile(&ctx(true, true));
-        assert_eq!(d.action, RecoveryAction::RollbackAndErrorReply);
+        assert_eq!(d.action, ActionCode::RollbackErrorReply);
         // A non-process requester cannot be killed: fall back to shutdown.
         let d = p.reconcile(&CrashContext {
             window_open: true,
@@ -357,7 +352,7 @@ mod tests {
             scoped_sends: true,
             requester_is_process: false,
         });
-        assert_eq!(d.action, RecoveryAction::ControlledShutdown);
+        assert_eq!(d.action, ActionCode::ControlledShutdown);
     }
 
     #[test]
@@ -371,10 +366,10 @@ mod tests {
     #[test]
     fn baseline_reconciliation() {
         let d = Stateless.reconcile(&ctx(false, true));
-        assert_eq!(d.action, RecoveryAction::FreshRestart);
+        assert_eq!(d.action, ActionCode::FreshRestart);
         assert!(d.error_reply);
         let d = Naive.reconcile(&ctx(false, false));
-        assert_eq!(d.action, RecoveryAction::ContinueAsIs);
+        assert_eq!(d.action, ActionCode::ContinueAsIs);
         assert!(!d.error_reply);
     }
 

@@ -12,6 +12,8 @@
 //! proves impossible, `RecoveryFallback`) event, so a run's decisions can be
 //! replayed from the log alone and bisected against another run's.
 
+pub use osiris_trace::ActionCode;
+
 use crate::policy::RecoveryPolicy;
 
 /// Everything the reconciliation decision depends on at crash time.
@@ -31,63 +33,12 @@ pub struct CrashContext {
     pub requester_is_process: bool,
 }
 
-/// The reconciliation action chosen for a crash.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum RecoveryAction {
-    /// Restart the component, roll its state back to the last checkpoint and
-    /// send `E_CRASH` to the requester (error virtualization). Globally
-    /// consistent by construction; handles persistent faults because the
-    /// failure-triggering request is discarded rather than replayed.
-    RollbackAndErrorReply,
-    /// Restart and roll back the component, then **kill the requesting
-    /// process**: its exit path cleans up the requester-scoped state the
-    /// crashed window had already pushed to other components (paper §VII,
-    /// "Extensibility").
-    RollbackAndKillRequester,
-    /// Restart the component with its pristine post-initialization state
-    /// (stateless baseline). All accumulated state is lost.
-    FreshRestart,
-    /// Restart the component but keep its state exactly as it was at the
-    /// moment of the crash (naive baseline). Half-applied updates survive.
-    ContinueAsIs,
-    /// Stop the whole system in a controlled fashion because consistent
-    /// recovery cannot be guaranteed (window closed, or no error reply
-    /// possible).
-    ControlledShutdown,
-    /// No recovery is possible at all (fault inside the recovery path).
-    UncontrolledCrash,
-}
-
-/// The wire form of a decision, shared by the trace and the axiom (the
-/// code lives in `osiris-axiom`; the trace crate re-exports it). Keeping
-/// one numbering for both means a trace event and the axiom record sealing
-/// the same decision can never disagree.
-impl From<RecoveryAction> for osiris_trace::ActionCode {
-    fn from(a: RecoveryAction) -> osiris_trace::ActionCode {
-        match a {
-            RecoveryAction::RollbackAndErrorReply => osiris_trace::ActionCode::RollbackErrorReply,
-            RecoveryAction::RollbackAndKillRequester => {
-                osiris_trace::ActionCode::RollbackKillRequester
-            }
-            RecoveryAction::FreshRestart => osiris_trace::ActionCode::FreshRestart,
-            RecoveryAction::ContinueAsIs => osiris_trace::ActionCode::ContinueAsIs,
-            RecoveryAction::ControlledShutdown => osiris_trace::ActionCode::ControlledShutdown,
-            RecoveryAction::UncontrolledCrash => osiris_trace::ActionCode::UncontrolledCrash,
-        }
-    }
-}
-
-impl RecoveryAction {
-    /// Whether this action keeps the system running.
-    pub fn system_survives(self) -> bool {
-        matches!(
-            self,
-            RecoveryAction::RollbackAndErrorReply
-                | RecoveryAction::RollbackAndKillRequester
-                | RecoveryAction::FreshRestart
-                | RecoveryAction::ContinueAsIs
-        )
-    }
+/// Whether `action` keeps the system running.
+pub fn system_survives(action: ActionCode) -> bool {
+    !matches!(
+        action,
+        ActionCode::ControlledShutdown | ActionCode::UncontrolledCrash
+    )
 }
 
 /// The recovery fallback chain: the next rung to try when executing `action`
@@ -100,15 +51,13 @@ impl RecoveryAction {
 /// no corrupted state replayed); a fresh restart whose image cannot be
 /// trusted degrades to a controlled shutdown. Terminal actions have no
 /// fallback — `None` means the chain is exhausted.
-pub fn fallback_action(action: RecoveryAction) -> Option<RecoveryAction> {
+pub fn fallback_action(action: ActionCode) -> Option<ActionCode> {
     match action {
-        RecoveryAction::RollbackAndErrorReply | RecoveryAction::RollbackAndKillRequester => {
-            Some(RecoveryAction::FreshRestart)
+        ActionCode::RollbackErrorReply | ActionCode::RollbackKillRequester => {
+            Some(ActionCode::FreshRestart)
         }
-        RecoveryAction::FreshRestart | RecoveryAction::ContinueAsIs => {
-            Some(RecoveryAction::ControlledShutdown)
-        }
-        RecoveryAction::ControlledShutdown | RecoveryAction::UncontrolledCrash => None,
+        ActionCode::FreshRestart | ActionCode::ContinueAsIs => Some(ActionCode::ControlledShutdown),
+        ActionCode::ControlledShutdown | ActionCode::UncontrolledCrash => None,
     }
 }
 
@@ -116,7 +65,7 @@ pub fn fallback_action(action: RecoveryAction) -> Option<RecoveryAction> {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RecoveryDecision {
     /// What to do with the crashed component / the system.
-    pub action: RecoveryAction,
+    pub action: ActionCode,
     /// Whether to send an `E_CRASH` error reply to the requester.
     pub error_reply: bool,
 }
@@ -124,24 +73,13 @@ pub struct RecoveryDecision {
 impl RecoveryDecision {
     /// Creates a decision; `error_reply` is forced off for actions that end
     /// the system.
-    pub fn new(action: RecoveryAction, error_reply: bool) -> Self {
-        let error_reply = error_reply && action.system_survives();
+    pub fn new(action: ActionCode, error_reply: bool) -> Self {
+        let error_reply = error_reply && system_survives(action);
         RecoveryDecision {
             action,
             error_reply,
         }
     }
-}
-
-/// The three recovery phases, used for cost accounting and tracing.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum RecoveryPhase {
-    /// Replace the dead component with a spare clone; transfer state.
-    Restart,
-    /// Apply the undo log to restore the last checkpoint.
-    Rollback,
-    /// Error virtualization or controlled shutdown.
-    Reconciliation,
 }
 
 /// Maps a crash to its recovery decision under `policy`.
@@ -160,16 +98,16 @@ mod tests {
 
     #[test]
     fn survival_classification() {
-        assert!(RecoveryAction::RollbackAndErrorReply.system_survives());
-        assert!(RecoveryAction::FreshRestart.system_survives());
-        assert!(RecoveryAction::ContinueAsIs.system_survives());
-        assert!(!RecoveryAction::ControlledShutdown.system_survives());
-        assert!(!RecoveryAction::UncontrolledCrash.system_survives());
+        assert!(system_survives(ActionCode::RollbackErrorReply));
+        assert!(system_survives(ActionCode::FreshRestart));
+        assert!(system_survives(ActionCode::ContinueAsIs));
+        assert!(!system_survives(ActionCode::ControlledShutdown));
+        assert!(!system_survives(ActionCode::UncontrolledCrash));
     }
 
     #[test]
     fn fallback_chain_terminates_at_shutdown() {
-        let mut action = RecoveryAction::RollbackAndErrorReply;
+        let mut action = ActionCode::RollbackErrorReply;
         let mut rungs = vec![action];
         while let Some(next) = fallback_action(action) {
             action = next;
@@ -178,17 +116,17 @@ mod tests {
         assert_eq!(
             rungs,
             vec![
-                RecoveryAction::RollbackAndErrorReply,
-                RecoveryAction::FreshRestart,
-                RecoveryAction::ControlledShutdown,
+                ActionCode::RollbackErrorReply,
+                ActionCode::FreshRestart,
+                ActionCode::ControlledShutdown,
             ]
         );
-        assert_eq!(fallback_action(RecoveryAction::UncontrolledCrash), None);
+        assert_eq!(fallback_action(ActionCode::UncontrolledCrash), None);
     }
 
     #[test]
     fn error_reply_suppressed_on_shutdown() {
-        let d = RecoveryDecision::new(RecoveryAction::ControlledShutdown, true);
+        let d = RecoveryDecision::new(ActionCode::ControlledShutdown, true);
         assert!(!d.error_reply);
     }
 
@@ -203,11 +141,11 @@ mod tests {
         };
         assert_eq!(
             decide_recovery(&Enhanced, &ctx).action,
-            RecoveryAction::RollbackAndErrorReply
+            ActionCode::RollbackErrorReply
         );
         assert_eq!(
             decide_recovery(&Pessimistic, &ctx).action,
-            RecoveryAction::RollbackAndErrorReply
+            ActionCode::RollbackErrorReply
         );
     }
 }

@@ -222,6 +222,22 @@ pub struct FaultPlan {
     pub transient: bool,
 }
 
+impl FaultPlan {
+    /// A transient `kind` fault the first time `site` executes. Sites are
+    /// named after their component (`"pm.fork.validate"` is PM's).
+    pub fn once(kind: FaultKind, site: &str) -> FaultPlan {
+        FaultPlan {
+            site: SiteId {
+                component: site.split('.').next().unwrap_or(site).to_string(),
+                site: site.to_string(),
+                kind: SiteKindTag::Block,
+            },
+            kind,
+            transient: true,
+        }
+    }
+}
+
 /// Which fault universe to draw from (paper §VI-B, Tables II vs III).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultModel {

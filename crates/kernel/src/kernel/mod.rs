@@ -29,7 +29,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use osiris_axiom::{
     bisect, AxiomConfig, AxiomError, AxiomEvent, AxiomLog, AxiomRecord, CompStatusCode,
-    ControlState, Divergence,
+    ControlState, Divergence, MAX_COMPS,
 };
 use osiris_checkpoint::{ChunkStore, Heap, HeapImage};
 use osiris_core::{MessageKind, RecoveryPolicy, RecoveryWindow};
@@ -115,16 +115,6 @@ impl std::fmt::Debug for KernelConfig {
     }
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum CompStatus {
-    Alive,
-    Hung,
-    Crashed,
-    /// Benched by the escalation ladder: never scheduled again; requests to
-    /// it are bounced with an immediate crash reply instead of delivered.
-    Quarantined,
-}
-
 struct Comp<P: Protocol> {
     name: &'static str,
     server: Box<dyn Server<P>>,
@@ -133,7 +123,6 @@ struct Comp<P: Protocol> {
     pristine_image: Option<HeapImage>,
     window: RecoveryWindow,
     inbox: VecDeque<Message<P>>,
-    status: CompStatus,
     crash_info: Option<PendingCrash<P>>,
     privileged: bool,
     stats: CompStats,
@@ -349,20 +338,6 @@ impl<P: Protocol> Kernel<P> {
         &self.control
     }
 
-    /// Per-component statuses in axiom vocabulary, for cross-checking the
-    /// control-state reduction against the kernel's own bookkeeping.
-    pub fn status_codes(&self) -> Vec<CompStatusCode> {
-        self.comps
-            .iter()
-            .map(|c| match c.status {
-                CompStatus::Alive => CompStatusCode::Alive,
-                CompStatus::Hung => CompStatusCode::Hung,
-                CompStatus::Crashed => CompStatusCode::Crashed,
-                CompStatus::Quarantined => CompStatusCode::Quarantined,
-            })
-            .collect()
-    }
-
     /// Verifies the recorded axiom's digest chain end to end, counting the
     /// check in `osiris_axiom_chain_verifications_total`.
     pub fn verify_axiom(&mut self) -> Result<(), AxiomError> {
@@ -401,10 +376,15 @@ impl<P: Protocol> Kernel<P> {
     ///
     /// # Panics
     ///
-    /// Panics if called after [`Kernel::init_components`].
+    /// Panics if called after [`Kernel::init_components`], or for more
+    /// than [`MAX_COMPS`] components (the control state's liveness table).
     pub fn register(&mut self, server: Box<dyn Server<P>>, privileged: bool) -> Endpoint {
         assert!(!self.initialized, "register() after init_components()");
-        let idx = u8::try_from(self.comps.len()).expect("too many components");
+        assert!(
+            self.comps.len() < MAX_COMPS,
+            "more than {MAX_COMPS} components"
+        );
+        let idx = self.comps.len() as u8;
         let name = server.name();
         let mut heap = Heap::new(name);
         heap.set_tracer(self.tracer.clone(), idx);
@@ -419,7 +399,6 @@ impl<P: Protocol> Kernel<P> {
             pristine_image: None,
             window: RecoveryWindow::new(),
             inbox: VecDeque::new(),
-            status: CompStatus::Alive,
             crash_info: None,
             privileged,
             stats,
@@ -719,16 +698,11 @@ impl<P: Protocol> Kernel<P> {
         // is stalled until recovery completes (paper §II-E).
         if self.recovering.is_some() {
             let rs = self.rs_ep.expect("recovery in progress requires an RS") as usize;
-            let c = &self.comps[rs];
-            if c.status == CompStatus::Alive && !c.inbox.is_empty() {
-                return Some(rs);
-            }
-            return None;
+            return self.runnable(rs).then_some(rs);
         }
         for off in 0..n {
             let idx = (self.rr_cursor + off) % n;
-            let c = &self.comps[idx];
-            if c.status == CompStatus::Alive && !c.inbox.is_empty() {
+            if self.runnable(idx) {
                 self.rr_cursor = (idx + 1) % n;
                 return Some(idx);
             }
@@ -1029,16 +1003,6 @@ impl<P: Protocol> Kernel<P> {
         out
     }
 
-    /// Endpoints currently quarantined by the escalation ladder.
-    pub fn quarantined(&self) -> Vec<u8> {
-        self.comps
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.status == CompStatus::Quarantined)
-            .map(|(i, _)| i as u8)
-            .collect()
-    }
-
     /// Whether a recovery is currently stalling the system.
     pub fn recovering(&self) -> bool {
         self.recovering.is_some()
@@ -1046,8 +1010,11 @@ impl<P: Protocol> Kernel<P> {
 
     /// True if every inbox of every runnable component is empty.
     pub fn quiescent(&self) -> bool {
-        self.comps
-            .iter()
-            .all(|c| c.status != CompStatus::Alive || c.inbox.is_empty())
+        (0..self.comps.len()).all(|idx| !self.runnable(idx))
+    }
+
+    /// Whether component `idx` has mail and is alive to take it.
+    fn runnable(&self, idx: usize) -> bool {
+        !self.comps[idx].inbox.is_empty() && self.control.status(idx as u8) == CompStatusCode::Alive
     }
 }

@@ -7,18 +7,18 @@
 //! not the simulated machine, so values supplied by components (privileged
 //! ones included) are range-checked where they enter.
 
-use osiris_axiom::AxiomEvent;
+use osiris_axiom::{AxiomEvent, CompStatusCode, IntentPhaseCode};
 use osiris_core::{
-    decide_recovery, fallback_action, CrashContext, MessageKind, RecoveryAction, RecoveryDecision,
+    decide_recovery, fallback_action, ActionCode, CrashContext, MessageKind, RecoveryDecision,
     RecoveryWindow,
 };
 use osiris_metrics::{CounterId, Registry};
 use osiris_trace::{TraceEvent, KERNEL_COMP};
 
-use super::{CompStatus, Kernel};
+use super::Kernel;
 use crate::abi::{Errno, SysReply};
 use crate::clock::cost;
-use crate::component::{FaultEffect, IntentPhase, PrivOp, Probe, SiteKind};
+use crate::component::{FaultEffect, PrivOp, Probe, SiteKind};
 use crate::message::{Endpoint, Message, MsgId, Protocol};
 
 /// Crash-time facts frozen until recovery executes.
@@ -117,7 +117,6 @@ impl<P: Protocol> Kernel<P> {
             self.seal(AxiomEvent::HangDetected { comp: idx as u8 });
             let in_recovery_code = self.recovering.is_some();
             let comp = &mut self.comps[idx];
-            comp.status = CompStatus::Hung;
             comp.crash_info = Some(PendingCrash::mid_request(
                 &comp.window,
                 msg,
@@ -144,7 +143,6 @@ impl<P: Protocol> Kernel<P> {
             return;
         }
         let comp = &mut self.comps[idx];
-        comp.status = CompStatus::Crashed;
         comp.crash_info = Some(PendingCrash::mid_request(
             &comp.window,
             msg,
@@ -165,12 +163,11 @@ impl<P: Protocol> Kernel<P> {
         self.start_recovery(idx as u8);
     }
 
-    /// Marks `target` fail-stopped: status, crash tally and the sealed
-    /// `Crash` event. The caller owns its pending crash and its recovery.
+    /// Marks `target` fail-stopped: the crash tally and the sealed `Crash`
+    /// event, which the control state folds into its status. The caller
+    /// owns its pending crash and its recovery.
     pub(super) fn mark_crashed(&mut self, target: u8) {
-        let comp = &mut self.comps[target as usize];
-        comp.status = CompStatus::Crashed;
-        self.metrics.inc(comp.stats.crashes);
+        self.metrics.inc(self.comps[target as usize].stats.crashes);
         self.seal(AxiomEvent::Crash { comp: target });
     }
 
@@ -183,7 +180,7 @@ impl<P: Protocol> Kernel<P> {
         match self.rs_ep {
             Some(rs) if rs != target => {
                 self.recovering = Some(target);
-                self.note_intent(target, IntentPhase::Notified);
+                self.note_intent(target, IntentPhaseCode::Notified);
                 let notify = self.kernel_msg(rs, None, P::crash_notify(target));
                 self.comps[rs as usize].inbox.push_back(notify);
             }
@@ -194,10 +191,10 @@ impl<P: Protocol> Kernel<P> {
     /// Updates (or creates) the persisted recovery intent for `target`:
     /// recording an intent is an axiom event, and the live intent table is
     /// the control-state reduction of the axiom tail.
-    fn note_intent(&mut self, target: u8, phase: IntentPhase) {
+    fn note_intent(&mut self, target: u8, phase: IntentPhaseCode) {
         self.seal(AxiomEvent::IntentRecorded {
             comp: target,
-            phase: phase.into(),
+            phase,
         });
     }
 
@@ -218,13 +215,14 @@ impl<P: Protocol> Kernel<P> {
             return;
         }
         let Some(rs) = self.rs_ep else { return };
-        if self.comps[rs as usize].status != CompStatus::Alive {
+        if self.control.status(rs) != CompStatusCode::Alive {
             return;
         }
         let targets: Vec<u8> = self.control.active_intents().collect();
         for target in targets {
-            let t = target as usize;
-            if self.comps[t].status != CompStatus::Crashed || self.comps[t].crash_info.is_none() {
+            if self.control.status(target) != CompStatusCode::Crashed
+                || self.comps[target as usize].crash_info.is_none()
+            {
                 // The recovery actually completed (or the component was
                 // quarantined) before the RS died; nothing to re-drive.
                 self.resolve_intent(target);
@@ -272,7 +270,7 @@ impl<P: Protocol> Kernel<P> {
             match op {
                 PrivOp::Recover { target } => self.execute_recovery(target),
                 PrivOp::KillHung { target } => {
-                    if self.comps[target as usize].status == CompStatus::Hung {
+                    if self.control.status(target) == CompStatusCode::Hung {
                         self.tracer.set_now(self.clock.now());
                         self.mark_crashed(target);
                         self.execute_recovery(target);
@@ -337,11 +335,13 @@ impl<P: Protocol> Kernel<P> {
             cas,
             counters,
             metrics,
+            control,
             ..
         } = self;
+        let alive = control.status(target) == CompStatusCode::Alive;
         let comp = &mut comps[target as usize];
         let prev = match comp.pristine_image.take() {
-            Some(prev) if comp.status == CompStatus::Alive && comp.heap.clean_for(&prev) => prev,
+            Some(prev) if alive && comp.heap.clean_for(&prev) => prev,
             kept => {
                 comp.pristine_image = kept;
                 metrics.inc(counters.pool_refresh_skipped);
@@ -356,7 +356,7 @@ impl<P: Protocol> Kernel<P> {
     }
 
     /// Benches a crash-looping component: reconciles its pending requester
-    /// with a crash reply, marks it [`CompStatus::Quarantined`] (never
+    /// with a crash reply, seals it [`CompStatusCode::Quarantined`] (never
     /// scheduled again), and unstalls the system. Its queued and future
     /// requests are bounced by [`Kernel::bounce_quarantined_mail`].
     fn execute_quarantine(&mut self, target: u8) {
@@ -365,7 +365,6 @@ impl<P: Protocol> Kernel<P> {
         if let Some(pending) = self.comps[t].crash_info.take() {
             self.send_crash_reply(target, pending.msg);
         }
-        self.comps[t].status = CompStatus::Quarantined;
         self.metrics.inc(self.comps[t].stats.quarantines);
         // A benched component will never be restarted: return its clone
         // image's chunk references to the pool so shared chunks survive
@@ -373,8 +372,8 @@ impl<P: Protocol> Kernel<P> {
         if let Some(image) = self.comps[t].pristine_image.take() {
             image.release(&mut self.cas);
         }
-        // The Quarantined axiom event resolves the intent and clears the
-        // window bit in the control-state fold; no separate bookkeeping.
+        // The Quarantined axiom event sets the status, resolves the intent
+        // and clears the window bit in the control-state fold.
         self.seal(AxiomEvent::Quarantined { comp: target });
         if self.recovering == Some(target) {
             self.recovering = None;
@@ -386,7 +385,7 @@ impl<P: Protocol> Kernel<P> {
     /// the component), replies and notifications are dropped.
     pub(super) fn bounce_quarantined_mail(&mut self) {
         for idx in 0..self.comps.len() {
-            if self.comps[idx].status != CompStatus::Quarantined {
+            if self.control.status(idx as u8) != CompStatusCode::Quarantined {
                 continue;
             }
             while let Some(msg) = self.comps[idx].inbox.pop_front() {
@@ -419,21 +418,21 @@ impl<P: Protocol> Kernel<P> {
     }
 
     /// Seals one step down the fallback chain for `target`'s recovery.
-    fn seal_fallback(&mut self, target: u8, from: RecoveryAction, to: RecoveryAction) {
+    fn seal_fallback(&mut self, target: u8, from: ActionCode, to: ActionCode) {
         self.seal(AxiomEvent::RecoveryFallback {
             comp: target,
-            from: from.into(),
-            to: to.into(),
+            from,
+            to,
         });
     }
 
     /// Degrades `action` to the next rung of the fallback chain, counting
     /// and sealing the transition.
-    fn note_fallback(&mut self, action: &mut RecoveryAction, target: u8) {
+    fn note_fallback(&mut self, action: &mut ActionCode, target: u8) {
         let from = *action;
         let to = fallback_action(from).expect("terminal recovery actions have no phase to fail");
         self.metrics.inc(match from {
-            RecoveryAction::RollbackAndErrorReply | RecoveryAction::RollbackAndKillRequester => {
+            ActionCode::RollbackErrorReply | ActionCode::RollbackKillRequester => {
                 self.counters.fb_rollback_fresh
             }
             _ => self.counters.fb_fresh_shutdown,
@@ -468,7 +467,7 @@ impl<P: Protocol> Kernel<P> {
         if pending.quiescent
             && matches!(
                 decision.action,
-                RecoveryAction::ControlledShutdown | RecoveryAction::UncontrolledCrash
+                ActionCode::ControlledShutdown | ActionCode::UncontrolledCrash
             )
         {
             // The watchdog declared this component dead between requests:
@@ -479,13 +478,13 @@ impl<P: Protocol> Kernel<P> {
             // (fresh server object over the committed heap) is sound, and
             // the requester was already reconciled by the retry/crash-reply
             // interception.
-            decision = RecoveryDecision::new(RecoveryAction::ContinueAsIs, false);
+            decision = RecoveryDecision::new(ActionCode::ContinueAsIs, false);
         }
         self.seal(AxiomEvent::RecoveryDecision {
             comp: target,
-            action: decision.action.into(),
+            action: decision.action,
         });
-        if decision.action == RecoveryAction::UncontrolledCrash && pending.in_recovery_code {
+        if decision.action == ActionCode::UncontrolledCrash && pending.in_recovery_code {
             // The policy (correctly) refuses to recover a fault in recovery
             // code under the single-fault model. The kernel's intent log
             // makes the interrupted conduct re-drivable, so the crashed RS
@@ -493,10 +492,10 @@ impl<P: Protocol> Kernel<P> {
             self.metrics.inc(self.counters.fb_crash_fresh);
             self.seal_fallback(
                 target,
-                RecoveryAction::UncontrolledCrash,
-                RecoveryAction::FreshRestart,
+                ActionCode::UncontrolledCrash,
+                ActionCode::FreshRestart,
             );
-            decision = RecoveryDecision::new(RecoveryAction::FreshRestart, false);
+            decision = RecoveryDecision::new(ActionCode::FreshRestart, false);
         }
 
         // Attempt loop: each recovery phase is itself fallible — a journal
@@ -507,8 +506,7 @@ impl<P: Protocol> Kernel<P> {
         let mut recovery_cycles = cost::RECONCILE;
         loop {
             match action {
-                RecoveryAction::RollbackAndErrorReply
-                | RecoveryAction::RollbackAndKillRequester => {
+                ActionCode::RollbackErrorReply | ActionCode::RollbackKillRequester => {
                     let journal_ok = integrity_ok(
                         &mut self.metrics,
                         self.comps[t].heap.verify_journal(),
@@ -535,7 +533,7 @@ impl<P: Protocol> Kernel<P> {
                     self.restart_server(t, self.counters.recovered_rollback);
                     break;
                 }
-                RecoveryAction::FreshRestart => {
+                ActionCode::FreshRestart => {
                     let image = self.comps[t]
                         .pristine_image
                         .as_ref()
@@ -586,7 +584,7 @@ impl<P: Protocol> Kernel<P> {
                     self.restart_server(t, self.counters.recovered_fresh);
                     break;
                 }
-                RecoveryAction::ContinueAsIs => {
+                ActionCode::ContinueAsIs => {
                     let comp = &mut self.comps[t];
                     recovery_cycles += cost::RESTART_BASE;
                     comp.window.complete(&mut comp.heap);
@@ -600,7 +598,7 @@ impl<P: Protocol> Kernel<P> {
                     );
                     break;
                 }
-                RecoveryAction::ControlledShutdown => {
+                ActionCode::ControlledShutdown => {
                     self.metrics.inc(self.counters.controlled_shutdowns);
                     let reason = format!(
                         "unrecoverable crash in {} (window {}, reply {})",
@@ -641,7 +639,7 @@ impl<P: Protocol> Kernel<P> {
                     }
                     return;
                 }
-                RecoveryAction::UncontrolledCrash => {
+                ActionCode::UncontrolledCrash => {
                     let reason = format!(
                         "fault in recovery path while handling crash of {}",
                         self.comps[t].name
@@ -653,7 +651,6 @@ impl<P: Protocol> Kernel<P> {
             }
         }
 
-        self.comps[t].status = CompStatus::Alive;
         self.metrics
             .add(self.counters.recovery_cycles, recovery_cycles);
         self.clock.advance(recovery_cycles);
@@ -683,7 +680,7 @@ impl<P: Protocol> Kernel<P> {
         // left is a controlled shutdown.
         if self.recovery_phase_faulted("kernel.recovery.reconcile") {
             self.metrics.inc(self.counters.fb_reconcile_shutdown);
-            self.seal_fallback(target, action, RecoveryAction::ControlledShutdown);
+            self.seal_fallback(target, action, ActionCode::ControlledShutdown);
             self.metrics.inc(self.counters.controlled_shutdowns);
             self.begin_controlled_shutdown(format!(
                 "fault in reconciliation after recovering {}",
@@ -691,7 +688,7 @@ impl<P: Protocol> Kernel<P> {
             ));
             return;
         }
-        if decision.action == RecoveryAction::RollbackAndKillRequester {
+        if decision.action == ActionCode::RollbackKillRequester {
             if let (Endpoint::Process(pid), Some(rs)) = (pending.msg.src, self.rs_ep) {
                 let msg = self.kernel_msg(rs, None, P::kill_requester(pid));
                 self.comps[rs as usize].inbox.push_back(msg);

@@ -11,7 +11,7 @@ use osiris_core::RecoveryWindow;
 use osiris_metrics::{TimeseriesState, Values};
 use osiris_trace::TracerState;
 
-use super::{CompStatus, Kernel};
+use super::Kernel;
 use crate::clock::VirtualClock;
 use crate::component::NoFaults;
 use crate::message::{Message, Protocol, SpanInfo};
@@ -135,29 +135,26 @@ impl<P: Protocol> Kernel<P> {
 
     /// Adopts a recorded axiom and its reduction as this kernel's control
     /// state — simulated reboot persistence. The freshly booted components
-    /// take on the statuses the axiom proves (quarantined components stay
-    /// benched and release their clone images; crashed/hung ones remain
-    /// dead until a recovery request resolves them — their in-flight
-    /// request context was volatile and did not survive the reboot), the
-    /// clock advances to the log's last timestamp, and the chain continues
-    /// from the recorded head so subsequent events extend the same history.
+    /// take on the statuses the axiom proves, since liveness is read from
+    /// the control state: quarantined components stay benched and release
+    /// their clone images; crashed/hung ones remain dead until a recovery
+    /// request resolves them (their in-flight request context was volatile
+    /// and did not survive the reboot). The clock advances to the log's last
+    /// timestamp, and the chain continues from the recorded head so
+    /// subsequent events extend the same history.
     pub fn adopt_axiom(&mut self, log: AxiomLog, state: ControlState) {
         self.clock.advance_to(state.last_now.max(self.clock.now()));
-        for (i, comp) in self.comps.iter_mut().enumerate() {
-            comp.status = match state.status(i as u8) {
-                CompStatusCode::Alive => CompStatus::Alive,
-                CompStatusCode::Hung => CompStatus::Hung,
-                CompStatusCode::Crashed => CompStatus::Crashed,
-                CompStatusCode::Quarantined => CompStatus::Quarantined,
-            };
-            if comp.status == CompStatus::Quarantined {
-                if let Some(image) = comp.pristine_image.take() {
-                    image.release(&mut self.cas);
-                }
+        for q in state.quarantined_set() {
+            if let Some(image) = self
+                .comps
+                .get_mut(q as usize)
+                .and_then(|c| c.pristine_image.take())
+            {
+                image.release(&mut self.cas);
             }
         }
         self.recovering = state.recovering.filter(|&t| {
-            (t as usize) < self.comps.len() && self.comps[t as usize].status == CompStatus::Crashed
+            (t as usize) < self.comps.len() && state.status(t) == CompStatusCode::Crashed
         });
         self.control = state;
         self.axiom = log;
@@ -206,7 +203,7 @@ impl<P: Protocol + Clone> Kernel<P> {
             .enumerate()
             .map(|(i, c)| {
                 assert!(
-                    c.status == CompStatus::Alive,
+                    self.control.status(i as u8) == CompStatusCode::Alive,
                     "snapshot with non-Alive component {}",
                     c.name
                 );
@@ -270,15 +267,17 @@ impl<P: Protocol + Clone> Kernel<P> {
             && self.shutdown.is_none()
             && self.shutdown_pending.is_none()
             && self.comps.len() == snap.comps.len()
-            && self.comps.iter().zip(&snap.comps).all(|(c, s)| {
-                c.name == s.name
-                    && c.status == CompStatus::Alive
-                    && c.crash_info.is_none()
-                    && c.heap.log_len() == 0
-                    && c.pristine_image
-                        .as_ref()
-                        .is_some_and(|i| i.content_digest() == s.pristine_digest)
-            })
+            && (0..)
+                .zip(self.comps.iter().zip(&snap.comps))
+                .all(|(i, (c, s))| {
+                    c.name == s.name
+                        && self.control.status(i) == CompStatusCode::Alive
+                        && c.crash_info.is_none()
+                        && c.heap.log_len() == 0
+                        && c.pristine_image
+                            .as_ref()
+                            .is_some_and(|i| i.content_digest() == s.pristine_digest)
+                })
     }
 
     /// Re-targets this kernel at `snap`: restores every heap from its
@@ -339,7 +338,6 @@ impl<P: Protocol + Clone> Kernel<P> {
                 .restore_journal_warmth(s.journal_reuse, s.journal_capacity);
             c.window = s.window.clone();
             c.inbox = s.inbox.clone();
-            c.status = CompStatus::Alive;
             c.crash_info = None;
         }
         self.clock = snap.clock;

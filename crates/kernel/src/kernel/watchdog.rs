@@ -11,12 +11,12 @@
 
 use std::collections::BTreeMap;
 
-use osiris_axiom::{AxiomEvent, VerdictCode};
+use osiris_axiom::{AxiomEvent, CompStatusCode, VerdictCode};
 use osiris_core::MessageKind;
 use osiris_trace::TraceEvent;
 
 use super::recovery::PendingCrash;
-use super::{CompStatus, Kernel};
+use super::Kernel;
 use crate::message::{Endpoint, Message, Protocol};
 
 /// Fail-silent fault tolerance: the virtual-time watchdog.
@@ -362,7 +362,7 @@ impl<P: Protocol> Kernel<P> {
     /// the existing escalation ladder.
     fn watchdog_preemptive_restart(&mut self, target: u8) {
         let t = target as usize;
-        if self.comps[t].status != CompStatus::Alive || self.recovering.is_some() {
+        if self.control.status(target) != CompStatusCode::Alive || self.recovering.is_some() {
             // Already dead or benched, or a conduct is in flight: the
             // ladder is engaged, a second preemption would only amplify.
             return;
@@ -464,8 +464,8 @@ impl<P: Protocol> Kernel<P> {
     fn watchdog_judge(&mut self, i: usize, now: u64) {
         let slot = self.wd.slot_mut(i);
         let (dst, msg_id, state) = (slot.dst, slot.msg_id, slot.state);
-        match self.comps[dst as usize].status {
-            CompStatus::Hung => {
+        match self.control.status(dst) {
+            CompStatusCode::Hung => {
                 // The heartbeat signal is definitive: the component stopped
                 // consuming messages entirely. Verdict without probing, then
                 // the recovery goes to the RS conduct (the existing
@@ -478,13 +478,13 @@ impl<P: Protocol> Kernel<P> {
                 self.mark_crashed(dst);
                 self.start_recovery(dst);
             }
-            CompStatus::Crashed | CompStatus::Quarantined => {
+            CompStatusCode::Crashed | CompStatusCode::Quarantined => {
                 // The fail-stop machinery is already on it; its crash reply
                 // (or quarantine bounce) resolves this slot through the
                 // retry interception.
                 slot.state = WdState::Doomed;
             }
-            CompStatus::Alive => {
+            CompStatusCode::Alive => {
                 let captured = slot.msg.is_some();
                 match state {
                     // Start the heartbeat-probe round: async completions (a
@@ -534,7 +534,7 @@ impl<P: Protocol> Kernel<P> {
         let idempotent = !failed.seep.class.is_state_modifying();
         let effects_undone = self.recovery_epoch > epoch_at_arm;
         let budget_left = (attempt as u32) < WatchdogConfig::MAX_RETRIES;
-        let target_usable = self.comps[from as usize].status != CompStatus::Quarantined
+        let target_usable = self.control.status(from) != CompStatusCode::Quarantined
             && self.shutdown.is_none()
             && self.shutdown_pending.is_none();
         let granted = budget_left && target_usable && (idempotent || effects_undone);

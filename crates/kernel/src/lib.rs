@@ -30,8 +30,8 @@ mod metrics;
 
 pub use clock::{cost, VirtualClock};
 pub use component::{
-    Ctx, FaultEffect, FaultHook, InjectedCrash, InjectedHang, IntentPhase, NoFaults, PrivOp, Probe,
-    Server, SiteKind,
+    Ctx, FaultEffect, FaultHook, InjectedCrash, InjectedHang, NoFaults, PrivOp, Probe, Server,
+    SiteKind,
 };
 pub use engine::{OsEngine, RunOutcome};
 pub use kernel::{

@@ -11,8 +11,8 @@ use osiris_checkpoint::{Heap, PCell};
 use osiris_core::{PolicyKind, SeepClass, SeepMeta};
 use osiris_kernel::abi::{Pid, SysReply};
 use osiris_kernel::{
-    Ctx, Endpoint, FaultEffect, FaultHook, Instrumentation, IntentPhase, Kernel, KernelConfig,
-    Message, Probe, Protocol, Server, ShutdownKind, SyscallId,
+    Ctx, Endpoint, FaultEffect, FaultHook, Instrumentation, Kernel, KernelConfig, Message, Probe,
+    Protocol, Server, ShutdownKind, SyscallId,
 };
 
 /// A tiny protocol: an echo service plus a "mutator" that asks a peer to
@@ -100,7 +100,7 @@ impl Server<Msg> for MiniRs {
                 ctx.kill_hung(250);
                 ctx.quarantine(250);
                 ctx.refresh_image(250);
-                ctx.record_intent(250, IntentPhase::Issued);
+                ctx.record_intent(250, osiris_axiom::IntentPhaseCode::Issued);
                 ctx.note_escalation(250, 1, 10, true);
                 ctx.reply(msg.return_path(), Msg::UserReply(SysReply::Ok));
             }
@@ -657,13 +657,13 @@ fn out_of_range_priv_op_targets_are_rejected_not_indexed() {
         kernel.take_user_replies(),
         vec![(SyscallId(1), Pid(1), SysReply::Ok)]
     );
-    let alive = [osiris_axiom::CompStatusCode::Alive; 3];
+    let control = kernel.control_state();
     assert_eq!(
-        kernel.status_codes(),
-        alive,
+        control.statuses,
+        [osiris_axiom::CompStatusCode::Alive; osiris_axiom::MAX_COMPS],
         "no component's status changes"
     );
-    assert!(kernel.quarantined().is_empty() && !kernel.recovering());
+    assert!(control.quarantined_set().next().is_none() && !kernel.recovering());
     assert!(kernel.shutdown_state().is_none());
     // Nothing was sealed on behalf of component 250: only the RS's own
     // window open/close reached the axiom.

@@ -7,6 +7,7 @@ use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
+use osiris_axiom::AxiomError;
 use osiris_checkpoint::{ChunkStore, RestoreStats};
 use osiris_core::{EscalationPolicy, PolicyKind, RecoveryPolicy};
 use osiris_kernel::abi::{Pid, SysReply, Syscall};
@@ -207,12 +208,21 @@ impl Os {
     /// history (simulated reboot persistence — the axiom survives, the
     /// volatile in-flight context does not).
     ///
-    /// The adopted chain continues from the recorded head: events emitted
-    /// after replay extend the same hash chain.
-    pub fn replay(cfg: OsConfig, axiom_bytes: &[u8]) -> Result<Self, osiris_axiom::AxiomError> {
+    /// A non-empty log must have been recorded under this configuration:
+    /// its genesis (component count, config digest) must equal the booted
+    /// machine's, else [`AxiomError::ConfigMismatch`]. The adopted chain
+    /// continues from the recorded head: events emitted after replay extend
+    /// the same hash chain.
+    pub fn replay(cfg: OsConfig, axiom_bytes: &[u8]) -> Result<Self, AxiomError> {
         let log = osiris_axiom::AxiomLog::from_bytes(axiom_bytes)?;
         let state = osiris_axiom::reduce(log.records());
         let mut os = Os::new(cfg);
+        let booted = os.control_state();
+        if !log.is_empty()
+            && (state.comps, state.config_digest) != (booted.comps, booted.config_digest)
+        {
+            return Err(AxiomError::ConfigMismatch);
+        }
         os.kernel.adopt_axiom(log, state);
         Ok(os)
     }
@@ -230,7 +240,7 @@ impl Os {
 
     /// Verifies the axiom's hash chain end to end, counting the check in
     /// the chain-verification counters.
-    pub fn verify_axiom(&mut self) -> Result<(), osiris_axiom::AxiomError> {
+    pub fn verify_axiom(&mut self) -> Result<(), AxiomError> {
         self.kernel.verify_axiom()
     }
 

@@ -21,9 +21,10 @@
 //! recorded run's re-drives can be replayed and bisected like every other
 //! control-plane transition.
 
+use osiris_axiom::IntentPhaseCode;
 use osiris_checkpoint::{Heap, PCell, PMap};
 use osiris_core::{EscalationPolicy, EscalationStep};
-use osiris_kernel::{cost, Ctx, Endpoint, IntentPhase, Message, Server};
+use osiris_kernel::{cost, Ctx, Endpoint, Message, Server};
 
 use crate::proto::OsMsg;
 use crate::topology::Topology;
@@ -227,7 +228,7 @@ impl Server<OsMsg> for RecoveryServer {
                         // conduct: if RS crashes past this point the kernel
                         // re-drives the recovery from the intent log. The DS
                         // mirror is observability only.
-                        ctx.record_intent(*target, IntentPhase::Issued);
+                        ctx.record_intent(*target, IntentPhaseCode::Issued);
                         ctx.notify(self.topo.ds, OsMsg::IntentPublish { target: *target });
                         ctx.recover(*target);
                         // Replenish the spare-copy pool off the hot path:
@@ -240,7 +241,7 @@ impl Server<OsMsg> for RecoveryServer {
                         // Defer the restart: the kernel keeps the system in
                         // recovery (only RS runs) until the timer fires and
                         // the RecoveryTick below issues the actual recovery.
-                        ctx.record_intent(*target, IntentPhase::Deferred);
+                        ctx.record_intent(*target, IntentPhaseCode::Deferred);
                         ctx.notify(self.topo.ds, OsMsg::IntentPublish { target: *target });
                         ctx.set_timer(backoff, OsMsg::RecoveryTick { target: *target });
                         ctx.site("rs.recover.deferred");
@@ -265,7 +266,7 @@ impl Server<OsMsg> for RecoveryServer {
                 // (service already recovered or quarantined meanwhile) is
                 // absorbed by the kernel's crash_info guard.
                 ctx.site("rs.recover.tick");
-                ctx.record_intent(*target, IntentPhase::Issued);
+                ctx.record_intent(*target, IntentPhaseCode::Issued);
                 ctx.recover(*target);
                 ctx.refresh_image(*target);
             }

@@ -3,28 +3,12 @@
 //! it are recovered through the same window/rollback/error-virtualization
 //! path, and VFS degrades the failure to `EIO` for the caller.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
 use osiris_core::PolicyKind;
+use osiris_faults::{FaultKind, FaultPlan, Injector};
 use osiris_kernel::abi::{Errno, OpenFlags, SeekFrom};
-use osiris_kernel::{FaultEffect, FaultHook, Probe, RunOutcome};
+use osiris_kernel::RunOutcome;
 use osiris_servers::{Os, OsConfig};
 use osiris_workloads::{Host, ProgramRegistry};
-
-struct CrashOnce {
-    site: &'static str,
-    fired: AtomicBool,
-}
-
-impl FaultHook for CrashOnce {
-    fn on_site(&mut self, probe: &Probe) -> FaultEffect {
-        if probe.site == self.site && !self.fired.swap(true, Ordering::Relaxed) {
-            FaultEffect::Panic
-        } else {
-            FaultEffect::None
-        }
-    }
-}
 
 /// Writes past the cache capacity, then reads everything back — forcing
 /// disk reads that the injected driver crash will interrupt.
@@ -68,10 +52,10 @@ fn disk_crash_mid_read_is_recovered_and_degrades_to_eio() {
         vm_frames: 1024,
         ..Default::default()
     });
-    os.set_fault_hook(Box::new(CrashOnce {
-        site: "disk.read.queue",
-        fired: AtomicBool::new(false),
-    }));
+    os.set_fault_hook(Box::new(Injector::new(&FaultPlan::once(
+        FaultKind::Crash,
+        "disk.read.queue",
+    ))));
     let mut host = Host::new(os, registry);
     let outcome = host.run("main", &[]);
     let os = host.into_engine();
@@ -99,10 +83,10 @@ fn disk_crash_during_completion_tick_shuts_down() {
         vm_frames: 1024,
         ..Default::default()
     });
-    os.set_fault_hook(Box::new(CrashOnce {
-        site: "disk.complete",
-        fired: AtomicBool::new(false),
-    }));
+    os.set_fault_hook(Box::new(Injector::new(&FaultPlan::once(
+        FaultKind::Crash,
+        "disk.complete",
+    ))));
     let mut host = Host::new(os, registry);
     let outcome = host.run("main", &[]);
     assert!(
@@ -136,10 +120,10 @@ fn stateless_driver_restart_is_enough_for_clean_blocks() {
         vm_frames: 1024,
         ..Default::default()
     });
-    os.set_fault_hook(Box::new(CrashOnce {
-        site: "disk.write.queue",
-        fired: AtomicBool::new(false),
-    }));
+    os.set_fault_hook(Box::new(Injector::new(&FaultPlan::once(
+        FaultKind::Crash,
+        "disk.write.queue",
+    ))));
     let mut host = Host::new(os, registry);
     // Nothing in this workload reaches the disk (all cache-resident), so
     // the fault never fires and the run is clean; the point is that a

@@ -130,7 +130,8 @@ fn assert_bounded_and_degraded(policy: PolicyKind) {
     let m = os.metrics();
     assert_eq!(m.quarantines, 1, "{policy:?}");
     // VFS is component 3 in the canonical topology.
-    assert_eq!(os.kernel().quarantined(), vec![3], "{policy:?}");
+    let benched: Vec<u8> = os.control_state().quarantined_set().collect();
+    assert_eq!(benched, [3], "{policy:?}");
 
     // The quarantined server held no state for the dead process, so the
     // cross-component audit stays clean (and the run classifies as

@@ -19,15 +19,7 @@ fn cfg(policy: PolicyKind) -> OsConfig {
 #[test]
 fn hang_in_ds_is_detected_and_recovered() {
     osiris_kernel::install_quiet_panic_hook();
-    let plan = FaultPlan {
-        site: osiris_faults::SiteId {
-            component: "ds".into(),
-            site: "ds.put.commit".into(),
-            kind: osiris_faults::SiteKindTag::Block,
-        },
-        kind: FaultKind::Hang,
-        transient: true,
-    };
+    let plan = FaultPlan::once(FaultKind::Hang, "ds.put.commit");
     let (outcome, os) = run_suite_with(
         cfg(PolicyKind::Enhanced),
         Some(Box::new(Injector::new(&plan))),

@@ -9,27 +9,11 @@
 //! crash is reconciled by rolling PM back and killing the requester, whose
 //! kill path re-runs the cleanup — globally consistent, no shutdown.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
 use osiris_core::PolicyKind;
-use osiris_kernel::{FaultEffect, FaultHook, Probe, RunOutcome, ShutdownKind};
+use osiris_faults::{FaultKind, FaultPlan, Injector};
+use osiris_kernel::{RunOutcome, ShutdownKind};
 use osiris_servers::{Os, OsConfig};
 use osiris_workloads::{Host, ProgramRegistry};
-
-struct CrashOnce {
-    site: &'static str,
-    fired: AtomicBool,
-}
-
-impl FaultHook for CrashOnce {
-    fn on_site(&mut self, probe: &Probe) -> FaultEffect {
-        if probe.site == self.site && !self.fired.swap(true, Ordering::Relaxed) {
-            FaultEffect::Panic
-        } else {
-            FaultEffect::None
-        }
-    }
-}
 
 fn run_exit_crash(policy: PolicyKind) -> (RunOutcome, Os) {
     osiris_kernel::install_quiet_panic_hook();
@@ -45,10 +29,10 @@ fn run_exit_crash(policy: PolicyKind) -> (RunOutcome, Os) {
         }
     });
     let mut os = Os::new(OsConfig::with_policy(policy));
-    os.set_fault_hook(Box::new(CrashOnce {
-        site: "pm.term.released",
-        fired: AtomicBool::new(false),
-    }));
+    os.set_fault_hook(Box::new(Injector::new(&FaultPlan::once(
+        FaultKind::Crash,
+        "pm.term.released",
+    ))));
     let mut host = Host::new(os, registry);
     let outcome = host.run("main", &[]);
     (outcome, host.into_engine())
@@ -92,10 +76,10 @@ fn enhanced_kill_behaves_like_enhanced_elsewhere() {
         }
     });
     let mut os = Os::new(OsConfig::with_policy(PolicyKind::EnhancedKill));
-    os.set_fault_hook(Box::new(CrashOnce {
-        site: "pm.fork.validate",
-        fired: AtomicBool::new(false),
-    }));
+    os.set_fault_hook(Box::new(Injector::new(&FaultPlan::once(
+        FaultKind::Crash,
+        "pm.fork.validate",
+    ))));
     let mut host = Host::new(os, registry);
     let outcome = host.run("main", &[]);
     assert!(

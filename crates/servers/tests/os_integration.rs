@@ -1,11 +1,10 @@
 //! End-to-end integration tests: real workload programs running against the
 //! assembled OSIRIS OS, including crash-recovery scenarios.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
 use osiris_core::PolicyKind;
+use osiris_faults::{FaultKind, FaultPlan, Injector};
 use osiris_kernel::abi::{Errno, OpenFlags, SeekFrom, Signal};
-use osiris_kernel::{FaultEffect, FaultHook, OsEngine, Probe, RunOutcome, ShutdownKind};
+use osiris_kernel::{OsEngine, RunOutcome, ShutdownKind};
 use osiris_servers::{Os, OsConfig};
 use osiris_workloads::{Host, ProgramRegistry};
 
@@ -419,31 +418,6 @@ fn waitpid_non_child_is_echild() {
 // Crash recovery scenarios
 // --------------------------------------------------------------------
 
-/// Injects a single fail-stop fault the first time `site` executes.
-struct CrashOnce {
-    site: &'static str,
-    fired: AtomicBool,
-}
-
-impl CrashOnce {
-    fn new(site: &'static str) -> Self {
-        CrashOnce {
-            site,
-            fired: AtomicBool::new(false),
-        }
-    }
-}
-
-impl FaultHook for CrashOnce {
-    fn on_site(&mut self, probe: &Probe) -> FaultEffect {
-        if probe.site == self.site && !self.fired.swap(true, Ordering::Relaxed) {
-            FaultEffect::Panic
-        } else {
-            FaultEffect::None
-        }
-    }
-}
-
 fn run_with_crash(
     policy: PolicyKind,
     site: &'static str,
@@ -454,7 +428,10 @@ fn run_with_crash(
     registry.register("main", prog);
     registry.register("child_ok", |_sys| 7);
     let mut os = Os::new(OsConfig::with_policy(policy));
-    os.set_fault_hook(Box::new(CrashOnce::new(site)));
+    os.set_fault_hook(Box::new(Injector::new(&FaultPlan::once(
+        FaultKind::Crash,
+        site,
+    ))));
     let mut host = Host::new(os, registry);
     let outcome = host.run("main", &[]);
     (outcome, host.into_engine())
@@ -619,18 +596,6 @@ fn vfs_crash_in_window_recovers() {
 #[test]
 fn hung_server_is_detected_by_heartbeat_and_recovered() {
     osiris_kernel::install_quiet_panic_hook();
-    struct HangOnce {
-        fired: AtomicBool,
-    }
-    impl FaultHook for HangOnce {
-        fn on_site(&mut self, probe: &Probe) -> FaultEffect {
-            if probe.site == "ds.put.quota" && !self.fired.swap(true, Ordering::Relaxed) {
-                FaultEffect::Hang
-            } else {
-                FaultEffect::None
-            }
-        }
-    }
     let mut registry = ProgramRegistry::new();
     registry.register("main", |sys| {
         match sys.ds_put("k", b"v") {
@@ -644,9 +609,10 @@ fn hung_server_is_detected_by_heartbeat_and_recovered() {
         }
     });
     let mut os = Os::new(OsConfig::with_policy(PolicyKind::Enhanced));
-    os.set_fault_hook(Box::new(HangOnce {
-        fired: AtomicBool::new(false),
-    }));
+    os.set_fault_hook(Box::new(Injector::new(&FaultPlan::once(
+        FaultKind::Hang,
+        "ds.put.quota",
+    ))));
     let mut host = Host::new(os, registry);
     let outcome = host.run("main", &[]);
     assert!(outcome.completed(), "outcome: {:?}", outcome);

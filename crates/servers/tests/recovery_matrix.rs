@@ -2,37 +2,12 @@
 //! and outside recovery windows, under each policy — asserting the exact
 //! recovery semantics the paper defines for every cell.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
 use osiris_core::PolicyKind;
+use osiris_faults::{FaultKind, FaultPlan, Injector};
 use osiris_kernel::abi::{Errno, OpenFlags};
 use osiris_kernel::{FaultEffect, FaultHook, Probe, RunOutcome, ShutdownKind};
 use osiris_servers::{Os, OsConfig};
 use osiris_workloads::{Host, ProgramRegistry};
-
-struct CrashOnce {
-    site: &'static str,
-    fired: AtomicBool,
-}
-
-impl CrashOnce {
-    fn new(site: &'static str) -> Self {
-        CrashOnce {
-            site,
-            fired: AtomicBool::new(false),
-        }
-    }
-}
-
-impl FaultHook for CrashOnce {
-    fn on_site(&mut self, probe: &Probe) -> FaultEffect {
-        if probe.site == self.site && !self.fired.swap(true, Ordering::Relaxed) {
-            FaultEffect::Panic
-        } else {
-            FaultEffect::None
-        }
-    }
-}
 
 /// Expected outcome of one matrix cell.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -98,7 +73,10 @@ fn run_cell(policy: PolicyKind, site: &'static str, prog: &'static str) -> (RunO
         vm_frames: 1024,
         ..Default::default()
     });
-    os.set_fault_hook(Box::new(CrashOnce::new(site)));
+    os.set_fault_hook(Box::new(Injector::new(&FaultPlan::once(
+        FaultKind::Crash,
+        site,
+    ))));
     let mut host = Host::new(os, registry);
     let outcome = host.run(prog, &[]);
     (outcome, host.into_engine())

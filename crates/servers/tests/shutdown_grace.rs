@@ -3,28 +3,12 @@
 //! get a bounded window to save their state — like Otherworld's
 //! crash-survival for applications, scoped to save-class syscalls.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
 use osiris_core::PolicyKind;
+use osiris_faults::{FaultKind, FaultPlan, Injector};
 use osiris_kernel::abi::Errno;
-use osiris_kernel::{FaultEffect, FaultHook, Probe, RunOutcome, ShutdownKind};
+use osiris_kernel::{RunOutcome, ShutdownKind};
 use osiris_servers::{Os, OsConfig};
 use osiris_workloads::{Host, ProgramRegistry};
-
-struct CrashOnce {
-    site: &'static str,
-    fired: AtomicBool,
-}
-
-impl FaultHook for CrashOnce {
-    fn on_site(&mut self, probe: &Probe) -> FaultEffect {
-        if probe.site == self.site && !self.fired.swap(true, Ordering::Relaxed) {
-            FaultEffect::Panic
-        } else {
-            FaultEffect::None
-        }
-    }
-}
 
 /// Program: does some work, hits an unrecoverable crash (PM after its VM
 /// send), then — when syscalls start failing with `ESHUTDOWN` — persists
@@ -54,10 +38,10 @@ fn run_with_grace(grace: u32) -> (RunOutcome, Os) {
         shutdown_grace: grace,
         ..Default::default()
     });
-    os.set_fault_hook(Box::new(CrashOnce {
-        site: "pm.fork.vm_sent",
-        fired: AtomicBool::new(false),
-    }));
+    os.set_fault_hook(Box::new(Injector::new(&FaultPlan::once(
+        FaultKind::Crash,
+        "pm.fork.vm_sent",
+    ))));
     let mut host = Host::new(os, registry);
     let outcome = host.run("main", &[]);
     (outcome, host.into_engine())
@@ -113,10 +97,10 @@ fn non_save_syscalls_are_refused_during_grace() {
         shutdown_grace: 64,
         ..Default::default()
     });
-    os.set_fault_hook(Box::new(CrashOnce {
-        site: "pm.fork.vm_sent",
-        fired: AtomicBool::new(false),
-    }));
+    os.set_fault_hook(Box::new(Injector::new(&FaultPlan::once(
+        FaultKind::Crash,
+        "pm.fork.vm_sent",
+    ))));
     let mut host = Host::new(os, registry);
     let outcome = host.run("main", &[]);
     match outcome {
@@ -153,10 +137,10 @@ fn grace_budget_is_bounded() {
         shutdown_grace: 32,
         ..Default::default()
     });
-    os.set_fault_hook(Box::new(CrashOnce {
-        site: "pm.fork.vm_sent",
-        fired: AtomicBool::new(false),
-    }));
+    os.set_fault_hook(Box::new(Injector::new(&FaultPlan::once(
+        FaultKind::Crash,
+        "pm.fork.vm_sent",
+    ))));
     let mut host = Host::new(os, registry);
     let outcome = host.run("main", &[]);
     match outcome {

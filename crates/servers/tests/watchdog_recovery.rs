@@ -4,7 +4,7 @@
 //! schedules per seed, byte-identical replies after a transparent retry).
 
 use osiris_axiom::AxiomEvent;
-use osiris_faults::{FaultKind, FaultPlan, Injector, SiteId, SiteKindTag};
+use osiris_faults::{FaultKind, FaultPlan, Injector};
 use osiris_kernel::{RunOutcome, WatchdogConfig};
 use osiris_metrics::validate_prometheus;
 use osiris_servers::{Os, OsConfig};
@@ -20,15 +20,7 @@ fn wd_cfg() -> OsConfig {
 }
 
 fn ds_get_plan(kind: FaultKind) -> FaultPlan {
-    FaultPlan {
-        site: SiteId {
-            component: "ds".into(),
-            site: "ds.get.entry".into(),
-            kind: SiteKindTag::Block,
-        },
-        kind,
-        transient: true,
-    }
+    FaultPlan::once(kind, "ds.get.entry")
 }
 
 /// The client program: one acknowledged put, then a get whose reply the

@@ -13,7 +13,7 @@
 //! cargo run --release --example hang_recovery
 //! ```
 
-use osiris::faults::{FaultKind, FaultPlan, Injector, SiteId, SiteKindTag};
+use osiris::faults::{FaultKind, FaultPlan, Injector};
 use osiris::{Host, Os, OsConfig, ProgramRegistry, RunOutcome, WatchdogConfig};
 
 fn main() {
@@ -22,15 +22,7 @@ fn main() {
     // Wedge the VFS once, mid-stat: the handler stops making progress and
     // never replies. Without a watchdog this is undetectable — a hang has
     // no crash signal for the RS to observe.
-    let plan = FaultPlan {
-        site: SiteId {
-            component: "vfs".into(),
-            site: "vfs.stat.entry".into(),
-            kind: SiteKindTag::Block,
-        },
-        kind: FaultKind::Hang,
-        transient: true,
-    };
+    let plan = FaultPlan::once(FaultKind::Hang, "vfs.stat.entry");
 
     let mut registry = ProgramRegistry::new();
     registry.register("main", |sys| {

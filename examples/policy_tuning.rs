@@ -13,8 +13,8 @@
 //! ```
 
 use osiris::core::{
-    CrashContext, MessageKind, PolicyKind, RecoveryAction, RecoveryDecision, RecoveryPolicy,
-    SeepClass, SeepMeta,
+    ActionCode, CrashContext, MessageKind, PolicyKind, RecoveryDecision, RecoveryPolicy, SeepClass,
+    SeepMeta,
 };
 use osiris::workloads::run_suite_with;
 use osiris::{Os, OsConfig};
@@ -35,12 +35,12 @@ impl RecoveryPolicy for PingOnly {
     }
     fn reconcile(&self, crash: &CrashContext) -> RecoveryDecision {
         if crash.in_recovery_code {
-            return RecoveryDecision::new(RecoveryAction::UncontrolledCrash, false);
+            return RecoveryDecision::new(ActionCode::UncontrolledCrash, false);
         }
         if crash.window_open && crash.reply_possible {
-            RecoveryDecision::new(RecoveryAction::RollbackAndErrorReply, true)
+            RecoveryDecision::new(ActionCode::RollbackErrorReply, true)
         } else {
-            RecoveryDecision::new(RecoveryAction::ControlledShutdown, false)
+            RecoveryDecision::new(ActionCode::ControlledShutdown, false)
         }
     }
     fn kind(&self) -> PolicyKind {

@@ -63,8 +63,8 @@ pub use osiris_workloads as workloads;
 pub use osiris_axiom::{AxiomConfig, AxiomEvent, AxiomLog, ControlState};
 pub use osiris_checkpoint::Heap;
 pub use osiris_core::{
-    CrashContext, Enhanced, EscalationPolicy, EscalationStep, Naive, Pessimistic, PolicyKind,
-    RecoveryAction, RecoveryPolicy, RecoveryWindow, RestartBudget, SeepClass, SeepMeta, Stateless,
+    ActionCode, CrashContext, Enhanced, EscalationPolicy, EscalationStep, Naive, Pessimistic,
+    PolicyKind, RecoveryPolicy, RecoveryWindow, RestartBudget, SeepClass, SeepMeta, Stateless,
 };
 pub use osiris_kernel::{
     install_quiet_panic_hook, Instrumentation, OsEngine, RunOutcome, ShutdownKind, WatchdogConfig,
