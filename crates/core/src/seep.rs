@@ -35,11 +35,11 @@ impl SeepClass {
     pub fn is_state_modifying(self) -> bool {
         matches!(self, SeepClass::StateModifying | SeepClass::RequesterScoped)
     }
-}
 
-impl From<SeepClass> for osiris_trace::SeepClassCode {
-    fn from(c: SeepClass) -> osiris_trace::SeepClassCode {
-        match c {
+    /// This class in the axiom's vocabulary, which adds `None` for closes
+    /// no send caused.
+    pub fn code(self) -> osiris_trace::SeepClassCode {
+        match self {
             SeepClass::NonStateModifying => osiris_trace::SeepClassCode::NonStateModifying,
             SeepClass::StateModifying => osiris_trace::SeepClassCode::StateModifying,
             SeepClass::RequesterScoped => osiris_trace::SeepClassCode::RequesterScoped,

@@ -25,9 +25,11 @@ pub enum CloseReason {
     Manual,
 }
 
-impl From<CloseReason> for CloseCode {
-    fn from(r: CloseReason) -> CloseCode {
-        match r {
+impl CloseReason {
+    /// This reason in the axiom's vocabulary, which adds the closes that
+    /// end a request (`Completed`, `Rollback`).
+    fn code(self) -> CloseCode {
+        match self {
             CloseReason::DisallowedSend => CloseCode::DisallowedSend,
             CloseReason::ThreadYield => CloseCode::ThreadYield,
             CloseReason::Manual => CloseCode::Manual,
@@ -178,7 +180,7 @@ impl RecoveryWindow {
             return;
         }
         if !policy.send_keeps_window_open(seep) {
-            self.close_traced(heap, CloseReason::DisallowedSend, seep.class.into());
+            self.close_traced(heap, CloseReason::DisallowedSend, seep.class.code());
         } else if seep.class == SeepClass::RequesterScoped {
             self.scoped_sends = true;
         }
@@ -203,9 +205,9 @@ impl RecoveryWindow {
             CloseReason::ThreadYield => self.stats.closed_by_yield += 1,
             CloseReason::Manual => self.stats.closed_manually += 1,
         }
-        self.last_close = Some((reason.into(), class));
+        self.last_close = Some((reason.code(), class));
         heap.trace_emit(TraceEvent::WindowClose {
-            reason: reason.into(),
+            reason: reason.code(),
             class,
         });
     }
