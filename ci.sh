@@ -39,6 +39,14 @@ if grep -rnE 'enum (CompStatus|IntentPhase|RecoveryAction|RecoveryPhase)\b' crat
     exit 1
 fi
 
+echo "== one conduct state: the kernel keeps no recovering mirror and no replay cap; osiris_core::conduct decides =="
+if grep -rnE '\brecovering\s*:' crates/kernel/src || grep -rn 'MAX_INTENT_REPLAYS' crates/kernel/src; then
+    exit 1
+fi
+
+echo "== DESIGN.md stays within its 47,948-byte cap =="
+test "$(wc -c < DESIGN.md)" -le 47948
+
 echo "== repo-root size cap: no tracked file at the root over 64 KiB (dumps belong under target/) =="
 git ls-files -z -- ':(glob)*' | xargs -0 wc -c |
     awk '$2 != "total" && $1 > 65536 { print "over 64 KiB: " $2 " (" $1 " bytes)"; bad = 1 } END { exit bad }'

@@ -68,18 +68,18 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod conduct;
 mod escalation;
 mod policy;
 mod recovery;
 mod seep;
 mod window;
 
+pub use conduct::{conduct, Effect, Input, MAX_INTENT_REPLAYS};
 pub use escalation::{EscalationPolicy, EscalationStep, RestartBudget};
 pub use policy::{
     Enhanced, EnhancedKill, Naive, Pessimistic, PolicyKind, RecoveryPolicy, Stateless,
 };
-pub use recovery::{
-    decide_recovery, fallback_action, system_survives, ActionCode, CrashContext, RecoveryDecision,
-};
+pub use recovery::{decide_recovery, system_survives, ActionCode, CrashContext, RecoveryDecision};
 pub use seep::{MessageKind, SeepClass, SeepMeta};
 pub use window::{CloseReason, RecoveryWindow, WindowStats};

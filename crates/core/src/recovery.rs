@@ -41,26 +41,6 @@ pub fn system_survives(action: ActionCode) -> bool {
     )
 }
 
-/// The recovery fallback chain: the next rung to try when executing `action`
-/// itself fails (journal integrity violation, heap-image damage, or a fault
-/// injected inside a recovery phase).
-///
-/// Each rung gives up strictly more state than the previous one, so the
-/// degraded outcome is always consistent: a rollback whose undo log cannot
-/// be trusted degrades to a fresh restart (all accumulated state lost, but
-/// no corrupted state replayed); a fresh restart whose image cannot be
-/// trusted degrades to a controlled shutdown. Terminal actions have no
-/// fallback — `None` means the chain is exhausted.
-pub fn fallback_action(action: ActionCode) -> Option<ActionCode> {
-    match action {
-        ActionCode::RollbackErrorReply | ActionCode::RollbackKillRequester => {
-            Some(ActionCode::FreshRestart)
-        }
-        ActionCode::FreshRestart | ActionCode::ContinueAsIs => Some(ActionCode::ControlledShutdown),
-        ActionCode::ControlledShutdown | ActionCode::UncontrolledCrash => None,
-    }
-}
-
 /// A complete reconciliation decision.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RecoveryDecision {
@@ -103,25 +83,6 @@ mod tests {
         assert!(system_survives(ActionCode::ContinueAsIs));
         assert!(!system_survives(ActionCode::ControlledShutdown));
         assert!(!system_survives(ActionCode::UncontrolledCrash));
-    }
-
-    #[test]
-    fn fallback_chain_terminates_at_shutdown() {
-        let mut action = ActionCode::RollbackErrorReply;
-        let mut rungs = vec![action];
-        while let Some(next) = fallback_action(action) {
-            action = next;
-            rungs.push(action);
-        }
-        assert_eq!(
-            rungs,
-            vec![
-                ActionCode::RollbackErrorReply,
-                ActionCode::FreshRestart,
-                ActionCode::ControlledShutdown,
-            ]
-        );
-        assert_eq!(fallback_action(ActionCode::UncontrolledCrash), None);
     }
 
     #[test]

@@ -153,9 +153,6 @@ impl<P: Protocol> Kernel<P> {
                 image.release(&mut self.cas);
             }
         }
-        self.recovering = state.recovering.filter(|&t| {
-            (t as usize) < self.comps.len() && state.status(t) == CompStatusCode::Crashed
-        });
         self.control = state;
         self.axiom = log;
         self.tracer.set_now(self.clock.now());
@@ -180,7 +177,7 @@ impl<P: Protocol + Clone> Kernel<P> {
         prev: Option<&KernelSnapshot<P>>,
     ) -> KernelSnapshot<P> {
         assert!(self.initialized, "snapshot() before init_components()");
-        assert!(self.recovering.is_none(), "snapshot during recovery");
+        assert!(!self.recovering(), "snapshot during recovery");
         assert!(
             self.shutdown.is_none() && self.shutdown_pending.is_none(),
             "snapshot after shutdown"
@@ -263,7 +260,7 @@ impl<P: Protocol + Clone> Kernel<P> {
     /// and booting a fresh fork.
     pub fn can_adopt(&self, snap: &KernelSnapshot<P>) -> bool {
         self.initialized
-            && self.recovering.is_none()
+            && !self.recovering()
             && self.shutdown.is_none()
             && self.shutdown_pending.is_none()
             && self.comps.len() == snap.comps.len()
@@ -347,7 +344,6 @@ impl<P: Protocol + Clone> Kernel<P> {
         self.next_span_id = snap.next_span_id;
         self.recovery_epoch = snap.recovery_epoch;
         self.rr_cursor = snap.rr_cursor;
-        self.recovering = None;
         self.shutdown = None;
         self.shutdown_pending = None;
         self.user_replies.clear();

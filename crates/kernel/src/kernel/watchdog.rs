@@ -12,7 +12,7 @@
 use std::collections::BTreeMap;
 
 use osiris_axiom::{AxiomEvent, CompStatusCode, VerdictCode};
-use osiris_core::MessageKind;
+use osiris_core::{CrashContext, MessageKind};
 use osiris_trace::TraceEvent;
 
 use super::recovery::PendingCrash;
@@ -362,23 +362,26 @@ impl<P: Protocol> Kernel<P> {
     /// the existing escalation ladder.
     fn watchdog_preemptive_restart(&mut self, target: u8) {
         let t = target as usize;
-        if self.control.status(target) != CompStatusCode::Alive || self.recovering.is_some() {
+        if self.control.status(target) != CompStatusCode::Alive || self.recovering() {
             // Already dead or benched, or a conduct is in flight: the
             // ladder is engaged, a second preemption would only amplify.
             return;
         }
         self.tracer.set_now(self.clock.now());
-        self.mark_crashed(target);
         let carrier = self.kernel_msg(target, None, P::crash_reply());
-        self.comps[t].crash_info = Some(PendingCrash {
-            msg: carrier,
+        let ctx = CrashContext {
             window_open: self.comps[t].window.is_open(),
             reply_possible: false,
-            scoped_sends: false,
             in_recovery_code: false,
+            scoped_sends: false,
+            requester_is_process: false,
+        };
+        self.comps[t].crash_info = Some(PendingCrash {
+            msg: carrier,
+            ctx,
             quiescent: true,
         });
-        self.start_recovery(target);
+        self.declare_dead(target);
     }
 
     /// Services armed deadlines at the current virtual time. Expiries seal
@@ -389,7 +392,7 @@ impl<P: Protocol> Kernel<P> {
     /// completed handler whose reply never arrived is a `ReplyLost`,
     /// retried transparently or crash-replied.
     pub(super) fn service_watchdog(&mut self) {
-        if !self.cfg.watchdog.enabled || self.wd.armed == 0 || self.recovering.is_some() {
+        if !self.cfg.watchdog.enabled || self.wd.armed == 0 || self.recovering() {
             // During a recovery conduct only the RS runs; deadlines blocked
             // behind the stall are serviced right after it completes, so a
             // hang storm cannot compound an in-flight recovery.
@@ -401,7 +404,7 @@ impl<P: Protocol> Kernel<P> {
             return;
         }
         for i in 0..self.wd.slots.len() {
-            if self.shutdown.is_some() || self.recovering.is_some() {
+            if self.shutdown.is_some() || self.recovering() {
                 // A verdict earlier in this sweep started a conduct (or
                 // shut the system down); the remaining slots wait for the
                 // next service point.
@@ -475,8 +478,7 @@ impl<P: Protocol> Kernel<P> {
                 self.metrics
                     .observe(self.counters.wd_detect_latency, detection);
                 self.seal_verdict(dst, msg_id, VerdictCode::Hung);
-                self.mark_crashed(dst);
-                self.start_recovery(dst);
+                self.declare_dead(dst);
             }
             CompStatusCode::Crashed | CompStatusCode::Quarantined => {
                 // The fail-stop machinery is already on it; its crash reply

@@ -78,6 +78,14 @@ pub trait Protocol: fmt::Debug + Send + 'static {
     /// `target` crashes.
     fn crash_notify(target: u8) -> Self;
 
+    /// The component this payload notifies a crash of, if it is a
+    /// [`Protocol::crash_notify`]. An RS that fails before it takes a
+    /// queued notification is not notified again after its restart; a
+    /// protocol that cannot tell (the default) is notified twice.
+    fn crash_notify_target(&self) -> Option<u8> {
+        None
+    }
+
     /// The payload the kernel sends to the Recovery Server to execute the
     /// kill-requester reconciliation (paper §VII): RS must arrange for
     /// process `pid` to be terminated through the normal kill path.

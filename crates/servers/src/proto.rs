@@ -288,6 +288,13 @@ impl Protocol for OsMsg {
         OsMsg::CrashNotify { target }
     }
 
+    fn crash_notify_target(&self) -> Option<u8> {
+        match self {
+            OsMsg::CrashNotify { target } => Some(*target),
+            _ => None,
+        }
+    }
+
     fn kill_requester(pid: Pid) -> Self {
         OsMsg::KillRequester { pid }
     }

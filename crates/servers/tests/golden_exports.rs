@@ -7,6 +7,7 @@
 //! (PR 24); re-capture them (run with `--nocapture`) only in a
 //! change that means to alter an export, and say so in its description.
 
+use osiris_axiom::reduce;
 use osiris_core::{EscalationPolicy, RestartBudget};
 use osiris_faults::{DoubleInjector, FaultKind, FaultPlan, Injector, SiteId, SiteKindTag};
 use osiris_kernel::abi::OpenFlags;
@@ -89,8 +90,15 @@ fn run(hook: Box<dyn FaultHook>) -> Os {
 
 /// Digests of `trace_text`, `metrics_prometheus`, `metrics_json`,
 /// `timeseries_json`, `axiom_bytes` and `chrome_trace`, in that order.
-fn export_digests(hook: Box<dyn FaultHook>) -> [u64; 6] {
+/// Also checks that the live control state, conduct in flight included,
+/// is the pure reduction of the recorded axiom.
+fn export_digests(name: &str, hook: Box<dyn FaultHook>) -> [u64; 6] {
     let mut os = run(hook);
+    assert_eq!(
+        os.kernel().control_state(),
+        &reduce(os.axiom().records()),
+        "{name}: live fold diverged from reduce(axiom)"
+    );
     [
         os.trace_text().into_bytes(),
         os.metrics_prometheus().into_bytes(),
@@ -200,10 +208,13 @@ fn exports_match_digests_captured_before_the_kernel_split() {
     ];
     let mut mismatches = Vec::new();
     for (name, primary, secondary, want) in scenarios {
-        let got = export_digests(match secondary {
-            Some(s) => Box::new(DoubleInjector::new(&primary, &s)),
-            None => Box::new(Injector::new(&primary)),
-        });
+        let got = export_digests(
+            name,
+            match secondary {
+                Some(s) => Box::new(DoubleInjector::new(&primary, &s)),
+                None => Box::new(Injector::new(&primary)),
+            },
+        );
         println!("{name}: {got:#018x?}");
         if got != want {
             mismatches.push(name);

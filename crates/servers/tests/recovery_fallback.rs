@@ -11,7 +11,7 @@ use osiris_faults::{
     InjectionRecord, Outcome, SiteId, SiteKindTag, SiteProfile, Tally,
 };
 use osiris_kernel::abi::{Errno, OpenFlags};
-use osiris_kernel::RunOutcome;
+use osiris_kernel::{RunOutcome, ShutdownKind, WatchdogConfig};
 use osiris_servers::{Os, OsConfig};
 use osiris_trace::TraceConfig;
 use osiris_workloads::{Host, ProgramRegistry};
@@ -87,9 +87,14 @@ fn registry() -> ProgramRegistry {
 }
 
 fn run_with_secondary(secondary: FaultPlan) -> (RunOutcome, Os) {
+    run_with(secondary, WatchdogConfig::default())
+}
+
+fn run_with(secondary: FaultPlan, watchdog: WatchdogConfig) -> (RunOutcome, Os) {
     osiris_kernel::install_quiet_panic_hook();
     let mut cfg = OsConfig::with_policy(PolicyKind::Enhanced);
     cfg.trace = TraceConfig::on();
+    cfg.watchdog = watchdog;
     let mut os = Os::new(cfg);
     os.set_fault_hook(Box::new(DoubleInjector::new(&primary(), &secondary)));
     let mut host = Host::new(os, registry());
@@ -174,6 +179,93 @@ fn rs_crash_mid_conduct_is_redriven_from_intent_log() {
 
     let text = os.trace_text();
     assert!(text.contains("IntentReplayed"), "trace: {text}");
+}
+
+/// An RS that wedges mid-conduct has no heartbeat above it, and while the
+/// conduct is in flight it is the only component the kernel schedules. The
+/// kernel treats the hang as an RS crash mid-conduct: it marks the RS
+/// crashed, recovers it directly and re-drives the intent, so the victim
+/// still recovers exactly once, with the watchdog on or off.
+#[test]
+fn rs_hang_mid_conduct_is_recovered_like_an_rs_crash() {
+    for site in [
+        "rs.recover.notify",
+        "rs.recover.account",
+        "rs.recover.issued",
+    ] {
+        for watchdog in [WatchdogConfig::default(), WatchdogConfig::on()] {
+            let hang = FaultPlan {
+                kind: FaultKind::Hang,
+                ..plan("rs", site, true)
+            };
+            let (outcome, os) = run_with(hang, watchdog);
+            let case = format!("{site}, watchdog {}", watchdog.enabled);
+            assert!(
+                matches!(outcome, RunOutcome::Completed { init_code: 0, .. }),
+                "{case}: {outcome:?}"
+            );
+            let vfs = os.reports().into_iter().find(|r| r.name == "vfs").unwrap();
+            assert_eq!(
+                vfs.recoveries, 1,
+                "{case}: victim must recover exactly once"
+            );
+            let m = os.metrics();
+            assert_eq!((m.hangs, m.controlled_shutdowns), (1, 0), "{case}");
+            assert!(!os.kernel().recovering(), "{case}");
+            assert!(os.audit().is_empty(), "{case}: {:?}", os.audit());
+        }
+    }
+}
+
+/// A hung RS has no detector above it: the machine runs on without
+/// heartbeats until a conduct needs the RS, and that conduct crashes and
+/// recovers the RS first instead of handing it the victim. The enhanced
+/// policy cannot roll back an RS that hung serving its heartbeat timer (no
+/// reply is possible), so it shuts down in a controlled way; the stateless
+/// one restarts the RS fresh, then recovers the victim.
+#[test]
+fn a_conduct_that_needs_a_hung_rs_restarts_it_first() {
+    for policy in [PolicyKind::Enhanced, PolicyKind::Stateless] {
+        osiris_kernel::install_quiet_panic_hook();
+        let mut registry = ProgramRegistry::new();
+        registry.register("main", |sys| {
+            let Ok(fd) = sys.open("/tmp/idle", OpenFlags::RDWR_CREATE) else {
+                return 10;
+            };
+            // Idle long enough for the RS heartbeat to fire (and hang).
+            if sys.sleep(3_000_000).is_err() {
+                return 11;
+            }
+            match sys.read(fd, 8) {
+                Err(Errno::ECRASH) => 0,
+                _ => 12,
+            }
+        });
+        let rs_hang = FaultPlan {
+            kind: FaultKind::Hang,
+            ..plan("rs", "rs.hb.entry", true)
+        };
+        let mut os = Os::new(OsConfig::with_policy(policy));
+        os.set_fault_hook(Box::new(DoubleInjector::new(&rs_hang, &primary())));
+        let mut host = Host::new(os, registry);
+        let outcome = host.run("main", &[]);
+        let os = host.into_engine();
+        let vfs = os.reports().into_iter().find(|r| r.name == "vfs").unwrap();
+        if policy == PolicyKind::Enhanced {
+            assert!(
+                matches!(&outcome, RunOutcome::Shutdown(ShutdownKind::Controlled(r)) if r.contains("in rs")),
+                "{outcome:?}"
+            );
+        } else {
+            assert!(
+                matches!(outcome, RunOutcome::Completed { init_code: 0, .. }),
+                "{outcome:?}"
+            );
+            assert_eq!(vfs.recoveries, 1, "the victim recovers once");
+        }
+        assert_eq!(os.metrics().hangs, 1, "{policy:?}");
+        assert!(!os.kernel().recovering(), "{policy:?}");
+    }
 }
 
 /// The whole synthesized `DuringRecovery` plan space (recovery sites never

@@ -3,9 +3,9 @@
 //! get a bounded window to save their state — like Otherworld's
 //! crash-survival for applications, scoped to save-class syscalls.
 
-use osiris_core::PolicyKind;
+use osiris_core::{EscalationPolicy, PolicyKind, RestartBudget};
 use osiris_faults::{FaultKind, FaultPlan, Injector};
-use osiris_kernel::abi::Errno;
+use osiris_kernel::abi::{Errno, OpenFlags};
 use osiris_kernel::{RunOutcome, ShutdownKind};
 use osiris_servers::{Os, OsConfig};
 use osiris_workloads::{Host, ProgramRegistry};
@@ -148,4 +148,62 @@ fn grace_budget_is_bounded() {
         | RunOutcome::Completed { init_code: 0, .. } => {}
         other => panic!("grace must be bounded: {other:?}"),
     }
+}
+
+/// A shutdown the escalation ladder decides (a zero restart budget and no
+/// quarantine slot) ends the conduct exactly like one the policy decides:
+/// the request that crashed is answered with `ESHUTDOWN`, and the grace
+/// window serves the save that follows.
+#[test]
+fn ladder_decided_shutdown_answers_the_crashed_request_and_serves_the_save() {
+    osiris_kernel::install_quiet_panic_hook();
+    let mut registry = ProgramRegistry::new();
+    registry.register("main", |sys| {
+        sys.ds_put("progress", b"step-1").unwrap();
+        let Ok(fd) = sys.open("/tmp/work", OpenFlags::RDWR_CREATE) else {
+            return 10;
+        };
+        // The read crashes VFS, and the ladder shuts the machine down.
+        if sys.read(fd, 32) != Err(Errno::ESHUTDOWN) {
+            return 11;
+        }
+        match sys.ds_put("progress", b"step-2-saved") {
+            Ok(()) => 0,
+            Err(_) => 12,
+        }
+    });
+    let mut os = Os::new(OsConfig {
+        policy: PolicyKind::Enhanced,
+        vm_frames: 1024,
+        shutdown_grace: 64,
+        escalation: EscalationPolicy {
+            budget: RestartBudget {
+                max_restarts: 0,
+                ..RestartBudget::default()
+            },
+            max_quarantined: 0,
+            ..EscalationPolicy::default()
+        },
+        ..Default::default()
+    });
+    os.set_fault_hook(Box::new(Injector::new(&FaultPlan::once(
+        FaultKind::Crash,
+        "vfs.read.entry",
+    ))));
+    let mut host = Host::new(os, registry);
+    let outcome = host.run("main", &[]);
+    let os = host.into_engine();
+    match &outcome {
+        RunOutcome::Completed { init_code: 0, .. } => {}
+        RunOutcome::Shutdown(ShutdownKind::Controlled(reason)) => {
+            assert!(reason.starts_with("escalation"), "{reason}")
+        }
+        other => panic!("expected a controlled end, got {other:?}"),
+    }
+    assert!(!os.kernel().recovering(), "the shutdown ended the conduct");
+    let ds = os.reports().into_iter().find(|r| r.name == "ds").unwrap();
+    assert!(
+        ds.messages >= 2 && ds.writes >= 2,
+        "the grace-window DsPut was served: {outcome:?}"
+    );
 }

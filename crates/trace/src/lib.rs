@@ -146,7 +146,12 @@ impl Default for CategoryMask {
 }
 
 use osiris_axiom::AxiomEvent;
-pub use osiris_axiom::{ActionCode, CloseCode, SeepClassCode, VerdictCode};
+/// The axiom's codes the event table carries, also re-exported for
+/// `osiris-core`, which reaches the axiom through this crate: its policies
+/// pick an `ActionCode`, its conduct reads the `ControlState`.
+pub use osiris_axiom::{
+    ActionCode, CloseCode, CompStatusCode, ControlState, SeepClassCode, VerdictCode,
+};
 
 /// Where the Chrome export draws an event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
