@@ -1,0 +1,29 @@
+//! Booting is O(objects): VM builds its 65,536-frame tables in one
+//! allocation each instead of one logged push per frame.
+//!
+//! A default [`Os::new`] runs every server's `init` and captures every
+//! pristine image. The VM heap's write counter after boot counts VM's object
+//! allocations and the few frame writes of init's own address space, so a
+//! per-frame push loop (~65.5k writes) fails the first row. The allocator
+//! calls of one boot repeat exactly and are held to their recorded value.
+
+use osiris_servers::{Os, OsConfig};
+
+use super::{Checks, Want};
+
+/// Allocator calls of one default [`Os::new`] (1,086 with the push loop).
+const BOOT_ALLOCS: u64 = 1_072;
+
+pub(super) fn checks(c: &mut Checks) {
+    let (os, allocs) = c.counted(|| Os::new(OsConfig::default()));
+    let vm = os
+        .kernel()
+        .heap_of("vm")
+        .expect("the default topology has VM");
+    c.push(
+        "boot/vm_heap_write_epoch".into(),
+        vm.write_epoch(),
+        Want::AtMost(64),
+    );
+    c.push_allocs("boot/os_new_allocs".into(), allocs, Want::Eq(BOOT_ALLOCS));
+}

@@ -15,6 +15,7 @@
 
 use std::fmt;
 
+mod boot;
 mod forge;
 mod recording;
 mod restore;
@@ -109,6 +110,7 @@ pub fn run(scale: Scale, alloc_calls: Option<fn() -> u64>) -> Vec<Check> {
         rows: Vec::new(),
         alloc_calls,
     };
+    boot::checks(&mut c);
     restore::checks(scale, &mut c);
     watchdog::checks(scale, &mut c);
     forge::checks(scale, &mut c);

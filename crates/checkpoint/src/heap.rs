@@ -145,13 +145,21 @@ impl<T: HeapValue> AnyObj for Holder<T> {
     }
 }
 
-/// Folds an integer slice: its length, then one word per element.
+/// Folds an integer slice in four independent lanes, element `i` into lane
+/// `i % 4` and the length into lane 0's seed, then folds the lanes in order
+/// (one dependent multiply chain per lane, so the CPU pipelines them, as
+/// `cas::chunk_digest` does for bytes). One changed element changes exactly
+/// one lane, and [`fold_word`] is a bijection either way, so it still
+/// changes the digest.
 fn fold_ints<I: Copy + Into<u64>>(d: u64, items: &[I]) -> u64 {
-    items
-        .iter()
-        .fold(fold_word(d, items.len() as u64), |d, &x| {
-            fold_word(d, x.into())
-        })
+    let mut lanes = [fold_word(d, items.len() as u64), d ^ 1, d ^ 2, d ^ 3];
+    let quads = items.chunks_exact(4);
+    for quad in quads.clone().chain([quads.remainder()]) {
+        for (lane, &x) in lanes.iter_mut().zip(quad) {
+            *lane = fold_word(*lane, x.into());
+        }
+    }
+    lanes.into_iter().fold(d, fold_word)
 }
 
 /// A boxed restore closure, as stored by [`UndoMode::BoxedReference`].
@@ -1284,6 +1292,24 @@ mod tests {
         assert_ne!(base, wide);
         assert_ne!(digest(vec![7u32, 9]), digest(vec![7u64 | 9 << 32]));
         assert_ne!(digest(vec![7u32]), digest(vec![7u8, 0, 0, 0]));
+        // The four lanes: at lengths 4–7 (a remainder of 0–3 past the last
+        // group of four), one changed element at every index and every two
+        // neighbours swapped (so across lanes) all digest apart, from the
+        // original and from each other; so do two 65,536-entry tables that
+        // differ in the last element only.
+        let mut seen = std::collections::BTreeSet::new();
+        for len in 4..=7u32 {
+            let v: Vec<u32> = (1..=len).collect();
+            assert!(seen.insert(digest(v.clone())));
+            for i in 0..v.len() {
+                let (mut one, mut swapped) = (v.clone(), v.clone());
+                one[i] ^= 1 << 31;
+                swapped.swap(i, (i + 1) % v.len());
+                assert!(seen.insert(digest(one)) && seen.insert(digest(swapped)));
+            }
+        }
+        let table = |last| digest([vec![0u32; 65_535], vec![last]].concat());
+        assert_ne!(table(0), table(1), "last of 65,536");
     }
 
     #[test]

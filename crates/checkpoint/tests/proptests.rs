@@ -182,6 +182,38 @@ fn image_roundtrip() {
     }
 }
 
+/// A vector allocated whole (`Heap::alloc_vec_from`) is the vector built by
+/// pushes: rebuilt by pushes in the same slot, the heap keeps its state
+/// digest, byte accounting and element order, and in both forms a logged
+/// `set` rolls back to that same state.
+#[test]
+fn bulk_built_vector_equals_pushed_vector() {
+    for case in 0..CASES {
+        let mut r = Rng::new(0x5EED_0005 ^ case);
+        let len = 1 + r.below_usize(300);
+        let data: Vec<u16> = (0..len).map(|_| r.next_u64() as u16).collect();
+        let (index, value) = (r.below_usize(len), r.next_u64() as u16);
+        let mut heap = Heap::new("prop");
+        let v = heap.alloc_vec_from("vec", data.clone());
+        let state = |heap: &Heap| (heap.state_digest(), heap.resident_bytes(), v.snapshot(heap));
+        let bulk = state(&heap);
+        assert_eq!(bulk.2, data, "case seed {case}");
+        for pushed in [false, true] {
+            if pushed {
+                v.clear(&mut heap);
+                data.iter().for_each(|&x| v.push(&mut heap, x));
+                assert_eq!(state(&heap), bulk, "case seed {case}: pushed");
+            }
+            heap.set_logging(true);
+            let mark = heap.mark();
+            v.set(&mut heap, index, value);
+            heap.rollback_to(mark);
+            heap.set_logging(false);
+            assert_eq!(state(&heap), bulk, "case seed {case}: pushed {pushed}");
+        }
+    }
+}
+
 /// With logging off, no undo state accumulates no matter what runs.
 #[test]
 fn no_logging_no_log() {

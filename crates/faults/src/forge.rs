@@ -227,8 +227,8 @@ impl ScriptWorkload {
     pub const STEPS: usize = 8;
 
     /// Steps carrying the configurable bulk phase (`stress_rounds`); the
-    /// final two steps stay light, so late-window forks replay a short
-    /// suffix of a long run.
+    /// final two steps stay light, so most late-window forks replay a
+    /// short suffix of a long run (see [`Boundary::Late`] for the rest).
     pub const BULK_STEPS: usize = 6;
 
     /// Runs the full script.
@@ -404,10 +404,18 @@ impl ScriptWorkload {
                 }
             }
             6 => {
-                // Full-surface encore: one light pass over every syscall
-                // family, so *every* injection site has a late window
-                // here — a Late-boundary fork replays only this short
-                // suffix no matter which site it targets.
+                // Full-surface encore: one light pass over most syscall
+                // families, so most injection sites have a late window
+                // here and their Late-boundary forks replay only this
+                // short suffix. Not every site: this step reads no file
+                // and no pipe, seeks nowhere and never fsyncs. So
+                // `vfs.read.{step,len,assemble}`, `vfs.fsync.{entry,flush}`
+                // and `vfs.disk.reply` are last seen in step 2, and
+                // `vfs.read.entry`, `vfs.seek.entry` and `vfs.pipe.read`
+                // in step 5; their Late forks replay the bulk rounds of
+                // steps 2–5 or of step 5. At stress 1200 the step-2 forks
+                // carry most of a campaign's suffix syscalls. The script
+                // stays as it is: changing it changes every campaign record.
                 d.check_ok(Syscall::DsPut {
                     key: "k/forge/c".into(),
                     value: b"gamma".to_vec(),
@@ -520,8 +528,8 @@ pub struct SiteObs {
     /// boundary ([`Boundary::Reach`] forks here).
     pub first_step: usize,
     /// Last workload step in which the site executed — the late-window
-    /// boundary ([`Boundary::Late`] forks here, skipping the whole clean
-    /// prefix a from-boot rerun would replay).
+    /// boundary ([`Boundary::Late`] forks here, skipping the clean prefix
+    /// before it that a from-boot rerun would replay).
     pub last_step: usize,
     /// Whether the site ever executed inside an open recovery window.
     pub window_open: bool,
@@ -880,9 +888,12 @@ pub enum Boundary {
     /// Fork at the site's *first* execution step: the fault fires at the
     /// earliest opportunity (classic reachability-point injection).
     Reach,
-    /// Fork at the site's *last* execution step: the fault fires in the
-    /// late window, after the whole bulk prefix — the regime where a
-    /// from-boot rerun pays the full clean replay the fork skips.
+    /// Fork at the site's *last* execution step. For most sites that is
+    /// step 6 or 7 of [`ScriptWorkload`], after the whole bulk prefix — the
+    /// regime where a from-boot rerun pays the full clean replay the fork
+    /// skips. Sites the light steps never reach (VFS file reads, seeks,
+    /// pipe reads and fsync) fork at step 2 or 5 and replay the bulk
+    /// rounds after it.
     Late,
 }
 

@@ -239,12 +239,9 @@ impl Server<OsMsg> for VmManager {
     fn init(&mut self, ctx: &mut Ctx<'_, OsMsg>) {
         let total = self.total_frames;
         let heap = ctx.heap();
-        let frames = heap.alloc_vec_filled("vm.frames", 0u32, total as usize);
-        let free_list = heap.alloc_vec::<u32>("vm.free_list");
+        let frames = heap.alloc_vec_from("vm.frames", vec![0u32; total as usize]);
         // Highest index on top so allocation order starts at frame 0.
-        for idx in (0..total as u32).rev() {
-            free_list.push(heap, idx);
-        }
+        let free_list = heap.alloc_vec_from("vm.free_list", (0..total as u32).rev().collect());
         let h = Handles {
             ops: heap.alloc_cell("vm.ops", 0),
             spaces: heap.alloc_map("vm.spaces"),
