@@ -14,9 +14,11 @@ find crates/kernel/src -name '*.rs' -exec wc -l {} + |
 echo "== one injection path: only InjectionRecord::from_run builds a record from a run =="
 test "$(grep -rln "RecoveryActionTag::from_counts(" crates/*/src examples)" = crates/faults/src/campaign.rs
 
-echo "== one metrics store: no shared slots in osiris-metrics, no publish/mirror step in the kernel =="
+echo "== one metrics store, one trace owner: no shared slots in osiris-metrics or osiris-trace, no publish/mirror step in the kernel, no trace handle =="
 if grep -rn 'Atomic\|Mutex' crates/metrics/src ||
-    grep -rn 'publish(\|reload_published(\|sync_registry(' crates/kernel/src; then
+    grep -rn 'Atomic\|Mutex\|Arc' crates/trace/src ||
+    grep -rn 'publish(\|reload_published(\|sync_registry(' crates/kernel/src ||
+    grep -rn TraceHandle crates/*/src src examples; then
     exit 1
 fi
 

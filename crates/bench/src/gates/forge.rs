@@ -8,12 +8,14 @@
 //! cost the forge removes — and each sampled record must be byte-identical
 //! to the forged one (fork equivalence). Adoption allocates for
 //! control-plane state only, *independent of the prefix length*: clean
-//! heap chunks are restored without allocating.
+//! heap chunks are restored without allocating. Profiling a site the
+//! planner has seen allocates nothing either.
 
 use osiris_checkpoint::ChunkStore;
 use osiris_core::PolicyKind;
-use osiris_faults::forge::{forge_config, Boundary, ScriptWorkload};
-use osiris_faults::{Forge, ForgeConfig};
+use osiris_faults::forge::{forge_config, Boundary, ScriptWorkload, StepProfiler};
+use osiris_faults::{Forge, ForgeConfig, Recorder};
+use osiris_kernel::{FaultHook, Probe, SiteKind};
 use osiris_servers::Os;
 
 use super::{Checks, Scale, Want};
@@ -38,7 +40,45 @@ fn readopt_allocs(stress_rounds: u32, c: &Checks) -> Option<u64> {
         .1
 }
 
+/// Allocator calls of 10,000 probes of already-seen sites through each
+/// site-profiling hook: a probe is counted under its own `&'static str`s.
+fn profiler_allocs(c: &mut Checks) {
+    let sites = [
+        ("pm", "pm.fork.validate", SiteKind::Block),
+        ("vfs", "vfs.read.cache", SiteKind::Branch),
+        ("vm", "vm.brk.grow", SiteKind::Value),
+    ];
+    let probes = sites.map(|(component, site, kind)| Probe {
+        component,
+        site,
+        kind,
+        now: 0,
+        window_open: true,
+        replyable: true,
+    });
+    let hooks: [(&str, Box<dyn FaultHook>); 2] = [
+        ("step_profiler", Box::<StepProfiler>::default()),
+        ("recorder", Box::<Recorder>::default()),
+    ];
+    for (name, mut hook) in hooks {
+        for p in &probes {
+            hook.on_site(p);
+        }
+        let ((), allocs) = c.counted(|| {
+            for p in probes.iter().cycle().take(10_000) {
+                hook.on_site(p);
+            }
+        });
+        c.push_allocs(
+            format!("forge/{name}_10k_probe_allocs"),
+            allocs,
+            Want::Eq(0),
+        );
+    }
+}
+
 pub(super) fn checks(scale: Scale, c: &mut Checks) {
+    profiler_allocs(c);
     // The stride walks a policy-major plan, so the sample covers every
     // policy and model.
     let (stress_rounds, stride) = match scale {

@@ -1,6 +1,7 @@
 //! Recording is allocation-free once warm, in every layer that records on
-//! the hot path: the typed undo journal, the flight recorder, the metrics
-//! registry, the axiom log and request spans.
+//! the hot path: the typed undo journal, the flight recorder (a heap's
+//! stage appended to the kernel's ring), the metrics registry, the axiom
+//! log and request spans.
 //!
 //! Each drive builds the layer the way the kernel does, warms it (so
 //! arenas, rings and logs reach their working capacity), then counts the
@@ -13,11 +14,13 @@ use osiris_axiom::{
     SeepClassCode,
 };
 use osiris_checkpoint::{Heap, PBuf, PCell, PVec};
+use osiris_kernel::abi::{OpenFlags, Pid, SeekFrom, SysReply, Syscall};
+use osiris_kernel::{OsEngine, SyscallId};
 use osiris_metrics::Registry;
 use osiris_rng::Rng;
 use osiris_servers::{Os, OsConfig};
 use osiris_trace::chrome::ChromeTrace;
-use osiris_trace::{TraceConfig, TraceEvent, TraceHandle, KERNEL_COMP};
+use osiris_trace::{Stage, TraceConfig, TraceEvent, Tracer, KERNEL_COMP};
 
 use super::{Checks, Scale, Want};
 
@@ -36,14 +39,17 @@ enum Op {
 
 struct World {
     heap: Heap,
+    /// The ring the heap's stage is appended to once per window, as the
+    /// kernel does after each call into a heap.
+    tracer: Tracer,
     hot: PCell<u64>,
     scratch: Vec<PCell<u64>>,
     vec: PVec<u32>,
     buf: PBuf,
 }
 
-/// `windows` recovery windows (mark → writes → rollback), each replaying
-/// `ops`.
+/// `windows` recovery windows (mark → writes → rollback → append), each
+/// replaying `ops`.
 fn run_windows(w: &mut World, ops: &[Op], windows: u64) {
     let buf_data = [0xA5u8; 48];
     for _ in 0..windows {
@@ -59,15 +65,16 @@ fn run_windows(w: &mut World, ops: &[Op], windows: u64) {
         }
         w.heap.rollback_to(mark);
         w.heap.set_logging(false);
+        w.tracer.append(0, w.heap.trace_stage());
     }
 }
 
-/// The undo journal (`group` "undo", no tracer) and the flight recorder
-/// (`group` "trace", a recording tracer attached to the same heap) share
-/// one drive: write-heavy windows skewed toward repeated stores to a few
-/// hot locations, the pattern a server shows inside one request's window,
-/// so both the append and the coalesce emit points run.
-fn heap_windows(group: &str, tracer: Option<TraceHandle>, scale: Scale, c: &mut Checks) {
+/// The undo journal (`group` "undo", tracing off) and the flight recorder
+/// (`group` "trace", the heap staging into a recording tracer) share one
+/// drive: write-heavy windows skewed toward repeated stores to a few hot
+/// locations, the pattern a server shows inside one request's window, so
+/// both the append and the coalesce emit points run.
+fn heap_windows(group: &str, trace: TraceConfig, scale: Scale, c: &mut Checks) {
     let (windows, writes_per_window, warmup_windows) = match scale {
         Scale::Full => (100, 4_096, 8),
         Scale::Small => (4, 4_096, 1),
@@ -83,10 +90,9 @@ fn heap_windows(group: &str, tracer: Option<TraceHandle>, scale: Scale, c: &mut 
         .collect();
 
     let mut heap = Heap::new("gate-recording");
-    if let Some(t) = &tracer {
-        heap.set_tracer(t.clone(), 0);
-    }
+    *heap.trace_stage() = Stage::new(&trace);
     let mut w = World {
+        tracer: Tracer::new(trace),
         hot: heap.alloc_cell("hot", 0),
         scratch: (0..SCRATCH_CELLS)
             .map(|_| heap.alloc_cell("scratch", 0))
@@ -115,14 +121,85 @@ fn heap_windows(group: &str, tracer: Option<TraceHandle>, scale: Scale, c: &mut 
         stats.coalesced_writes,
         Want::AtLeast(1),
     );
-    if let Some(t) = &tracer {
+    if w.tracer.is_enabled() {
         // The run must reach the steady-state overwrite path, not only
         // initial fills.
         c.push(
             format!("{group}/ring_wrapped"),
-            t.with(|t| t.has_wrapped()) as u64,
+            w.tracer.has_wrapped() as u64,
             Want::Eq(1),
         );
+    }
+}
+
+/// One closed-loop syscall from init: submit, then pump, firing timers
+/// while the reply is outstanding.
+fn call(os: &mut Os, sid: &mut u64, call: Syscall) -> SysReply {
+    *sid += 1;
+    os.submit(SyscallId(*sid), Pid::INIT, call);
+    loop {
+        if let Some((_, _, reply)) = os.pump().pop() {
+            return reply;
+        }
+        assert!(os.fire_next_timer(), "syscall {sid} never replied");
+    }
+}
+
+/// `rounds` rounds of file, key-value and memory syscalls: windows open,
+/// log and coalesce, and a 256-page map gives VM's handler a long batch
+/// of staged events.
+fn os_batch(os: &mut Os, sid: &mut u64, rounds: u64) {
+    for _ in 0..rounds {
+        let path = "/gate-trace".to_string();
+        let flags = OpenFlags::RDWR_CREATE;
+        let SysReply::Desc(fd) = call(os, sid, Syscall::Open { path, flags }) else {
+            panic!("open failed")
+        };
+        let bytes = vec![0x5A; 4096];
+        call(os, sid, Syscall::Write { fd, bytes });
+        call(
+            os,
+            sid,
+            Syscall::Seek {
+                fd,
+                from: SeekFrom::Start(0),
+            },
+        );
+        call(os, sid, Syscall::Read { fd, len: 4096 });
+        call(os, sid, Syscall::Close { fd });
+        let (key, value) = ("gate-key".to_string(), b"gate-value".to_vec());
+        call(os, sid, Syscall::DsPut { key, value });
+        let key = "gate-key".to_string();
+        call(os, sid, Syscall::DsGet { key });
+        let SysReply::Val(id) = call(os, sid, Syscall::Mmap { pages: 256 }) else {
+            panic!("mmap failed")
+        };
+        call(os, sid, Syscall::Munmap { id: id as u64 });
+        call(os, sid, Syscall::GetPid);
+    }
+}
+
+/// Tracing adds no allocator call to a warm machine: the same batch, run
+/// twice on a default `Os` and on a trace-on one, allocates as much on
+/// both the second time. A stage that outgrew its first sizing on the
+/// warm batch would show here.
+fn os_trace_allocs(scale: Scale, c: &mut Checks) {
+    let rounds = match scale {
+        Scale::Full => 40,
+        Scale::Small => 4,
+    };
+    let [off, on] = [TraceConfig::default(), TraceConfig::on()].map(|trace| {
+        let mut os = Os::new(OsConfig {
+            trace,
+            ..OsConfig::default()
+        });
+        let mut sid = 0;
+        os_batch(&mut os, &mut sid, rounds);
+        let ((), allocs) = c.counted(|| os_batch(&mut os, &mut sid, rounds));
+        allocs
+    });
+    if let (Some(off), Some(on)) = (off, on) {
+        c.push("trace/os_batch_allocs_on_vs_off".into(), on, Want::Eq(off));
     }
 }
 
@@ -305,7 +382,7 @@ fn spans(scale: Scale, c: &mut Checks) {
         Scale::Full => (40_000, 1_000),
         Scale::Small => (640, 64),
     };
-    let tracer = TraceHandle::new(TraceConfig::on());
+    let mut tracer = Tracer::new(TraceConfig::on());
     let mut m = Registry::default();
     let mut counter = |name: &str, labels: &[(&str, &str)]| m.counter(name, "span gate", labels);
     let started = counter("osiris_span_started_total", &[]);
@@ -320,7 +397,7 @@ fn spans(scale: Scale, c: &mut Checks) {
         )
     });
 
-    let run = |m: &mut Registry, spans: u64| {
+    let run = |m: &mut Registry, tracer: &mut Tracer, spans: u64| {
         let mut now = 0u64;
         for s in 0..spans {
             now += 13;
@@ -367,10 +444,10 @@ fn spans(scale: Scale, c: &mut Checks) {
             tracer.emit(KERNEL_COMP, close);
         }
     };
-    run(&mut m, warmup_spans);
+    run(&mut m, &mut tracer, warmup_spans);
     tracer.clear();
     m.reset();
-    let ((), allocs) = c.counted(|| run(&mut m, spans));
+    let ((), allocs) = c.counted(|| run(&mut m, &mut tracer, spans));
     c.push_allocs("spans/recording_allocs".into(), allocs, Want::Eq(0));
     for (what, got, want) in [
         ("spans_recorded", m.total(started), spans),
@@ -402,7 +479,7 @@ fn chrome_export(scale: Scale, c: &mut Checks) {
         .map(String::from)
         .into();
     for capacity in capacities {
-        let tracer = TraceHandle::new(TraceConfig {
+        let mut tracer = Tracer::new(TraceConfig {
             capacity,
             ..TraceConfig::on()
         });
@@ -450,7 +527,7 @@ fn chrome_export(scale: Scale, c: &mut Checks) {
         );
         c.push(
             format!("chrome/{capacity}_records/ring_wrapped"),
-            tracer.with(|t| t.has_wrapped()) as u64,
+            tracer.has_wrapped() as u64,
             Want::Eq(1),
         );
         // One object per record, plus the process, one thread per name, the
@@ -465,9 +542,9 @@ fn chrome_export(scale: Scale, c: &mut Checks) {
 }
 
 pub(super) fn checks(scale: Scale, c: &mut Checks) {
-    heap_windows("undo", None, scale, c);
-    let tracer = TraceHandle::new(TraceConfig::on());
-    heap_windows("trace", Some(tracer), scale, c);
+    heap_windows("undo", TraceConfig::default(), scale, c);
+    heap_windows("trace", TraceConfig::on(), scale, c);
+    os_trace_allocs(scale, c);
     metrics(scale, c);
     metrics_snapshot(c);
     axiom(scale, c);

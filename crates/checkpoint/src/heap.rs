@@ -7,7 +7,7 @@ use std::fmt::Write as _;
 use std::mem::size_of;
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use osiris_trace::{TraceEvent, TraceHandle};
+use osiris_trace::{Stage, TraceEvent};
 
 use crate::cas::FnvWriter;
 use crate::journal::{
@@ -230,12 +230,10 @@ pub struct Heap {
     id: u32,
     name: &'static str,
     stats: HeapStats,
-    tracer: Option<TraceHandle>,
-    trace_comp: u8,
-    /// Cached snapshot of `tracer.is_enabled()`, refreshed at the logging
-    /// gate (window open/close) so the per-write emit check is a plain
-    /// in-struct bool load instead of an `Arc` deref plus atomic load.
-    trace_live: bool,
+    /// Journal activity recorded for the flight recorder, which the kernel
+    /// owns: it appends the stage to its ring after every call into the
+    /// heap. Off (nothing staged) unless the kernel installs one.
+    stage: Stage,
 }
 
 impl fmt::Debug for Heap {
@@ -266,44 +264,21 @@ impl Heap {
             id: NEXT_HEAP_ID.fetch_add(1, Ordering::Relaxed),
             name,
             stats: HeapStats::default(),
-            tracer: None,
-            trace_comp: osiris_trace::KERNEL_COMP,
-            trace_live: false,
+            stage: Stage::default(),
         }
     }
 
-    /// Attaches a flight-recorder handle; journal activity (appends,
-    /// coalesced writes, marks, rollbacks, discards) is emitted as trace
-    /// events attributed to component `comp`.
-    ///
-    /// The enabled flag is snapshotted here and at every
-    /// [`Heap::set_logging`] call (the recovery-window gate), so with the
-    /// tracer disabled — or absent — each emit point costs one branch on a
-    /// bool stored in the heap itself. A runtime
-    /// [`TraceHandle::set_enabled`] toggle therefore takes effect at the
-    /// next window boundary, not mid-window.
-    pub fn set_tracer(&mut self, tracer: TraceHandle, comp: u8) {
-        self.trace_live = tracer.is_enabled();
-        self.tracer = Some(tracer);
-        self.trace_comp = comp;
+    /// The trace events this heap's component emitted since the kernel
+    /// last appended them: journal activity (appends, coalesced writes,
+    /// marks, rollbacks, discards), and what the window and the component
+    /// push through here. With tracing off a push is one branch.
+    pub fn trace_stage(&mut self) -> &mut Stage {
+        &mut self.stage
     }
 
-    /// The attached flight-recorder handle, if any.
-    pub fn tracer(&self) -> Option<&TraceHandle> {
-        self.tracer.as_ref()
-    }
-
-    /// Emits `event` to the attached tracer (no-op without one), attributed
-    /// to this heap's component. Also used by the recovery-window machinery
-    /// in `osiris-core`, which reaches the recorder through the heap.
-    #[inline]
-    pub fn trace_emit(&self, event: TraceEvent) {
-        if !self.trace_live {
-            return;
-        }
-        if let Some(t) = &self.tracer {
-            t.emit(self.trace_comp, event);
-        }
+    /// Number of staged trace events (zero whenever the kernel emits).
+    pub fn staged(&self) -> usize {
+        self.stage.len()
     }
 
     /// The component name this heap belongs to.
@@ -461,7 +436,7 @@ impl Heap {
             self.stats.undo_bytes_peak = self.stats.undo_bytes_current;
         }
         self.stats.arena_reuse_bytes = self.journal.arena_reuse_bytes();
-        self.trace_emit(TraceEvent::UndoAppend {
+        self.stage.push(TraceEvent::UndoAppend {
             bytes: bytes as u32,
         });
     }
@@ -469,7 +444,7 @@ impl Heap {
     /// Common bookkeeping for a coalesced (elided) logged write.
     fn account_coalesced(&mut self) {
         self.stats.coalesced_writes += 1;
-        self.trace_emit(TraceEvent::UndoCoalesce);
+        self.stage.push(TraceEvent::UndoCoalesce);
     }
 
     fn typed(&self) -> bool {
@@ -850,7 +825,6 @@ impl Heap {
     /// off when it closes; this is the analog of the paper's function-cloning
     /// optimization that removes instrumentation overhead outside windows.
     pub fn set_logging(&mut self, on: bool) -> bool {
-        self.trace_live = self.tracer.as_ref().is_some_and(TraceHandle::is_enabled);
         let effective = on || self.force_logging;
         if !on && self.force_logging {
             self.stats.gating_overrides += 1;
@@ -877,9 +851,9 @@ impl Heap {
     }
 
     /// Returns a checkpoint mark at the current undo-log position.
-    pub fn mark(&self) -> Mark {
+    pub fn mark(&mut self) -> Mark {
         self.journal.note_mark();
-        self.trace_emit(TraceEvent::CheckpointMark {
+        self.stage.push(TraceEvent::CheckpointMark {
             log_len: self.log_len() as u32,
         });
         Mark {
@@ -988,7 +962,7 @@ impl Heap {
         // Surviving index entries may reference popped positions; forget them.
         self.journal.invalidate_coalescing();
         if records > 0 {
-            self.trace_emit(TraceEvent::Rollback {
+            self.stage.push(TraceEvent::Rollback {
                 records,
                 bytes: bytes_before.saturating_sub(self.stats.undo_bytes_current) as u32,
             });
@@ -1019,7 +993,7 @@ impl Heap {
         self.sample_window_close();
         let records = self.log_len() as u32;
         if records > 0 {
-            self.trace_emit(TraceEvent::Discard {
+            self.stage.push(TraceEvent::Discard {
                 records,
                 bytes: self.stats.undo_bytes_current as u32,
             });

@@ -27,7 +27,6 @@
 //! unsafe is confined to moving payload bytes in and out of the arena under
 //! the record's type witness (the monomorphized function pointers).
 
-use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::mem::size_of;
 
@@ -762,8 +761,7 @@ pub(crate) struct Journal {
     /// Journal length at the most recent [`crate::Heap::mark`]. Coalescing
     /// must never suppress an append whose covering record lies before the
     /// latest mark — a rollback to that mark would then miss the location.
-    /// `Cell` because `mark` takes `&self`.
-    barrier: Cell<u32>,
+    barrier: u32,
     /// Incremental word-fold digest over every live record (header scalars
     /// and payload bytes), maintained at append/pop time with no allocations.
     /// [`Journal::verify`] recomputes it from scratch before a rollback
@@ -777,7 +775,7 @@ impl Journal {
             records: Vec::new(),
             arena: Arena::new(),
             index: CoalesceIndex::new(),
-            barrier: Cell::new(0),
+            barrier: 0,
             digest: FNV_OFFSET,
         }
     }
@@ -876,18 +874,15 @@ impl Journal {
 
     /// Called from `Heap::mark`: raises the coalescing barrier so records
     /// before the new mark no longer justify skipping appends.
-    pub(crate) fn note_mark(&self) {
-        let len = off_u32(self.records.len());
-        if len > self.barrier.get() {
-            self.barrier.set(len);
-        }
+    pub(crate) fn note_mark(&mut self) {
+        self.barrier = self.barrier.max(off_u32(self.records.len()));
     }
 
     /// Drops all coalescing knowledge (after rollback, discard, or a logging
     /// span boundary).
     pub(crate) fn invalidate_coalescing(&mut self) {
         self.index.invalidate_all();
-        self.barrier.set(off_u32(self.records.len()));
+        self.barrier = off_u32(self.records.len());
     }
 
     fn next_pos(&self) -> u32 {
@@ -898,17 +893,17 @@ impl Journal {
 
     pub(crate) fn cell_covered<T>(&self, obj: u32) -> bool {
         self.index
-            .lookup(obj, SLOT_WHOLE, size_of::<T>() as u32, self.barrier.get())
+            .lookup(obj, SLOT_WHOLE, size_of::<T>() as u32, self.barrier)
     }
 
     pub(crate) fn vec_covered<T>(&self, obj: u32, index: usize) -> bool {
         self.index
-            .lookup(obj, index as u64, size_of::<T>() as u32, self.barrier.get())
+            .lookup(obj, index as u64, size_of::<T>() as u32, self.barrier)
     }
 
     pub(crate) fn buf_covered(&self, obj: u32, offset: usize, write_len: usize) -> bool {
         self.index
-            .lookup(obj, offset as u64, off_u32(write_len), self.barrier.get())
+            .lookup(obj, offset as u64, off_u32(write_len), self.barrier)
     }
 
     // -- appends ------------------------------------------------------------

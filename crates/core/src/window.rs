@@ -163,7 +163,7 @@ impl RecoveryWindow {
         self.scoped_sends = false;
         self.last_close = None;
         self.stats.opens += 1;
-        heap.trace_emit(TraceEvent::WindowOpen);
+        heap.trace_stage().push(TraceEvent::WindowOpen);
     }
 
     /// Begins processing a request *without* opening a window (baseline
@@ -206,7 +206,7 @@ impl RecoveryWindow {
             CloseReason::Manual => self.stats.closed_manually += 1,
         }
         self.last_close = Some((reason.code(), class));
-        heap.trace_emit(TraceEvent::WindowClose {
+        heap.trace_stage().push(TraceEvent::WindowClose {
             reason: reason.code(),
             class,
         });
@@ -223,7 +223,7 @@ impl RecoveryWindow {
         if was_open {
             // Mid-handler closes already recorded their own WindowClose.
             self.last_close = Some((CloseCode::Completed, SeepClassCode::None));
-            heap.trace_emit(TraceEvent::WindowClose {
+            heap.trace_stage().push(TraceEvent::WindowClose {
                 reason: CloseCode::Completed,
                 class: SeepClassCode::None,
             });
@@ -247,7 +247,7 @@ impl RecoveryWindow {
                 self.state = State::Idle;
                 self.stats.rollbacks += 1;
                 self.last_close = Some((CloseCode::Rollback, SeepClassCode::None));
-                heap.trace_emit(TraceEvent::WindowClose {
+                heap.trace_stage().push(TraceEvent::WindowClose {
                     reason: CloseCode::Rollback,
                     class: SeepClassCode::None,
                 });

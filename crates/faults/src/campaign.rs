@@ -306,7 +306,7 @@ impl InjectionRecord {
         ];
         let class = classify_run(outcome, violations, m.quarantines);
         let blackbox = (class == Outcome::Crash).then(|| {
-            let tail = os.trace_handle().with(|t| t.tail_per_comp(12));
+            let tail = os.tracer().tail_per_comp(12);
             osiris_trace::render_text(&tail, &os.kernel().trace_names())
         });
         let [span_latency_clean, span_latency_recovery] = os.kernel().span_latency();

@@ -50,8 +50,8 @@ use osiris_trace::Json;
 
 use crate::campaign::{kind_label, model_label, site_digest128, Campaign, InjectionRecord};
 use crate::{
-    plan_faults, run_parallel, DoubleInjector, FaultKind, FaultModel, FaultPlan, Injector, Outcome,
-    SiteId, SiteProfile,
+    plan_faults, run_parallel, site_key, DoubleInjector, FaultKind, FaultModel, FaultPlan,
+    Injector, Outcome, SiteId, SiteKey, SiteProfile,
 };
 
 /// The five core servers eligible for fail-stop injection (paper order).
@@ -579,7 +579,7 @@ impl StepProfile {
 /// `before_step` callback.
 #[derive(Clone, Default)]
 pub struct StepProfiler {
-    shared: Arc<Mutex<(usize, StepProfile)>>,
+    shared: Arc<Mutex<(usize, BTreeMap<SiteKey, SiteObs>)>>,
 }
 
 impl std::fmt::Debug for StepProfiler {
@@ -594,23 +594,21 @@ impl StepProfiler {
         self.shared.lock().expect("profiler lock").0 = step;
     }
 
-    /// A clone of the accumulated profile.
+    /// The accumulated profile.
     pub fn profile(&self) -> StepProfile {
-        self.shared.lock().expect("profiler lock").1.clone()
+        let sites = &self.shared.lock().expect("profiler lock").1;
+        StepProfile {
+            sites: sites.iter().map(|(&k, &obs)| (k.into(), obs)).collect(),
+        }
     }
 }
 
 impl FaultHook for StepProfiler {
     fn on_site(&mut self, probe: &Probe) -> FaultEffect {
         let mut guard = self.shared.lock().expect("profiler lock");
-        let (step, profile) = &mut *guard;
-        let id = SiteId {
-            component: probe.component.to_string(),
-            site: probe.site.to_string(),
-            kind: probe.kind.into(),
-        };
+        let (step, sites) = &mut *guard;
         let step = *step;
-        let obs = profile.sites.entry(id).or_insert(SiteObs {
+        let obs = sites.entry(site_key(probe)).or_insert(SiteObs {
             count: 0,
             first_step: step,
             last_step: step,

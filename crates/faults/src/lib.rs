@@ -74,6 +74,26 @@ impl From<SiteKind> for SiteKindTag {
     }
 }
 
+/// A site as the profiling hooks count it: the probe's own `&'static str`s,
+/// so a probe of a seen site allocates nothing. Tuples order field by
+/// field, as [`SiteId`]'s derived order does.
+pub(crate) type SiteKey = (&'static str, &'static str, SiteKindTag);
+
+/// The key of the site `probe` reports.
+pub(crate) fn site_key(probe: &Probe) -> SiteKey {
+    (probe.component, probe.site, probe.kind.into())
+}
+
+impl From<SiteKey> for SiteId {
+    fn from((component, site, kind): SiteKey) -> Self {
+        SiteId {
+            component: component.to_string(),
+            site: site.to_string(),
+            kind,
+        }
+    }
+}
+
 /// Execution counts per site, from a profiling run.
 #[derive(Clone, Debug, Default)]
 pub struct SiteProfile {
@@ -121,7 +141,7 @@ impl SiteProfile {
 /// the hook itself is owned by the kernel.
 #[derive(Clone, Default)]
 pub struct Recorder {
-    shared: Arc<Mutex<SiteProfile>>,
+    shared: Arc<Mutex<BTreeMap<SiteKey, u64>>>,
 }
 
 impl fmt::Debug for Recorder {
@@ -138,24 +158,17 @@ impl Recorder {
 
     /// Snapshot of the recorded profile.
     pub fn profile(&self) -> SiteProfile {
-        self.shared.lock().expect("recorder lock").clone()
+        let counts = self.shared.lock().expect("recorder lock");
+        SiteProfile {
+            counts: counts.iter().map(|(&k, &n)| (k.into(), n)).collect(),
+        }
     }
 }
 
 impl FaultHook for Recorder {
     fn on_site(&mut self, probe: &Probe) -> FaultEffect {
-        let id = SiteId {
-            component: probe.component.to_string(),
-            site: probe.site.to_string(),
-            kind: probe.kind.into(),
-        };
-        *self
-            .shared
-            .lock()
-            .expect("recorder lock")
-            .counts
-            .entry(id)
-            .or_insert(0) += 1;
+        let mut counts = self.shared.lock().expect("recorder lock");
+        *counts.entry(site_key(probe)).or_insert(0) += 1;
         FaultEffect::None
     }
 }

@@ -320,14 +320,15 @@ impl<'a, P: Protocol> Ctx<'a, P> {
         let meta = msg.seep;
         self.window.on_send(self.policy, &meta, self.heap);
         self.charge(cost::IPC_SEND);
-        self.heap.trace_emit(osiris_trace::TraceEvent::IpcSend {
+        let sent = osiris_trace::TraceEvent::IpcSend {
             dst: match msg.dst {
                 Endpoint::Component(c) => c,
                 _ => osiris_trace::KERNEL_COMP,
             },
             msg_id: msg.id.0,
             class: meta.class.code(),
-        });
+        };
+        self.heap.trace_stage().push(sent);
         self.scratch.out.push(msg);
     }
 

@@ -63,6 +63,7 @@ impl<P: Protocol> Kernel<P> {
         comp.server.on_restore(&mut comp.heap);
         self.metrics.inc(comp.stats.recoveries);
         self.metrics.inc(action);
+        self.drain_stage(t);
     }
 
     /// Fault capture: component `idx`'s handler unwound while serving `msg`
@@ -153,7 +154,7 @@ impl<P: Protocol> Kernel<P> {
             }
             Effect::Resolve(comp) => self.resolve_intent(comp),
             Effect::Redrive(comp) | Effect::Complete(comp) => {
-                self.tracer.set_now(self.clock.now());
+                self.stamp();
                 self.seal(AxiomEvent::IntentReplayed { comp });
                 if effect == Effect::Redrive(comp) {
                     self.metrics.inc(self.counters.intent_replays);
@@ -172,7 +173,7 @@ impl<P: Protocol> Kernel<P> {
     fn restart_rs(&mut self) -> Option<u8> {
         let rs = self.rs_ep?;
         if self.control.status(rs) == CompStatusCode::Hung {
-            self.tracer.set_now(self.clock.now());
+            self.stamp();
             self.mark_crashed(rs);
         }
         self.execute_recovery(rs);
@@ -226,7 +227,7 @@ impl<P: Protocol> Kernel<P> {
                 PrivOp::Recover { target } => self.execute_recovery(target),
                 PrivOp::KillHung { target } => {
                     if self.control.status(target) == CompStatusCode::Hung {
-                        self.tracer.set_now(self.clock.now());
+                        self.stamp();
                         self.mark_crashed(target);
                         self.execute_recovery(target);
                     }
@@ -258,17 +259,15 @@ impl<P: Protocol> Kernel<P> {
                     let stats = self.comps[target as usize].stats;
                     self.metrics
                         .set(stats.escalation_restarts_window, restarts_in_window as u64);
-                    self.tracer.set_now(self.clock.now());
+                    self.stamp();
                     if backoff > 0 {
                         self.metrics.inc(stats.escalation_backoff_arms);
                         let delay = backoff;
-                        self.tracer
-                            .emit(KERNEL_COMP, TraceEvent::BackoffArmed { target, delay });
+                        self.emit(KERNEL_COMP, TraceEvent::BackoffArmed { target, delay });
                     }
                     if exhausted {
                         self.metrics.inc(stats.escalation_budget_exhausted);
-                        self.tracer
-                            .emit(KERNEL_COMP, TraceEvent::BudgetExhausted { target });
+                        self.emit(KERNEL_COMP, TraceEvent::BudgetExhausted { target });
                     }
                 }
             }
@@ -315,7 +314,7 @@ impl<P: Protocol> Kernel<P> {
     /// requests are bounced by [`Kernel::bounce_quarantined_mail`].
     fn execute_quarantine(&mut self, target: u8) {
         let t = target as usize;
-        self.tracer.set_now(self.clock.now());
+        self.stamp();
         if let Some(pending) = self.comps[t].crash_info.take() {
             self.send_crash_reply(target, pending.msg);
         }
@@ -342,7 +341,7 @@ impl<P: Protocol> Kernel<P> {
             while let Some(msg) = self.comps[idx].inbox.pop_front() {
                 if msg.seep.kind == MessageKind::Request {
                     self.metrics.inc(self.comps[idx].stats.quarantine_refusals);
-                    self.tracer.set_now(self.clock.now());
+                    self.stamp();
                     self.send_crash_reply(idx as u8, msg);
                 }
             }
@@ -389,7 +388,7 @@ impl<P: Protocol> Kernel<P> {
             }
             _ => c.fb_fresh_shutdown,
         });
-        self.tracer.set_now(self.clock.now());
+        self.stamp();
         self.seal(AxiomEvent::RecoveryFallback {
             comp: target,
             from,
@@ -438,7 +437,7 @@ impl<P: Protocol> Kernel<P> {
             self.execute(conduct(&self.control, self.rs_ep, Input::Recovered(target)));
             return;
         };
-        self.tracer.set_now(self.clock.now());
+        self.stamp();
         let mut decision = decide_recovery(self.cfg.policy.as_ref(), &pending.ctx);
         if pending.quiescent && !system_survives(decision.action) {
             // The watchdog declared this component dead between requests:
@@ -527,6 +526,7 @@ impl<P: Protocol> Kernel<P> {
                         action = self.fall_back(target, action, false);
                         continue;
                     };
+                    self.drain_stage(t);
                     self.metrics
                         .add(self.counters.restart_chunks_clean, stats.clean_chunks);
                     self.metrics
@@ -535,7 +535,7 @@ impl<P: Protocol> Kernel<P> {
                     // copied, not to the resident heap size.
                     recovery_cycles += cost::RESTART_BASE
                         + (stats.bytes_restored as u64 / 1024) * cost::RESTART_PER_KB;
-                    self.tracer.emit(
+                    self.emit(
                         KERNEL_COMP,
                         TraceEvent::CowRestore {
                             target,
@@ -544,6 +544,7 @@ impl<P: Protocol> Kernel<P> {
                             bytes: stats.bytes_restored.min(u32::MAX as usize) as u32,
                         },
                     );
+                    let comp = &mut self.comps[t];
                     comp.window.complete(&mut comp.heap);
                     self.restart_server(t, self.counters.recovered_fresh);
                     break;
@@ -587,7 +588,7 @@ impl<P: Protocol> Kernel<P> {
         self.metrics
             .add(self.counters.recovery_cycles, recovery_cycles);
         self.clock.advance(recovery_cycles);
-        self.tracer.set_now(self.clock.now());
+        self.stamp();
         // The rollback/complete above staged a window close for the
         // in-flight request; seal it before declaring the recovery done so
         // the axiom's event order matches the causal order.

@@ -155,7 +155,7 @@ impl<P: Protocol> Kernel<P> {
         }
         self.control = state;
         self.axiom = log;
-        self.tracer.set_now(self.clock.now());
+        self.stamp();
     }
 }
 
@@ -194,6 +194,7 @@ impl<P: Protocol + Clone> Kernel<P> {
             self.wd.is_idle(),
             "snapshot with armed watchdog deadlines or parked retries"
         );
+        debug_assert!(self.stages_drained());
         let comps = self
             .comps
             .iter()

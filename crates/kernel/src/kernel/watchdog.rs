@@ -256,7 +256,7 @@ impl<P: Protocol> Kernel<P> {
         self.wd.armed += 1;
         self.wd.next_due = self.wd.next_due.min(now + budget);
         self.metrics.inc(self.counters.wd_armed_total);
-        self.tracer.emit(
+        self.emit(
             dst,
             TraceEvent::DeadlineArmed {
                 target: dst,
@@ -367,7 +367,7 @@ impl<P: Protocol> Kernel<P> {
             // ladder is engaged, a second preemption would only amplify.
             return;
         }
-        self.tracer.set_now(self.clock.now());
+        self.stamp();
         let carrier = self.kernel_msg(target, None, P::crash_reply());
         let ctx = CrashContext {
             window_open: self.comps[t].window.is_open(),
@@ -399,7 +399,7 @@ impl<P: Protocol> Kernel<P> {
             return;
         }
         let now = self.clock.now();
-        self.tracer.set_now(now);
+        self.stamp();
         if now < self.wd.next_due {
             return;
         }
@@ -459,8 +459,7 @@ impl<P: Protocol> Kernel<P> {
         slot.state = WdState::Probing { until, probes };
         let (target, msg_id) = (slot.dst, slot.msg_id);
         self.metrics.inc(self.counters.wd_probes);
-        self.tracer
-            .emit(target, TraceEvent::WatchdogProbe { target, msg_id });
+        self.emit(target, TraceEvent::WatchdogProbe { target, msg_id });
     }
 
     /// Issues the verdict for an expired or probing slot `i` at time `now`.
@@ -554,7 +553,7 @@ impl<P: Protocol> Kernel<P> {
         });
         if granted {
             self.metrics.inc(self.counters.retry_granted);
-            self.tracer.emit(
+            self.emit(
                 from,
                 TraceEvent::RetryScheduled {
                     target: from,
@@ -574,8 +573,7 @@ impl<P: Protocol> Kernel<P> {
             if !budget_left {
                 self.metrics.inc(self.counters.retry_exhausted);
                 let target = from;
-                self.tracer
-                    .emit(from, TraceEvent::RetryExhausted { target, msg_id });
+                self.emit(from, TraceEvent::RetryExhausted { target, msg_id });
             }
             Some(failed)
         }
@@ -610,7 +608,7 @@ impl<P: Protocol> Kernel<P> {
             .remove(&key)
             .expect("retry key just observed");
         self.clock.advance_to(key.0);
-        self.tracer.set_now(self.clock.now());
+        self.stamp();
         let Endpoint::Component(c) = msg.dst else {
             return;
         };

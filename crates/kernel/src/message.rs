@@ -52,11 +52,8 @@ pub struct SpanInfo {
     pub epoch_at_open: u64,
     /// Whether any telemetry sink (tracer or metrics registry) was enabled
     /// when the span was minted. Record sites downstream of the mint branch
-    /// on this plain bool instead of re-consulting the handles' shared
-    /// atomics, so a fully disabled configuration pays one predictable
-    /// branch per hop — the same caching discipline `Heap::set_tracer`
-    /// documents for the undo path. A toggle mid-flight takes effect for
-    /// spans minted after it.
+    /// on this plain bool instead of re-consulting both sinks, so a fully
+    /// disabled configuration pays one predictable branch per hop.
     pub record: bool,
 }
 

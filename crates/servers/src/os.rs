@@ -348,8 +348,8 @@ impl Os {
         &self.kernel
     }
 
-    /// The flight recorder attached to the kernel.
-    pub fn trace_handle(&self) -> &osiris_trace::TraceHandle {
+    /// The kernel's flight recorder.
+    pub fn tracer(&self) -> &osiris_trace::Tracer {
         self.kernel.tracer()
     }
 

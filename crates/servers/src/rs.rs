@@ -200,8 +200,9 @@ impl Server<OsMsg> for RecoveryServer {
                 // once the quarantine cap is hit the system shuts down in a
                 // controlled fashion rather than thrash forever.
                 ctx.site("rs.recover.notify");
-                ctx.heap_ref()
-                    .trace_emit(osiris_trace::TraceEvent::RsCrashNotified { target: *target });
+                ctx.heap()
+                    .trace_stage()
+                    .push(osiris_trace::TraceEvent::RsCrashNotified { target: *target });
                 let now = ctx.now();
                 let policy = self.escalation;
                 let mut benched = 0u32;

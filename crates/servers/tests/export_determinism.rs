@@ -140,7 +140,7 @@ fn faulted_exports_are_byte_identical_and_record_recovery() {
 fn disabled_tracer_records_nothing() {
     let (_, os) = run_suite_with(OsConfig::with_policy(PolicyKind::Enhanced), None);
     assert!(os.trace_text().is_empty());
-    assert!(os.trace_handle().with(|t| t.is_empty()));
+    assert!(os.tracer().is_empty());
 }
 
 /// A disabled registry still lists every family and reads zero through all
@@ -238,7 +238,7 @@ fn span_ids_mint_from_one_after_boot() {
     assert!(outcome.completed(), "short run must complete: {outcome:?}");
     let os = host.into_engine();
     let opens: Vec<u64> = os
-        .trace_handle()
+        .tracer()
         .snapshot()
         .iter()
         .filter_map(|r| match r.event {
@@ -250,7 +250,7 @@ fn span_ids_mint_from_one_after_boot() {
     assert_eq!(opens[0], 1, "span ids are minted from 1 after boot");
     // Every closed span must have been opened in this run (no stale ids
     // from boot or a previous epoch).
-    for r in os.trace_handle().snapshot() {
+    for r in os.tracer().snapshot() {
         if let TraceEvent::SpanClose { span, .. } = r.event {
             assert!(opens.contains(&span), "close without open: span {span}");
         }

@@ -1,8 +1,8 @@
-//! Tracer behavior: ring wraparound, filtering, sequence numbers, and the
-//! black-box tail.
+//! Tracer behavior: ring wraparound, filtering, sequence numbers, the
+//! black-box tail, and stages appended in order.
 
 use osiris_trace::{
-    render_text, Category, CategoryMask, Severity, TraceConfig, TraceEvent, TraceHandle,
+    render_text, Category, CategoryMask, Severity, Stage, TraceConfig, TraceEvent, Tracer,
 };
 
 fn cfg(capacity: usize) -> TraceConfig {
@@ -15,7 +15,7 @@ fn cfg(capacity: usize) -> TraceConfig {
 
 #[test]
 fn ring_wraps_and_keeps_newest() {
-    let h = TraceHandle::new(cfg(4));
+    let mut h = Tracer::new(cfg(4));
     for i in 0..10u64 {
         h.set_now(i);
         h.emit(0, TraceEvent::IpcDeliver { src: 1, msg_id: i });
@@ -32,15 +32,13 @@ fn ring_wraps_and_keeps_newest() {
         .collect();
     assert_eq!(ids, vec![6, 7, 8, 9]);
     assert_eq!(snap[0].now, 6);
-    h.with(|t| {
-        assert!(t.has_wrapped());
-        assert_eq!(t.total_recorded(), 10);
-    });
+    assert!(h.has_wrapped());
+    assert_eq!(h.total_recorded(), 10);
 }
 
 #[test]
 fn per_component_sequence_numbers() {
-    let h = TraceHandle::new(cfg(16));
+    let mut h = Tracer::new(cfg(16));
     h.emit(0, TraceEvent::WindowOpen);
     h.emit(1, TraceEvent::WindowOpen);
     h.emit(0, TraceEvent::UndoCoalesce);
@@ -52,7 +50,7 @@ fn per_component_sequence_numbers() {
 
 #[test]
 fn category_filter_drops_unselected_events() {
-    let h = TraceHandle::new(TraceConfig {
+    let mut h = Tracer::new(TraceConfig {
         categories: CategoryMask::of(&[Category::Window]),
         ..cfg(16)
     });
@@ -75,7 +73,7 @@ fn category_filter_drops_unselected_events() {
 
 #[test]
 fn severity_filter_drops_low_severity() {
-    let h = TraceHandle::new(TraceConfig {
+    let mut h = Tracer::new(TraceConfig {
         min_severity: Severity::Warn,
         ..cfg(16)
     });
@@ -88,15 +86,15 @@ fn severity_filter_drops_low_severity() {
 
 #[test]
 fn zero_capacity_counts_but_stores_nothing() {
-    let h = TraceHandle::new(cfg(0));
+    let mut h = Tracer::new(cfg(0));
     h.emit(0, TraceEvent::WindowOpen);
     assert!(h.snapshot().is_empty());
-    h.with(|t| assert_eq!(t.total_recorded(), 1));
+    assert_eq!(h.total_recorded(), 1);
 }
 
 #[test]
 fn blackbox_tail_is_per_component() {
-    let h = TraceHandle::new(TraceConfig {
+    let mut h = Tracer::new(TraceConfig {
         blackbox_tail: 2,
         ..cfg(64)
     });
@@ -116,7 +114,7 @@ fn blackbox_tail_is_per_component() {
 
 #[test]
 fn render_text_is_deterministic_and_named() {
-    let h = TraceHandle::new(cfg(8));
+    let mut h = Tracer::new(cfg(8));
     h.set_now(42);
     h.emit(0, TraceEvent::WindowOpen);
     h.emit(
@@ -133,14 +131,51 @@ fn render_text_is_deterministic_and_named() {
 }
 
 #[test]
-fn enable_toggle() {
-    let h = TraceHandle::new(TraceConfig::default());
-    h.emit(0, TraceEvent::WindowOpen);
-    assert!(h.snapshot().is_empty());
-    h.set_enabled(true);
-    h.emit(0, TraceEvent::WindowOpen);
-    assert_eq!(h.snapshot().len(), 1);
-    h.set_enabled(false);
-    h.emit(0, TraceEvent::WindowOpen);
-    assert_eq!(h.snapshot().len(), 1);
+fn appended_stage_equals_direct_emits() {
+    // Two components' events, one of them staged: appended before the next
+    // restamp, the records equal those of emitting each directly.
+    let events = [
+        (1, TraceEvent::WindowOpen),
+        (1, TraceEvent::UndoAppend { bytes: 8 }),
+        (1, TraceEvent::UndoCoalesce),
+    ];
+    let mut direct = Tracer::new(cfg(16));
+    let mut staged = Tracer::new(cfg(16));
+    let mut stage = Stage::new(staged.config());
+    for t in [&mut direct, &mut staged] {
+        t.set_now(5);
+        t.emit(0, TraceEvent::IpcDeliver { src: 1, msg_id: 1 });
+    }
+    for (comp, e) in events {
+        direct.emit(comp, e);
+        stage.push(e);
+    }
+    assert_eq!(stage.len(), 3);
+    staged.append(1, &mut stage);
+    assert!(stage.is_empty());
+    for t in [&mut direct, &mut staged] {
+        t.set_now(9);
+        t.emit(1, TraceEvent::Crash { target: 1 });
+    }
+    assert_eq!(direct.snapshot(), staged.snapshot());
+    assert_eq!(staged.snapshot()[3].seq, 2);
+}
+
+#[test]
+fn ring_filters_a_stage_when_appending_it() {
+    let mut t = Tracer::new(TraceConfig {
+        categories: CategoryMask::of(&[Category::Window]),
+        ..cfg(16)
+    });
+    let mut stage = Stage::new(t.config());
+    stage.push(TraceEvent::UndoAppend { bytes: 8 });
+    stage.push(TraceEvent::WindowOpen);
+    assert_eq!(stage.len(), 2);
+    t.append(0, &mut stage);
+    let snap = t.snapshot();
+    assert_eq!(snap.len(), 1);
+    assert_eq!((snap[0].event, snap[0].seq), (TraceEvent::WindowOpen, 0));
+    let mut off = Stage::new(&TraceConfig::default());
+    off.push(TraceEvent::WindowOpen);
+    assert!(off.is_empty());
 }

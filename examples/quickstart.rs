@@ -109,7 +109,7 @@ fn main() {
     os.verify_axiom().expect("axiom chain intact");
     println!(
         "exports:   {} trace events, {} sampled points, {} chained axiom events -> {}",
-        os.trace_handle().with(|t| t.len()),
+        os.tracer().len(),
         os.timeseries().len(),
         os.axiom().len(),
         dir.display()

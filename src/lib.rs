@@ -72,5 +72,5 @@ pub use osiris_kernel::{
 pub use osiris_metrics::{MetricsConfig, Registry};
 pub use osiris_monolith::Monolith;
 pub use osiris_servers::{Os, OsConfig};
-pub use osiris_trace::{TraceConfig, TraceEvent, TraceHandle};
+pub use osiris_trace::{TraceConfig, TraceEvent, Tracer};
 pub use osiris_workloads::{Host, ProgramRegistry, Sys};
