@@ -22,6 +22,11 @@ if grep -rn 'Atomic\|Mutex' crates/metrics/src ||
     exit 1
 fi
 
+echo "== metrics are a fold: the kernel names no series and writes none; osiris_metrics::SeriesFold does =="
+if grep -rnE 'CounterId|GaugeId|HistId|series_table!|\.(inc|observe|set_max)\(' crates/kernel/src; then
+    exit 1
+fi
+
 echo "== one run token: the RCB spawns no thread and owns no channel; the process host has no channel =="
 if grep -rnE 'thread::(spawn|Builder|scope)|mpsc' crates/{kernel,core,checkpoint,cothread}/src ||
     grep -n 'mpsc\|channel(' crates/workloads/src/host.rs; then

@@ -144,13 +144,16 @@ mod tests {
         assert!(pct > 1.0 && pct < 60.0, "rcb {}%", pct);
     }
 
-    /// The process host is a workload driver and left the kernel crate in
-    /// PR 21 (8,860 lines, 27.7 % before); only the engine contract stays.
+    /// The process host is a workload driver and the metric series are a
+    /// fold in `osiris-metrics`: neither is trusted code, so neither lives
+    /// in the kernel crate.
     #[test]
     fn rcb_stays_under_its_ceiling() {
         let report = count_workspace_loc();
-        assert!(report.rcb_total() <= 7_970, "rcb {}", report.rcb_total());
-        assert!(report.rcb_pct() < 26.0, "rcb {}%", report.rcb_pct());
+        let kernel = report.crates.iter().find(|c| c.name == "kernel").unwrap();
+        assert!(kernel.loc <= 2_800, "kernel {}", kernel.loc);
+        assert!(report.rcb_total() <= 7_500, "rcb {}", report.rcb_total());
+        assert!(report.rcb_pct() < 25.0, "rcb {}%", report.rcb_pct());
     }
 
     #[test]

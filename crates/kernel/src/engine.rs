@@ -9,7 +9,6 @@ use std::collections::BTreeMap;
 
 use crate::abi::{Pid, SysReply, Syscall};
 use crate::message::SyscallId;
-use crate::metrics::ShutdownKind;
 
 /// A simulated operating system, as seen by the process host.
 ///
@@ -53,5 +52,23 @@ impl RunOutcome {
     /// Whether the run completed (regardless of exit codes).
     pub fn completed(&self) -> bool {
         matches!(self, RunOutcome::Completed { .. })
+    }
+}
+
+/// How the system ended.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ShutdownKind {
+    /// A controlled shutdown: consistency could not be guaranteed, so the
+    /// system stopped itself cleanly (paper §IV-C).
+    Controlled(String),
+    /// An uncontrolled crash: a fault the recovery machinery could not
+    /// contain (e.g. a second fault during recovery).
+    Crash(String),
+}
+
+impl ShutdownKind {
+    /// Whether this was the controlled variant.
+    pub fn is_controlled(&self) -> bool {
+        matches!(self, ShutdownKind::Controlled(_))
     }
 }

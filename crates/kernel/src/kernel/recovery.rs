@@ -14,7 +14,7 @@ use osiris_core::{
     conduct, decide_recovery, system_survives, ActionCode, CrashContext, Effect, Input,
     MessageKind, RecoveryDecision,
 };
-use osiris_metrics::{CounterId, Registry};
+use osiris_metrics::{Note, Restart};
 use osiris_trace::{TraceEvent, KERNEL_COMP};
 
 use super::Kernel;
@@ -38,22 +38,18 @@ pub(super) struct PendingCrash<P> {
     pub(super) quiescent: bool,
 }
 
-/// Counts one pre-recovery integrity check and reports whether it passed.
-fn integrity_ok<E>(
-    metrics: &mut Registry,
-    check: Result<(), E>,
-    ok: CounterId,
-    corrupt: CounterId,
-) -> bool {
-    metrics.inc(if check.is_ok() { ok } else { corrupt });
-    check.is_ok()
-}
-
 impl<P: Protocol> Kernel<P> {
+    /// Notes one pre-recovery integrity check and reports whether it passed.
+    fn checked<E>(&mut self, image: bool, check: Result<(), E>) -> bool {
+        let ok = check.is_ok();
+        self.series.note(Note::Checked { image, ok });
+        ok
+    }
+
     /// The tail every recovering action shares: a fresh server object cloned
     /// from the pristine one, re-bound to the heap as the action left it,
-    /// counted as a recovery of the component and under its `action`.
-    fn restart_server(&mut self, t: usize, action: CounterId) {
+    /// noted as a restart of the component that kept `how` much.
+    fn restart_server(&mut self, t: usize, how: Restart) {
         let comp = &mut self.comps[t];
         comp.server = comp
             .pristine_server
@@ -61,9 +57,8 @@ impl<P: Protocol> Kernel<P> {
             .expect("pristine captured at init")
             .clone_box();
         comp.server.on_restore(&mut comp.heap);
-        self.metrics.inc(comp.stats.recoveries);
-        self.metrics.inc(action);
         self.drain_stage(t);
+        self.series.note(Note::Restarted { comp: t as u8, how });
     }
 
     /// Fault capture: component `idx`'s handler unwound while serving `msg`
@@ -88,7 +83,6 @@ impl<P: Protocol> Kernel<P> {
         let input = if hung {
             // The component is wedged: it stops processing messages until
             // its detector declares it dead.
-            self.metrics.inc(self.counters.hangs);
             self.seal(AxiomEvent::HangDetected { comp });
             Input::Hang(comp)
         } else {
@@ -111,11 +105,10 @@ impl<P: Protocol> Kernel<P> {
         self.execute(conduct(&self.control, self.rs_ep, input));
     }
 
-    /// Marks `target` fail-stopped: the crash tally and the sealed `Crash`
-    /// event, which the control state folds into its status. The caller
-    /// owns its pending crash and its recovery.
+    /// Marks `target` fail-stopped: the sealed `Crash` event, which the
+    /// control state folds into its status. The caller owns its pending
+    /// crash and its recovery.
     pub(super) fn mark_crashed(&mut self, target: u8) {
-        self.metrics.inc(self.comps[target as usize].stats.crashes);
         self.seal(AxiomEvent::Crash { comp: target });
     }
 
@@ -156,11 +149,11 @@ impl<P: Protocol> Kernel<P> {
             Effect::Redrive(comp) | Effect::Complete(comp) => {
                 self.stamp();
                 self.seal(AxiomEvent::IntentReplayed { comp });
-                if effect == Effect::Redrive(comp) {
-                    self.metrics.inc(self.counters.intent_replays);
+                let redriven = effect == Effect::Redrive(comp);
+                self.series.note(Note::IntentReplay { redriven });
+                if redriven {
                     self.notify_rs(comp);
                 } else {
-                    self.metrics.inc(self.counters.intent_completed);
                     self.execute_recovery(comp);
                 }
             }
@@ -256,17 +249,12 @@ impl<P: Protocol> Kernel<P> {
                         backoff,
                         exhausted,
                     });
-                    let stats = self.comps[target as usize].stats;
-                    self.metrics
-                        .set(stats.escalation_restarts_window, restarts_in_window as u64);
                     self.stamp();
                     if backoff > 0 {
-                        self.metrics.inc(stats.escalation_backoff_arms);
                         let delay = backoff;
                         self.emit(KERNEL_COMP, TraceEvent::BackoffArmed { target, delay });
                     }
                     if exhausted {
-                        self.metrics.inc(stats.escalation_budget_exhausted);
                         self.emit(KERNEL_COMP, TraceEvent::BudgetExhausted { target });
                     }
                 }
@@ -283,28 +271,18 @@ impl<P: Protocol> Kernel<P> {
     /// heap that diverged from the pristine image skips the refresh (the
     /// spare copy must stay pristine).
     fn refresh_image(&mut self, target: u8) -> bool {
-        let Kernel {
-            comps,
-            cas,
-            counters,
-            metrics,
-            control,
-            ..
-        } = self;
-        let alive = control.status(target) == CompStatusCode::Alive;
-        let comp = &mut comps[target as usize];
+        let alive = self.control.status(target) == CompStatusCode::Alive;
+        let comp = &mut self.comps[target as usize];
         let prev = match comp.pristine_image.take() {
             Some(prev) if alive && comp.heap.clean_for(&prev) => prev,
             kept => {
                 comp.pristine_image = kept;
-                metrics.inc(counters.pool_refresh_skipped);
                 return false;
             }
         };
-        let fresh = comp.heap.clone_image(cas, Some(&prev));
-        prev.release(cas);
+        let fresh = comp.heap.clone_image(&mut self.cas, Some(&prev));
+        prev.release(&mut self.cas);
         comp.pristine_image = Some(fresh);
-        metrics.inc(counters.pool_refreshed);
         true
     }
 
@@ -318,7 +296,6 @@ impl<P: Protocol> Kernel<P> {
         if let Some(pending) = self.comps[t].crash_info.take() {
             self.send_crash_reply(target, pending.msg);
         }
-        self.metrics.inc(self.comps[t].stats.quarantines);
         // A benched component will never be restarted: return its clone
         // image's chunk references to the pool so shared chunks survive
         // only as long as some live component still needs them.
@@ -340,7 +317,7 @@ impl<P: Protocol> Kernel<P> {
             }
             while let Some(msg) = self.comps[idx].inbox.pop_front() {
                 if msg.seep.kind == MessageKind::Request {
-                    self.metrics.inc(self.comps[idx].stats.quarantine_refusals);
+                    self.series.note(Note::Refused { comp: idx as u8 });
                     self.stamp();
                     self.send_crash_reply(idx as u8, msg);
                 }
@@ -368,8 +345,8 @@ impl<P: Protocol> Kernel<P> {
     }
 
     /// Steps `from` one rung down the fallback chain the conduct decides
-    /// (`reconcile`: the reconciliation after it faulted), counting and
-    /// sealing the step, and returns the next action.
+    /// (`reconcile`: the reconciliation after it faulted), sealing the
+    /// step, and returns the next action.
     fn fall_back(&mut self, target: u8, from: ActionCode, reconcile: bool) -> ActionCode {
         let input = if reconcile {
             Input::ReconcileFailed
@@ -379,15 +356,6 @@ impl<P: Protocol> Kernel<P> {
         let Effect::Fallback(to) = conduct(&self.control, self.rs_ep, input) else {
             return from;
         };
-        let c = &self.counters;
-        self.metrics.inc(match from {
-            _ if reconcile => c.fb_reconcile_shutdown,
-            ActionCode::UncontrolledCrash => c.fb_crash_fresh,
-            ActionCode::RollbackErrorReply | ActionCode::RollbackKillRequester => {
-                c.fb_rollback_fresh
-            }
-            _ => c.fb_fresh_shutdown,
-        });
         self.stamp();
         self.seal(AxiomEvent::RecoveryFallback {
             comp: target,
@@ -404,7 +372,7 @@ impl<P: Protocol> Kernel<P> {
     /// blocking forever. The crashed component stays dead. The policy, the
     /// fallback chain and the escalation ladder all shut down through here.
     fn shut_down(&mut self, target: Option<u8>, reason: String) {
-        self.metrics.inc(self.counters.controlled_shutdowns);
+        self.series.note(Note::ControlledShutdown);
         let failed = target.and_then(|t| {
             self.resolve_intent(t);
             self.comps[t as usize].crash_info.take()
@@ -470,12 +438,7 @@ impl<P: Protocol> Kernel<P> {
                     action = self.fall_back(target, action, false);
                 }
                 ActionCode::RollbackErrorReply | ActionCode::RollbackKillRequester => {
-                    let journal_ok = integrity_ok(
-                        &mut self.metrics,
-                        self.comps[t].heap.verify_journal(),
-                        self.counters.journal_ok,
-                        self.counters.journal_corrupt,
-                    );
+                    let journal_ok = self.checked(false, self.comps[t].heap.verify_journal());
                     if !journal_ok || self.recovery_phase_faulted("kernel.recovery.rollback") {
                         action = self.fall_back(target, action, false);
                         continue;
@@ -493,7 +456,7 @@ impl<P: Protocol> Kernel<P> {
                     // Rollback phase: apply the undo log in reverse.
                     recovery_cycles += comp.heap.log_len() as u64 * cost::UNDO_ROLLBACK;
                     comp.window.rollback(&mut comp.heap);
-                    self.restart_server(t, self.counters.recovered_rollback);
+                    self.restart_server(t, Restart::Rollback);
                     break;
                 }
                 ActionCode::FreshRestart => {
@@ -501,12 +464,7 @@ impl<P: Protocol> Kernel<P> {
                         .pristine_image
                         .as_ref()
                         .expect("pristine captured at init");
-                    let image_ok = integrity_ok(
-                        &mut self.metrics,
-                        image.verify(),
-                        self.counters.image_ok,
-                        self.counters.image_corrupt,
-                    );
+                    let image_ok = self.checked(true, image.verify());
                     if !image_ok || self.recovery_phase_faulted("kernel.recovery.restart") {
                         action = self.fall_back(target, action, false);
                         continue;
@@ -522,15 +480,14 @@ impl<P: Protocol> Kernel<P> {
                         .as_ref()
                         .expect("pristine captured at init");
                     let Ok(stats) = comp.heap.restore_image(image, &self.cas) else {
-                        self.metrics.inc(self.counters.image_corrupt);
+                        self.series.note(Note::Checked {
+                            image: true,
+                            ok: false,
+                        });
                         action = self.fall_back(target, action, false);
                         continue;
                     };
                     self.drain_stage(t);
-                    self.metrics
-                        .add(self.counters.restart_chunks_clean, stats.clean_chunks);
-                    self.metrics
-                        .add(self.counters.restart_chunks_dirty, stats.dirty_chunks);
                     // Restart cost is proportional to the bytes actually
                     // copied, not to the resident heap size.
                     recovery_cycles += cost::RESTART_BASE
@@ -546,21 +503,15 @@ impl<P: Protocol> Kernel<P> {
                     );
                     let comp = &mut self.comps[t];
                     comp.window.complete(&mut comp.heap);
-                    self.restart_server(t, self.counters.recovered_fresh);
+                    self.restart_server(t, Restart::Fresh);
                     break;
                 }
                 ActionCode::ContinueAsIs => {
                     let comp = &mut self.comps[t];
                     recovery_cycles += cost::RESTART_BASE;
                     comp.window.complete(&mut comp.heap);
-                    self.restart_server(
-                        t,
-                        if pending.quiescent {
-                            self.counters.recovered_quiescent
-                        } else {
-                            self.counters.recovered_naive
-                        },
-                    );
+                    let kept = [Restart::Naive, Restart::Quiescent];
+                    self.restart_server(t, kept[usize::from(pending.quiescent)]);
                     break;
                 }
                 ActionCode::ControlledShutdown => {
@@ -585,8 +536,6 @@ impl<P: Protocol> Kernel<P> {
             }
         }
 
-        self.metrics
-            .add(self.counters.recovery_cycles, recovery_cycles);
         self.clock.advance(recovery_cycles);
         self.stamp();
         // The rollback/complete above staged a window close for the
@@ -600,8 +549,6 @@ impl<P: Protocol> Kernel<P> {
         // A completed recovery also advances the epoch, so spans opened
         // while the recovery was in flight are flagged at close.
         self.recovery_epoch += 1;
-        self.metrics
-            .observe(self.comps[t].stats.recovery_hist, recovery_cycles);
         self.execute(conduct(&self.control, self.rs_ep, Input::Recovered(target)));
 
         // Reconciliation phase: error virtualization — tell the requester

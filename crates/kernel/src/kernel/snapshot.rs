@@ -8,7 +8,7 @@ use std::collections::{BTreeMap, VecDeque};
 use osiris_axiom::{AxiomLog, CompStatusCode, ControlState};
 use osiris_checkpoint::{ChunkStore, HeapImage, HeapStats, RestoreStats};
 use osiris_core::RecoveryWindow;
-use osiris_metrics::{TimeseriesState, Values};
+use osiris_metrics::SeriesState;
 use osiris_trace::TracerState;
 
 use super::Kernel;
@@ -81,9 +81,8 @@ pub struct KernelSnapshot<P: Protocol> {
     rr_cursor: usize,
     axiom: AxiomLog,
     control: ControlState,
-    metrics: Values,
+    series: SeriesState,
     tracer: TracerState,
-    timeseries: TimeseriesState,
     cas: CasFingerprint,
 }
 
@@ -246,9 +245,8 @@ impl<P: Protocol + Clone> Kernel<P> {
             rr_cursor: self.rr_cursor,
             axiom: self.axiom.clone(),
             control: self.control.clone(),
-            metrics: self.metrics.values().clone(),
+            series: self.series.export_state(),
             tracer: self.tracer.export_state(),
-            timeseries: self.sampler.export_state(),
             cas: self.cas_fingerprint(),
         }
     }
@@ -353,9 +351,8 @@ impl<P: Protocol + Clone> Kernel<P> {
         self.hook = Box::new(NoFaults);
         self.axiom = snap.axiom.clone();
         self.control = snap.control.clone();
-        self.metrics.restore(&snap.metrics);
+        self.series.restore_state(&snap.series);
         self.tracer.restore_state(&snap.tracer);
-        self.sampler.restore_state(&snap.timeseries);
         total
     }
 }

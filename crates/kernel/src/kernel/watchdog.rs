@@ -13,6 +13,7 @@ use std::collections::BTreeMap;
 
 use osiris_axiom::{AxiomEvent, CompStatusCode, VerdictCode};
 use osiris_core::{CrashContext, MessageKind};
+use osiris_metrics::Note;
 use osiris_trace::TraceEvent;
 
 use super::recovery::PendingCrash;
@@ -255,7 +256,6 @@ impl<P: Protocol> Kernel<P> {
         });
         self.wd.armed += 1;
         self.wd.next_due = self.wd.next_due.min(now + budget);
-        self.metrics.inc(self.counters.wd_armed_total);
         self.emit(
             dst,
             TraceEvent::DeadlineArmed {
@@ -266,15 +266,8 @@ impl<P: Protocol> Kernel<P> {
         );
     }
 
-    /// Counts and seals one verdict on `comp`'s handling of `msg_id`.
+    /// Seals one verdict on `comp`'s handling of `msg_id`.
     fn seal_verdict(&mut self, comp: u8, msg_id: u64, verdict: VerdictCode) {
-        let c = &self.counters;
-        self.metrics.inc(match verdict {
-            VerdictCode::Hung => c.wd_verdict_hung,
-            VerdictCode::Slow => c.wd_verdict_slow,
-            VerdictCode::ReplyLost => c.wd_verdict_reply_lost,
-            VerdictCode::CorruptReply => c.wd_verdict_corrupt,
-        });
         self.seal(AxiomEvent::WatchdogVerdict {
             comp,
             verdict,
@@ -300,7 +293,6 @@ impl<P: Protocol> Kernel<P> {
             slot.state = WdState::Rejected;
             let (sender, msg_id) = (slot.dst, slot.msg_id);
             self.wd.next_due = 0;
-            self.metrics.inc(self.counters.wd_replies_rejected);
             self.seal_verdict(sender, msg_id, VerdictCode::CorruptReply);
             return true;
         }
@@ -415,7 +407,6 @@ impl<P: Protocol> Kernel<P> {
             };
             match slot.state {
                 WdState::Armed if now >= slot.deadline => {
-                    self.metrics.inc(self.counters.wd_expired);
                     self.seal(AxiomEvent::DeadlineExpired {
                         comp: slot.dst,
                         msg_id: slot.msg_id,
@@ -458,7 +449,6 @@ impl<P: Protocol> Kernel<P> {
         let slot = self.wd.slot_mut(i);
         slot.state = WdState::Probing { until, probes };
         let (target, msg_id) = (slot.dst, slot.msg_id);
-        self.metrics.inc(self.counters.wd_probes);
         self.emit(target, TraceEvent::WatchdogProbe { target, msg_id });
     }
 
@@ -473,9 +463,8 @@ impl<P: Protocol> Kernel<P> {
                 // the recovery goes to the RS conduct (the existing
                 // escalation ladder) exactly as on the fail-stop crash path.
                 slot.state = WdState::Doomed;
-                let detection = now - slot.armed_at;
-                self.metrics
-                    .observe(self.counters.wd_detect_latency, detection);
+                let cycles = now - slot.armed_at;
+                self.series.note(Note::HangVerdict { cycles });
                 self.seal_verdict(dst, msg_id, VerdictCode::Hung);
                 self.declare_dead(dst);
             }
@@ -552,7 +541,6 @@ impl<P: Protocol> Kernel<P> {
             backoff: backoff.min(u32::MAX as u64) as u32,
         });
         if granted {
-            self.metrics.inc(self.counters.retry_granted);
             self.emit(
                 from,
                 TraceEvent::RetryScheduled {
@@ -569,9 +557,7 @@ impl<P: Protocol> Kernel<P> {
                 .insert((at, self.wd.retry_seq), (attempt + 1, failed));
             None
         } else {
-            self.metrics.inc(self.counters.retry_denied);
             if !budget_left {
-                self.metrics.inc(self.counters.retry_exhausted);
                 let target = from;
                 self.emit(from, TraceEvent::RetryExhausted { target, msg_id });
             }
