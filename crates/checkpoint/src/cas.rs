@@ -316,6 +316,24 @@ impl ChunkStore {
         self.chunks.get(&digest).map(|e| e.data.resident_bytes())
     }
 
+    /// The resident bytes each of `images` holds here, every chunk charged
+    /// to the first image (in order) that references it: per-image
+    /// deduplicated cost, summing to the bytes the images share.
+    pub fn first_ref_bytes<'a>(
+        &self,
+        images: impl IntoIterator<Item = Option<&'a crate::HeapImage>>,
+    ) -> Vec<usize> {
+        let mut seen = std::collections::BTreeSet::new();
+        let mut charge = |image: &crate::HeapImage| -> usize {
+            (image.chunk_refs().filter(|d| seen.insert(*d)))
+                .filter_map(|d| self.chunk_bytes(d))
+                .sum()
+        };
+        (images.into_iter())
+            .map(|image| image.map_or(0, &mut charge))
+            .collect()
+    }
+
     /// Whether no chunk is resident (all references released).
     pub fn is_empty(&self) -> bool {
         self.chunks.is_empty()

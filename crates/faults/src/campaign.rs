@@ -309,7 +309,7 @@ impl InjectionRecord {
             let tail = os.tracer().tail_per_comp(12);
             osiris_trace::render_text(&tail, &os.kernel().trace_names())
         });
-        let [span_latency_clean, span_latency_recovery] = os.kernel().span_latency();
+        let [span_latency_clean, span_latency_recovery] = os.kernel().series().span_latency();
         InjectionRecord {
             site: plan.site.clone(),
             kind: plan.kind,

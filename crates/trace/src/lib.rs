@@ -147,12 +147,12 @@ impl Default for CategoryMask {
     }
 }
 
-use osiris_axiom::AxiomEvent;
-/// The axiom's codes the event table carries, also re-exported for
-/// `osiris-core`, which reaches the axiom through this crate: its policies
-/// pick an `ActionCode`, its conduct reads the `ControlState`.
+/// The axiom's codes the event table carries, also re-exported for the
+/// crates that reach the axiom through this one: `osiris-core`'s policies
+/// pick an `ActionCode` and its conduct reads the `ControlState`;
+/// `osiris-metrics` folds each sealed `AxiomEvent`.
 pub use osiris_axiom::{
-    ActionCode, CloseCode, CompStatusCode, ControlState, SeepClassCode, VerdictCode,
+    ActionCode, AxiomEvent, CloseCode, CompStatusCode, ControlState, SeepClassCode, VerdictCode,
 };
 
 /// Where the Chrome export draws an event.

@@ -346,7 +346,7 @@ fn main() {
     println!("ledger entries:       {orders}");
     println!(
         "recoveries performed: {}",
-        kernel.metrics().recovered_rollback
+        kernel.series().metrics().recovered_rollback
     );
     assert_eq!(placed, 8);
     assert_eq!(orders, 8, "no order lost, none duplicated");
