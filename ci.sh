@@ -51,8 +51,13 @@ if grep -rnE '\brecovering\s*:' crates/kernel/src || grep -rn 'MAX_INTENT_REPLAY
     exit 1
 fi
 
-echo "== DESIGN.md stays within its 47,948-byte cap =="
-test "$(wc -c < DESIGN.md)" -le 47948
+echo "== one undo path in the checkpoint crate: no boxed reference log, no deep-copy image, no coalescing switch =="
+if grep -rnE 'UndoMode|BoxedReference|boxed_log|DeepImage|clone_image_deep|restore_image_deep|set_coalescing' crates/*/src src examples; then
+    exit 1
+fi
+
+echo "== DESIGN.md stays within its 47,769-byte cap =="
+test "$(wc -c < DESIGN.md)" -le 47769
 
 echo "== repo-root size cap: no tracked file at the root over 64 KiB (dumps belong under target/) =="
 git ls-files -z -- ':(glob)*' | xargs -0 wc -c |

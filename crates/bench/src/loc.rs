@@ -146,13 +146,17 @@ mod tests {
 
     /// The process host is a workload driver and the metric series are a
     /// fold in `osiris-metrics`: neither is trusted code, so neither lives
-    /// in the kernel crate.
+    /// in the kernel crate. The checkpoint crate has one undo path; the
+    /// rollback and image references live in its tests as a std-container
+    /// model.
     #[test]
     fn rcb_stays_under_its_ceiling() {
         let report = count_workspace_loc();
-        let kernel = report.crates.iter().find(|c| c.name == "kernel").unwrap();
-        assert!(kernel.loc <= 2_800, "kernel {}", kernel.loc);
-        assert!(report.rcb_total() <= 7_500, "rcb {}", report.rcb_total());
+        for (name, cap) in [("kernel", 2_800), ("checkpoint", 3_150)] {
+            let row = report.crates.iter().find(|c| c.name == name).unwrap();
+            assert!(row.loc <= cap, "{name} {}", row.loc);
+        }
+        assert!(report.rcb_total() <= 7_150, "rcb {}", report.rcb_total());
         assert!(report.rcb_pct() < 25.0, "rcb {}%", report.rcb_pct());
     }
 

@@ -4,18 +4,14 @@
 //! The OSIRIS Recovery Server keeps a *spare fresh copy* of every recoverable
 //! component so that core servers (PM, VM, even RS itself) can be replaced
 //! without relying on `fork()` at recovery time. [`HeapImage`] is that spare
-//! copy — but no longer a deep object copy. It is a manifest: per object, the
+//! copy, held as a manifest rather than a deep object copy: per object, the
 //! dirty epoch at snapshot time plus the digests of the chunks holding its
 //! content. The chunks themselves live refcounted in the store, shared by
 //! every image (and deduplicated across components), so the pool's resident
 //! cost is the *deduped* chunk bytes, and both [`Heap::clone_image`] (with a
 //! predecessor) and [`Heap::restore_image`] touch only objects whose epoch
-//! diverges — O(dirty), not O(heap).
-//!
-//! The historical deep copy survives as [`DeepImage`] /
-//! [`Heap::clone_image_deep`]: the reference implementation for the
-//! differential state-equivalence tests, exactly as
-//! [`crate::UndoMode::BoxedReference`] is kept for the journal.
+//! diverges — O(dirty), not O(heap). `tests/cas_proptests.rs` holds every
+//! restore to plain std-container values captured at clone time.
 
 use crate::cas::{ChunkStore, CHUNK_SIZE};
 use crate::heap::{Heap, Obj};
@@ -264,7 +260,7 @@ impl Heap {
         );
         let stats = self.write_back(image, store, 0, |live, e| live == e.epoch)?;
         // Objects allocated after the snapshot are not part of the restored
-        // state (same semantics as the historical deep restore).
+        // state.
         self.objs.truncate(image.entries.len());
         Ok(stats)
     }
@@ -539,114 +535,6 @@ impl HeapImage {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Deep-copy reference implementation
-// ---------------------------------------------------------------------------
-
-/// Structural FNV-1a digest over a deep image's object graph (the historical
-/// image digest: object order, names, per-object resident sizes).
-fn deep_digest(heap_id: u32, objs: &[Obj]) -> u64 {
-    let mut d = fnv1a_u64(FNV_OFFSET, u64::from(heap_id));
-    d = fnv1a_u64(d, objs.len() as u64);
-    for (i, o) in objs.iter().enumerate() {
-        d = fnv1a_u64(d, i as u64);
-        d = fnv1a_bytes(d, o.name.as_bytes());
-        d = fnv1a_u64(d, o.data.approx_bytes() as u64);
-    }
-    d
-}
-
-/// The historical deep copy of a heap's entire object graph, kept as the
-/// reference implementation for differential tests (the O(heap) pre-COW
-/// behavior).
-pub struct DeepImage {
-    objs: Vec<Obj>,
-    heap_id: u32,
-    bytes: usize,
-    digest: u64,
-}
-
-impl std::fmt::Debug for DeepImage {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DeepImage")
-            .field("objects", &self.objs.len())
-            .field("bytes", &self.bytes)
-            .finish()
-    }
-}
-
-impl Heap {
-    /// Takes a deep snapshot of every object in this heap (reference path).
-    pub fn clone_image_deep(&self) -> DeepImage {
-        let objs: Vec<Obj> = self
-            .objs
-            .iter()
-            .map(|o| Obj {
-                name: o.name,
-                data: o.data.clone_obj(),
-                epoch: o.epoch,
-            })
-            .collect();
-        let bytes = objs.iter().map(|o| o.data.approx_bytes()).sum();
-        let digest = deep_digest(self.id(), &objs);
-        DeepImage {
-            objs,
-            heap_id: self.id(),
-            bytes,
-            digest,
-        }
-    }
-
-    /// Replaces this heap's contents with a deep image — every object is
-    /// cloned back unconditionally, O(heap) — and discards the undo log.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the image was taken from a different heap.
-    pub fn restore_image_deep(&mut self, image: &DeepImage) {
-        assert_eq!(
-            image.heap_id,
-            self.id(),
-            "image belongs to a different heap"
-        );
-        self.objs = image
-            .objs
-            .iter()
-            .map(|o| Obj {
-                name: o.name,
-                data: o.data.clone_obj(),
-                epoch: o.epoch,
-            })
-            .collect();
-        self.discard_log();
-    }
-}
-
-impl DeepImage {
-    /// Approximate resident size of the image in bytes.
-    pub fn bytes(&self) -> usize {
-        self.bytes
-    }
-
-    /// Number of objects captured.
-    pub fn object_count(&self) -> usize {
-        self.objs.len()
-    }
-
-    /// Recomputes the structural digest and compares it against the one
-    /// captured at clone time.
-    pub fn verify(&self) -> Result<(), IntegrityError> {
-        let actual = deep_digest(self.heap_id, &self.objs);
-        if actual != self.digest {
-            return Err(IntegrityError::ImageDigest {
-                expected: self.digest,
-                actual,
-            });
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use crate::cas::ChunkStore;
@@ -804,32 +692,14 @@ mod tests {
     }
 
     #[test]
-    fn deep_reference_roundtrip() {
-        let mut h = Heap::new("t");
-        let c = h.alloc_cell("x", 1u32);
-        let deep = h.clone_image_deep();
-        assert!(deep.verify().is_ok());
-        c.set(&mut h, 2);
-        h.restore_image_deep(&deep);
-        assert_eq!(c.get(&h), 1);
-        assert_eq!(deep.object_count(), 1);
-        assert!(deep.bytes() > 0);
-    }
-
-    #[test]
-    fn cow_restore_matches_deep_restore() {
+    fn cow_restore_returns_to_the_clone_time_digest() {
         let mut h = Heap::new("t");
         let c = h.alloc_cell("x", 10u64);
         let b = h.alloc_buf("b");
         b.write_at(&mut h, 0, &[4u8; 6000]);
         let mut store = ChunkStore::new();
         let img = h.clone_image(&mut store, None);
-        let deep = h.clone_image_deep();
         let base = h.state_digest();
-        c.set(&mut h, 11);
-        b.write_at(&mut h, 4100, &[8u8; 16]);
-        h.restore_image_deep(&deep);
-        assert_eq!(h.state_digest(), base);
         c.set(&mut h, 11);
         b.write_at(&mut h, 4100, &[8u8; 16]);
         h.restore_image(&img, &store).expect("restore");

@@ -1,9 +1,8 @@
-//! The typed, allocation-free undo journal.
+//! The typed, allocation-free undo journal: the heap's only undo log.
 //!
-//! The original implementation of [`crate::Heap`] logged every store as a
-//! boxed `dyn FnOnce` closure — one allocator round-trip per logged write,
-//! exactly the per-store overhead the paper's function-cloning optimization
-//! exists to shave. This module replaces it with a *typed* journal:
+//! A boxed closure per logged store would cost one allocator round-trip per
+//! write, exactly the per-store overhead the paper's function-cloning
+//! optimization exists to shave, so the journal is *typed*:
 //!
 //! * [`UndoRecord`] — a plain struct tagged with an [`UndoKind`] covering the
 //!   five container mutation shapes (cell set; vec set/push/pop/truncate;
@@ -290,12 +289,23 @@ pub(crate) struct UndoRecord {
     pub(crate) prev: u64,
 }
 
-fn holder_mut<T: HeapValue>(objs: &mut [Obj], obj: u32) -> &mut Holder<T> {
+/// The payload of object `obj`, borrowed from the object table alone (so
+/// the journal can be borrowed beside it).
+pub(crate) fn holder<T: HeapValue>(objs: &[Obj], obj: u32) -> &Holder<T> {
+    objs[obj as usize]
+        .data
+        .as_any()
+        .downcast_ref::<Holder<T>>()
+        .expect("heap object type mismatch")
+}
+
+/// Mutable [`holder`].
+pub(crate) fn holder_mut<T: HeapValue>(objs: &mut [Obj], obj: u32) -> &mut Holder<T> {
     objs[obj as usize]
         .data
         .as_any_mut()
         .downcast_mut::<Holder<T>>()
-        .expect("undo type mismatch")
+        .expect("heap object type mismatch")
 }
 
 // Monomorphized restore/drop implementations. All of them uphold the arena
@@ -908,7 +918,7 @@ impl Journal {
 
     // -- appends ------------------------------------------------------------
 
-    pub(crate) fn push_cell<T: HeapValue>(&mut self, obj: u32, old: T, coalesce: bool) -> usize {
+    pub(crate) fn push_cell<T: HeapValue>(&mut self, obj: u32, old: T) -> usize {
         let bytes = WORD + size_of::<T>();
         let pos = self.next_pos();
         let off = self.arena.push_value(old);
@@ -925,20 +935,12 @@ impl Journal {
             bytes,
             prev: 0,
         });
-        if coalesce {
-            self.index
-                .insert(obj, SLOT_WHOLE, pos, size_of::<T>() as u32);
-        }
+        self.index
+            .insert(obj, SLOT_WHOLE, pos, size_of::<T>() as u32);
         bytes
     }
 
-    pub(crate) fn push_vec_set<T: HeapValue>(
-        &mut self,
-        obj: u32,
-        index: usize,
-        old: T,
-        coalesce: bool,
-    ) -> usize {
+    pub(crate) fn push_vec_set<T: HeapValue>(&mut self, obj: u32, index: usize, old: T) -> usize {
         let bytes = WORD + size_of::<T>();
         let pos = self.next_pos();
         let off = self.arena.push_value(old);
@@ -955,10 +957,8 @@ impl Journal {
             bytes,
             prev: 0,
         });
-        if coalesce {
-            self.index
-                .insert(obj, index as u64, pos, size_of::<T>() as u32);
-        }
+        self.index
+            .insert(obj, index as u64, pos, size_of::<T>() as u32);
         bytes
     }
 
@@ -1085,7 +1085,6 @@ impl Journal {
         overwritten: &[u8],
         old_len: usize,
         write_len: usize,
-        coalesce: bool,
     ) -> usize {
         let bytes = WORD + write_len;
         let pos = self.next_pos();
@@ -1100,10 +1099,8 @@ impl Journal {
             bytes,
             prev: 0,
         });
-        if coalesce {
-            self.index
-                .insert(obj, offset as u64, pos, off_u32(write_len));
-        }
+        self.index
+            .insert(obj, offset as u64, pos, off_u32(write_len));
         bytes
     }
 
@@ -1258,12 +1255,12 @@ mod tests {
         let mut j = Journal::new();
         for i in 0..12u32 {
             match r.below(3) {
-                0 => j.push_cell::<u64>(i, r.next_u64(), false),
-                1 => j.push_vec_set::<u16>(i, r.below_usize(99), r.next_u64() as u16, false),
+                0 => j.push_cell::<u64>(i, r.next_u64()),
+                1 => j.push_vec_set::<u16>(i, r.below_usize(99), r.next_u64() as u16),
                 _ => {
                     let len = r.below_usize(18);
                     let old = r.bytes(len);
-                    j.push_buf_write(i, r.below_usize(64), &old, 64, len, false)
+                    j.push_buf_write(i, r.below_usize(64), &old, 64, len)
                 }
             };
         }

@@ -58,8 +58,8 @@ mod vec;
 pub use buf::PBuf;
 pub use cas::{ChunkStore, CHUNK_SIZE};
 pub use cell::PCell;
-pub use heap::{Heap, HeapValue, Mark, ObjId, UndoMode};
-pub use image::{DeepImage, HeapImage, RestoreStats};
+pub use heap::{Heap, HeapValue, Mark, ObjId};
+pub use image::{HeapImage, RestoreStats};
 pub use journal::{fold_bytes, fold_word, IntegrityError};
 pub use map::PMap;
 pub use stats::HeapStats;

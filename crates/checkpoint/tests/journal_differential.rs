@@ -1,27 +1,33 @@
-//! Differential property test: the coalescing typed journal is
-//! rollback-equivalent to the reference (boxed, uncoalesced) undo log.
+//! Model-based property test: the coalescing typed journal rolls back to
+//! exactly the state a plain std-container model holds at each mark.
 //!
-//! Two heaps are driven through an *identical* randomized schedule of
-//! container mutations, nested marks, partial rollbacks, `discard_log`s and
-//! logging-gate toggles. One heap uses the typed journal with write
-//! coalescing; the other uses [`UndoMode::BoxedReference`], the historical
-//! one-boxed-closure-per-store implementation, which never coalesces and
-//! therefore serves as ground truth. After every rollback — and at the end —
-//! the two heaps must be byte-identical.
+//! A heap is driven through a randomized schedule of container mutations,
+//! nested marks, partial rollbacks, windows that close by crashing (a
+//! rollback to their first mark) or committing (`discard_log`), and
+//! out-of-window spans with logging off. The same mutations are applied to a [`Snapshot`] of
+//! `u64`, `String`, `Vec`, `BTreeMap` and `Vec<u8>` values; each mark pushes
+//! a copy of it and each rollback pops back to that copy. After every
+//! rollback, and at the end, the heap must read back exactly the model. The
+//! model shares no code with the heap, so it is ground truth.
 //!
 //! The second half pins the ownership rule of the map and cell stores: a
 //! displaced value moves into the journal, so a store clones at most once
-//! (and never with logging off), and every value that enters either log
-//! leaves it exactly once.
+//! (and never with logging off), and every value that enters the journal
+//! leaves it exactly once. The map stream also holds the undo-byte
+//! accounting to the model's count of logged stores.
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
+use std::mem::size_of;
 
-use osiris_checkpoint::{Heap, UndoMode};
+use osiris_checkpoint::{Heap, Mark};
 use osiris_rng::Rng;
 
 const CASES: u64 = 96;
 const STEPS: usize = 300;
+
+/// Accounting overhead of one undo record: the address word.
+const WORD: usize = size_of::<usize>();
 
 struct World {
     cell: osiris_checkpoint::PCell<u64>,
@@ -41,7 +47,8 @@ fn build_world(heap: &mut Heap) -> World {
     }
 }
 
-#[derive(Debug, PartialEq)]
+/// The model: what the heap's five containers must hold.
+#[derive(Clone, Debug, Default, PartialEq)]
 struct Snapshot {
     cell: u64,
     text: String,
@@ -60,242 +67,200 @@ fn snapshot(heap: &Heap, w: &World) -> Snapshot {
     }
 }
 
-/// Applies one random mutation identically to both heaps. Mutations are
-/// deliberately skewed toward *repeated stores to the same few locations* so
-/// coalescing actually triggers.
-fn mutate(r: &mut Rng, a: &mut Heap, wa: &World, b: &mut Heap, wb: &World) {
-    match r.below(12) {
+/// Applies one random mutation to the heap and to the model and returns
+/// whether it was a store (a no-op such as popping an empty vector is not).
+/// Mutations are skewed toward *repeated stores to the same few locations*
+/// so coalescing triggers, and toward the buffer, the one container whose
+/// coalescing depends on the length a write finds.
+fn mutate(r: &mut Rng, h: &mut Heap, w: &World, m: &mut Snapshot) -> bool {
+    match r.below(20) {
         0 | 1 => {
             // Hot cell: the classic coalescing target.
             let v = r.next_u64();
-            wa.cell.set(a, v);
-            wb.cell.set(b, v);
+            w.cell.set(h, v);
+            m.cell = v;
         }
         2 => {
             let s = format!("s{}", r.below(1000));
-            wa.text.set(a, s.clone());
-            wb.text.set(b, s);
+            w.text.set(h, s.clone());
+            m.text = s;
         }
         3 => {
             let v = r.next_u32();
-            wa.vec.push(a, v);
-            wb.vec.push(b, v);
+            w.vec.push(h, v);
+            m.vec.push(v);
         }
         4 => {
-            wa.vec.pop(a);
-            wb.vec.pop(b);
+            let popped = m.vec.pop();
+            let stored = popped.is_some();
+            assert_eq!(w.vec.pop(h), popped, "PVec::pop");
+            return stored;
         }
         5 | 6 => {
             // Hot vec slot: index drawn from a tiny range.
-            let len = wa.vec.len(a);
-            if len > 0 {
-                let i = r.below_usize(len.min(4));
-                let v = r.next_u32();
-                wa.vec.set(a, i, v);
-                wb.vec.set(b, i, v);
+            if m.vec.is_empty() {
+                return false;
             }
+            let i = r.below_usize(m.vec.len().min(4));
+            let v = r.next_u32();
+            w.vec.set(h, i, v);
+            m.vec[i] = v;
         }
         7 => {
             let n = r.below_usize(8);
-            wa.vec.truncate(a, n);
-            wb.vec.truncate(b, n);
+            w.vec.truncate(h, n);
+            let stored = n < m.vec.len();
+            m.vec.truncate(n);
+            return stored;
         }
         8 => {
-            let k = (r.below(6)) as u8;
+            let k = r.below(6) as u8;
             let v = format!("v{}", r.below(100));
-            wa.map.insert(a, k, v.clone());
-            wb.map.insert(b, k, v);
+            assert_eq!(w.map.insert(h, k, v.clone()), m.map.insert(k, v));
         }
         9 => {
-            let k = (r.below(6)) as u8;
-            wa.map.remove(a, &k);
-            wb.map.remove(b, &k);
+            let k = r.below(6) as u8;
+            let gone = m.map.remove(&k);
+            let stored = gone.is_some();
+            assert_eq!(w.map.remove(h, &k), gone, "PMap::remove");
+            return stored;
         }
-        10 => {
+        10 | 16 | 17 => {
             // Hot buf range: same few offsets, varying lengths.
             let off = r.below_usize(3) * 16;
             let len = 1 + r.below_usize(24);
             let data = r.bytes(len);
-            wa.buf.write_at(a, off, &data);
-            wb.buf.write_at(b, off, &data);
+            w.buf.write_at(h, off, &data);
+            let end = off + data.len();
+            if end > m.buf.len() {
+                m.buf.resize(end, 0);
+            }
+            m.buf[off..end].copy_from_slice(&data);
         }
-        _ => {
-            let n = r.below_usize(48);
-            wa.buf.truncate(a, n);
-            wb.buf.truncate(b, n);
+        11 | 18 | 19 => {
+            let n = r.below_usize(m.buf.len() + 1);
+            w.buf.truncate(h, n);
+            let stored = n < m.buf.len();
+            m.buf.truncate(n);
+            return stored;
         }
+        12 => {
+            let c = char::from(b'a' + r.below(26) as u8);
+            w.text.update(h, |s| s.push(c));
+            m.text.push(c);
+        }
+        13 => {
+            let x = r.next_u64();
+            let got = w.cell.update(h, |v| std::mem::replace(v, *v ^ x));
+            assert_eq!(got, m.cell, "PCell::update");
+            m.cell ^= x;
+        }
+        14 => {
+            if m.vec.is_empty() {
+                return false;
+            }
+            let i = r.below_usize(m.vec.len().min(4));
+            let x = r.next_u32();
+            w.vec.update(h, i, |v| *v = v.rotate_left(7) ^ x);
+            m.vec[i] = m.vec[i].rotate_left(7) ^ x;
+        }
+        15 => {
+            w.vec.clear(h);
+            let stored = !m.vec.is_empty();
+            m.vec.clear();
+            return stored;
+        }
+        _ => unreachable!(),
     }
+    true
 }
 
-/// Gap-safe mutation: never touches the vec (see the gate-toggle branch).
-fn mutate_gap(r: &mut Rng, a: &mut Heap, wa: &World, b: &mut Heap, wb: &World) {
-    match r.below(4) {
-        0 => {
-            let v = r.next_u64();
-            wa.cell.set(a, v);
-            wb.cell.set(b, v);
-        }
-        1 => {
-            let k = (r.below(6)) as u8;
-            let v = format!("g{}", r.below(100));
-            wa.map.insert(a, k, v.clone());
-            wb.map.insert(b, k, v);
-        }
-        2 => {
-            let off = r.below_usize(3) * 16;
-            let len = 1 + r.below_usize(24);
-            let data = r.bytes(len);
-            wa.buf.write_at(a, off, &data);
-            wb.buf.write_at(b, off, &data);
-        }
-        _ => {
-            let n = r.below_usize(48);
-            wa.buf.truncate(a, n);
-            wb.buf.truncate(b, n);
-        }
-    }
-}
-
-/// The full differential schedule for one seed.
-fn run_case(case: u64) {
+/// One seed's schedule; returns the heap's coalesced-write count.
+fn run_case(case: u64) -> u64 {
     let mut r = Rng::new(0xD1FF ^ case.wrapping_mul(0x9E37_79B9));
+    let mut h = Heap::new("typed");
+    let w = build_world(&mut h);
+    // The buffer starts as a file with content: a truncation then cuts
+    // bytes that no write of the window covers.
+    let mut model = Snapshot {
+        buf: (1..=48).collect(),
+        ..Snapshot::default()
+    };
+    w.buf.write_at(&mut h, 0, &model.buf);
+    // Stores the model saw, all of them and those made while logging.
+    let (mut stores, mut logged) = (1u64, 0u64);
 
-    let mut a = Heap::new("typed");
-    assert_eq!(a.undo_mode(), UndoMode::Typed);
-    assert!(a.coalescing());
-    let wa = build_world(&mut a);
+    h.set_logging(true);
+    // Stack of simultaneous marks (nested checkpoints), each beside the
+    // model as it stood when the mark was taken.
+    let mut marks: Vec<(Mark, Snapshot)> = vec![(h.mark(), model.clone())];
 
-    let mut b = Heap::new("boxed");
-    b.set_undo_mode(UndoMode::BoxedReference);
-    let wb = build_world(&mut b);
-
-    a.set_logging(true);
-    b.set_logging(true);
-
-    // Stack of simultaneous marks (nested checkpoints).
-    let mut marks: Vec<(osiris_checkpoint::Mark, osiris_checkpoint::Mark)> =
-        vec![(a.mark(), b.mark())];
-
-    for _ in 0..STEPS {
+    for step in 0..STEPS {
+        let what = format!("case {case} step {step}");
         match r.below(100) {
             // Mostly mutations.
-            0..=79 => mutate(&mut r, &mut a, &wa, &mut b, &wb),
+            0..=79 => {
+                let stored = u64::from(mutate(&mut r, &mut h, &w, &mut model));
+                stores += stored;
+                logged += stored;
+            }
             // Push a nested mark.
-            80..=86 => marks.push((a.mark(), b.mark())),
+            80..=86 => marks.push((h.mark(), model.clone())),
             // Roll back to a random live mark (pops everything above it).
             87..=92 => {
-                if a.logging() {
-                    let i = r.below_usize(marks.len());
-                    let (ma, mb) = marks[i];
-                    marks.truncate(i + 1);
-                    a.rollback_to(ma);
-                    b.rollback_to(mb);
-                    assert_eq!(
-                        snapshot(&a, &wa),
-                        snapshot(&b, &wb),
-                        "post-rollback divergence, case {case}"
-                    );
-                    // Note: log_len may legitimately differ (the typed log
-                    // grows slower by exactly the coalesced records).
-                    assert!(a.log_len() <= b.log_len(), "case {case}");
-                }
+                let i = r.below_usize(marks.len());
+                marks.truncate(i + 1);
+                h.rollback_to(marks[i].0);
+                model = marks[i].1.clone();
+                assert_eq!(snapshot(&h, &w), model, "rollback, {what}");
             }
-            // Close the window: discard both logs, drop all marks.
-            93..=95 => {
-                a.discard_log();
-                b.discard_log();
-                marks.clear();
-                marks.push((a.mark(), b.mark()));
-            }
-            // Toggle the logging gate (an out-of-window span, then back in).
+            // Close the window: it crashes (rolls back to its first mark)
+            // or commits, then its log is discarded. Half the time an
+            // out-of-window span with logging off follows; its stores reach
+            // the model but not the log.
             _ => {
-                a.set_logging(false);
-                b.set_logging(false);
-                // A few unlogged mutations happen while the gate is closed.
-                // They are restricted to containers whose undo replay is
-                // total (cell/map/buf): unlogged *vec length* changes under a
-                // live log make later rollback panic with an out-of-bounds
-                // index — identically in both implementations, a pre-existing
-                // property of the undo-log design (real windows discard the
-                // log before ever gating off).
-                for _ in 0..r.below(4) {
-                    mutate_gap(&mut r, &mut a, &wa, &mut b, &wb);
+                if r.below(2) == 0 {
+                    h.rollback_to(marks[0].0);
+                    model = marks[0].1.clone();
+                    assert_eq!(snapshot(&h, &w), model, "window rollback, {what}");
                 }
-                a.set_logging(true);
-                b.set_logging(true);
-                // Marks from before the gap stay valid (log untouched), but
-                // rollback only undoes what was logged — identically on both
-                // sides, which is exactly what this test checks.
+                h.discard_log();
+                if r.below(2) == 0 {
+                    h.set_logging(false);
+                    for _ in 0..r.below(4) {
+                        stores += u64::from(mutate(&mut r, &mut h, &w, &mut model));
+                    }
+                    assert_eq!(h.log_len(), 0, "a store logged with logging off, {what}");
+                    h.set_logging(true);
+                }
+                marks = vec![(h.mark(), model.clone())];
             }
         }
     }
 
-    // Final full rollback to the outermost mark must converge both heaps.
-    let (ma, mb) = marks[0];
-    a.rollback_to(ma);
-    b.rollback_to(mb);
-    assert_eq!(
-        snapshot(&a, &wa),
-        snapshot(&b, &wb),
-        "final divergence, case {case}"
-    );
+    // Final full rollback to the outermost mark.
+    h.rollback_to(marks[0].0);
+    assert_eq!(snapshot(&h, &w), marks[0].1, "final rollback, case {case}");
 
-    // The whole point: same semantics, strictly fewer-or-equal records.
-    let sa = a.stats();
-    let sb = b.stats();
+    let s = h.stats();
+    assert_eq!(s.writes, stores, "every store is counted, case {case}");
     assert_eq!(
-        sa.writes, sb.writes,
-        "schedules must be identical, case {case}"
+        s.undo_appends + s.coalesced_writes,
+        logged,
+        "every logged store is either appended or coalesced, case {case}"
     );
-    assert_eq!(
-        sa.undo_appends + sa.coalesced_writes,
-        sb.undo_appends,
-        "every reference append is either appended or coalesced, case {case}"
-    );
-    assert!(
-        sb.coalesced_writes == 0,
-        "reference log must never coalesce"
-    );
+    s.coalesced_writes
 }
 
 #[test]
-fn coalescing_journal_matches_reference_log() {
-    for case in 0..CASES {
-        run_case(case);
-    }
-}
-
-/// Coalescing must trigger on this workload (otherwise the differential test
-/// proves nothing), and undo bytes must be strictly smaller than the
-/// reference on a same-location-heavy write pattern.
-#[test]
-fn coalescing_actually_reduces_undo_volume() {
-    let mut a = Heap::new("typed");
-    let ca = a.alloc_cell("hot", 0u64);
-    let mut b = Heap::new("boxed");
-    b.set_undo_mode(UndoMode::BoxedReference);
-    let cb = b.alloc_cell("hot", 0u64);
-
-    a.set_logging(true);
-    b.set_logging(true);
-    let ma = a.mark();
-    let mb = b.mark();
-    for i in 0..10_000u64 {
-        ca.set(&mut a, i);
-        cb.set(&mut b, i);
-    }
-    assert_eq!(a.log_len(), 1, "O(distinct locations) records");
-    assert_eq!(b.log_len(), 10_000, "O(writes) records");
-    assert!(a.log_bytes() < b.log_bytes() / 1000);
-    assert_eq!(a.stats().coalesced_writes, 9_999);
-    a.rollback_to(ma);
-    b.rollback_to(mb);
-    assert_eq!(ca.get(&a), cb.get(&b));
-    assert_eq!(ca.get(&a), 0);
+fn coalescing_journal_matches_the_model() {
+    let coalesced: u64 = (0..CASES).map(run_case).sum();
+    // Coalescing must trigger on this schedule, or the test proves little.
+    assert!(coalesced > 0);
 }
 
 // ---------------------------------------------------------------------------
-// Ownership: clone counts, and map-heavy streams under both undo modes
+// Ownership: clone counts, and map-heavy streams against a model
 // ---------------------------------------------------------------------------
 
 thread_local! {
@@ -339,36 +304,33 @@ fn clones_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
 
 #[test]
 fn a_store_clones_the_displaced_value_once_when_logging_and_never_otherwise() {
-    for mode in [UndoMode::Typed, UndoMode::BoxedReference] {
-        for logging in [false, true] {
-            let mut h = Heap::new("clones");
-            h.set_undo_mode(mode);
-            let m = h.alloc_map::<u32, Tracked>("m");
-            let c = h.alloc_cell("c", Tracked::new(0));
-            for k in 0..3 {
-                m.insert(&mut h, k, Tracked::new(u64::from(k)));
-            }
-            h.set_logging(logging);
-            let want = u64::from(logging);
-            let what = format!("{mode:?}, logging {logging}");
-
-            let (n, _) = clones_during(|| m.update(&mut h, &0, |v| v.0 += 10));
-            assert_eq!(n, want, "update ({what})");
-            let (n, prev) = clones_during(|| m.insert(&mut h, 1, Tracked::new(11)));
-            assert_eq!(n, want, "insert over an existing key ({what})");
-            assert_eq!(prev, Some(Tracked::new(1)));
-            let (n, prev) = clones_during(|| m.insert(&mut h, 7, Tracked::new(7)));
-            assert_eq!((n, prev), (0, None), "insert of a fresh key ({what})");
-            let (n, gone) = clones_during(|| m.remove(&mut h, &2));
-            assert_eq!(n, want, "remove ({what})");
-            assert_eq!(gone, Some(Tracked::new(2)));
-            let (n, seen) = clones_during(|| m.with(&h, &0, |v| v.0));
-            assert_eq!((n, seen), (0, Some(10)), "with ({what})");
-            let (n, ()) = clones_during(|| c.set(&mut h, Tracked::new(1)));
-            assert_eq!(n, 0, "PCell::set ({what})");
-            let (n, ()) = clones_during(|| c.set(&mut h, Tracked::new(2)));
-            assert_eq!(n, 0, "coalesced PCell::set ({what})");
+    for logging in [false, true] {
+        let mut h = Heap::new("clones");
+        let m = h.alloc_map::<u32, Tracked>("m");
+        let c = h.alloc_cell("c", Tracked::new(0));
+        for k in 0..3 {
+            m.insert(&mut h, k, Tracked::new(u64::from(k)));
         }
+        h.set_logging(logging);
+        let want = u64::from(logging);
+        let what = format!("logging {logging}");
+
+        let (n, _) = clones_during(|| m.update(&mut h, &0, |v| v.0 += 10));
+        assert_eq!(n, want, "update ({what})");
+        let (n, prev) = clones_during(|| m.insert(&mut h, 1, Tracked::new(11)));
+        assert_eq!(n, want, "insert over an existing key ({what})");
+        assert_eq!(prev, Some(Tracked::new(1)));
+        let (n, prev) = clones_during(|| m.insert(&mut h, 7, Tracked::new(7)));
+        assert_eq!((n, prev), (0, None), "insert of a fresh key ({what})");
+        let (n, gone) = clones_during(|| m.remove(&mut h, &2));
+        assert_eq!(n, want, "remove ({what})");
+        assert_eq!(gone, Some(Tracked::new(2)));
+        let (n, seen) = clones_during(|| m.with(&h, &0, |v| v.0));
+        assert_eq!((n, seen), (0, Some(10)), "with ({what})");
+        let (n, ()) = clones_during(|| c.set(&mut h, Tracked::new(1)));
+        assert_eq!(n, 0, "PCell::set ({what})");
+        let (n, ()) = clones_during(|| c.set(&mut h, Tracked::new(2)));
+        assert_eq!(n, 0, "coalesced PCell::set ({what})");
     }
     assert_eq!(LIVE.with(Cell::get), 0, "a payload leaked or dropped twice");
 }
@@ -386,110 +348,144 @@ struct Maps {
     nodes: osiris_checkpoint::PMap<u64, Node>,
 }
 
-fn build_maps(heap: &mut Heap) -> Maps {
-    Maps {
-        blobs: heap.alloc_map("blobs"),
-        nodes: heap.alloc_map("nodes"),
-    }
+/// The map stream's model: the two maps' contents.
+#[derive(Clone, Debug, Default, PartialEq)]
+struct MapModel {
+    blobs: BTreeMap<String, Vec<u8>>,
+    nodes: BTreeMap<u64, Node>,
 }
+
+const BLOB_RECORD: usize = WORD + size_of::<String>() + size_of::<Vec<u8>>();
+const NODE_RECORD: usize = WORD + size_of::<u64>() + size_of::<Node>();
 
 /// Applies the insert / update / remove numbered `op` to one of the two maps
-/// and renders what the store handed back, so the caller can compare both
-/// heaps' answers.
-fn map_op(heap: &mut Heap, w: &Maps, op: u64, key: u64, fill: u64) -> String {
+/// of the heap and of the model, checks that both hand back the same answer,
+/// and returns the undo bytes the op owes when it is a store (`None`: the
+/// key was absent, nothing was stored).
+fn map_op(h: &mut Heap, w: &Maps, m: &mut MapModel, op: u64, key: u64, fill: u64) -> Option<usize> {
     let name = format!("k{key}");
-    match op {
-        0 => format!(
-            "{:?}",
-            w.blobs.insert(heap, name, fill.to_le_bytes().to_vec())
+    let node = |name| Node {
+        tag: Tracked::new(fill),
+        entries: BTreeMap::from([(name, fill)]),
+    };
+    let edit = |n: &mut Node| {
+        n.tag.0 ^= fill;
+        n.entries.insert(format!("e{}", fill % 7), fill)
+    };
+    let blob = fill.to_le_bytes().to_vec();
+    // An insert always stores; an update or remove only when the key is
+    // present.
+    let (stored, record) = match op {
+        0 | 3 => (true, if op == 0 { BLOB_RECORD } else { NODE_RECORD }),
+        1 | 2 => (m.blobs.contains_key(&name), BLOB_RECORD),
+        _ => (m.nodes.contains_key(&key), NODE_RECORD),
+    };
+    let (got, want) = match op {
+        0 => (
+            format!("{:?}", w.blobs.insert(h, name.clone(), blob.clone())),
+            format!("{:?}", m.blobs.insert(name, blob)),
         ),
-        1 => format!("{:?}", w.blobs.update(heap, &name, |v| v.push(fill as u8))),
-        2 => format!("{:?}", w.blobs.remove(heap, &name)),
-        3 => {
-            let node = Node {
-                tag: Tracked::new(fill),
-                entries: BTreeMap::from([(name, fill)]),
-            };
-            format!("{:?}", w.nodes.insert(heap, key, node))
-        }
-        4 => format!(
-            "{:?}",
-            w.nodes.update(heap, &key, |n| {
-                n.tag.0 ^= fill;
-                n.entries.insert(format!("e{}", fill % 7), fill)
-            })
+        1 => (
+            format!("{:?}", w.blobs.update(h, &name, |v| v.push(fill as u8))),
+            format!("{:?}", m.blobs.get_mut(&name).map(|v| v.push(fill as u8))),
         ),
-        _ => format!("{:?}", w.nodes.remove(heap, &key)),
-    }
+        2 => (
+            format!("{:?}", w.blobs.remove(h, &name)),
+            format!("{:?}", m.blobs.remove(&name)),
+        ),
+        3 => (
+            format!("{:?}", w.nodes.insert(h, key, node(name.clone()))),
+            format!("{:?}", m.nodes.insert(key, node(name))),
+        ),
+        4 => (
+            format!("{:?}", w.nodes.update(h, &key, edit)),
+            format!("{:?}", m.nodes.get_mut(&key).map(edit)),
+        ),
+        _ => (
+            format!("{:?}", w.nodes.remove(h, &key)),
+            format!("{:?}", m.nodes.remove(&key)),
+        ),
+    };
+    assert_eq!(got, want, "op {op} key {key}");
+    stored.then_some(record)
 }
 
-/// Everything of `HeapStats` that does not depend on where the undo records
-/// are stored (only the typed journal has an arena to reuse).
-fn mode_free(stats: &osiris_checkpoint::HeapStats) -> osiris_checkpoint::HeapStats {
-    osiris_checkpoint::HeapStats {
-        arena_reuse_bytes: 0,
-        ..*stats
-    }
+/// What the model expects of the undo log at one point: records and bytes
+/// held, the journal's digest.
+#[derive(Clone, Copy)]
+struct LogModel {
+    records: usize,
+    bytes: usize,
+    digest: u64,
 }
 
 fn run_map_case(case: u64) {
-    // The typed journal's digest folds the raw representation of its
-    // payloads, heap pointers included, and the boxed log keeps none: the
-    // digest cannot be compared across the two. What must hold after every
-    // step is that the typed chain verifies, that a rollback restores the
-    // digest its mark saw, and that the boxed side's stays empty.
     let empty = Heap::new("empty").journal_digest();
     let mut r = Rng::new(0x0A57_ED00 ^ case.wrapping_mul(0x9E37_79B9));
-    let mut a = Heap::new("typed");
-    let wa = build_maps(&mut a);
-    let mut b = Heap::new("boxed");
-    b.set_undo_mode(UndoMode::BoxedReference);
-    let wb = build_maps(&mut b);
-    a.set_logging(true);
-    b.set_logging(true);
-    let mut marks = vec![(a.mark(), b.mark(), a.journal_digest())];
+    let mut h = Heap::new("typed");
+    let w = Maps {
+        blobs: h.alloc_map("blobs"),
+        nodes: h.alloc_map("nodes"),
+    };
+    let mut model = MapModel::default();
+    let fresh = LogModel {
+        records: 0,
+        bytes: 0,
+        digest: empty,
+    };
+    let mut log = fresh;
+    // Logged stores, the undo bytes they appended and the most bytes the
+    // log ever held, over the whole case.
+    let (mut logged, mut appended, mut peak) = (0u64, 0u64, 0usize);
+    h.set_logging(true);
+    let mut marks = vec![(h.mark(), model.clone(), log)];
     for step in 0..STEPS {
         let what = format!("case {case} step {step}");
         match r.below(100) {
             0..=74 => {
                 let (op, key, fill) = (r.below(6), r.below(5), r.next_u64());
-                assert_eq!(
-                    map_op(&mut a, &wa, op, key, fill),
-                    map_op(&mut b, &wb, op, key, fill),
-                    "{what}"
-                );
+                if let Some(bytes) = map_op(&mut h, &w, &mut model, op, key, fill) {
+                    logged += 1;
+                    appended += bytes as u64;
+                    log.records += 1;
+                    log.bytes += bytes;
+                    log.digest = h.journal_digest();
+                    peak = peak.max(log.bytes);
+                }
             }
-            75..=82 => marks.push((a.mark(), b.mark(), a.journal_digest())),
+            75..=82 => marks.push((h.mark(), model.clone(), log)),
             83..=92 => {
                 let i = r.below_usize(marks.len());
-                let (ma, mb, digest) = marks[i];
                 marks.truncate(i + 1);
-                a.rollback_to(ma);
-                b.rollback_to(mb);
-                assert_eq!(a.journal_digest(), digest, "{what}");
+                h.rollback_to(marks[i].0);
+                (model, log) = (marks[i].1.clone(), marks[i].2);
+                assert_eq!(h.journal_digest(), log.digest, "{what}");
             }
             _ => {
-                a.discard_log();
-                b.discard_log();
-                assert_eq!(a.journal_digest(), empty, "{what}");
+                h.discard_log();
+                log = fresh;
+                assert_eq!(h.journal_digest(), empty, "{what}");
                 marks.clear();
-                marks.push((a.mark(), b.mark(), empty));
+                marks.push((h.mark(), model.clone(), log));
             }
         }
-        assert!(a.verify_journal().is_ok(), "{what}");
-        assert_eq!(b.journal_digest(), empty, "{what}");
-        assert_eq!(wa.blobs.snapshot(&a), wb.blobs.snapshot(&b), "{what}");
-        assert_eq!(wa.nodes.snapshot(&a), wb.nodes.snapshot(&b), "{what}");
-        assert_eq!(mode_free(a.stats()), mode_free(b.stats()), "{what}");
-        assert_eq!(a.log_len(), b.log_len(), "maps never coalesce, {what}");
+        assert!(h.verify_journal().is_ok(), "{what}");
+        assert_eq!(w.blobs.snapshot(&h), model.blobs, "{what}");
+        assert_eq!(w.nodes.snapshot(&h), model.nodes, "{what}");
+        assert_eq!(h.log_len(), log.records, "maps never coalesce, {what}");
+        assert_eq!(h.log_bytes(), log.bytes, "{what}");
+        let s = h.stats();
+        assert_eq!(s.undo_appends + s.coalesced_writes, logged, "{what}");
+        assert_eq!(s.undo_bytes_appended, appended, "{what}");
+        assert_eq!(s.undo_bytes_peak, peak, "{what}");
     }
 }
 
 #[test]
-fn map_streams_agree_under_both_undo_modes_and_drop_every_payload_once() {
+fn map_streams_match_the_model_and_drop_every_payload_once() {
     for case in 0..CASES / 4 {
         run_map_case(case);
-        // Both heaps, their journals and every snapshot are gone.
+        // The heap, its journal and every model copy are gone.
         assert_eq!(LIVE.with(Cell::get), 0, "case {case}: leak or double drop");
     }
 }
