@@ -56,8 +56,14 @@ if grep -rnE 'UndoMode|BoxedReference|boxed_log|DeepImage|clone_image_deep|resto
     exit 1
 fi
 
-echo "== DESIGN.md stays within its 47,769-byte cap =="
-test "$(wc -c < DESIGN.md)" -le 47769
+echo "== one value per injection stage: one site profiler, a campaign built from its ordered records, coverage keyed by the site =="
+if grep -rnE 'record_at|site_digest128|StepProfiler|StepProfile\b|fn quiet' crates/*/src src examples ||
+    grep -n Mutex crates/faults/src/campaign.rs; then
+    exit 1
+fi
+
+echo "== DESIGN.md stays within its 47,450-byte cap =="
+test "$(wc -c < DESIGN.md)" -le 47450
 
 echo "== repo-root size cap: no tracked file at the root over 64 KiB (dumps belong under target/) =="
 git ls-files -z -- ':(glob)*' | xargs -0 wc -c |

@@ -2,12 +2,13 @@
 
 use osiris_core::{EscalationPolicy, PolicyKind};
 use osiris_faults::{
-    campaign::model_label, forge::forge_config, plan_faults, run_parallel, Campaign,
-    DoubleInjector, FaultKind, FaultModel, FaultPlan, InjectionRecord, Injector, Outcome,
-    PeriodicCrash, Recorder, SiteProfile, Tally,
+    campaign::model_label, forge::forge_config, plan_faults, render_matrix, run_parallel, Campaign,
+    DoubleInjector, FaultKind, FaultModel, FaultPlan, InjectionRecord, Injector, PeriodicCrash,
+    Recorder, SiteProfile, Tally,
 };
 use osiris_kernel::FaultHook;
 use osiris_kernel::{Instrumentation, OsEngine};
+use osiris_metrics::Registry;
 use osiris_monolith::Monolith;
 use osiris_servers::{Os, OsConfig};
 use osiris_workloads::ProgramRegistry;
@@ -143,7 +144,7 @@ pub struct SurvivabilityTable {
     pub faults: usize,
     /// Outcome tallies, in policy order.
     pub rows: Vec<(PolicyKind, Tally)>,
-    /// The campaign observer's final report document — the payload of
+    /// The campaign's report document — the payload of
     /// `campaign_report.json`.
     pub report: osiris_trace::Json,
 }
@@ -200,27 +201,38 @@ pub fn survivability_for(
                 transient: true,
             }
         });
-    let campaign = Campaign::new(model_label(model), model, plans.len() * policies.len());
+    let label = model_label(model);
+    let mut records = Vec::with_capacity(plans.len() * policies.len());
     let mut rows = Vec::new();
-    for (policy_i, &policy) in policies.iter().enumerate() {
-        // Slot-addressed recording: each worker writes its own plan-index
-        // slot, so records, axiom chain and report are identical on every
-        // thread count.
-        let jobs: Vec<_> = plans.iter().cloned().enumerate().collect();
-        let runs = plans.len();
-        let outcomes: Vec<Outcome> = run_parallel(jobs, threads, |(idx, plan)| {
+    let mut tails = 3;
+    for &policy in policies {
+        let runs = run_parallel(plans.clone(), threads, |plan| {
             let injector: Box<dyn FaultHook> = match &primary {
                 Some(p) => Box::new(DoubleInjector::new(p, &plan)),
                 None => Box::new(Injector::new(&plan)),
             };
             let (outcome, os) = run_suite_with(forge_config(policy), Some(injector));
-            let rec = InjectionRecord::from_run(&os, &outcome, &plan, policy);
-            let class = rec.outcome;
-            campaign.record_at(policy_i * runs + idx, rec);
-            class
+            InjectionRecord::from_run(&os, &outcome, &plan, policy)
         });
-        rows.push((policy, outcomes.into_iter().collect()));
+        // Progress on stderr once per policy: its matrix rows, then the
+        // black boxes of the campaign's first uncontrolled crashes.
+        eprintln!(
+            "[campaign {label}] {policy}: {} runs\n{}",
+            runs.len(),
+            render_matrix(&runs)
+        );
+        for tail in runs
+            .iter()
+            .filter_map(|r| r.blackbox.as_deref())
+            .take(tails)
+        {
+            eprintln!("[campaign {label}] uncontrolled crash — flight-recorder tail:\n{tail}");
+            tails -= 1;
+        }
+        rows.push((policy, runs.iter().map(|r| r.outcome).collect()));
+        records.extend(runs);
     }
+    let campaign = Campaign::new(label, model, records, Registry::default());
     SurvivabilityTable {
         model,
         faults: plans.len(),

@@ -13,7 +13,7 @@
 
 use osiris_checkpoint::ChunkStore;
 use osiris_core::PolicyKind;
-use osiris_faults::forge::{forge_config, Boundary, ScriptWorkload, StepProfiler};
+use osiris_faults::forge::{forge_config, Boundary, ScriptWorkload};
 use osiris_faults::{Forge, ForgeConfig, Recorder};
 use osiris_kernel::{FaultHook, Probe, SiteKind};
 use osiris_servers::Os;
@@ -40,7 +40,7 @@ fn readopt_allocs(stress_rounds: u32, c: &Checks) -> Option<u64> {
         .1
 }
 
-/// Allocator calls of 10,000 probes of already-seen sites through each
+/// Allocator calls of 10,000 probes of already-seen sites through the
 /// site-profiling hook: a probe is counted under its own `&'static str`s.
 fn profiler_allocs(c: &mut Checks) {
     let sites = [
@@ -56,25 +56,20 @@ fn profiler_allocs(c: &mut Checks) {
         window_open: true,
         replyable: true,
     });
-    let hooks: [(&str, Box<dyn FaultHook>); 2] = [
-        ("step_profiler", Box::<StepProfiler>::default()),
-        ("recorder", Box::<Recorder>::default()),
-    ];
-    for (name, mut hook) in hooks {
-        for p in &probes {
+    let mut hook = Recorder::new();
+    for p in &probes {
+        hook.on_site(p);
+    }
+    let ((), allocs) = c.counted(|| {
+        for p in probes.iter().cycle().take(10_000) {
             hook.on_site(p);
         }
-        let ((), allocs) = c.counted(|| {
-            for p in probes.iter().cycle().take(10_000) {
-                hook.on_site(p);
-            }
-        });
-        c.push_allocs(
-            format!("forge/{name}_10k_probe_allocs"),
-            allocs,
-            Want::Eq(0),
-        );
-    }
+    });
+    c.push_allocs(
+        "forge/step_profiler_10k_probe_allocs".into(),
+        allocs,
+        Want::Eq(0),
+    );
 }
 
 pub(super) fn checks(scale: Scale, c: &mut Checks) {

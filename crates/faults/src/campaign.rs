@@ -1,25 +1,24 @@
-//! Live observability for fault-injection campaigns.
+//! Fault-injection campaigns as values.
 //!
-//! A [`Campaign`] is a thread-safe observer the campaign runner feeds one
-//! [`InjectionRecord`] per injected run. It
+//! A [`Campaign`] is the [`InjectionRecord`]s of its injected runs in plan
+//! order — as [`crate::run_parallel`] returns them — plus the registry the
+//! campaign runner appends. Everything else is derived from those records
+//! when asked, so it is the same on every thread count:
 //!
-//! * streams every outcome into a metrics registry
-//!   (`osiris_campaign_outcomes_total{policy,component,model,outcome}` plus
-//!   run-length and recovery-latency histograms), so campaign results ride
-//!   the same Prometheus/JSON exporters as the kernel counters;
-//! * keeps a component × policy outcome matrix and prints it live —
-//!   Table II/III-style — with a progress line as runs complete;
-//! * re-prints the flight-recorder tail of the first few runs that ended
-//!   in an *uncontrolled crash* (the black-box dump of PR 2), which is
-//!   exactly the evidence needed to debug a survivability regression;
-//! * renders a final `campaign_report.json` document with the matrix and
-//!   the full per-injection record list.
+//! * the policy × component outcome matrix, Table II/III-style
+//!   ([`render_matrix`]);
+//! * the registry: `osiris_campaign_outcomes_total{policy,component,model,
+//!   outcome}` plus run-length and recovery-latency histograms, then the
+//!   runner's families, so campaign results ride the same Prometheus/JSON
+//!   exporters as the kernel counters;
+//! * the campaign axiom, one hash-chained `Injection` record per run;
+//! * the `campaign_report.json` document with the matrix and the full
+//!   per-injection record list.
 //!
-//! Progress and dumps go to **stderr**; stdout stays reserved for the
-//! deterministic table output the CI diff gates compare.
+//! An uncontrolled crash's record carries its flight-recorder tail (the
+//! black box); the runner decides what to print.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Mutex;
 
 use osiris_axiom::{AxiomConfig, AxiomEvent, AxiomLog, AxiomRecord, OutcomeCode};
 use osiris_core::PolicyKind;
@@ -50,21 +49,6 @@ pub fn site_digest(site: &SiteId, kind: FaultKind) -> u64 {
     let d = osiris_axiom::fnv1a_str(&site.component);
     let d = osiris_axiom::fnv1a(d, site.site.as_bytes());
     osiris_axiom::fnv1a(d, kind_label(kind).as_bytes())
-}
-
-/// 128-bit injection-site digest: the 64-bit [`site_digest`] in the low
-/// lane plus an independent FNV lane (different seed, reversed fold order)
-/// in the high lane. The forge keys its coverage cells by this value; at
-/// 128 bits a collision between two distinct (component, site, kind)
-/// triples would need ~2^64 sites, so cells never alias.
-pub fn site_digest128(site: &SiteId, kind: FaultKind) -> u128 {
-    // Second lane: FNV offset basis perturbed by the 64-bit golden ratio,
-    // folding the fields in the opposite order — the lanes share no state.
-    const LANE2_SEED: u64 = 0xcbf2_9ce4_8422_2325 ^ 0x9e37_79b9_7f4a_7c15;
-    let hi = osiris_axiom::fnv1a(LANE2_SEED, kind_label(kind).as_bytes());
-    let hi = osiris_axiom::fnv1a(hi, site.site.as_bytes());
-    let hi = osiris_axiom::fnv1a(hi, site.component.as_bytes());
-    ((hi as u128) << 64) | site_digest(site, kind) as u128
 }
 
 /// Short label for a fault model, used in metrics labels and reports.
@@ -333,35 +317,16 @@ impl InjectionRecord {
     }
 }
 
-struct State {
-    done: usize,
-    /// (policy, component) → outcome tally.
-    matrix: BTreeMap<(String, String), Tally>,
-    /// Records by *plan index*, not completion order: workers on any
-    /// thread count land their record in the same slot, so the record
-    /// list — and the axiom chain derived from it — is deterministic.
-    slots: Vec<Option<InjectionRecord>>,
-    /// Next slot for the sequential [`Campaign::record`] ingest path.
-    next_seq: usize,
-    blackbox_dumps: usize,
-    /// Families a campaign runner appended ([`Campaign::append_metrics`]),
-    /// exported after the derived campaign families.
-    appendix: Registry,
-}
-
-/// Folds the filled record slots, in slot order, into the campaign-level
-/// axiom: one hash-chained `Injection` event per run, timestamped with the
-/// run's virtual cycle count. Derived on demand rather than appended at
-/// ingest time, so out-of-order completion under [`crate::run_parallel`]
-/// cannot reorder the chain — two campaigns over the same plan can always
-/// be bisected to the first diverging outcome.
-fn derive_axiom(slots: &[Option<InjectionRecord>]) -> AxiomLog {
+/// Folds the records, in plan order, into the campaign-level axiom: one
+/// hash-chained `Injection` event per run, timestamped with the run's
+/// virtual cycle count. Two campaigns over the same plan can always be
+/// bisected to the first diverging outcome.
+fn derive_axiom(records: &[InjectionRecord]) -> AxiomLog {
     let mut log = AxiomLog::new(AxiomConfig {
         enabled: true,
-        capacity: slots.len().max(1),
+        capacity: records.len().max(1),
     });
-    for (run, rec) in slots.iter().enumerate() {
-        let Some(rec) = rec else { continue };
+    for (run, rec) in records.iter().enumerate() {
         log.append(
             rec.run_cycles,
             AxiomEvent::Injection {
@@ -374,18 +339,17 @@ fn derive_axiom(slots: &[Option<InjectionRecord>]) -> AxiomLog {
     log
 }
 
-/// Folds the filled record slots, in slot order, into the campaign's
-/// registry: outcome counts and run/recovery cycle distributions, labelled
-/// by policy, component, model and outcome. Derived on demand like the
-/// axiom, so series register in plan order on every thread count and the
-/// exposition is byte-identical across them.
-fn derive_metrics(slots: &[Option<InjectionRecord>], model: FaultModel) -> Registry {
+/// Folds the records, in plan order, into the campaign's registry: outcome
+/// counts and run/recovery cycle distributions, labelled by policy,
+/// component, model and outcome. Series register in plan order, so the
+/// exposition is byte-identical on every thread count.
+fn derive_metrics(records: &[InjectionRecord], model: FaultModel) -> Registry {
     let model = model_label(model);
     let mut m = Registry::default();
     // The registry finds a series by comparing label strings: ask it once
     // per distinct (policy, component, outcome), not once per record.
     let mut ids = HashMap::new();
-    for rec in slots.iter().flatten() {
+    for rec in records {
         let (policy, component) = (rec.policy.as_str(), rec.site.component.as_str());
         let by_policy = [("policy", policy), ("model", model)];
         let (outcomes, run_cycles, recovery_cycles) = ids
@@ -424,183 +388,59 @@ fn derive_metrics(slots: &[Option<InjectionRecord>], model: FaultModel) -> Regis
     m
 }
 
-/// Thread-safe live observer for a fault-injection campaign.
+/// A fault-injection campaign: its records in plan order and the
+/// registry its runner appended; matrix, report, axiom and registry are
+/// derived from them.
+#[derive(Debug)]
 pub struct Campaign {
     label: String,
     model: FaultModel,
-    total: usize,
-    progress_every: usize,
-    max_blackbox_dumps: usize,
-    live: bool,
-    inner: Mutex<State>,
-}
-
-impl std::fmt::Debug for Campaign {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Campaign")
-            .field("label", &self.label)
-            .field("total", &self.total)
-            .finish_non_exhaustive()
-    }
+    records: Vec<InjectionRecord>,
+    /// Families the runner appended (the forge's `osiris_forge_*`),
+    /// exported after the derived campaign families.
+    appendix: Registry,
 }
 
 impl Campaign {
-    /// Creates an observer for a campaign of `total` planned runs. Progress
-    /// prints roughly ten times over the campaign's lifetime.
-    pub fn new(label: &str, model: FaultModel, total: usize) -> Campaign {
+    /// The campaign of `records`, one per injected run in plan order, with
+    /// `appendix` exported after the derived `osiris_campaign_*` families
+    /// (pass `Registry::default()` when the runner has none).
+    pub fn new(
+        label: &str,
+        model: FaultModel,
+        records: Vec<InjectionRecord>,
+        appendix: Registry,
+    ) -> Campaign {
         Campaign {
             label: label.to_string(),
             model,
-            total,
-            progress_every: (total / 10).max(1),
-            max_blackbox_dumps: 3,
-            live: true,
-            inner: Mutex::new(State {
-                done: 0,
-                matrix: BTreeMap::new(),
-                slots: Vec::new(),
-                next_seq: 0,
-                blackbox_dumps: 0,
-                appendix: Registry::default(),
-            }),
+            records,
+            appendix,
         }
-    }
-
-    /// Suppresses the live progress matrix and black-box dumps (tests).
-    pub fn quiet(mut self) -> Campaign {
-        self.live = false;
-        self
     }
 
     /// The campaign's registry: the `osiris_campaign_*` families derived
-    /// from the records ingested so far, in plan order, then whatever
-    /// [`Campaign::append_metrics`] added.
+    /// from the records, in plan order, then the runner's appendix.
     pub fn metrics_handle(&self) -> Registry {
-        let st = self.inner.lock().expect("campaign lock");
-        let mut m = derive_metrics(&st.slots, self.model);
-        m.append(st.appendix.clone());
+        let mut m = derive_metrics(&self.records, self.model);
+        m.append(self.appendix.clone());
         m
     }
 
-    /// Appends the runner's own families (the forge's `osiris_forge_*`)
-    /// to the campaign's exposition, so one scrape carries both.
-    pub fn append_metrics(&self, extra: Registry) {
-        self.inner
-            .lock()
-            .expect("campaign lock")
-            .appendix
-            .append(extra);
-    }
-
-    /// Ingests one completed run into the next sequential slot: updates
-    /// the matrix, prints progress at checkpoints, and dumps the black box
-    /// of the first few uncontrolled crashes.
-    pub fn record(&self, rec: InjectionRecord) {
-        let run = {
-            let mut st = self.inner.lock().expect("campaign lock");
-            let run = st.next_seq;
-            st.next_seq += 1;
-            run
-        };
-        self.record_at(run, rec);
-    }
-
-    /// Ingests the completed run with plan index `run` into its slot.
-    /// Campaign runners hand each [`crate::run_parallel`] worker its job
-    /// index and record through this, so the record list, the matrix and
-    /// the derived axiom chain and registry are identical on every thread
-    /// count.
-    pub fn record_at(&self, run: usize, rec: InjectionRecord) {
-        let mut st = self.inner.lock().expect("campaign lock");
-        if st.slots.len() <= run {
-            st.slots.resize_with(run + 1, || None);
-        }
-        assert!(st.slots[run].is_none(), "run {run} recorded twice");
-        st.next_seq = st.next_seq.max(run + 1);
-        st.matrix
-            .entry((rec.policy.clone(), rec.site.component.clone()))
-            .or_default()
-            .add(rec.outcome);
-        st.done += 1;
-        let crash_dump = if self.live
-            && rec.outcome == Outcome::Crash
-            && rec.blackbox.is_some()
-            && st.blackbox_dumps < self.max_blackbox_dumps
-        {
-            st.blackbox_dumps += 1;
-            rec.blackbox.clone()
-        } else {
-            None
-        };
-        let at_checkpoint = st.done.is_multiple_of(self.progress_every) || st.done == self.total;
-        let progress = if self.live && at_checkpoint {
-            Some((st.done, render_matrix_locked(&st.matrix)))
-        } else {
-            None
-        };
-        st.slots[run] = Some(rec);
-        drop(st);
-
-        if let Some(dump) = crash_dump {
-            eprintln!(
-                "[campaign {}] uncontrolled crash — flight-recorder tail:\n{}",
-                self.label, dump
-            );
-        }
-        if let Some((done, matrix)) = progress {
-            eprintln!(
-                "[campaign {}] {}/{} runs ({})\n{}",
-                self.label,
-                done,
-                self.total,
-                model_label(self.model),
-                matrix
-            );
-        }
-    }
-
-    /// Runs completed so far.
-    pub fn done(&self) -> usize {
-        self.inner.lock().expect("campaign lock").done
-    }
-
-    /// The component × outcome matrix rendered as text, one block row per
-    /// (policy, component) pair.
-    pub fn render_matrix(&self) -> String {
-        render_matrix_locked(&self.inner.lock().expect("campaign lock").matrix)
-    }
-
-    /// A clone of every record ingested so far, in plan order.
-    pub fn records(&self) -> Vec<InjectionRecord> {
-        self.inner
-            .lock()
-            .expect("campaign lock")
-            .slots
-            .iter()
-            .flatten()
-            .cloned()
-            .collect()
-    }
-
-    /// The campaign axiom's records: one chained `Injection` event per
-    /// ingested run, in plan order (derived from the record slots, so
-    /// completion order never reorders the chain).
-    pub fn axiom_records(&self) -> Vec<AxiomRecord> {
-        derive_axiom(&self.inner.lock().expect("campaign lock").slots)
-            .records()
-            .to_vec()
+    /// Every record, in plan order.
+    pub fn records(&self) -> &[InjectionRecord] {
+        &self.records
     }
 
     /// The campaign axiom serialized to its crash-consistent format
     /// (feed two of these to `osiris_axiom::bisect` — or the
     /// `axiom_bisect` tool — to find the first diverging run).
     pub fn axiom_bytes(&self) -> Vec<u8> {
-        derive_axiom(&self.inner.lock().expect("campaign lock").slots).to_bytes()
+        derive_axiom(&self.records).to_bytes()
     }
 
     /// The final campaign report document (`campaign_report.json`).
     pub fn report_json(&self) -> Json {
-        let st = self.inner.lock().expect("campaign lock");
         let tally_fields = |t: &Tally| {
             [
                 ("pass", Json::UInt(t.pass as u64)),
@@ -612,13 +452,13 @@ impl Campaign {
                 ("survivability_pct", Json::Num(t.survivability())),
             ]
         };
-        let matrix: Vec<_> = st
-            .matrix
+        let cells = matrix(&self.records);
+        let matrix: Vec<_> = cells
             .iter()
             .map(|((policy, component), t)| {
                 let mut fields = vec![
-                    ("policy", Json::Str(policy.clone())),
-                    ("component", Json::Str(component.clone())),
+                    ("policy", Json::Str(policy.to_string())),
+                    ("component", Json::Str(component.to_string())),
                 ];
                 fields.extend(tally_fields(t));
                 Json::Obj(
@@ -632,18 +472,18 @@ impl Campaign {
         // The all-policy grand total: the same columns as the per-row
         // tallies, so the JSON report and the rendered matrix footer agree.
         let mut totals = Tally::default();
-        st.matrix.values().for_each(|t| totals.absorb(t));
-        let records: Vec<&InjectionRecord> = st.slots.iter().flatten().collect();
+        cells.values().for_each(|t| totals.absorb(t));
+        let runs = Json::UInt(self.records.len() as u64);
         Json::obj([
             ("campaign", Json::Str(self.label.clone())),
             ("model", Json::Str(model_label(self.model).to_string())),
-            ("planned_runs", Json::UInt(self.total as u64)),
-            ("completed_runs", Json::UInt(st.done as u64)),
+            ("planned_runs", runs.clone()),
+            ("completed_runs", runs),
             ("matrix", Json::Arr(matrix)),
             ("totals", Json::obj(tally_fields(&totals))),
             (
                 "records",
-                Json::arr(&records, |r| {
+                Json::arr(&self.records, |r| {
                     Json::obj([
                         ("component", Json::Str(r.site.component.clone())),
                         ("site", Json::Str(r.site.site.clone())),
@@ -669,7 +509,19 @@ impl Campaign {
     }
 }
 
-fn render_matrix_locked(matrix: &BTreeMap<(String, String), Tally>) -> String {
+/// (policy, component) → outcome tally over `records`.
+fn matrix(records: &[InjectionRecord]) -> BTreeMap<(&str, &str), Tally> {
+    let mut cells: BTreeMap<(&str, &str), Tally> = BTreeMap::new();
+    for r in records {
+        let key = (r.policy.as_str(), r.site.component.as_str());
+        cells.entry(key).or_default().add(r.outcome);
+    }
+    cells
+}
+
+/// The outcome matrix of `records` as text: one row per (policy,
+/// component) pair, one per policy, and the grand total.
+pub fn render_matrix(records: &[InjectionRecord]) -> String {
     let mut out = format!(
         "  {:<14} {:<10} {:>6} {:>6} {:>9} {:>11} {:>9} {:>6} {:>7}\n",
         "policy",
@@ -699,9 +551,9 @@ fn render_matrix_locked(matrix: &BTreeMap<(String, String), Tally>) -> String {
         ));
     };
     let mut per_policy: BTreeMap<&str, Tally> = BTreeMap::new();
-    for ((policy, component), t) in matrix {
-        row(policy, component, t);
-        per_policy.entry(policy).or_default().absorb(t);
+    for ((policy, component), t) in matrix(records) {
+        row(policy, component, &t);
+        per_policy.entry(policy).or_default().absorb(&t);
     }
     let mut total = Tally::default();
     for (policy, t) in &per_policy {
@@ -745,14 +597,21 @@ mod tests {
         }
     }
 
+    fn campaign(model: FaultModel, records: Vec<InjectionRecord>) -> Campaign {
+        Campaign::new("t", model, records, Registry::default())
+    }
+
     #[test]
     fn matrix_and_registry_accumulate() {
-        let c = Campaign::new("t", FaultModel::FailStop, 3).quiet();
-        c.record(rec("enhanced", "pm", Outcome::Pass));
-        c.record(rec("enhanced", "pm", Outcome::Fail));
-        c.record(rec("naive", "vfs", Outcome::Crash));
-        assert_eq!(c.done(), 3);
-        let m = c.render_matrix();
+        let c = campaign(
+            FaultModel::FailStop,
+            vec![
+                rec("enhanced", "pm", Outcome::Pass),
+                rec("enhanced", "pm", Outcome::Fail),
+                rec("naive", "vfs", Outcome::Crash),
+            ],
+        );
+        let m = render_matrix(c.records());
         assert!(m.contains("enhanced"), "{m}");
         assert!(m.contains("(all)"), "{m}");
         let snap = c.metrics_handle().snapshot();
@@ -772,9 +631,13 @@ mod tests {
 
     #[test]
     fn report_json_carries_matrix_and_records() {
-        let c = Campaign::new("t", FaultModel::FullEdfi, 2).quiet();
-        c.record(rec("enhanced", "pm", Outcome::Pass));
-        c.record(rec("enhanced", "ds", Outcome::Shutdown));
+        let c = campaign(
+            FaultModel::FullEdfi,
+            vec![
+                rec("enhanced", "pm", Outcome::Pass),
+                rec("enhanced", "ds", Outcome::Shutdown),
+            ],
+        );
         let text = c.report_json().pretty();
         assert!(text.contains("\"model\": \"full-edfi\""));
         assert!(text.contains("\"completed_runs\": 2"));
@@ -835,17 +698,26 @@ mod tests {
 
     #[test]
     fn campaign_axiom_chains_and_bisects_on_outcome() {
-        let a = Campaign::new("a", FaultModel::FailStop, 3).quiet();
-        let b = Campaign::new("b", FaultModel::FailStop, 3).quiet();
-        for c in [&a, &b] {
-            c.record(rec("enhanced", "pm", Outcome::Pass));
-            c.record(rec("pessimistic", "vfs", Outcome::Pass));
-        }
+        let prefix = |policy| {
+            vec![
+                rec(policy, "pm", Outcome::Pass),
+                rec(policy, "vfs", Outcome::Pass),
+            ]
+        };
         // Same plan, same outcomes so far: identical chains despite the
         // differing policies (the site digest excludes the policy).
+        let (mut ra, mut rb) = (prefix("enhanced"), prefix("pessimistic"));
+        let (a, b) = (
+            campaign(FaultModel::FailStop, ra.clone()),
+            campaign(FaultModel::FailStop, rb.clone()),
+        );
         assert_eq!(a.axiom_bytes(), b.axiom_bytes());
-        a.record(rec("enhanced", "ds", Outcome::Pass));
-        b.record(rec("pessimistic", "ds", Outcome::Shutdown));
+        ra.push(rec("enhanced", "ds", Outcome::Pass));
+        rb.push(rec("pessimistic", "ds", Outcome::Shutdown));
+        let (a, b) = (
+            campaign(FaultModel::FailStop, ra),
+            campaign(FaultModel::FailStop, rb),
+        );
         let la = osiris_axiom::AxiomLog::from_bytes(&a.axiom_bytes()).expect("chain a");
         let lb = osiris_axiom::AxiomLog::from_bytes(&b.axiom_bytes()).expect("chain b");
         let div = osiris_axiom::bisect(la.records(), lb.records()).expect("diverged");

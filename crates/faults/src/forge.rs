@@ -8,7 +8,7 @@
 //! redundancy with the OS fork substrate
 //! ([`osiris_servers::Os::snapshot_into`] / [`osiris_servers::Os::fork_from`]):
 //!
-//! 1. **Prefix discovery** — a [`StepProfiler`]-instrumented run of the
+//! 1. **Prefix discovery** — a [`crate::Recorder`]-instrumented run of the
 //!    deterministic [`ScriptWorkload`] maps every instrumentation site to
 //!    the workload step where it first executes (its *reachability point*).
 //! 2. **Multiplexed snapshots** — one clean run per policy snapshots the OS
@@ -37,21 +37,20 @@
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
-use std::sync::{Arc, Mutex};
 
 use osiris_checkpoint::ChunkStore;
 use osiris_core::PolicyKind;
 use osiris_kernel::abi::{Errno, Fd, OpenFlags, Pid, SeekFrom, Signal, SysReply, Syscall};
-use osiris_kernel::{FaultEffect, FaultHook, NoFaults, OsEngine, Probe, RunOutcome, SyscallId};
+use osiris_kernel::{FaultHook, NoFaults, OsEngine, RunOutcome, SyscallId};
 use osiris_metrics::Registry;
 use osiris_rng::Rng;
 use osiris_servers::{Os, OsConfig, OsSnapshot};
 use osiris_trace::Json;
 
-use crate::campaign::{kind_label, model_label, site_digest128, Campaign, InjectionRecord};
+use crate::campaign::{kind_label, model_label, Campaign, InjectionRecord};
 use crate::{
-    plan_faults, run_parallel, site_key, DoubleInjector, FaultKind, FaultModel, FaultPlan,
-    Injector, Outcome, SiteId, SiteKey, SiteProfile,
+    plan_faults, run_parallel, DoubleInjector, FaultKind, FaultModel, FaultPlan, Injector, Outcome,
+    Recorder, SiteId, SiteObs, SiteProfile,
 };
 
 /// The five core servers eligible for fail-stop injection (paper order).
@@ -516,112 +515,6 @@ impl ScriptWorkload {
 }
 
 // ---------------------------------------------------------------------
-// StepProfiler: site → reachability step
-// ---------------------------------------------------------------------
-
-/// What the profiling run observed about one site.
-#[derive(Clone, Copy, Debug)]
-pub struct SiteObs {
-    /// Executions across the whole run.
-    pub count: u64,
-    /// First workload step in which the site executed — the reachability
-    /// boundary ([`Boundary::Reach`] forks here).
-    pub first_step: usize,
-    /// Last workload step in which the site executed — the late-window
-    /// boundary ([`Boundary::Late`] forks here, skipping the clean prefix
-    /// before it that a from-boot rerun would replay).
-    pub last_step: usize,
-    /// Whether the site ever executed inside an open recovery window.
-    pub window_open: bool,
-}
-
-/// Per-step site profile of one [`ScriptWorkload`] run.
-#[derive(Clone, Debug, Default)]
-pub struct StepProfile {
-    sites: BTreeMap<SiteId, SiteObs>,
-}
-
-impl StepProfile {
-    /// All observed sites with their observations, in deterministic order.
-    pub fn sites(&self) -> impl Iterator<Item = (&SiteId, &SiteObs)> {
-        self.sites.iter()
-    }
-
-    /// Number of distinct sites observed.
-    pub fn len(&self) -> usize {
-        self.sites.len()
-    }
-
-    /// Whether the profile is empty.
-    pub fn is_empty(&self) -> bool {
-        self.sites.is_empty()
-    }
-
-    /// The observation for `site`, if it executed.
-    pub fn get(&self, site: &SiteId) -> Option<&SiteObs> {
-        self.sites.get(site)
-    }
-
-    /// The earliest-reached site of `component` (ties broken by site id),
-    /// used to pick the primary crash for secondary-fault windows.
-    pub fn first_site_of(&self, component: &str) -> Option<(SiteId, SiteObs)> {
-        self.sites
-            .iter()
-            .filter(|(id, _)| id.component == component)
-            .min_by(|(ia, oa), (ib, ob)| (oa.first_step, *ia).cmp(&(ob.first_step, *ib)))
-            .map(|(id, obs)| (id.clone(), *obs))
-    }
-}
-
-/// Fault hook recording, per site, its execution count, the workload step
-/// where it first executed, and whether it ever ran inside an open
-/// recovery window. The step cursor is advanced by the script's
-/// `before_step` callback.
-#[derive(Clone, Default)]
-pub struct StepProfiler {
-    shared: Arc<Mutex<(usize, BTreeMap<SiteKey, SiteObs>)>>,
-}
-
-impl std::fmt::Debug for StepProfiler {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StepProfiler").finish()
-    }
-}
-
-impl StepProfiler {
-    /// Sets the current workload step.
-    pub fn set_step(&self, step: usize) {
-        self.shared.lock().expect("profiler lock").0 = step;
-    }
-
-    /// The accumulated profile.
-    pub fn profile(&self) -> StepProfile {
-        let sites = &self.shared.lock().expect("profiler lock").1;
-        StepProfile {
-            sites: sites.iter().map(|(&k, &obs)| (k.into(), obs)).collect(),
-        }
-    }
-}
-
-impl FaultHook for StepProfiler {
-    fn on_site(&mut self, probe: &Probe) -> FaultEffect {
-        let mut guard = self.shared.lock().expect("profiler lock");
-        let (step, sites) = &mut *guard;
-        let step = *step;
-        let obs = sites.entry(site_key(probe)).or_insert(SiteObs {
-            count: 0,
-            first_step: step,
-            last_step: step,
-            window_open: false,
-        });
-        obs.count += 1;
-        obs.last_step = obs.last_step.max(step);
-        obs.window_open |= probe.window_open;
-        FaultEffect::None
-    }
-}
-
-// ---------------------------------------------------------------------
 // Variants and planning
 // ---------------------------------------------------------------------
 
@@ -656,21 +549,21 @@ impl ForgeVariant {
         (
             model_label(self.model),
             kind_label(self.plan.kind),
-            site_digest128(&self.plan.site, self.plan.kind),
+            self.plan.site.clone(),
             self.policy.to_string(),
             self.primary_window.clone(),
         )
     }
 }
 
-/// (model, fault kind, armed-site digest, policy, secondary-fault window).
-type CellKey = (&'static str, &'static str, u128, String, String);
+/// (model, fault kind, armed site, policy, secondary-fault window).
+type CellKey = (&'static str, &'static str, SiteId, String, String);
 
 /// The discovered profiles plus the budgeted base-wave variant list.
 #[derive(Clone, Debug)]
 pub struct ForgePlan {
-    /// Per-policy step profiles from the discovery runs.
-    pub profiles: Vec<StepProfile>,
+    /// Per-policy site profiles from the discovery runs.
+    pub profiles: Vec<SiteProfile>,
     /// Base-wave variants, in deterministic plan order.
     pub variants: Vec<ForgeVariant>,
     /// Variants the budget dropped from the base wave — still declared in
@@ -720,10 +613,13 @@ impl CoverageMap {
         self.planned.contains_key(&v.cell())
     }
 
-    /// Marks a variant executed and folds its record into the observed
-    /// outcome cells.
+    /// Marks a planned variant executed and folds its record into the
+    /// observed outcome cells. An unplanned variant (a refinement) adds an
+    /// outcome cell only: the planned side is what the planner declared.
     pub fn observe(&mut self, v: &ForgeVariant, rec: &InjectionRecord) {
-        self.planned.insert(v.cell(), true);
+        if let Some(done) = self.planned.get_mut(&v.cell()) {
+            *done = true;
+        }
         self.observed.insert((
             rec.site.component.clone(),
             v.window_open,
@@ -791,56 +687,49 @@ pub struct FrontierReport {
     pub sites: Vec<String>,
 }
 
-/// Variants grouped by (model, site digest, fixed axis), holding the
-/// (varying axis, outcome class) pairs scanned for flips.
-type AxisGroups<F, V> = BTreeMap<(&'static str, u128, F), Vec<(V, u8)>>;
+/// Variants grouped by (model, fault kind, armed site, fixed axis),
+/// holding the (varying axis, outcome class) pairs scanned for flips.
+type AxisGroups<'a, F, V> = BTreeMap<(&'static str, &'static str, &'a SiteId, F), Vec<(V, u8)>>;
 
 fn frontier(variants: &[ForgeVariant], outcomes: &[Outcome]) -> FrontierReport {
     assert_eq!(variants.len(), outcomes.len());
     // Neighbors along the policy axis (same site/model/window) and along
     // the window axis (same site/model/policy).
-    let mut by_policy: AxisGroups<String, usize> = BTreeMap::new();
-    let mut by_window: AxisGroups<usize, String> = BTreeMap::new();
+    let mut by_policy: AxisGroups<&str, usize> = BTreeMap::new();
+    let mut by_window: AxisGroups<usize, &str> = BTreeMap::new();
     for (v, &o) in variants.iter().zip(outcomes) {
-        let digest = site_digest128(&v.plan.site, v.plan.kind);
+        let (model, kind) = (model_label(v.model), kind_label(v.plan.kind));
         let class = outcome_class(o);
         by_policy
-            .entry((model_label(v.model), digest, v.primary_window.clone()))
+            .entry((model, kind, &v.plan.site, &v.primary_window))
             .or_default()
             .push((v.policy_idx, class));
         by_window
-            .entry((model_label(v.model), digest, v.policy_idx))
+            .entry((model, kind, &v.plan.site, v.policy_idx))
             .or_default()
-            .push((v.primary_window.clone(), class));
+            .push((&v.primary_window, class));
     }
     let mut flips = 0;
     let mut sites = BTreeSet::new();
-    let mut digest_site: BTreeMap<u128, String> = BTreeMap::new();
-    for v in variants {
-        digest_site
-            .entry(site_digest128(&v.plan.site, v.plan.kind))
-            .or_insert_with(|| format!("{}:{}", v.plan.site.component, v.plan.site.site));
-    }
     fn scan<A: Ord>(
-        digest: u128,
+        site: &SiteId,
         classes: &mut [(A, u8)],
         flips: &mut u64,
         sites: &mut BTreeSet<String>,
-        digest_site: &BTreeMap<u128, String>,
     ) {
         classes.sort();
         for pair in classes.windows(2) {
             if pair[0].1 != pair[1].1 {
                 *flips += 1;
-                sites.insert(digest_site[&digest].clone());
+                sites.insert(format!("{}:{}", site.component, site.site));
             }
         }
     }
-    for ((_, digest, _), mut classes) in by_policy {
-        scan(digest, &mut classes, &mut flips, &mut sites, &digest_site);
+    for ((_, _, site, _), mut classes) in by_policy {
+        scan(site, &mut classes, &mut flips, &mut sites);
     }
-    for ((_, digest, _), mut classes) in by_window {
-        scan(digest, &mut classes, &mut flips, &mut sites, &digest_site);
+    for ((_, _, site, _), mut classes) in by_window {
+        scan(site, &mut classes, &mut flips, &mut sites);
     }
     FrontierReport {
         flips,
@@ -1073,8 +962,8 @@ fn pct((planned, executed): (usize, usize)) -> f64 {
     }
 }
 
-/// A forge execution's full result: the campaign observer (matrix, axiom,
-/// metrics, report) plus the forge report.
+/// A forge execution's full result: the campaign (matrix, axiom, metrics,
+/// report) plus the forge report.
 #[derive(Debug)]
 pub struct ForgeResult {
     /// The campaign fed with every injected run, in plan order.
@@ -1142,13 +1031,13 @@ impl Forge {
     /// budget (FailStop is asserted to fit — the 100% gate is
     /// non-negotiable).
     pub fn plan(&self) -> ForgePlan {
-        let profiles: Vec<StepProfile> = self
+        let profiles: Vec<SiteProfile> = self
             .config
             .policies
             .iter()
             .map(|&policy| {
                 let mut os = Os::new((self.config.os_config)(policy));
-                let profiler = StepProfiler::default();
+                let profiler = Recorder::new();
                 os.set_fault_hook(Box::new(profiler.clone()));
                 let run = self
                     .script
@@ -1349,17 +1238,17 @@ impl Forge {
         };
         let refine_arts = self.run_wave(&refinements, &snapshots, &store);
 
-        // Feed the campaign in plan order — base wave, then refinements —
-        // so records, matrix and the derived axiom chain are deterministic
-        // on every thread count.
+        // The campaign is the records in plan order — base wave, then
+        // refinements — as `run_parallel` returns them, so records, matrix
+        // and the derived axiom chain are the same on every thread count.
         let total = plan.variants.len() + refinements.len();
-        let campaign = Campaign::new("forge", FaultModel::FailStop, total).quiet();
+        let mut records = Vec::with_capacity(total);
         let mut per_policy: BTreeMap<String, (u64, u64)> = BTreeMap::new();
         for (v, art) in plan
             .variants
             .iter()
-            .chain(refinements.iter())
-            .zip(base_arts.iter().chain(refine_arts.iter()))
+            .chain(&refinements)
+            .zip(base_arts.into_iter().chain(refine_arts))
         {
             coverage.observe(v, &art.record);
             stats.fork_dirty_bytes += art.dirty_bytes;
@@ -1371,7 +1260,7 @@ impl Forge {
                 stats.forks += 1;
                 slot.0 += 1;
             }
-            campaign.record(art.record.clone());
+            records.push(art.record);
         }
 
         // Export the osiris_forge_* families after the campaign's own, so
@@ -1419,7 +1308,7 @@ impl Forge {
             &[],
         );
         m.add(flips, front.flips);
-        campaign.append_metrics(m);
+        let campaign = Campaign::new("forge", FaultModel::FailStop, records, m);
 
         let report = ForgeReport {
             injections: total,

@@ -5,16 +5,20 @@
 //! 1. a **profiling run** ([`Recorder`]) executes the workload once and
 //!    records which instrumentation sites (basic-block analogs) are actually
 //!    triggered — boot-time-only and never-reached sites are excluded, as in
-//!    the paper;
+//!    the paper — with each site's count, first and last workload step and
+//!    window state ([`SiteProfile`], read by the planners here and in
+//!    [`forge`]);
 //! 2. a **fault plan** ([`plan_faults`]) derives one fault per appropriate
 //!    site: only fail-stop faults ([`FaultModel::FailStop`], the model OSIRIS
 //!    is designed for) or the full realistic mix ([`FaultModel::FullEdfi`]:
 //!    crashes, hangs, flipped branches, corrupted values — the latter two
 //!    being *fail-silent*);
-//! 3. a **campaign** injects each fault in a separate, fresh run
-//!    ([`Injector`]) and classifies the outcome ([`Outcome`]): *pass*,
-//!    *fail* (workload errors but the system stays up), controlled
-//!    *shutdown*, or uncontrolled *crash*.
+//! 3. each fault is injected in a separate, fresh run ([`Injector`]) and
+//!    the outcome classified ([`Outcome`]): *pass*, *fail* (workload errors
+//!    but the system stays up), controlled *shutdown*, or uncontrolled
+//!    *crash*;
+//! 4. the **campaign** ([`Campaign`]) is the runs' records in plan order;
+//!    the survivability matrix, report, axiom and metrics derive from it.
 //!
 //! Faults are **persistent**: an armed fault fires every time its site
 //! executes, so recovering and retrying the same request hits it again —
@@ -27,12 +31,12 @@ pub mod campaign;
 pub mod forge;
 
 pub use campaign::{
-    critical_path, site_digest, site_digest128, Campaign, CriticalPath, InjectionRecord,
+    critical_path, render_matrix, site_digest, Campaign, CriticalPath, InjectionRecord,
     RecoveryActionTag,
 };
 pub use forge::{
     forge_config_fail_silent, Boundary, CoverageMap, Forge, ForgeConfig, ForgePlan, ForgeReport,
-    ForgeResult, ForgeVariant, FrontierReport, ScriptWorkload, StepProfile, StepProfiler,
+    ForgeResult, ForgeVariant, FrontierReport, ScriptWorkload,
 };
 
 use std::collections::BTreeMap;
@@ -94,54 +98,88 @@ impl From<SiteKey> for SiteId {
     }
 }
 
-/// Execution counts per site, from a profiling run.
+/// What a profiling run observed about one site.
+#[derive(Clone, Copy, Debug)]
+pub struct SiteObs {
+    /// Executions across the whole run.
+    pub count: u64,
+    /// First workload step in which the site executed — the reachability
+    /// boundary ([`forge::Boundary::Reach`] forks here).
+    pub first_step: usize,
+    /// Last workload step in which the site executed — the late-window
+    /// boundary ([`forge::Boundary::Late`] forks here, skipping the clean
+    /// prefix before it that a from-boot rerun would replay).
+    pub last_step: usize,
+    /// Whether the site ever executed inside an open recovery window.
+    pub window_open: bool,
+}
+
+/// Per-site observations from a profiling run.
 #[derive(Clone, Debug, Default)]
 pub struct SiteProfile {
-    counts: BTreeMap<SiteId, u64>,
+    sites: BTreeMap<SiteId, SiteObs>,
 }
 
 impl SiteProfile {
-    /// Sites that were triggered at least once, in deterministic order.
-    pub fn triggered_sites(&self) -> Vec<SiteId> {
-        self.counts.keys().cloned().collect()
+    /// All triggered sites with their observations, in deterministic order.
+    pub fn sites(&self) -> impl Iterator<Item = (&SiteId, &SiteObs)> {
+        self.sites.iter()
     }
 
-    /// Execution count of a site.
-    pub fn count(&self, id: &SiteId) -> u64 {
-        self.counts.get(id).copied().unwrap_or(0)
+    /// Sites that were triggered at least once, in deterministic order.
+    pub fn triggered_sites(&self) -> Vec<SiteId> {
+        self.sites.keys().cloned().collect()
+    }
+
+    /// The observation for `site`, if it executed.
+    pub fn get(&self, site: &SiteId) -> Option<&SiteObs> {
+        self.sites.get(site)
     }
 
     /// Number of distinct triggered sites.
     pub fn len(&self) -> usize {
-        self.counts.len()
+        self.sites.len()
     }
 
     /// Whether no sites were triggered.
     pub fn is_empty(&self) -> bool {
-        self.counts.is_empty()
+        self.sites.is_empty()
     }
 
     /// Restrict the profile to the given components (e.g. the five core
     /// servers, excluding drivers).
     pub fn restrict_to(&self, components: &[&str]) -> SiteProfile {
         SiteProfile {
-            counts: self
-                .counts
+            sites: self
+                .sites
                 .iter()
                 .filter(|(id, _)| components.contains(&id.component.as_str()))
-                .map(|(k, v)| (k.clone(), *v))
+                .map(|(id, obs)| (id.clone(), *obs))
                 .collect(),
         }
     }
+
+    /// The earliest-reached site of `component` (ties broken by site id),
+    /// used to pick the primary crash for secondary-fault windows.
+    pub fn first_site_of(&self, component: &str) -> Option<(SiteId, SiteObs)> {
+        self.sites
+            .iter()
+            .filter(|(id, _)| id.component == component)
+            .min_by_key(|(id, obs)| (obs.first_step, *id))
+            .map(|(id, obs)| (id.clone(), *obs))
+    }
 }
 
-/// Fault hook that records site executions (the profiling run).
+/// Fault hook that records, per site, its execution count, the workload
+/// steps where it first and last executed, and whether it ever ran inside
+/// an open recovery window (the profiling run). A caller that never calls
+/// [`Recorder::set_step`] profiles everything at step 0.
 ///
-/// The shared handle lets the campaign read the profile after the run, since
-/// the hook itself is owned by the kernel.
+/// The shared handle lets the caller set the step and read the profile
+/// while the kernel owns the hook.
 #[derive(Clone, Default)]
 pub struct Recorder {
-    shared: Arc<Mutex<BTreeMap<SiteKey, u64>>>,
+    shared: Arc<Mutex<(usize, BTreeMap<SiteKey, SiteObs>)>>,
 }
 
 impl fmt::Debug for Recorder {
@@ -156,19 +194,33 @@ impl Recorder {
         Self::default()
     }
 
+    /// Sets the current workload step.
+    pub fn set_step(&self, step: usize) {
+        self.shared.lock().expect("recorder lock").0 = step;
+    }
+
     /// Snapshot of the recorded profile.
     pub fn profile(&self) -> SiteProfile {
-        let counts = self.shared.lock().expect("recorder lock");
+        let sites = &self.shared.lock().expect("recorder lock").1;
         SiteProfile {
-            counts: counts.iter().map(|(&k, &n)| (k.into(), n)).collect(),
+            sites: sites.iter().map(|(&k, &obs)| (k.into(), obs)).collect(),
         }
     }
 }
 
 impl FaultHook for Recorder {
     fn on_site(&mut self, probe: &Probe) -> FaultEffect {
-        let mut counts = self.shared.lock().expect("recorder lock");
-        *counts.entry(site_key(probe)).or_insert(0) += 1;
+        let mut guard = self.shared.lock().expect("recorder lock");
+        let (step, sites) = &mut *guard;
+        let obs = sites.entry(site_key(probe)).or_insert(SiteObs {
+            count: 0,
+            first_step: *step,
+            last_step: *step,
+            window_open: false,
+        });
+        obs.count += 1;
+        obs.last_step = obs.last_step.max(*step);
+        obs.window_open |= probe.window_open;
         FaultEffect::None
     }
 }
@@ -661,9 +713,8 @@ impl FromIterator<Outcome> for Tally {
 /// campaigns parallelize trivially.
 ///
 /// Jobs are *started* in input order too (a forward cursor, not a LIFO
-/// stack), so side effects that workers key by job index — e.g.
-/// [`Campaign::record_at`] slots — interleave the same way regardless of
-/// the thread count.
+/// stack). A campaign is built from the returned vector, so its records
+/// never depend on the thread count.
 pub fn run_parallel<J, T, F>(jobs: Vec<J>, threads: usize, f: F) -> Vec<T>
 where
     J: Send,
@@ -720,27 +771,17 @@ mod tests {
         assert_eq!(inj.on_site(&p), FaultEffect::None);
     }
 
-    fn profile_with(sites: &[(&str, &str, SiteKindTag)]) -> SiteProfile {
-        let mut p = SiteProfile::default();
-        for (c, s, k) in sites {
-            p.counts.insert(
-                SiteId {
-                    component: c.to_string(),
-                    site: s.to_string(),
-                    kind: *k,
-                },
-                1,
-            );
+    fn profile_with(sites: &[(&'static str, &'static str, SiteKind)]) -> SiteProfile {
+        let mut r = Recorder::new();
+        for &(c, s, k) in sites {
+            r.on_site(&probe(c, s, k));
         }
-        p
+        r.profile()
     }
 
     #[test]
     fn fail_stop_plan_is_one_crash_per_site() {
-        let p = profile_with(&[
-            ("pm", "a", SiteKindTag::Block),
-            ("vm", "b", SiteKindTag::Value),
-        ]);
+        let p = profile_with(&[("pm", "a", SiteKind::Block), ("vm", "b", SiteKind::Value)]);
         let plans = plan_faults(&p, FaultModel::FailStop, 1);
         assert_eq!(plans.len(), 2);
         assert!(plans.iter().all(|f| f.kind == FaultKind::Crash));
@@ -749,9 +790,9 @@ mod tests {
     #[test]
     fn full_edfi_plan_is_deterministic_and_larger() {
         let p = profile_with(&[
-            ("pm", "a", SiteKindTag::Block),
-            ("pm", "br", SiteKindTag::Branch),
-            ("vm", "v", SiteKindTag::Value),
+            ("pm", "a", SiteKind::Block),
+            ("pm", "br", SiteKind::Branch),
+            ("vm", "v", SiteKind::Value),
         ]);
         let a = plan_faults(&p, FaultModel::FullEdfi, 42);
         let b = plan_faults(&p, FaultModel::FullEdfi, 42);
@@ -775,6 +816,7 @@ mod tests {
     fn recorder_counts_sites() {
         let mut r = Recorder::new();
         r.on_site(&probe("pm", "x", SiteKind::Block));
+        r.set_step(3);
         r.on_site(&probe("pm", "x", SiteKind::Block));
         r.on_site(&probe("vm", "y", SiteKind::Value));
         let p = r.profile();
@@ -784,15 +826,14 @@ mod tests {
             site: "x".into(),
             kind: SiteKindTag::Block,
         };
-        assert_eq!(p.count(&id), 2);
+        let obs = p.get(&id).expect("pm:x profiled");
+        assert_eq!((obs.count, obs.first_step, obs.last_step), (2, 0, 3));
+        assert_eq!(p.first_site_of("vm").map(|(_, o)| o.first_step), Some(3));
     }
 
     #[test]
     fn restrict_filters_components() {
-        let p = profile_with(&[
-            ("pm", "a", SiteKindTag::Block),
-            ("disk", "d", SiteKindTag::Block),
-        ]);
+        let p = profile_with(&[("pm", "a", SiteKind::Block), ("disk", "d", SiteKind::Block)]);
         let q = p.restrict_to(&["pm", "vm", "vfs", "ds", "rs"]);
         assert_eq!(q.len(), 1);
     }

@@ -1,17 +1,13 @@
-//! Campaign-layer regressions for the forge PR: `run_parallel` result
-//! ordering, slot-addressed recording, and the widened site digest.
+//! Campaign-layer regressions: `run_parallel` result ordering, and a
+//! campaign built from its returned records.
 
-use std::collections::BTreeSet;
 use std::time::Duration;
 
-use osiris_faults::campaign::{site_digest, site_digest128};
-use osiris_faults::forge::{forge_config, ScriptWorkload, StepProfiler};
 use osiris_faults::{
-    plan_faults, run_parallel, Campaign, CriticalPath, FaultKind, FaultModel, InjectionRecord,
-    Outcome, RecoveryActionTag, SiteId, SiteProfile,
+    render_matrix, run_parallel, Campaign, CriticalPath, FaultKind, FaultModel, InjectionRecord,
+    Outcome, RecoveryActionTag, SiteId,
 };
-use osiris_metrics::HistSummary;
-use osiris_servers::Os;
+use osiris_metrics::{HistSummary, Registry};
 
 /// `run_parallel` must return results in job order on every thread count,
 /// even when late jobs finish first.
@@ -58,22 +54,23 @@ fn rec(run: usize, policy: &str, outcome: Outcome) -> InjectionRecord {
     }
 }
 
-/// Records fed through `record_at` from a thread pool must yield the same
-/// records, axiom chain, report and metrics exposition (Prometheus text and
-/// JSON) regardless of thread count.
+/// A campaign built from the records a thread pool returns must have the
+/// same records, axiom chain, report and metrics exposition (Prometheus
+/// text and JSON) regardless of thread count, even when late jobs finish
+/// first.
 #[test]
 fn campaign_slots_are_thread_count_invariant() {
     let total = 60;
     let mut baseline: Option<(Vec<u8>, [String; 3])> = None;
     for threads in [1, 4, 16] {
-        let campaign = Campaign::new("order", FaultModel::FailStop, total).quiet();
         let outcomes = [Outcome::Pass, Outcome::Fail, Outcome::Shutdown];
-        run_parallel((0..total).collect::<Vec<_>>(), threads, |i| {
+        let records = run_parallel((0..total).collect::<Vec<_>>(), threads, |i| {
             std::thread::sleep(Duration::from_micros(((total - i) % 5) as u64 * 100));
             let policy = ["stateless", "enhanced"][i % 2];
-            campaign.record_at(i, rec(i, policy, outcomes[i % 3]));
+            rec(i, policy, outcomes[i % 3])
         });
-        assert_eq!(campaign.done(), total);
+        let campaign = Campaign::new("order", FaultModel::FailStop, records, Registry::default());
+        assert_eq!(campaign.records().len(), total);
         let text = [
             campaign.report_json().pretty(),
             campaign.metrics_handle().prometheus(),
@@ -100,69 +97,23 @@ fn campaign_slots_are_thread_count_invariant() {
 /// must agree with the sum over all matrix rows.
 #[test]
 fn report_totals_match_matrix_footer() {
-    let campaign = Campaign::new("tot", FaultModel::FailStop, 4).quiet();
-    campaign.record(rec(0, "stateless", Outcome::Pass));
-    campaign.record(rec(1, "stateless", Outcome::Shutdown));
-    campaign.record(rec(2, "enhanced", Outcome::Pass));
-    campaign.record(rec(3, "enhanced", Outcome::Pass));
+    let records = vec![
+        rec(0, "stateless", Outcome::Pass),
+        rec(1, "stateless", Outcome::Shutdown),
+        rec(2, "enhanced", Outcome::Pass),
+        rec(3, "enhanced", Outcome::Pass),
+    ];
+    let campaign = Campaign::new("tot", FaultModel::FailStop, records, Registry::default());
     let report = campaign.report_json().pretty();
     assert!(
         report.contains("\"totals\""),
         "report lacks totals: {report}"
     );
-    let matrix = campaign.render_matrix();
+    let matrix = render_matrix(campaign.records());
     assert!(matrix.contains("(total)"), "matrix lacks footer: {matrix}");
     // 3 passes + 1 shutdown across all policies.
     let totals_idx = report.find("\"totals\"").expect("totals object");
     let totals = &report[totals_idx..];
     assert!(totals.contains("\"pass\": 3"), "bad totals: {totals}");
     assert!(totals.contains("\"shutdown\": 1"), "bad totals: {totals}");
-}
-
-/// The 128-bit site digest must be collision-free across every triggered
-/// site of the forge profile under all fault kinds, and its low lane must
-/// stay the original 64-bit digest (axiom-record compatibility).
-#[test]
-fn site_digest128_collision_free_over_profile() {
-    let script = ScriptWorkload::default();
-    let mut os = Os::new(forge_config(osiris_core::PolicyKind::Enhanced));
-    let profiler = StepProfiler::default();
-    os.set_fault_hook(Box::new(profiler.clone()));
-    let run = script.run_range_with(&mut os, 0..ScriptWorkload::STEPS, |s| profiler.set_step(s));
-    assert!(run.clean(), "profiling run not clean: {:?}", run.outcome);
-    let profile = profiler.profile();
-    assert!(
-        profile.len() > 30,
-        "suspiciously few sites: {}",
-        profile.len()
-    );
-
-    let mut sites: BTreeSet<SiteId> = profile.sites().map(|(id, _)| id.clone()).collect();
-    for model in [FaultModel::DuringRecovery, FaultModel::DoubleFault] {
-        for plan in plan_faults(&SiteProfile::default(), model, 42) {
-            sites.insert(plan.site);
-        }
-    }
-    let kinds = [
-        FaultKind::Crash,
-        FaultKind::Hang,
-        FaultKind::BranchFlip,
-        FaultKind::ValueCorrupt(0xDEAD_BEEF),
-    ];
-    let mut seen = BTreeSet::new();
-    for site in &sites {
-        for kind in kinds {
-            let wide = site_digest128(site, kind);
-            assert_eq!(
-                wide as u64,
-                site_digest(site, kind),
-                "low lane must remain the 64-bit digest for {site:?}"
-            );
-            assert!(
-                seen.insert(wide),
-                "digest collision at {site:?} kind {kind:?}"
-            );
-        }
-    }
-    assert_eq!(seen.len(), sites.len() * kinds.len());
 }

@@ -4,8 +4,8 @@
 
 use osiris_checkpoint::ChunkStore;
 use osiris_core::PolicyKind;
-use osiris_faults::forge::{forge_config, ScriptWorkload, StepProfiler};
-use osiris_faults::{FaultKind, FaultPlan, Injector};
+use osiris_faults::forge::{forge_config, ScriptWorkload};
+use osiris_faults::{FaultKind, FaultPlan, Injector, Recorder};
 use osiris_kernel::NoFaults;
 use osiris_servers::Os;
 use osiris_trace::{Category, CategoryMask};
@@ -47,7 +47,7 @@ fn fork_equivalence_fault_free() {
 fn first_site(component: &str) -> (osiris_faults::SiteId, usize) {
     let script = ScriptWorkload::default();
     let mut os = Os::new(forge_config(PolicyKind::Enhanced));
-    let profiler = StepProfiler::default();
+    let profiler = Recorder::new();
     os.set_fault_hook(Box::new(profiler.clone()));
     let run = script.run_range_with(&mut os, 0..STEPS, |s| profiler.set_step(s));
     assert!(run.clean(), "profiling run not clean: {:?}", run.outcome);

@@ -2,7 +2,9 @@
 //! full coverage of the planned spaces, and a live frontier.
 
 use osiris_core::PolicyKind;
-use osiris_faults::{forge_config_fail_silent, Forge, ForgeConfig, ForgeResult, Outcome};
+use osiris_faults::{
+    forge_config_fail_silent, FaultModel, Forge, ForgeConfig, ForgeResult, ForgeVariant, Outcome,
+};
 use osiris_metrics::validate_prometheus;
 
 /// Minimum DoubleFault × DuringRecovery coverage (percent) within the
@@ -19,9 +21,31 @@ fn sweep(threads: usize) -> ForgeResult {
     forge.run()
 }
 
+/// FNV digest of one export, as `golden_exports.rs` takes them.
+fn digest(bytes: &[u8]) -> u64 {
+    osiris_axiom::fnv1a(osiris_axiom::fnv1a_str(""), bytes)
+}
+
+/// Digests of `sweep(1)`'s campaign axiom, report, exposition and frontier,
+/// captured before the campaign became a value built from its ordered
+/// records. A change to how records are collected must leave them alone.
+const SWEEP_DIGESTS: [u64; 4] = [
+    0xb048_4983_fa31_417b,
+    0x75f0_232e_54db_fccf,
+    0xa266_c972_1872_b3d0,
+    0x5c09_ac76_40e2_6adc,
+];
+
 #[test]
 fn forge_sweep_is_thread_count_invariant() {
     let a = sweep(1);
+    let got = [
+        digest(&a.campaign.axiom_bytes()),
+        digest(a.campaign.report_json().pretty().as_bytes()),
+        digest(a.campaign.metrics_handle().prometheus().as_bytes()),
+        digest(format!("{:?}", a.report.frontier).as_bytes()),
+    ];
+    assert_eq!(got, SWEEP_DIGESTS, "campaign exports moved: {got:#018x?}");
     let b = sweep(4);
 
     // Records, matrix, axiom chain and coverage are plan-ordered and must
@@ -73,6 +97,26 @@ fn forge_budget_truncation_is_visible() {
     assert_eq!(res.report.injections, 150);
 }
 
+/// The coverage ledger declares what the planner scheduled, deferred
+/// variants included; the frontier's refinements are bonus exploration of
+/// covered cells and never join the recovery-space denominator.
+#[test]
+fn refinement_cells_are_not_counted_as_planned() {
+    let forge = Forge::new(ForgeConfig::default());
+    let plan = forge.plan();
+    let recovery_path = |v: &&ForgeVariant| {
+        matches!(
+            v.model,
+            FaultModel::DuringRecovery | FaultModel::DoubleFault
+        )
+    };
+    let planned = plan.variants.iter().chain(&plan.deferred);
+    let declared = planned.filter(recovery_path).count();
+    let res = forge.run_plan(&plan);
+    assert!(res.report.refinements > 0, "the default sweep refines");
+    assert_eq!(res.report.recovery_space.0, declared);
+}
+
 /// The sweep-completeness floors of the default four-policy sweep with the
 /// fail-silent wave on (hang / stall / reply-drop / reply-corrupt at every
 /// core server need armed deadlines, so the whole sweep runs under the
@@ -114,10 +158,11 @@ fn default_sweep_clears_the_coverage_floors() {
 /// uncontrolled crashes carry a flight-recorder tail.
 #[test]
 fn exactly_the_crashes_carry_a_black_box() {
-    let records = Forge::new(ForgeConfig::default()).run().campaign.records();
+    let result = Forge::new(ForgeConfig::default()).run();
+    let records = result.campaign.records();
     let crashes = records.iter().filter(|r| r.outcome == Outcome::Crash);
     assert!(crashes.count() > 0, "the default sweep has crashes to dump");
-    for r in &records {
+    for r in records {
         let tail = r.blackbox.as_deref();
         assert_eq!(tail.is_some(), r.outcome == Outcome::Crash, "{:?}", r.site);
         assert_ne!(tail, Some(""), "empty tail for {:?}", r.site);

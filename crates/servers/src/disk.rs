@@ -6,7 +6,7 @@
 //! never written). Because timers fire in submission order, a write to a
 //! block always commits before a later-submitted read of the same block.
 
-use osiris_checkpoint::{Heap, PCell, PMap};
+use osiris_checkpoint::{PCell, PMap};
 use osiris_kernel::{cost, Ctx, Message, ReturnPath, Server};
 
 use crate::proto::OsMsg;
@@ -120,13 +120,6 @@ impl Server<OsMsg> for DiskDriver {
             OsMsg::Ping => ctx.reply(msg.return_path(), OsMsg::Pong),
             _ => {}
         }
-    }
-
-    fn audit_facts(&self, heap: &Heap) -> Vec<(String, u64)> {
-        vec![
-            ("disk.blocks".to_string(), self.h().blocks.len(heap) as u64),
-            ("disk.ops".to_string(), self.h().ops.get(heap)),
-        ]
     }
 
     fn clone_box(&self) -> Box<dyn Server<OsMsg>> {

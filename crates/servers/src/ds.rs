@@ -9,7 +9,7 @@
 //! non-state-modifying, so the pessimistic policy closes the window almost
 //! immediately while the enhanced policy keeps it open to the end.
 
-use osiris_checkpoint::{Heap, PCell, PMap};
+use osiris_checkpoint::{PCell, PMap};
 use osiris_kernel::abi::{Errno, Pid, SysReply, Syscall};
 use osiris_kernel::{Ctx, Message, ReturnPath, Server};
 
@@ -146,10 +146,6 @@ impl Server<OsMsg> for DataStore {
             }
             _ => {}
         }
-    }
-
-    fn audit_facts(&self, heap: &Heap) -> Vec<(String, u64)> {
-        vec![("ds.keys".to_string(), self.h().store.len(heap) as u64)]
     }
 
     fn clone_box(&self) -> Box<dyn Server<OsMsg>> {

@@ -22,7 +22,7 @@
 //! control-plane transition.
 
 use osiris_axiom::IntentPhaseCode;
-use osiris_checkpoint::{Heap, PCell, PMap};
+use osiris_checkpoint::{PCell, PMap};
 use osiris_core::{EscalationPolicy, EscalationStep};
 use osiris_kernel::{cost, Ctx, Endpoint, Message, Server};
 
@@ -308,18 +308,6 @@ impl Server<OsMsg> for RecoveryServer {
             }
             _ => {}
         }
-    }
-
-    fn audit_facts(&self, heap: &Heap) -> Vec<(String, u64)> {
-        let mut facts = Vec::new();
-        self.h().services.for_each(heap, |_, s| {
-            facts.push(("rs.restarts".to_string(), s.restarts));
-            facts.push(("rs.service".to_string(), u64::from(s.endpoint)));
-            if s.quarantined {
-                facts.push(("rs.quarantined".to_string(), u64::from(s.endpoint)));
-            }
-        });
-        facts
     }
 
     fn clone_box(&self) -> Box<dyn Server<OsMsg>> {

@@ -12,6 +12,7 @@ use osiris_faults::{
 };
 use osiris_kernel::abi::{Errno, Fd, OpenFlags};
 use osiris_kernel::RunOutcome;
+use osiris_metrics::Registry;
 use osiris_servers::{Os, OsConfig};
 use osiris_trace::TraceConfig;
 use osiris_workloads::{Host, ProgramRegistry, Sys};
@@ -184,7 +185,7 @@ fn persistent_vfs_crash_loop_quarantines_under_pessimistic() {
 /// run terminates instead of crash-looping.
 #[test]
 fn ladder_classes_reach_the_campaign_report() {
-    let campaign = Campaign::new("escalation", FaultModel::FailStop, 4).quiet();
+    let mut records = Vec::new();
     for policy in [PolicyKind::Enhanced, PolicyKind::Pessimistic] {
         for (program, want) in [
             ("main", Outcome::Degraded),
@@ -195,9 +196,15 @@ fn ladder_classes_reach_the_campaign_report() {
             let rec = InjectionRecord::from_run(&os, &outcome, &hot_read_plan(), policy);
             assert_eq!(rec.outcome, want, "{program}/{policy:?}");
             assert!(rec.blackbox.is_none(), "only crashes carry a black box");
-            campaign.record(rec);
+            records.push(rec);
         }
     }
+    let campaign = Campaign::new(
+        "escalation",
+        FaultModel::FailStop,
+        records,
+        Registry::default(),
+    );
     let report = campaign.report_json().pretty();
     for class in ["degraded", "quarantined"] {
         assert_eq!(

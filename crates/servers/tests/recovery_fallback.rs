@@ -12,6 +12,7 @@ use osiris_faults::{
 };
 use osiris_kernel::abi::{Errno, OpenFlags};
 use osiris_kernel::{RunOutcome, ShutdownKind, WatchdogConfig};
+use osiris_metrics::Registry;
 use osiris_servers::{Os, OsConfig};
 use osiris_trace::TraceConfig;
 use osiris_workloads::{Host, ProgramRegistry};
@@ -276,7 +277,7 @@ fn a_conduct_that_needs_a_hung_rs_restarts_it_first() {
 #[test]
 fn no_during_recovery_secondary_crashes_the_system() {
     let plans = plan_faults(&SiteProfile::default(), FaultModel::DuringRecovery, 1);
-    let campaign = Campaign::new("t", FaultModel::DuringRecovery, plans.len()).quiet();
+    let mut records = Vec::new();
     let mut rollback_phase_seen = false;
     for secondary in &plans {
         let (outcome, os) = run_with_secondary(secondary.clone());
@@ -293,9 +294,15 @@ fn no_during_recovery_secondary_crashes_the_system() {
                 assert!(prom.contains(family), "{family} missing:\n{prom}");
             }
         }
-        campaign.record(rec);
+        records.push(rec);
     }
     assert!(rollback_phase_seen, "rollback-phase plan not synthesized");
+    let campaign = Campaign::new(
+        "t",
+        FaultModel::DuringRecovery,
+        records,
+        Registry::default(),
+    );
     let tally: Tally = campaign.records().iter().map(|r| r.outcome).collect();
     assert!(tally.survivability() > 0.0, "{tally:?}");
     let report = campaign.report_json().pretty();

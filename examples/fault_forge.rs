@@ -15,7 +15,7 @@
 //! cargo run --release --example fault_forge
 //! ```
 
-use osiris::faults::{Forge, ForgeConfig};
+use osiris::faults::{render_matrix, Forge, ForgeConfig};
 
 fn main() {
     osiris::install_quiet_panic_hook();
@@ -34,7 +34,7 @@ fn main() {
     let result = forge.run_plan(&plan);
     let report = &result.report;
 
-    println!("{}", result.campaign.render_matrix());
+    println!("{}", render_matrix(result.campaign.records()));
     println!(
         "{} injections: {} fresh forks, {} snapshot re-adoptions, {} dirty bytes copied",
         report.injections, report.stats.forks, report.stats.readopts, report.stats.fork_dirty_bytes

@@ -3,10 +3,9 @@
 //! site, inject each in a fresh run under two recovery policies, and
 //! compare the outcome distributions.
 //!
-//! The runs stream through a [`Campaign`] observer, which prints live
-//! progress plus a policy × component × outcome matrix to stderr, dumps a
-//! flight-recorder black box for the first uncontrolled crashes, and can
-//! render a machine-readable report at the end.
+//! The records come back in plan order and render as a policy × component ×
+//! outcome matrix ([`render_matrix`]); each uncontrolled crash's record
+//! carries its flight-recorder black box.
 //!
 //! ```text
 //! cargo run --release --example fault_injection
@@ -14,7 +13,7 @@
 
 use osiris::faults::forge::forge_config;
 use osiris::faults::{
-    plan_faults, run_parallel, Campaign, FaultModel, InjectionRecord, Injector, Recorder,
+    plan_faults, render_matrix, run_parallel, FaultModel, InjectionRecord, Injector, Recorder,
 };
 use osiris::workloads::run_suite_with;
 use osiris::{OsConfig, PolicyKind};
@@ -38,20 +37,15 @@ fn main() {
     let plans = plan_faults(&profile, FaultModel::FailStop, 7);
     println!("{} faults planned\n", plans.len());
 
-    // 3. Inject each fault in its own fresh run, per policy, streaming
-    //    every outcome through the campaign observer.
+    // 3. Inject each fault in its own fresh run, per policy. `run_parallel`
+    //    returns the records in plan order on any thread count.
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4);
-    let policies = [PolicyKind::Naive, PolicyKind::Enhanced];
-    let campaign = Campaign::new(
-        "example-failstop",
-        FaultModel::FailStop,
-        plans.len() * policies.len(),
-    );
-    println!("injecting on {threads} threads (live matrix on stderr)...");
-    for policy in policies {
-        run_parallel(plans.clone(), threads, |plan| {
+    println!("injecting on {threads} threads...");
+    let mut records = Vec::new();
+    for policy in [PolicyKind::Naive, PolicyKind::Enhanced] {
+        records.extend(run_parallel(plans.clone(), threads, |plan| {
             // `forge_config` flight-records quietly and retains the axiom;
             // `from_run` audits, classifies (escalation-aware: a run that
             // survived by quarantining a crash-looping component reports
@@ -59,12 +53,15 @@ fn main() {
             // uncontrolled crash.
             let (outcome, os) =
                 run_suite_with(forge_config(policy), Some(Box::new(Injector::new(&plan))));
-            campaign.record(InjectionRecord::from_run(&os, &outcome, &plan, policy));
-        });
+            InjectionRecord::from_run(&os, &outcome, &plan, policy)
+        }));
+    }
+    if let Some(tail) = records.iter().find_map(|r| r.blackbox.as_deref()) {
+        eprintln!("first uncontrolled crash — flight-recorder tail:\n{tail}");
     }
 
-    println!("\nfinal campaign matrix ({} runs):", campaign.done());
-    print!("{}", campaign.render_matrix());
+    println!("\ncampaign matrix ({} runs):", records.len());
+    print!("{}", render_matrix(&records));
     println!("\nenhanced recovery turns uncontrolled crashes into recoveries or");
     println!("controlled shutdowns; the naive baseline survives by luck and");
     println!("leaves torn state behind (caught as crashes by the audit).");
