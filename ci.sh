@@ -33,8 +33,12 @@ if grep -rnE 'thread::(spawn|Builder|scope)|mpsc' crates/{kernel,core,checkpoint
     exit 1
 fi
 
-echo "== one event table, one writer: chrome.rs builds no Json tree, the kernel holds no trace vocabulary, no path becomes a lossy string =="
+echo "== one event table, one writer: chrome.rs builds no Json tree and, like render_text, formats nothing through core::fmt; the kernel holds no trace vocabulary, no path becomes a lossy string =="
+text_path="$(sed -n '/^pub(crate) enum CompName/,/^fn text_capacity/p' crates/trace/src/lib.rs)"
+test -n "$text_path"
 if grep -n 'Json::' crates/trace/src/chrome.rs ||
+    grep -n 'format_args!\|write!(\|writeln!(\|:?}' crates/trace/src/chrome.rs ||
+    grep -n 'format_args!\|write!(\|writeln!(\|:?}' <<<"$text_path" ||
     grep -rn 'fn trace_twin' crates/kernel/src ||
     grep -rn to_string_lossy crates/*/src src examples; then
     exit 1
@@ -62,8 +66,8 @@ if grep -rnE 'record_at|site_digest128|StepProfiler|StepProfile\b|fn quiet' crat
     exit 1
 fi
 
-echo "== DESIGN.md stays within its 47,450-byte cap =="
-test "$(wc -c < DESIGN.md)" -le 47450
+echo "== DESIGN.md stays within its 47,447-byte cap =="
+test "$(wc -c < DESIGN.md)" -le 47447
 
 echo "== repo-root size cap: no tracked file at the root over 64 KiB (dumps belong under target/) =="
 git ls-files -z -- ':(glob)*' | xargs -0 wc -c |

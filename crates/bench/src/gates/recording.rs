@@ -20,7 +20,7 @@ use osiris_metrics::{MetricsConfig, Registry, SeriesFold, SeriesValue, Timeserie
 use osiris_rng::Rng;
 use osiris_servers::{Os, OsConfig};
 use osiris_trace::chrome::ChromeTrace;
-use osiris_trace::{Stage, TraceConfig, TraceEvent, Tracer, KERNEL_COMP};
+use osiris_trace::{render_text, Stage, TraceConfig, TraceEvent, Tracer, KERNEL_COMP};
 
 use super::{Checks, Scale, Want};
 
@@ -473,9 +473,10 @@ fn spans(scale: Scale, c: &mut Checks) {
     }
 }
 
-/// The Chrome document is streamed, not built: writing a wrapped ring into
-/// a buffer that is already large enough calls the allocator no more for
-/// four times the records.
+/// The Chrome document is streamed, not built: writing a wrapped ring and
+/// an axiom lane into a buffer that is already large enough calls the
+/// allocator no more for four times the records. The text trace of the
+/// same ring is one allocation: its buffer is sized before it is written.
 fn chrome_export(scale: Scale, c: &mut Checks) {
     let capacities = match scale {
         Scale::Full => [1_024, 4_096],
@@ -517,10 +518,20 @@ fn chrome_export(scale: Scale, c: &mut Checks) {
             };
             tracer.emit(if i % 2 == 0 { KERNEL_COMP } else { comp }, event);
         }
+        // The axiom lane, the heaviest per record: a window for every four
+        // trace records, a recovery in every sixteenth.
+        let events = axiom_schedule(&mut Rng::new(0xC4A), capacity as u64 / 4);
+        let mut log = AxiomLog::new(AxiomConfig {
+            enabled: true,
+            capacity: events.len(),
+        });
+        for (now, event) in (0..).step_by(7).zip(events) {
+            log.append(now, event);
+        }
         let doc = ChromeTrace {
             records: tracer.snapshot(),
             names: names.clone(),
-            axiom: &[],
+            axiom: log.records(),
             counters: &(),
         };
         let mut text = Vec::with_capacity(capacity * 1_024);
@@ -536,13 +547,19 @@ fn chrome_export(scale: Scale, c: &mut Checks) {
             tracer.has_wrapped() as u64,
             Want::Eq(1),
         );
-        // One object per record, plus the process, one thread per name, the
-        // kernel and the span lane.
+        // One object per record and per axiom record, plus the process, one
+        // thread per name, the kernel, the axiom and the span lane.
         let events = text.windows(7).filter(|w| w == b"\n    {\n").count();
         c.push(
             format!("chrome/{capacity}_records/events_written"),
             events as u64,
-            Want::Eq((capacity + names.len() + 3) as u64),
+            Want::Eq((capacity + log.len() + names.len() + 4) as u64),
+        );
+        let (_, allocs) = c.counted(|| render_text(&doc.records, &names));
+        c.push_allocs(
+            format!("chrome/{capacity}_records/trace_text_allocs"),
+            allocs,
+            Want::Eq(1),
         );
     }
 }

@@ -18,7 +18,7 @@
 use crate::{CounterId, HistId, Values};
 use osiris_trace::chrome::ChromeLane;
 use osiris_trace::hist::HistSummary;
-use osiris_trace::{Json, JsonWriter};
+use osiris_trace::{Json, JsonWriter, Sink};
 
 /// Configuration for a [`TimeseriesSampler`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -334,27 +334,39 @@ impl TimeseriesSampler {
 /// each as a stacked-area counter lane under the main track. Histogram
 /// samples carry their p50/p99/p99.9 as separate counter components.
 impl ChromeLane for TimeseriesSampler {
-    fn write_events<W: std::io::Write>(&self, w: &mut JsonWriter<W>) {
+    fn write_events<S: Sink>(&self, w: &mut JsonWriter<S>) {
         for t in &self.tracked {
             for s in t.in_order() {
                 w.begin_object();
                 w.key("name").str(&t.name);
                 w.key("ph").str("C");
-                w.key("ts").scalar(s.t);
-                w.key("pid").scalar(1);
+                w.key("ts").u64(s.t);
+                w.key("pid").u64(1);
                 w.key("args").begin_object();
                 match s.value {
-                    SampleValue::Counter(v) => w.key("value").scalar(v),
+                    SampleValue::Counter(v) => w.key("value").u64(v),
                     SampleValue::Hist(h) => {
-                        w.key("p50").scalar(h.p50);
-                        w.key("p99").scalar(h.p99);
-                        w.key("p999").scalar(h.p999);
+                        w.key("p50").u64(h.p50);
+                        w.key("p99").u64(h.p99);
+                        w.key("p999").u64(h.p999);
                     }
                 }
                 w.end_object();
                 w.end_object();
             }
         }
+    }
+
+    fn size_hint(&self) -> usize {
+        // An event's fixed text, about, plus its name.
+        let event = |t: &Tracked| match t.source {
+            Source::Counter(_) => 140,
+            Source::Hist(_) => 200,
+        };
+        self.tracked
+            .iter()
+            .map(|t| t.points.len() * (event(t) + t.name.len()))
+            .sum()
     }
 }
 

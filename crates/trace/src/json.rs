@@ -1,180 +1,365 @@
-//! A tiny hand-rolled JSON layer: the streaming [`JsonWriter`], which owns
+//! A tiny hand-rolled JSON layer: the byte-level [`Sink`] every export
+//! writes through, the streaming [`JsonWriter`] on top of it, which owns
 //! the layout and the escaper, and the [`Json`] value tree, which is walked
-//! into it.
+//! into it. Nothing on the per-record path goes through `core::fmt`.
 //!
 //! Lives in `osiris-trace` so the Chrome `trace_event` exporter and the
 //! `reproduce`/bench emitters share one implementation; the workspace
 //! builds fully offline with no serialization dependencies.
 //! (`osiris-bench` re-exports [`Json`] — it used to live there.)
 
-use std::fmt;
 use std::io::{self, Write};
+
+/// The one run of spaces padding and indentation are cut from.
+const SPACES: &str = "                                                                ";
+
+/// Where an export's text goes, in whole UTF-8 pieces: a `String` (an
+/// in-memory export, which then needs no UTF-8 check) or an `io::Write`
+/// behind the writer. The provided methods are the exports' only number
+/// formatting.
+pub trait Sink {
+    /// Appends `text`.
+    fn put(&mut self, text: &str);
+
+    /// Appends `bytes`, which are all ASCII.
+    fn put_ascii(&mut self, bytes: &[u8]);
+
+    /// Appends `v` in decimal: `{}`.
+    fn put_u64(&mut self, v: u64) {
+        self.put_ascii(Digits::new(v).as_bytes());
+    }
+
+    /// Appends `v` in decimal, `-` first when negative: `{}`.
+    fn put_i64(&mut self, v: i64) {
+        if v < 0 {
+            self.put("-");
+        }
+        self.put_u64(v.unsigned_abs());
+    }
+
+    /// Appends `v` as 16 lowercase hex digits: `{:016x}`.
+    fn put_hex16(&mut self, v: u64) {
+        let mut buf = [0u8; 16];
+        for (i, b) in buf.iter_mut().enumerate() {
+            *b = b"0123456789abcdef"[(v >> (60 - 4 * i)) as usize & 0xf];
+        }
+        self.put_ascii(&buf);
+    }
+
+    /// Appends `v` in decimal, then spaces up to `width`: `{:<width}`.
+    fn put_u64_padded(&mut self, v: u64, width: usize) {
+        let digits = Digits::new(v);
+        self.put_ascii(digits.as_bytes());
+        self.pad(digits.as_bytes().len(), width);
+    }
+
+    /// Spaces from column `at` up to `width` (none past it).
+    fn pad(&mut self, at: usize, width: usize) {
+        let mut n = width.saturating_sub(at);
+        while n > 0 {
+            let run = n.min(SPACES.len());
+            self.put(&SPACES[..run]);
+            n -= run;
+        }
+    }
+}
+
+impl Sink for String {
+    #[inline]
+    fn put(&mut self, text: &str) {
+        self.push_str(text);
+    }
+
+    /// Char by char: an ASCII byte is its own UTF-8, so nothing is checked
+    /// or copied twice.
+    #[inline]
+    fn put_ascii(&mut self, bytes: &[u8]) {
+        debug_assert!(bytes.is_ascii());
+        self.extend(bytes.iter().map(|&b| char::from(b)));
+    }
+}
+
+/// An `io::Write` as a [`Sink`]: the first error is kept, nothing is
+/// written after it, and [`into_inner`](Self::into_inner) returns it.
+pub(crate) struct IoSink<W> {
+    out: W,
+    result: io::Result<()>,
+}
+
+impl<W: Write> IoSink<W> {
+    /// A sink over `out`, which should be buffered: text arrives in pieces.
+    pub(crate) fn new(out: W) -> Self {
+        IoSink {
+            out,
+            result: Ok(()),
+        }
+    }
+
+    /// The writer, or the first error it reported.
+    pub(crate) fn into_inner(self) -> io::Result<W> {
+        self.result.map(|()| self.out)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        if self.result.is_ok() {
+            self.result = self.out.write_all(bytes);
+        }
+    }
+}
+
+impl<W: Write> Sink for IoSink<W> {
+    fn put(&mut self, text: &str) {
+        self.write(text.as_bytes());
+    }
+
+    fn put_ascii(&mut self, bytes: &[u8]) {
+        self.write(bytes);
+    }
+}
+
+/// `00`, `01`, … `99`: two decimal digits per division.
+const PAIRS: [u8; 200] = {
+    let mut pairs = [0; 200];
+    let mut i = 0;
+    while i < 100 {
+        pairs[2 * i] = b'0' + (i / 10) as u8;
+        pairs[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    pairs
+};
+
+/// The decimal digits of a `u64`, on the stack.
+struct Digits {
+    buf: [u8; 20],
+    at: usize,
+}
+
+impl Digits {
+    fn new(mut v: u64) -> Digits {
+        let mut d = Digits {
+            buf: [0; 20],
+            at: 20,
+        };
+        loop {
+            let pair = 2 * (v % 100) as usize;
+            d.at -= 2;
+            d.buf[d.at..d.at + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
+            v /= 100;
+            if v == 0 {
+                break;
+            }
+        }
+        // The leading pair's zero, unless it is the only digit.
+        if d.buf[d.at] == b'0' && d.at < 19 {
+            d.at += 1;
+        }
+        d
+    }
+
+    fn as_bytes(&self) -> &[u8] {
+        &self.buf[self.at..]
+    }
+}
 
 /// Writes one JSON document, member by member, with two-space indentation:
 /// the layout `reproduce` commits to disk. A large export goes straight
 /// into its sink through this instead of being built as a [`Json`] first.
 ///
 /// Calls must nest as JSON does (a [`key`](Self::key) before each value
-/// inside an object). The first I/O error is kept, nothing is written
-/// after it, and [`finish`](Self::finish) returns it.
-pub struct JsonWriter<W> {
-    out: W,
+/// inside an object).
+pub struct JsonWriter<S> {
+    out: S,
     depth: usize,
     /// The innermost open container has no member yet.
     empty: bool,
     /// A key was just written: the next value continues its line.
     keyed: bool,
-    result: io::Result<()>,
 }
 
-impl<W: Write> JsonWriter<W> {
-    /// A writer at the start of a document. Give it a buffered sink:
-    /// members arrive in pieces.
-    pub fn new(out: W) -> Self {
+impl<S: Sink> JsonWriter<S> {
+    /// A writer at the start of a document.
+    pub fn new(out: S) -> Self {
         JsonWriter {
             out,
             depth: 0,
             empty: true,
             keyed: false,
-            result: Ok(()),
         }
     }
 
-    fn put(&mut self, write: impl FnOnce(&mut W) -> io::Result<()>) {
-        if self.result.is_ok() {
-            self.result = write(&mut self.out);
+    /// A newline and the current indentation, after a comma if `comma`.
+    #[inline]
+    fn newline_indent(&mut self, comma: bool) {
+        // The usual depths as literals: a fixed-size copy each, which a
+        // slice of varying length is not.
+        match (comma, self.depth) {
+            (false, 1) => return self.out.put("\n  "),
+            (false, 2) => return self.out.put("\n    "),
+            (false, 3) => return self.out.put("\n      "),
+            (false, 4) => return self.out.put("\n        "),
+            (true, 1) => return self.out.put(",\n  "),
+            (true, 2) => return self.out.put(",\n    "),
+            (true, 3) => return self.out.put(",\n      "),
+            (true, 4) => return self.out.put(",\n        "),
+            _ => {}
         }
-    }
-
-    fn newline_indent(&mut self) {
-        let depth = self.depth;
-        self.put(|out| {
-            out.write_all(b"\n")?;
-            (0..depth).try_for_each(|_| out.write_all(b"  "))
-        });
+        self.out.put(if comma { ",\n" } else { "\n" });
+        self.out.pad(0, 2 * self.depth);
     }
 
     /// Separator and indentation in front of a key or an array element.
+    #[inline]
     fn member(&mut self) {
         if std::mem::take(&mut self.keyed) {
             return;
         }
         if self.depth > 0 {
-            if !std::mem::take(&mut self.empty) {
-                self.put(|out| out.write_all(b","));
-            }
-            self.newline_indent();
+            let comma = !std::mem::take(&mut self.empty);
+            self.newline_indent(comma);
         }
     }
 
-    fn open(&mut self, bracket: &[u8]) {
+    fn open(&mut self, bracket: &str) {
         self.member();
-        self.put(|out| out.write_all(bracket));
+        self.out.put(bracket);
         self.depth += 1;
         self.empty = true;
     }
 
-    fn close(&mut self, bracket: &[u8]) {
+    fn close(&mut self, bracket: &str) {
         self.depth -= 1;
         if !std::mem::take(&mut self.empty) {
-            self.newline_indent();
+            self.newline_indent(false);
         }
-        self.put(|out| out.write_all(bracket));
+        self.out.put(bracket);
     }
 
     /// Opens an object.
     pub fn begin_object(&mut self) {
-        self.open(b"{");
+        self.open("{");
     }
 
     /// Closes the innermost object (`{}` if it has no member).
     pub fn end_object(&mut self) {
-        self.close(b"}");
+        self.close("}");
     }
 
     /// Opens an array.
     pub fn begin_array(&mut self) {
-        self.open(b"[");
+        self.open("[");
     }
 
     /// Closes the innermost array (`[]` if it has no element).
     pub fn end_array(&mut self) {
-        self.close(b"]");
+        self.close("]");
     }
 
     /// Writes an object key; the next call writes its value.
+    #[inline]
     pub fn key(&mut self, key: &str) -> &mut Self {
-        self.str(key);
-        self.put(|out| out.write_all(b": "));
+        self.member();
+        self.out.put("\"");
+        escape(&mut self.out, key);
+        self.out.put("\": ");
         self.keyed = true;
         self
     }
 
-    /// A value whose `Display` text is its JSON text: an integer, `true` /
-    /// `false`, `null`.
-    pub fn scalar(&mut self, value: impl fmt::Display) {
+    /// A value whose text is `text`.
+    fn scalar(&mut self, text: &str) {
         self.member();
-        self.put(|out| write!(out, "{value}"));
+        self.out.put(text);
     }
 
-    fn quoted(&mut self, text: impl FnOnce(&mut Escaped<'_, W>) -> io::Result<()>) {
+    /// An unsigned integer.
+    #[inline]
+    pub fn u64(&mut self, value: u64) {
         self.member();
-        self.put(|out| {
-            out.write_all(b"\"")?;
-            text(&mut Escaped(&mut *out))?;
-            out.write_all(b"\"")
-        });
+        self.out.put_u64(value);
+    }
+
+    /// A signed integer.
+    pub fn i64(&mut self, value: i64) {
+        self.member();
+        self.out.put_i64(value);
+    }
+
+    /// `true` / `false`.
+    pub fn bool(&mut self, value: bool) {
+        self.scalar(if value { "true" } else { "false" });
+    }
+
+    /// `null`.
+    pub fn null(&mut self) {
+        self.scalar("null");
     }
 
     /// A string, escaped.
+    #[inline]
     pub fn str(&mut self, value: &str) {
-        self.quoted(|out| out.write_all(value.as_bytes()));
+        self.member();
+        self.out.put("\"");
+        escape(&mut self.out, value);
+        self.out.put("\"");
     }
 
-    /// A string that is `value`'s `Display` text, escaped as it is
-    /// formatted (no intermediate `String`).
-    pub fn text(&mut self, value: impl fmt::Display) {
-        self.quoted(|out| write!(out, "{value}"));
+    /// A string whose text `write` puts into the sink as it is. That text
+    /// must need no escape: identifiers, digits, punctuation.
+    pub(crate) fn str_with(&mut self, write: impl FnOnce(&mut S)) {
+        self.member();
+        self.out.put("\"");
+        write(&mut self.out);
+        self.out.put("\"");
     }
 
-    /// Ends the document with its trailing newline and returns the sink,
-    /// or the first error it reported.
-    pub fn finish(mut self) -> io::Result<W> {
-        self.put(|out| out.write_all(b"\n"));
-        self.result.map(|()| self.out)
+    /// Ends the document with its trailing newline and returns the sink.
+    pub fn finish(mut self) -> S {
+        self.out.put("\n");
+        self.out
     }
 }
 
-/// The one escaper: passes text through to `W` with JSON string escapes.
-struct Escaped<'a, W>(&'a mut W);
+/// Whether a byte needs an escape inside a JSON string.
+fn needs_escape(b: u8) -> bool {
+    matches!(b, b'"' | b'\\' | 0..=0x1f)
+}
 
-impl<W: Write> Write for Escaped<'_, W> {
-    fn write(&mut self, text: &[u8]) -> io::Result<usize> {
-        // Every byte that needs an escape is ASCII, so the runs between
-        // them go through in one piece with their UTF-8 intact.
-        let mut clean = 0;
-        for (i, &b) in text.iter().enumerate() {
-            if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
-                continue;
-            }
-            self.0.write_all(&text[clean..i])?;
-            match b {
-                b'"' => self.0.write_all(b"\\\""),
-                b'\\' => self.0.write_all(b"\\\\"),
-                b'\n' => self.0.write_all(b"\\n"),
-                b'\r' => self.0.write_all(b"\\r"),
-                b'\t' => self.0.write_all(b"\\t"),
-                _ => write!(self.0, "\\u{b:04x}"),
-            }?;
-            clean = i + 1;
+/// The one escaper: puts `text` into `out` with JSON string escapes. Text
+/// that needs none goes through in one piece.
+#[inline]
+fn escape(out: &mut impl Sink, text: &str) {
+    if text.bytes().any(needs_escape) {
+        escape_runs(out, text);
+    } else {
+        out.put(text);
+    }
+}
+
+#[cold]
+fn escape_runs(out: &mut impl Sink, text: &str) {
+    // Every byte that needs an escape is ASCII, so the runs between them
+    // are whole UTF-8.
+    let mut clean = 0;
+    for (i, &b) in text.as_bytes().iter().enumerate() {
+        if !needs_escape(b) {
+            continue;
         }
-        self.0.write_all(&text[clean..])?;
-        Ok(text.len())
+        out.put(&text[clean..i]);
+        match b {
+            b'"' => out.put("\\\""),
+            b'\\' => out.put("\\\\"),
+            b'\n' => out.put("\\n"),
+            b'\r' => out.put("\\r"),
+            b'\t' => out.put("\\t"),
+            _ => {
+                out.put(if b < 0x10 { "\\u000" } else { "\\u001" });
+                out.put_ascii(&[b"0123456789abcdef"[usize::from(b & 0xf)]]);
+            }
+        }
+        clean = i + 1;
     }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
+    out.put(&text[clean..]);
 }
 
 /// A JSON value. Objects preserve insertion order so emitted files diff
@@ -212,31 +397,29 @@ impl Json {
 
     /// Renders with two-space indentation and a trailing newline.
     pub fn pretty(&self) -> String {
-        let mut w = JsonWriter::new(Vec::new());
+        let mut w = JsonWriter::new(String::new());
         self.write(&mut w);
-        into_text(w)
+        w.finish()
     }
 
     /// Walks this value into `w`.
-    fn write<W: Write>(&self, w: &mut JsonWriter<W>) {
+    fn write<S: Sink>(&self, w: &mut JsonWriter<S>) {
         match self {
-            Json::Null => w.scalar("null"),
-            Json::Bool(b) => w.scalar(b),
-            Json::Int(i) => w.scalar(i),
-            Json::UInt(u) => w.scalar(u),
+            Json::Null => w.null(),
+            Json::Bool(b) => w.bool(*b),
+            Json::Int(i) => w.i64(*i),
+            Json::UInt(u) => w.u64(*u),
             Json::Num(x) if x.is_finite() => {
                 // `{}` on f64 is the shortest exact representation, but
                 // renders integral floats without a decimal point; keep the
                 // point so the value stays typed as a float for readers.
-                let s = format!("{x}");
-                let point = if s.contains(['.', 'e', 'E']) {
-                    ""
-                } else {
-                    ".0"
-                };
-                w.scalar(format_args!("{s}{point}"));
+                let mut s = x.to_string();
+                if !s.contains(['.', 'e', 'E']) {
+                    s.push_str(".0");
+                }
+                w.scalar(&s);
             }
-            Json::Num(_) => w.scalar("null"),
+            Json::Num(_) => w.null(),
             Json::Str(s) => w.str(s),
             Json::Arr(items) => {
                 w.begin_array();
@@ -254,23 +437,21 @@ impl Json {
     }
 }
 
-/// The text of a document written into memory.
-pub(crate) fn into_text(w: JsonWriter<Vec<u8>>) -> String {
-    let bytes = w.finish().expect("writing to a Vec cannot fail");
-    String::from_utf8(bytes).expect("the writer passes UTF-8 through whole")
-}
-
 #[cfg(test)]
 mod tests {
-    use super::{Json, JsonWriter};
+    use super::{IoSink, Json, JsonWriter, Sink, SPACES};
 
     #[test]
     fn the_first_io_error_is_kept_and_returned() {
         // A byte slice is a sink that fills up.
         let mut sink = [0u8; 16];
-        let mut w = JsonWriter::new(&mut sink[..]);
+        let mut w = JsonWriter::new(IoSink::new(&mut sink[..]));
         Json::Arr(vec![Json::UInt(1); 64]).write(&mut w);
-        let err = w.finish().map(drop).expect_err("the sink is full");
+        let err = w
+            .finish()
+            .into_inner()
+            .map(drop)
+            .expect_err("the sink is full");
         assert_eq!(err.kind(), std::io::ErrorKind::WriteZero);
         assert!(sink.starts_with(b"[\n  1,\n  1,"));
     }
@@ -292,8 +473,46 @@ mod tests {
 
     #[test]
     fn strings_escape() {
-        let s = Json::Str("a\"b\\c\nd\te\u{1}".into());
-        assert_eq!(s.pretty(), "\"a\\\"b\\\\c\\nd\\te\\u0001\"\n");
+        let s = Json::Str("a\"b\\c\nd\te\u{1}\u{10}\u{1f}".into());
+        assert_eq!(s.pretty(), "\"a\\\"b\\\\c\\nd\\te\\u0001\\u0010\\u001f\"\n");
+    }
+
+    #[test]
+    fn numbers_and_padding_match_fmt() {
+        let mut ints = vec![0, 9, 10, 99, 100, u64::from(u32::MAX), u64::MAX];
+        ints.extend((0..20).map(|p| 10u64.pow(p)));
+        ints.extend((1..20).map(|p| 10u64.pow(p) - 1));
+        for v in ints {
+            assert_eq!(Json::UInt(v).pretty(), format!("{v}\n"));
+            let mut s = String::new();
+            s.put_u64_padded(v, 10);
+            s.put_hex16(v);
+            assert_eq!(s, format!("{v:<10}{v:016x}"));
+        }
+        for v in [i64::MIN, -10, -9, -1, 0, 1, i64::MAX] {
+            assert_eq!(Json::Int(v).pretty(), format!("{v}\n"));
+        }
+        for (text, width) in [("", 8), ("µs", 8), ("longer-than-eight", 8), ("x", 150)] {
+            let mut s = String::from(text);
+            s.pad(text.chars().count(), width);
+            assert_eq!(s, format!("{text:<width$}"));
+        }
+    }
+
+    #[test]
+    fn nesting_deeper_than_the_space_run_indents() {
+        fn reference(depth: usize, at: usize) -> String {
+            if at == depth {
+                return "7".into();
+            }
+            let inner = reference(depth, at + 1);
+            format!("[\n{}{inner}\n{}]", "  ".repeat(at + 1), "  ".repeat(at))
+        }
+        // Two spaces a level: the innermost value sits twice as far in as
+        // the run is long.
+        let depth = SPACES.len();
+        let doc = (0..depth).fold(Json::UInt(7), |doc, _| Json::Arr(vec![doc]));
+        assert_eq!(doc.pretty(), reference(depth, 0) + "\n");
     }
 
     #[test]
