@@ -1,78 +1,81 @@
-//! JSON exposition of a metrics snapshot, built on the workspace's
-//! hand-rolled [`Json`] tree (no serialization crates).
+//! JSON exposition of a metrics snapshot, written straight into a
+//! [`JsonWriter`] (no serialization crates, no value tree).
 //!
 //! The layout mirrors the registry: an ordered `families` array, each
 //! family carrying its `series` with a label object and either a scalar
 //! `value` or a `hist` object (summary fields plus the non-empty log2
-//! buckets as `[floor, count]` pairs). Objects preserve insertion order,
-//! so two runs with the same configuration produce byte-identical files.
+//! buckets as `[floor, count]` pairs). Members are written in a fixed
+//! order, so two runs with the same configuration produce byte-identical
+//! files.
 
 use osiris_trace::hist::Log2Hist;
-use osiris_trace::Json;
+use osiris_trace::{JsonDoc, JsonWriter, Sink, WriteJson};
 
 use crate::{MetricsSnapshot, SeriesValue};
 
-/// Renders a snapshot as a JSON document.
-pub fn render_json(snapshot: &MetricsSnapshot) -> Json {
-    Json::obj([(
-        "families",
-        Json::arr(&snapshot.families, |f| {
-            Json::obj([
-                ("name", Json::Str(f.name.clone())),
-                ("help", Json::Str(f.help.clone())),
-                ("kind", Json::Str(f.kind.as_str().to_string())),
-                (
-                    "series",
-                    Json::arr(&f.series, |s| {
-                        let labels = Json::Obj(
-                            s.labels
-                                .iter()
-                                .map(|(k, v)| (k.clone(), Json::Str(v.clone())))
-                                .collect(),
-                        );
-                        match &s.value {
-                            SeriesValue::Counter(n) | SeriesValue::Gauge(n) => {
-                                Json::obj([("labels", labels), ("value", Json::UInt(*n))])
-                            }
-                            SeriesValue::Hist(h) => {
-                                Json::obj([("labels", labels), ("hist", hist_json(h))])
-                            }
-                        }
-                    }),
-                ),
-            ])
-        }),
-    )])
+/// A snapshot as a JSON document.
+pub fn render_json(snapshot: &MetricsSnapshot) -> JsonDoc<&MetricsSnapshot> {
+    JsonDoc(snapshot)
 }
 
-/// A histogram as JSON: summary fields plus non-empty `[floor, count]`
-/// bucket pairs.
-pub fn hist_json(h: &Log2Hist) -> Json {
+impl WriteJson for MetricsSnapshot {
+    fn write_json<S: Sink>(&self, w: &mut JsonWriter<S>) {
+        w.begin_object();
+        w.key("families").begin_array();
+        for f in &self.families {
+            w.begin_object();
+            w.key("name").str(&f.name);
+            w.key("help").str(&f.help);
+            w.key("kind").str(f.kind.as_str());
+            w.key("series").begin_array();
+            for s in &f.series {
+                w.begin_object();
+                w.key("labels").begin_object();
+                for (k, v) in &s.labels {
+                    w.key(k).str(v);
+                }
+                w.end_object();
+                match &s.value {
+                    SeriesValue::Counter(n) | SeriesValue::Gauge(n) => w.key("value").u64(*n),
+                    SeriesValue::Hist(h) => write_hist(w.key("hist"), h),
+                }
+                w.end_object();
+            }
+            w.end_array();
+            w.end_object();
+        }
+        w.end_array();
+        w.end_object();
+    }
+}
+
+/// A histogram: summary fields plus non-empty `[floor, count]` bucket
+/// pairs.
+fn write_hist<S: Sink>(w: &mut JsonWriter<S>, h: &Log2Hist) {
     let s = h.summary();
-    let buckets: Vec<(u64, u64)> = h
-        .buckets()
-        .iter()
-        .enumerate()
-        .filter(|(_, &n)| n != 0)
-        .map(|(b, &n)| (Log2Hist::bucket_floor(b), n))
-        .collect();
-    Json::obj([
-        ("count", Json::UInt(s.count)),
-        ("sum", Json::UInt(h.sum())),
-        ("min", Json::UInt(s.min)),
-        ("max", Json::UInt(s.max)),
-        ("mean", Json::UInt(s.mean)),
-        ("p50", Json::UInt(s.p50)),
-        ("p90", Json::UInt(s.p90)),
-        ("p99", Json::UInt(s.p99)),
-        ("p999", Json::UInt(s.p999)),
-        (
-            "buckets",
-            Json::arr(&buckets, |&(floor, n)| {
-                Json::Arr(vec![Json::UInt(floor), Json::UInt(n)])
-            }),
-        ),
-    ])
+    w.begin_object();
+    for (key, value) in [
+        ("count", s.count),
+        ("sum", h.sum()),
+        ("min", s.min),
+        ("max", s.max),
+        ("mean", s.mean),
+        ("p50", s.p50),
+        ("p90", s.p90),
+        ("p99", s.p99),
+        ("p999", s.p999),
+    ] {
+        w.key(key).u64(value);
+    }
+    w.key("buckets").begin_array();
+    for (b, &n) in h.buckets().iter().enumerate().filter(|(_, &n)| n != 0) {
+        w.begin_array();
+        w.u64(Log2Hist::bucket_floor(b));
+        w.u64(n);
+        w.end_array();
+    }
+    w.end_array();
+    w.end_object();
 }
 
 #[cfg(test)]

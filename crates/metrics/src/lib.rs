@@ -28,6 +28,8 @@
 pub use osiris_trace::hist::{HistSummary, Log2Hist};
 
 pub mod export;
+#[cfg(test)]
+mod fmt_oracle;
 pub mod fold;
 pub mod prom;
 mod series;
@@ -391,9 +393,9 @@ impl Registry {
         prom::render_prometheus(&self.snapshot())
     }
 
-    /// Renders the current state as a JSON document.
-    pub fn json(&self) -> osiris_trace::Json {
-        export::render_json(&self.snapshot())
+    /// The current state as a JSON document.
+    pub fn json(&self) -> osiris_trace::JsonDoc<MetricsSnapshot> {
+        osiris_trace::JsonDoc(self.snapshot())
     }
 }
 

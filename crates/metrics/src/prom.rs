@@ -7,7 +7,9 @@
 //! above the highest non-empty one are elided — they would all repeat the
 //! final cumulative count that `+Inf` already carries.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
+
+use osiris_trace::Sink;
 
 use crate::{FamilySnapshot, Log2Hist, MetricsSnapshot, SeriesValue};
 
@@ -21,23 +23,33 @@ pub fn render_prometheus(snapshot: &MetricsSnapshot) -> String {
 }
 
 fn render_family(out: &mut String, family: &FamilySnapshot) {
-    out.push_str(&format!(
-        "# HELP {} {}\n# TYPE {} {}\n",
-        family.name,
-        escape_help(&family.help),
-        family.name,
-        family.kind.as_str()
-    ));
+    let name = &family.name;
+    out.put("# HELP ");
+    out.put(name);
+    out.put(" ");
+    escape(out, &family.help, Escape::Help);
+    out.put("\n# TYPE ");
+    out.put(name);
+    out.put(" ");
+    out.put(family.kind.as_str());
+    out.put("\n");
     for series in &family.series {
         match &series.value {
             SeriesValue::Counter(n) | SeriesValue::Gauge(n) => {
-                out.push_str(&family.name);
-                push_labels(out, &series.labels, None);
-                out.push_str(&format!(" {n}\n"));
+                sample(out, name, "", &series.labels, None, *n);
             }
-            SeriesValue::Hist(h) => render_hist(out, &family.name, &series.labels, h),
+            SeriesValue::Hist(h) => render_hist(out, name, &series.labels, h),
         }
     }
+}
+
+/// A `_bucket` series' `le` label.
+#[derive(Clone, Copy)]
+enum Le {
+    /// An inclusive upper bound.
+    At(u64),
+    /// `+Inf`.
+    Inf,
 }
 
 fn render_hist(out: &mut String, name: &str, labels: &[(String, String)], h: &Log2Hist) {
@@ -59,64 +71,97 @@ fn render_hist(out: &mut String, name: &str, labels: &[(String, String)], h: &Lo
         } else {
             (1u64 << b) - 1
         };
-        out.push_str(&format!("{name}_bucket"));
-        push_labels(out, labels, Some(&le.to_string()));
-        out.push_str(&format!(" {cumulative}\n"));
+        sample(out, name, "_bucket", labels, Some(Le::At(le)), cumulative);
     }
-    out.push_str(&format!("{name}_bucket"));
-    push_labels(out, labels, Some("+Inf"));
-    out.push_str(&format!(" {}\n", h.count()));
-    out.push_str(name);
-    out.push_str("_sum");
-    push_labels(out, labels, None);
-    out.push_str(&format!(" {}\n", h.sum()));
-    out.push_str(name);
-    out.push_str("_count");
-    push_labels(out, labels, None);
-    out.push_str(&format!(" {}\n", h.count()));
+    sample(out, name, "_bucket", labels, Some(Le::Inf), h.count());
+    sample(out, name, "_sum", labels, None, h.sum());
+    sample(out, name, "_count", labels, None, h.count());
 }
 
-fn push_labels(out: &mut String, labels: &[(String, String)], le: Option<&str>) {
-    if labels.is_empty() && le.is_none() {
-        return;
-    }
-    out.push('{');
-    let mut first = true;
-    for (k, v) in labels {
-        if !first {
-            out.push(',');
+/// One sample line: `name` + `suffix`, the label set, then the value.
+fn sample(
+    out: &mut String,
+    name: &str,
+    suffix: &str,
+    labels: &[(String, String)],
+    le: Option<Le>,
+    value: u64,
+) {
+    out.put(name);
+    out.put(suffix);
+    if !labels.is_empty() || le.is_some() {
+        out.put("{");
+        for (i, (k, v)) in labels.iter().enumerate() {
+            if i > 0 {
+                out.put(",");
+            }
+            out.put(k);
+            out.put("=\"");
+            escape(out, v, Escape::Label);
+            out.put("\"");
         }
-        first = false;
-        out.push_str(&format!("{k}=\"{}\"", escape_label(v)));
-    }
-    if let Some(le) = le {
-        if !first {
-            out.push(',');
+        if let Some(le) = le {
+            out.put(if labels.is_empty() { "le=\"" } else { ",le=\"" });
+            match le {
+                Le::At(bound) => out.put_u64(bound),
+                Le::Inf => out.put("+Inf"),
+            }
+            out.put("\"");
         }
-        out.push_str(&format!("le=\"{le}\""));
+        out.put("}");
     }
-    out.push('}');
+    out.put(" ");
+    out.put_u64(value);
+    out.put("\n");
 }
 
-fn escape_help(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('\n', "\\n")
+/// What a piece of text is escaped as: help text escapes a backslash and
+/// a newline; a label value also escapes `"`.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Escape {
+    Help,
+    Label,
 }
 
-fn escape_label(s: &str) -> String {
-    s.replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n")
+/// Puts `text` into `out` with the escapes `what` needs. Text that needs
+/// none goes through in one piece.
+fn escape(out: &mut String, text: &str, what: Escape) {
+    let needs = |b: u8| b == b'\\' || b == b'\n' || (b == b'"' && what == Escape::Label);
+    if !text.bytes().any(needs) {
+        return out.put(text);
+    }
+    // Every byte that needs an escape is ASCII, so the runs between them
+    // are whole UTF-8.
+    let mut clean = 0;
+    for (i, b) in text.bytes().enumerate() {
+        if needs(b) {
+            out.put(&text[clean..i]);
+            out.put(match b {
+                b'\\' => "\\\\",
+                b'\n' => "\\n",
+                _ => "\\\"",
+            });
+            clean = i + 1;
+        }
+    }
+    out.put(&text[clean..]);
 }
 
 /// Checks that `text` is well-formed Prometheus exposition: every sample
 /// belongs to a family announced by `# HELP` and `# TYPE` lines (in that
 /// order, once each), `TYPE` names a known kind, histogram samples only
 /// follow histogram families, and no series (name + label set) repeats.
+/// Each histogram series' `_bucket` bounds increase and their counts never
+/// decrease, and it has a `le="+Inf"` bucket equal to its `_count`.
 /// Returns the first problem found, with its 1-based line number.
 pub fn validate_prometheus(text: &str) -> Result<(), String> {
     let mut helped: HashSet<String> = HashSet::new();
-    let mut typed: std::collections::HashMap<String, String> = std::collections::HashMap::new();
+    let mut typed: HashMap<String, String> = HashMap::new();
     let mut seen_series: HashSet<String> = HashSet::new();
+    // Histogram series by family and label set less `le`, in order of
+    // first appearance.
+    let mut hists: Vec<HistSeries> = Vec::new();
+    let mut hist_index: HashMap<(&str, Labels), usize> = HashMap::new();
 
     for (idx, line) in text.lines().enumerate() {
         let lineno = idx + 1;
@@ -162,22 +207,28 @@ pub fn validate_prometheus(text: &str) -> Result<(), String> {
         let (series, value) = line
             .rsplit_once(' ')
             .ok_or_else(|| format!("line {lineno}: sample without a value"))?;
-        if value.parse::<f64>().is_err() {
+        let Ok(value) = value.parse::<f64>() else {
             return Err(format!("line {lineno}: unparseable sample value {value:?}"));
-        }
-        let name = series.split('{').next().unwrap_or("");
+        };
+        let (name, label_set) = match series.split_once('{') {
+            Some((name, rest)) => {
+                let set = rest
+                    .strip_suffix('}')
+                    .ok_or_else(|| format!("line {lineno}: unterminated label set"))?;
+                (name, set)
+            }
+            None => (series, ""),
+        };
         if !crate::valid_name(name) {
             return Err(format!("line {lineno}: invalid metric name {name:?}"));
-        }
-        if series.contains('{') && !series.ends_with('}') {
-            return Err(format!("line {lineno}: unterminated label set"));
         }
         // Histogram child series (_bucket/_sum/_count) resolve to the
         // family that declared them; plain series must match exactly.
         let family = resolve_family(name, &typed);
         let family = family
             .ok_or_else(|| format!("line {lineno}: sample {name} has no HELP/TYPE header"))?;
-        if name != family && typed.get(family).map(String::as_str) != Some("histogram") {
+        let is_hist = typed.get(family).map(String::as_str) == Some("histogram");
+        if name != family && !is_hist {
             return Err(format!(
                 "line {lineno}: {name} suffixed like a histogram child but {family} is not one"
             ));
@@ -185,16 +236,109 @@ pub fn validate_prometheus(text: &str) -> Result<(), String> {
         if !seen_series.insert(series.to_string()) {
             return Err(format!("line {lineno}: duplicate series {series}"));
         }
+        if !is_hist || name == family {
+            continue;
+        }
+
+        // A histogram child: check it against its series' earlier lines.
+        let labels =
+            split_labels(label_set).ok_or_else(|| format!("line {lineno}: malformed label set"))?;
+        let le = labels.iter().find(|(k, _)| *k == "le").map(|&(_, v)| v);
+        let rest = labels.into_iter().filter(|(k, _)| *k != "le").collect();
+        let at = *hist_index.entry((family, rest)).or_insert_with(|| {
+            hists.push(HistSeries {
+                family,
+                first: lineno,
+                last: None,
+                inf: None,
+                count: None,
+            });
+            hists.len() - 1
+        });
+        let h = &mut hists[at];
+        match &name[family.len()..] {
+            "_bucket" => {
+                let le = le.ok_or_else(|| format!("line {lineno}: {name} without le"))?;
+                let bound = match le {
+                    "+Inf" => f64::INFINITY,
+                    _ => le
+                        .parse::<f64>()
+                        .map_err(|_| format!("line {lineno}: unparseable le {le:?}"))?,
+                };
+                if h.last.is_some_and(|(prev, _)| bound <= prev) {
+                    return Err(format!("line {lineno}: {name} le bounds do not increase"));
+                }
+                if h.last.is_some_and(|(_, prev)| value < prev) {
+                    return Err(format!("line {lineno}: {name} counts decrease"));
+                }
+                h.last = Some((bound, value));
+                if bound == f64::INFINITY {
+                    h.inf = Some(value);
+                }
+            }
+            "_count" => h.count = Some((lineno, value)),
+            _ => {}
+        }
+    }
+    for h in hists {
+        let family = h.family;
+        let Some(inf) = h.inf else {
+            return Err(format!(
+                "line {}: histogram {family} has no le=\"+Inf\" bucket",
+                h.first
+            ));
+        };
+        if let Some((lineno, count)) = h.count {
+            if count != inf {
+                return Err(format!(
+                    "line {lineno}: {family}_count {count} differs from its +Inf bucket {inf}"
+                ));
+            }
+        }
     }
     Ok(())
 }
 
+/// What the validator has seen of one histogram series.
+struct HistSeries<'a> {
+    family: &'a str,
+    /// The line of its first sample.
+    first: usize,
+    /// The last `_bucket`'s bound and count.
+    last: Option<(f64, f64)>,
+    /// The `+Inf` bucket's count.
+    inf: Option<f64>,
+    /// The `_count` sample's line and value.
+    count: Option<(usize, f64)>,
+}
+
+/// A label set's `name="value"` pairs, values still escaped.
+type Labels<'a> = Vec<(&'a str, &'a str)>;
+
+/// The pairs of a label set; `None` if it is malformed.
+fn split_labels(mut set: &str) -> Option<Labels<'_>> {
+    let mut pairs = Vec::new();
+    while !set.is_empty() {
+        let (key, rest) = set.split_once("=\"")?;
+        // The value ends at the first quote no backslash escapes.
+        let mut escaped = false;
+        let end = rest.bytes().position(|b| {
+            let close = b == b'"' && !escaped;
+            escaped = b == b'\\' && !escaped;
+            close
+        })?;
+        pairs.push((key, &rest[..end]));
+        set = &rest[end + 1..];
+        if !set.is_empty() {
+            set = set.strip_prefix(',')?;
+        }
+    }
+    Some(pairs)
+}
+
 /// Maps a sample name to its declaring family: itself, or for histogram
 /// children the name with `_bucket`/`_sum`/`_count` stripped.
-fn resolve_family<'a>(
-    name: &'a str,
-    typed: &std::collections::HashMap<String, String>,
-) -> Option<&'a str> {
+fn resolve_family<'a>(name: &'a str, typed: &HashMap<String, String>) -> Option<&'a str> {
     if typed.contains_key(name) {
         return Some(name);
     }
@@ -282,6 +426,55 @@ mod tests {
         assert!(validate_prometheus(bad)
             .unwrap_err()
             .contains("unknown metric type"));
+    }
+
+    /// A histogram family header, then `body`.
+    fn hist_doc(body: &str) -> String {
+        format!("# HELP h h\n# TYPE h histogram\n{body}")
+    }
+
+    #[test]
+    fn validator_rejects_decreasing_bucket_counts() {
+        let text = hist_doc(
+            "h_bucket{le=\"1\"} 2\nh_bucket{le=\"3\"} 1\nh_bucket{le=\"+Inf\"} 2\nh_count 2\n",
+        );
+        let err = validate_prometheus(&text).unwrap_err();
+        assert!(err.contains("line 4: h_bucket counts decrease"), "{err}");
+    }
+
+    #[test]
+    fn validator_rejects_bounds_that_do_not_increase() {
+        let text = hist_doc(
+            "h_bucket{a=\"x\",le=\"3\"} 1\nh_bucket{a=\"x\",le=\"3.0\"} 1\nh_bucket{a=\"x\",le=\"+Inf\"} 1\n",
+        );
+        let err = validate_prometheus(&text).unwrap_err();
+        assert!(
+            err.contains("line 4: h_bucket le bounds do not increase"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn validator_rejects_a_histogram_without_an_inf_bucket() {
+        // The other label set's `+Inf` does not count for this one.
+        let text = hist_doc(
+            "h_bucket{a=\"1\",le=\"1\"} 1\nh_bucket{a=\"2\",le=\"+Inf\"} 1\nh_count{a=\"1\"} 1\nh_count{a=\"2\"} 1\n",
+        );
+        let err = validate_prometheus(&text).unwrap_err();
+        assert!(
+            err.contains("line 3: histogram h has no le=\"+Inf\" bucket"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn validator_rejects_an_inf_bucket_other_than_the_count() {
+        let text = hist_doc("h_bucket{le=\"+Inf\"} 2\nh_sum 4\nh_count 3\n");
+        let err = validate_prometheus(&text).unwrap_err();
+        assert!(
+            err.contains("line 5: h_count 3 differs from its +Inf bucket 2"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -18,7 +18,7 @@
 use crate::{CounterId, HistId, Values};
 use osiris_trace::chrome::ChromeLane;
 use osiris_trace::hist::HistSummary;
-use osiris_trace::{Json, JsonWriter, Sink};
+use osiris_trace::{JsonDoc, JsonWriter, Sink, WriteJson};
 
 /// Configuration for a [`TimeseriesSampler`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -79,15 +79,15 @@ pub enum SampleValue {
 }
 
 #[derive(Clone, Copy)]
-enum Source {
+pub(crate) enum Source {
     Counter(CounterId),
     Hist(HistId),
 }
 
-struct Tracked {
+pub(crate) struct Tracked {
     /// Display name, conventionally `family{label="value"}`.
-    name: String,
-    source: Source,
+    pub(crate) name: String,
+    pub(crate) source: Source,
     /// Fixed ring: `points` grows to `capacity` once, then `start` marks
     /// the oldest slot and pushes overwrite in place.
     points: Vec<Sample>,
@@ -104,14 +104,14 @@ impl Tracked {
         }
     }
 
-    fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self.source {
             Source::Counter(_) => "counter",
             Source::Hist(_) => "hist",
         }
     }
 
-    fn in_order(&self) -> impl Iterator<Item = &Sample> {
+    pub(crate) fn in_order(&self) -> impl Iterator<Item = &Sample> {
         self.points[self.start..]
             .iter()
             .chain(self.points[..self.start].iter())
@@ -130,10 +130,10 @@ pub struct TimeseriesState {
 
 /// A virtual-time sampler over registry series. See the module docs.
 pub struct TimeseriesSampler {
-    cfg: TimeseriesConfig,
+    pub(crate) cfg: TimeseriesConfig,
     /// Next interval-grid cycle at which a sample is due.
     next_due: u64,
-    tracked: Vec<Tracked>,
+    pub(crate) tracked: Vec<Tracked>,
 }
 
 impl std::fmt::Debug for TimeseriesSampler {
@@ -283,49 +283,50 @@ impl TimeseriesSampler {
             .map(|t| t.in_order().copied().collect())
     }
 
-    /// Renders the recorded time series as a column-oriented JSON document:
+    /// The recorded time series as a column-oriented JSON document:
     /// counters as `[t, value]` rows, histograms as
     /// `[t, count, p50, p90, p99, p999, max]` rows, with a `columns` header
     /// naming each position. Deterministic: same-seed runs produce
     /// byte-identical text.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("interval", Json::UInt(self.cfg.interval)),
-            ("capacity", Json::UInt(self.cfg.capacity as u64)),
-            (
-                "series",
-                Json::arr(&self.tracked, |t| {
-                    let columns: &[&str] = match t.source {
-                        Source::Counter(_) => &["t", "value"],
-                        Source::Hist(_) => &["t", "count", "p50", "p90", "p99", "p999", "max"],
-                    };
-                    Json::obj([
-                        ("name", Json::Str(t.name.clone())),
-                        ("kind", Json::Str(t.kind().to_string())),
-                        (
-                            "columns",
-                            Json::Arr(columns.iter().map(|c| Json::Str(c.to_string())).collect()),
-                        ),
-                        (
-                            "points",
-                            Json::Arr(
-                                t.in_order()
-                                    .map(|s| {
-                                        let row = match s.value {
-                                            SampleValue::Counter(v) => vec![s.t, v],
-                                            SampleValue::Hist(h) => vec![
-                                                s.t, h.count, h.p50, h.p90, h.p99, h.p999, h.max,
-                                            ],
-                                        };
-                                        Json::Arr(row.into_iter().map(Json::UInt).collect())
-                                    })
-                                    .collect(),
-                            ),
-                        ),
-                    ])
-                }),
-            ),
-        ])
+    pub fn to_json(&self) -> JsonDoc<&Self> {
+        JsonDoc(self)
+    }
+}
+
+impl WriteJson for TimeseriesSampler {
+    fn write_json<S: Sink>(&self, w: &mut JsonWriter<S>) {
+        w.begin_object();
+        w.key("interval").u64(self.cfg.interval);
+        w.key("capacity").u64(self.cfg.capacity as u64);
+        w.key("series").begin_array();
+        for t in &self.tracked {
+            w.begin_object();
+            w.key("name").str(&t.name);
+            w.key("kind").str(t.kind());
+            w.key("columns").begin_array();
+            let columns: &[&str] = match t.source {
+                Source::Counter(_) => &["t", "value"],
+                Source::Hist(_) => &["t", "count", "p50", "p90", "p99", "p999", "max"],
+            };
+            columns.iter().for_each(|c| w.str(c));
+            w.end_array();
+            w.key("points").begin_array();
+            for s in t.in_order() {
+                w.begin_array();
+                w.u64(s.t);
+                match s.value {
+                    SampleValue::Counter(v) => w.u64(v),
+                    SampleValue::Hist(h) => [h.count, h.p50, h.p90, h.p99, h.p999, h.max]
+                        .into_iter()
+                        .for_each(|v| w.u64(v)),
+                }
+                w.end_array();
+            }
+            w.end_array();
+            w.end_object();
+        }
+        w.end_array();
+        w.end_object();
     }
 }
 

@@ -16,6 +16,7 @@ use osiris_kernel::{
     KernelMetrics, KernelSnapshot, OsEngine, ShutdownKind, SyscallId,
 };
 use osiris_trace::chrome::ChromeTrace;
+use osiris_trace::JsonDoc;
 
 use crate::disk::DiskDriver;
 use crate::ds::DataStore;
@@ -334,9 +335,9 @@ impl Os {
         osiris_metrics::prom::render_prometheus(&self.metrics_snapshot())
     }
 
-    /// The registry rendered as a JSON document.
-    pub fn metrics_json(&self) -> osiris_trace::Json {
-        osiris_metrics::export::render_json(&self.metrics_snapshot())
+    /// The registry as a JSON document.
+    pub fn metrics_json(&self) -> JsonDoc<osiris_metrics::MetricsSnapshot> {
+        JsonDoc(self.metrics_snapshot())
     }
 
     /// Writes both exposition formats to `<base>.prom` and `<base>.json`,
@@ -380,7 +381,7 @@ impl Os {
 
     /// The recorded telemetry time series as a JSON document, after a final
     /// flush sample at the current virtual time.
-    pub fn timeseries_json(&mut self) -> osiris_trace::Json {
+    pub fn timeseries_json(&mut self) -> JsonDoc<&osiris_metrics::TimeseriesSampler> {
         self.kernel.flush_timeseries();
         self.kernel.series().sampler().to_json()
     }

@@ -14,7 +14,8 @@ use osiris_kernel::abi::OpenFlags;
 use osiris_kernel::{ComponentReport, FaultHook, KernelMetrics, WatchdogConfig};
 use osiris_metrics::timeseries::SampleValue;
 use osiris_metrics::{
-    HistSummary, MetricsConfig, MetricsSnapshot, SeriesFold, SeriesValue, TimeseriesConfig,
+    validate_prometheus, HistSummary, MetricsConfig, MetricsSnapshot, SeriesFold, SeriesValue,
+    TimeseriesConfig,
 };
 use osiris_servers::{Os, OsConfig};
 use osiris_workloads::{Host, ProgramRegistry};
@@ -151,8 +152,9 @@ fn assert_refold_matches(name: &str, os: &Os) {
 /// Digests of `trace_text`, `metrics_prometheus`, `metrics_json`,
 /// `timeseries_json`, `axiom_bytes` and `chrome_trace`, in that order.
 /// Also checks that the live control state, conduct in flight included,
-/// is the pure reduction of the recorded axiom, and that the live series
-/// are the fold of the recorded trace and axiom.
+/// is the pure reduction of the recorded axiom, that the live series
+/// are the fold of the recorded trace and axiom, and that the Prometheus
+/// text lints.
 fn export_digests(name: &str, hook: Box<dyn FaultHook>) -> [u64; 6] {
     let mut os = run(hook);
     assert_eq!(
@@ -161,9 +163,11 @@ fn export_digests(name: &str, hook: Box<dyn FaultHook>) -> [u64; 6] {
         "{name}: live fold diverged from reduce(axiom)"
     );
     assert_refold_matches(name, &os);
+    let prom = os.metrics_prometheus();
+    validate_prometheus(&prom).unwrap_or_else(|e| panic!("{name}: {e}"));
     [
         os.trace_text().into_bytes(),
-        os.metrics_prometheus().into_bytes(),
+        prom.into_bytes(),
         os.metrics_json().pretty().into_bytes(),
         os.timeseries_json().pretty().into_bytes(),
         os.axiom_bytes(),

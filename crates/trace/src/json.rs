@@ -1,7 +1,9 @@
 //! A tiny hand-rolled JSON layer: the byte-level [`Sink`] every export
 //! writes through, the streaming [`JsonWriter`] on top of it, which owns
-//! the layout and the escaper, and the [`Json`] value tree, which is walked
-//! into it. Nothing on the per-record path goes through `core::fmt`.
+//! the layout and the escaper, and [`WriteJson`], a value that writes
+//! itself into one: the [`Json`] value tree, and the metric documents,
+//! which are never built as a tree. [`JsonDoc`] renders any of them as a
+//! whole document. Nothing on the per-record path goes through `core::fmt`.
 //!
 //! Lives in `osiris-trace` so the Chrome `trace_event` exporter and the
 //! `reproduce`/bench emitters share one implementation; the workspace
@@ -362,6 +364,30 @@ fn escape_runs(out: &mut impl Sink, text: &str) {
     out.put(&text[clean..]);
 }
 
+/// A value that writes itself, as one JSON value, into a [`JsonWriter`].
+pub trait WriteJson {
+    /// Writes this value into `w`.
+    fn write_json<S: Sink>(&self, w: &mut JsonWriter<S>);
+}
+
+impl<T: WriteJson + ?Sized> WriteJson for &T {
+    fn write_json<S: Sink>(&self, w: &mut JsonWriter<S>) {
+        (**self).write_json(w);
+    }
+}
+
+/// A [`WriteJson`] value as a whole document.
+pub struct JsonDoc<T>(pub T);
+
+impl<T: WriteJson> JsonDoc<T> {
+    /// The document as text: two-space indentation, trailing newline.
+    pub fn pretty(&self) -> String {
+        let mut w = JsonWriter::new(String::new());
+        self.0.write_json(&mut w);
+        w.finish()
+    }
+}
+
 /// A JSON value. Objects preserve insertion order so emitted files diff
 /// stably across runs.
 #[derive(Clone, Debug, PartialEq)]
@@ -397,13 +423,12 @@ impl Json {
 
     /// Renders with two-space indentation and a trailing newline.
     pub fn pretty(&self) -> String {
-        let mut w = JsonWriter::new(String::new());
-        self.write(&mut w);
-        w.finish()
+        JsonDoc(self).pretty()
     }
+}
 
-    /// Walks this value into `w`.
-    fn write<S: Sink>(&self, w: &mut JsonWriter<S>) {
+impl WriteJson for Json {
+    fn write_json<S: Sink>(&self, w: &mut JsonWriter<S>) {
         match self {
             Json::Null => w.null(),
             Json::Bool(b) => w.bool(*b),
@@ -423,13 +448,13 @@ impl Json {
             Json::Str(s) => w.str(s),
             Json::Arr(items) => {
                 w.begin_array();
-                items.iter().for_each(|item| item.write(w));
+                items.iter().for_each(|item| item.write_json(w));
                 w.end_array();
             }
             Json::Obj(pairs) => {
                 w.begin_object();
                 for (k, v) in pairs {
-                    v.write(w.key(k));
+                    v.write_json(w.key(k));
                 }
                 w.end_object();
             }
@@ -439,14 +464,14 @@ impl Json {
 
 #[cfg(test)]
 mod tests {
-    use super::{IoSink, Json, JsonWriter, Sink, SPACES};
+    use super::{IoSink, Json, JsonWriter, Sink, WriteJson, SPACES};
 
     #[test]
     fn the_first_io_error_is_kept_and_returned() {
         // A byte slice is a sink that fills up.
         let mut sink = [0u8; 16];
         let mut w = JsonWriter::new(IoSink::new(&mut sink[..]));
-        Json::Arr(vec![Json::UInt(1); 64]).write(&mut w);
+        Json::Arr(vec![Json::UInt(1); 64]).write_json(&mut w);
         let err = w
             .finish()
             .into_inner()

@@ -32,8 +32,9 @@
 //! [`CloseCode`]/[`SeepClassCode`]/[`ActionCode`] vocabularies; the
 //! checkpoint/core/kernel layers all emit through it. The workspace's
 //! hand-rolled JSON layer lives here too: the streaming [`JsonWriter`] the
-//! Chrome `trace_event` exporter in [`chrome`] writes through, and the
-//! [`Json`] value tree `osiris-bench` re-exports.
+//! Chrome `trace_event` exporter in [`chrome`] and every [`WriteJson`]
+//! value write through, and the [`Json`] value tree `osiris-bench`
+//! re-exports.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,7 +44,7 @@ pub mod hist;
 pub mod json;
 
 pub use hist::{HistSummary, Log2Hist};
-pub use json::{Json, JsonWriter, Sink};
+pub use json::{Json, JsonDoc, JsonWriter, Sink, WriteJson};
 
 use osiris_axiom::FieldValue;
 
