@@ -33,17 +33,25 @@ if grep -rnE 'thread::(spawn|Builder|scope)|mpsc' crates/{kernel,core,checkpoint
     exit 1
 fi
 
-echo "== one event table, one writer: chrome.rs and the metric renderers build no Json tree and, like render_text, format nothing through core::fmt; the kernel holds no trace vocabulary, no path becomes a lossy string =="
+echo "== one event table, one writer: chrome.rs, the metric renderers and the reports build no Json tree and, like render_text, format nothing through core::fmt; the kernel holds no trace vocabulary, no path becomes a lossy string =="
 text_path="$(sed -n '/^pub(crate) enum CompName/,/^fn text_capacity/p' crates/trace/src/lib.rs)"
 metric_paths="$(sed -n '/^pub fn render_prometheus/,/^pub fn validate_prometheus/p' crates/metrics/src/prom.rs
     sed -n '1,/^#\[cfg(test)\]/p' crates/metrics/src/export.rs
     sed -n '/^impl WriteJson for TimeseriesSampler/,/^}/p' crates/metrics/src/timeseries.rs)"
+report_rs="$(find crates/faults/src crates/bench/src -name '*.rs')"
+report_prod="$(for f in $report_rs; do sed '/^#\[cfg(test)\]/,$d' "$f"; done)"
+report_impls="$(for f in $report_rs; do sed -n '/^impl WriteJson for/,/^}/p' "$f"; done)"
 test -n "$text_path"
 test "$(grep -c '^pub fn render_prometheus\|^impl WriteJson for' <<<"$metric_paths")" = 3
+test -n "$report_prod"
+test "$(grep -c '^impl WriteJson for' <<<"$report_impls")" = 14
 if grep -n 'Json::' crates/trace/src/chrome.rs ||
     grep -n 'format_args!\|write!(\|writeln!(\|:?}' crates/trace/src/chrome.rs ||
     grep -n 'format_args!\|write!(\|writeln!(\|:?}' <<<"$text_path" ||
     grep -n 'format!\|write!(\|writeln!(\|to_string()\|replace(\|Json::' <<<"$metric_paths" ||
+    grep -n '\bJson::' <<<"$report_prod" ||
+    grep -n 'format!\|to_string()\|:?}' <<<"$report_impls" ||
+    grep -n 'pub use json::.*\bJson\b' crates/trace/src/lib.rs crates/bench/src/lib.rs ||
     grep -rn 'fn trace_twin' crates/kernel/src ||
     grep -rn to_string_lossy crates/*/src src examples; then
     exit 1
@@ -71,8 +79,8 @@ if grep -rnE 'record_at|site_digest128|StepProfiler|StepProfile\b|fn quiet' crat
     exit 1
 fi
 
-echo "== DESIGN.md stays within its 47,446-byte cap =="
-test "$(wc -c < DESIGN.md)" -le 47446
+echo "== DESIGN.md stays within its 47,443-byte cap =="
+test "$(wc -c < DESIGN.md)" -le 47443
 
 echo "== repo-root size cap: no tracked file at the root over 64 KiB (dumps belong under target/) =="
 git ls-files -z -- ':(glob)*' | xargs -0 wc -c |

@@ -14,6 +14,7 @@
 use osiris_bench as b;
 use osiris_core::PolicyKind;
 use osiris_faults::FaultModel;
+use osiris_trace::{JsonDoc, JsonWriter, WriteJson};
 
 const NAMES: &str = "rcb table1 table2 table3 table4 table5 table6 figure3 ablation_killreq";
 /// Plan seed of the fail-stop campaigns (Table II and the ablation).
@@ -105,12 +106,6 @@ fn main() {
     }
     const RAN: &str = "the full run ran every experiment";
     let (table2, table3) = (table2.expect(RAN), table3.expect(RAN));
-    // Full per-injection campaign report (matrix + records for both fault
-    // models), the machine-readable companion to Tables II/III.
-    let report = b::Json::obj([
-        ("fail_stop", table2.report.clone()),
-        ("full_edfi", table3.report.clone()),
-    ]);
     let results = b::ResultsJson {
         rcb: rcb.expect(RAN),
         table1: table1.expect(RAN),
@@ -121,13 +116,20 @@ fn main() {
         table6: table6.expect(RAN),
         figure3: figure3.expect(RAN),
     };
-    let json = results.to_json().pretty();
+    let json = JsonDoc(&results).pretty();
     std::fs::write("reproduce_results.json", &json).expect("write results json");
     println!("\n(machine-readable copy written to reproduce_results.json)");
 
+    // Full per-injection campaign report (matrix + records for both fault
+    // models), the machine-readable companion to Tables II/III.
+    let mut w = JsonWriter::new(String::new());
+    w.begin_object();
+    results.table2.report.write_json(w.key("fail_stop"));
+    results.table3.report.write_json(w.key("full_edfi"));
+    w.end_object();
     let dir = b::out_dir(std::env::var_os("OSIRIS_OUT_DIR"), "reproduce");
-    let campaign_path = b::write_out(&dir, "campaign_report.json", &report.pretty())
-        .expect("write campaign report");
+    let campaign_path =
+        b::write_out(&dir, "campaign_report.json", &w.finish()).expect("write campaign report");
     println!("(campaign report written to {})", campaign_path.display());
 
     // Metrics registry exposition from one fault-free suite run.

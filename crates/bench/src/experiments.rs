@@ -136,7 +136,7 @@ impl Table1 {
 // ---------------------------------------------------------------------
 
 /// Tables II/III: outcome distribution per recovery policy.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct SurvivabilityTable {
     /// Fault model used.
     pub model: FaultModel,
@@ -144,9 +144,9 @@ pub struct SurvivabilityTable {
     pub faults: usize,
     /// Outcome tallies, in policy order.
     pub rows: Vec<(PolicyKind, Tally)>,
-    /// The campaign's report document — the payload of
+    /// The campaign itself: its report is the payload of
     /// `campaign_report.json`.
-    pub report: osiris_trace::Json,
+    pub report: Campaign,
 }
 
 /// Profiles the suite once (paper: "a separate profiling run to determine
@@ -237,7 +237,7 @@ pub fn survivability_for(
         model,
         faults: plans.len(),
         rows,
-        report: campaign.report_json(),
+        report: campaign,
     }
 }
 

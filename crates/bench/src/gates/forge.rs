@@ -89,6 +89,15 @@ pub(super) fn checks(scale: Scale, c: &mut Checks) {
     });
     let plan = forge.plan();
     let forged = forge.run_plan(&plan);
+    // Rendering the campaign report allocates its one `String`, grown by
+    // doubling from empty to 433,668 bytes (17 steps), and the nodes of
+    // the (policy, component) matrix it folds the records into (4).
+    let (_, report_allocs) = c.counted(|| forged.campaign.report_json().pretty());
+    c.push_allocs(
+        "faults/report_render_allocs".into(),
+        report_allocs,
+        Want::Eq(21),
+    );
     let forged = forged.campaign.records();
 
     let (indices, sample): (Vec<usize>, Vec<_>) = plan

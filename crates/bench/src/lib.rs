@@ -15,7 +15,7 @@ pub mod json;
 pub mod loc;
 
 pub use experiments::*;
-pub use json::{Json, ResultsJson};
+pub use json::ResultsJson;
 pub use loc::{count_workspace_loc, CrateLoc, RcbReport};
 
 /// Installs a counting wrapper around the system allocator plus an

@@ -76,19 +76,23 @@ pub enum PolicyKind {
 
 impl fmt::Display for PolicyKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+        f.write_str(self.label())
+    }
+}
+
+impl PolicyKind {
+    /// The policy's name in tables, labels and reports.
+    pub fn label(self) -> &'static str {
+        match self {
             PolicyKind::Stateless => "stateless",
             PolicyKind::Naive => "naive",
             PolicyKind::Pessimistic => "pessimistic",
             PolicyKind::Enhanced => "enhanced",
             PolicyKind::EnhancedKill => "enhanced-kill",
             PolicyKind::Custom => "custom",
-        };
-        f.write_str(s)
+        }
     }
-}
 
-impl PolicyKind {
     /// All four standard policies evaluated in the paper, in table order.
     pub const STANDARD: [PolicyKind; 4] = [
         PolicyKind::Stateless,

@@ -25,7 +25,7 @@ use osiris_core::PolicyKind;
 use osiris_kernel::RunOutcome;
 use osiris_metrics::Registry;
 use osiris_servers::Os;
-use osiris_trace::{HistSummary, Json};
+use osiris_trace::{HistSummary, JsonDoc, JsonWriter, Sink, WriteJson};
 
 use crate::{classify_run, FaultKind, FaultModel, FaultPlan, Outcome, SiteId, Tally};
 
@@ -201,32 +201,19 @@ pub fn critical_path(records: &[AxiomRecord]) -> CriticalPath {
     cp
 }
 
-impl CriticalPath {
-    /// The breakdown as an ordered JSON object (embedded per injection in
-    /// `campaign_report.json`).
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("recoveries", Json::UInt(self.recoveries)),
-            ("detect_cycles", Json::UInt(self.detect_cycles)),
-            ("execute_cycles", Json::UInt(self.execute_cycles)),
-            ("total_cycles", Json::UInt(self.total_cycles)),
-            ("intent_replays", Json::UInt(self.intent_replays)),
-            ("fallbacks", Json::UInt(self.fallbacks)),
-        ])
+/// The breakdown as an ordered JSON object (embedded per injection in
+/// `campaign_report.json`).
+impl WriteJson for CriticalPath {
+    fn write_json<S: Sink>(&self, w: &mut JsonWriter<S>) {
+        w.begin_object();
+        w.key("recoveries").u64(self.recoveries);
+        w.key("detect_cycles").u64(self.detect_cycles);
+        w.key("execute_cycles").u64(self.execute_cycles);
+        w.key("total_cycles").u64(self.total_cycles);
+        w.key("intent_replays").u64(self.intent_replays);
+        w.key("fallbacks").u64(self.fallbacks);
+        w.end_object();
     }
-}
-
-/// A latency digest as JSON: the quantile fields the campaign report
-/// carries per injection for the request-latency split.
-fn latency_json(h: &HistSummary) -> Json {
-    Json::obj([
-        ("count", Json::UInt(h.count)),
-        ("p50", Json::UInt(h.p50)),
-        ("p90", Json::UInt(h.p90)),
-        ("p99", Json::UInt(h.p99)),
-        ("p999", Json::UInt(h.p999)),
-        ("max", Json::UInt(h.max)),
-    ])
 }
 
 /// Everything the campaign keeps about one injected run.
@@ -362,7 +349,7 @@ fn derive_metrics(records: &[InjectionRecord], model: FaultModel) -> Registry {
                         ("policy", policy),
                         ("component", component),
                         ("model", model),
-                        ("outcome", &rec.outcome.to_string()),
+                        ("outcome", rec.outcome.label()),
                     ],
                 );
                 let run_cycles = m.hist(
@@ -440,72 +427,78 @@ impl Campaign {
     }
 
     /// The final campaign report document (`campaign_report.json`).
-    pub fn report_json(&self) -> Json {
-        let tally_fields = |t: &Tally| {
-            [
-                ("pass", Json::UInt(t.pass as u64)),
-                ("fail", Json::UInt(t.fail as u64)),
-                ("degraded", Json::UInt(t.degraded as u64)),
-                ("quarantined", Json::UInt(t.quarantined as u64)),
-                ("shutdown", Json::UInt(t.shutdown as u64)),
-                ("crash", Json::UInt(t.crash as u64)),
-                ("survivability_pct", Json::Num(t.survivability())),
-            ]
+    pub fn report_json(&self) -> JsonDoc<&Self> {
+        JsonDoc(self)
+    }
+}
+
+/// The campaign report: the matrix, its grand total and every record.
+impl WriteJson for Campaign {
+    fn write_json<S: Sink>(&self, w: &mut JsonWriter<S>) {
+        let tally_fields = |w: &mut JsonWriter<S>, t: &Tally| {
+            w.key("pass").u64(t.pass as u64);
+            w.key("fail").u64(t.fail as u64);
+            w.key("degraded").u64(t.degraded as u64);
+            w.key("quarantined").u64(t.quarantined as u64);
+            w.key("shutdown").u64(t.shutdown as u64);
+            w.key("crash").u64(t.crash as u64);
+            w.key("survivability_pct").f64(t.survivability());
+        };
+        // The quantile fields the request-latency split carries.
+        let latency = |w: &mut JsonWriter<S>, h: &HistSummary| {
+            w.begin_object();
+            w.key("count").u64(h.count);
+            w.key("p50").u64(h.p50);
+            w.key("p90").u64(h.p90);
+            w.key("p99").u64(h.p99);
+            w.key("p999").u64(h.p999);
+            w.key("max").u64(h.max);
+            w.end_object();
         };
         let cells = matrix(&self.records);
-        let matrix: Vec<_> = cells
-            .iter()
-            .map(|((policy, component), t)| {
-                let mut fields = vec![
-                    ("policy", Json::Str(policy.to_string())),
-                    ("component", Json::Str(component.to_string())),
-                ];
-                fields.extend(tally_fields(t));
-                Json::Obj(
-                    fields
-                        .into_iter()
-                        .map(|(k, v)| (k.to_string(), v))
-                        .collect(),
-                )
-            })
-            .collect();
+        let runs = self.records.len() as u64;
+        w.begin_object();
+        w.key("campaign").str(&self.label);
+        w.key("model").str(model_label(self.model));
+        w.key("planned_runs").u64(runs);
+        w.key("completed_runs").u64(runs);
+        w.key("matrix").begin_array();
+        for ((policy, component), t) in &cells {
+            w.begin_object();
+            w.key("policy").str(policy);
+            w.key("component").str(component);
+            tally_fields(w, t);
+            w.end_object();
+        }
+        w.end_array();
         // The all-policy grand total: the same columns as the per-row
         // tallies, so the JSON report and the rendered matrix footer agree.
         let mut totals = Tally::default();
         cells.values().for_each(|t| totals.absorb(t));
-        let runs = Json::UInt(self.records.len() as u64);
-        Json::obj([
-            ("campaign", Json::Str(self.label.clone())),
-            ("model", Json::Str(model_label(self.model).to_string())),
-            ("planned_runs", runs.clone()),
-            ("completed_runs", runs),
-            ("matrix", Json::Arr(matrix)),
-            ("totals", Json::obj(tally_fields(&totals))),
-            (
-                "records",
-                Json::arr(&self.records, |r| {
-                    Json::obj([
-                        ("component", Json::Str(r.site.component.clone())),
-                        ("site", Json::Str(r.site.site.clone())),
-                        ("fault", Json::Str(kind_label(r.kind).to_string())),
-                        ("policy", Json::Str(r.policy.clone())),
-                        ("outcome", Json::Str(r.outcome.to_string())),
-                        ("action", Json::Str(r.action.label().to_string())),
-                        ("run_cycles", Json::UInt(r.run_cycles)),
-                        ("recoveries", Json::UInt(r.recoveries)),
-                        ("recovery_cycles", Json::UInt(r.recovery_cycles)),
-                        ("critical_path", r.critical_path.to_json()),
-                        (
-                            "span_latency",
-                            Json::obj([
-                                ("none", latency_json(&r.span_latency_clean)),
-                                ("recovery", latency_json(&r.span_latency_recovery)),
-                            ]),
-                        ),
-                    ])
-                }),
-            ),
-        ])
+        w.key("totals").begin_object();
+        tally_fields(w, &totals);
+        w.end_object();
+        w.key("records").begin_array();
+        for r in &self.records {
+            w.begin_object();
+            w.key("component").str(&r.site.component);
+            w.key("site").str(&r.site.site);
+            w.key("fault").str(kind_label(r.kind));
+            w.key("policy").str(&r.policy);
+            w.key("outcome").str(r.outcome.label());
+            w.key("action").str(r.action.label());
+            w.key("run_cycles").u64(r.run_cycles);
+            w.key("recoveries").u64(r.recoveries);
+            w.key("recovery_cycles").u64(r.recovery_cycles);
+            r.critical_path.write_json(w.key("critical_path"));
+            w.key("span_latency").begin_object();
+            latency(w.key("none"), &r.span_latency_clean);
+            latency(w.key("recovery"), &r.span_latency_recovery);
+            w.end_object();
+            w.end_object();
+        }
+        w.end_array();
+        w.end_object();
     }
 }
 

@@ -45,7 +45,7 @@ use osiris_kernel::{FaultHook, NoFaults, OsEngine, RunOutcome, SyscallId};
 use osiris_metrics::Registry;
 use osiris_rng::Rng;
 use osiris_servers::{Os, OsConfig, OsSnapshot};
-use osiris_trace::Json;
+use osiris_trace::{JsonDoc, JsonWriter, Sink, WriteJson};
 
 use crate::campaign::{kind_label, model_label, Campaign, InjectionRecord};
 use crate::{
@@ -892,65 +892,45 @@ impl ForgeReport {
     pub fn fail_silent_pct(&self) -> f64 {
         pct(self.fail_silent)
     }
+}
 
-    /// The report as a JSON object (embedded in `campaign_report.json`).
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("injections", Json::UInt(self.injections as u64)),
-            ("dropped", Json::UInt(self.dropped as u64)),
-            ("refinements", Json::UInt(self.refinements as u64)),
-            ("forks", Json::UInt(self.stats.forks)),
-            ("readopts", Json::UInt(self.stats.readopts)),
-            ("fork_dirty_bytes", Json::UInt(self.stats.fork_dirty_bytes)),
-            ("snapshots", Json::UInt(self.stats.snapshots)),
-            (
-                "snapshot_manifest_bytes",
-                Json::UInt(self.stats.snapshot_manifest_bytes),
-            ),
-            ("fail_stop_cells", Json::UInt(self.fail_stop.0 as u64)),
-            ("fail_stop_coverage_pct", Json::Num(self.fail_stop_pct())),
-            (
-                "recovery_space_cells",
-                Json::UInt(self.recovery_space.0 as u64),
-            ),
-            (
-                "recovery_space_coverage_pct",
-                Json::Num(self.recovery_space_pct()),
-            ),
-            ("fail_silent_cells", Json::UInt(self.fail_silent.0 as u64)),
-            (
-                "fail_silent_coverage_pct",
-                Json::Num(self.fail_silent_pct()),
-            ),
-            (
-                "fail_silent_hang_cells",
-                Json::UInt(self.fail_silent_hang.0 as u64),
-            ),
-            (
-                "fail_silent_hang_coverage_pct",
-                Json::Num(pct(self.fail_silent_hang)),
-            ),
-            (
-                "fail_silent_reply_drop_cells",
-                Json::UInt(self.fail_silent_reply_drop.0 as u64),
-            ),
-            (
-                "fail_silent_reply_drop_coverage_pct",
-                Json::Num(pct(self.fail_silent_reply_drop)),
-            ),
-            ("outcome_cells", Json::UInt(self.outcome_cells as u64)),
-            ("frontier_flips", Json::UInt(self.frontier.flips)),
-            (
-                "frontier_sites",
-                Json::Arr(
-                    self.frontier
-                        .sites
-                        .iter()
-                        .map(|s| Json::Str(s.clone()))
-                        .collect(),
-                ),
-            ),
-        ])
+/// The report as a JSON object (the `forge` half of
+/// [`ForgeResult::report_json`]).
+impl WriteJson for ForgeReport {
+    fn write_json<S: Sink>(&self, w: &mut JsonWriter<S>) {
+        w.begin_object();
+        w.key("injections").u64(self.injections as u64);
+        w.key("dropped").u64(self.dropped as u64);
+        w.key("refinements").u64(self.refinements as u64);
+        w.key("forks").u64(self.stats.forks);
+        w.key("readopts").u64(self.stats.readopts);
+        w.key("fork_dirty_bytes").u64(self.stats.fork_dirty_bytes);
+        w.key("snapshots").u64(self.stats.snapshots);
+        w.key("snapshot_manifest_bytes")
+            .u64(self.stats.snapshot_manifest_bytes);
+        w.key("fail_stop_cells").u64(self.fail_stop.0 as u64);
+        w.key("fail_stop_coverage_pct").f64(self.fail_stop_pct());
+        w.key("recovery_space_cells")
+            .u64(self.recovery_space.0 as u64);
+        w.key("recovery_space_coverage_pct")
+            .f64(self.recovery_space_pct());
+        w.key("fail_silent_cells").u64(self.fail_silent.0 as u64);
+        w.key("fail_silent_coverage_pct")
+            .f64(self.fail_silent_pct());
+        w.key("fail_silent_hang_cells")
+            .u64(self.fail_silent_hang.0 as u64);
+        w.key("fail_silent_hang_coverage_pct")
+            .f64(pct(self.fail_silent_hang));
+        w.key("fail_silent_reply_drop_cells")
+            .u64(self.fail_silent_reply_drop.0 as u64);
+        w.key("fail_silent_reply_drop_coverage_pct")
+            .f64(pct(self.fail_silent_reply_drop));
+        w.key("outcome_cells").u64(self.outcome_cells as u64);
+        w.key("frontier_flips").u64(self.frontier.flips);
+        w.key("frontier_sites").begin_array();
+        self.frontier.sites.iter().for_each(|s| w.str(s));
+        w.end_array();
+        w.end_object();
     }
 }
 
@@ -974,11 +954,18 @@ pub struct ForgeResult {
 
 impl ForgeResult {
     /// The combined report document.
-    pub fn report_json(&self) -> Json {
-        Json::obj([
-            ("campaign", self.campaign.report_json()),
-            ("forge", self.report.to_json()),
-        ])
+    pub fn report_json(&self) -> JsonDoc<&Self> {
+        JsonDoc(self)
+    }
+}
+
+/// `{"campaign": …, "forge": …}`.
+impl WriteJson for ForgeResult {
+    fn write_json<S: Sink>(&self, w: &mut JsonWriter<S>) {
+        w.begin_object();
+        self.campaign.write_json(w.key("campaign"));
+        self.report.write_json(w.key("forge"));
+        w.end_object();
     }
 }
 

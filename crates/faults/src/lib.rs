@@ -591,17 +591,23 @@ pub enum Outcome {
     Crash,
 }
 
-impl fmt::Display for Outcome {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+impl Outcome {
+    /// The outcome's name in matrices, labels and reports.
+    pub fn label(self) -> &'static str {
+        match self {
             Outcome::Pass => "pass",
             Outcome::Fail => "fail",
             Outcome::Degraded => "degraded",
             Outcome::Quarantined => "quarantined",
             Outcome::Shutdown => "shutdown",
             Outcome::Crash => "crash",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for Outcome {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.label())
     }
 }
 

@@ -36,6 +36,11 @@ const SWEEP_DIGESTS: [u64; 4] = [
     0x5c09_ac76_40e2_6adc,
 ];
 
+/// Digest of `sweep(1)`'s combined campaign and forge report, captured
+/// while both were still built as a value tree and then printed. Writing
+/// them straight into the JSON writer must not move a byte.
+const FORGE_REPORT_DIGEST: u64 = 0xfe5f_9276_83e8_a3ec;
+
 #[test]
 fn forge_sweep_is_thread_count_invariant() {
     let a = sweep(1);
@@ -46,6 +51,11 @@ fn forge_sweep_is_thread_count_invariant() {
         digest(format!("{:?}", a.report.frontier).as_bytes()),
     ];
     assert_eq!(got, SWEEP_DIGESTS, "campaign exports moved: {got:#018x?}");
+    let report = digest(a.report_json().pretty().as_bytes());
+    assert_eq!(
+        report, FORGE_REPORT_DIGEST,
+        "forge report moved: {report:#018x}"
+    );
     let b = sweep(4);
 
     // Records, matrix, axiom chain and coverage are plan-ordered and must

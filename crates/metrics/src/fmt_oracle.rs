@@ -3,10 +3,12 @@
 //! text and label values, counters and gauges at both ends of `u64`, a
 //! family with no series, histograms empty, in bucket 0 only and reaching
 //! bucket 64, the fold's whole schema, and rings wrapped and empty,
-//! rendered both ways, must give the same bytes.
+//! rendered both ways, must give the same bytes. The `Json` value tree
+//! lives here, cut to the variants these renderers build: no production
+//! code builds one any more.
 
 use osiris_trace::hist::Log2Hist;
-use osiris_trace::{ActionCode, AxiomEvent, Json};
+use osiris_trace::{ActionCode, AxiomEvent, JsonDoc, JsonWriter, Sink, WriteJson};
 
 use crate::fold::{Note, Owned, Owners, SeriesFold};
 use crate::timeseries::{SampleValue, Source};
@@ -14,6 +16,57 @@ use crate::{
     render_json, render_prometheus, validate_prometheus, FamilySnapshot, MetricKind, MetricsConfig,
     MetricsSnapshot, Registry, SeriesSnapshot, SeriesValue, TimeseriesConfig, TimeseriesSampler,
 };
+
+/// A JSON value. Objects preserve insertion order.
+#[derive(Clone, Debug, PartialEq)]
+enum Json {
+    /// An unsigned integer.
+    UInt(u64),
+    /// A string.
+    Str(String),
+    /// An array.
+    Arr(Vec<Json>),
+    /// An object (ordered key/value pairs).
+    Obj(Vec<(String, Json)>),
+}
+
+impl Json {
+    /// Builds an object from key/value pairs.
+    fn obj<const N: usize>(pairs: [(&str, Json); N]) -> Json {
+        Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    }
+
+    /// Builds an array by converting each item.
+    fn arr<T, F: FnMut(&T) -> Json>(items: &[T], f: F) -> Json {
+        Json::Arr(items.iter().map(f).collect())
+    }
+
+    /// Renders with two-space indentation and a trailing newline.
+    fn pretty(&self) -> String {
+        JsonDoc(self).pretty()
+    }
+}
+
+impl WriteJson for Json {
+    fn write_json<S: Sink>(&self, w: &mut JsonWriter<S>) {
+        match self {
+            Json::UInt(u) => w.u64(*u),
+            Json::Str(s) => w.str(s),
+            Json::Arr(items) => {
+                w.begin_array();
+                items.iter().for_each(|item| item.write_json(w));
+                w.end_array();
+            }
+            Json::Obj(pairs) => {
+                w.begin_object();
+                for (k, v) in pairs {
+                    v.write_json(w.key(k));
+                }
+                w.end_object();
+            }
+        }
+    }
+}
 
 fn prometheus(snapshot: &MetricsSnapshot) -> String {
     let mut out = String::new();

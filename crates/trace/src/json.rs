@@ -1,15 +1,16 @@
 //! A tiny hand-rolled JSON layer: the byte-level [`Sink`] every export
 //! writes through, the streaming [`JsonWriter`] on top of it, which owns
 //! the layout and the escaper, and [`WriteJson`], a value that writes
-//! itself into one: the [`Json`] value tree, and the metric documents,
-//! which are never built as a tree. [`JsonDoc`] renders any of them as a
-//! whole document. Nothing on the per-record path goes through `core::fmt`.
+//! itself into one: the metric documents, the campaign and forge reports
+//! and the `reproduce` results, none of them ever built as a tree.
+//! [`JsonDoc`] renders any of them as a whole document. Nothing but a
+//! float goes through `core::fmt`.
 //!
 //! Lives in `osiris-trace` so the Chrome `trace_event` exporter and the
 //! `reproduce`/bench emitters share one implementation; the workspace
 //! builds fully offline with no serialization dependencies.
-//! (`osiris-bench` re-exports [`Json`] — it used to live there.)
 
+use std::fmt::{self, Write as _};
 use std::io::{self, Write};
 
 /// The one run of spaces padding and indentation are cut from.
@@ -165,8 +166,7 @@ impl Digits {
 }
 
 /// Writes one JSON document, member by member, with two-space indentation:
-/// the layout `reproduce` commits to disk. A large export goes straight
-/// into its sink through this instead of being built as a [`Json`] first.
+/// the layout `reproduce` commits to disk.
 ///
 /// Calls must nest as JSON does (a [`key`](Self::key) before each value
 /// inside an object).
@@ -287,6 +287,25 @@ impl<S: Sink> JsonWriter<S> {
         self.out.put_i64(value);
     }
 
+    /// A float in its shortest exact decimal form, an integral one with
+    /// its `.0` kept so readers still see a float; a non-finite one is
+    /// `null`. The writer's one use of `core::fmt`.
+    pub fn f64(&mut self, value: f64) {
+        if !value.is_finite() {
+            return self.null();
+        }
+        self.member();
+        let mut text = FloatText {
+            out: &mut self.out,
+            point: false,
+        };
+        // A sink cannot fail.
+        let _ = write!(text, "{value}");
+        if !text.point {
+            self.out.put(".0");
+        }
+    }
+
     /// `true` / `false`.
     pub fn bool(&mut self, value: bool) {
         self.scalar(if value { "true" } else { "false" });
@@ -319,6 +338,21 @@ impl<S: Sink> JsonWriter<S> {
     pub fn finish(mut self) -> S {
         self.out.put("\n");
         self.out
+    }
+}
+
+/// `core::fmt` text streamed into a sink, noting whether it held a
+/// decimal point or an exponent.
+struct FloatText<'a, S> {
+    out: &'a mut S,
+    point: bool,
+}
+
+impl<S: Sink> fmt::Write for FloatText<'_, S> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.point |= s.contains(['.', 'e', 'E']);
+        self.out.put(s);
+        Ok(())
     }
 }
 
@@ -388,90 +422,25 @@ impl<T: WriteJson> JsonDoc<T> {
     }
 }
 
-/// A JSON value. Objects preserve insertion order so emitted files diff
-/// stably across runs.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// An integer (kept exact, no float round-trip).
-    Int(i64),
-    /// An unsigned integer.
-    UInt(u64),
-    /// A float; non-finite values render as `null`.
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object (ordered key/value pairs).
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Builds an object from key/value pairs.
-    pub fn obj<const N: usize>(pairs: [(&str, Json); N]) -> Json {
-        Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-    }
-
-    /// Builds an array by converting each item.
-    pub fn arr<T, F: FnMut(&T) -> Json>(items: &[T], f: F) -> Json {
-        Json::Arr(items.iter().map(f).collect())
-    }
-
-    /// Renders with two-space indentation and a trailing newline.
-    pub fn pretty(&self) -> String {
-        JsonDoc(self).pretty()
-    }
-}
-
-impl WriteJson for Json {
-    fn write_json<S: Sink>(&self, w: &mut JsonWriter<S>) {
-        match self {
-            Json::Null => w.null(),
-            Json::Bool(b) => w.bool(*b),
-            Json::Int(i) => w.i64(*i),
-            Json::UInt(u) => w.u64(*u),
-            Json::Num(x) if x.is_finite() => {
-                // `{}` on f64 is the shortest exact representation, but
-                // renders integral floats without a decimal point; keep the
-                // point so the value stays typed as a float for readers.
-                let mut s = x.to_string();
-                if !s.contains(['.', 'e', 'E']) {
-                    s.push_str(".0");
-                }
-                w.scalar(&s);
-            }
-            Json::Num(_) => w.null(),
-            Json::Str(s) => w.str(s),
-            Json::Arr(items) => {
-                w.begin_array();
-                items.iter().for_each(|item| item.write_json(w));
-                w.end_array();
-            }
-            Json::Obj(pairs) => {
-                w.begin_object();
-                for (k, v) in pairs {
-                    v.write_json(w.key(k));
-                }
-                w.end_object();
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::{IoSink, Json, JsonWriter, Sink, WriteJson, SPACES};
+    use super::{IoSink, JsonWriter, Sink, SPACES};
+
+    /// The document `write` writes.
+    fn doc(write: impl FnOnce(&mut JsonWriter<String>)) -> String {
+        let mut w = JsonWriter::new(String::new());
+        write(&mut w);
+        w.finish()
+    }
 
     #[test]
     fn the_first_io_error_is_kept_and_returned() {
         // A byte slice is a sink that fills up.
         let mut sink = [0u8; 16];
         let mut w = JsonWriter::new(IoSink::new(&mut sink[..]));
-        Json::Arr(vec![Json::UInt(1); 64]).write_json(&mut w);
+        w.begin_array();
+        (0..64).for_each(|_| w.u64(1));
+        w.end_array();
         let err = w
             .finish()
             .into_inner()
@@ -483,23 +452,46 @@ mod tests {
 
     #[test]
     fn scalars_render() {
-        assert_eq!(Json::Null.pretty(), "null\n");
-        assert_eq!(Json::Bool(true).pretty(), "true\n");
-        assert_eq!(Json::Int(-3).pretty(), "-3\n");
-        assert_eq!(Json::UInt(u64::MAX).pretty(), format!("{}\n", u64::MAX));
-        assert_eq!(Json::Num(1.5).pretty(), "1.5\n");
+        assert_eq!(doc(|w| w.null()), "null\n");
+        assert_eq!(doc(|w| w.bool(true)), "true\n");
+        assert_eq!(doc(|w| w.i64(-3)), "-3\n");
+        assert_eq!(doc(|w| w.u64(u64::MAX)), format!("{}\n", u64::MAX));
+    }
+
+    #[test]
+    fn floats_render_shortest_with_their_point() {
+        assert_eq!(doc(|w| w.f64(1.5)), "1.5\n");
         assert_eq!(
-            Json::Num(2.0).pretty(),
+            doc(|w| w.f64(2.0)),
             "2.0\n",
             "integral floats keep the point"
         );
-        assert_eq!(Json::Num(f64::NAN).pretty(), "null\n");
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(doc(|w| w.f64(x)), "null\n");
+        }
+        // What `{}` writes, with `.0` added where it wrote no point.
+        for x in [
+            0.1,
+            -0.0,
+            1.0 / 3.0,
+            1e-7,
+            1e21,
+            99.5,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+        ] {
+            let mut want = x.to_string();
+            if !want.contains(['.', 'e', 'E']) {
+                want.push_str(".0");
+            }
+            assert_eq!(doc(|w| w.f64(x)), want + "\n");
+        }
     }
 
     #[test]
     fn strings_escape() {
-        let s = Json::Str("a\"b\\c\nd\te\u{1}\u{10}\u{1f}".into());
-        assert_eq!(s.pretty(), "\"a\\\"b\\\\c\\nd\\te\\u0001\\u0010\\u001f\"\n");
+        let s = doc(|w| w.str("a\"b\\c\nd\te\u{1}\u{10}\u{1f}"));
+        assert_eq!(s, "\"a\\\"b\\\\c\\nd\\te\\u0001\\u0010\\u001f\"\n");
     }
 
     #[test]
@@ -508,14 +500,14 @@ mod tests {
         ints.extend((0..20).map(|p| 10u64.pow(p)));
         ints.extend((1..20).map(|p| 10u64.pow(p) - 1));
         for v in ints {
-            assert_eq!(Json::UInt(v).pretty(), format!("{v}\n"));
+            assert_eq!(doc(|w| w.u64(v)), format!("{v}\n"));
             let mut s = String::new();
             s.put_u64_padded(v, 10);
             s.put_hex16(v);
             assert_eq!(s, format!("{v:<10}{v:016x}"));
         }
         for v in [i64::MIN, -10, -9, -1, 0, 1, i64::MAX] {
-            assert_eq!(Json::Int(v).pretty(), format!("{v}\n"));
+            assert_eq!(doc(|w| w.i64(v)), format!("{v}\n"));
         }
         for (text, width) in [("", 8), ("µs", 8), ("longer-than-eight", 8), ("x", 150)] {
             let mut s = String::from(text);
@@ -536,18 +528,30 @@ mod tests {
         // Two spaces a level: the innermost value sits twice as far in as
         // the run is long.
         let depth = SPACES.len();
-        let doc = (0..depth).fold(Json::UInt(7), |doc, _| Json::Arr(vec![doc]));
-        assert_eq!(doc.pretty(), reference(depth, 0) + "\n");
+        let nested = doc(|w| {
+            (0..depth).for_each(|_| w.begin_array());
+            w.u64(7);
+            (0..depth).for_each(|_| w.end_array());
+        });
+        assert_eq!(nested, reference(depth, 0) + "\n");
     }
 
     #[test]
     fn nesting_indents() {
-        let doc = Json::obj([
-            ("xs", Json::Arr(vec![Json::Int(1), Json::Int(2)])),
-            ("empty", Json::Arr(vec![])),
-            ("o", Json::obj([("k", Json::Str("v".into()))])),
-        ]);
+        let nested = doc(|w| {
+            w.begin_object();
+            w.key("xs").begin_array();
+            w.i64(1);
+            w.i64(2);
+            w.end_array();
+            w.key("empty").begin_array();
+            w.end_array();
+            w.key("o").begin_object();
+            w.key("k").str("v");
+            w.end_object();
+            w.end_object();
+        });
         let expect = "{\n  \"xs\": [\n    1,\n    2\n  ],\n  \"empty\": [],\n  \"o\": {\n    \"k\": \"v\"\n  }\n}\n";
-        assert_eq!(doc.pretty(), expect);
+        assert_eq!(nested, expect);
     }
 }

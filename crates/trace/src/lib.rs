@@ -33,8 +33,8 @@
 //! checkpoint/core/kernel layers all emit through it. The workspace's
 //! hand-rolled JSON layer lives here too: the streaming [`JsonWriter`] the
 //! Chrome `trace_event` exporter in [`chrome`] and every [`WriteJson`]
-//! value write through, and the [`Json`] value tree `osiris-bench`
-//! re-exports.
+//! value (the metric documents, the campaign and forge reports, the
+//! `reproduce` results) write through. There is no JSON value tree.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,7 +44,7 @@ pub mod hist;
 pub mod json;
 
 pub use hist::{HistSummary, Log2Hist};
-pub use json::{Json, JsonDoc, JsonWriter, Sink, WriteJson};
+pub use json::{JsonDoc, JsonWriter, Sink, WriteJson};
 
 use osiris_axiom::FieldValue;
 
