@@ -148,17 +148,19 @@ mod tests {
     /// fold in `osiris-metrics`: neither is trusted code, so neither lives
     /// in the kernel crate. The checkpoint crate has one undo path; the
     /// rollback and image references live in its tests as a std-container
-    /// model. The fault injector, outside the RCB, has one site profiler
-    /// and a campaign that is its ordered records.
+    /// model. The watchdog's decisions are one pure step in `osiris-core`,
+    /// and the kernel only executes them, so the RCB does not grow past
+    /// its size before that move. The fault injector, outside the RCB, has
+    /// one site profiler and a campaign that is its ordered records.
     #[test]
     fn rcb_stays_under_its_ceiling() {
         let report = count_workspace_loc();
-        let caps = [("kernel", 2_800), ("checkpoint", 3_150), ("faults", 2_400)];
+        let caps = [("kernel", 2_566), ("checkpoint", 3_150), ("faults", 2_400)];
         for (name, cap) in caps {
             let row = report.crates.iter().find(|c| c.name == name).unwrap();
             assert!(row.loc <= cap, "{name} {}", row.loc);
         }
-        assert!(report.rcb_total() <= 7_150, "rcb {}", report.rcb_total());
+        assert!(report.rcb_total() <= 7_106, "rcb {}", report.rcb_total());
         assert!(report.rcb_pct() < 25.0, "rcb {}%", report.rcb_pct());
     }
 

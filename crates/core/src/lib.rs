@@ -73,6 +73,7 @@ mod escalation;
 mod policy;
 mod recovery;
 mod seep;
+pub mod watchdog;
 mod window;
 
 pub use conduct::{conduct, Effect, Input, MAX_INTENT_REPLAYS};
@@ -82,4 +83,5 @@ pub use policy::{
 };
 pub use recovery::{decide_recovery, system_survives, ActionCode, CrashContext, RecoveryDecision};
 pub use seep::{MessageKind, SeepClass, SeepMeta};
+pub use watchdog::WatchdogConfig;
 pub use window::{CloseReason, RecoveryWindow, WindowStats};

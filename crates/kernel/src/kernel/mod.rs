@@ -9,12 +9,13 @@
 //! RS decides on (paper §IV-C).
 //!
 //! This file is the always-trusted core: configuration, the component
-//! table, timers, the pump, handler invocation and message routing. It
-//! calls the planes in the sibling modules and never implements their
-//! decisions: [`recovery`] (crash capture and the execution of the conduct
-//! `osiris_core::conduct` decides: intents, fallbacks, quarantine,
-//! privileged ops), [`watchdog`] (deadlines, verdicts, retry) and
-//! [`snapshot`] (fork capture/adoption).
+//! table, what falls due in virtual time (timers and parked retries), the
+//! pump, handler invocation and message routing. It calls the planes in
+//! the sibling modules and never implements their decisions: [`recovery`]
+//! (crash capture and the execution of the conduct `osiris_core::conduct`
+//! decides: intents, fallbacks, quarantine, privileged ops), [`watchdog`]
+//! (the execution of what `osiris_core::watchdog` decides: deadlines,
+//! verdicts, retries) and [`snapshot`] (fork capture/adoption).
 //!
 //! The kernel reports what happens and computes no metric: each occurrence
 //! is one [`Kernel::emit`] (a trace event), one [`Kernel::seal`] (an axiom
@@ -25,8 +26,8 @@ mod recovery;
 mod snapshot;
 mod watchdog;
 
+pub use osiris_core::WatchdogConfig;
 pub use snapshot::{CasFingerprint, CompSnapshot, KernelSnapshot};
-pub use watchdog::WatchdogConfig;
 
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -36,6 +37,7 @@ use osiris_axiom::{
     ControlState, Divergence, MAX_COMPS,
 };
 use osiris_checkpoint::{ChunkStore, Heap, HeapImage};
+use osiris_core::watchdog::Table;
 use osiris_core::{MessageKind, RecoveryPolicy, RecoveryWindow, WindowStats};
 use osiris_metrics::{
     MetricsConfig, Note, Owned, Owners, SeriesFold, TimeseriesConfig, TimeseriesSampler,
@@ -44,7 +46,6 @@ use osiris_trace::chrome::ChromeTrace;
 use osiris_trace::{trace_twin, Stage, TraceConfig, TraceEvent, Tracer, KERNEL_COMP};
 
 use self::recovery::PendingCrash;
-use self::watchdog::Watchdog;
 use crate::abi::{Pid, SysReply};
 use crate::clock::{cost, VirtualClock};
 use crate::component::{Ctx, FaultHook, InjectedHang, NoFaults, ReplyTamper, Scratch, Server};
@@ -132,6 +133,20 @@ struct Comp<P: Protocol> {
     privileged: bool,
 }
 
+/// What falls due in virtual time.
+#[derive(Clone)]
+enum Due<P> {
+    /// A component's timer: its owner, span and payload.
+    Timer(u8, Option<SpanInfo>, P),
+    /// A watched request re-driven to component `.0` after its backoff,
+    /// with the attempt index its re-delivery is armed with. Boxed, so
+    /// that the map's entries stay a timer's size.
+    Retry(u8, u8, Box<Message<P>>),
+}
+
+/// The bit that marks a parked retry's sequence number.
+const RETRY_SEQ: u64 = 1 << 63;
+
 /// What one handler invocation left behind, besides the messages, timers
 /// and privileged ops it pushed onto the kernel's [`Scratch`].
 struct HandlerRun {
@@ -151,7 +166,10 @@ pub struct Kernel<P: Protocol> {
     cfg: KernelConfig,
     clock: VirtualClock,
     comps: Vec<Comp<P>>,
-    timers: BTreeMap<(u64, u64), (u8, Option<SpanInfo>, P)>,
+    /// What falls due in virtual time, keyed by (due time, sequence). A
+    /// retry's sequence has [`RETRY_SEQ`] set: a timer fires before a retry
+    /// due at the same cycle.
+    timers: BTreeMap<(u64, u64), Due<P>>,
     timer_seq: u64,
     next_msg_id: u64,
     /// Monotone span-id source; deterministic, reset at the boot barrier.
@@ -181,8 +199,11 @@ pub struct Kernel<P: Protocol> {
     /// The metric series and their timeseries: a fold of what the kernel
     /// emits, seals and notes.
     series: SeriesFold,
-    /// Armed deadlines and parked retries of the virtual-time watchdog.
-    wd: Watchdog<P>,
+    /// The virtual-time watchdog's slots, whose decisions
+    /// `osiris_core::watchdog` makes, and the request each holds: captured
+    /// by move, never cloned, so that a lost or corrupt reply can be
+    /// re-driven. Preallocated: arming never allocates.
+    wd: Table<Message<P>>,
     rr_cursor: usize,
     initialized: bool,
     /// The flight recorder. Heaps stage their events; the kernel appends
@@ -230,7 +251,7 @@ impl<P: Protocol> Kernel<P> {
             control: ControlState::new(),
             cas: ChunkStore::new(),
             series,
-            wd: Watchdog::new(),
+            wd: Table::new(WatchdogConfig::CAPACITY),
             rr_cursor: 0,
             initialized: false,
             tracer,
@@ -677,7 +698,7 @@ impl<P: Protocol> Kernel<P> {
             integrity: 0,
             payload,
         };
-        self.watchdog_arm(&msg, 0);
+        self.watchdog_arm(c, &msg, 0);
         self.comps[c as usize].inbox.push_back(msg);
     }
 
@@ -694,34 +715,37 @@ impl<P: Protocol> Kernel<P> {
 
     /// Whether any timer (or scheduled transparent retry) is pending.
     pub fn has_pending_timers(&self) -> bool {
-        !self.timers.is_empty() || self.wd.next_retry().is_some()
+        !self.timers.is_empty()
     }
 
     /// Advances the clock to the next timer or scheduled retry and delivers
     /// its message. Returns `false` if neither was pending.
     pub fn fire_next_timer(&mut self) -> bool {
-        let next_timer = self.timers.keys().next().copied();
-        match (next_timer, self.wd.next_retry()) {
-            (None, None) => return false,
-            (Some(t), Some(r)) if r.0 < t.0 => self.fire_retry(r),
-            (Some(t), _) => self.fire_timer(t),
-            (None, Some(r)) => self.fire_retry(r),
-        }
+        let Some(((at, _), due)) = self.timers.pop_first() else {
+            return false;
+        };
+        self.clock.advance_to(at);
+        self.stamp();
+        let (dst, msg) = match due {
+            Due::Timer(dst, span, payload) => {
+                self.series.note(Note::TimerFired);
+                (dst, self.kernel_msg(dst, span, payload))
+            }
+            // The re-delivered request keeps its identity (id, requester,
+            // span), so its reply correlates exactly as the first one's
+            // would have: the retry is invisible to both endpoints.
+            Due::Retry(dst, attempt, msg) => {
+                self.watchdog_arm(dst, &msg, attempt);
+                (dst, *msg)
+            }
+        };
+        self.comps[dst as usize].inbox.push_back(msg);
         // Timer fires are the idle-time service points: a deadline that
         // expired while nothing was runnable is detected here, bounding
         // hang-detection latency by the armed deadline plus one heartbeat
         // period.
         self.service_watchdog();
         true
-    }
-
-    fn fire_timer(&mut self, key: (u64, u64)) {
-        let (dst, span, payload) = self.timers.remove(&key).expect("timer key just observed");
-        self.clock.advance_to(key.0);
-        self.stamp();
-        self.series.note(Note::TimerFired);
-        let msg = self.kernel_msg(dst, span, payload);
-        self.comps[dst as usize].inbox.push_back(msg);
     }
 
     /// Processes queued messages until the system is quiescent (all inboxes
@@ -1009,7 +1033,7 @@ impl<P: Protocol> Kernel<P> {
             }
             match msg.dst {
                 Endpoint::Component(c) => {
-                    self.watchdog_arm(&msg, 0);
+                    self.watchdog_arm(c, &msg, 0);
                     self.comps[c as usize].inbox.push_back(msg);
                 }
                 Endpoint::Process(pid) => {
@@ -1039,8 +1063,8 @@ impl<P: Protocol> Kernel<P> {
         for (delay, span, payload) in self.scratch.timers.drain(..) {
             self.timer_seq += 1;
             let at = self.clock.now() + delay;
-            self.timers
-                .insert((at, self.timer_seq), (owner, span, payload));
+            let timer = Due::Timer(owner, span, payload);
+            self.timers.insert((at, self.timer_seq), timer);
         }
     }
 

@@ -582,10 +582,9 @@ impl<P: Protocol> Kernel<P> {
     /// `E_CRASH` on behalf of component `from`, unless the watchdog re-drives
     /// the request instead.
     pub(super) fn send_crash_reply(&mut self, from: u8, failed: Message<P>) {
-        // Transparent-retry interception: if the failed request had an
-        // armed watchdog deadline and is safe to re-drive, re-deliver it
-        // after a backoff instead of surfacing `E_CRASH`.
-        let Some(failed) = self.watchdog_intercept_crash_reply(from, failed) else {
+        // A request the watchdog watched is the watchdog's to answer: it
+        // re-drives it after a backoff, or comes back here for `E_CRASH`.
+        let Some(failed) = self.watchdog_fails(failed) else {
             return;
         };
         match failed.src {

@@ -11,10 +11,10 @@ use osiris_core::RecoveryWindow;
 use osiris_metrics::SeriesState;
 use osiris_trace::TracerState;
 
-use super::Kernel;
+use super::{Due, Kernel, RETRY_SEQ};
 use crate::clock::VirtualClock;
 use crate::component::NoFaults;
-use crate::message::{Message, Protocol, SpanInfo};
+use crate::message::{Message, Protocol};
 
 /// The content-addressed store's externally visible counters at one
 /// instant, used to check that a freshly booted fork reproduced its donor's
@@ -73,7 +73,7 @@ pub struct CompSnapshot<P: Protocol> {
 pub struct KernelSnapshot<P: Protocol> {
     clock: VirtualClock,
     comps: Vec<CompSnapshot<P>>,
-    timers: BTreeMap<(u64, u64), (u8, Option<SpanInfo>, P)>,
+    timers: BTreeMap<(u64, u64), Due<P>>,
     timer_seq: u64,
     next_msg_id: u64,
     next_span_id: u64,
@@ -190,7 +190,7 @@ impl<P: Protocol + Clone> Kernel<P> {
             "snapshot with undrained kill events"
         );
         assert!(
-            self.wd.is_idle(),
+            self.wd.armed == 0 && !self.timers.keys().any(|k| k.1 & RETRY_SEQ != 0),
             "snapshot with armed watchdog deadlines or parked retries"
         );
         debug_assert!(self.stages_drained());

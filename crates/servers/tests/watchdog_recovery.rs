@@ -3,9 +3,9 @@
 //! reply-integrity rejection, and the determinism properties (backoff
 //! schedules per seed, byte-identical replies after a transparent retry).
 
-use osiris_axiom::AxiomEvent;
+use osiris_axiom::{AxiomEvent, VerdictCode};
 use osiris_faults::{FaultKind, FaultPlan, Injector};
-use osiris_kernel::{RunOutcome, WatchdogConfig};
+use osiris_kernel::{FaultEffect, FaultHook, Probe, RunOutcome, WatchdogConfig};
 use osiris_metrics::validate_prometheus;
 use osiris_servers::{Os, OsConfig};
 use osiris_workloads::{Host, ProgramRegistry};
@@ -155,9 +155,8 @@ fn retry_decisions(os: &Os) -> Vec<(u64, u8, bool, u32)> {
         .collect()
 }
 
-/// Backoff schedules are a pure function of (jitter seed, message id,
-/// attempt): identical runs seal identical schedules, and a different
-/// seed jitters differently while the decision structure stays the same.
+/// Backoff schedules are a pure function of (message id, attempt):
+/// identical runs seal identical schedules, and the jitter stays bounded.
 #[test]
 fn backoff_schedule_is_deterministic_per_seed() {
     let plan = ds_get_plan(FaultKind::ReplyDrop);
@@ -170,15 +169,6 @@ fn backoff_schedule_is_deterministic_per_seed() {
     // byte-identically.
     assert_eq!(a.kernel().axiom().to_bytes(), b.kernel().axiom().to_bytes());
 
-    let mut cfg = wd_cfg();
-    cfg.watchdog.jitter_seed = 0x0DD5_EED5;
-    let (_, c) = run_kv(cfg, Some(&plan));
-    let dc = retry_decisions(&c);
-    assert_eq!(da.len(), dc.len(), "structure must not depend on the seed");
-    assert!(
-        da.iter().zip(&dc).any(|(x, y)| x.3 != y.3),
-        "a different jitter seed must move at least one backoff: {da:?}"
-    );
     // Jitter is bounded: every backoff stays within base·2^attempt plus a
     // quarter-base of jitter.
     for (_, attempt, granted, backoff) in &da {
@@ -215,4 +205,159 @@ fn watchdog_metrics_pass_promlint() {
     ] {
         assert!(prom.contains(family), "exposition lacks {family}");
     }
+}
+
+/// Fires each listed fault once, at the `n`-th time its site is reached.
+struct Nth(Vec<(&'static str, u32, FaultEffect)>);
+
+impl FaultHook for Nth {
+    fn on_site(&mut self, probe: &Probe) -> FaultEffect {
+        for (site, n, effect) in &mut self.0 {
+            if *site == probe.site && *n > 0 {
+                *n -= 1;
+                if *n == 0 {
+                    return *effect;
+                }
+            }
+        }
+        FaultEffect::None
+    }
+}
+
+/// A request queued behind one its server hangs on is judged first (its
+/// deadline is the shorter) and doomed with the hung one. After the
+/// recovery the server handles it after all, and its reply is lost: the
+/// watchdog watches it again, finds the reply lost and re-drives it. It
+/// used to stay doomed, and its requester blocked for good.
+#[test]
+fn a_doomed_request_handled_after_the_recovery_stays_watched() {
+    osiris_kernel::install_quiet_panic_hook();
+    let mut registry = ProgramRegistry::new();
+    registry.register("main", |sys| {
+        if sys.ds_put("wd-key", b"v").is_err() {
+            return 3;
+        }
+        let Ok(child) = sys.fork_run(|sys| match sys.ds_get("wd-key") {
+            Ok(v) if v == b"v" => 0,
+            _ => 1,
+        }) else {
+            return 4;
+        };
+        sys.set_retry_ecrash(true);
+        let put = sys.ds_put("wd-key", b"v");
+        match sys.waitpid(child) {
+            Ok(0) if put.is_ok() => 0,
+            Ok(code) => 10 + code,
+            Err(_) => 5,
+        }
+    });
+    let mut os = Os::new(wd_cfg());
+    os.set_fault_hook(Box::new(Nth(vec![
+        ("ds.put.entry", 2, FaultEffect::Hang),
+        ("ds.get.entry", 1, FaultEffect::DropReply),
+    ])));
+    let mut host = Host::new(os, registry);
+    let outcome = host.run("main", &[]);
+    let os = host.into_engine();
+    let m = os.metrics();
+    assert!(
+        matches!(outcome, RunOutcome::Completed { init_code: 0, .. }),
+        "both requests must complete: {outcome:?}, {m:?}"
+    );
+    assert!(m.wd_verdicts >= 2, "a hang and a lost reply: {m:?}");
+    assert!(m.retries_granted >= 2, "the put and the get are re-driven");
+    assert!(os.audit().is_empty(), "audit: {:?}", os.audit());
+}
+
+/// Once VFS parks a program load on the disk, hangs VFS on its next
+/// `stat`, then drops the reply of the program load when it completes.
+#[derive(Default)]
+struct HangWhileLoading {
+    loading: bool,
+    hung: bool,
+    dropped: bool,
+}
+
+impl FaultHook for HangWhileLoading {
+    fn on_site(&mut self, probe: &Probe) -> FaultEffect {
+        match probe.site {
+            "vfs.exec.entry" => self.loading = true,
+            "vfs.stat.entry" if self.loading && !self.hung => {
+                self.hung = true;
+                return FaultEffect::Hang;
+            }
+            "vfs.exec.step" if self.hung && !self.dropped => {
+                self.dropped = true;
+                return FaultEffect::DropReply;
+            }
+            _ => {}
+        }
+        FaultEffect::None
+    }
+}
+
+/// A program load parks a VFS thread on the disk, and the kernel keeps the
+/// request in its slot. Another process's `stat` then hangs VFS; the held
+/// load's slot expires first and finds VFS hung. After the recovery VFS
+/// completes the load, but its reply is lost: the held load stays watched,
+/// is found lost and is re-driven. It used to be doomed with the hang.
+#[test]
+fn a_request_held_at_a_hung_component_stays_watched() {
+    osiris_kernel::install_quiet_panic_hook();
+    let mut registry = ProgramRegistry::new();
+    registry.register("child", |_| 0);
+    registry.register("main", |sys| {
+        let Ok(prober) = sys.fork_run(|sys| {
+            sys.set_retry_ecrash(true);
+            for _ in 0..64 {
+                let _ = sys.stat("/");
+            }
+            0
+        }) else {
+            return 1;
+        };
+        sys.set_retry_ecrash(true);
+        let Ok(child) = sys.spawn("child", &[]) else {
+            return 2;
+        };
+        match (sys.waitpid(child), sys.waitpid(prober)) {
+            (Ok(0), Ok(0)) => 0,
+            _ => 3,
+        }
+    });
+    let mut os = Os::new(wd_cfg());
+    os.set_fault_hook(Box::new(HangWhileLoading::default()));
+    let mut host = Host::new(os, registry);
+    let outcome = host.run("main", &[]);
+    let os = host.into_engine();
+    let m = os.metrics();
+    assert!(
+        matches!(outcome, RunOutcome::Completed { init_code: 0, .. }),
+        "the spawn must complete: {outcome:?}, {m:?}"
+    );
+    assert_eq!(m.hangs, 1);
+    // The load is re-driven where it was lost. (Doomed, it was left to its
+    // requester: PM's own deadline on the spawn re-drove the whole spawn.)
+    let hung = os
+        .kernel()
+        .axiom()
+        .records()
+        .iter()
+        .find_map(|r| match r.event {
+            AxiomEvent::WatchdogVerdict {
+                verdict: VerdictCode::Hung,
+                msg_id,
+                ..
+            } => Some(msg_id),
+            _ => None,
+        });
+    let redriven = retry_decisions(&os)
+        .iter()
+        .any(|&(msg_id, _, granted, _)| granted && Some(msg_id) == hung);
+    assert!(
+        redriven,
+        "the held load is re-driven: {:?}",
+        retry_decisions(&os)
+    );
+    assert!(os.audit().is_empty(), "audit: {:?}", os.audit());
 }

@@ -152,7 +152,8 @@ impl Default for CategoryMask {
 /// pick an `ActionCode` and its conduct reads the `ControlState`;
 /// `osiris-metrics` folds each sealed `AxiomEvent`.
 pub use osiris_axiom::{
-    ActionCode, AxiomEvent, CloseCode, CompStatusCode, ControlState, SeepClassCode, VerdictCode,
+    fnv1a, ActionCode, AxiomEvent, CloseCode, CompStatusCode, ControlState, SeepClassCode,
+    VerdictCode,
 };
 
 /// Where the Chrome export draws an event.
