@@ -4,7 +4,7 @@
 //! logs share a prefix **iff** they agree on the digest at its end. That
 //! turns "find the first diverging event between these two runs" into a
 //! binary search over digest equality — O(log n) comparisons instead of a
-//! linear scan — which is what the `axiom_bisect` tool uses to answer
+//! linear scan — which is what `osiris-inspect diff` uses to answer
 //! "where did the Enhanced run first behave differently from the
 //! Pessimistic run?".
 

@@ -5,7 +5,7 @@
 //! appended) and what a post-mortem [`reduce`] of a recorded axiom
 //! reconstructs. The two agree by construction — both run [`ControlState::apply`]
 //! over the same event sequence — which is the invariant the
-//! `axiom_replay` CI gate enforces end to end.
+//! `osiris-inspect replay` CI gate enforces end to end.
 
 use crate::{AxiomEvent, AxiomRecord, IntentPhaseCode};
 

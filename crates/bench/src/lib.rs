@@ -11,6 +11,7 @@
 
 pub mod experiments;
 pub mod gates;
+pub mod inspect;
 pub mod json;
 pub mod loc;
 

@@ -421,7 +421,7 @@ impl Campaign {
 
     /// The campaign axiom serialized to its crash-consistent format
     /// (feed two of these to `osiris_axiom::bisect` — or the
-    /// `axiom_bisect` tool — to find the first diverging run).
+    /// `osiris-inspect diff` — to find the first diverging run).
     pub fn axiom_bytes(&self) -> Vec<u8> {
         derive_axiom(&self.records).to_bytes()
     }

@@ -754,7 +754,6 @@ pub fn forge_config(policy: PolicyKind) -> OsConfig {
         enabled: true,
         capacity: 2048,
         blackbox_tail: 0,
-        ..Default::default()
     };
     cfg.axiom = osiris_axiom::AxiomConfig::on();
     cfg

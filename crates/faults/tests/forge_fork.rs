@@ -8,7 +8,6 @@ use osiris_faults::forge::{forge_config, ScriptWorkload};
 use osiris_faults::{FaultKind, FaultPlan, Injector, Recorder};
 use osiris_kernel::NoFaults;
 use osiris_servers::Os;
-use osiris_trace::{Category, CategoryMask};
 
 const STEPS: usize = ScriptWorkload::STEPS;
 
@@ -212,24 +211,24 @@ fn snapshot_adopt_snapshot_round_trips_on_a_fork() {
     );
 }
 
-/// Adoption restores the tracer's ring but not its filter, so a worker
-/// whose trace mask differs from the donor's must be refused: it would
-/// record the suffix with its own mask, not the snapshot's.
+/// Adoption restores the tracer's ring but not its configuration, so a
+/// worker whose ring capacity differs from the donor's must be refused: it
+/// would record the suffix into a ring of another size than the snapshot's.
 #[test]
-fn readopt_refuses_a_different_trace_filter() {
-    let mut windows_only = forge_config(PolicyKind::Enhanced);
-    windows_only.trace.categories = CategoryMask::of(&[Category::Window]);
+fn readopt_refuses_a_different_trace_config() {
+    let mut small_ring = forge_config(PolicyKind::Enhanced);
+    small_ring.trace.capacity = 64;
     let mut store = ChunkStore::new();
-    let mut parent = Os::new(windows_only);
+    let mut parent = Os::new(small_ring);
     let prefix = ScriptWorkload::default().run_range(&mut parent, 0..3);
     assert!(prefix.clean());
     let snap = parent.snapshot_into(&mut store, None);
 
     let mut worker = Os::new(forge_config(PolicyKind::Enhanced));
-    assert_eq!(worker.config().trace.categories, CategoryMask::ALL);
+    assert_eq!(worker.config().trace.capacity, 2048);
     assert!(
         worker.try_readopt(&snap, &store).is_none(),
-        "a worker filtering with another category mask re-adopted the snapshot"
+        "a worker with another ring capacity re-adopted the snapshot"
     );
     snap.release(&mut store);
 }

@@ -51,6 +51,10 @@ mod vm;
 pub use disk::{DiskDriver, BLOCK_SIZE};
 pub use ds::{DataStore, MAX_KEYS};
 pub use os::{Os, OsConfig, OsSnapshot};
+/// The recorder configurations an [`OsConfig`] holds.
+pub use osiris_axiom::AxiomConfig;
+pub use osiris_metrics::TimeseriesConfig;
+pub use osiris_trace::TraceConfig;
 pub use pm::ProcessManager;
 pub use proto::{reply_result, OsMsg};
 pub use rs::RecoveryServer;

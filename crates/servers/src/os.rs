@@ -576,8 +576,6 @@ fn config_compatible(a: &OsConfig, b: &OsConfig) -> bool {
     let osiris_trace::TraceConfig {
         enabled,
         capacity,
-        categories,
-        min_severity,
         blackbox_tail,
     } = trace;
     let policy_name =
@@ -592,8 +590,6 @@ fn config_compatible(a: &OsConfig, b: &OsConfig) -> bool {
         && *shutdown_grace == b.shutdown_grace
         && *enabled == b.trace.enabled
         && *capacity == b.trace.capacity
-        && *categories == b.trace.categories
-        && *min_severity == b.trace.min_severity
         && *blackbox_tail == b.trace.blackbox_tail
         && *metrics == b.metrics
         && *axiom == b.axiom

@@ -1499,9 +1499,6 @@ impl Server<OsMsg> for VfsServer {
                 facts.push(("vfs.orphan_blocks".to_string(), *ino));
             }
         });
-        facts.push(("vfs.open_slots".to_string(), h.oft.len(heap) as u64));
-        facts.push(("vfs.pipes".to_string(), h.pipes.len(heap) as u64));
-        facts.push(("vfs.inodes".to_string(), h.inodes.len(heap) as u64));
         facts
     }
 

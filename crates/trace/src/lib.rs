@@ -3,7 +3,7 @@
 //! A deterministic, allocation-free-in-steady-state **flight recorder** for
 //! the OSIRIS simulator: a fixed-capacity ring buffer of typed
 //! [`TraceEvent`] records stamped with the *virtual* clock, per-component
-//! sequence numbers, and a cheap severity/category filter.
+//! sequence numbers.
 //!
 //! Design constraints (see DESIGN.md §6d):
 //!
@@ -52,101 +52,6 @@ use osiris_axiom::FieldValue;
 /// a registered component.
 pub const KERNEL_COMP: u8 = 0xFF;
 
-/// Severity of a trace event. Ordered: `Debug < Info < Warn < Error`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Severity {
-    /// High-frequency bookkeeping (undo appends, checkpoint marks).
-    Debug,
-    /// Normal control flow (IPC, windows, syscalls).
-    Info,
-    /// Faults and recovery activity.
-    Warn,
-    /// Shutdown decisions.
-    Error,
-}
-
-/// Category of a trace event; each category is one bit in a [`CategoryMask`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Category {
-    /// Message sends and deliveries.
-    Ipc,
-    /// Recovery-window opens and closes.
-    Window,
-    /// Undo-journal appends and coalesced (elided) appends.
-    Undo,
-    /// Checkpoint marks, rollbacks, and log discards.
-    Checkpoint,
-    /// Crashes, hangs, and Recovery Server decisions.
-    Recovery,
-    /// User-process syscall entry and exit.
-    Syscall,
-    /// Controlled/uncontrolled shutdown decisions.
-    Shutdown,
-    /// Causal request spans: open/hop/close lifecycle events.
-    Span,
-    /// Virtual-time watchdog: armed deadlines, expiries, heartbeat probes,
-    /// verdicts and transparent-retry decisions.
-    Watchdog,
-}
-
-impl Category {
-    /// Every category, in bit order.
-    pub const ALL: [Category; 9] = [
-        Category::Ipc,
-        Category::Window,
-        Category::Undo,
-        Category::Checkpoint,
-        Category::Recovery,
-        Category::Syscall,
-        Category::Shutdown,
-        Category::Span,
-        Category::Watchdog,
-    ];
-
-    /// The bit this category occupies in a [`CategoryMask`].
-    pub const fn bit(self) -> u16 {
-        1 << (self as u16)
-    }
-}
-
-/// A set of [`Category`] values, stored as a bitmask.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct CategoryMask(pub u16);
-
-impl CategoryMask {
-    /// Every category enabled.
-    pub const ALL: CategoryMask = CategoryMask::of(&Category::ALL);
-    /// No category enabled.
-    pub const NONE: CategoryMask = CategoryMask(0);
-
-    /// Builds a mask from individual categories.
-    pub const fn of(cats: &[Category]) -> CategoryMask {
-        let mut mask = 0;
-        let mut i = 0;
-        while i < cats.len() {
-            mask |= cats[i].bit();
-            i += 1;
-        }
-        CategoryMask(mask)
-    }
-
-    /// Whether `cat` is enabled in this mask.
-    pub fn contains(self, cat: Category) -> bool {
-        self.0 & cat.bit() != 0
-    }
-
-    /// This mask with `cat` removed.
-    pub fn without(self, cat: Category) -> CategoryMask {
-        CategoryMask(self.0 & !cat.bit())
-    }
-}
-
-impl Default for CategoryMask {
-    fn default() -> Self {
-        CategoryMask::ALL
-    }
-}
-
 /// The axiom's codes the event table carries, also re-exported for the
 /// crates that reach the axiom through this one: `osiris-core`'s policies
 /// pick an `ActionCode` and its conduct reads the `ControlState`;
@@ -178,10 +83,6 @@ pub struct EventMeta {
     pub ident: &'static str,
     /// Export name, snake_case. The two halves of a slice share theirs.
     pub name: &'static str,
-    /// Filter category.
-    pub category: Category,
-    /// Inherent severity.
-    pub severity: Severity,
     /// Chrome `trace_event` phase: `i` instant, `B`/`E` a slice on the
     /// emitter's stack (windows never overlap within a component), `X` a
     /// complete slice, `b`/`e`/`n` an async pair and its instants.
@@ -208,7 +109,7 @@ pub(crate) enum Field {
 }
 
 /// Declares [`TraceEvent`] from its one description: per variant, the
-/// docs, then `Variant(name, category, severity, ph, lane)` — its
+/// docs, then `Variant(name, ph, lane)` — its
 /// [`EventMeta`] — and its fields, each `name: type => kind` with the
 /// [`Field`] it is shown as. Its text form (`render_text`, as
 /// `#[derive(Debug)]` prints it) comes from the row too. A new variant
@@ -216,7 +117,7 @@ pub(crate) enum Field {
 macro_rules! event_table {
     ($(
         $(#[$vdoc:meta])*
-        $variant:ident($name:literal, $category:ident, $severity:ident, $ph:literal, $lane:ident)
+        $variant:ident($name:literal, $ph:literal, $lane:ident)
         $({ $( $(#[$fdoc:meta])* $field:ident: $ty:ty => $kind:ident, )* })?
     )*) => {
         /// A typed, fixed-size trace event. Every variant is `Copy` and
@@ -234,8 +135,6 @@ macro_rules! event_table {
                     $( TraceEvent::$variant { .. } => &EventMeta {
                         ident: stringify!($variant),
                         name: $name,
-                        category: Category::$category,
-                        severity: Severity::$severity,
                         ph: $ph,
                         lane: Lane::$lane,
                     }, )*
@@ -306,7 +205,7 @@ const fn decimal_len(v: u64) -> usize {
 event_table! {
     /// A component (or the kernel on behalf of a user process) sent a
     /// message to `dst`.
-    IpcSend("ipc_send", Ipc, Info, "i", Own) {
+    IpcSend("ipc_send", "i", Own) {
         /// Receiving component.
         dst: u8 => comp,
         /// Monotone per-run message id.
@@ -316,87 +215,87 @@ event_table! {
     }
     /// The kernel delivered message `msg_id` from `src` to the recording
     /// component and is about to dispatch its handler.
-    IpcDeliver("ipc_deliver", Ipc, Info, "i", Own) {
+    IpcDeliver("ipc_deliver", "i", Own) {
         /// Sending component ([`KERNEL_COMP`] for kernel-originated).
         src: u8 => comp,
         /// Monotone per-run message id.
         msg_id: u64 => u64,
     }
     /// A recovery window opened (undo logging armed).
-    WindowOpen("window", Window, Info, "B", Own)
+    WindowOpen("window", "B", Own)
     // An unmatched E (a close whose open the ring overwrote) confuses
     // viewers less than an unmatched B, and Perfetto tolerates both.
     /// A recovery window closed.
-    WindowClose("window", Window, Info, "E", Own) {
+    WindowClose("window", "E", Own) {
         /// Why it closed.
         reason: CloseCode => code,
         /// SEEP class of the send that closed it, if any.
         class: SeepClassCode => code,
     }
     /// The undo journal appended an old-value record of `bytes` bytes.
-    UndoAppend("undo_append", Undo, Debug, "i", Own) {
+    UndoAppend("undo_append", "i", Own) {
         /// Payload bytes captured into the journal.
         bytes: u32 => u64,
     }
     /// A write to an already-logged location was elided (coalesced).
-    UndoCoalesce("undo_coalesce", Undo, Debug, "i", Own)
+    UndoCoalesce("undo_coalesce", "i", Own)
     /// A checkpoint mark was taken at undo-log length `log_len`.
-    CheckpointMark("checkpoint_mark", Checkpoint, Debug, "i", Own) {
+    CheckpointMark("checkpoint_mark", "i", Own) {
         /// Journal length at the mark.
         log_len: u32 => u64,
     }
     /// The journal rolled back `records` records (`bytes` payload bytes).
-    Rollback("rollback", Checkpoint, Warn, "i", Own) {
+    Rollback("rollback", "i", Own) {
         /// Records undone.
         records: u32 => u64,
         /// Payload bytes restored.
         bytes: u32 => u64,
     }
     /// The journal discarded `records` records on commit.
-    Discard("discard", Checkpoint, Debug, "i", Own) {
+    Discard("discard", "i", Own) {
         /// Records discarded.
         records: u32 => u64,
         /// Payload bytes released.
         bytes: u32 => u64,
     }
     /// Component `target` crashed (fail-stop fault captured).
-    Crash("crash", Recovery, Warn, "i", Own) {
+    Crash("crash", "i", Own) {
         /// Crashed component.
         target: u8 => comp,
     }
     /// Component `target` was declared hung by the heartbeat protocol.
-    HangDetected("hang_detected", Recovery, Warn, "i", Own) {
+    HangDetected("hang_detected", "i", Own) {
         /// Hung component.
         target: u8 => comp,
     }
     /// The Recovery Server was notified of a crash.
-    RsCrashNotified("rs_crash_notified", Recovery, Warn, "i", Own) {
+    RsCrashNotified("rs_crash_notified", "i", Own) {
         /// Crashed component the RS was told about.
         target: u8 => comp,
     }
     /// The recovery policy decided how to recover `target`.
-    RecoveryDecision("recovery_decision", Recovery, Warn, "i", Own) {
+    RecoveryDecision("recovery_decision", "i", Own) {
         /// Component being recovered.
         target: u8 => comp,
         /// Chosen action.
         action: ActionCode => code,
     }
     /// Recovery of `target` finished, charging `cycles` virtual cycles.
-    RecoveryDone("recovery", Recovery, Warn, "X", Own) {
+    RecoveryDone("recovery", "X", Own) {
         /// Recovered component.
         target: u8 => comp,
         /// Virtual cycles spent (restart + rollback + reconciliation).
         cycles: u64 => dur,
     }
     /// A user process entered a syscall serviced by the recording component.
-    SyscallEnter("syscall", Syscall, Info, "b", Syscall) {
+    SyscallEnter("syscall", "b", Syscall) {
         /// Monotone syscall id (the kernel's message id for the request).
         sid: u64 => id,
         /// Calling process.
         pid: u32 => u64,
     }
     /// A syscall completed and its reply was routed back to the process.
-    SyscallExit("syscall", Syscall, Info, "e", Syscall) {
+    SyscallExit("syscall", "e", Syscall) {
         /// Syscall id matching the corresponding [`TraceEvent::SyscallEnter`].
         sid: u64 => id,
         /// Calling process.
@@ -406,20 +305,20 @@ event_table! {
         ok: bool => bool,
     }
     /// The system decided to shut down.
-    ShutdownDecision("shutdown_decision", Shutdown, Error, "i", Own) {
+    ShutdownDecision("shutdown_decision", "i", Own) {
         /// True for a controlled (state-flushing) shutdown, false for an
         /// uncontrolled crash stop.
         controlled: bool => bool,
     }
     /// Component `target` exhausted its restart budget inside the sliding
     /// window: the escalation ladder is stepping past plain restarts.
-    BudgetExhausted("budget_exhausted", Recovery, Warn, "i", Own) {
+    BudgetExhausted("budget_exhausted", "i", Own) {
         /// Crash-looping component.
         target: u8 => comp,
     }
     /// Recovery of `target` was deferred by `delay` virtual cycles of
     /// exponential restart backoff.
-    BackoffArmed("backoff_armed", Recovery, Warn, "i", Own) {
+    BackoffArmed("backoff_armed", "i", Own) {
         /// Component whose recovery is deferred.
         target: u8 => comp,
         /// Backoff delay in virtual cycles.
@@ -427,14 +326,14 @@ event_table! {
     }
     /// Component `target` was quarantined: no further restarts, messages
     /// to it are bounced with an immediate crash reply.
-    Quarantined("quarantined", Recovery, Warn, "i", Own) {
+    Quarantined("quarantined", "i", Own) {
         /// Benched component.
         target: u8 => comp,
     }
     /// A recovery phase for `target` could not be executed (journal or
     /// image integrity violation, or a fault inside the phase itself); the
     /// kernel degraded from `from` to the next rung of the fallback chain.
-    RecoveryFallback("recovery_fallback", Recovery, Warn, "i", Own) {
+    RecoveryFallback("recovery_fallback", "i", Own) {
         /// Component whose recovery degraded.
         target: u8 => comp,
         /// The action that failed.
@@ -444,14 +343,14 @@ event_table! {
     }
     /// The RS crashed mid-conduct and the persisted recovery intent for
     /// `target` was re-driven (or completed by the kernel directly).
-    IntentReplayed("intent_replayed", Recovery, Warn, "i", Own) {
+    IntentReplayed("intent_replayed", "i", Own) {
         /// Component whose in-flight recovery was re-driven.
         target: u8 => comp,
     }
     /// A FreshRestart restored `target` from its copy-on-write manifest:
     /// only the `dirty` diverged chunks were written back, the `clean`
     /// chunks were skipped, making restart cost O(dirty state).
-    CowRestore("cow_restore", Recovery, Warn, "i", Own) {
+    CowRestore("cow_restore", "i", Own) {
         /// Restored component.
         target: u8 => comp,
         /// Chunks skipped because the live object had not diverged.
@@ -462,7 +361,7 @@ event_table! {
         bytes: u32 => u64,
     }
     /// A causal request span was minted at a workload entry point.
-    SpanOpen("span", Span, Info, "b", Span) {
+    SpanOpen("span", "b", Span) {
         /// Span id (monotone per run).
         span: u64 => id,
         /// Syscall id of the originating user request.
@@ -472,7 +371,7 @@ event_table! {
     }
     /// A span-carrying message was delivered to the recording component:
     /// one causal hop of the request's cross-component call chain.
-    SpanHop("span_hop", Span, Info, "n", Span) {
+    SpanHop("span_hop", "n", Span) {
         /// Span id.
         span: u64 => id,
         /// Sending component ([`KERNEL_COMP`] for kernel-originated).
@@ -482,7 +381,7 @@ event_table! {
     }
     /// A span closed: the originating request's reply was routed back to
     /// the user process.
-    SpanClose("span", Span, Info, "e", Span) {
+    SpanClose("span", "e", Span) {
         /// Span id.
         span: u64 => id,
         /// Whether the reply was a success (false for error replies,
@@ -496,7 +395,7 @@ event_table! {
     }
     /// The kernel armed a per-request watchdog deadline for a message
     /// delivered to `target`.
-    DeadlineArmed("deadline_armed", Watchdog, Debug, "i", Watchdog) {
+    DeadlineArmed("deadline_armed", "i", Watchdog) {
         /// Component the request was delivered to.
         target: u8 => comp,
         /// Armed message id.
@@ -505,7 +404,7 @@ event_table! {
         deadline: u64 => u64,
     }
     /// An armed deadline expired with no reply observed.
-    DeadlineExpired("deadline_expired", Watchdog, Warn, "i", Watchdog) {
+    DeadlineExpired("deadline_expired", "i", Watchdog) {
         /// Component the request was delivered to.
         target: u8 => comp,
         /// Expired message id.
@@ -513,14 +412,14 @@ event_table! {
     }
     /// The watchdog sampled `target`'s progress counters to distinguish a
     /// hung component from a slow one.
-    WatchdogProbe("watchdog_probe", Watchdog, Debug, "i", Watchdog) {
+    WatchdogProbe("watchdog_probe", "i", Watchdog) {
         /// Probed component.
         target: u8 => comp,
         /// Message id of the request under suspicion.
         msg_id: u64 => u64,
     }
     /// The watchdog concluded its probe with a verdict.
-    WatchdogVerdict("watchdog_verdict", Watchdog, Warn, "i", Watchdog) {
+    WatchdogVerdict("watchdog_verdict", "i", Watchdog) {
         /// Component the verdict concerns.
         target: u8 => comp,
         /// Message id of the request under suspicion.
@@ -530,7 +429,7 @@ event_table! {
     }
     /// The kernel granted a transparent retry: the original request will be
     /// re-delivered after `backoff` virtual cycles.
-    RetryScheduled("retry_scheduled", Watchdog, Warn, "i", Watchdog) {
+    RetryScheduled("retry_scheduled", "i", Watchdog) {
         /// Component the request targets.
         target: u8 => comp,
         /// Retried message id (stable across attempts).
@@ -542,7 +441,7 @@ event_table! {
     }
     /// Retries for `msg_id` were denied or exhausted; the requester sees
     /// the virtualized crash reply.
-    RetryExhausted("retry_exhausted", Watchdog, Warn, "i", Watchdog) {
+    RetryExhausted("retry_exhausted", "i", Watchdog) {
         /// Component the request targeted.
         target: u8 => comp,
         /// Message id whose retries ended.
@@ -550,23 +449,11 @@ event_table! {
     }
     /// A reply failed integrity verification and was rejected; the sender
     /// is treated as crashed.
-    ReplyRejected("reply_rejected", Watchdog, Warn, "i", Watchdog) {
+    ReplyRejected("reply_rejected", "i", Watchdog) {
         /// Component that sent the corrupt reply.
         sender: u8 => comp,
         /// Message id of the rejected reply's request.
         msg_id: u64 => u64,
-    }
-}
-
-impl TraceEvent {
-    /// The category this event belongs to.
-    pub fn category(&self) -> Category {
-        self.meta().category
-    }
-
-    /// The inherent severity of this event.
-    pub fn severity(&self) -> Severity {
-        self.meta().severity
     }
 }
 
@@ -648,10 +535,6 @@ pub struct TraceConfig {
     /// Ring capacity in events. The ring overwrites its oldest records
     /// once full (flight-recorder semantics).
     pub capacity: usize,
-    /// Categories to record; events outside the mask are dropped.
-    pub categories: CategoryMask,
-    /// Minimum severity to record.
-    pub min_severity: Severity,
     /// Events per component dumped by the post-mortem black box
     /// ([`Tracer::blackbox`]); 0 disables the dump.
     pub blackbox_tail: usize,
@@ -662,15 +545,13 @@ impl Default for TraceConfig {
         TraceConfig {
             enabled: false,
             capacity: 16 * 1024,
-            categories: CategoryMask::ALL,
-            min_severity: Severity::Debug,
             blackbox_tail: 32,
         }
     }
 }
 
 impl TraceConfig {
-    /// An enabled config with default capacity and filters.
+    /// An enabled config with the default capacity.
     pub fn on() -> TraceConfig {
         TraceConfig {
             enabled: true,
@@ -681,7 +562,7 @@ impl TraceConfig {
 
 /// The events one component emitted that the ring's owner has not appended
 /// yet, in emission order: what a heap records into, since only the kernel
-/// holds the [`Tracer`]. The ring's filters apply when it is appended.
+/// holds the [`Tracer`].
 #[derive(Debug, Default)]
 pub struct Stage {
     on: bool,
@@ -777,15 +658,11 @@ impl Tracer {
         self.now
     }
 
-    /// Records `event` for component `comp` if it passes the filters.
-    /// Never allocates once the ring has been sized.
+    /// Records `event` for component `comp` if recording is on. Never
+    /// allocates once the ring has been sized.
     #[inline]
     pub fn emit(&mut self, comp: u8, event: TraceEvent) {
-        if !self.cfg.enabled {
-            return;
-        }
-        let meta = event.meta();
-        if self.cfg.categories.contains(meta.category) && meta.severity >= self.cfg.min_severity {
+        if self.cfg.enabled {
             self.record(comp, event);
         }
     }
@@ -1108,7 +985,6 @@ mod tests {
             let meta = event.meta();
             // A name is shared only by the halves of one slice or pair.
             assert!(seen.insert((meta.name, meta.ph)), "{meta:?} twice");
-            assert!(CategoryMask::ALL.contains(meta.category), "{meta:?}");
             let text = chrome::ChromeTrace {
                 records: vec![TraceRecord {
                     now: 9,
@@ -1124,9 +1000,6 @@ mod tests {
             let args_end = format!("\"seq\": {i}\n      }}\n    }}\n  ],");
             assert!(text.contains(&args_end), "{event:?}: {text}");
         }
-        for (i, category) in Category::ALL.into_iter().enumerate() {
-            assert_eq!(category.bit(), 1 << i, "{category:?} out of bit order");
-        }
     }
 
     #[test]
@@ -1139,22 +1012,5 @@ mod tests {
         t.append(0, &mut stage);
         assert_eq!(t.snapshot().len(), 0);
         assert!(!t.is_enabled());
-    }
-
-    #[test]
-    fn severity_order() {
-        assert!(Severity::Debug < Severity::Info);
-        assert!(Severity::Warn < Severity::Error);
-    }
-
-    #[test]
-    fn mask_ops() {
-        let m = CategoryMask::of(&[Category::Ipc, Category::Undo]);
-        assert!(m.contains(Category::Ipc));
-        assert!(!m.contains(Category::Window));
-        assert!(m.without(Category::Ipc).contains(Category::Undo));
-        assert!(CategoryMask::ALL.contains(Category::Shutdown));
-        assert!(CategoryMask::ALL.contains(Category::Span));
-        assert!(CategoryMask::ALL.contains(Category::Watchdog));
     }
 }

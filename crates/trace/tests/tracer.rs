@@ -1,9 +1,7 @@
-//! Tracer behavior: ring wraparound, filtering, sequence numbers, the
+//! Tracer behavior: ring wraparound, sequence numbers, the
 //! black-box tail, and stages appended in order.
 
-use osiris_trace::{
-    render_text, Category, CategoryMask, Severity, Stage, TraceConfig, TraceEvent, Tracer,
-};
+use osiris_trace::{render_text, Stage, TraceConfig, TraceEvent, Tracer};
 
 fn cfg(capacity: usize) -> TraceConfig {
     TraceConfig {
@@ -46,42 +44,6 @@ fn per_component_sequence_numbers() {
     assert_eq!(snap[0].seq, 0);
     assert_eq!(snap[1].seq, 0, "each component has its own counter");
     assert_eq!(snap[2].seq, 1);
-}
-
-#[test]
-fn category_filter_drops_unselected_events() {
-    let mut h = Tracer::new(TraceConfig {
-        categories: CategoryMask::of(&[Category::Window]),
-        ..cfg(16)
-    });
-    h.emit(0, TraceEvent::WindowOpen);
-    h.emit(0, TraceEvent::UndoAppend { bytes: 8 });
-    h.emit(0, TraceEvent::IpcDeliver { src: 1, msg_id: 1 });
-    let snap = h.snapshot();
-    assert_eq!(snap.len(), 1);
-    assert_eq!(snap[0].event, TraceEvent::WindowOpen);
-    // Filtered events do not consume sequence numbers.
-    h.emit(
-        0,
-        TraceEvent::WindowClose {
-            reason: osiris_trace::CloseCode::Manual,
-            class: osiris_trace::SeepClassCode::None,
-        },
-    );
-    assert_eq!(h.snapshot()[1].seq, 1);
-}
-
-#[test]
-fn severity_filter_drops_low_severity() {
-    let mut h = Tracer::new(TraceConfig {
-        min_severity: Severity::Warn,
-        ..cfg(16)
-    });
-    h.emit(0, TraceEvent::UndoAppend { bytes: 8 }); // Debug
-    h.emit(0, TraceEvent::WindowOpen); // Info
-    h.emit(0, TraceEvent::Crash { target: 0 }); // Warn
-    h.emit(0, TraceEvent::ShutdownDecision { controlled: false }); // Error
-    assert_eq!(h.snapshot().len(), 2);
 }
 
 #[test]
@@ -159,23 +121,4 @@ fn appended_stage_equals_direct_emits() {
     }
     assert_eq!(direct.snapshot(), staged.snapshot());
     assert_eq!(staged.snapshot()[3].seq, 2);
-}
-
-#[test]
-fn ring_filters_a_stage_when_appending_it() {
-    let mut t = Tracer::new(TraceConfig {
-        categories: CategoryMask::of(&[Category::Window]),
-        ..cfg(16)
-    });
-    let mut stage = Stage::new(t.config());
-    stage.push(TraceEvent::UndoAppend { bytes: 8 });
-    stage.push(TraceEvent::WindowOpen);
-    assert_eq!(stage.len(), 2);
-    t.append(0, &mut stage);
-    let snap = t.snapshot();
-    assert_eq!(snap.len(), 1);
-    assert_eq!((snap[0].event, snap[0].seq), (TraceEvent::WindowOpen, 0));
-    let mut off = Stage::new(&TraceConfig::default());
-    off.push(TraceEvent::WindowOpen);
-    assert!(off.is_empty());
 }

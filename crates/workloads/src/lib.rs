@@ -9,6 +9,7 @@
 #![warn(missing_docs)]
 
 mod host;
+pub mod quickstart;
 pub mod testsuite;
 pub mod unixbench;
 
