@@ -150,12 +150,14 @@ mod tests {
     /// rollback and image references live in its tests as a std-container
     /// model. The watchdog's decisions are one pure step in `osiris-core`,
     /// and the kernel only executes them, so the RCB does not grow past
-    /// its size before that move. The fault injector, outside the RCB, has
-    /// one site profiler and a campaign that is its ordered records.
+    /// its size before that move, but for the two lines with which
+    /// quarantine stopped answering a replied request twice. The fault
+    /// injector, outside the RCB, has one site profiler and a campaign that
+    /// is its ordered records.
     #[test]
     fn rcb_stays_under_its_ceiling() {
         let report = count_workspace_loc();
-        let caps = [("kernel", 2_566), ("checkpoint", 3_150), ("faults", 2_400)];
+        let caps = [("kernel", 2_568), ("checkpoint", 3_150), ("faults", 2_400)];
         for (name, cap) in caps {
             let row = report.crates.iter().find(|c| c.name == name).unwrap();
             assert!(row.loc <= cap, "{name} {}", row.loc);

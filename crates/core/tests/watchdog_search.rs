@@ -369,15 +369,9 @@ impl Machine {
             out.push(Event::Advance);
         }
         out.push(Event::Service);
-        if let Some(s) = k.recovering {
+        if k.recovering.is_some() {
             out.push(Event::Recover { quarantine: false });
-            // `execute_quarantine` answers the request its component failed
-            // on even when the handler's reply got through: a double answer
-            // of the recovery plane's, outside this search (ROADMAP).
-            let answered = |p| matches!(p, Some(Pending::Req(r, true)) if k.reqs[r].at == At::Done);
-            if !answered(k.pending[server(s)]) {
-                out.push(Event::Recover { quarantine: true });
-            }
+            out.push(Event::Recover { quarantine: true });
         } else {
             for s in SERVERS {
                 if self.status(s) == CompStatusCode::Hung {
@@ -664,8 +658,10 @@ impl Machine {
 
     /// `Kernel::execute_quarantine`, then the bounce of its mail.
     fn quarantine(&mut self, s: u8) {
-        if let Some(Pending::Req(r, _)) = self.key.pending[server(s)].take() {
-            self.send_crash_reply(r);
+        if let Some(Pending::Req(r, replied)) = self.key.pending[server(s)].take() {
+            if !replied || self.key.table.find(id(r)).is_some() {
+                self.send_crash_reply(r);
+            }
         }
         self.set_status(s, CompStatusCode::Quarantined);
         self.control.recovering = None;

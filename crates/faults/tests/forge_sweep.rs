@@ -29,17 +29,20 @@ fn digest(bytes: &[u8]) -> u64 {
 /// Digests of `sweep(1)`'s campaign axiom, report, exposition and frontier,
 /// captured before the campaign became a value built from its ordered
 /// records. A change to how records are collected must leave them alone.
+/// Re-pinned when quarantine stopped answering a request whose reply got
+/// through: the Stateless `vfs.post.account` and `vfs.post.done` crash
+/// cells close four spans fewer.
 const SWEEP_DIGESTS: [u64; 4] = [
-    0xb048_4983_fa31_417b,
-    0x75f0_232e_54db_fccf,
-    0xa266_c972_1872_b3d0,
+    0xb738_53eb_dbbc_f086,
+    0x49de_a8b9_6637_dcda,
+    0x506b_7b27_bf76_e139,
     0x5c09_ac76_40e2_6adc,
 ];
 
 /// Digest of `sweep(1)`'s combined campaign and forge report, captured
 /// while both were still built as a value tree and then printed. Writing
 /// them straight into the JSON writer must not move a byte.
-const FORGE_REPORT_DIGEST: u64 = 0xfe5f_9276_83e8_a3ec;
+const FORGE_REPORT_DIGEST: u64 = 0x902a_835a_34d2_dfef;
 
 #[test]
 fn forge_sweep_is_thread_count_invariant() {

@@ -287,14 +287,18 @@ impl<P: Protocol> Kernel<P> {
     }
 
     /// Benches a crash-looping component: reconciles its pending requester
-    /// with a crash reply, seals it [`CompStatusCode::Quarantined`] (never
-    /// scheduled again), and unstalls the system. Its queued and future
-    /// requests are bounced by [`Kernel::bounce_quarantined_mail`].
+    /// with a crash reply unless the handler's reply got through, seals it
+    /// [`CompStatusCode::Quarantined`] (never scheduled again), and
+    /// unstalls the system. Its queued and future requests are bounced by
+    /// [`Kernel::bounce_quarantined_mail`].
     fn execute_quarantine(&mut self, target: u8) {
         let t = target as usize;
         self.stamp();
         if let Some(pending) = self.comps[t].crash_info.take() {
-            self.send_crash_reply(target, pending.msg);
+            // A reply the watchdog still watches for was lost or rejected.
+            if pending.ctx.reply_possible || self.wd.find(pending.msg.id.0).is_some() {
+                self.send_crash_reply(target, pending.msg);
+            }
         }
         // A benched component will never be restarted: return its clone
         // image's chunk references to the pool so shared chunks survive

@@ -21,6 +21,8 @@ use osiris_kernel::{
 enum Msg {
     /// User request: echo back `v` (read-only handler).
     Echo(u64),
+    /// User request: echo back `v`, then pass a site after the reply.
+    EchoLate(u64),
     /// User request: increment the peer's counter via `BumpPeer`.
     BumpViaPeer,
     /// User request: query the peer read-only (non-state-modifying send),
@@ -48,7 +50,7 @@ enum Msg {
 impl Protocol for Msg {
     fn seep(&self) -> SeepMeta {
         match self {
-            Msg::Echo(_) | Msg::BumpViaPeer | Msg::PeekPeer | Msg::ArmTick => {
+            Msg::Echo(_) | Msg::EchoLate(_) | Msg::BumpViaPeer | Msg::PeekPeer | Msg::ArmTick => {
                 SeepMeta::request(SeepClass::StateModifying)
             }
             Msg::Bump => SeepMeta::request(SeepClass::StateModifying),
@@ -144,6 +146,11 @@ impl Server<Msg> for Worker {
                 ctx.site("worker.echo");
                 ctx.reply(msg.return_path(), Msg::UserReply(SysReply::Val(*v as i64)));
             }
+            Msg::EchoLate(v) => {
+                ctx.site("worker.echo.early");
+                ctx.reply(msg.return_path(), Msg::UserReply(SysReply::Val(*v as i64)));
+                ctx.site("worker.echo.late");
+            }
             Msg::Bump => {
                 ctx.site("worker.bump.pre");
                 counter.update(ctx.heap(), |c| *c += 1);
@@ -201,6 +208,26 @@ impl Server<Msg> for Worker {
     }
     fn audit_facts(&self, heap: &Heap) -> Vec<(String, u64)> {
         vec![("counter".to_string(), self.counter.expect("init").get(heap))]
+    }
+    fn clone_box(&self) -> Box<dyn Server<Msg>> {
+        Box::new(self.clone())
+    }
+}
+
+/// An RS that benches every component the kernel reports crashed instead
+/// of recovering it.
+#[derive(Clone)]
+struct BenchingRs;
+
+impl Server<Msg> for BenchingRs {
+    fn name(&self) -> &'static str {
+        "benching-rs"
+    }
+    fn init(&mut self, _ctx: &mut Ctx<'_, Msg>) {}
+    fn handle(&mut self, msg: &Message<Msg>, ctx: &mut Ctx<'_, Msg>) {
+        if let Msg::Notify(target) = msg.payload {
+            ctx.quarantine(target);
+        }
     }
     fn clone_box(&self) -> Box<dyn Server<Msg>> {
         Box::new(self.clone())
@@ -765,4 +792,79 @@ fn crashed_invocation_leaves_nothing_behind_in_the_lent_scratch() {
 fn shutdown_kind_predicates() {
     assert!(ShutdownKind::Controlled("x".into()).is_controlled());
     assert!(!ShutdownKind::Crash("y".into()).is_controlled());
+}
+
+/// Loses the handler's reply at `worker.echo.early`, then crashes at
+/// `worker.echo.late`.
+struct DropThenCrash;
+
+impl FaultHook for DropThenCrash {
+    fn on_site(&mut self, probe: &Probe) -> FaultEffect {
+        match probe.site {
+            "worker.echo.early" => FaultEffect::DropReply,
+            "worker.echo.late" => FaultEffect::Panic,
+            _ => FaultEffect::None,
+        }
+    }
+}
+
+/// Runs one `EchoLate(5)` on a worker that crashes after replying and is
+/// benched for it; `lose_reply` loses the reply on the wire first, under
+/// the watchdog. The replies the requester got.
+fn bench_after_reply(lose_reply: bool) -> Vec<(SyscallId, Pid, SysReply)> {
+    let mut kernel = Kernel::new(KernelConfig {
+        policy: PolicyKind::Enhanced.instantiate(),
+        watchdog: osiris_kernel::WatchdogConfig {
+            enabled: lose_reply,
+        },
+        ..Default::default()
+    });
+    kernel.register(Box::new(BenchingRs), true);
+    let worker = kernel.register(Box::new(Worker::new(None)), false);
+    kernel.init_components();
+    kernel.set_fault_hook(if lose_reply {
+        Box::new(DropThenCrash)
+    } else {
+        Box::new(CrashAt {
+            site: "worker.echo.late",
+            always: false,
+            fired: false,
+        })
+    });
+    kernel.send_user_request(worker, Msg::EchoLate(5), SyscallId(1), Pid(1));
+    kernel.pump();
+    // The lost reply's retry is parked on a timer.
+    while kernel.fire_next_timer() {
+        kernel.pump();
+    }
+    assert_eq!(
+        kernel.control_state().status(1),
+        osiris_axiom::CompStatusCode::Quarantined
+    );
+    kernel.take_user_replies()
+}
+
+/// A component benched for a crash after its reply got through must not
+/// answer that request again: the requester gets the reply, and no
+/// `E_CRASH` after it.
+#[test]
+fn a_benched_component_does_not_answer_a_replied_request_twice() {
+    assert_eq!(
+        bench_after_reply(false),
+        vec![(SyscallId(1), Pid(1), SysReply::Val(5))]
+    );
+}
+
+/// A reply lost on the wire did not get through: the benched component's
+/// requester still gets its one answer, `E_CRASH`.
+#[test]
+fn a_benched_component_answers_a_request_whose_reply_was_lost() {
+    assert_eq!(
+        bench_after_reply(true),
+        vec![(
+            SyscallId(1),
+            Pid(1),
+            SysReply::Err(osiris_kernel::abi::Errno::ECRASH)
+        )]
+    );
 }
