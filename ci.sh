@@ -78,6 +78,11 @@ if grep -rnE 'UndoMode|BoxedReference|boxed_log|DeepImage|clone_image_deep|resto
     exit 1
 fi
 
+echo "== no discarded copies: a statement that drops a PMap::remove result calls delete instead =="
+if grep -rnE '^\s*[a-z_][a-z_0-9().]*\.remove\(ctx\.heap\(\), [^;]*\);$' crates/*/src; then
+    exit 1
+fi
+
 echo "== one value per injection stage: one site profiler, a campaign built from its ordered records, coverage keyed by the site =="
 if grep -rnE 'record_at|site_digest128|StepProfiler|StepProfile\b|fn quiet' crates/*/src src examples ||
     grep -n Mutex crates/faults/src/campaign.rs; then
@@ -92,8 +97,8 @@ if grep -nE 'impl\b.*\bFaultHook\b|ProgramRegistry::new\(\)' examples/quickstart
     exit 1
 fi
 
-echo "== DESIGN.md stays within its 46,733-byte cap =="
-test "$(wc -c < DESIGN.md)" -le 46733
+echo "== DESIGN.md stays within its 46,731-byte cap =="
+test "$(wc -c < DESIGN.md)" -le 46731
 
 echo "== repo-root size cap: no tracked file at the root over 64 KiB (dumps belong under target/) =="
 git ls-files -z -- ':(glob)*' | xargs -0 wc -c |
@@ -135,7 +140,7 @@ diff -r "$tmp/a" "$tmp/replay"
 cargo run --release -p osiris-bench --bin osiris-inspect -- diff \
     "$tmp/a/axiom.bin" "$tmp/b/axiom.bin" >/dev/null
 
-echo "== gates: every exact-count claim (restore, watchdog, forge, recording layers); no clock, no file writes =="
+echo "== gates: every exact-count claim (restore, watchdog, forge, recording layers, map stores); no clock, no file writes =="
 cargo run --release -p osiris-bench --bin gates
 
 echo "== benchmark/: builds against the facade, passes its tests, and a --quick run fails no operation =="

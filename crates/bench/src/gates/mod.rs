@@ -19,6 +19,7 @@ mod boot;
 mod forge;
 mod recording;
 mod restore;
+mod stores;
 mod watchdog;
 
 /// What a [`Check`]'s `got` is held to.
@@ -115,6 +116,7 @@ pub fn run(scale: Scale, alloc_calls: Option<fn() -> u64>) -> Vec<Check> {
     watchdog::checks(scale, &mut c);
     forge::checks(scale, &mut c);
     recording::checks(scale, &mut c);
+    stores::checks(&mut c);
     c.rows
 }
 

@@ -1,0 +1,110 @@
+//! Map stores move the binding they displace into the undo journal instead
+//! of copying it, and a VFS write borrows its payload unless it parks on a
+//! disk read.
+//!
+//! A warm default [`Os`] runs one batch: block-aligned 8 KiB writes over,
+//! and 4 KiB reads back from, two files of three times the 64-block VFS
+//! cache (so every write evicts and every read misses), then 2 KiB `DsPut`s
+//! and `DsDel`s. The allocator calls of the batch repeat exactly and are
+//! held to their recorded value; every reply must be a success.
+
+use osiris_kernel::abi::{Fd, OpenFlags, Pid, SeekFrom, SysReply, Syscall};
+use osiris_kernel::{OsEngine, SyscallId};
+use osiris_servers::{Os, OsConfig};
+
+use super::{Checks, Want};
+
+/// Allocator calls of one warm batch (3,440 while `PMap::insert` and
+/// `remove` cloned every displaced binding, eviction copied clean victims
+/// and each write copied its payload into its continuation).
+const WARM_BATCH_ALLOCS: u64 = 2_603;
+
+/// Bytes per file: three times the 64 KiB the VFS cache holds.
+const FILE_BYTES: usize = 3 * 64 * 1024;
+
+struct Driver {
+    os: Os,
+    next_sid: u64,
+}
+
+impl Driver {
+    /// One closed-loop syscall from init: submit, then pump, firing timers
+    /// (disk replies) while the reply is outstanding.
+    fn call(&mut self, call: Syscall) -> SysReply {
+        self.next_sid += 1;
+        self.os.submit(SyscallId(self.next_sid), Pid::INIT, call);
+        loop {
+            if let Some((_, _, reply)) = self.os.pump().pop() {
+                return reply;
+            }
+            assert!(self.os.fire_next_timer(), "a syscall never replied");
+        }
+    }
+
+    /// Runs `calls` in order; returns how many replies were errors.
+    fn run(&mut self, calls: Vec<Syscall>) -> u64 {
+        let replies = calls.into_iter().map(|call| self.call(call));
+        replies.filter(|r| matches!(r, SysReply::Err(_))).count() as u64
+    }
+}
+
+/// The batch, built before it is counted so that only the OS's own
+/// allocations (and the reply vectors it hands back) are.
+fn batch(fds: &[Fd], round: u8) -> Vec<Syscall> {
+    let mut calls = Vec::new();
+    let rewind = |fd| Syscall::Seek {
+        fd,
+        from: SeekFrom::Start(0),
+    };
+    for &fd in fds {
+        calls.push(rewind(fd));
+        for i in 0..FILE_BYTES / 8192 {
+            let bytes = vec![round ^ i as u8; 8192];
+            calls.push(Syscall::Write { fd, bytes });
+        }
+        calls.push(rewind(fd));
+        calls.extend((0..FILE_BYTES / 4096).map(|_| Syscall::Read { fd, len: 4096 }));
+    }
+    for i in 0..16u8 {
+        let key = format!("gate-{i}");
+        let value = vec![round ^ i; 2048];
+        calls.push(Syscall::DsPut {
+            key: key.clone(),
+            value,
+        });
+        calls.push(Syscall::DsDel { key });
+    }
+    calls
+}
+
+pub(super) fn checks(c: &mut Checks) {
+    let mut d = Driver {
+        os: Os::new(OsConfig::default()),
+        next_sid: 0,
+    };
+    let fds: Vec<Fd> = ["/tmp/gate-a", "/tmp/gate-b"]
+        .into_iter()
+        .map(|path| {
+            let flags = OpenFlags::RDWR_CREATE;
+            match d.call(Syscall::Open {
+                path: path.into(),
+                flags,
+            }) {
+                SysReply::Desc(fd) => fd,
+                other => panic!("open {path}: {other:?}"),
+            }
+        })
+        .collect();
+    // The first round creates the blocks; the second warms every table and
+    // journal arena that the counted third one reuses.
+    let mut errors = d.run(batch(&fds, 1)) + d.run(batch(&fds, 2));
+    let calls = batch(&fds, 3);
+    let (counted_errors, allocs) = c.counted(|| d.run(calls));
+    errors += counted_errors;
+    c.push("stores/warm_batch_errors".into(), errors, Want::Eq(0));
+    c.push_allocs(
+        "stores/warm_batch_allocs".into(),
+        allocs,
+        Want::Eq(WARM_BATCH_ALLOCS),
+    );
+}

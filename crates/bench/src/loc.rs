@@ -151,18 +151,20 @@ mod tests {
     /// model. The watchdog's decisions are one pure step in `osiris-core`,
     /// and the kernel only executes them, so the RCB does not grow past
     /// its size before that move, but for the two lines with which
-    /// quarantine stopped answering a replied request twice. The fault
-    /// injector, outside the RCB, has one site profiler and a campaign that
-    /// is its ordered records.
+    /// quarantine stopped answering a replied request twice. An undo record
+    /// carries its own restore and drop entry points, so replay and discard
+    /// match on no shape, which paid for `PMap::delete` and the one-lookup
+    /// `PMap::update`. The fault injector, outside the RCB, has one site
+    /// profiler and a campaign that is its ordered records.
     #[test]
     fn rcb_stays_under_its_ceiling() {
         let report = count_workspace_loc();
-        let caps = [("kernel", 2_568), ("checkpoint", 3_150), ("faults", 2_400)];
+        let caps = [("kernel", 2_568), ("checkpoint", 3_098), ("faults", 2_400)];
         for (name, cap) in caps {
             let row = report.crates.iter().find(|c| c.name == name).unwrap();
             assert!(row.loc <= cap, "{name} {}", row.loc);
         }
-        assert!(report.rcb_total() <= 7_106, "rcb {}", report.rcb_total());
+        assert!(report.rcb_total() <= 7_070, "rcb {}", report.rcb_total());
         assert!(report.rcb_pct() < 25.0, "rcb {}%", report.rcb_pct());
     }
 

@@ -1,6 +1,7 @@
 //! The checkpointed heap: object storage plus the undo journal.
 
 use std::any::Any;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
 use std::mem::size_of;
@@ -65,12 +66,11 @@ pub(crate) struct Obj {
     pub(crate) epoch: u64,
 }
 
-/// Object trait: `Any` for downcasting plus deep-clone support so that heap
-/// images (server clones) can be taken.
+/// Object trait: `Any` for downcasting (a `&dyn AnyObj` upcasts to
+/// `&dyn Any`) plus deep-clone support so that heap images (server clones)
+/// can be taken.
 pub(crate) trait AnyObj: Any + Send + Sync + fmt::Debug {
     fn clone_obj(&self) -> Box<dyn AnyObj>;
-    fn as_any(&self) -> &dyn Any;
-    fn as_any_mut(&mut self) -> &mut dyn Any;
     /// Approximate resident size in bytes, for memory-overhead accounting.
     fn approx_bytes(&self) -> usize;
     /// Word-fold digest over the payload's type identity and content
@@ -106,12 +106,6 @@ impl<T: HeapValue> AnyObj for Holder<T> {
             value: self.value.clone(),
             extra_bytes: self.extra_bytes,
         })
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
     fn approx_bytes(&self) -> usize {
         size_of::<T>() + self.extra_bytes
@@ -159,6 +153,19 @@ fn fold_ints<I: Copy + Into<u64>>(d: u64, items: &[I]) -> u64 {
         }
     }
     lanes.into_iter().fold(d, fold_word)
+}
+
+/// Common bookkeeping for a logged append; a free function over the fields
+/// it touches, so [`Heap::update_map`] can call it while it holds a value.
+fn account_append(stats: &mut HeapStats, journal: &Journal, stage: &mut Stage, bytes: usize) {
+    stats.undo_appends += 1;
+    stats.undo_bytes_current += bytes;
+    stats.undo_bytes_appended += bytes as u64;
+    stats.undo_bytes_peak = stats.undo_bytes_peak.max(stats.undo_bytes_current);
+    stats.arena_reuse_bytes = journal.arena_reuse_bytes();
+    stage.push(TraceEvent::UndoAppend {
+        bytes: bytes as u32,
+    });
 }
 
 static NEXT_HEAP_ID: AtomicU32 = AtomicU32::new(1);
@@ -375,7 +382,9 @@ impl Heap {
     // One ownership rule: the container *moves* the value a store displaces
     // into the journal (`log_*_old` take it by value) and clones only where
     // the old value must also stay behind — an in-place `update`, or a
-    // `PMap::insert`/`remove`/`PVec::pop` that returns what it displaced.
+    // `PMap::remove`/`PVec::pop` that returns what it took out. A
+    // `PMap::insert` or `delete` returns no value and so clones none (a
+    // logged `insert` clones its key).
     // Each store first calls a `note_*` gate, which counts the logical write
     // and dirties the object whether or not logging is on, and says whether
     // a record is owed at all: with logging off, or on a coalesced store,
@@ -383,16 +392,7 @@ impl Heap {
 
     /// Common bookkeeping for a logged append.
     fn account_append(&mut self, bytes: usize) {
-        self.stats.undo_appends += 1;
-        self.stats.undo_bytes_current += bytes;
-        self.stats.undo_bytes_appended += bytes as u64;
-        if self.stats.undo_bytes_current > self.stats.undo_bytes_peak {
-            self.stats.undo_bytes_peak = self.stats.undo_bytes_current;
-        }
-        self.stats.arena_reuse_bytes = self.journal.arena_reuse_bytes();
-        self.stage.push(TraceEvent::UndoAppend {
-            bytes: bytes as u32,
-        });
+        account_append(&mut self.stats, &self.journal, &mut self.stage, bytes);
     }
 
     /// Common bookkeeping for a coalesced (elided) logged write.
@@ -491,6 +491,34 @@ impl Heap {
     ) {
         let bytes = self.journal.push_map_insert(id.index, key, old);
         self.account_append(bytes);
+    }
+
+    /// An in-place update of the value under `key` in map `id`, in one
+    /// lookup: [`Heap::note_write`], then the undo record of a copy of the
+    /// old value when one is owed, then `f`, so a panicking `f` leaves the
+    /// map dirty and restorable. Returns `None`, touching nothing, if the
+    /// key is absent.
+    pub(crate) fn update_map<K: MapKey, V: HeapValue, R>(
+        &mut self,
+        id: ObjId,
+        key: &K,
+        f: impl FnOnce(&mut V) -> R,
+    ) -> Option<R> {
+        let index = self.index_of(id);
+        let Obj { data, epoch, .. } = &mut self.objs[index as usize];
+        let any: &mut dyn Any = &mut **data;
+        let map: &mut Holder<BTreeMap<K, V>> =
+            any.downcast_mut().expect("heap object type mismatch");
+        let cur = map.value.get_mut(key)?;
+        self.stats.writes += 1;
+        self.write_epoch += 1;
+        *epoch = self.write_epoch;
+        if self.logging {
+            let old = Some(cur.clone());
+            let bytes = self.journal.push_map_insert(index, key.clone(), old);
+            account_append(&mut self.stats, &self.journal, &mut self.stage, bytes);
+        }
+        Some(f(cur))
     }
 
     /// Appends the undo record of a map removal that took out `key → old`.

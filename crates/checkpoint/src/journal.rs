@@ -5,10 +5,11 @@
 //! optimization exists to shave, so the journal is *typed*:
 //!
 //! * [`UndoRecord`] — a plain struct tagged with an [`UndoKind`] covering the
-//!   five container mutation shapes (cell set; vec set/push/pop/truncate;
-//!   map insert/remove; buf write/extend). Typed variants carry monomorphized
-//!   `restore`/`drop_payload` function pointers, so replay needs no dynamic
-//!   dispatch through a trait object and no per-record allocation.
+//!   container mutation shapes (cell set; vec set/push/pop/truncate; map
+//!   insert/remove; buf write/truncate). Each record carries the
+//!   monomorphized `restore`/`drop_payload` function pointers minted for it,
+//!   so replay needs no dynamic dispatch through a trait object, no match on
+//!   the shape and no per-record allocation.
 //! * [`Arena`] — a reusable byte arena holding the old-value payloads. Values
 //!   are *moved* in (`ptr::copy_nonoverlapping` + `mem::forget`) and moved
 //!   back out exactly once on rollback (`ptr::read_unaligned`), or dropped
@@ -26,6 +27,7 @@
 //! unsafe is confined to moving payload bytes in and out of the arena under
 //! the record's type witness (the monomorphized function pointers).
 
+use std::any::Any;
 use std::collections::BTreeMap;
 use std::mem::size_of;
 
@@ -200,73 +202,42 @@ type RestoreFn = unsafe fn(&mut [Obj], &UndoRecord, &Arena);
 /// (used when a window closes and the log is thrown away unapplied).
 type DropFn = unsafe fn(&UndoRecord, &Arena);
 
-/// The mutation shape a record undoes — one variant per container operation.
-///
-/// Typed variants carry the function pointers minted at append time (when the
-/// concrete `T`/`K`/`V` were statically known); buf variants operate on plain
-/// bytes and need none.
+/// The mutation shape a record undoes — one per container operation. The
+/// discriminant is the stable tag folded into the integrity digest (the
+/// record's function pointers are not digestible across runs).
+#[derive(Clone, Copy)]
 pub(crate) enum UndoKind {
     /// `PCell::set`/`update`: restore the old value.
-    CellSet {
-        restore: RestoreFn,
-        drop_payload: DropFn,
-    },
+    CellSet = 1,
     /// `PVec::set`/`update`: restore the old element at `aux`.
-    VecSet {
-        restore: RestoreFn,
-        drop_payload: DropFn,
-    },
+    VecSet = 2,
     /// `PVec::push`: pop the appended element (no payload).
-    VecPush { restore: RestoreFn },
+    VecPush = 3,
     /// `PVec::pop`: push the removed element back.
-    VecPop {
-        restore: RestoreFn,
-        drop_payload: DropFn,
-    },
+    VecPop = 4,
     /// `PVec::truncate`: re-extend with the `aux` removed tail elements.
-    VecTruncate {
-        restore: RestoreFn,
-        drop_payload: DropFn,
-    },
+    VecTruncate = 5,
     /// `PMap::insert`/`update`: restore the old binding (`aux` = had one).
-    MapInsert {
-        restore: RestoreFn,
-        drop_payload: DropFn,
-    },
-    /// `PMap::remove`: re-insert the removed binding.
-    MapRemove {
-        restore: RestoreFn,
-        drop_payload: DropFn,
-    },
+    MapInsert = 6,
+    /// `PMap::remove`/`delete`: re-insert the removed binding.
+    MapRemove = 7,
     /// `PBuf::write_at`: restore the overwritten bytes at offset `aux`, then
     /// truncate back to the old length `aux2`.
-    BufWrite,
+    BufWrite = 8,
     /// `PBuf::truncate`: re-append the removed tail bytes.
-    BufTruncate,
-}
-
-impl UndoKind {
-    /// Stable discriminant folded into the integrity digest (the function
-    /// pointers themselves are not digestible across runs).
-    fn tag(&self) -> u64 {
-        match self {
-            UndoKind::CellSet { .. } => 1,
-            UndoKind::VecSet { .. } => 2,
-            UndoKind::VecPush { .. } => 3,
-            UndoKind::VecPop { .. } => 4,
-            UndoKind::VecTruncate { .. } => 5,
-            UndoKind::MapInsert { .. } => 6,
-            UndoKind::MapRemove { .. } => 7,
-            UndoKind::BufWrite => 8,
-            UndoKind::BufTruncate => 9,
-        }
-    }
+    BufTruncate = 9,
 }
 
 /// One undo-log entry: the paper's *(address, old value)* pair, with the
 /// old value stored out-of-line in the [`Arena`].
 pub(crate) struct UndoRecord {
     pub(crate) kind: UndoKind,
+    /// Replay entry point, minted at append time when the concrete types
+    /// were statically known (the buf shapes' copy plain bytes).
+    pub(crate) restore: RestoreFn,
+    /// Discard entry point; `None` for shapes whose payload owns nothing
+    /// (a push, and the byte-only buf shapes).
+    pub(crate) drop_payload: Option<DropFn>,
     /// Object index within the heap (the "address").
     pub(crate) obj: u32,
     /// Arena offset of this record's payload. Because records are strictly
@@ -290,22 +261,17 @@ pub(crate) struct UndoRecord {
 }
 
 /// The payload of object `obj`, borrowed from the object table alone (so
-/// the journal can be borrowed beside it).
+/// the journal can be borrowed beside it), in one downcast: the boxed
+/// `dyn AnyObj` upcasts to `dyn Any` in place.
 pub(crate) fn holder<T: HeapValue>(objs: &[Obj], obj: u32) -> &Holder<T> {
-    objs[obj as usize]
-        .data
-        .as_any()
-        .downcast_ref::<Holder<T>>()
-        .expect("heap object type mismatch")
+    let any: &dyn Any = &*objs[obj as usize].data;
+    any.downcast_ref().expect("heap object type mismatch")
 }
 
 /// Mutable [`holder`].
 pub(crate) fn holder_mut<T: HeapValue>(objs: &mut [Obj], obj: u32) -> &mut Holder<T> {
-    objs[obj as usize]
-        .data
-        .as_any_mut()
-        .downcast_mut::<Holder<T>>()
-        .expect("heap object type mismatch")
+    let any: &mut dyn Any = &mut *objs[obj as usize].data;
+    any.downcast_mut().expect("heap object type mismatch")
 }
 
 // Monomorphized restore/drop implementations. All of them uphold the arena
@@ -621,7 +587,7 @@ impl std::fmt::Display for IntegrityError {
 /// Folds one record into the digest: the header scalars packed into four
 /// words (`tag | obj`, `off | plen`, `aux`, `aux2`), then the arena payload.
 fn fold_record(digest: u64, rec: &UndoRecord, arena: &Arena) -> u64 {
-    let mut d = fold_word(digest, rec.kind.tag() | u64::from(rec.obj) << 32);
+    let mut d = fold_word(digest, rec.kind as u64 | u64::from(rec.obj) << 32);
     d = fold_word(d, u64::from(rec.off) | u64::from(rec.plen) << 32);
     d = fold_word(d, rec.aux);
     d = fold_word(d, rec.aux2);
@@ -923,10 +889,9 @@ impl Journal {
         let pos = self.next_pos();
         let off = self.arena.push_value(old);
         self.seal(UndoRecord {
-            kind: UndoKind::CellSet {
-                restore: restore_cell::<T>,
-                drop_payload: drop_value::<T>,
-            },
+            kind: UndoKind::CellSet,
+            restore: restore_cell::<T>,
+            drop_payload: Some(drop_value::<T>),
             obj,
             off,
             plen: size_of::<T>() as u32,
@@ -945,10 +910,9 @@ impl Journal {
         let pos = self.next_pos();
         let off = self.arena.push_value(old);
         self.seal(UndoRecord {
-            kind: UndoKind::VecSet {
-                restore: restore_vec_set::<T>,
-                drop_payload: drop_value::<T>,
-            },
+            kind: UndoKind::VecSet,
+            restore: restore_vec_set::<T>,
+            drop_payload: Some(drop_value::<T>),
             obj,
             off,
             plen: size_of::<T>() as u32,
@@ -965,9 +929,9 @@ impl Journal {
     pub(crate) fn push_vec_push<T: HeapValue>(&mut self, obj: u32) -> usize {
         let bytes = WORD + size_of::<T>();
         self.seal(UndoRecord {
-            kind: UndoKind::VecPush {
-                restore: restore_vec_push::<T>,
-            },
+            kind: UndoKind::VecPush,
+            restore: restore_vec_push::<T>,
+            drop_payload: None,
             obj,
             off: off_u32(self.arena.len()),
             plen: 0,
@@ -983,10 +947,9 @@ impl Journal {
         let bytes = WORD + size_of::<T>();
         let off = self.arena.push_value(old);
         self.seal(UndoRecord {
-            kind: UndoKind::VecPop {
-                restore: restore_vec_pop::<T>,
-                drop_payload: drop_value::<T>,
-            },
+            kind: UndoKind::VecPop,
+            restore: restore_vec_pop::<T>,
+            drop_payload: Some(drop_value::<T>),
             obj,
             off,
             plen: size_of::<T>() as u32,
@@ -1008,10 +971,9 @@ impl Journal {
         let bytes = WORD + plen;
         let off = self.arena.push_values(tail);
         self.seal(UndoRecord {
-            kind: UndoKind::VecTruncate {
-                restore: restore_vec_truncate::<T>,
-                drop_payload: drop_slice::<T>,
-            },
+            kind: UndoKind::VecTruncate,
+            restore: restore_vec_truncate::<T>,
+            drop_payload: Some(drop_slice::<T>),
             obj,
             off,
             plen: off_u32(plen),
@@ -1038,10 +1000,9 @@ impl Journal {
             plen += size_of::<V>();
         }
         self.seal(UndoRecord {
-            kind: UndoKind::MapInsert {
-                restore: restore_map_insert::<K, V>,
-                drop_payload: drop_map_insert::<K, V>,
-            },
+            kind: UndoKind::MapInsert,
+            restore: restore_map_insert::<K, V>,
+            drop_payload: Some(drop_map_insert::<K, V>),
             obj,
             off,
             plen: off_u32(plen),
@@ -1063,10 +1024,9 @@ impl Journal {
         let off = self.arena.push_value(key);
         self.arena.push_value(old);
         self.seal(UndoRecord {
-            kind: UndoKind::MapRemove {
-                restore: restore_map_remove::<K, V>,
-                drop_payload: drop_map_remove::<K, V>,
-            },
+            kind: UndoKind::MapRemove,
+            restore: restore_map_remove::<K, V>,
+            drop_payload: Some(drop_map_remove::<K, V>),
             obj,
             off,
             plen: off_u32(size_of::<K>() + size_of::<V>()),
@@ -1091,6 +1051,8 @@ impl Journal {
         let off = self.arena.push_bytes(overwritten);
         self.seal(UndoRecord {
             kind: UndoKind::BufWrite,
+            restore: restore_buf_write,
+            drop_payload: None,
             obj,
             off,
             plen: off_u32(overwritten.len()),
@@ -1109,6 +1071,8 @@ impl Journal {
         let off = self.arena.push_bytes(tail);
         self.seal(UndoRecord {
             kind: UndoKind::BufTruncate,
+            restore: restore_buf_truncate,
+            drop_payload: None,
             obj,
             off,
             plen: off_u32(tail.len()),
@@ -1133,22 +1097,10 @@ impl Journal {
     pub(crate) fn pop_and_apply(&mut self, objs: &mut [Obj]) -> (usize, u32) {
         let rec = self.records.pop().expect("pop from empty journal");
         self.digest = rec.prev;
-        match rec.kind {
-            UndoKind::CellSet { restore, .. }
-            | UndoKind::VecSet { restore, .. }
-            | UndoKind::VecPush { restore }
-            | UndoKind::VecPop { restore, .. }
-            | UndoKind::VecTruncate { restore, .. }
-            | UndoKind::MapInsert { restore, .. }
-            | UndoKind::MapRemove { restore, .. } => {
-                // SAFETY: `restore` was minted for this record's payload
-                // type at append time, and LIFO replay takes each payload
-                // exactly once before the arena is truncated below.
-                unsafe { restore(objs, &rec, &self.arena) }
-            }
-            UndoKind::BufWrite => restore_buf_write(objs, &rec, &self.arena),
-            UndoKind::BufTruncate => restore_buf_truncate(objs, &rec, &self.arena),
-        }
+        // SAFETY: `restore` was minted for this record's payload type at
+        // append time, and LIFO replay takes each payload exactly once
+        // before the arena is truncated below.
+        unsafe { (rec.restore)(objs, &rec, &self.arena) }
         self.arena.truncate(rec.off as usize);
         (rec.bytes, rec.obj)
     }
@@ -1158,18 +1110,10 @@ impl Journal {
     #[allow(unsafe_code)]
     pub(crate) fn discard(&mut self) {
         for rec in self.records.drain(..) {
-            match rec.kind {
-                UndoKind::CellSet { drop_payload, .. }
-                | UndoKind::VecSet { drop_payload, .. }
-                | UndoKind::VecPop { drop_payload, .. }
-                | UndoKind::VecTruncate { drop_payload, .. }
-                | UndoKind::MapInsert { drop_payload, .. }
-                | UndoKind::MapRemove { drop_payload, .. } => {
-                    // SAFETY: discarding is the only other way a payload
-                    // leaves the arena; each record is drained exactly once.
-                    unsafe { drop_payload(&rec, &self.arena) }
-                }
-                UndoKind::VecPush { .. } | UndoKind::BufWrite | UndoKind::BufTruncate => {}
+            if let Some(drop_payload) = rec.drop_payload {
+                // SAFETY: discarding is the only other way a payload leaves
+                // the arena; each record is drained exactly once.
+                unsafe { drop_payload(&rec, &self.arena) }
             }
         }
         self.arena.reset();

@@ -109,27 +109,23 @@ impl<K: MapKey, V: HeapValue> PMap<K, V> {
         f(&heap.holder::<BTreeMap<K, V>>(self.id).value)
     }
 
-    /// Inserts `value` under `key`, returning the previous value. When a
-    /// record is owed, the displaced binding (or its absence) moves into the
-    /// undo journal and the caller gets the one copy made of it; otherwise
-    /// nothing is cloned.
-    pub fn insert(&self, heap: &mut Heap, key: K, value: V) -> Option<V> {
+    /// Inserts `value` under `key`. When a record is owed, the displaced
+    /// binding (or its absence) moves into the undo journal; otherwise it is
+    /// dropped. Nothing is cloned but the key of a logged store.
+    pub fn insert(&self, heap: &mut Heap, key: K, value: V) {
         let undo_key = heap.note_write(self.id).then(|| key.clone());
         let h = heap.holder_mut::<BTreeMap<K, V>>(self.id);
         let prev = h.value.insert(key, value);
         refresh_bytes(h);
-        let Some(undo_key) = undo_key else {
-            return prev;
-        };
-        let copy = prev.clone();
-        heap.log_map_insert_old(self.id, undo_key, prev);
-        copy
+        if let Some(undo_key) = undo_key {
+            heap.log_map_insert_old(self.id, undo_key, prev);
+        }
     }
 
     /// Removes the binding for `key`, returning its value. When a record is
     /// owed, the removed key and value move into the undo journal and the
     /// caller gets the one copy made of the value. Removing an absent key
-    /// logs nothing.
+    /// logs nothing. A caller that drops the value calls [`PMap::delete`].
     pub fn remove(&self, heap: &mut Heap, key: &K) -> Option<V> {
         let h = heap.holder_mut::<BTreeMap<K, V>>(self.id);
         let (key, old) = h.value.remove_entry(key)?;
@@ -142,18 +138,26 @@ impl<K: MapKey, V: HeapValue> PMap<K, V> {
         Some(copy)
     }
 
-    /// Mutates the value under `key` in place, logging a copy of the old
-    /// value first when a record is owed. Returns `None` (without calling
-    /// `f`) if the key is absent.
-    pub fn update<R>(&self, heap: &mut Heap, key: &K, f: impl FnOnce(&mut V) -> R) -> Option<R> {
-        let cur = heap.holder::<BTreeMap<K, V>>(self.id).value.get(key)?;
-        let undo = heap.logging().then(|| (key.clone(), cur.clone()));
-        heap.note_write(self.id);
-        if let Some((key, old)) = undo {
-            heap.log_map_insert_old(self.id, key, Some(old));
-        }
+    /// [`PMap::remove`] without the copy: the removed binding moves into the
+    /// undo journal when a record is owed and is dropped otherwise. Returns
+    /// whether `key` was present.
+    pub fn delete(&self, heap: &mut Heap, key: &K) -> bool {
         let h = heap.holder_mut::<BTreeMap<K, V>>(self.id);
-        h.value.get_mut(key).map(f)
+        let Some((key, old)) = h.value.remove_entry(key) else {
+            return false;
+        };
+        refresh_bytes(h);
+        if heap.note_write(self.id) {
+            heap.log_map_remove_old(self.id, key, old);
+        }
+        true
+    }
+
+    /// Mutates the value under `key` in place, in one lookup, logging a copy
+    /// of the old value first when a record is owed. Returns `None` (without
+    /// calling `f`) if the key is absent.
+    pub fn update<R>(&self, heap: &mut Heap, key: &K, f: impl FnOnce(&mut V) -> R) -> Option<R> {
+        heap.update_map(self.id, key, f)
     }
 
     /// Calls `f` for every `(key, value)` pair in key order.
@@ -195,10 +199,14 @@ mod tests {
     fn insert_get_remove() {
         let mut h = Heap::new("t");
         let m = h.alloc_map::<u32, &'static str>("m");
-        assert_eq!(m.insert(&mut h, 1, "a"), None);
-        assert_eq!(m.insert(&mut h, 1, "b"), Some("a"));
-        assert_eq!(m.get(&h, &1), Some("b"));
+        m.insert(&mut h, 1, "a");
+        assert_eq!(m.get(&h, &1), Some("a"));
+        m.insert(&mut h, 1, "b");
+        assert_eq!((m.get(&h, &1), m.len(&h)), (Some("b"), 1));
         assert_eq!(m.remove(&mut h, &1), Some("b"));
+        assert!(m.is_empty(&h));
+        m.insert(&mut h, 2, "c");
+        assert!(m.delete(&mut h, &2) && !m.delete(&mut h, &2));
         assert!(m.is_empty(&h));
     }
 

@@ -11,9 +11,10 @@
 //! model shares no code with the heap, so it is ground truth.
 //!
 //! The second half pins the ownership rule of the map and cell stores: a
-//! displaced value moves into the journal, so a store clones at most once
-//! (and never with logging off), and every value that enters the journal
-//! leaves it exactly once. The map stream also holds the undo-byte
+//! displaced value moves into the journal, so only an in-place update or a
+//! `remove` that hands its value back clones, once and never with logging
+//! off; an insert or a `delete` never does. Every value that enters the
+//! journal leaves it exactly once. The map stream also holds the undo-byte
 //! accounting to the model's count of logged stores.
 
 use std::cell::Cell;
@@ -116,13 +117,19 @@ fn mutate(r: &mut Rng, h: &mut Heap, w: &World, m: &mut Snapshot) -> bool {
         8 => {
             let k = r.below(6) as u8;
             let v = format!("v{}", r.below(100));
-            assert_eq!(w.map.insert(h, k, v.clone()), m.map.insert(k, v));
+            w.map.insert(h, k, v.clone());
+            m.map.insert(k, v);
         }
         9 => {
+            // Half the removals hand the value back, half drop it.
             let k = r.below(6) as u8;
             let gone = m.map.remove(&k);
             let stored = gone.is_some();
-            assert_eq!(w.map.remove(h, &k), gone, "PMap::remove");
+            if r.below(2) == 0 {
+                assert_eq!(w.map.remove(h, &k), gone, "PMap::remove");
+            } else {
+                assert_eq!(w.map.delete(h, &k), stored, "PMap::delete");
+            }
             return stored;
         }
         10 | 16 | 17 => {
@@ -317,14 +324,17 @@ fn a_store_clones_the_displaced_value_once_when_logging_and_never_otherwise() {
 
         let (n, _) = clones_during(|| m.update(&mut h, &0, |v| v.0 += 10));
         assert_eq!(n, want, "update ({what})");
-        let (n, prev) = clones_during(|| m.insert(&mut h, 1, Tracked::new(11)));
-        assert_eq!(n, want, "insert over an existing key ({what})");
-        assert_eq!(prev, Some(Tracked::new(1)));
-        let (n, prev) = clones_during(|| m.insert(&mut h, 7, Tracked::new(7)));
-        assert_eq!((n, prev), (0, None), "insert of a fresh key ({what})");
+        let (n, ()) = clones_during(|| m.insert(&mut h, 1, Tracked::new(11)));
+        assert_eq!(n, 0, "insert over an existing key ({what})");
+        assert_eq!(m.cloned(&h, &1), Some(Tracked::new(11)));
+        let (n, ()) = clones_during(|| m.insert(&mut h, 7, Tracked::new(7)));
+        assert_eq!(n, 0, "insert of a fresh key ({what})");
         let (n, gone) = clones_during(|| m.remove(&mut h, &2));
         assert_eq!(n, want, "remove ({what})");
         assert_eq!(gone, Some(Tracked::new(2)));
+        let (n, deleted) = clones_during(|| m.delete(&mut h, &7));
+        assert_eq!((n, deleted), (0, true), "delete ({what})");
+        assert_eq!((m.len(&h), m.delete(&mut h, &7)), (2, false));
         let (n, seen) = clones_during(|| m.with(&h, &0, |v| v.0));
         assert_eq!((n, seen), (0, Some(10)), "with ({what})");
         let (n, ()) = clones_during(|| c.set(&mut h, Tracked::new(1)));
@@ -358,9 +368,9 @@ struct MapModel {
 const BLOB_RECORD: usize = WORD + size_of::<String>() + size_of::<Vec<u8>>();
 const NODE_RECORD: usize = WORD + size_of::<u64>() + size_of::<Node>();
 
-/// Applies the insert / update / remove numbered `op` to one of the two maps
-/// of the heap and of the model, checks that both hand back the same answer,
-/// and returns the undo bytes the op owes when it is a store (`None`: the
+/// Applies the insert / update / remove / delete numbered `op` to one of the
+/// two maps of the heap and of the model, checks that both hand back the
+/// same answer (an insert hands back nothing), and returns the undo bytes the op owes when it is a store (`None`: the
 /// key was absent, nothing was stored).
 fn map_op(h: &mut Heap, w: &Maps, m: &mut MapModel, op: u64, key: u64, fill: u64) -> Option<usize> {
     let name = format!("k{key}");
@@ -373,17 +383,17 @@ fn map_op(h: &mut Heap, w: &Maps, m: &mut MapModel, op: u64, key: u64, fill: u64
         n.entries.insert(format!("e{}", fill % 7), fill)
     };
     let blob = fill.to_le_bytes().to_vec();
-    // An insert always stores; an update or remove only when the key is
-    // present.
+    // An insert always stores; an update, remove or delete only when the
+    // key is present.
     let (stored, record) = match op {
         0 | 3 => (true, if op == 0 { BLOB_RECORD } else { NODE_RECORD }),
-        1 | 2 => (m.blobs.contains_key(&name), BLOB_RECORD),
+        1 | 2 | 6 => (m.blobs.contains_key(&name), BLOB_RECORD),
         _ => (m.nodes.contains_key(&key), NODE_RECORD),
     };
     let (got, want) = match op {
         0 => (
             format!("{:?}", w.blobs.insert(h, name.clone(), blob.clone())),
-            format!("{:?}", m.blobs.insert(name, blob)),
+            format!("{:?}", drop(m.blobs.insert(name, blob))),
         ),
         1 => (
             format!("{:?}", w.blobs.update(h, &name, |v| v.push(fill as u8))),
@@ -395,15 +405,23 @@ fn map_op(h: &mut Heap, w: &Maps, m: &mut MapModel, op: u64, key: u64, fill: u64
         ),
         3 => (
             format!("{:?}", w.nodes.insert(h, key, node(name.clone()))),
-            format!("{:?}", m.nodes.insert(key, node(name))),
+            format!("{:?}", drop(m.nodes.insert(key, node(name)))),
         ),
         4 => (
             format!("{:?}", w.nodes.update(h, &key, edit)),
             format!("{:?}", m.nodes.get_mut(&key).map(edit)),
         ),
-        _ => (
+        5 => (
             format!("{:?}", w.nodes.remove(h, &key)),
             format!("{:?}", m.nodes.remove(&key)),
+        ),
+        6 => (
+            format!("{:?}", w.blobs.delete(h, &name)),
+            format!("{:?}", m.blobs.remove(&name).is_some()),
+        ),
+        _ => (
+            format!("{:?}", w.nodes.delete(h, &key)),
+            format!("{:?}", m.nodes.remove(&key).is_some()),
         ),
     };
     assert_eq!(got, want, "op {op} key {key}");
@@ -443,7 +461,7 @@ fn run_map_case(case: u64) {
         let what = format!("case {case} step {step}");
         match r.below(100) {
             0..=74 => {
-                let (op, key, fill) = (r.below(6), r.below(5), r.next_u64());
+                let (op, key, fill) = (r.below(8), r.below(5), r.next_u64());
                 if let Some(bytes) = map_op(&mut h, &w, &mut model, op, key, fill) {
                     logged += 1;
                     appended += bytes as u64;

@@ -74,9 +74,10 @@ impl DataStore {
             }
             Syscall::DsDel { key } => {
                 ctx.site("ds.del.entry");
-                match h.store.remove(ctx.heap(), key) {
-                    Some(_) => ctx.reply(rp, OsMsg::UserReply(SysReply::Ok)),
-                    None => ctx.reply(rp, OsMsg::UserReply(SysReply::Err(Errno::ENOKEY))),
+                if h.store.delete(ctx.heap(), key) {
+                    ctx.reply(rp, OsMsg::UserReply(SysReply::Ok));
+                } else {
+                    ctx.reply(rp, OsMsg::UserReply(SysReply::Err(Errno::ENOKEY)));
                 }
             }
             Syscall::DsList { prefix } => {

@@ -551,7 +551,7 @@ impl ProcessManager {
         for (cpid, state) in children {
             match state {
                 ProcState::Zombie(_) => {
-                    h.procs.remove(ctx.heap(), &cpid);
+                    h.procs.delete(ctx.heap(), &cpid);
                 }
                 ProcState::Alive => {
                     h.procs.update(ctx.heap(), &cpid, |p| p.ppid = INIT_PID);
@@ -579,8 +579,8 @@ impl ProcessManager {
             .get(ctx.heap_ref(), &ppid)
             .filter(|w| w.target.is_none() || w.target == Some(pid));
         if let Some(w) = waiter {
-            h.waiters.remove(ctx.heap(), &ppid);
-            h.procs.remove(ctx.heap(), &pid);
+            h.waiters.delete(ctx.heap(), &ppid);
+            h.procs.delete(ctx.heap(), &pid);
             ctx.reply(w.rp, OsMsg::UserReply(SysReply::Exited(Pid(pid), code)));
             ctx.site("pm.term.woke_parent");
         } else if h.procs.contains_key(ctx.heap_ref(), &ppid) {
@@ -589,7 +589,7 @@ impl ProcessManager {
             ctx.site("pm.term.zombie");
         } else {
             // Parent already gone: auto-reap.
-            h.procs.remove(ctx.heap(), &pid);
+            h.procs.delete(ctx.heap(), &pid);
             ctx.site("pm.term.autoreap");
         }
     }
@@ -612,7 +612,7 @@ impl ProcessManager {
         });
         if let Some((cpid, code)) = zombie {
             ctx.site("pm.wait.reap");
-            h.procs.remove(ctx.heap(), &cpid);
+            h.procs.delete(ctx.heap(), &cpid);
             ctx.reply(rp, OsMsg::UserReply(SysReply::Exited(Pid(cpid), code)));
         } else if ctx.site_branch("pm.wait.has_child", has_child) {
             h.waiters

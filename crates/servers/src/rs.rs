@@ -102,12 +102,12 @@ impl RecoveryServer {
         let silent: Vec<u32> = h.outstanding.keys(ctx.heap_ref());
         for ep in silent {
             ctx.site("rs.hb.silent");
-            h.outstanding.remove(ctx.heap(), &ep);
+            h.outstanding.delete(ctx.heap(), &ep);
             // The ping that went unanswered still has a wait entry keyed by
             // message id; drop it too, or hung servers leak one entry per
             // round for the rest of the run.
             while let Some(stale) = h.ping_waits.find_key(ctx.heap_ref(), |_, v| *v == ep) {
-                h.ping_waits.remove(ctx.heap(), &stale);
+                h.ping_waits.delete(ctx.heap(), &stale);
             }
             ctx.kill_hung(ep as u8);
         }
@@ -293,7 +293,7 @@ impl Server<OsMsg> for RecoveryServer {
                 ctx.site("rs.pong");
                 if let Some(request_id) = msg.reply_to {
                     if let Some(ep) = h.ping_waits.remove(ctx.heap(), &request_id.0) {
-                        h.outstanding.remove(ctx.heap(), &ep);
+                        h.outstanding.delete(ctx.heap(), &ep);
                     }
                 }
             }

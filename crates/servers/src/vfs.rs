@@ -263,29 +263,29 @@ impl VfsServer {
     /// operations cannot livelock against their own evictions.
     fn evict_one(&self, ctx: &mut Ctx<'_, OsMsg>) {
         let h = self.h();
-        let mut oldest: Option<(u64, u64)> = None; // (stamp, block)
+        let mut oldest: Option<(u64, u64, bool)> = None; // (stamp, block, dirty)
         h.cache.for_each(ctx.heap_ref(), |b, c| {
             let older = match oldest {
-                Some((s, _)) => c.stamp < s,
+                Some((s, _, _)) => c.stamp < s,
                 None => true,
             };
             if older {
-                oldest = Some((c.stamp, *b));
+                oldest = Some((c.stamp, *b, c.dirty));
             }
         });
         ctx.site("vfs.cache.evict");
-        if let Some((_, b)) = oldest {
-            let victim = h.cache.remove(ctx.heap(), &b).expect("victim just seen");
-            if victim.dirty {
-                // The write travels with the message; no thread waits for it.
-                ctx.send_request(
-                    self.topo.disk,
-                    OsMsg::DiskWrite {
-                        block: b,
-                        data: victim.data,
-                    },
-                );
+        match oldest {
+            // A clean victim is dropped; only a dirty one's bytes leave.
+            Some((_, b, false)) => {
+                h.cache.delete(ctx.heap(), &b);
             }
+            Some((_, b, true)) => {
+                let victim = h.cache.remove(ctx.heap(), &b).expect("victim just seen");
+                // The write travels with the message; no thread waits for it.
+                let data = victim.data;
+                ctx.send_request(self.topo.disk, OsMsg::DiskWrite { block: b, data });
+            }
+            None => {}
         }
     }
 
@@ -353,14 +353,19 @@ impl VfsServer {
     /// Frees all data blocks of `ino` (cache entries included).
     fn free_file_blocks(&self, ino: u64, ctx: &mut Ctx<'_, OsMsg>) {
         let h = self.h();
-        let keys: Vec<(u64, u64)> = h.file_blocks.with_map(ctx.heap_ref(), |m| {
-            m.range((ino, 0)..(ino + 1, 0)).map(|(k, _)| *k).collect()
-        });
-        for k in keys {
-            if let Some(block) = h.file_blocks.remove(ctx.heap(), &k) {
-                h.cache.remove(ctx.heap(), &block);
-                h.free_blocks.push(ctx.heap(), block);
-            }
+        // Take the lowest remaining key each time: the range shrinks as the
+        // walk deletes, so no key list is collected first.
+        let first = |heap: &Heap| {
+            h.file_blocks.with_map(heap, |m| {
+                m.range((ino, 0)..(ino + 1, 0))
+                    .next()
+                    .map(|(k, b)| (*k, *b))
+            })
+        };
+        while let Some((k, block)) = first(ctx.heap_ref()) {
+            h.file_blocks.delete(ctx.heap(), &k);
+            h.cache.delete(ctx.heap(), &block);
+            h.free_blocks.push(ctx.heap(), block);
         }
     }
 
@@ -414,7 +419,13 @@ impl VfsServer {
     fn step(&self, cont: VfsCont, ctx: &mut Ctx<'_, OsMsg>) -> Step {
         match cont {
             VfsCont::Read { slot, rp, len } => self.step_read(slot, rp, len, ctx),
-            VfsCont::Write { slot, rp, data } => self.step_write(slot, rp, data, ctx),
+            VfsCont::Write { slot, rp, data } => match self.step_write(slot, rp, &data, ctx) {
+                Some(block) => Step::Need {
+                    block,
+                    cont: VfsCont::Write { slot, rp, data },
+                },
+                None => Step::Done,
+            },
             VfsCont::ExecLoad { rp, block } => {
                 ctx.site("vfs.exec.step");
                 if self.h().cache.contains_key(ctx.heap_ref(), &block) {
@@ -494,36 +505,39 @@ impl VfsServer {
         Step::Done
     }
 
+    /// Drives a write one step on the borrowed payload: completes it
+    /// (replying) and returns `None`, or returns the block it must read
+    /// first. Only the caller that parks it copies the payload.
     fn step_write(
         &self,
         slot: u32,
         rp: ReturnPath,
-        data: Vec<u8>,
+        data: &[u8],
         ctx: &mut Ctx<'_, OsMsg>,
-    ) -> Step {
+    ) -> Option<u64> {
         let h = self.h();
         ctx.site("vfs.write.step");
         let Some(of) = h.oft.get(ctx.heap_ref(), &slot) else {
             ctx.reply(rp, OsMsg::UserReply(SysReply::Err(Errno::EBADF)));
-            return Step::Done;
+            return None;
         };
         let OpenTarget::File { ino } = of.target else {
             ctx.reply(rp, OsMsg::UserReply(SysReply::Err(Errno::EBADF)));
-            return Step::Done;
+            return None;
         };
         if !of.flags.write {
             ctx.reply(rp, OsMsg::UserReply(SysReply::Err(Errno::EBADF)));
-            return Step::Done;
+            return None;
         }
         let Some(size) = self.file_size(ino, ctx.heap_ref()) else {
             ctx.reply(rp, OsMsg::UserReply(SysReply::Err(Errno::EIO)));
-            return Step::Done;
+            return None;
         };
         let off = if of.flags.append { size } else { of.offset };
         let n = data.len() as u64;
         if n == 0 {
             ctx.reply(rp, OsMsg::UserReply(SysReply::Val(0)));
-            return Step::Done;
+            return None;
         }
         let end = off + n;
         let b0 = off / BLOCK_SIZE as u64;
@@ -539,10 +553,7 @@ impl VfsServer {
             }
             if let Some(block) = h.file_blocks.get(ctx.heap_ref(), &(ino, idx)) {
                 if !h.cache.contains_key(ctx.heap_ref(), &block) {
-                    return Step::Need {
-                        block,
-                        cont: VfsCont::Write { slot, rp, data },
-                    };
+                    return Some(block);
                 }
             }
         }
@@ -563,18 +574,23 @@ impl VfsServer {
                     b
                 }
             };
-            let mut bytes = self
-                .cached(block, ctx.heap_ref())
-                .unwrap_or_else(|| vec![0u8; BLOCK_SIZE]);
-            bytes.resize(BLOCK_SIZE, 0);
             let block_start = idx * BLOCK_SIZE as u64;
             let s = off.max(block_start);
             let e = end.min(block_start + BLOCK_SIZE as u64);
-            let src_s = (s - off) as usize;
-            let src_e = (e - off) as usize;
-            let dst_s = (s - block_start) as usize;
-            let dst_e = (e - block_start) as usize;
-            bytes[dst_s..dst_e].copy_from_slice(&data[src_s..src_e]);
+            let src = &data[(s - off) as usize..(e - off) as usize];
+            // A block the write covers entirely is the payload slice; only a
+            // partial one starts from the cached bytes (or zeros).
+            let bytes = if src.len() == BLOCK_SIZE {
+                src.to_vec()
+            } else {
+                let mut bytes = self
+                    .cached(block, ctx.heap_ref())
+                    .unwrap_or_else(|| vec![0u8; BLOCK_SIZE]);
+                bytes.resize(BLOCK_SIZE, 0);
+                let dst_s = (s - block_start) as usize;
+                bytes[dst_s..dst_s + src.len()].copy_from_slice(src);
+                bytes
+            };
             self.cache_insert(block, bytes, true, ctx);
         }
         if end > size {
@@ -587,7 +603,7 @@ impl VfsServer {
         h.oft.update(ctx.heap(), &slot, |f| f.offset = end);
         ctx.charge(n / 8);
         ctx.reply(rp, OsMsg::UserReply(SysReply::Val(n as i64)));
-        Step::Done
+        None
     }
 
     /// Runs a fresh continuation: completes inline on cache hits, otherwise
@@ -814,13 +830,13 @@ impl VfsServer {
                 .with(ctx.heap_ref(), &id, |p| p.readers == 0 && p.writers == 0)
                 .unwrap_or(false);
             if gone {
-                h.pipes.remove(ctx.heap(), &id);
+                h.pipes.delete(ctx.heap(), &id);
             }
         }
         if of.refs > 1 {
             h.oft.update(ctx.heap(), &slot, |f| f.refs -= 1);
         } else {
-            h.oft.remove(ctx.heap(), &slot);
+            h.oft.delete(ctx.heap(), &slot);
         }
     }
 
@@ -877,7 +893,7 @@ impl VfsServer {
         );
         let Some(rfd) = self.install_fd(pid.0, OpenTarget::PipeR { id }, OpenFlags::RDONLY, ctx)
         else {
-            h.pipes.remove(ctx.heap(), &id);
+            h.pipes.delete(ctx.heap(), &id);
             ctx.reply(rp, OsMsg::UserReply(SysReply::Err(Errno::EMFILE)));
             return;
         };
@@ -891,9 +907,9 @@ impl VfsServer {
         let Some(wfd) = self.install_fd(pid.0, OpenTarget::PipeW { id }, wflags, ctx) else {
             // Roll the read end back by hand.
             if let Some(slot) = h.fds.remove(ctx.heap(), &(pid.0, rfd)) {
-                h.oft.remove(ctx.heap(), &slot);
+                h.oft.delete(ctx.heap(), &slot);
             }
-            h.pipes.remove(ctx.heap(), &id);
+            h.pipes.delete(ctx.heap(), &id);
             ctx.reply(rp, OsMsg::UserReply(SysReply::Err(Errno::EMFILE)));
             return;
         };
@@ -1091,7 +1107,7 @@ impl VfsServer {
                     return;
                 }
                 self.free_file_blocks(ino, ctx);
-                h.inodes.remove(ctx.heap(), &ino);
+                h.inodes.delete(ctx.heap(), &ino);
                 h.inodes.update(ctx.heap(), &parent, |n| {
                     if let InodeKind::Dir { entries } = &mut n.kind {
                         entries.remove(leaf);
@@ -1336,14 +1352,13 @@ impl VfsServer {
                         OpenTarget::PipeR { .. } => {
                             ctx.reply(rp, OsMsg::UserReply(SysReply::Err(Errno::EBADF)))
                         }
-                        OpenTarget::File { .. } => self.run_or_park(
-                            VfsCont::Write {
-                                slot,
-                                rp,
-                                data: bytes.clone(),
-                            },
-                            ctx,
-                        ),
+                        OpenTarget::File { .. } => {
+                            // The payload is copied only if the write parks.
+                            if let Some(block) = self.step_write(slot, rp, bytes, ctx) {
+                                let data = bytes.clone();
+                                self.park(block, VfsCont::Write { slot, rp, data }, ctx);
+                            }
+                        }
                     },
                     None => ctx.reply(rp, OsMsg::UserReply(SysReply::Err(Errno::EBADF))),
                 }

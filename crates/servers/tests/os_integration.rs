@@ -172,6 +172,35 @@ fn large_file_thrashes_cache_and_survives() {
 }
 
 #[test]
+fn partial_writes_to_evicted_blocks_read_back_byte_for_byte() {
+    // A 128 KiB file evicts its first blocks from the 64-block cache. A
+    // write that covers only part of such a block parks on a disk read (the
+    // one write path that copies its payload) and must merge into the
+    // block's old bytes; a block-aligned write replaces whole blocks.
+    let (outcome, os) = run_one(|sys| {
+        let fd = sys.open("/tmp/rmw.bin", OpenFlags::RDWR_CREATE).unwrap();
+        let mut model: Vec<u8> = (0..128 * 1024).map(|i| (i % 251) as u8).collect();
+        for chunk in model.chunks(8192) {
+            assert_eq!(sys.write(fd, chunk).unwrap(), 8192);
+        }
+        // Inside block 0; across the end of block 0 into block 1; the whole
+        // of blocks 4 and 5 beside part of block 6.
+        for (at, len, byte) in [(100, 600, 0xEE), (1000, 100, 0x11), (4096, 2500, 0x5A)] {
+            sys.seek(fd, SeekFrom::Start(at as u64)).unwrap();
+            assert_eq!(sys.write(fd, &vec![byte; len]).unwrap() as usize, len);
+            model[at..at + len].fill(byte);
+        }
+        sys.seek(fd, SeekFrom::Start(0)).unwrap();
+        for (i, want) in model.chunks(8192).enumerate() {
+            assert_eq!(sys.read(fd, 8192).unwrap(), want, "chunk {i}");
+        }
+        sys.close(fd).unwrap();
+        0
+    });
+    expect_clean(&outcome, &os);
+}
+
+#[test]
 fn seek_and_sparse_reads() {
     let (outcome, os) = run_one(|sys| {
         let fd = sys.open("/tmp/s.bin", OpenFlags::RDWR_CREATE).unwrap();
