@@ -83,6 +83,15 @@ if grep -rnE '^\s*[a-z_][a-z_0-9().]*\.remove\(ctx\.heap\(\), [^;]*\);$' crates/
     exit 1
 fi
 
+echo "== handlers own their messages: no handler borrows its message; the disk write queue and the VFS cache fill move their block =="
+disk_write_arm="$(sed -n '/OsMsg::DiskWrite {/,/OsMsg::DiskTick/p' crates/servers/src/disk.rs)"
+vfs_disk_reply="$(sed -n '/fn disk_reply(/,/^    }$/p' crates/servers/src/vfs.rs)"
+test -n "$disk_write_arm" && test -n "$vfs_disk_reply"
+if grep -rnE 'fn handle\([^)]*&(\w+::)*Message<' crates/*/src crates/*/tests src tests examples ||
+    grep -n 'data\.clone()' <<<"$disk_write_arm$vfs_disk_reply"; then
+    exit 1
+fi
+
 echo "== one value per injection stage: one site profiler, a campaign built from its ordered records, coverage keyed by the site =="
 if grep -rnE 'record_at|site_digest128|StepProfiler|StepProfile\b|fn quiet' crates/*/src src examples ||
     grep -n Mutex crates/faults/src/campaign.rs; then
@@ -97,8 +106,8 @@ if grep -nE 'impl\b.*\bFaultHook\b|ProgramRegistry::new\(\)' examples/quickstart
     exit 1
 fi
 
-echo "== DESIGN.md stays within its 46,731-byte cap =="
-test "$(wc -c < DESIGN.md)" -le 46731
+echo "== DESIGN.md stays within its 46,698-byte cap =="
+test "$(wc -c < DESIGN.md)" -le 46698
 
 echo "== repo-root size cap: no tracked file at the root over 64 KiB (dumps belong under target/) =="
 git ls-files -z -- ':(glob)*' | xargs -0 wc -c |

@@ -16,7 +16,7 @@ use osiris_checkpoint::Heap;
 use osiris_core::{MessageKind, RecoveryPolicy, RecoveryWindow};
 
 use crate::clock::cost;
-use crate::message::{Endpoint, Message, MsgId, Protocol, ReturnPath, SpanInfo};
+use crate::message::{Delivery, Endpoint, Message, MsgId, Protocol, ReturnPath, SpanInfo};
 
 /// What kind of instrumentation site a probe marks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -198,7 +198,11 @@ pub trait Server<P: Protocol>: Send {
     /// opened (or the request marked unprotected, for non-checkpointing
     /// policies). Must not block: long interactions save continuations in
     /// the heap and resume on the async reply.
-    fn handle(&mut self, msg: &Message<P>, ctx: &mut Ctx<'_, P>);
+    ///
+    /// A payload the handler keeps moves out with
+    /// [`Delivery::take_payload`], a copy only when the message is
+    /// [`Delivery::Lent`]: a request the watchdog may re-drive.
+    fn handle(&mut self, msg: Delivery<'_, P>, ctx: &mut Ctx<'_, P>);
 
     /// Post-recovery fixup, e.g. the cooperative-thread repair of §IV-E.
     /// Runs after the heap has been rolled back / restored.
@@ -339,67 +343,34 @@ impl<'a, P: Protocol> Ctx<'a, P> {
     ///
     /// Panics if the payload's SEEP metadata is not of request kind.
     pub fn send_request(&mut self, dst: Endpoint, payload: P) -> MsgId {
-        let seep = payload.seep();
         assert_eq!(
-            seep.kind,
+            payload.seep().kind,
             MessageKind::Request,
             "send_request with non-request payload"
         );
         let id = self.alloc_msg_id();
         let span = self.cur_span;
-        self.push_send(Message {
-            id,
-            src: self.self_ep,
-            dst,
-            reply_to: None,
-            user_tag: None,
-            seep,
-            span,
-            integrity: 0,
-            payload,
-        });
+        self.push_send(Message::new(id, self.self_ep, dst, span, payload));
         id
     }
 
     /// Sends a one-way notification.
     pub fn notify(&mut self, dst: Endpoint, payload: P) {
-        let seep = payload.seep();
         let id = self.alloc_msg_id();
         let span = self.cur_span;
-        self.push_send(Message {
-            id,
-            src: self.self_ep,
-            dst,
-            reply_to: None,
-            user_tag: None,
-            seep,
-            span,
-            integrity: 0,
-            payload,
-        });
+        self.push_send(Message::new(id, self.self_ep, dst, span, payload));
     }
 
     /// Replies to the request identified by `rp` (obtained from
     /// [`Message::return_path`], possibly stored in a continuation).
     pub fn reply(&mut self, rp: ReturnPath, payload: P) {
-        let seep = payload.seep();
         let id = self.alloc_msg_id();
         self.replied_any = true;
         self.replied_cur |= rp.msg_id == self.cur_id;
         // The reply rejoins the *requester's* span (restored from the
         // return path, which may have sat in a continuation), not whatever
         // message happens to be driving this handler invocation.
-        self.push_send(Message {
-            id,
-            src: self.self_ep,
-            dst: rp.ep,
-            reply_to: Some(rp.msg_id),
-            user_tag: rp.user_tag,
-            seep,
-            span: rp.span,
-            integrity: 0,
-            payload,
-        });
+        self.push_send(Message::reply(id, self.self_ep, rp, payload));
     }
 
     /// Schedules `payload` to be delivered to this component as a kernel

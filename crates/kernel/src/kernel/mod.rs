@@ -50,7 +50,7 @@ use crate::abi::{Pid, SysReply};
 use crate::clock::{cost, VirtualClock};
 use crate::component::{Ctx, FaultHook, InjectedHang, NoFaults, ReplyTamper, Scratch, Server};
 use crate::engine::ShutdownKind;
-use crate::message::{Endpoint, Message, MsgId, Protocol, SpanInfo, SyscallId};
+use crate::message::{Delivery, Endpoint, Message, MsgId, Protocol, SpanInfo, SyscallId};
 
 /// Whether (and how) checkpointing instrumentation is active.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -628,17 +628,8 @@ impl<P: Protocol> Kernel<P> {
     /// integrity stamp.
     fn kernel_msg(&mut self, dst: u8, span: Option<SpanInfo>, payload: P) -> Message<P> {
         self.next_msg_id += 1;
-        Message {
-            id: MsgId(self.next_msg_id),
-            src: Endpoint::Kernel,
-            dst: Endpoint::Component(dst),
-            reply_to: None,
-            user_tag: None,
-            seep: payload.seep(),
-            span,
-            integrity: 0,
-            payload,
-        }
+        let (id, dst) = (MsgId(self.next_msg_id), Endpoint::Component(dst));
+        Message::new(id, Endpoint::Kernel, dst, span, payload)
     }
 
     /// Enqueues a user syscall as a request message to `dst`.
@@ -687,16 +678,10 @@ impl<P: Protocol> Kernel<P> {
             );
         }
         self.next_msg_id += 1;
+        let (id, src) = (MsgId(self.next_msg_id), Endpoint::Process(pid));
         let msg = Message {
-            id: MsgId(self.next_msg_id),
-            src: Endpoint::Process(pid),
-            dst,
-            reply_to: None,
             user_tag: Some(sid),
-            seep: payload.seep(),
-            span: Some(span),
-            integrity: 0,
-            payload,
+            ..Message::new(id, src, dst, Some(span), payload)
         };
         self.watchdog_arm(c, &msg, 0);
         self.comps[c as usize].inbox.push_back(msg);
@@ -805,13 +790,13 @@ impl<P: Protocol> Kernel<P> {
     }
 
     /// Runs component `idx`'s handler on `msg` — or its `init` when there is
-    /// no message. What it emitted is left in `self.scratch`, which the
-    /// handler only borrows: the buffers are the kernel's again when this
-    /// returns, whether the handler returned or unwound. A handler panic is
-    /// caught here: this is the fault-isolation boundary, everything the
-    /// kernel does outside this call runs below it and must not panic on
-    /// component-supplied input.
-    fn run_handler(&mut self, idx: usize, msg: Option<&Message<P>>) -> HandlerRun {
+    /// no message — whose payload the handler may take unless it is lent.
+    /// What it emitted is left in `self.scratch`, which it only borrows:
+    /// the buffers are the kernel's again when this returns, whether the
+    /// handler returned or unwound. A handler panic is caught here: this is
+    /// the fault-isolation boundary, everything the kernel does outside this
+    /// call runs below it and must not panic on component-supplied input.
+    fn run_handler(&mut self, idx: usize, msg: Option<Delivery<'_, P>>) -> HandlerRun {
         let Kernel {
             cfg,
             comps,
@@ -826,6 +811,7 @@ impl<P: Protocol> Kernel<P> {
             "scratch not drained after the previous delivery"
         );
         let comp = &mut comps[idx];
+        let cur = msg.as_deref();
         let mut ctx = Ctx {
             comp_name: comp.name,
             self_ep: Endpoint::Component(idx as u8),
@@ -839,12 +825,12 @@ impl<P: Protocol> Kernel<P> {
             privileged: comp.privileged,
             next_msg_id,
             stamp_sends: cfg.watchdog.enabled,
-            cur_id: msg.map_or(MsgId(0), |m| m.id),
+            cur_id: cur.map_or(MsgId(0), |m| m.id),
             replied_any: false,
             replied_cur: false,
-            cur_replyable: msg
+            cur_replyable: cur
                 .is_some_and(|m| m.seep.kind == MessageKind::Request && m.seep.reply_possible),
-            cur_span: msg.and_then(|m| m.span),
+            cur_span: cur.and_then(|m| m.span),
             tamper: ReplyTamper::None,
         };
         let server = &mut comp.server;
@@ -865,7 +851,7 @@ impl<P: Protocol> Kernel<P> {
         run
     }
 
-    fn process_message(&mut self, idx: usize, msg: Message<P>) {
+    fn process_message(&mut self, idx: usize, mut msg: Message<P>) {
         let checkpointing = self.cfg.policy.checkpointing();
         let deliver_cost = cost::IPC_DELIVER + cost::HANDLER_BASE;
         self.clock.advance(deliver_cost);
@@ -902,12 +888,20 @@ impl<P: Protocol> Kernel<P> {
         let (coalesced_before, undo_bytes_before) = (h.coalesced_writes, h.undo_bytes_appended);
         let cycles_in_before = comp.window.stats().cycles_in;
 
+        // A request the watchdog may re-drive is only lent to the handler.
+        // Any other is handed over, and what the handler leaves of it (its
+        // header, at least) is the crash path's.
+        let delivery = if self.wd.armed != 0 && self.wd.find(msg_id).is_some() {
+            Delivery::Lent(&msg)
+        } else {
+            Delivery::Handed(&mut msg)
+        };
         let HandlerRun {
             cycles,
             tamper,
             replied,
             result,
-        } = self.run_handler(idx, Some(&msg));
+        } = self.run_handler(idx, Some(delivery));
 
         // An injected fail-silent reply tamper applies to the first
         // outbound reply: `Drop` loses it on the wire, `Corrupt` breaks the

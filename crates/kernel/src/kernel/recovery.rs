@@ -25,7 +25,9 @@ use crate::message::{Endpoint, Message, MsgId, Protocol};
 
 /// Crash-time facts frozen until recovery executes.
 pub(super) struct PendingCrash<P> {
-    /// The request the component was serving.
+    /// The request the component was serving: whole if the watchdog may
+    /// re-drive it, else what its handler left of it (the header, at
+    /// least).
     pub(super) msg: Message<P>,
     /// What the policy decides on. `in_recovery_code`: the fault hit while
     /// a conduct was in flight (only the RS runs then, so the RS failed
@@ -598,18 +600,8 @@ impl<P: Protocol> Kernel<P> {
             }
             Endpoint::Component(c) => {
                 self.next_msg_id += 1;
-                let payload = P::crash_reply();
-                let msg = Message {
-                    id: MsgId(self.next_msg_id),
-                    src: Endpoint::Component(from),
-                    dst: failed.src,
-                    reply_to: Some(failed.id),
-                    user_tag: failed.user_tag,
-                    seep: payload.seep(),
-                    span: failed.span,
-                    integrity: 0,
-                    payload,
-                };
+                let (id, src) = (MsgId(self.next_msg_id), Endpoint::Component(from));
+                let msg = Message::reply(id, src, failed.return_path(), P::crash_reply());
                 self.comps[c as usize].inbox.push_back(msg);
             }
             Endpoint::Kernel => {

@@ -158,7 +158,7 @@ impl<P: Protocol> Kernel<P> {
     }
 }
 
-impl<P: Protocol + Clone> Kernel<P> {
+impl<P: Protocol> Kernel<P> {
     /// Captures the kernel into a [`KernelSnapshot`] whose heap payloads
     /// live in `store`. Passing the previous snapshot of the *same* kernel
     /// as `prev` makes the capture O(dirty): epoch-equal objects reshare

@@ -147,9 +147,10 @@ impl<P: Protocol> Kernel<P> {
         !intact
     }
 
-    /// The handler of `msg` returned: a watched request is kept in its
-    /// slot. Then every rejected reply whose request is held again is
-    /// reconciled, and its sender treated as crashed.
+    /// The handler of `msg` returned: a watched request, which the handler
+    /// was only lent, is kept in its slot whole. Then every rejected reply
+    /// whose request is held again is reconciled, and its sender treated
+    /// as crashed.
     pub(super) fn watchdog_after_ok(&mut self, msg: Message<P>) {
         if self.wd.armed == 0 {
             return;

@@ -37,7 +37,7 @@ pub use kernel::{
     CasFingerprint, CompSnapshot, Instrumentation, Kernel, KernelConfig, KernelSnapshot,
     WatchdogConfig,
 };
-pub use message::{Endpoint, Message, MsgId, Protocol, ReturnPath, SpanInfo, SyscallId};
+pub use message::{Delivery, Endpoint, Message, MsgId, Protocol, ReturnPath, SpanInfo, SyscallId};
 /// System-wide counters, read from the kernel's metric fold.
 pub use osiris_metrics::KernelMetrics;
 

@@ -1,6 +1,7 @@
 //! Messages, endpoints and the protocol trait.
 
 use std::fmt;
+use std::ops::Deref;
 
 use osiris_core::SeepMeta;
 
@@ -63,7 +64,7 @@ pub struct SpanInfo {
 /// This is how channels become *Side Effect Engraved Passages*: the
 /// side-effect metadata is a static property of each payload variant,
 /// mirroring the paper's compile-time call-site annotation.
-pub trait Protocol: fmt::Debug + Send + 'static {
+pub trait Protocol: Clone + fmt::Debug + Send + 'static {
     /// The SEEP metadata engraved on this payload.
     fn seep(&self) -> SeepMeta;
 
@@ -146,6 +147,38 @@ pub struct Message<P> {
     pub payload: P,
 }
 
+/// A message as its handler gets it. The kernel keeps the message either
+/// way, so a handler that unwinds drops nothing.
+#[derive(Debug)]
+pub enum Delivery<'a, P> {
+    /// Handed over: the handler may take the payload.
+    Handed(&'a mut Message<P>),
+    /// A request the watchdog may re-drive: the kernel needs it whole.
+    Lent(&'a Message<P>),
+}
+
+impl<P: Protocol> Delivery<'_, P> {
+    /// The payload: moved out of a handed message, leaving
+    /// [`Protocol::crash_reply`], or copied out of a lent one.
+    pub fn take_payload(self) -> P {
+        match self {
+            Delivery::Handed(m) => std::mem::replace(&mut m.payload, P::crash_reply()),
+            Delivery::Lent(m) => m.payload.clone(),
+        }
+    }
+}
+
+impl<P> Deref for Delivery<'_, P> {
+    type Target = Message<P>;
+
+    fn deref(&self) -> &Message<P> {
+        match self {
+            Delivery::Handed(m) => m,
+            Delivery::Lent(m) => m,
+        }
+    }
+}
+
 /// The *return path* a server must remember to answer a request later
 /// (stored inside continuations in the server's checkpointed heap).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -158,6 +191,39 @@ pub struct ReturnPath {
     pub user_tag: Option<SyscallId>,
     /// The causal span of the request, restored onto the eventual reply.
     pub span: Option<SpanInfo>,
+}
+
+impl<P: Protocol> Message<P> {
+    /// Message `id` from `src` to `dst` on `span`, its SEEP metadata read
+    /// off `payload`: no reply correlation, no syscall tag, no stamp.
+    pub(crate) fn new(
+        id: MsgId,
+        src: Endpoint,
+        dst: Endpoint,
+        span: Option<SpanInfo>,
+        payload: P,
+    ) -> Self {
+        Message {
+            id,
+            src,
+            dst,
+            reply_to: None,
+            user_tag: None,
+            seep: payload.seep(),
+            span,
+            integrity: 0,
+            payload,
+        }
+    }
+
+    /// Message `id` from `src` answering the request `rp` names.
+    pub(crate) fn reply(id: MsgId, src: Endpoint, rp: ReturnPath, payload: P) -> Self {
+        Message {
+            reply_to: Some(rp.msg_id),
+            user_tag: rp.user_tag,
+            ..Message::new(id, src, rp.ep, rp.span, payload)
+        }
+    }
 }
 
 impl<P> Message<P> {
@@ -178,7 +244,7 @@ pub(crate) mod tests {
     use osiris_core::{SeepClass, SeepMeta};
 
     /// The smallest protocol there is, shared by the crate's unit tests.
-    #[derive(Debug)]
+    #[derive(Clone, Debug)]
     pub(crate) struct P;
     impl Protocol for P {
         fn seep(&self) -> SeepMeta {
@@ -201,21 +267,16 @@ pub(crate) mod tests {
 
     #[test]
     fn return_path_captures_requester() {
+        let span = SpanInfo {
+            id: 11,
+            opened_at: 4,
+            epoch_at_open: 0,
+            record: true,
+        };
+        let (src, dst) = (Endpoint::Process(Pid(3)), Endpoint::Component(0));
         let m = Message {
-            id: MsgId(7),
-            src: Endpoint::Process(Pid(3)),
-            dst: Endpoint::Component(0),
-            reply_to: None,
             user_tag: Some(SyscallId(9)),
-            seep: P.seep(),
-            span: Some(SpanInfo {
-                id: 11,
-                opened_at: 4,
-                epoch_at_open: 0,
-                record: true,
-            }),
-            integrity: 0,
-            payload: P,
+            ..Message::new(MsgId(7), src, dst, Some(span), P)
         };
         let rp = m.return_path();
         assert_eq!(rp.ep, Endpoint::Process(Pid(3)));

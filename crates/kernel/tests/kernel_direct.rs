@@ -5,15 +5,16 @@
 //! operations.
 
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use osiris_checkpoint::{Heap, PCell};
 use osiris_core::{PolicyKind, SeepClass, SeepMeta};
 use osiris_kernel::abi::{Pid, SysReply};
 use osiris_kernel::{
-    Ctx, Endpoint, FaultEffect, FaultHook, Instrumentation, Kernel, KernelConfig, Message, Probe,
-    Protocol, Server, ShutdownKind, SyscallId,
+    Ctx, Delivery, Endpoint, FaultEffect, FaultHook, Instrumentation, Kernel, KernelConfig, MsgId,
+    Probe, Protocol, Server, ShutdownKind, SyscallId, WatchdogConfig,
 };
+use osiris_trace::{TraceConfig, TraceEvent};
 
 /// A tiny protocol: an echo service plus a "mutator" that asks a peer to
 /// bump a counter.
@@ -30,6 +31,10 @@ enum Msg {
     PeekPeer,
     /// User request: arm a self-timer.
     ArmTick,
+    /// Request: keep these bytes (the handler moves them out of the
+    /// message it is handed). Kept outside the heap, so it modifies no
+    /// state, and the watchdog may re-drive it after a lost reply.
+    Keep(Vec<u8>),
     /// Server-to-server state-modifying request.
     Bump,
     /// Server-to-server read-only query.
@@ -54,7 +59,7 @@ impl Protocol for Msg {
                 SeepMeta::request(SeepClass::StateModifying)
             }
             Msg::Bump => SeepMeta::request(SeepClass::StateModifying),
-            Msg::Peek => SeepMeta::request(SeepClass::NonStateModifying),
+            Msg::Peek | Msg::Keep(_) => SeepMeta::request(SeepClass::NonStateModifying),
             Msg::RVal(_) | Msg::RCrash | Msg::UserReply(_) => {
                 SeepMeta::reply(SeepClass::StateModifying)
             }
@@ -89,7 +94,7 @@ impl Server<Msg> for MiniRs {
         "mini-rs"
     }
     fn init(&mut self, _ctx: &mut Ctx<'_, Msg>) {}
-    fn handle(&mut self, msg: &Message<Msg>, ctx: &mut Ctx<'_, Msg>) {
+    fn handle(&mut self, msg: Delivery<'_, Msg>, ctx: &mut Ctx<'_, Msg>) {
         match msg.payload {
             Msg::Notify(target) => {
                 self.recoveries.fetch_add(1, Ordering::Relaxed);
@@ -139,7 +144,7 @@ impl Server<Msg> for Worker {
     fn init(&mut self, ctx: &mut Ctx<'_, Msg>) {
         self.counter = Some(ctx.heap().alloc_cell("counter", 0));
     }
-    fn handle(&mut self, msg: &Message<Msg>, ctx: &mut Ctx<'_, Msg>) {
+    fn handle(&mut self, msg: Delivery<'_, Msg>, ctx: &mut Ctx<'_, Msg>) {
         let counter = self.counter.expect("init ran");
         match &msg.payload {
             Msg::Echo(v) => {
@@ -224,7 +229,7 @@ impl Server<Msg> for BenchingRs {
         "benching-rs"
     }
     fn init(&mut self, _ctx: &mut Ctx<'_, Msg>) {}
-    fn handle(&mut self, msg: &Message<Msg>, ctx: &mut Ctx<'_, Msg>) {
+    fn handle(&mut self, msg: Delivery<'_, Msg>, ctx: &mut Ctx<'_, Msg>) {
         if let Msg::Notify(target) = msg.payload {
             ctx.quarantine(target);
         }
@@ -867,4 +872,184 @@ fn a_benched_component_answers_a_request_whose_reply_was_lost() {
             SysReply::Err(osiris_kernel::abi::Errno::ECRASH)
         )]
     );
+}
+
+/// Keeps the bytes of every `Keep` it is handed, by moving them out of the
+/// message, then passes `keeper.kept` and replies.
+#[derive(Clone)]
+struct Keeper {
+    kept: Arc<Mutex<Vec<Vec<u8>>>>,
+}
+
+impl Server<Msg> for Keeper {
+    fn name(&self) -> &'static str {
+        "keeper"
+    }
+    fn init(&mut self, _ctx: &mut Ctx<'_, Msg>) {}
+    fn handle(&mut self, msg: Delivery<'_, Msg>, ctx: &mut Ctx<'_, Msg>) {
+        let rp = msg.return_path();
+        if let Msg::Keep(bytes) = msg.take_payload() {
+            self.kept.lock().expect("kept log").push(bytes);
+            ctx.site("keeper.kept");
+            ctx.reply(rp, Msg::UserReply(SysReply::Ok));
+        }
+    }
+    fn clone_box(&self) -> Box<dyn Server<Msg>> {
+        Box::new(self.clone())
+    }
+}
+
+/// What an [`Asker`] saw: the `Keep` it sent (id, span), or a reply (the
+/// id it answers, its user tag and span, whether it is `RCrash`).
+#[derive(Debug, PartialEq)]
+enum Seen {
+    Asked(MsgId, Option<u64>),
+    Answer(Option<MsgId>, Option<SyscallId>, Option<u64>, bool),
+}
+
+/// Forwards each user `Keep` to the keeper as its own request and logs
+/// what comes back.
+#[derive(Clone)]
+struct Asker {
+    keeper: Endpoint,
+    seen: Arc<Mutex<Vec<Seen>>>,
+}
+
+impl Server<Msg> for Asker {
+    fn name(&self) -> &'static str {
+        "asker"
+    }
+    fn init(&mut self, _ctx: &mut Ctx<'_, Msg>) {}
+    fn handle(&mut self, msg: Delivery<'_, Msg>, ctx: &mut Ctx<'_, Msg>) {
+        let span = msg.span.map(|s| s.id);
+        let seen = match msg.payload {
+            Msg::Keep(_) => {
+                let keep = msg.take_payload();
+                Seen::Asked(ctx.send_request(self.keeper, keep), span)
+            }
+            Msg::RCrash => Seen::Answer(msg.reply_to, msg.user_tag, span, true),
+            _ => Seen::Answer(msg.reply_to, msg.user_tag, span, false),
+        };
+        self.seen.lock().expect("asker log").push(seen);
+    }
+    fn clone_box(&self) -> Box<dyn Server<Msg>> {
+        Box::new(self.clone())
+    }
+}
+
+/// Drops the first reply sent after `site`, once.
+struct DropReplyOnce {
+    site: &'static str,
+    fired: bool,
+}
+
+impl FaultHook for DropReplyOnce {
+    fn on_site(&mut self, probe: &Probe) -> FaultEffect {
+        if probe.site == self.site && !self.fired {
+            self.fired = true;
+            FaultEffect::DropReply
+        } else {
+            FaultEffect::None
+        }
+    }
+}
+
+/// A kernel with an RS, a keeper (endpoint 1) and an asker (endpoint 2),
+/// recording its trace; the keeper's kept bytes and the asker's log.
+#[allow(clippy::type_complexity)]
+fn keeper_kernel(watchdog: bool) -> (Kernel<Msg>, Arc<Mutex<Vec<Vec<u8>>>>, Arc<Mutex<Vec<Seen>>>) {
+    let mut kernel = Kernel::new(KernelConfig {
+        policy: PolicyKind::Enhanced.instantiate(),
+        trace: TraceConfig {
+            enabled: true,
+            ..Default::default()
+        },
+        watchdog: WatchdogConfig { enabled: watchdog },
+        ..Default::default()
+    });
+    let recoveries = Arc::new(AtomicU32::new(0));
+    kernel.register(Box::new(MiniRs { recoveries }), true);
+    let kept = Arc::new(Mutex::new(Vec::new()));
+    let keeper = Keeper {
+        kept: Arc::clone(&kept),
+    };
+    let keeper = kernel.register(Box::new(keeper), false);
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let asker = Asker {
+        keeper,
+        seen: Arc::clone(&seen),
+    };
+    kernel.register(Box::new(asker), false);
+    kernel.init_components();
+    (kernel, kept, seen)
+}
+
+/// A handler the kernel handed its message to keeps the payload and then
+/// crashes: the kernel still holds the request's header, so its requester
+/// gets exactly one `E_CRASH`, correlated by id, user tag and span.
+#[test]
+fn a_handler_that_took_its_payload_and_crashed_is_answered_once() {
+    let (mut kernel, kept, seen) = keeper_kernel(false);
+    kernel.set_fault_hook(Box::new(CrashAt {
+        site: "keeper.kept",
+        always: true,
+        fired: false,
+    }));
+    let (keeper, asker) = (Endpoint::Component(1), Endpoint::Component(2));
+    kernel.send_user_request(keeper, Msg::Keep(vec![7; 64]), SyscallId(1), Pid(3));
+    kernel.pump();
+    let ecrash = SysReply::Err(osiris_kernel::abi::Errno::ECRASH);
+    assert_eq!(
+        kernel.take_user_replies(),
+        vec![(SyscallId(1), Pid(3), ecrash)]
+    );
+    let closed: Vec<(u64, bool)> = (kernel.tracer().snapshot().iter())
+        .filter_map(|r| match r.event {
+            TraceEvent::SpanClose { span, ok, .. } => Some((span, ok)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(closed, [(1, false)], "the request's own span, closed once");
+
+    kernel.send_user_request(asker, Msg::Keep(vec![9; 64]), SyscallId(2), Pid(3));
+    kernel.pump();
+    let seen = seen.lock().expect("asker log");
+    let Some(&Seen::Asked(id, span)) = seen.first() else {
+        panic!("the asker forwards the Keep: {seen:?}");
+    };
+    assert_eq!(span, Some(2));
+    assert_eq!(seen[1..], [Seen::Answer(Some(id), None, Some(2), true)]);
+    assert_eq!(*kept.lock().expect("kept log"), [vec![7; 64], vec![9; 64]]);
+    assert!(kernel.take_user_replies().is_empty());
+    assert!(kernel.shutdown_state().is_none());
+}
+
+/// A request the watchdog watches is only lent to its handler. The handler
+/// copies the payload out of it; when its reply is lost, the watchdog
+/// re-drives the original request, payload intact.
+#[test]
+fn a_watched_request_is_redriven_with_its_payload_after_a_lost_reply() {
+    let (mut kernel, kept, _) = keeper_kernel(true);
+    kernel.set_fault_hook(Box::new(DropReplyOnce {
+        site: "keeper.kept",
+        fired: false,
+    }));
+    let payload: Vec<u8> = (0..=255).collect();
+    let keep = Msg::Keep(payload.clone());
+    kernel.send_user_request(Endpoint::Component(1), keep, SyscallId(1), Pid(3));
+    kernel.pump();
+    assert!(kernel.take_user_replies().is_empty(), "the reply was lost");
+    // Nothing else runs: advance idle time so a service point passes the
+    // deadline, then fire the retry the watchdog parks.
+    let mut replies = Vec::new();
+    for _ in 0..4 {
+        kernel.charge(WatchdogConfig::DEADLINE_STATE_MODIFYING);
+        kernel.pump();
+        while kernel.fire_next_timer() {
+            kernel.pump();
+        }
+        replies.extend(kernel.take_user_replies());
+    }
+    assert_eq!(replies, vec![(SyscallId(1), Pid(3), SysReply::Ok)]);
+    assert_eq!(*kept.lock().expect("kept log"), [payload.clone(), payload]);
 }

@@ -7,7 +7,7 @@
 //! block always commits before a later-submitted read of the same block.
 
 use osiris_checkpoint::{PCell, PMap};
-use osiris_kernel::{cost, Ctx, Message, ReturnPath, Server};
+use osiris_kernel::{cost, Ctx, Delivery, ReturnPath, Server};
 
 use crate::proto::OsMsg;
 
@@ -45,6 +45,30 @@ impl DiskDriver {
     fn h(&self) -> Handles {
         self.h.expect("disk used before init")
     }
+
+    /// The latency of the request queued under `token` has elapsed.
+    fn complete(&self, token: u64, ctx: &mut Ctx<'_, OsMsg>) {
+        let h = self.h();
+        // Stale tokens (rolled-back queue entries) are ignored.
+        let Some(p) = h.pending.remove(ctx.heap(), &token) else {
+            return;
+        };
+        ctx.site("disk.complete");
+        h.ops.update(ctx.heap(), |n| *n += 1);
+        match p.op {
+            DiskOp::Read { block } => {
+                let data = h
+                    .blocks
+                    .cloned(ctx.heap_ref(), &block)
+                    .unwrap_or_else(|| vec![0u8; BLOCK_SIZE]);
+                ctx.reply(p.rp, OsMsg::RData(data));
+            }
+            DiskOp::Write { block, data } => {
+                h.blocks.insert(ctx.heap(), block, data);
+                ctx.reply(p.rp, OsMsg::ROk);
+            }
+        }
+    }
 }
 
 impl Server<OsMsg> for DiskDriver {
@@ -62,64 +86,28 @@ impl Server<OsMsg> for DiskDriver {
         });
     }
 
-    fn handle(&mut self, msg: &Message<OsMsg>, ctx: &mut Ctx<'_, OsMsg>) {
+    fn handle(&mut self, msg: Delivery<'_, OsMsg>, ctx: &mut Ctx<'_, OsMsg>) {
         let h = self.h();
-        match &msg.payload {
+        let rp = msg.return_path();
+        // A write's block moves out of the message into the queue: it is
+        // copied only when the kernel lent the request.
+        let op = match msg.take_payload() {
             OsMsg::DiskRead { block } => {
                 ctx.site("disk.read.queue");
-                let token = h.next_token.get(ctx.heap_ref());
-                h.next_token.set(ctx.heap(), token + 1);
-                h.pending.insert(
-                    ctx.heap(),
-                    token,
-                    Pending {
-                        rp: msg.return_path(),
-                        op: DiskOp::Read { block: *block },
-                    },
-                );
-                ctx.set_timer(cost::DISK_LATENCY, OsMsg::DiskTick { token });
+                DiskOp::Read { block }
             }
             OsMsg::DiskWrite { block, data } => {
                 ctx.site("disk.write.queue");
-                let token = h.next_token.get(ctx.heap_ref());
-                h.next_token.set(ctx.heap(), token + 1);
-                h.pending.insert(
-                    ctx.heap(),
-                    token,
-                    Pending {
-                        rp: msg.return_path(),
-                        op: DiskOp::Write {
-                            block: *block,
-                            data: data.clone(),
-                        },
-                    },
-                );
-                ctx.set_timer(cost::DISK_LATENCY, OsMsg::DiskTick { token });
+                DiskOp::Write { block, data }
             }
-            OsMsg::DiskTick { token } => {
-                // Stale tokens (rolled-back queue entries) are ignored.
-                let Some(p) = h.pending.remove(ctx.heap(), token) else {
-                    return;
-                };
-                ctx.site("disk.complete");
-                h.ops.update(ctx.heap(), |n| *n += 1);
-                match p.op {
-                    DiskOp::Read { block } => {
-                        let data = h
-                            .blocks
-                            .cloned(ctx.heap_ref(), &block)
-                            .unwrap_or_else(|| vec![0u8; BLOCK_SIZE]);
-                        ctx.reply(p.rp, OsMsg::RData(data));
-                    }
-                    DiskOp::Write { block, data } => {
-                        h.blocks.insert(ctx.heap(), block, data);
-                        ctx.reply(p.rp, OsMsg::ROk);
-                    }
-                }
-            }
-            OsMsg::Ping => ctx.reply(msg.return_path(), OsMsg::Pong),
-            _ => {}
-        }
+            OsMsg::DiskTick { token } => return self.complete(token, ctx),
+            OsMsg::Ping => return ctx.reply(rp, OsMsg::Pong),
+            _ => return,
+        };
+        let token = h.next_token.get(ctx.heap_ref());
+        h.next_token.set(ctx.heap(), token + 1);
+        h.pending.insert(ctx.heap(), token, Pending { rp, op });
+        ctx.set_timer(cost::DISK_LATENCY, OsMsg::DiskTick { token });
     }
 
     fn clone_box(&self) -> Box<dyn Server<OsMsg>> {

@@ -10,8 +10,8 @@
 //! immediately while the enhanced policy keeps it open to the end.
 
 use osiris_checkpoint::{PCell, PMap};
-use osiris_kernel::abi::{Errno, Pid, SysReply, Syscall};
-use osiris_kernel::{Ctx, Message, ReturnPath, Server};
+use osiris_kernel::abi::{Errno, SysReply, Syscall};
+use osiris_kernel::{Ctx, Delivery, Server};
 
 use crate::proto::OsMsg;
 use crate::topology::Topology;
@@ -42,10 +42,14 @@ impl DataStore {
         self.h.expect("DS used before init")
     }
 
-    fn user_call(&self, _pid: Pid, call: &Syscall, rp: ReturnPath, ctx: &mut Ctx<'_, OsMsg>) {
+    fn user_call(&self, msg: Delivery<'_, OsMsg>, ctx: &mut Ctx<'_, OsMsg>) {
         let h = self.h();
+        let rp = msg.return_path();
+        let OsMsg::User { call, .. } = &msg.payload else {
+            return;
+        };
         match call {
-            Syscall::DsPut { key, value } => {
+            Syscall::DsPut { key, .. } => {
                 ctx.site("ds.put.entry");
                 // Trace the publication to RS *first*. This notification is
                 // non-state-modifying: under the pessimistic policy it closes
@@ -60,7 +64,16 @@ impl DataStore {
                     return;
                 }
                 ctx.site("ds.put.quota");
-                h.store.insert(ctx.heap(), key.clone(), value.clone());
+                // The key and value move into the store, copied only when
+                // the kernel lent the request.
+                let OsMsg::User {
+                    call: Syscall::DsPut { key, value },
+                    ..
+                } = msg.take_payload()
+                else {
+                    unreachable!("matched a DsPut above")
+                };
+                h.store.insert(ctx.heap(), key, value);
                 h.puts.update(ctx.heap(), |n| *n += 1);
                 ctx.site("ds.put.commit");
                 ctx.reply(rp, OsMsg::UserReply(SysReply::Ok));
@@ -109,9 +122,9 @@ impl Server<OsMsg> for DataStore {
         });
     }
 
-    fn handle(&mut self, msg: &Message<OsMsg>, ctx: &mut Ctx<'_, OsMsg>) {
+    fn handle(&mut self, msg: Delivery<'_, OsMsg>, ctx: &mut Ctx<'_, OsMsg>) {
         match &msg.payload {
-            OsMsg::User { pid, call } => self.user_call(*pid, call, msg.return_path(), ctx),
+            OsMsg::User { .. } => self.user_call(msg, ctx),
             OsMsg::StatusPublish { round } => {
                 // RS persists its heartbeat status here.
                 ctx.site("ds.status.entry");

@@ -13,7 +13,7 @@
 
 use osiris_checkpoint::{Heap, PCell, PMap};
 use osiris_kernel::abi::{Errno, Pid, Signal, SysReply, Syscall};
-use osiris_kernel::{Ctx, Endpoint, Message, MsgId, Protocol, ReturnPath, Server};
+use osiris_kernel::{Ctx, Delivery, Endpoint, MsgId, Protocol, ReturnPath, Server};
 
 use crate::proto::OsMsg;
 use crate::topology::Topology;
@@ -160,7 +160,7 @@ impl Server<OsMsg> for ProcessManager {
         self.h = Some(h);
     }
 
-    fn handle(&mut self, msg: &Message<OsMsg>, ctx: &mut Ctx<'_, OsMsg>) {
+    fn handle(&mut self, msg: Delivery<'_, OsMsg>, ctx: &mut Ctx<'_, OsMsg>) {
         match &msg.payload {
             OsMsg::User { pid, call } => self.user_call(*pid, call, msg.return_path(), ctx),
             OsMsg::Ping => {

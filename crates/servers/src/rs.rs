@@ -24,7 +24,7 @@
 use osiris_axiom::IntentPhaseCode;
 use osiris_checkpoint::{PCell, PMap};
 use osiris_core::{EscalationPolicy, EscalationStep};
-use osiris_kernel::{cost, Ctx, Endpoint, Message, Server};
+use osiris_kernel::{cost, Ctx, Delivery, Endpoint, Server};
 
 use crate::proto::OsMsg;
 use crate::topology::Topology;
@@ -187,7 +187,7 @@ impl Server<OsMsg> for RecoveryServer {
         ctx.set_timer(cost::HEARTBEAT_INTERVAL, OsMsg::HeartbeatTick);
     }
 
-    fn handle(&mut self, msg: &Message<OsMsg>, ctx: &mut Ctx<'_, OsMsg>) {
+    fn handle(&mut self, msg: Delivery<'_, OsMsg>, ctx: &mut Ctx<'_, OsMsg>) {
         let h = self.h();
         match &msg.payload {
             OsMsg::CrashNotify { target } => {

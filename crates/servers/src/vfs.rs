@@ -19,7 +19,7 @@ use std::sync::Arc;
 use osiris_checkpoint::{Heap, PCell, PMap, PVec};
 use osiris_cothread::{CoPool, ThreadId};
 use osiris_kernel::abi::{Errno, Fd, FileStat, OpenFlags, Pid, SeekFrom, SysReply, Syscall};
-use osiris_kernel::{Ctx, Message, Protocol, ReturnPath, Server};
+use osiris_kernel::{Ctx, Delivery, Protocol, ReturnPath, Server};
 
 use crate::disk::BLOCK_SIZE;
 use crate::proto::OsMsg;
@@ -641,7 +641,7 @@ impl VfsServer {
     }
 
     /// A disk reply arrived for the request `request_id`.
-    fn disk_reply(&self, request_id: u64, payload: &OsMsg, ctx: &mut Ctx<'_, OsMsg>) {
+    fn disk_reply(&self, request_id: u64, payload: OsMsg, ctx: &mut Ctx<'_, OsMsg>) {
         let h = self.h();
         let Some((tid, block)) = h.disk_waits.remove(ctx.heap(), &request_id) else {
             // An eviction write-back ack, or a rolled-back transaction.
@@ -651,7 +651,7 @@ impl VfsServer {
         let failure = match payload {
             OsMsg::RData(data) => {
                 if block != 0 {
-                    self.cache_insert(block, data.clone(), false, ctx);
+                    self.cache_insert(block, data, false, ctx);
                 }
                 None
             }
@@ -1303,7 +1303,12 @@ impl VfsServer {
         ctx.site("vfs.cleanup.done");
     }
 
-    fn user_call(&self, pid: Pid, call: &Syscall, rp: ReturnPath, ctx: &mut Ctx<'_, OsMsg>) {
+    fn user_call(&self, msg: Delivery<'_, OsMsg>, ctx: &mut Ctx<'_, OsMsg>) {
+        let rp = msg.return_path();
+        let OsMsg::User { pid, call } = &msg.payload else {
+            return;
+        };
+        let pid = *pid;
         match call {
             Syscall::Open { path, flags } => self.open(pid, path, *flags, rp, ctx),
             Syscall::Close { fd } => self.close(pid, *fd, rp, ctx),
@@ -1353,9 +1358,16 @@ impl VfsServer {
                             ctx.reply(rp, OsMsg::UserReply(SysReply::Err(Errno::EBADF)))
                         }
                         OpenTarget::File { .. } => {
-                            // The payload is copied only if the write parks.
+                            // A write that parks keeps its payload: moved out
+                            // of the request, copied only from a lent one.
                             if let Some(block) = self.step_write(slot, rp, bytes, ctx) {
-                                let data = bytes.clone();
+                                let OsMsg::User {
+                                    call: Syscall::Write { bytes: data, .. },
+                                    ..
+                                } = msg.take_payload()
+                                else {
+                                    unreachable!("matched a Write above")
+                                };
                                 self.park(block, VfsCont::Write { slot, rp, data }, ctx);
                             }
                         }
@@ -1431,9 +1443,10 @@ impl Server<OsMsg> for VfsServer {
         self.h = Some(h);
     }
 
-    fn handle(&mut self, msg: &Message<OsMsg>, ctx: &mut Ctx<'_, OsMsg>) {
+    fn handle(&mut self, msg: Delivery<'_, OsMsg>, ctx: &mut Ctx<'_, OsMsg>) {
+        let label = msg.payload.label();
         match &msg.payload {
-            OsMsg::User { pid, call } => self.user_call(*pid, call, msg.return_path(), ctx),
+            OsMsg::User { .. } => self.user_call(msg, ctx),
             OsMsg::VfsExecLoad { pid: _, prog } => self.exec_load(prog, msg.return_path(), ctx),
             OsMsg::VfsCleanup { pid } | OsMsg::VfsCleanupSelf { pid } => self.cleanup(*pid, ctx),
             OsMsg::VfsForkDup { parent, child } => {
@@ -1441,7 +1454,7 @@ impl Server<OsMsg> for VfsServer {
             }
             OsMsg::RData(_) | OsMsg::ROk | OsMsg::RErr(_) | OsMsg::RCrash => {
                 if let Some(request_id) = msg.reply_to {
-                    self.disk_reply(request_id.0, &msg.payload, ctx);
+                    self.disk_reply(request_id.0, msg.take_payload(), ctx);
                 }
             }
             OsMsg::Ping => {
@@ -1457,7 +1470,6 @@ impl Server<OsMsg> for VfsServer {
         // logging entirely.
         ctx.site("vfs.post.account");
         let h = self.h();
-        let label = msg.payload.label();
         let now = ctx.now();
         h.ops.update(ctx.heap(), |n| *n += 1);
         if h.stats.update(ctx.heap(), &label, |n| *n += 1).is_none() {

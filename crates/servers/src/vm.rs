@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 
 use osiris_checkpoint::{Heap, PCell, PMap, PVec};
 use osiris_kernel::abi::{Errno, Pid, SysReply, Syscall};
-use osiris_kernel::{Ctx, Message, ReturnPath, Server};
+use osiris_kernel::{Ctx, Delivery, ReturnPath, Server};
 
 use crate::proto::OsMsg;
 use crate::topology::Topology;
@@ -266,7 +266,7 @@ impl Server<OsMsg> for VmManager {
         );
     }
 
-    fn handle(&mut self, msg: &Message<OsMsg>, ctx: &mut Ctx<'_, OsMsg>) {
+    fn handle(&mut self, msg: Delivery<'_, OsMsg>, ctx: &mut Ctx<'_, OsMsg>) {
         let h = self.h();
         match &msg.payload {
             OsMsg::User { pid, call } => self.user_call(*pid, call, msg.return_path(), ctx),

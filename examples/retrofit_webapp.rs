@@ -19,7 +19,7 @@ use osiris::checkpoint::{PCell, PMap};
 use osiris::core::{SeepClass, SeepMeta};
 use osiris::kernel::abi::{Pid, SysReply};
 use osiris::kernel::{
-    Ctx, Endpoint, FaultEffect, FaultHook, Kernel, KernelConfig, Message, Probe, Protocol, Server,
+    Ctx, Delivery, Endpoint, FaultEffect, FaultHook, Kernel, KernelConfig, Probe, Protocol, Server,
     SyscallId,
 };
 use osiris::PolicyKind;
@@ -100,7 +100,7 @@ impl Server<AppMsg> for Manager {
         "manager"
     }
     fn init(&mut self, _ctx: &mut Ctx<'_, AppMsg>) {}
-    fn handle(&mut self, msg: &Message<AppMsg>, ctx: &mut Ctx<'_, AppMsg>) {
+    fn handle(&mut self, msg: Delivery<'_, AppMsg>, ctx: &mut Ctx<'_, AppMsg>) {
         if let AppMsg::Notify(target) = msg.payload {
             println!("[manager] recovering tier {target}");
             ctx.recover(target);
@@ -129,7 +129,7 @@ impl Server<AppMsg> for Gateway {
         self.pending = Some(ctx.heap().alloc_map("gw.pending"));
         self.orders_routed = Some(ctx.heap().alloc_cell("gw.routed", 0));
     }
-    fn handle(&mut self, msg: &Message<AppMsg>, ctx: &mut Ctx<'_, AppMsg>) {
+    fn handle(&mut self, msg: Delivery<'_, AppMsg>, ctx: &mut Ctx<'_, AppMsg>) {
         let pending = self.pending.expect("init");
         let routed = self.orders_routed.expect("init");
         match &msg.payload {
@@ -203,7 +203,7 @@ impl Server<AppMsg> for Sessions {
         }
         self.credit = Some(credit);
     }
-    fn handle(&mut self, msg: &Message<AppMsg>, ctx: &mut Ctx<'_, AppMsg>) {
+    fn handle(&mut self, msg: Delivery<'_, AppMsg>, ctx: &mut Ctx<'_, AppMsg>) {
         if let AppMsg::CheckCredit { user } = &msg.payload {
             ctx.site("sess.check");
             let credit = self
@@ -235,7 +235,7 @@ impl Server<AppMsg> for Storage {
         self.orders = Some(ctx.heap().alloc_map("store.orders"));
         self.next = Some(ctx.heap().alloc_cell("store.next", 0));
     }
-    fn handle(&mut self, msg: &Message<AppMsg>, ctx: &mut Ctx<'_, AppMsg>) {
+    fn handle(&mut self, msg: Delivery<'_, AppMsg>, ctx: &mut Ctx<'_, AppMsg>) {
         if let AppMsg::Commit { user, item } = &msg.payload {
             ctx.site("store.commit");
             let next = self.next.expect("init");
