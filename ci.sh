@@ -92,6 +92,12 @@ if grep -rnE 'fn handle\([^)]*&(\w+::)*Message<' crates/*/src crates/*/tests src
     exit 1
 fi
 
+echo "== one audit, typed: the RCB carries no OS facts =="
+if grep -rn 'audit_facts\|heap_of(' crates/*/src src examples ||
+    grep -rnE 'contains\("(torn|orphan)' crates/servers/src; then
+    exit 1
+fi
+
 echo "== one value per injection stage: one site profiler, a campaign built from its ordered records, coverage keyed by the site =="
 if grep -rnE 'record_at|site_digest128|StepProfiler|StepProfile\b|fn quiet' crates/*/src src examples ||
     grep -n Mutex crates/faults/src/campaign.rs; then
@@ -106,8 +112,8 @@ if grep -nE 'impl\b.*\bFaultHook\b|ProgramRegistry::new\(\)' examples/quickstart
     exit 1
 fi
 
-echo "== DESIGN.md stays within its 46,698-byte cap =="
-test "$(wc -c < DESIGN.md)" -le 46698
+echo "== DESIGN.md stays within its 45,458-byte cap =="
+test "$(wc -c < DESIGN.md)" -le 45458
 
 echo "== repo-root size cap: no tracked file at the root over 64 KiB (dumps belong under target/) =="
 git ls-files -z -- ':(glob)*' | xargs -0 wc -c |

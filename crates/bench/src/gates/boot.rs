@@ -7,7 +7,7 @@
 //! per-frame push loop (~65.5k writes) fails the first row. The allocator
 //! calls of one boot repeat exactly and are held to their recorded value.
 
-use osiris_servers::{Os, OsConfig};
+use osiris_servers::{Os, OsConfig, VmManager};
 
 use super::{Checks, Want};
 
@@ -20,9 +20,9 @@ const BOOT_ALLOCS: u64 = 1_073;
 
 pub(super) fn checks(c: &mut Checks) {
     let (os, allocs) = c.counted(|| Os::new(OsConfig::default()));
-    let vm = os
+    let (_, vm) = os
         .kernel()
-        .heap_of("vm")
+        .server::<VmManager>(os.topology().vm)
         .expect("the default topology has VM");
     c.push(
         "boot/vm_heap_write_epoch".into(),

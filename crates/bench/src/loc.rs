@@ -156,17 +156,18 @@ mod tests {
     /// match on no shape, which paid for `PMap::delete` and the one-lookup
     /// `PMap::update`. Handing each handler its message cost fewer kernel
     /// lines than the two message constructors saved over six hand-built
-    /// literals. The fault injector, outside the RCB, has one site
+    /// literals, and the OS audit's facts left the kernel for one typed
+    /// accessor. The fault injector, outside the RCB, has one site
     /// profiler and a campaign that is its ordered records.
     #[test]
     fn rcb_stays_under_its_ceiling() {
         let report = count_workspace_loc();
-        let caps = [("kernel", 2_562), ("checkpoint", 3_098), ("faults", 2_400)];
+        let caps = [("kernel", 2_557), ("checkpoint", 3_098), ("faults", 2_400)];
         for (name, cap) in caps {
             let row = report.crates.iter().find(|c| c.name == name).unwrap();
             assert!(row.loc <= cap, "{name} {}", row.loc);
         }
-        assert!(report.rcb_total() <= 7_064, "rcb {}", report.rcb_total());
+        assert!(report.rcb_total() <= 7_059, "rcb {}", report.rcb_total());
         assert!(report.rcb_pct() < 25.0, "rcb {}%", report.rcb_pct());
     }
 

@@ -9,6 +9,7 @@
 //! Handlers never block — multi-step interactions store continuations in the
 //! component's checkpointed heap and resume when the async reply arrives.
 
+use std::any::Any;
 use std::fmt;
 
 use osiris_axiom::IntentPhaseCode;
@@ -186,7 +187,8 @@ pub enum PrivOp {
 /// `self`. The struct itself must be pure configuration + handles: after a
 /// crash the kernel replaces it with a clone of the pristine post-`init`
 /// value ([`Server::clone_box`]), re-bound to the rolled-back heap.
-pub trait Server<P: Protocol>: Send {
+/// `Any` lets [`crate::Kernel::server`] hand it back typed.
+pub trait Server<P: Protocol>: Any + Send {
     /// Component name (stable; used in tables and fault-site attribution).
     fn name(&self) -> &'static str;
 
@@ -207,13 +209,6 @@ pub trait Server<P: Protocol>: Send {
     /// Post-recovery fixup, e.g. the cooperative-thread repair of §IV-E.
     /// Runs after the heap has been rolled back / restored.
     fn on_restore(&mut self, _heap: &mut Heap) {}
-
-    /// Exports facts for cross-component consistency audits, as
-    /// `(fact-name, value)` pairs (e.g. `("proc", pid)` for every live
-    /// process). The OS assembly cross-checks facts between components.
-    fn audit_facts(&self, _heap: &Heap) -> Vec<(String, u64)> {
-        Vec::new()
-    }
 
     /// Clones the pristine server value (handles + configuration).
     fn clone_box(&self) -> Box<dyn Server<P>>;

@@ -29,6 +29,7 @@ mod watchdog;
 pub use osiris_core::WatchdogConfig;
 pub use snapshot::{CasFingerprint, CompSnapshot, KernelSnapshot};
 
+use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -1062,21 +1063,15 @@ impl<P: Protocol> Kernel<P> {
         }
     }
 
-    /// Read-only view of a component's heap, for audits and tests.
-    pub fn heap_of(&self, name: &str) -> Option<&Heap> {
-        self.comps.iter().find(|c| c.name == name).map(|c| &c.heap)
-    }
-
-    /// Collects audit facts from every component (cross-component
-    /// consistency checks are performed by the OS assembly).
-    pub fn audit_facts(&self) -> Vec<(&'static str, String, u64)> {
-        let mut out = Vec::new();
-        for c in &self.comps {
-            for (k, v) in c.server.audit_facts(&c.heap) {
-                out.push((c.name, k, v));
-            }
-        }
-        out
+    /// The server at `ep` and its heap, read-only, if it is an `S`: the one
+    /// view of component state the kernel gives (the OS audit reads it).
+    pub fn server<S: Server<P>>(&self, ep: Endpoint) -> Option<(&S, &Heap)> {
+        let Endpoint::Component(idx) = ep else {
+            return None;
+        };
+        let c = self.comps.get(usize::from(idx))?;
+        let server: &dyn Any = c.server.as_ref();
+        Some((server.downcast_ref()?, &c.heap))
     }
 
     /// Whether a recovery conduct is in flight, stalling the system: a read

@@ -211,9 +211,6 @@ impl Server<Msg> for Worker {
             _ => {}
         }
     }
-    fn audit_facts(&self, heap: &Heap) -> Vec<(String, u64)> {
-        vec![("counter".to_string(), self.counter.expect("init").get(heap))]
-    }
     fn clone_box(&self) -> Box<dyn Server<Msg>> {
         Box::new(self.clone())
     }
@@ -284,14 +281,17 @@ fn reports(kernel: &Kernel<Msg>) -> Vec<osiris_kernel::ComponentReport> {
     kernel.series().component_reports(&kernel.owners())
 }
 
-fn counter_of(kernel: &Kernel<Msg>, facts_idx: usize) -> u64 {
+/// The counter of the worker at component `c` (1, or 2 for the relay).
+fn counter(kernel: &Kernel<Msg>, c: u8) -> u64 {
+    let (worker, heap) = worker(kernel, c);
+    worker.counter.expect("init ran").get(heap)
+}
+
+/// The worker at component `c` and its heap.
+fn worker(kernel: &Kernel<Msg>, c: u8) -> (&Worker, &Heap) {
     kernel
-        .audit_facts()
-        .into_iter()
-        .filter(|(c, k, _)| *c == "worker" && k == "counter")
-        .map(|(_, _, v)| v)
-        .nth(facts_idx)
-        .expect("worker counter fact")
+        .server::<Worker>(Endpoint::Component(c))
+        .expect("a worker")
 }
 
 #[test]
@@ -326,7 +326,7 @@ fn crash_in_open_window_rolls_back_and_replies_ecrash() {
             SysReply::Err(osiris_kernel::abi::Errno::ECRASH)
         )]
     );
-    assert_eq!(counter_of(&kernel, 0), 0, "increment must be rolled back");
+    assert_eq!(counter(&kernel, 1), 0, "increment must be rolled back");
     assert_eq!(recoveries.load(Ordering::Relaxed), 1, "RS saw the crash");
     assert_eq!(kernel.series().metrics().recovered_rollback, 1);
     assert!(kernel.shutdown_state().is_none());
@@ -376,14 +376,10 @@ fn messages_sent_before_crash_are_delivered() {
     );
     kernel.pump();
     assert!(kernel.shutdown_state().is_none());
-    assert_eq!(
-        counter_of(&kernel, 0),
-        1,
-        "peer processed the in-flight Bump"
-    );
+    assert_eq!(counter(&kernel, 1), 1, "peer processed the in-flight Bump");
     // Naive keeps the relay's half-applied +100 (the crash fired before
     // the deferred bookkeeping write).
-    assert_eq!(counter_of(&kernel, 1), 100);
+    assert_eq!(counter(&kernel, 2), 100);
 }
 
 #[test]
@@ -393,7 +389,7 @@ fn stateless_restart_resets_state() {
     kernel.send_user_request(Endpoint::Component(1), Msg::Bump, SyscallId(1), Pid(1));
     kernel.send_user_request(Endpoint::Component(1), Msg::Bump, SyscallId(2), Pid(1));
     kernel.pump();
-    assert_eq!(counter_of(&kernel, 0), 2);
+    assert_eq!(counter(&kernel, 1), 2);
     // ...then a crash: stateless restart loses both.
     kernel.set_fault_hook(Box::new(CrashAt {
         site: "worker.bump.pre",
@@ -403,7 +399,7 @@ fn stateless_restart_resets_state() {
     kernel.send_user_request(Endpoint::Component(1), Msg::Bump, SyscallId(3), Pid(1));
     kernel.pump();
     assert_eq!(
-        counter_of(&kernel, 0),
+        counter(&kernel, 1),
         0,
         "stateless restart resets the counter"
     );
@@ -452,7 +448,7 @@ fn timers_fire_and_mutate_state() {
         kernel.now() >= before + 50,
         "clock advanced to the deadline"
     );
-    assert_eq!(counter_of(&kernel, 0), 1000, "tick handler ran");
+    assert_eq!(counter(&kernel, 1), 1000, "tick handler ran");
 }
 
 #[test]
@@ -498,7 +494,7 @@ fn non_state_modifying_send_keeps_enhanced_window_open() {
             SysReply::Err(osiris_kernel::abi::Errno::ECRASH)
         )]
     );
-    assert_eq!(counter_of(&kernel, 1), 0, "the +7 was rolled back");
+    assert_eq!(counter(&kernel, 2), 0, "the +7 was rolled back");
     assert!(kernel.shutdown_state().is_none());
 
     let (mut kernel, _) = build(PolicyKind::Pessimistic, Instrumentation::WindowGated);
@@ -566,7 +562,7 @@ fn always_overrides_gating_requests_and_counts_them() {
     let (mut kernel, _) = build(PolicyKind::Enhanced, Instrumentation::Always);
     kernel.send_user_request(Endpoint::Component(1), Msg::Bump, SyscallId(1), Pid(1));
     kernel.pump();
-    let heap = kernel.heap_of("worker").expect("worker heap");
+    let (_, heap) = worker(&kernel, 1);
     assert!(
         heap.stats().gating_overrides > 0,
         "window completion gates off; Always must override and count it"
@@ -576,7 +572,7 @@ fn always_overrides_gating_requests_and_counts_them() {
     let (mut kernel, _) = build(PolicyKind::Enhanced, Instrumentation::WindowGated);
     kernel.send_user_request(Endpoint::Component(1), Msg::Bump, SyscallId(1), Pid(1));
     kernel.pump();
-    let gated = kernel.heap_of("worker").expect("worker heap");
+    let (_, gated) = worker(&kernel, 1);
     assert_eq!(
         gated.stats().gating_overrides,
         0,
@@ -651,7 +647,10 @@ fn endpoint_lookup_and_reports() {
     assert_eq!(kernel.endpoint_of("mini-rs"), Some(Endpoint::Component(0)));
     assert_eq!(kernel.endpoint_of("nope"), None);
     assert_eq!(kernel.component_count(), 3);
-    assert!(kernel.heap_of("worker").is_some());
+    assert!(kernel.server::<Worker>(Endpoint::Component(2)).is_some());
+    assert!(kernel.server::<Worker>(Endpoint::Component(0)).is_none());
+    assert!(kernel.server::<Worker>(Endpoint::Component(3)).is_none());
+    assert!(kernel.server::<Worker>(Endpoint::Kernel).is_none());
     let all = reports(&kernel);
     assert_eq!(all.len(), 3);
     assert!(all.iter().all(|r| r.crashes == 0));
@@ -754,7 +753,7 @@ fn crashed_invocation_leaves_nothing_behind_in_the_lent_scratch() {
             ),
         ]
     );
-    assert_eq!(counter_of(&kernel, 0), 1, "the Bump sent before the crash");
+    assert_eq!(counter(&kernel, 1), 1, "the Bump sent before the crash");
 
     // The restarted relay handles two more requests: each produces its own
     // reply and nothing else. A Bump left in `out` would reach the peer a
@@ -770,13 +769,13 @@ fn crashed_invocation_leaves_nothing_behind_in_the_lent_scratch() {
             (SyscallId(4), Pid(1), SysReply::Ok),
         ]
     );
-    assert_eq!(counter_of(&kernel, 0), 1, "no message was routed twice");
+    assert_eq!(counter(&kernel, 1), 1, "no message was routed twice");
     assert!(kernel.quiescent());
     assert!(kernel.fire_next_timer(), "the one timer ArmTick set");
     kernel.pump();
     assert!(!kernel.has_pending_timers());
     assert_eq!(
-        counter_of(&kernel, 1),
+        counter(&kernel, 2),
         1100,
         "the +100 Naive keeps and exactly one Tick"
     );

@@ -411,68 +411,15 @@ impl Os {
     /// cross-component state inconsistent, while the stateless/naive
     /// baselines readily do.
     pub fn audit(&self) -> Vec<String> {
-        let facts = self.kernel.audit_facts();
-        let set = |comp: &str, key: &str| -> BTreeSet<u64> {
-            facts
-                .iter()
-                .filter(|(c, k, _)| *c == comp && k == key)
-                .map(|(_, _, v)| *v)
-                .collect()
-        };
-        let mut violations = Vec::new();
-
-        let pm_alive = set("pm", "pm.alive");
-        let vm_spaces = set("vm", "vm.space");
-        for pid in pm_alive.difference(&vm_spaces) {
-            violations.push(format!(
-                "pid {} alive in PM but has no VM address space",
-                pid
-            ));
-        }
-        let pm_all = set("pm", "pm.proc");
-        for pid in vm_spaces.difference(&pm_all) {
-            violations.push(format!("VM address space for pid {} unknown to PM", pid));
-        }
-
-        let fd_pids = set("vfs", "vfs.fd_pid");
-        for pid in fd_pids.difference(&pm_alive) {
-            violations.push(format!("VFS descriptors held by non-live pid {}", pid));
-        }
-
-        let one = |comp: &str, key: &str| -> Option<u64> {
-            facts
-                .iter()
-                .find(|(c, k, _)| *c == comp && k == key)
-                .map(|(_, _, v)| *v)
-        };
-        for (comp, key, val) in &facts {
-            if key.contains("torn") || key.contains("orphan") {
-                violations.push(format!("{}: {} (value {})", comp, key, val));
-            }
-        }
-
-        if let (Some(owned), Some(free), Some(total)) = (
-            one("vm", "vm.frames_owned"),
-            one("vm", "vm.frames_free"),
-            one("vm", "vm.frames_total"),
-        ) {
-            if owned + free != total {
-                violations.push(format!(
-                    "VM frame accounting broken: {} owned + {} free != {} total",
-                    owned, free, total
-                ));
-            }
-        }
-        if let (Some(list), Some(free)) =
-            (one("vm", "vm.free_list_len"), one("vm", "vm.frames_free"))
-        {
-            if list != free {
-                violations.push(format!(
-                    "VM free list ({}) disagrees with free counter ({})",
-                    list, free
-                ));
-            }
-        }
+        let k = &self.kernel;
+        let mut facts = Facts::default();
+        let (pm, heap) = k.server::<ProcessManager>(self.topo.pm).expect("PM");
+        pm.facts(heap, &mut facts);
+        let (vm, heap) = k.server::<VmManager>(self.topo.vm).expect("VM");
+        vm.facts(heap, &mut facts);
+        let (vfs, heap) = k.server::<VfsServer>(self.topo.vfs).expect("VFS");
+        vfs.facts(heap, &mut facts);
+        let violations = facts.violations();
         if !violations.is_empty() {
             // A consistency violation is exactly what the black box exists
             // for: dump the recent event history alongside the findings.
@@ -693,5 +640,170 @@ impl OsEngine for Os {
 
     fn charge_user(&mut self, units: u64) {
         self.kernel.charge(units * cost::USER_COMPUTE);
+    }
+}
+
+/// A break one component's state shows by itself, with the key it is at.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Torn {
+    /// A PM waiter for a pid PM does not know.
+    PmWaiter(u32),
+    /// A PM sleeper for a pid PM does not know.
+    PmSleeper(u32),
+    /// A VM address space whose frames and resident pages disagree.
+    VmSpace(u32),
+    /// A VFS open-file slot whose count the descriptor table contradicts.
+    VfsRefs(u32),
+    /// A VFS pipe whose endpoint counts the open-file table contradicts.
+    VfsPipe(u32),
+    /// A VFS data block of an inode that does not exist.
+    VfsOrphanBlocks(u64),
+}
+
+/// What [`Os::audit`] reads of PM, VM and VFS: each server adds its own
+/// facts, and [`Facts::violations`] holds them against each other.
+#[derive(Debug, Default)]
+pub(crate) struct Facts {
+    // Pids: alive in PM, known to PM (zombies too), with a VM space, with a VFS fd.
+    pub(crate) pm_alive: BTreeSet<u32>,
+    pub(crate) pm_procs: BTreeSet<u32>,
+    pub(crate) vm_spaces: BTreeSet<u32>,
+    pub(crate) vfs_fd_pids: BTreeSet<u32>,
+    // VM frames: owned by address spaces, free counter, free-list length, pool size.
+    pub(crate) frames_owned: u64,
+    pub(crate) frames_free: u64,
+    pub(crate) free_list_len: u64,
+    pub(crate) frames_total: u64,
+    /// Every local break, in component order.
+    pub(crate) torn: Vec<Torn>,
+}
+
+impl Facts {
+    /// Every rule the facts break, one human-readable line each; empty
+    /// means the state is globally consistent.
+    pub(crate) fn violations(&self) -> Vec<String> {
+        let mut v = Vec::new();
+        for pid in self.pm_alive.difference(&self.vm_spaces) {
+            v.push(format!("pid {pid} alive in PM but has no VM address space"));
+        }
+        for pid in self.vm_spaces.difference(&self.pm_procs) {
+            v.push(format!("VM address space for pid {pid} unknown to PM"));
+        }
+        for pid in self.vfs_fd_pids.difference(&self.pm_alive) {
+            v.push(format!("VFS descriptors held by non-live pid {pid}"));
+        }
+        for torn in &self.torn {
+            let (fact, value) = match *torn {
+                Torn::PmWaiter(pid) => ("pm: pm.torn_waiter", u64::from(pid)),
+                Torn::PmSleeper(pid) => ("pm: pm.torn_sleeper", u64::from(pid)),
+                Torn::VmSpace(pid) => ("vm: vm.torn", u64::from(pid)),
+                Torn::VfsRefs(slot) => ("vfs: vfs.torn_refs", u64::from(slot)),
+                Torn::VfsPipe(id) => ("vfs: vfs.torn_pipe", u64::from(id)),
+                Torn::VfsOrphanBlocks(ino) => ("vfs: vfs.orphan_blocks", ino),
+            };
+            v.push(format!("{fact} (value {value})"));
+        }
+        let (owned, free, total) = (self.frames_owned, self.frames_free, self.frames_total);
+        if owned + free != total {
+            v.push(format!(
+                "VM frame accounting broken: {owned} owned + {free} free != {total} total"
+            ));
+        }
+        if self.free_list_len != free {
+            v.push(format!(
+                "VM free list ({}) disagrees with free counter ({free})",
+                self.free_list_len
+            ));
+        }
+        v
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Pid 1 alive everywhere, one orphan-free file system, 8 frames of
+    /// which 3 are owned.
+    fn clean() -> Facts {
+        Facts {
+            pm_alive: BTreeSet::from([1]),
+            pm_procs: BTreeSet::from([1, 2]),
+            vm_spaces: BTreeSet::from([1]),
+            vfs_fd_pids: BTreeSet::from([1]),
+            frames_owned: 3,
+            frames_free: 5,
+            free_list_len: 5,
+            frames_total: 8,
+            torn: Vec::new(),
+        }
+    }
+
+    /// The one violation `plant` yields on a clean state.
+    fn one(plant: impl FnOnce(&mut Facts)) -> String {
+        let mut facts = clean();
+        plant(&mut facts);
+        let mut v = facts.violations();
+        assert_eq!(v.len(), 1, "{v:?}");
+        v.remove(0)
+    }
+
+    #[test]
+    fn clean_facts_break_no_rule() {
+        assert!(clean().violations().is_empty());
+        assert!(Facts::default().violations().is_empty());
+    }
+
+    #[test]
+    fn a_live_pid_without_an_address_space_is_one_violation() {
+        let v = one(|f| {
+            f.pm_alive.insert(2);
+        });
+        assert_eq!(v, "pid 2 alive in PM but has no VM address space");
+    }
+
+    #[test]
+    fn an_address_space_unknown_to_pm_is_one_violation() {
+        let v = one(|f| {
+            f.vm_spaces.insert(3);
+        });
+        assert_eq!(v, "VM address space for pid 3 unknown to PM");
+    }
+
+    #[test]
+    fn descriptors_of_a_non_live_pid_are_one_violation() {
+        let v = one(|f| {
+            f.vfs_fd_pids.insert(2);
+        });
+        assert_eq!(v, "VFS descriptors held by non-live pid 2");
+    }
+
+    #[test]
+    fn each_local_break_is_one_violation() {
+        let cases = [
+            (Torn::PmWaiter(4), "pm: pm.torn_waiter (value 4)"),
+            (Torn::PmSleeper(5), "pm: pm.torn_sleeper (value 5)"),
+            (Torn::VmSpace(6), "vm: vm.torn (value 6)"),
+            (Torn::VfsRefs(7), "vfs: vfs.torn_refs (value 7)"),
+            (Torn::VfsPipe(8), "vfs: vfs.torn_pipe (value 8)"),
+            (Torn::VfsOrphanBlocks(9), "vfs: vfs.orphan_blocks (value 9)"),
+        ];
+        for (torn, want) in cases {
+            assert_eq!(one(|f| f.torn.push(torn)), want);
+        }
+    }
+
+    #[test]
+    fn lost_frames_are_one_violation() {
+        // One more frame owned and one fewer free keeps the free list and
+        // its counter in step: only the pool total is broken.
+        let v = one(|f| f.frames_owned += 1);
+        assert_eq!(v, "VM frame accounting broken: 4 owned + 5 free != 8 total");
+    }
+
+    #[test]
+    fn a_free_list_out_of_step_is_one_violation() {
+        let v = one(|f| f.free_list_len -= 1);
+        assert_eq!(v, "VM free list (4) disagrees with free counter (5)");
     }
 }

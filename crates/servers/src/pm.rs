@@ -15,6 +15,7 @@ use osiris_checkpoint::{Heap, PCell, PMap};
 use osiris_kernel::abi::{Errno, Pid, Signal, SysReply, Syscall};
 use osiris_kernel::{Ctx, Delivery, Endpoint, MsgId, Protocol, ReturnPath, Server};
 
+use crate::os::{Facts, Torn};
 use crate::proto::OsMsg;
 use crate::topology::Topology;
 
@@ -195,34 +196,33 @@ impl Server<OsMsg> for ProcessManager {
         ctx.charge(25);
     }
 
-    fn audit_facts(&self, heap: &Heap) -> Vec<(String, u64)> {
-        let h = self.h();
-        let mut facts = Vec::new();
-        h.procs.for_each(heap, |pid, p| {
-            if p.state == ProcState::Alive {
-                facts.push(("pm.alive".to_string(), u64::from(*pid)));
-            }
-            facts.push(("pm.proc".to_string(), u64::from(*pid)));
-        });
-        h.waiters.for_each(heap, |pid, _| {
-            if !h.procs.contains_key(heap, pid) {
-                facts.push(("pm.torn_waiter".to_string(), u64::from(*pid)));
-            }
-        });
-        h.sleeps.for_each(heap, |_, s| {
-            if !h.procs.contains_key(heap, &s.pid) {
-                facts.push(("pm.torn_sleeper".to_string(), u64::from(s.pid)));
-            }
-        });
-        facts
-    }
-
     fn clone_box(&self) -> Box<dyn Server<OsMsg>> {
         Box::new(self.clone())
     }
 }
 
 impl ProcessManager {
+    /// Adds PM's pids, and each waiter or sleeper of a pid it lacks, to the audit's facts.
+    pub(crate) fn facts(&self, heap: &Heap, facts: &mut Facts) {
+        let h = self.h();
+        h.procs.for_each(heap, |pid, p| {
+            if p.state == ProcState::Alive {
+                facts.pm_alive.insert(*pid);
+            }
+            facts.pm_procs.insert(*pid);
+        });
+        h.waiters.for_each(heap, |pid, _| {
+            if !h.procs.contains_key(heap, pid) {
+                facts.torn.push(Torn::PmWaiter(*pid));
+            }
+        });
+        h.sleeps.for_each(heap, |_, s| {
+            if !h.procs.contains_key(heap, &s.pid) {
+                facts.torn.push(Torn::PmSleeper(s.pid));
+            }
+        });
+    }
+
     fn user_call(&self, pid: Pid, call: &Syscall, rp: ReturnPath, ctx: &mut Ctx<'_, OsMsg>) {
         match call {
             Syscall::Spawn { prog, args: _ } => self.spawn(pid, prog, rp, ctx),

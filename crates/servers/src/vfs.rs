@@ -22,6 +22,7 @@ use osiris_kernel::abi::{Errno, Fd, FileStat, OpenFlags, Pid, SeekFrom, SysReply
 use osiris_kernel::{Ctx, Delivery, Protocol, ReturnPath, Server};
 
 use crate::disk::BLOCK_SIZE;
+use crate::os::{Facts, Torn};
 use crate::proto::OsMsg;
 use crate::topology::Topology;
 
@@ -226,6 +227,40 @@ impl VfsServer {
 
     fn h(&self) -> Handles {
         self.h.expect("VFS used before init")
+    }
+
+    /// Adds descriptor-holding pids and each slot, pipe or block its tables contradict.
+    pub(crate) fn facts(&self, heap: &Heap, facts: &mut Facts) {
+        let h = self.h();
+        let mut slot_refs: std::collections::BTreeMap<u32, u32> = Default::default();
+        h.fds.for_each(heap, |(pid, _), slot| {
+            facts.vfs_fd_pids.insert(*pid);
+            *slot_refs.entry(*slot).or_insert(0) += 1;
+        });
+        // Slot reference counts must match the descriptor table exactly.
+        let mut pipe_ends: std::collections::BTreeMap<u32, (u32, u32)> = Default::default();
+        h.oft.for_each(heap, |slot, of| {
+            if slot_refs.get(slot).copied().unwrap_or(0) != of.refs {
+                facts.torn.push(Torn::VfsRefs(*slot));
+            }
+            match of.target {
+                OpenTarget::PipeR { id } => pipe_ends.entry(id).or_default().0 += of.refs,
+                OpenTarget::PipeW { id } => pipe_ends.entry(id).or_default().1 += of.refs,
+                OpenTarget::File { .. } => {}
+            }
+        });
+        // Pipe reader and writer counts must match the open-file table.
+        h.pipes.for_each(heap, |id, p| {
+            if pipe_ends.get(id).copied().unwrap_or_default() != (p.readers, p.writers) {
+                facts.torn.push(Torn::VfsPipe(*id));
+            }
+        });
+        // Every data block must belong to an existing file inode.
+        h.file_blocks.for_each(heap, |(ino, _), _| {
+            if !h.inodes.contains_key(heap, ino) {
+                facts.torn.push(Torn::VfsOrphanBlocks(*ino));
+            }
+        });
     }
 
     // ------------------------------------------------------------------
@@ -1485,48 +1520,6 @@ impl Server<OsMsg> for VfsServer {
         // Paper §IV-E: after a rollback or restart the thread library may
         // still believe the crashed thread is running; repair it.
         self.h().pool.fix_after_restore(heap);
-    }
-
-    fn audit_facts(&self, heap: &Heap) -> Vec<(String, u64)> {
-        let h = self.h();
-        let mut facts = Vec::new();
-        let mut slot_refs: std::collections::BTreeMap<u32, u32> = Default::default();
-        h.fds.for_each(heap, |(pid, _), slot| {
-            facts.push(("vfs.fd_pid".to_string(), u64::from(*pid)));
-            *slot_refs.entry(*slot).or_insert(0) += 1;
-        });
-        // Slot reference counts must match the descriptor table exactly.
-        let mut pipe_readers: std::collections::BTreeMap<u32, u32> = Default::default();
-        let mut pipe_writers: std::collections::BTreeMap<u32, u32> = Default::default();
-        h.oft.for_each(heap, |slot, of| {
-            if slot_refs.get(slot).copied().unwrap_or(0) != of.refs {
-                facts.push(("vfs.torn_refs".to_string(), u64::from(*slot)));
-            }
-            match of.target {
-                OpenTarget::PipeR { id } => {
-                    *pipe_readers.entry(id).or_insert(0) += of.refs;
-                }
-                OpenTarget::PipeW { id } => {
-                    *pipe_writers.entry(id).or_insert(0) += of.refs;
-                }
-                OpenTarget::File { .. } => {}
-            }
-        });
-        // Pipe endpoint counts must match the open-file table.
-        h.pipes.for_each(heap, |id, p| {
-            if pipe_readers.get(id).copied().unwrap_or(0) != p.readers
-                || pipe_writers.get(id).copied().unwrap_or(0) != p.writers
-            {
-                facts.push(("vfs.torn_pipe".to_string(), u64::from(*id)));
-            }
-        });
-        // Every data block must belong to an existing file inode.
-        h.file_blocks.for_each(heap, |(ino, _), _| {
-            if !h.inodes.contains_key(heap, ino) {
-                facts.push(("vfs.orphan_blocks".to_string(), *ino));
-            }
-        });
-        facts
     }
 
     fn clone_box(&self) -> Box<dyn Server<OsMsg>> {

@@ -12,6 +12,7 @@ use osiris_checkpoint::{Heap, PCell, PMap, PVec};
 use osiris_kernel::abi::{Errno, Pid, SysReply, Syscall};
 use osiris_kernel::{Ctx, Delivery, ReturnPath, Server};
 
+use crate::os::{Facts, Torn};
 use crate::proto::OsMsg;
 use crate::topology::Topology;
 
@@ -67,6 +68,26 @@ impl VmManager {
 
     fn h(&self) -> Handles {
         self.h.expect("VM used before init")
+    }
+
+    /// Adds VM's address spaces, each torn one and its frame counts to the audit's facts.
+    pub(crate) fn facts(&self, heap: &Heap, facts: &mut Facts) {
+        let h = self.h();
+        let mut owned = 0u64;
+        h.spaces.for_each(heap, |pid, s| {
+            facts.vm_spaces.insert(*pid);
+            owned += s.frames.len() as u64;
+            if s.frames.len() as u64 != s.resident() {
+                // Torn allocation: pages accounted but frames not (or vice
+                // versa) — the signature of a half-applied update surviving
+                // naive recovery.
+                facts.torn.push(Torn::VmSpace(*pid));
+            }
+        });
+        facts.frames_owned = owned;
+        facts.frames_free = h.free_frames.get(heap);
+        facts.free_list_len = h.free_list.len(heap) as u64;
+        facts.frames_total = self.total_frames;
     }
 
     /// Allocates `n` frames for `pid`, marking each in the frame table.
@@ -348,27 +369,6 @@ impl Server<OsMsg> for VmManager {
             self.account(ctx);
         }
         let _ = &self.topo;
-    }
-
-    fn audit_facts(&self, heap: &Heap) -> Vec<(String, u64)> {
-        let mut facts = Vec::new();
-        let h = self.h();
-        let mut owned = 0u64;
-        h.spaces.for_each(heap, |pid, s| {
-            facts.push(("vm.space".to_string(), u64::from(*pid)));
-            owned += s.frames.len() as u64;
-            if s.frames.len() as u64 != s.resident() {
-                // Torn allocation: pages accounted but frames not (or vice
-                // versa) — the signature of a half-applied update surviving
-                // naive recovery.
-                facts.push(("vm.torn".to_string(), u64::from(*pid)));
-            }
-        });
-        facts.push(("vm.frames_owned".to_string(), owned));
-        facts.push(("vm.frames_free".to_string(), h.free_frames.get(heap)));
-        facts.push(("vm.free_list_len".to_string(), h.free_list.len(heap) as u64));
-        facts.push(("vm.frames_total".to_string(), self.total_frames));
-        facts
     }
 
     fn clone_box(&self) -> Box<dyn Server<OsMsg>> {

@@ -247,12 +247,6 @@ impl Server<AppMsg> for Storage {
             ctx.reply(msg.return_path(), AppMsg::ROk);
         }
     }
-    fn audit_facts(&self, heap: &osiris::Heap) -> Vec<(String, u64)> {
-        vec![(
-            "orders".to_string(),
-            self.orders.expect("init").len(heap) as u64,
-        )]
-    }
     fn clone_box(&self) -> Box<dyn Server<AppMsg>> {
         Box::new(self.clone())
     }
@@ -334,12 +328,10 @@ fn main() {
         }
     }
 
-    let orders = kernel
-        .audit_facts()
-        .into_iter()
-        .find(|(c, k, _)| *c == "storage" && k == "orders")
-        .map(|(_, _, v)| v)
-        .expect("storage exports its ledger size");
+    let (ledger, heap) = kernel
+        .server::<Storage>(storage)
+        .expect("storage is a Storage");
+    let orders = ledger.orders.expect("init").len(heap);
 
     println!("orders placed:        {placed}");
     println!("client retries:       {retries} (each = a recovered tier-2 crash)");
