@@ -157,17 +157,21 @@ mod tests {
     /// `PMap::update`. Handing each handler its message cost fewer kernel
     /// lines than the two message constructors saved over six hand-built
     /// literals, and the OS audit's facts left the kernel for one typed
-    /// accessor. The fault injector, outside the RCB, has one site
-    /// profiler and a campaign that is its ordered records.
+    /// accessor. The two `Host` traits in `osiris-core` and the kernel's
+    /// impls of them are the lines the RCB gained when the watchdog's entry
+    /// points and the conduct's execution left the kernel for them: the
+    /// closure searches now run that code instead of a copy of it. The
+    /// fault injector, outside the RCB, has one site profiler and a
+    /// campaign that is its ordered records.
     #[test]
     fn rcb_stays_under_its_ceiling() {
         let report = count_workspace_loc();
-        let caps = [("kernel", 2_557), ("checkpoint", 3_098), ("faults", 2_400)];
+        let caps = [("kernel", 2_474), ("checkpoint", 3_098), ("faults", 2_400)];
         for (name, cap) in caps {
             let row = report.crates.iter().find(|c| c.name == name).unwrap();
             assert!(row.loc <= cap, "{name} {}", row.loc);
         }
-        assert!(report.rcb_total() <= 7_059, "rcb {}", report.rcb_total());
+        assert!(report.rcb_total() <= 7_112, "rcb {}", report.rcb_total());
         assert!(report.rcb_pct() < 25.0, "rcb {}%", report.rcb_pct());
     }
 

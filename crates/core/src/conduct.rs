@@ -6,11 +6,12 @@
 //! mid-conduct; then the kernel recovers it and re-drives the intents.
 //! [`conduct`] makes every decision of that protocol from the control
 //! state alone (the fold of the axiom, whose `recovering` is the conduct in
-//! flight) and the RS's endpoint. It touches no heap and no kernel; the
-//! kernel only executes the [`Effect`]. Being a pure function of a small
-//! state, its whole state space is searched in `tests/conduct_search.rs`.
+//! flight) and the RS's endpoint. It touches no heap and no kernel. Its
+//! execution, the provided methods of [`Host`], is written once here too:
+//! the kernel supplies the effects only it can perform, and
+//! `tests/conduct_search.rs` runs the same code over the whole state space.
 
-use osiris_trace::{CompStatusCode, ControlState};
+use osiris_trace::{AxiomEvent, CompStatusCode, ControlState, IntentPhaseCode};
 
 use crate::recovery::ActionCode;
 
@@ -119,5 +120,124 @@ pub fn conduct(state: &ControlState, rs: Option<u8>, input: Input) -> Effect {
             | ActionCode::UncontrolledCrash => ActionCode::FreshRestart,
             _ => ActionCode::ControlledShutdown,
         }),
+    }
+}
+
+/// The executor of the conduct's decisions: the kernel, or a model of it.
+/// The required methods are what only the executor can do; the provided
+/// ones execute each [`Effect`], written once.
+pub trait Host {
+    /// The control state: the fold of every sealed event.
+    fn control(&self) -> &ControlState;
+
+    /// The Recovery Server's endpoint, if there is one.
+    fn rs(&self) -> Option<u8>;
+
+    /// Seals `event` into the axiom, and so into the control state.
+    fn seal(&mut self, event: AxiomEvent);
+
+    /// Stamps the flight recorder with the current virtual time.
+    fn stamp(&mut self);
+
+    /// Queues the crash notification for `comp` to the RS.
+    fn notify_rs(&mut self, comp: u8);
+
+    /// Whether a crash notification for `comp` is queued to the RS at `rs`.
+    fn rs_queued(&self, rs: u8, comp: u8) -> bool;
+
+    /// Executes the recovery phases for `comp` in the kernel.
+    fn recover(&mut self, comp: u8);
+
+    /// Notes that an interrupted intent was re-driven through the restarted
+    /// RS (`redriven`) or completed in the kernel.
+    fn replayed(&mut self, redriven: bool);
+
+    /// The conduct's decision on `input` in the current control state.
+    fn decide(&self, input: Input) -> Effect {
+        conduct(self.control(), self.rs(), input)
+    }
+
+    /// Starts the recovery of `comp`, which the watchdog declared dead (its
+    /// pending crash is already in place).
+    fn declare_dead(&mut self, comp: u8) {
+        self.seal(AxiomEvent::Crash { comp });
+        self.execute(self.decide(Input::Crash(comp)));
+    }
+
+    /// Executes one decision of the conduct (paper §V: "all core system
+    /// components, including RS itself, can be recovered").
+    fn execute(&mut self, effect: Effect) {
+        match effect {
+            Effect::Notify(comp) => {
+                let phase = IntentPhaseCode::Notified;
+                self.seal(AxiomEvent::IntentRecorded { comp, phase });
+                self.notify_rs(comp);
+            }
+            Effect::RestartHungRs(comp) => {
+                self.restart_rs();
+                self.execute(self.decide(Input::Crash(comp)));
+            }
+            Effect::Recover(comp) => self.recover(comp),
+            Effect::RestartRs => {
+                // Lifts the paper's single-fault limitation for faults in
+                // the recovery path: the interrupted conduct is re-driven
+                // from the intents the axiom still holds active.
+                let Some(rs) = self.restart_rs() else { return };
+                let intents: Vec<u8> = self.control().active_intents().collect();
+                for comp in intents {
+                    let queued = self.rs_queued(rs, comp);
+                    self.execute(self.decide(Input::Replay { comp, queued }));
+                }
+            }
+            Effect::Resolve(comp) => self.resolve_intent(comp),
+            Effect::Redrive(comp) | Effect::Complete(comp) => {
+                self.stamp();
+                self.seal(AxiomEvent::IntentReplayed { comp });
+                let redriven = effect == Effect::Redrive(comp);
+                self.replayed(redriven);
+                if redriven {
+                    self.notify_rs(comp);
+                } else {
+                    self.recover(comp);
+                }
+            }
+            Effect::Wait | Effect::Fallback(_) => {}
+        }
+    }
+
+    /// Crashes the RS if it hung, then recovers it in the kernel. Returns
+    /// its endpoint.
+    fn restart_rs(&mut self) -> Option<u8> {
+        let rs = self.rs()?;
+        if self.control().status(rs) == CompStatusCode::Hung {
+            self.stamp();
+            self.seal(AxiomEvent::Crash { comp: rs });
+        }
+        self.recover(rs);
+        Some(rs)
+    }
+
+    /// Seals the resolution of `comp`'s intent, if it has an active one.
+    fn resolve_intent(&mut self, comp: u8) {
+        if self.control().intent(comp).active {
+            self.seal(AxiomEvent::IntentResolved { comp });
+        }
+    }
+
+    /// Steps `from` one rung down the fallback chain (`reconcile`: the
+    /// reconciliation after it faulted), sealing the step, and returns the
+    /// next action.
+    fn fall_back(&mut self, comp: u8, from: ActionCode, reconcile: bool) -> ActionCode {
+        let input = if reconcile {
+            Input::ReconcileFailed
+        } else {
+            Input::Failed(from)
+        };
+        let Effect::Fallback(to) = self.decide(input) else {
+            return from;
+        };
+        self.stamp();
+        self.seal(AxiomEvent::RecoveryFallback { comp, from, to });
+        to
     }
 }

@@ -68,7 +68,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod conduct;
+pub mod conduct;
 mod escalation;
 mod policy;
 mod recovery;

@@ -17,7 +17,7 @@ pub use osiris_trace::ActionCode;
 use crate::policy::RecoveryPolicy;
 
 /// Everything the reconciliation decision depends on at crash time.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct CrashContext {
     /// Was the crashed component's recovery window open?
     pub window_open: bool,

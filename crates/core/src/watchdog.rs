@@ -9,8 +9,9 @@
 //! every one of these decisions from the `Copy` slot [`Table`], the control
 //! state, the virtual clock and the recovery epoch. The kernel keeps the
 //! table, each slot's captured request and the parked retries, and only
-//! executes the [`Effect`]. Being a pure function of a small state, it is
-//! searched to closure in `tests/watchdog_search.rs`.
+//! executes the [`Effect`]. Its entry points are the provided methods of
+//! [`Host`], written once here: `tests/watchdog_search.rs` runs them, and
+//! the step below them, to closure.
 
 use osiris_trace::{fnv1a, CompStatusCode, ControlState, VerdictCode};
 
@@ -54,6 +55,14 @@ impl WatchdogConfig {
     pub fn on() -> Self {
         WatchdogConfig { enabled: true }
     }
+}
+
+/// Whether quarantining a component answers the request it crashed on
+/// with `E_CRASH`: its requester still waits for a reply
+/// (`reply_possible`), or the reply went out but the watchdog still
+/// watches for it (`watched`: lost or rejected).
+pub fn quarantine_answers(reply_possible: bool, watched: bool) -> bool {
+    reply_possible || watched
 }
 
 /// Deterministic exponential backoff: attempt `n` of request `msg_id`
@@ -390,5 +399,94 @@ impl<M> Table<M> {
         let s = self.slot(i);
         s.state = WdState::Probing { until, probes };
         *s
+    }
+}
+
+/// The owner of a watchdog [`Table`]: the kernel, or a model of it. The
+/// required methods are what only the owner can do; the provided ones are
+/// the entry points the kernel calls, written once.
+pub trait Host {
+    /// The request a slot holds once the kernel keeps it.
+    type Msg;
+
+    /// The slot table.
+    fn table(&mut self) -> &mut Table<Self::Msg>;
+
+    /// Steps the table on `input` and executes the [`Effect`].
+    fn watchdog(&mut self, input: Input);
+
+    /// The virtual time at a service point.
+    fn now(&mut self) -> u64;
+
+    /// Whether the slots wait: the machine shut down, or a recovery
+    /// conduct is in flight.
+    fn halted(&self) -> bool;
+
+    /// A reply to request `reply_to` is routed; `intact` checks its
+    /// integrity stamp, only when a slot watches that request. Returns
+    /// `true` when the reply must not be delivered.
+    fn rejects_reply(&mut self, reply_to: Option<u64>, intact: impl FnOnce() -> bool) -> bool {
+        let Some(i) = reply_to.and_then(|id| self.table().find(id)) else {
+            return false;
+        };
+        let intact = intact();
+        if intact {
+            // The reply answers the request: a copy its slot held is done.
+            self.table().slots[i].1 = None;
+        }
+        self.watchdog(Input::Reply(i, intact));
+        !intact
+    }
+
+    /// The handler of request `msg_id` returned: a watched request, which
+    /// the handler was only lent, is kept in its slot whole. Then every
+    /// rejected reply whose request is held again is reconciled, and its
+    /// sender treated as crashed.
+    fn after_ok(&mut self, msg_id: u64, msg: Self::Msg) {
+        if self.table().armed == 0 {
+            return;
+        }
+        if let Some(i) = self.table().find(msg_id) {
+            self.watchdog(Input::Handled(i));
+            self.table().slots[i].1 = Some(msg);
+        }
+        while let Some((i, sender)) = self.table().rejected() {
+            self.watchdog(Input::Fail(i));
+            self.watchdog(Input::Restart(sender));
+        }
+    }
+
+    /// Visits every slot at a service point. During a recovery conduct
+    /// only the RS runs; deadlines blocked behind it are serviced right
+    /// after it completes, so a hang storm cannot compound a recovery.
+    fn service(&mut self) {
+        if self.table().armed == 0 || self.halted() {
+            return;
+        }
+        if self.now() < self.table().next_due {
+            return;
+        }
+        for i in 0..self.table().slots.len() {
+            if self.halted() {
+                // A verdict in this sweep started a conduct (or shut the
+                // system down): the remaining slots wait.
+                return;
+            }
+            self.watchdog(Input::Due(i));
+        }
+        self.table().settle();
+    }
+
+    /// The crash machinery is about to answer request `msg_id` with
+    /// `E_CRASH`. Hands it back unless the watchdog watched it: then the
+    /// watchdog re-drives it, or answers it through here once its slot is
+    /// gone.
+    fn fails(&mut self, msg_id: u64, failed: Self::Msg) -> Option<Self::Msg> {
+        let Some(i) = self.table().find(msg_id) else {
+            return Some(failed);
+        };
+        self.table().slots[i].1 = Some(failed);
+        self.watchdog(Input::Fail(i));
+        None
     }
 }

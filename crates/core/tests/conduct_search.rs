@@ -3,9 +3,11 @@
 //! The machine is modelled at the grain the conduct sees. Its state is the
 //! real control-state fold (`ControlState::apply`), each component's pending
 //! crash and the crash notifications queued to the Recovery Server; its
-//! decisions are the real `osiris_core::conduct`. What the kernel does with
-//! an effect is mirrored from `kernel/recovery.rs` (the same events, sealed
-//! in the same order) under the enhanced policy, with a zero shutdown grace.
+//! decisions are the real `osiris_core::conduct`, and their execution is the
+//! kernel's own: `conduct::Host`'s provided methods, run on a [`Machine`]
+//! that supplies the effects. Crash capture and the recovery phases stay a
+//! model of `kernel/recovery.rs`, under the enhanced policy's real
+//! `decide_recovery`, with a zero shutdown grace.
 //!
 //! Each step is one input: a crash or hang of a schedulable component (only
 //! the RS while a conduct is in flight), an RS crash or hang at one of its
@@ -31,25 +33,19 @@
 //! control state (statuses, intent slots, `recovering`, `shutdown`) plus the
 //! pending crashes and the RS's queue, never on the monotone counters.
 
-use std::collections::{HashMap, VecDeque};
+mod support;
+
+use std::cell::Cell;
 
 use osiris_axiom::{AxiomEvent, CompStatusCode, ControlState, IntentPhaseCode, IntentSlot};
-use osiris_core::{conduct, ActionCode, Effect, Input};
+use osiris_core::conduct::Host;
+use osiris_core::{conduct, decide_recovery, ActionCode, CrashContext, Effect, Enhanced, Input};
+use support::Model;
 
 const COMPS: usize = 6;
 const RS: u8 = 0;
 const DEPTH: usize = 24;
 const MAX_STATES: usize = 200_000;
-
-/// A component's unrecovered crash, as the kernel froze it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-struct Pending {
-    /// A conduct was in flight when it failed: the policy refuses it.
-    in_conduct: bool,
-    /// The window was open and a reply possible: the policy rolls back,
-    /// else it shuts down.
-    open: bool,
-}
 
 /// A recovery phase a step may arm a fault in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -87,17 +83,6 @@ struct Step {
     phase_fault: Option<Phase>,
 }
 
-impl Step {
-    /// Fault-free progress: the RS serving, a hang being detected.
-    fn progress(&self) -> bool {
-        self.phase_fault.is_none()
-            && matches!(
-                self.event,
-                Event::Serve(_) | Event::Verdict(_) | Event::Kill(_)
-            )
-    }
-}
-
 /// The visited-set key, from which a [`Machine`] is rebuilt.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 struct Key {
@@ -105,41 +90,23 @@ struct Key {
     intents: [IntentSlot; COMPS],
     recovering: Option<u8>,
     shutdown: Option<bool>,
-    pending: [Option<Pending>; COMPS],
+    pending: [Option<CrashContext>; COMPS],
     inbox: Vec<u8>,
 }
 
 struct Machine {
     control: ControlState,
-    pending: [Option<Pending>; COMPS],
+    /// Each component's unrecovered crash, as the kernel froze it.
+    pending: [Option<CrashContext>; COMPS],
     inbox: Vec<u8>,
     armed: Option<Phase>,
     /// A crash of a component other than the RS reached the conduct while
-    /// a conduct was in flight.
-    foreign_crash: bool,
+    /// a conduct was in flight: seen in [`Host::decide`], which takes
+    /// `&self`.
+    foreign_crash: Cell<bool>,
 }
 
 impl Machine {
-    fn boot() -> Key {
-        let mut control = ControlState::new();
-        let genesis = AxiomEvent::Genesis {
-            comps: COMPS as u8,
-            config_digest: 0,
-        };
-        control.apply(0, &genesis);
-        Machine::with(control, [None; COMPS], Vec::new()).key()
-    }
-
-    fn with(control: ControlState, pending: [Option<Pending>; COMPS], inbox: Vec<u8>) -> Machine {
-        Machine {
-            control,
-            pending,
-            inbox,
-            armed: None,
-            foreign_crash: false,
-        }
-    }
-
     fn from_key(k: &Key) -> Machine {
         let mut control = ControlState::new();
         control.comps = COMPS as u8;
@@ -147,7 +114,13 @@ impl Machine {
         control.intents[..COMPS].copy_from_slice(&k.intents);
         control.recovering = k.recovering;
         control.shutdown = k.shutdown;
-        Machine::with(control, k.pending, k.inbox.clone())
+        Machine {
+            control,
+            pending: k.pending,
+            inbox: k.inbox.clone(),
+            armed: None,
+            foreign_crash: Cell::new(false),
+        }
     }
 
     fn key(&self) -> Key {
@@ -166,23 +139,8 @@ impl Machine {
         self.control.status(comp)
     }
 
-    fn seal(&mut self, event: AxiomEvent) {
-        self.control.apply(0, &event);
-    }
-
-    fn decide(&mut self, input: Input) -> Effect {
-        if let Input::Crash(comp) = input {
-            self.foreign_crash |= comp != RS && self.control.recovering.is_some();
-        }
-        conduct(&self.control, Some(RS), input)
-    }
-
     fn phase_faulted(&mut self, phase: Phase) -> bool {
-        let hit = self.armed == Some(phase);
-        if hit {
-            self.armed = None;
-        }
-        hit
+        self.armed.take_if(|armed| *armed == phase).is_some()
     }
 
     /// The steps the environment can take here.
@@ -194,9 +152,8 @@ impl Machine {
         let conduct_in_flight = self.control.recovering.is_some();
         let rs_serves = self.status(RS) == CompStatusCode::Alive && !self.inbox.is_empty();
         if rs_serves {
-            for ladder in [Ladder::Restart, Ladder::Quarantine, Ladder::Shutdown] {
-                events.push(Event::Serve(ladder));
-            }
+            let ladder = [Ladder::Restart, Ladder::Quarantine, Ladder::Shutdown];
+            events.extend(ladder.map(Event::Serve));
         }
         for comp in (0..COMPS as u8).filter(|&c| self.status(c) == CompStatusCode::Hung) {
             if comp != RS && !conduct_in_flight {
@@ -230,16 +187,11 @@ impl Machine {
             Some(Phase::Restart),
             Some(Phase::Reconcile),
         ];
-        let mut steps = Vec::new();
-        for event in events {
-            for phase_fault in phase_faults {
-                steps.push(Step { event, phase_fault });
-            }
-        }
-        steps
+        let step = |event| phase_faults.map(|phase_fault| Step { event, phase_fault });
+        events.into_iter().flat_map(step).collect()
     }
 
-    fn apply(&mut self, step: Step) {
+    fn take(&mut self, step: Step) {
         self.armed = step.phase_fault;
         match step.event {
             Event::Fault { comp, hang, open } => self.capture(comp, hang, open),
@@ -257,7 +209,7 @@ impl Machine {
                             comp: target,
                             phase: IntentPhaseCode::Issued,
                         });
-                        self.recover(target);
+                        self.execute_recovery(target);
                     }
                     Ladder::Quarantine => {
                         self.pending[target as usize] = None;
@@ -269,13 +221,14 @@ impl Machine {
             Event::Verdict(comp) => self.declare_dead(comp),
             Event::Kill(comp) => {
                 self.seal(AxiomEvent::Crash { comp });
-                self.recover(comp);
+                self.execute_recovery(comp);
             }
         }
         self.armed = None;
     }
 
-    /// `Kernel::capture_fault`.
+    /// `Kernel::capture_fault`: `open`, the window was open and a reply
+    /// possible.
     fn capture(&mut self, comp: u8, hang: bool, open: bool) {
         let input = if hang {
             self.seal(AxiomEvent::HangDetected { comp });
@@ -284,90 +237,20 @@ impl Machine {
             self.seal(AxiomEvent::Crash { comp });
             Input::Crash(comp)
         };
-        let in_conduct = self.control.recovering.is_some();
-        self.pending[comp as usize] = Some(Pending { in_conduct, open });
-        let effect = self.decide(input);
-        self.execute(effect);
-    }
-
-    /// `Kernel::declare_dead`.
-    fn declare_dead(&mut self, comp: u8) {
-        self.seal(AxiomEvent::Crash { comp });
-        let effect = self.decide(Input::Crash(comp));
-        self.execute(effect);
-    }
-
-    /// `Kernel::execute`.
-    fn execute(&mut self, effect: Effect) {
-        match effect {
-            Effect::RestartHungRs(comp) => {
-                self.restart_rs();
-                let effect = self.decide(Input::Crash(comp));
-                self.execute(effect);
-            }
-            Effect::Notify(comp) => {
-                self.seal(AxiomEvent::IntentRecorded {
-                    comp,
-                    phase: IntentPhaseCode::Notified,
-                });
-                self.inbox.push(comp);
-            }
-            Effect::Recover(comp) => self.recover(comp),
-            Effect::RestartRs => {
-                self.restart_rs();
-                let intents: Vec<u8> = self.control.active_intents().collect();
-                for comp in intents {
-                    let queued = self.inbox.contains(&comp);
-                    let effect = self.decide(Input::Replay { comp, queued });
-                    self.execute(effect);
-                }
-            }
-            Effect::Resolve(comp) => self.resolve(comp),
-            Effect::Redrive(comp) => {
-                self.seal(AxiomEvent::IntentReplayed { comp });
-                self.inbox.push(comp);
-            }
-            Effect::Complete(comp) => {
-                self.seal(AxiomEvent::IntentReplayed { comp });
-                self.recover(comp);
-            }
-            Effect::Wait | Effect::Fallback(_) => {}
-        }
-    }
-
-    /// `Kernel::restart_rs`.
-    fn restart_rs(&mut self) {
-        if self.status(RS) == CompStatusCode::Hung {
-            self.seal(AxiomEvent::Crash { comp: RS });
-        }
-        self.recover(RS);
-    }
-
-    /// `Kernel::resolve_intent`.
-    fn resolve(&mut self, comp: u8) {
-        if self.control.intent(comp).active {
-            self.seal(AxiomEvent::IntentResolved { comp });
-        }
-    }
-
-    /// `Kernel::fall_back`.
-    fn fall_back(&mut self, comp: u8, from: ActionCode, reconcile: bool) -> ActionCode {
-        let input = if reconcile {
-            Input::ReconcileFailed
-        } else {
-            Input::Failed(from)
-        };
-        let Effect::Fallback(to) = self.decide(input) else {
-            return from;
-        };
-        self.seal(AxiomEvent::RecoveryFallback { comp, from, to });
-        to
+        self.pending[comp as usize] = Some(CrashContext {
+            window_open: open,
+            reply_possible: open,
+            in_recovery_code: self.control.recovering.is_some(),
+            scoped_sends: false,
+            requester_is_process: false,
+        });
+        self.execute(self.decide(input));
     }
 
     /// `Kernel::shut_down`.
     fn shut_down(&mut self, target: Option<u8>) {
         if let Some(t) = target {
-            self.resolve(t);
+            self.resolve_intent(t);
             self.pending[t as usize] = None;
         }
         if self.control.shutdown.is_none() {
@@ -376,21 +259,14 @@ impl Machine {
     }
 
     /// `Kernel::execute_recovery` under the enhanced policy.
-    fn recover(&mut self, comp: u8) {
+    fn execute_recovery(&mut self, comp: u8) {
         let Some(p) = self.pending[comp as usize].take() else {
-            let effect = self.decide(Input::Recovered(comp));
-            self.execute(effect);
+            self.execute(self.decide(Input::Recovered(comp)));
             return;
         };
-        let mut action = match p {
-            Pending {
-                in_conduct: true, ..
-            } => ActionCode::UncontrolledCrash,
-            Pending { open: true, .. } => ActionCode::RollbackErrorReply,
-            Pending { open: false, .. } => ActionCode::ControlledShutdown,
-        };
+        let mut action = decide_recovery(&Enhanced, &p).action;
         self.seal(AxiomEvent::RecoveryDecision { comp, action });
-        if action == ActionCode::UncontrolledCrash && p.in_conduct {
+        if action == ActionCode::UncontrolledCrash && p.in_recovery_code {
             action = self.fall_back(comp, action, false);
         }
         loop {
@@ -413,13 +289,92 @@ impl Machine {
             action = self.fall_back(comp, action, false);
         }
         self.seal(AxiomEvent::RecoveryDone { comp, cycles: 0 });
-        let effect = self.decide(Input::Recovered(comp));
-        self.execute(effect);
+        self.execute(self.decide(Input::Recovered(comp)));
         if self.phase_faulted(Phase::Reconcile) {
             self.fall_back(comp, action, true);
             self.pending[comp as usize] = Some(p);
             self.shut_down(Some(comp));
         }
+    }
+}
+
+impl Host for Machine {
+    fn control(&self) -> &ControlState {
+        &self.control
+    }
+
+    fn rs(&self) -> Option<u8> {
+        Some(RS)
+    }
+
+    fn seal(&mut self, event: AxiomEvent) {
+        self.control.apply(0, &event);
+    }
+
+    fn stamp(&mut self) {}
+
+    fn notify_rs(&mut self, comp: u8) {
+        self.inbox.push(comp);
+    }
+
+    fn rs_queued(&self, _: u8, comp: u8) -> bool {
+        self.inbox.contains(&comp)
+    }
+
+    fn recover(&mut self, comp: u8) {
+        self.execute_recovery(comp);
+    }
+
+    fn replayed(&mut self, _: bool) {}
+
+    fn decide(&self, input: Input) -> Effect {
+        if let Input::Crash(comp) = input {
+            let foreign = comp != RS && self.control.recovering.is_some();
+            self.foreign_crash.set(self.foreign_crash.get() | foreign);
+        }
+        conduct(&self.control, Some(RS), input)
+    }
+}
+
+impl Model for Machine {
+    type Key = Key;
+    type Step = Step;
+    const WEDGE: &'static str = "wedge: no fault-free progress reaches a settled machine";
+
+    fn boot() -> Key {
+        Key {
+            statuses: [CompStatusCode::Alive; COMPS],
+            intents: [IntentSlot::default(); COMPS],
+            recovering: None,
+            shutdown: None,
+            pending: [None; COMPS],
+            inbox: Vec::new(),
+        }
+    }
+
+    fn steps(key: &Key) -> Vec<Step> {
+        Machine::from_key(key).steps()
+    }
+
+    fn apply(key: &Key, step: Step) -> (Key, Vec<&'static str>, u32) {
+        let mut m = Machine::from_key(key);
+        m.take(step);
+        let next = m.key();
+        let found = next.violations(key, m.foreign_crash.get());
+        (next, found, 0)
+    }
+
+    /// The RS serving, a hang being detected.
+    fn progress(step: &Step) -> bool {
+        step.phase_fault.is_none()
+            && matches!(
+                step.event,
+                Event::Serve(_) | Event::Verdict(_) | Event::Kill(_)
+            )
+    }
+
+    fn good(key: &Key) -> bool {
+        key.shutdown.is_some() || key.settled()
     }
 }
 
@@ -435,12 +390,8 @@ impl Key {
             })
     }
 
-    fn good(&self) -> bool {
-        self.shutdown.is_some() || self.settled()
-    }
-
     /// The properties that hold of a single state (and its predecessor).
-    fn violations(&self, parent: Option<&Key>, foreign_crash: bool) -> Vec<&'static str> {
+    fn violations(&self, parent: &Key, foreign_crash: bool) -> Vec<&'static str> {
         let mut out = Vec::new();
         let mut named: Vec<u8> = self.inbox.clone();
         named.extend(self.recovering);
@@ -450,12 +401,8 @@ impl Key {
         if named.len() > 1 {
             out.push("more than one conduct in flight");
         }
-        if parent.is_some_and(|p| {
-            (0..COMPS).any(|c| {
-                p.statuses[c] == CompStatusCode::Quarantined
-                    && self.statuses[c] != CompStatusCode::Quarantined
-            })
-        }) {
+        let quarantined = |k: &Key, c: usize| k.statuses[c] == CompStatusCode::Quarantined;
+        if (0..COMPS).any(|c| quarantined(parent, c) && !quarantined(self, c)) {
             out.push("a quarantined component left quarantine");
         }
         if self.shutdown.is_none() && self.settled() && self.intents.iter().any(|s| s.active) {
@@ -468,126 +415,10 @@ impl Key {
     }
 }
 
-/// The explored graph: every node's key, its BFS parent and the step from
-/// it, its distance from boot, and its fault-free successors once expanded.
-#[derive(Default)]
-struct Graph {
-    keys: Vec<Key>,
-    parent: Vec<Option<(usize, Step)>>,
-    depth: Vec<usize>,
-    progress: Vec<Option<Vec<usize>>>,
-    ids: HashMap<Key, usize>,
-}
-
-impl Graph {
-    fn node(&mut self, key: Key, parent: Option<(usize, Step)>) -> (usize, bool) {
-        if let Some(&id) = self.ids.get(&key) {
-            return (id, false);
-        }
-        let id = self.keys.len();
-        let depth = parent.map_or(0, |(p, _)| self.depth[p] + 1);
-        self.ids.insert(key.clone(), id);
-        self.keys.push(key);
-        self.parent.push(parent);
-        self.depth.push(depth);
-        self.progress.push(None);
-        (id, true)
-    }
-
-    /// The inputs that lead from boot to node `id`.
-    fn path(&self, mut id: usize) -> Vec<Step> {
-        let mut steps = Vec::new();
-        while let Some((parent, step)) = self.parent[id] {
-            steps.push(step);
-            id = parent;
-        }
-        steps.reverse();
-        steps
-    }
-}
-
-/// Searches the conduct: returns the graph and every violation found, each
-/// with the shortest input sequence that exhibits it.
-fn search() -> (Graph, Vec<(&'static str, Vec<Step>)>) {
-    let mut g = Graph::default();
-    let mut violations: Vec<(&'static str, Vec<Step>)> = Vec::new();
-    let mut report = |g: &Graph, what: &'static str, id: usize| {
-        if !violations.iter().any(|(w, _)| *w == what) {
-            violations.push((what, g.path(id)));
-        }
-    };
-    let (root, _) = g.node(Machine::boot(), None);
-    let mut queue = VecDeque::from([root]);
-    while let Some(id) = queue.pop_front() {
-        if g.depth[id] == DEPTH || g.keys.len() > MAX_STATES {
-            continue;
-        }
-        let key = g.keys[id].clone();
-        let mut progress = Vec::new();
-        for step in Machine::from_key(&key).steps() {
-            let mut m = Machine::from_key(&key);
-            m.apply(step);
-            let next = m.key();
-            let found = next.violations(Some(&key), m.foreign_crash);
-            let (nid, new) = g.node(next, Some((id, step)));
-            for what in found {
-                report(&g, what, nid);
-            }
-            if step.progress() {
-                progress.push(nid);
-            }
-            if new {
-                queue.push_back(nid);
-            }
-        }
-        g.progress[id] = Some(progress);
-    }
-    // No wedge: a good node is reachable along progress edges.
-    let mut reaches_good: Vec<bool> = g.keys.iter().map(Key::good).collect();
-    loop {
-        let mut changed = false;
-        for id in 0..g.keys.len() {
-            let next = g.progress[id].iter().flatten();
-            if !reaches_good[id] && next.copied().any(|n| reaches_good[n]) {
-                reaches_good[id] = true;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    let expanded = |id: &usize| g.progress[*id].is_some();
-    if let Some(id) = (0..g.keys.len())
-        .filter(expanded)
-        .find(|&id| !reaches_good[id])
-    {
-        let what = "wedge: no fault-free progress reaches a settled machine";
-        report(&g, what, id);
-    }
-    (g, violations)
-}
-
 #[test]
 fn the_conduct_never_wedges_and_keeps_its_invariants() {
-    let (g, violations) = search();
-    let deepest = g.depth.iter().copied().max().unwrap_or(0);
-    println!(
-        "conduct_search: {} states, every one within {deepest} inputs of boot, {} violations",
-        g.keys.len(),
-        violations.len()
-    );
-    for (what, path) in &violations {
-        println!("  {what}, after {} inputs:", path.len());
-        for step in path {
-            println!("    {step:?}");
-        }
-    }
-    assert!(violations.is_empty(), "{} violations", violations.len());
-    assert!(
-        deepest < DEPTH && g.keys.len() <= MAX_STATES,
-        "the state space did not close within {DEPTH} inputs and {MAX_STATES} states"
-    );
+    let g = support::search::<Machine>(DEPTH, MAX_STATES);
+    g.assert_closed("conduct_search");
     // The search reaches the paths it is meant to cover.
     let reached = |pred: &dyn Fn(&Key) -> bool| g.keys.iter().any(pred);
     assert!(reached(&|k| k.intents.iter().any(|s| s.replays >= 2)));
@@ -625,4 +456,42 @@ fn the_fallback_chain_ends_in_a_controlled_shutdown() {
         conduct(&state, Some(RS), Input::ReconcileFailed),
         Effect::Fallback(ControlledShutdown)
     );
+}
+
+/// A toy model for the harness itself: from boot, step 1 reaches a good
+/// state and step 2 a dead end, which no step leaves.
+struct DeadEnd;
+
+impl Model for DeadEnd {
+    type Key = u8;
+    type Step = u8;
+    const WEDGE: &'static str = "wedge: a dead end";
+
+    fn boot() -> u8 {
+        0
+    }
+
+    fn steps(_: &u8) -> Vec<u8> {
+        vec![1, 2]
+    }
+
+    fn apply(key: &u8, step: u8) -> (u8, Vec<&'static str>, u32) {
+        (step.max(*key), Vec::new(), 0)
+    }
+
+    fn progress(_: &u8) -> bool {
+        true
+    }
+
+    fn good(key: &u8) -> bool {
+        *key == 1
+    }
+}
+
+/// The harness reports a dead end as a wedge, with its shortest witness.
+#[test]
+fn the_harness_reports_a_dead_end_as_a_wedge() {
+    let g = support::search::<DeadEnd>(4, 16);
+    assert_eq!(g.keys.len(), 3);
+    assert_eq!(g.violations, [(DeadEnd::WEDGE, vec![2])]);
 }

@@ -6,12 +6,15 @@
 //! to `SLOTS` slots so that a full table is reachable, and every decision
 //! is the real `Table::step`. Two requests over one slot close in about
 //! 90,000 states; three over two slots, or a second server, do not close
-//! within this test's time budget. What the kernel does with an effect is mirrored from
-//! `kernel/watchdog.rs`, and its entry points (arm, reply routing, handler
-//! return, service point, crash reply) from `kernel/mod.rs` and
-//! `kernel/recovery.rs`, under the enhanced policy with a live Recovery
-//! Server: a crash before the handler replied is rolled back and answered
-//! with `E_CRASH`, one after it replied shuts the machine down.
+//! within this test's time budget. The kernel's entry points (reply
+//! routing, handler return, service point, crash reply) are its own:
+//! `watchdog::Host`'s provided methods, run on a [`Machine`], and so is the
+//! quarantine's answer rule. What the kernel does with an effect, and its
+//! crash capture, recovery and bounce, stay a model of `kernel/watchdog.rs`
+//! and `kernel/recovery.rs`, under the enhanced policy's real
+//! `decide_recovery` with a live Recovery Server: a crash before the handler
+//! replied is rolled back and answered with `E_CRASH`, one after it replied
+//! shuts the machine down.
 //!
 //! Each step is one input: the client sends a request; the server handles
 //! its next request, replying (intact, dropped or corrupt) or not, and then
@@ -47,15 +50,18 @@
 //! The visited set is keyed on the whole model state, with virtual times
 //! taken relative to the clock and epochs relative to the current one.
 
-use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
+mod support;
 
 use osiris_axiom::{CompStatusCode, ControlState, VerdictCode};
-use osiris_core::watchdog::{Effect, Input, Slot, Table, WdState};
+use osiris_core::watchdog::{quarantine_answers, Effect, Host, Input, Slot, Table, WdState};
+use osiris_core::{decide_recovery, system_survives, CrashContext, Enhanced};
 use osiris_core::{SeepClass, SeepMeta, WatchdogConfig};
+use support::Model;
 
 const SLOTS: usize = 1;
 const REQS: usize = 2;
+/// An internal message: no request of the client's, so no slot watches it.
+const INTERNAL: usize = REQS;
 const N: usize = 1;
 const SERVERS: [u8; N] = [1];
 const DEPTH: usize = 64;
@@ -151,21 +157,6 @@ enum Event {
     Bump,
 }
 
-impl Event {
-    /// Fault-free progress.
-    fn progress(&self) -> bool {
-        match *self {
-            Event::Deliver { reply, fault, .. } => {
-                fault.is_none() && matches!(reply, None | Some(Tamper::Intact))
-            }
-            Event::Complete { reply, fault, .. } => fault.is_none() && reply == Tamper::Intact,
-            Event::Recover { quarantine } => !quarantine,
-            Event::Send { .. } | Event::Advance | Event::Service | Event::Kill(_) => true,
-            Event::Bump => false,
-        }
-    }
-}
-
 /// The visited-set key: the whole model state.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 struct Key {
@@ -222,28 +213,6 @@ fn slots(table: &Table<usize>) -> impl Iterator<Item = &Slot> {
 }
 
 impl Machine {
-    fn boot() -> Key {
-        let req = Req {
-            at: At::Unsent,
-            dst: 0,
-            state_modifying: false,
-            attempt: 0,
-            epoch_armed: E0,
-            watched: false,
-            answers: 0,
-        };
-        Key {
-            table: Table::new(SLOTS),
-            reqs: [req; REQS],
-            inbox: std::array::from_fn(|_| Vec::new()),
-            pending: [None; N],
-            hung_at: [T0; N],
-            statuses: [CompStatusCode::Alive; N],
-            recovering: None,
-            shutdown: false,
-        }
-    }
-
     fn from_key(key: &Key) -> Machine {
         let mut control = ControlState::new();
         control.comps = 3;
@@ -336,12 +305,7 @@ impl Machine {
                 continue;
             }
             if !k.inbox[server(s)].is_empty() {
-                for reply in [
-                    None,
-                    Some(Tamper::Intact),
-                    Some(Tamper::Drop),
-                    Some(Tamper::Corrupt),
-                ] {
+                for reply in [None].into_iter().chain(tampers.map(Some)) {
                     for fault in faults {
                         out.push(Event::Deliver {
                             server: s,
@@ -400,7 +364,7 @@ impl Machine {
         slots.filter(|&t| t > self.now).chain(retries).min()
     }
 
-    fn apply(&mut self, event: Event) {
+    fn take(&mut self, event: Event) {
         match event {
             Event::Send {
                 dst,
@@ -422,7 +386,7 @@ impl Machine {
                 fault,
             } => {
                 self.service();
-                if !self.runnable(s) {
+                if !self.live(s) || self.key.inbox[server(s)].is_empty() {
                     return;
                 }
                 let r = self.key.inbox[server(s)].remove(0);
@@ -435,7 +399,7 @@ impl Machine {
                         if reply.is_none() {
                             self.key.reqs[r].at = At::Owed;
                         }
-                        self.after_ok(Some(r));
+                        self.after_ok(id(r), r);
                     }
                     Some(fault) => {
                         let replied = reply.is_some();
@@ -455,7 +419,7 @@ impl Machine {
                 self.key.reqs[req].at = At::Sent;
                 self.route_reply(req, reply);
                 match fault {
-                    None => self.after_ok(None),
+                    None => self.after_ok(id(INTERNAL), INTERNAL),
                     Some(fault) => self.capture_fault(s, Pending::Internal, fault),
                 }
             }
@@ -490,13 +454,7 @@ impl Machine {
 
     /// Whether `s` runs: alive, and no conduct or shutdown stalls it.
     fn live(&self, s: u8) -> bool {
-        self.control.shutdown.is_none()
-            && self.control.recovering.is_none()
-            && self.status(s) == CompStatusCode::Alive
-    }
-
-    fn runnable(&self, s: u8) -> bool {
-        self.live(s) && !self.key.inbox[server(s)].is_empty()
+        !self.halted() && self.status(s) == CompStatusCode::Alive
     }
 
     /// Queues request `r` to its server (`Kernel::send_user_request`, a
@@ -512,7 +470,7 @@ impl Machine {
         } else {
             SeepClass::NonStateModifying
         };
-        let effect = self.watchdog(Input::Arm(id(r), dst, SeepMeta::request(class), attempt));
+        let effect = self.step(Input::Arm(id(r), dst, SeepMeta::request(class), attempt));
         let full = self.key.table.slots.iter().all(|s| s.0.is_some());
         self.key.reqs[r].watched = matches!(effect, Effect::Armed(_));
         match effect {
@@ -548,71 +506,16 @@ impl Machine {
         if tamper == Tamper::Drop {
             return;
         }
-        if !self.rejects_reply(r, tamper == Tamper::Intact) {
+        if !self.rejects_reply(Some(id(r)), || tamper == Tamper::Intact) {
             self.answer(r);
         }
-    }
-
-    /// `Kernel::watchdog_rejects_reply`.
-    fn rejects_reply(&mut self, r: usize, intact: bool) -> bool {
-        let Some(i) = self.key.table.find(id(r)) else {
-            return false;
-        };
-        if intact {
-            self.key.table.slots[i].1 = None;
-        }
-        self.watchdog(Input::Reply(i, intact));
-        !intact
-    }
-
-    /// `Kernel::watchdog_after_ok`: `handled` is the request the handler
-    /// returned from (`None`: an internal message).
-    fn after_ok(&mut self, handled: Option<usize>) {
-        if self.key.table.armed == 0 {
-            return;
-        }
-        if let Some(i) = handled.and_then(|r| self.key.table.find(id(r))) {
-            self.watchdog(Input::Handled(i));
-            self.key.table.slots[i].1 = handled;
-        }
-        while let Some((i, sender)) = self.key.table.rejected() {
-            self.watchdog(Input::Fail(i));
-            self.watchdog(Input::Restart(sender));
-        }
-    }
-
-    /// `Kernel::service_watchdog`.
-    fn service(&mut self) {
-        if self.key.table.armed == 0 || self.control.recovering.is_some() {
-            return;
-        }
-        if self.now < self.key.table.next_due {
-            return;
-        }
-        for i in 0..SLOTS {
-            if self.control.shutdown.is_some() || self.control.recovering.is_some() {
-                return;
-            }
-            self.watchdog(Input::Due(i));
-        }
-        self.key.table.settle();
     }
 
     /// `Kernel::send_crash_reply`.
     fn send_crash_reply(&mut self, r: usize) {
-        if let Some(r) = self.fails(r) {
+        if let Some(r) = self.fails(id(r), r) {
             self.answer(r);
         }
-    }
-
-    /// `Kernel::watchdog_fails`.
-    fn fails(&mut self, r: usize) -> Option<usize> {
-        let Some(i) = self.key.table.find(id(r)) else {
-            return Some(r);
-        };
-        self.key.table.slots[i].1 = Some(r);
-        self.watchdog(Input::Fail(i));
-        None
     }
 
     /// `Kernel::capture_fault`, with the conduct of a live RS: a crash is
@@ -632,24 +535,31 @@ impl Machine {
     /// `Kernel::declare_dead`: the conduct notifies the RS.
     fn declare_dead(&mut self, s: u8) {
         self.set_status(s, CompStatusCode::Crashed);
-        if self.control.recovering.is_none() {
-            self.control.recovering = Some(s);
-        }
+        self.control.recovering.get_or_insert(s);
     }
 
     /// `Kernel::execute_recovery` under the enhanced policy.
     fn recover(&mut self, s: u8) {
         let pending = self.key.pending[server(s)].take();
-        if let Some(Pending::Req(_, true)) = pending {
-            // The window closed at the reply: a controlled shutdown.
+        // The window closed at the reply, a state-modifying send, and so
+        // did the chance of an error reply. A restart carrier is quiescent:
+        // its heap committed, so a shutdown verdict degrades to a restart.
+        let open = !matches!(pending, Some(Pending::Req(_, true)));
+        let ctx = CrashContext {
+            window_open: open,
+            reply_possible: open,
+            in_recovery_code: false,
+            scoped_sends: false,
+            requester_is_process: true,
+        };
+        let quiescent = pending == Some(Pending::Carrier);
+        if !quiescent && !system_survives(decide_recovery(&Enhanced, &ctx).action) {
             self.control.shutdown = Some(true);
             self.control.recovering = None;
             return;
         }
         self.set_status(s, CompStatusCode::Alive);
-        if self.control.recovering == Some(s) {
-            self.control.recovering = None;
-        }
+        self.control.recovering.take_if(|&mut r| r == s);
         self.epoch += 1;
         if let Some(Pending::Req(r, _)) = pending {
             self.send_crash_reply(r);
@@ -659,7 +569,7 @@ impl Machine {
     /// `Kernel::execute_quarantine`, then the bounce of its mail.
     fn quarantine(&mut self, s: u8) {
         if let Some(Pending::Req(r, replied)) = self.key.pending[server(s)].take() {
-            if !replied || self.key.table.find(id(r)).is_some() {
+            if quarantine_answers(!replied, self.key.table.find(id(r)).is_some()) {
                 self.send_crash_reply(r);
             }
         }
@@ -669,17 +579,11 @@ impl Machine {
     }
 
     /// Asks the watchdog and executes its decision (`Kernel::watchdog`).
-    fn watchdog(&mut self, input: Input) -> Effect {
-        let slot = |i: usize| self.key.table.slots[i].0.unwrap();
+    fn step(&mut self, input: Input) -> Effect {
+        let state = |i: usize| self.key.table.slots[i].0.map(|s| s.state);
         self.reached |= match input {
-            Input::Due(i)
-                if self.key.table.slots[i]
-                    .0
-                    .is_some_and(|s| s.state == WdState::Rejected) =>
-            {
-                Path::SWEPT_REJECTED
-            }
-            Input::Handled(i) if slot(i).state == WdState::Doomed => Path::HANDLED_DOOMED,
+            Input::Due(i) if state(i) == Some(WdState::Rejected) => Path::SWEPT_REJECTED,
+            Input::Handled(i) if state(i) == Some(WdState::Doomed) => Path::HANDLED_DOOMED,
             _ => 0,
         };
         let effect = self
@@ -709,7 +613,7 @@ impl Machine {
             }
             Effect::Probe(_) | Effect::Verdict(..) => {}
             Effect::Expired(i, _) => {
-                self.watchdog(Input::Judge(i));
+                self.step(Input::Judge(i));
             }
             Effect::Hung(s, _) => {
                 if self.hang_age(s.dst, s.armed_at) > BOUND {
@@ -718,7 +622,7 @@ impl Machine {
                 self.declare_dead(s.dst);
             }
             Effect::Lost(i, _) => {
-                self.watchdog(Input::Fail(i));
+                self.step(Input::Fail(i));
             }
             Effect::Retry(i, req, backoff, _) => {
                 let Some(r) = self.key.table.slots[i].1.take() else {
@@ -799,166 +703,90 @@ impl Machine {
     }
 }
 
-impl Key {
+impl Host for Machine {
+    type Msg = usize;
+
+    fn table(&mut self) -> &mut Table<usize> {
+        &mut self.key.table
+    }
+
+    fn watchdog(&mut self, input: Input) {
+        self.step(input);
+    }
+
+    fn now(&mut self) -> u64 {
+        self.now
+    }
+
+    fn halted(&self) -> bool {
+        self.control.shutdown.is_some() || self.control.recovering.is_some()
+    }
+}
+
+impl Model for Machine {
+    type Key = Key;
+    type Step = Event;
+    const WEDGE: &'static str = "wedge: no fault-free progress answers every request";
+
+    fn boot() -> Key {
+        let req = Req {
+            at: At::Unsent,
+            dst: 0,
+            state_modifying: false,
+            attempt: 0,
+            epoch_armed: E0,
+            watched: false,
+            answers: 0,
+        };
+        Key {
+            table: Table::new(SLOTS),
+            reqs: [req; REQS],
+            inbox: std::array::from_fn(|_| Vec::new()),
+            pending: [None; N],
+            hung_at: [T0; N],
+            statuses: [CompStatusCode::Alive; N],
+            recovering: None,
+            shutdown: false,
+        }
+    }
+
+    fn steps(key: &Key) -> Vec<Event> {
+        Machine::from_key(key).events()
+    }
+
+    fn apply(key: &Key, event: Event) -> (Key, Vec<&'static str>, u32) {
+        let mut m = Machine::from_key(key);
+        m.take(event);
+        m.check();
+        m.normalized()
+    }
+
+    fn progress(event: &Event) -> bool {
+        match *event {
+            Event::Deliver { reply, fault, .. } => {
+                fault.is_none() && matches!(reply, None | Some(Tamper::Intact))
+            }
+            Event::Complete { reply, fault, .. } => fault.is_none() && reply == Tamper::Intact,
+            Event::Recover { quarantine } => !quarantine,
+            Event::Send { .. } | Event::Advance | Event::Service | Event::Kill(_) => true,
+            Event::Bump => false,
+        }
+    }
+
     /// Every request was answered, or the machine shut down. An unwatched
     /// request whose handler ran is outside the watchdog's reach: its
     /// reply may be lost, or owed by a server benched for good.
-    fn good(&self) -> bool {
+    fn good(key: &Key) -> bool {
         let unwatched = |r: &Req| !r.watched && matches!(r.at, At::Sent | At::Owed);
         let settled = |r: &Req| r.at == At::Done || unwatched(r);
-        self.shutdown || self.reqs.iter().all(settled)
+        key.shutdown || key.reqs.iter().all(settled)
     }
-}
-
-/// FxHash: hashing the visited set's keys is most of a debug build's time
-/// with the default hasher.
-#[derive(Default)]
-struct Fx(u64);
-
-impl Hasher for Fx {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        bytes.iter().for_each(|&b| self.write_u64(b.into()));
-    }
-
-    fn write_u8(&mut self, n: u8) {
-        self.write_u64(n.into());
-    }
-
-    fn write_usize(&mut self, n: usize) {
-        self.write_u64(n as u64);
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-}
-
-#[derive(Default)]
-struct Graph {
-    keys: Vec<Key>,
-    parent: Vec<Option<(usize, Event)>>,
-    depth: Vec<usize>,
-    progress: Vec<Option<Vec<usize>>>,
-    ids: HashMap<Key, usize, BuildHasherDefault<Fx>>,
-    /// Every [`Path`] some step took.
-    reached: u32,
-}
-
-impl Graph {
-    fn node(&mut self, key: Key, parent: Option<(usize, Event)>) -> (usize, bool) {
-        if let Some(&id) = self.ids.get(&key) {
-            return (id, false);
-        }
-        let id = self.keys.len();
-        let depth = parent.map_or(0, |(p, _)| self.depth[p] + 1);
-        self.ids.insert(key.clone(), id);
-        self.keys.push(key);
-        self.parent.push(parent);
-        self.depth.push(depth);
-        self.progress.push(None);
-        (id, true)
-    }
-
-    fn path(&self, mut id: usize) -> Vec<Event> {
-        let mut steps = Vec::new();
-        while let Some((parent, step)) = self.parent[id] {
-            steps.push(step);
-            id = parent;
-        }
-        steps.reverse();
-        steps
-    }
-}
-
-/// Searches the watchdog: returns the graph and every violation found,
-/// each with the shortest input sequence that exhibits it.
-fn search() -> (Graph, Vec<(&'static str, Vec<Event>)>) {
-    let mut g = Graph::default();
-    let mut violations: Vec<(&'static str, Vec<Event>)> = Vec::new();
-    let mut report = |g: &Graph, what: &'static str, id: usize| {
-        if !violations.iter().any(|(w, _)| *w == what) {
-            violations.push((what, g.path(id)));
-        }
-    };
-    let (root, _) = g.node(Machine::boot(), None);
-    let mut queue = VecDeque::from([root]);
-    while let Some(id) = queue.pop_front() {
-        if g.depth[id] == DEPTH || g.keys.len() > MAX_STATES {
-            continue;
-        }
-        let key = g.keys[id].clone();
-        let mut progress = Vec::new();
-        for event in Machine::from_key(&key).events() {
-            let mut m = Machine::from_key(&key);
-            m.apply(event);
-            m.check();
-            let (next, found, reached) = m.normalized();
-            g.reached |= reached;
-            let (nid, new) = g.node(next, Some((id, event)));
-            for what in found {
-                report(&g, what, nid);
-            }
-            if event.progress() {
-                progress.push(nid);
-            }
-            if new {
-                queue.push_back(nid);
-            }
-        }
-        g.progress[id] = Some(progress);
-    }
-    let mut reaches_good: Vec<bool> = g.keys.iter().map(Key::good).collect();
-    loop {
-        let mut changed = false;
-        for id in 0..g.keys.len() {
-            let next = g.progress[id].iter().flatten();
-            if !reaches_good[id] && next.copied().any(|n| reaches_good[n]) {
-                reaches_good[id] = true;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    let expanded = |id: &usize| g.progress[*id].is_some();
-    if let Some(id) = (0..g.keys.len())
-        .filter(expanded)
-        .find(|&id| !reaches_good[id])
-    {
-        report(
-            &g,
-            "wedge: no fault-free progress answers every request",
-            id,
-        );
-    }
-    (g, violations)
 }
 
 #[test]
 fn the_watchdog_conserves_every_request() {
-    let (g, violations) = search();
+    let g = support::search::<Machine>(DEPTH, MAX_STATES);
+    g.assert_closed("watchdog_search");
     let missed = Path::ALL & !g.reached;
-    let deepest = g.depth.iter().copied().max().unwrap_or(0);
-    println!(
-        "watchdog_search: {} states, every one within {deepest} inputs of boot, {} violations",
-        g.keys.len(),
-        violations.len()
-    );
-    for (what, path) in &violations {
-        println!("  {what}, after {} inputs:", path.len());
-        for step in path {
-            println!("    {step:?}");
-        }
-    }
-    assert!(violations.is_empty(), "{} violations", violations.len());
     assert_eq!(missed, 0, "paths of the step never reached: {missed:#b}");
-    assert!(
-        deepest < DEPTH && g.keys.len() <= MAX_STATES,
-        "the state space did not close within {DEPTH} inputs and {MAX_STATES} states"
-    );
 }

@@ -12,10 +12,11 @@
 //! table, what falls due in virtual time (timers and parked retries), the
 //! pump, handler invocation and message routing. It calls the planes in
 //! the sibling modules and never implements their decisions: [`recovery`]
-//! (crash capture and the execution of the conduct `osiris_core::conduct`
-//! decides: intents, fallbacks, quarantine, privileged ops), [`watchdog`]
-//! (the execution of what `osiris_core::watchdog` decides: deadlines,
-//! verdicts, retries) and [`snapshot`] (fork capture/adoption).
+//! (crash capture, quarantine, privileged ops, the recovery phases, and the
+//! effects through which `osiris_core::conduct::Host` executes the
+//! conduct), [`watchdog`] (the effects through which
+//! `osiris_core::watchdog::Host` executes the watchdog's decisions:
+//! deadlines, verdicts, retries) and [`snapshot`] (fork capture/adoption).
 //!
 //! The kernel reports what happens and computes no metric: each occurrence
 //! is one [`Kernel::emit`] (a trace event), one [`Kernel::seal`] (an axiom
@@ -38,7 +39,7 @@ use osiris_axiom::{
     ControlState, Divergence, MAX_COMPS,
 };
 use osiris_checkpoint::{ChunkStore, Heap, HeapImage};
-use osiris_core::watchdog::Table;
+use osiris_core::watchdog::{Host as _, Table};
 use osiris_core::{MessageKind, RecoveryPolicy, RecoveryWindow, WindowStats};
 use osiris_metrics::{
     MetricsConfig, Note, Owned, Owners, SeriesFold, TimeseriesConfig, TimeseriesSampler,
@@ -730,7 +731,7 @@ impl<P: Protocol> Kernel<P> {
         // expired while nothing was runnable is detected here, bounding
         // hang-detection latency by the armed deadline plus one heartbeat
         // period.
-        self.service_watchdog();
+        self.service();
         true
     }
 
@@ -744,7 +745,7 @@ impl<P: Protocol> Kernel<P> {
                 return;
             }
             self.bounce_quarantined_mail();
-            self.service_watchdog();
+            self.service();
             if self.shutdown.is_some() {
                 return;
             }
@@ -960,7 +961,7 @@ impl<P: Protocol> Kernel<P> {
                 self.drain_stage(idx);
                 self.seal_staged_close(idx);
                 self.execute_priv_ops();
-                self.watchdog_after_ok(msg);
+                self.after_ok(msg.id.0, msg);
             }
             Err(payload) => {
                 // Privileged ops take effect only when the handler returns.
@@ -1023,7 +1024,8 @@ impl<P: Protocol> Kernel<P> {
     fn route_messages(&mut self) {
         let mut out = std::mem::take(&mut self.scratch.out);
         for msg in out.drain(..) {
-            if self.watchdog_rejects_reply(&msg) {
+            let intact = || msg.integrity == msg.payload.digest();
+            if self.rejects_reply(msg.reply_to.map(|rt| rt.0), intact) {
                 continue;
             }
             match msg.dst {

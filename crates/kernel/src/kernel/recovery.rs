@@ -1,18 +1,22 @@
-//! The recovery plane: crash capture, and the execution of what
-//! [`osiris_core::conduct`] decides — the Recovery Server hand-off and its
-//! persisted intents, the restart of a failed RS and the re-drive of its
-//! intents, privileged operations, quarantine, and the three recovery
-//! phases with their fallback chain (paper §IV-C).
+//! The recovery plane: crash capture, privileged operations, quarantine,
+//! and the three recovery phases with their fallback chain (paper §IV-C).
+//! What [`osiris_core::conduct`] decides — the Recovery Server hand-off and
+//! its persisted intents, the restart of a failed RS and the re-drive of
+//! its intents — is executed by `conduct::Host`'s provided methods, which
+//! `osiris-core`'s conduct search runs too; the kernel supplies the effects
+//! only it can perform, in the impl below.
 //!
 //! Everything here runs below the `catch_unwind` boundary in
 //! `Kernel::run_handler`: a panic in this file takes down the host process,
 //! not the simulated machine, so values supplied by components (privileged
 //! ones included) are range-checked where they enter.
 
-use osiris_axiom::{AxiomEvent, CompStatusCode, IntentPhaseCode};
+use osiris_axiom::{AxiomEvent, CompStatusCode, ControlState};
+use osiris_core::conduct::Host;
+use osiris_core::watchdog::{quarantine_answers, Host as _};
 use osiris_core::{
-    conduct, decide_recovery, system_survives, ActionCode, CrashContext, Effect, Input,
-    MessageKind, RecoveryDecision,
+    decide_recovery, system_survives, ActionCode, CrashContext, Input, MessageKind,
+    RecoveryDecision,
 };
 use osiris_metrics::{Note, Restart};
 use osiris_trace::{TraceEvent, KERNEL_COMP};
@@ -88,7 +92,7 @@ impl<P: Protocol> Kernel<P> {
             self.seal(AxiomEvent::HangDetected { comp });
             Input::Hang(comp)
         } else {
-            self.mark_crashed(comp);
+            self.seal(AxiomEvent::Crash { comp });
             Input::Crash(comp)
         };
         let c = &mut self.comps[idx];
@@ -104,99 +108,7 @@ impl<P: Protocol> Kernel<P> {
             ctx,
             quiescent: false,
         });
-        self.execute(conduct(&self.control, self.rs_ep, input));
-    }
-
-    /// Marks `target` fail-stopped: the sealed `Crash` event, which the
-    /// control state folds into its status. The caller owns its pending
-    /// crash and its recovery.
-    pub(super) fn mark_crashed(&mut self, target: u8) {
-        self.seal(AxiomEvent::Crash { comp: target });
-    }
-
-    /// Starts the recovery of `target`, which the watchdog declared dead
-    /// (its pending crash is already in place).
-    pub(super) fn declare_dead(&mut self, target: u8) {
-        self.mark_crashed(target);
-        self.execute(conduct(&self.control, self.rs_ep, Input::Crash(target)));
-    }
-
-    /// Executes one decision of the conduct (paper §V: "all core system
-    /// components, including RS itself, can be recovered").
-    fn execute(&mut self, effect: Effect) {
-        match effect {
-            Effect::Notify(comp) => {
-                self.note_intent(comp, IntentPhaseCode::Notified);
-                self.notify_rs(comp);
-            }
-            Effect::RestartHungRs(comp) => {
-                self.restart_rs();
-                self.execute(conduct(&self.control, self.rs_ep, Input::Crash(comp)));
-            }
-            Effect::Recover(comp) => self.execute_recovery(comp),
-            Effect::RestartRs => {
-                // Lifts the paper's single-fault limitation for faults in
-                // the recovery path: the interrupted conduct is re-driven
-                // from the intents the axiom still holds active.
-                let Some(rs) = self.restart_rs() else { return };
-                let intents: Vec<u8> = self.control.active_intents().collect();
-                for comp in intents {
-                    let notified = |m: &Message<P>| m.payload.crash_notify_target() == Some(comp);
-                    let queued = self.comps[rs as usize].inbox.iter().any(notified);
-                    let input = Input::Replay { comp, queued };
-                    self.execute(conduct(&self.control, Some(rs), input));
-                }
-            }
-            Effect::Resolve(comp) => self.resolve_intent(comp),
-            Effect::Redrive(comp) | Effect::Complete(comp) => {
-                self.stamp();
-                self.seal(AxiomEvent::IntentReplayed { comp });
-                let redriven = effect == Effect::Redrive(comp);
-                self.series.note(Note::IntentReplay { redriven });
-                if redriven {
-                    self.notify_rs(comp);
-                } else {
-                    self.execute_recovery(comp);
-                }
-            }
-            Effect::Wait | Effect::Fallback(_) => {}
-        }
-    }
-
-    /// Crashes the RS if it hung, then recovers it in the kernel. Returns
-    /// its endpoint.
-    fn restart_rs(&mut self) -> Option<u8> {
-        let rs = self.rs_ep?;
-        if self.control.status(rs) == CompStatusCode::Hung {
-            self.stamp();
-            self.mark_crashed(rs);
-        }
-        self.execute_recovery(rs);
-        Some(rs)
-    }
-
-    /// Queues the crash notification for `target` to the RS.
-    fn notify_rs(&mut self, target: u8) {
-        let Some(rs) = self.rs_ep else { return };
-        let notify = self.kernel_msg(rs, None, P::crash_notify(target));
-        self.comps[rs as usize].inbox.push_back(notify);
-    }
-
-    /// Updates (or creates) the persisted recovery intent for `target`:
-    /// recording an intent is an axiom event, and the live intent table is
-    /// the control-state reduction of the axiom tail.
-    fn note_intent(&mut self, target: u8, phase: IntentPhaseCode) {
-        self.seal(AxiomEvent::IntentRecorded {
-            comp: target,
-            phase,
-        });
-    }
-
-    /// Seals the resolution of `target`'s intent, if it has an active one.
-    fn resolve_intent(&mut self, target: u8) {
-        if self.control.intent(target).active {
-            self.seal(AxiomEvent::IntentResolved { comp: target });
-        }
+        self.execute(self.decide(input));
     }
 
     /// Executes the privileged operations a handler queued. This is the
@@ -223,7 +135,7 @@ impl<P: Protocol> Kernel<P> {
                 PrivOp::KillHung { target } => {
                     if self.control.status(target) == CompStatusCode::Hung {
                         self.stamp();
-                        self.mark_crashed(target);
+                        self.seal(AxiomEvent::Crash { comp: target });
                         self.execute_recovery(target);
                     }
                 }
@@ -238,7 +150,10 @@ impl<P: Protocol> Kernel<P> {
                         refreshed,
                     });
                 }
-                PrivOp::RecordIntent { target, phase } => self.note_intent(target, phase),
+                PrivOp::RecordIntent { target, phase } => self.seal(AxiomEvent::IntentRecorded {
+                    comp: target,
+                    phase,
+                }),
                 PrivOp::NoteEscalation {
                     target,
                     restarts_in_window,
@@ -298,7 +213,8 @@ impl<P: Protocol> Kernel<P> {
         self.stamp();
         if let Some(pending) = self.comps[t].crash_info.take() {
             // A reply the watchdog still watches for was lost or rejected.
-            if pending.ctx.reply_possible || self.wd.find(pending.msg.id.0).is_some() {
+            let watched = self.wd.find(pending.msg.id.0).is_some();
+            if quarantine_answers(pending.ctx.reply_possible, watched) {
                 self.send_crash_reply(target, pending.msg);
             }
         }
@@ -350,27 +266,6 @@ impl<P: Protocol> Kernel<P> {
         )
     }
 
-    /// Steps `from` one rung down the fallback chain the conduct decides
-    /// (`reconcile`: the reconciliation after it faulted), sealing the
-    /// step, and returns the next action.
-    fn fall_back(&mut self, target: u8, from: ActionCode, reconcile: bool) -> ActionCode {
-        let input = if reconcile {
-            Input::ReconcileFailed
-        } else {
-            Input::Failed(from)
-        };
-        let Effect::Fallback(to) = conduct(&self.control, self.rs_ep, input) else {
-            return from;
-        };
-        self.stamp();
-        self.seal(AxiomEvent::RecoveryFallback {
-            comp: target,
-            from,
-            to,
-        });
-        to
-    }
-
     /// Stops the machine in a controlled way, ending the conduct for
     /// `target`, if any: its intent is resolved and, while the grace window
     /// is open, the request whose crash started the conduct is answered
@@ -408,7 +303,7 @@ impl<P: Protocol> Kernel<P> {
         let Some(pending) = self.comps[t].crash_info.take() else {
             // Spurious request (e.g. the component already recovered, or a
             // stale backoff timer fired after a quarantine).
-            self.execute(conduct(&self.control, self.rs_ep, Input::Recovered(target)));
+            self.execute(self.decide(Input::Recovered(target)));
             return;
         };
         self.stamp();
@@ -555,7 +450,7 @@ impl<P: Protocol> Kernel<P> {
         // A completed recovery also advances the epoch, so spans opened
         // while the recovery was in flight are flagged at close.
         self.recovery_epoch += 1;
-        self.execute(conduct(&self.control, self.rs_ep, Input::Recovered(target)));
+        self.execute(self.decide(Input::Recovered(target)));
 
         // Reconciliation phase: error virtualization — tell the requester
         // the call failed so it can handle it like any other error — or the
@@ -590,7 +485,7 @@ impl<P: Protocol> Kernel<P> {
     pub(super) fn send_crash_reply(&mut self, from: u8, failed: Message<P>) {
         // A request the watchdog watched is the watchdog's to answer: it
         // re-drives it after a backoff, or comes back here for `E_CRASH`.
-        let Some(failed) = self.watchdog_fails(failed) else {
+        let Some(failed) = self.fails(failed.id.0, failed) else {
             return;
         };
         match failed.src {
@@ -608,5 +503,42 @@ impl<P: Protocol> Kernel<P> {
                 // Kernel notifications get no reply.
             }
         }
+    }
+}
+
+impl<P: Protocol> Host for Kernel<P> {
+    fn control(&self) -> &ControlState {
+        &self.control
+    }
+
+    fn rs(&self) -> Option<u8> {
+        self.rs_ep
+    }
+
+    fn seal(&mut self, event: AxiomEvent) {
+        Kernel::seal(self, event);
+    }
+
+    fn stamp(&mut self) {
+        Kernel::stamp(self);
+    }
+
+    fn notify_rs(&mut self, comp: u8) {
+        let Some(rs) = self.rs_ep else { return };
+        let notify = self.kernel_msg(rs, None, P::crash_notify(comp));
+        self.comps[rs as usize].inbox.push_back(notify);
+    }
+
+    fn rs_queued(&self, rs: u8, comp: u8) -> bool {
+        let notified = |m: &Message<P>| m.payload.crash_notify_target() == Some(comp);
+        self.comps[rs as usize].inbox.iter().any(notified)
+    }
+
+    fn recover(&mut self, comp: u8) {
+        self.execute_recovery(comp);
+    }
+
+    fn replayed(&mut self, redriven: bool) {
+        self.series.note(Note::IntentReplay { redriven });
     }
 }

@@ -1,19 +1,18 @@
 //! The watchdog plane executes what `osiris_core::watchdog` decides. The
 //! kernel keeps the `Copy` slot table, each slot's captured request and,
 //! in its `timers` map, the parked retries; each [`Effect`] is one arm of
-//! [`Kernel::watchdog`]: a seal, an emit, a `declare_dead`, a failed
-//! request answered, or a retry parked. Nothing here decides: the step's
-//! decisions are searched to closure in `osiris-core`'s
-//! `tests/watchdog_search.rs`, which mirrors this file.
+//! its `watchdog::Host::watchdog`: a seal, an emit, a `declare_dead`, a
+//! failed request answered, or a retry parked. Nothing here decides.
 //!
-//! The core calls in where a request is queued ([`Kernel::watchdog_arm`]),
-//! a reply is routed ([`Kernel::watchdog_rejects_reply`]), a handler
-//! returned ([`Kernel::watchdog_after_ok`]) and a service point is reached
-//! ([`Kernel::service_watchdog`]); the recovery plane calls in before it
-//! surfaces `E_CRASH` ([`Kernel::watchdog_fails`]).
+//! The core calls in where a request is queued ([`Kernel::watchdog_arm`]).
+//! Where a reply is routed, a handler returned, a service point is reached
+//! and the recovery plane is about to surface `E_CRASH`, it calls the
+//! provided `rejects_reply`, `after_ok`, `service` and `fails`, written
+//! once in `osiris-core`, whose `tests/watchdog_search.rs` runs them too.
 
 use osiris_axiom::{AxiomEvent, VerdictCode};
-use osiris_core::watchdog::{Effect, Input, Slot};
+use osiris_core::conduct::Host as _;
+use osiris_core::watchdog::{Effect, Host, Input, Slot, Table};
 use osiris_core::CrashContext;
 use osiris_metrics::Note;
 use osiris_trace::TraceEvent;
@@ -22,8 +21,23 @@ use super::recovery::PendingCrash;
 use super::{Due, Kernel, RETRY_SEQ};
 use crate::message::{Message, Protocol};
 
-impl<P: Protocol> Kernel<P> {
-    /// Asks the watchdog about `input` and executes its decision.
+impl<P: Protocol> Host for Kernel<P> {
+    type Msg = Message<P>;
+
+    fn table(&mut self) -> &mut Table<Message<P>> {
+        &mut self.wd
+    }
+
+    /// Stamps the ring: a service point is a stamp point.
+    fn now(&mut self) -> u64 {
+        self.stamp();
+        self.clock.now()
+    }
+
+    fn halted(&self) -> bool {
+        self.shutdown.is_some() || self.recovering()
+    }
+
     fn watchdog(&mut self, input: Input) {
         let now = self.clock.now();
         let effect = self.wd.step(&self.control, now, self.recovery_epoch, input);
@@ -114,7 +128,9 @@ impl<P: Protocol> Kernel<P> {
             }
         }
     }
+}
 
+impl<P: Protocol> Kernel<P> {
     fn seal_verdict(&mut self, s: Slot, verdict: VerdictCode) {
         let (comp, msg_id) = (s.dst, s.msg_id);
         self.seal(AxiomEvent::WatchdogVerdict {
@@ -131,71 +147,5 @@ impl<P: Protocol> Kernel<P> {
         if self.cfg.watchdog.enabled {
             self.watchdog(Input::Arm(msg.id.0, dst, msg.seep, attempt));
         }
-    }
-
-    /// A reply is routed. Returns `true` when it must not be delivered.
-    pub(super) fn watchdog_rejects_reply(&mut self, msg: &Message<P>) -> bool {
-        let Some(i) = msg.reply_to.and_then(|rt| self.wd.find(rt.0)) else {
-            return false;
-        };
-        let intact = msg.integrity == msg.payload.digest();
-        if intact {
-            // The reply answers the request: a copy its slot held is done.
-            self.wd.slots[i].1 = None;
-        }
-        self.watchdog(Input::Reply(i, intact));
-        !intact
-    }
-
-    /// The handler of `msg` returned: a watched request, which the handler
-    /// was only lent, is kept in its slot whole. Then every rejected reply
-    /// whose request is held again is reconciled, and its sender treated
-    /// as crashed.
-    pub(super) fn watchdog_after_ok(&mut self, msg: Message<P>) {
-        if self.wd.armed == 0 {
-            return;
-        }
-        if let Some(i) = self.wd.find(msg.id.0) {
-            self.watchdog(Input::Handled(i));
-            self.wd.slots[i].1 = Some(msg);
-        }
-        while let Some((i, sender)) = self.wd.rejected() {
-            self.watchdog(Input::Fail(i));
-            self.watchdog(Input::Restart(sender));
-        }
-    }
-
-    /// Visits every slot at a service point. During a recovery conduct
-    /// only the RS runs; deadlines blocked behind it are serviced right
-    /// after it completes, so a hang storm cannot compound a recovery.
-    pub(super) fn service_watchdog(&mut self) {
-        if self.wd.armed == 0 || self.recovering() {
-            return;
-        }
-        self.stamp();
-        if self.clock.now() < self.wd.next_due {
-            return;
-        }
-        for i in 0..self.wd.slots.len() {
-            if self.shutdown.is_some() || self.recovering() {
-                // A verdict in this sweep started a conduct (or shut the
-                // system down): the remaining slots wait.
-                return;
-            }
-            self.watchdog(Input::Due(i));
-        }
-        self.wd.settle();
-    }
-
-    /// The crash machinery is about to answer `failed` with `E_CRASH`.
-    /// Hands it back unless the watchdog watched it: then the watchdog
-    /// re-drives it, or answers it through here once its slot is gone.
-    pub(super) fn watchdog_fails(&mut self, failed: Message<P>) -> Option<Message<P>> {
-        let Some(i) = self.wd.find(failed.id.0) else {
-            return Some(failed);
-        };
-        self.wd.slots[i].1 = Some(failed);
-        self.watchdog(Input::Fail(i));
-        None
     }
 }

@@ -54,11 +54,11 @@ pub const KERNEL_COMP: u8 = 0xFF;
 
 /// The axiom's codes the event table carries, also re-exported for the
 /// crates that reach the axiom through this one: `osiris-core`'s policies
-/// pick an `ActionCode` and its conduct reads the `ControlState`;
-/// `osiris-metrics` folds each sealed `AxiomEvent`.
+/// pick an `ActionCode` and its conduct reads the `ControlState` and seals
+/// an `IntentPhaseCode`; `osiris-metrics` folds each sealed `AxiomEvent`.
 pub use osiris_axiom::{
-    fnv1a, ActionCode, AxiomEvent, CloseCode, CompStatusCode, ControlState, SeepClassCode,
-    VerdictCode,
+    fnv1a, ActionCode, AxiomEvent, CloseCode, CompStatusCode, ControlState, IntentPhaseCode,
+    SeepClassCode, VerdictCode,
 };
 
 /// Where the Chrome export draws an event.
