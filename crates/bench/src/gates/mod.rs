@@ -116,7 +116,7 @@ pub fn run(scale: Scale, alloc_calls: Option<fn() -> u64>) -> Vec<Check> {
     watchdog::checks(scale, &mut c);
     forge::checks(scale, &mut c);
     recording::checks(scale, &mut c);
-    stores::checks(&mut c);
+    stores::checks(scale, &mut c);
     c.rows
 }
 

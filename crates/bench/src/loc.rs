@@ -160,13 +160,15 @@ mod tests {
     /// accessor. The two `Host` traits in `osiris-core` and the kernel's
     /// impls of them are the lines the RCB gained when the watchdog's entry
     /// points and the conduct's execution left the kernel for them: the
-    /// closure searches now run that code instead of a copy of it. The
-    /// fault injector, outside the RCB, has one site profiler and a
-    /// campaign that is its ordered records.
+    /// closure searches now run that code instead of a copy of it. Crash
+    /// capture, the recovery phases, the shutdown, the quarantine and the
+    /// watchdog's effect arms followed without growing the RCB: the kernel
+    /// keeps only their effects. The fault injector, outside the RCB, has
+    /// one site profiler and a campaign that is its ordered records.
     #[test]
     fn rcb_stays_under_its_ceiling() {
         let report = count_workspace_loc();
-        let caps = [("kernel", 2_474), ("checkpoint", 3_098), ("faults", 2_400)];
+        let caps = [("kernel", 2_249), ("checkpoint", 3_089), ("faults", 2_400)];
         for (name, cap) in caps {
             let row = report.crates.iter().find(|c| c.name == name).unwrap();
             assert!(row.loc <= cap, "{name} {}", row.loc);

@@ -27,8 +27,10 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use osiris_trace::fnv1a;
+
 use crate::heap::AnyObj;
-use crate::journal::{fnv1a_bytes, fold_bytes, IntegrityError, FNV_OFFSET, FNV_PRIME};
+use crate::journal::{fold_bytes, IntegrityError, FNV_OFFSET, FNV_PRIME};
 
 /// Logical page size for byte-backed payloads: objects serialize into
 /// fixed-size chunks of this many bytes (the last chunk may be shorter).
@@ -65,9 +67,9 @@ pub(crate) fn chunk_digest(bytes: &[u8]) -> u64 {
         let lane = &mut lanes[i % 4];
         *lane = (*lane ^ u64::from(*b)).wrapping_mul(FNV_PRIME);
     }
-    let mut d = fnv1a_bytes(FNV_OFFSET, &(bytes.len() as u64).to_le_bytes());
+    let mut d = fnv1a(FNV_OFFSET, &(bytes.len() as u64).to_le_bytes());
     for lane in lanes {
-        d = fnv1a_bytes(d, &lane.to_le_bytes());
+        d = fnv1a(d, &lane.to_le_bytes());
     }
     d
 }

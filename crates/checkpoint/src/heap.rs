@@ -7,12 +7,10 @@ use std::fmt::Write as _;
 use std::mem::size_of;
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use osiris_trace::{Stage, TraceEvent};
+use osiris_trace::{fnv1a, Stage, TraceEvent};
 
 use crate::cas::FnvWriter;
-use crate::journal::{
-    self, fnv1a_bytes, fnv1a_u64, fold_bytes, fold_word, IntegrityError, Journal, FNV_OFFSET,
-};
+use crate::journal::{self, fold_bytes, fold_word, IntegrityError, Journal, FNV_OFFSET};
 use crate::map::MapKey;
 use crate::stats::HeapStats;
 
@@ -336,10 +334,10 @@ impl Heap {
     /// content digest, in slot order. Two heaps-states with equal digests
     /// hold equal values (modulo FNV collisions).
     pub fn state_digest(&self) -> u64 {
-        let mut d = fnv1a_u64(FNV_OFFSET, u64::from(self.id));
+        let mut d = fnv1a(FNV_OFFSET, &u64::from(self.id).to_le_bytes());
         for o in &self.objs {
-            d = fnv1a_bytes(d, o.name.as_bytes());
-            d = fnv1a_u64(d, o.data.content_digest());
+            d = fnv1a(d, o.name.as_bytes());
+            d = fnv1a(d, &o.data.content_digest().to_le_bytes());
         }
         d
     }

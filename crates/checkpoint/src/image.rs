@@ -13,9 +13,11 @@
 //! diverges — O(dirty), not O(heap). `tests/cas_proptests.rs` holds every
 //! restore to plain std-container values captured at clone time.
 
+use osiris_trace::fnv1a;
+
 use crate::cas::{ChunkStore, CHUNK_SIZE};
 use crate::heap::{Heap, Obj};
-use crate::journal::{fnv1a_bytes, fnv1a_u64, IntegrityError, FNV_OFFSET};
+use crate::journal::{IntegrityError, FNV_OFFSET};
 
 /// One manifest row: an object's identity, snapshot epoch, byte accounting
 /// and chunk references.
@@ -98,7 +100,7 @@ pub struct RestoreStats {
 /// Manifest digest: heap identity, object table (names, epochs, sizes) and
 /// every chunk digest, in order.
 fn manifest_digest(heap_id: u32, entries: &[ImageEntry]) -> u64 {
-    let d = fnv1a_u64(FNV_OFFSET, u64::from(heap_id));
+    let d = fnv1a(FNV_OFFSET, &u64::from(heap_id).to_le_bytes());
     entries_digest(d, entries)
 }
 
@@ -108,29 +110,29 @@ fn manifest_digest(heap_id: u32, entries: &[ImageEntry]) -> u64 {
 /// comparison the fork path uses to check a forked boot produced the same
 /// pristine pool as its donor.
 fn entries_digest(seed: u64, entries: &[ImageEntry]) -> u64 {
-    let mut d = fnv1a_u64(seed, entries.len() as u64);
+    let mut d = fnv1a(seed, &(entries.len() as u64).to_le_bytes());
     for (i, e) in entries.iter().enumerate() {
-        d = fnv1a_u64(d, i as u64);
-        d = fnv1a_bytes(d, e.name.as_bytes());
-        d = fnv1a_u64(d, e.epoch);
-        d = fnv1a_u64(d, e.abytes as u64);
+        d = fnv1a(d, &(i as u64).to_le_bytes());
+        d = fnv1a(d, e.name.as_bytes());
+        d = fnv1a(d, &e.epoch.to_le_bytes());
+        d = fnv1a(d, &(e.abytes as u64).to_le_bytes());
         match &e.payload {
             EntryPayload::Bytes {
                 len,
                 extra_bytes,
                 chunks,
             } => {
-                d = fnv1a_u64(d, 1);
-                d = fnv1a_u64(d, *len as u64);
-                d = fnv1a_u64(d, *extra_bytes as u64);
-                d = fnv1a_u64(d, chunks.len() as u64);
+                d = fnv1a(d, &1u64.to_le_bytes());
+                d = fnv1a(d, &(*len as u64).to_le_bytes());
+                d = fnv1a(d, &(*extra_bytes as u64).to_le_bytes());
+                d = fnv1a(d, &(chunks.len() as u64).to_le_bytes());
                 for c in chunks {
-                    d = fnv1a_u64(d, *c);
+                    d = fnv1a(d, &c.to_le_bytes());
                 }
             }
             EntryPayload::Opaque { chunk } => {
-                d = fnv1a_u64(d, 2);
-                d = fnv1a_u64(d, *chunk);
+                d = fnv1a(d, &2u64.to_le_bytes());
+                d = fnv1a(d, &chunk.to_le_bytes());
             }
         }
     }

@@ -426,25 +426,11 @@ fn mix64(mut z: u64) -> u64 {
 // Integrity digest
 // ---------------------------------------------------------------------------
 
-/// FNV-1a 64-bit offset basis: the digest of an empty journal. Hand-rolled
-/// like [`mix64`] so this crate stays dependency-free.
+/// FNV-1a 64-bit offset basis: the digest of an empty journal, and the seed
+/// of every digest this crate folds.
 pub(crate) const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+/// The FNV prime the word-wise folds multiply by.
 pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-/// Folds `bytes` into a byte-serial FNV-1a running digest: one dependent
-/// multiply per byte, so only for short cold inputs (object names, manifest
-/// headers). Anything on a request path folds with [`fold_bytes`].
-pub(crate) fn fnv1a_bytes(mut digest: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        digest = (digest ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
-    digest
-}
-
-/// Folds one little-endian `u64` into an FNV-1a running digest.
-pub(crate) fn fnv1a_u64(digest: u64, v: u64) -> u64 {
-    fnv1a_bytes(digest, &v.to_le_bytes())
-}
 
 /// One step of the word-wise integrity fold: the FNV-1a step (xor, multiply
 /// by the FNV prime) taken over a whole 64-bit word, then a rotation.

@@ -7,13 +7,19 @@
 //! [`conduct`] makes every decision of that protocol from the control
 //! state alone (the fold of the axiom, whose `recovering` is the conduct in
 //! flight) and the RS's endpoint. It touches no heap and no kernel. Its
-//! execution, the provided methods of [`Host`], is written once here too:
-//! the kernel supplies the effects only it can perform, and
-//! `tests/conduct_search.rs` runs the same code over the whole state space.
+//! execution is written once here too, as the provided methods of
+//! [`Host`]: crash capture, each [`Effect`], the three recovery phases
+//! with their fallback chain and reconciliation, the controlled shutdown,
+//! the quarantine and its bounce. The kernel supplies only the effects on
+//! heaps, images, the clock and inboxes, and `tests/conduct_search.rs` and
+//! `tests/watchdog_search.rs` run the same code over their state spaces.
 
-use osiris_trace::{AxiomEvent, CompStatusCode, ControlState, IntentPhaseCode};
+use osiris_trace::{AxiomEvent, CompStatusCode, ControlState, IntentPhaseCode, TraceEvent};
 
-use crate::recovery::ActionCode;
+use crate::policy::RecoveryPolicy;
+use crate::recovery::{
+    decide_recovery, system_survives, ActionCode, CrashContext, RecoveryDecision,
+};
 
 /// Re-drives of one interrupted intent through a restarted RS before the
 /// kernel stops trusting the RS with it and completes the recovery itself.
@@ -123,15 +129,48 @@ pub fn conduct(state: &ControlState, rs: Option<u8>, input: Input) -> Effect {
     }
 }
 
+/// Crash-time facts a component's crash freezes until its recovery runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct PendingCrash<M> {
+    /// The request the component was serving: whole if the watchdog may
+    /// re-drive it, else what its handler left of it (the header, at
+    /// least).
+    pub msg: M,
+    /// What the policy decides on. `in_recovery_code`: the fault hit while
+    /// a conduct was in flight (only the RS runs then, so the RS failed
+    /// mid-conduct).
+    pub ctx: CrashContext,
+    /// The component was quiescent when the watchdog declared it dead (its
+    /// handler had completed and its transaction committed; only the reply
+    /// was lost or tampered with). The heap is consistent, so a policy
+    /// verdict of "shut down" degrades to a keep-state restart instead.
+    pub quiescent: bool,
+}
+
 /// The executor of the conduct's decisions: the kernel, or a model of it.
-/// The required methods are what only the executor can do; the provided
-/// ones execute each [`Effect`], written once.
+/// The required methods are the effects only the executor can perform: on
+/// heaps, images, the clock and inboxes. The provided ones are the
+/// recovery plane's control flow, written once: crash capture, the
+/// execution of each [`Effect`], the three recovery phases with their
+/// fallback chain, the controlled shutdown, the quarantine and its bounce.
 pub trait Host {
+    /// A message: what a crashed component was serving, what is answered.
+    type Msg;
+
     /// The control state: the fold of every sealed event.
     fn control(&self) -> &ControlState;
 
     /// The Recovery Server's endpoint, if there is one.
     fn rs(&self) -> Option<u8>;
+
+    /// The recovery policy that reconciles a crash.
+    fn policy(&self) -> &dyn RecoveryPolicy;
+
+    /// Component `comp`'s name, for shutdown reasons.
+    fn name(&self, comp: u8) -> &'static str;
+
+    /// Component `comp`'s unrecovered crash.
+    fn pending(&mut self, comp: u8) -> &mut Option<PendingCrash<Self::Msg>>;
 
     /// Seals `event` into the axiom, and so into the control state.
     fn seal(&mut self, event: AxiomEvent);
@@ -139,22 +178,110 @@ pub trait Host {
     /// Stamps the flight recorder with the current virtual time.
     fn stamp(&mut self);
 
+    /// Reports an occurrence on component `comp`'s lane: to the flight
+    /// recorder and the metric fold.
+    fn emit(&mut self, comp: u8, event: TraceEvent);
+
+    /// Starts a new recovery epoch: spans opened before it count as having
+    /// crossed a recovery.
+    fn new_epoch(&mut self);
+
     /// Queues the crash notification for `comp` to the RS.
     fn notify_rs(&mut self, comp: u8);
 
     /// Whether a crash notification for `comp` is queued to the RS at `rs`.
     fn rs_queued(&self, rs: u8, comp: u8) -> bool;
 
-    /// Executes the recovery phases for `comp` in the kernel.
-    fn recover(&mut self, comp: u8);
-
     /// Notes that an interrupted intent was re-driven through the restarted
     /// RS (`redriven`) or completed in the kernel.
     fn replayed(&mut self, redriven: bool);
 
+    /// Runs and notes the integrity check of `comp`'s clone image
+    /// (`image`) or undo journal; reports whether it passed.
+    fn verify(&mut self, comp: u8, image: bool) -> bool;
+
+    /// Consults the fault hook at a recovery-phase `site`: whether the
+    /// phase itself failed.
+    fn phase_faulted(&mut self, site: &'static str) -> bool;
+
+    /// Restart and rollback phases: swaps in the spare clone, rolls `comp`'s
+    /// heap back to its window's checkpoint and restarts its server.
+    /// Returns the cycles they took.
+    fn roll_back(&mut self, comp: u8) -> u64;
+
+    /// Restores `comp`'s heap from its clone image, copy-on-write, and
+    /// restarts its server fresh. Returns the cycles it took, or `None`
+    /// (noted) if the image failed a chunk check before any mutation.
+    fn restore(&mut self, comp: u8) -> Option<u64>;
+
+    /// Restarts `comp`'s server over the heap as it is (`quiescent`: the
+    /// heap is a committed transaction's). Returns the cycles it took.
+    fn keep_state(&mut self, comp: u8, quiescent: bool) -> u64;
+
+    /// Charges `comp`'s recovery, whose phases took `cycles`, to the clock
+    /// with the reconciliation's, restamps, and seals the window close the
+    /// phases staged: the axiom's event order is the causal order. Returns
+    /// the cycles charged.
+    fn charge_recovery(&mut self, comp: u8, cycles: u64) -> u64;
+
+    /// Error virtualization: answers the requester of `msg` with `E_CRASH`
+    /// on behalf of `from`, unless the watchdog re-drives the request.
+    fn crash_reply(&mut self, from: u8, msg: Self::Msg);
+
+    /// Answers a process that sent `msg` with `ESHUTDOWN`, on behalf of
+    /// `from`. Hands back a message from any other requester.
+    fn shutdown_reply(&mut self, from: u8, msg: Self::Msg) -> Option<Self::Msg>;
+
+    /// Asks the RS to kill the process that sent `msg` (paper §VII): its
+    /// exit path cleans the scoped state the window exported.
+    fn kill_requester(&mut self, msg: &Self::Msg);
+
+    /// Whether the watchdog still watches for a reply to `msg`.
+    fn watched(&self, msg: &Self::Msg) -> bool;
+
+    /// Returns benched `comp`'s clone image to the pool.
+    fn bench(&mut self, comp: u8);
+
+    /// Takes the next request queued to quarantined `comp`, noted as
+    /// refused; replies and notifications queued before it are dropped.
+    fn take_request(&mut self, comp: u8) -> Option<Self::Msg>;
+
+    /// Records a controlled shutdown (`reason`) unless one was already
+    /// decided. Returns whether its grace window is open.
+    fn begin_shutdown(&mut self, reason: String) -> bool;
+
+    /// Stops the machine at once: a fault in recovery code.
+    fn crash_shutdown(&mut self, reason: String);
+
     /// The conduct's decision on `input` in the current control state.
     fn decide(&self, input: Input) -> Effect {
         conduct(self.control(), self.rs(), input)
+    }
+
+    /// Fault capture: `comp`'s handler unwound while serving `msg` (`hung`:
+    /// the panic was an injected wedge rather than a fail-stop crash), with
+    /// its window and request as `ctx` says (its `in_recovery_code` is
+    /// decided here), after the window close it staged was sealed. Seals
+    /// the fault, freezes the crash-time facts and executes the conduct's
+    /// decision.
+    fn capture(&mut self, comp: u8, msg: Self::Msg, mut ctx: CrashContext, hung: bool) {
+        // Any capture starts a new recovery epoch.
+        self.new_epoch();
+        let (event, input) = if hung {
+            // The component is wedged: it stops processing messages until
+            // its detector declares it dead.
+            (AxiomEvent::HangDetected { comp }, Input::Hang(comp))
+        } else {
+            (AxiomEvent::Crash { comp }, Input::Crash(comp))
+        };
+        self.seal(event);
+        ctx.in_recovery_code = self.control().recovering.is_some();
+        *self.pending(comp) = Some(PendingCrash {
+            msg,
+            ctx,
+            quiescent: false,
+        });
+        self.execute(self.decide(input));
     }
 
     /// Starts the recovery of `comp`, which the watchdog declared dead (its
@@ -162,6 +289,16 @@ pub trait Host {
     fn declare_dead(&mut self, comp: u8) {
         self.seal(AxiomEvent::Crash { comp });
         self.execute(self.decide(Input::Crash(comp)));
+    }
+
+    /// The RS heartbeat's kill: crashes `comp` if it is hung, and recovers
+    /// it.
+    fn kill_hung(&mut self, comp: u8) {
+        if self.control().status(comp) == CompStatusCode::Hung {
+            self.stamp();
+            self.seal(AxiomEvent::Crash { comp });
+            self.recover(comp);
+        }
     }
 
     /// Executes one decision of the conduct (paper §V: "all core system
@@ -239,5 +376,156 @@ pub trait Host {
         self.stamp();
         self.seal(AxiomEvent::RecoveryFallback { comp, from, to });
         to
+    }
+
+    /// Executes the three recovery phases — restart, rollback,
+    /// reconciliation — for the crashed component `comp` (paper §IV-C).
+    fn recover(&mut self, comp: u8) {
+        let Some(pending) = self.pending(comp).take() else {
+            // Spurious request (e.g. the component already recovered, or a
+            // stale backoff timer fired after a quarantine).
+            return self.execute(self.decide(Input::Recovered(comp)));
+        };
+        self.stamp();
+        let mut decision = decide_recovery(self.policy(), &pending.ctx);
+        if pending.quiescent && !system_survives(decision.action) {
+            // The watchdog declared this component dead between requests:
+            // its handler had committed and only the reply was lost or
+            // tampered with, so the heap is a consistent post-transaction
+            // state. The policy's "window closed, reply impossible" shutdown
+            // verdict is for mid-flight crashes; here a keep-state restart
+            // (fresh server object over the committed heap) is sound, and
+            // the requester was already reconciled by the retry/crash-reply
+            // interception.
+            decision = RecoveryDecision::new(ActionCode::ContinueAsIs, false);
+        }
+        let mut action = decision.action;
+        self.seal(AxiomEvent::RecoveryDecision { comp, action });
+        // Attempt loop: each recovery phase is itself fallible — a journal
+        // or image integrity violation, or a fault injected inside the
+        // phase, degrades to the next rung of the fallback chain instead of
+        // executing a phase whose inputs cannot be trusted.
+        let cycles = loop {
+            let done = match action {
+                // The policy (correctly) refuses to recover a fault in
+                // recovery code under the single-fault model. The intent
+                // log makes the interrupted conduct re-drivable, so the RS
+                // restarts fresh instead of taking the system down.
+                ActionCode::UncontrolledCrash if pending.ctx.in_recovery_code => None,
+                ActionCode::RollbackErrorReply | ActionCode::RollbackKillRequester => {
+                    let trusted =
+                        self.verify(comp, false) && !self.phase_faulted("kernel.recovery.rollback");
+                    trusted.then(|| self.roll_back(comp))
+                }
+                ActionCode::FreshRestart => {
+                    let trusted =
+                        self.verify(comp, true) && !self.phase_faulted("kernel.recovery.restart");
+                    trusted.then(|| self.restore(comp)).flatten()
+                }
+                ActionCode::ContinueAsIs => Some(self.keep_state(comp, pending.quiescent)),
+                ActionCode::ControlledShutdown => {
+                    let reason = format!(
+                        "unrecoverable crash in {} (window {}, reply {})",
+                        self.name(comp),
+                        ["closed", "open"][usize::from(pending.ctx.window_open)],
+                        ["impossible", "possible"][usize::from(pending.ctx.reply_possible)],
+                    );
+                    *self.pending(comp) = Some(pending);
+                    return self.shut_down(Some(comp), reason);
+                }
+                ActionCode::UncontrolledCrash => {
+                    let name = self.name(comp);
+                    let reason = format!("fault in recovery path while handling crash of {name}");
+                    return self.crash_shutdown(reason);
+                }
+            };
+            match done {
+                Some(cycles) => break cycles,
+                None => action = self.fall_back(comp, action, false),
+            }
+        };
+        let cycles = self.charge_recovery(comp, cycles);
+        self.seal(AxiomEvent::RecoveryDone { comp, cycles });
+        // A completed recovery also advances the epoch, so spans opened
+        // while the recovery was in flight are flagged at close.
+        self.new_epoch();
+        self.execute(self.decide(Input::Recovered(comp)));
+
+        // Reconciliation phase: error virtualization — tell the requester
+        // the call failed so it can handle it like any other error — or the
+        // kill-requester extension (paper §VII). A fault here means the
+        // requester's view cannot be reconciled: the component is
+        // restored, but the only consistent global outcome left is a
+        // controlled shutdown.
+        if self.phase_faulted("kernel.recovery.reconcile") {
+            self.fall_back(comp, action, true);
+            let name = self.name(comp);
+            let reason = format!("fault in reconciliation after recovering {name}");
+            *self.pending(comp) = Some(pending);
+            return self.shut_down(Some(comp), reason);
+        }
+        if decision.action == ActionCode::RollbackKillRequester {
+            self.kill_requester(&pending.msg);
+        } else if decision.error_reply {
+            self.crash_reply(comp, pending.msg);
+        }
+    }
+
+    /// Stops the machine in a controlled way, ending the conduct for
+    /// `target`, if any: its intent is resolved and, while the grace window
+    /// is open, the request whose crash started the conduct is answered
+    /// (a process with `ESHUTDOWN`), so its caller can save its state
+    /// instead of blocking forever. The crashed component stays dead. The
+    /// policy, the fallback chain and the escalation ladder all shut down
+    /// through here.
+    fn shut_down(&mut self, target: Option<u8>, reason: String) {
+        let failed = target.and_then(|t| {
+            self.resolve_intent(t);
+            self.pending(t).take()
+        });
+        let grace = self.begin_shutdown(reason);
+        if let (Some(target), Some(failed), true) = (target, failed, grace) {
+            if let Some(msg) = self.shutdown_reply(target, failed.msg) {
+                self.crash_reply(target, msg);
+            }
+        }
+    }
+
+    /// Benches a crash-looping component: reconciles its pending requester
+    /// with a crash reply unless the handler's reply got through, seals it
+    /// [`CompStatusCode::Quarantined`] (never scheduled again), and
+    /// unstalls the system. Its queued and future requests are bounced by
+    /// [`Host::bounce`].
+    fn quarantine(&mut self, comp: u8) {
+        self.stamp();
+        if let Some(pending) = self.pending(comp).take() {
+            // Its requester still waits for a reply, or the reply went out
+            // but the watchdog still watches for it: lost or rejected.
+            if pending.ctx.reply_possible || self.watched(&pending.msg) {
+                self.crash_reply(comp, pending.msg);
+            }
+        }
+        // A benched component will never be restarted: its clone image's
+        // shared chunks survive only as long as a live component needs
+        // them.
+        self.bench(comp);
+        // The Quarantined axiom event sets the status, resolves the intent
+        // and clears the window bit in the control-state fold.
+        self.seal(AxiomEvent::Quarantined { comp });
+    }
+
+    /// Drains the inboxes of quarantined components: requests are answered
+    /// with an immediate crash reply (error virtualization without running
+    /// the component), replies and notifications are dropped.
+    fn bounce(&mut self) {
+        for comp in 0..self.control().comps {
+            if self.control().status(comp) != CompStatusCode::Quarantined {
+                continue;
+            }
+            while let Some(request) = self.take_request(comp) {
+                self.stamp();
+                self.crash_reply(comp, request);
+            }
+        }
     }
 }

@@ -16,8 +16,10 @@ pub use osiris_trace::ActionCode;
 
 use crate::policy::RecoveryPolicy;
 
-/// Everything the reconciliation decision depends on at crash time.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+/// Everything the reconciliation decision depends on at crash time. The
+/// default is a quiescent component's: between requests, with nothing to
+/// reply to and its window closed.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct CrashContext {
     /// Was the crashed component's recovery window open?
     pub window_open: bool,

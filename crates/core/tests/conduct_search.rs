@@ -4,19 +4,19 @@
 //! real control-state fold (`ControlState::apply`), each component's pending
 //! crash and the crash notifications queued to the Recovery Server; its
 //! decisions are the real `osiris_core::conduct`, and their execution is the
-//! kernel's own: `conduct::Host`'s provided methods, run on a [`Machine`]
-//! that supplies the effects. Crash capture and the recovery phases stay a
-//! model of `kernel/recovery.rs`, under the enhanced policy's real
-//! `decide_recovery`, with a zero shutdown grace.
+//! kernel's own: `conduct::Host`'s provided methods — crash capture, the
+//! three recovery phases with their fallback chain, the shutdown and the
+//! quarantine — run on a [`Machine`] that supplies the effects, under the
+//! enhanced policy with a zero shutdown grace.
 //!
 //! Each step is one input: a crash or hang of a schedulable component (only
 //! the RS while a conduct is in flight), an RS crash or hang at one of its
 //! conduct sites, the RS serving a notification with a ladder step, or a
 //! watchdog verdict or heartbeat kill of a hung component. A step may arm
-//! one fault in the rollback, restart or reconcile phase of the recoveries
-//! it triggers. The search runs to closure, so every reachable state is
-//! checked (it fails if the space has not closed within `DEPTH` inputs and
-//! `MAX_STATES` states):
+//! one fault in the recoveries it triggers: a failed journal or image
+//! check, or a fault in the rollback, restart or reconcile phase. The
+//! search runs to closure, so every reachable state is checked (it fails if
+//! the space has not closed within `DEPTH` inputs and `MAX_STATES` states):
 //!
 //! - no wedge: fault-free progress reaches a shutdown or a settled machine
 //!   (every component Alive or Quarantined, no conduct in flight, nothing
@@ -27,7 +27,9 @@
 //! - Quarantined is absorbing;
 //! - every intent is resolved: a settled machine holds no active intent;
 //! - while a conduct is in flight, no crash of another component reaches
-//!   the conduct.
+//!   the conduct;
+//! - no phase runs whose integrity check or fault probe failed, and no
+//!   requester is answered once its reconciliation faulted.
 //!
 //! The visited set is keyed on the conduct-relevant projection of the
 //! control state (statuses, intent slots, `recovering`, `shutdown`) plus the
@@ -38,8 +40,9 @@ mod support;
 use std::cell::Cell;
 
 use osiris_axiom::{AxiomEvent, CompStatusCode, ControlState, IntentPhaseCode, IntentSlot};
-use osiris_core::conduct::Host;
-use osiris_core::{conduct, decide_recovery, ActionCode, CrashContext, Effect, Enhanced, Input};
+use osiris_core::conduct::{Host, PendingCrash};
+use osiris_core::{conduct, ActionCode, CrashContext, Effect, Enhanced, Input, RecoveryPolicy};
+use osiris_trace::TraceEvent;
 use support::Model;
 
 const COMPS: usize = 6;
@@ -47,12 +50,25 @@ const RS: u8 = 0;
 const DEPTH: usize = 24;
 const MAX_STATES: usize = 200_000;
 
-/// A recovery phase a step may arm a fault in.
+/// Where a step may arm a fault: an integrity check or a recovery phase.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Phase {
+    Journal,
     Rollback,
+    Image,
     Restart,
     Reconcile,
+}
+
+impl Phase {
+    /// The phase whose inputs a fault here leaves untrusted.
+    fn guards(self) -> Phase {
+        match self {
+            Phase::Journal => Phase::Rollback,
+            Phase::Image => Phase::Restart,
+            phase => phase,
+        }
+    }
 }
 
 /// The RS's escalation ladder step.
@@ -90,16 +106,19 @@ struct Key {
     intents: [IntentSlot; COMPS],
     recovering: Option<u8>,
     shutdown: Option<bool>,
-    pending: [Option<CrashContext>; COMPS],
+    pending: [Option<PendingCrash<()>>; COMPS],
     inbox: Vec<u8>,
 }
 
 struct Machine {
     control: ControlState,
     /// Each component's unrecovered crash, as the kernel froze it.
-    pending: [Option<CrashContext>; COMPS],
+    pending: [Option<PendingCrash<()>>; COMPS],
     inbox: Vec<u8>,
     armed: Option<Phase>,
+    /// The phase whose check or probe failed in this step, if any.
+    untrusted: Option<Phase>,
+    violations: Vec<&'static str>,
     /// A crash of a component other than the RS reached the conduct while
     /// a conduct was in flight: seen in [`Host::decide`], which takes
     /// `&self`.
@@ -119,6 +138,8 @@ impl Machine {
             pending: k.pending,
             inbox: k.inbox.clone(),
             armed: None,
+            untrusted: None,
+            violations: Vec::new(),
             foreign_crash: Cell::new(false),
         }
     }
@@ -139,8 +160,23 @@ impl Machine {
         self.control.status(comp)
     }
 
-    fn phase_faulted(&mut self, phase: Phase) -> bool {
-        self.armed.take_if(|armed| *armed == phase).is_some()
+    /// Whether the fault armed in this step fires at `at`.
+    fn faulted(&mut self, at: Phase) -> bool {
+        let fired = self.armed.take_if(|armed| *armed == at).is_some();
+        if fired {
+            self.untrusted = Some(at.guards());
+        }
+        fired
+    }
+
+    /// A phase runs, or a requester is answered after `phase`.
+    fn ran(&mut self, phase: Phase) {
+        if self.untrusted == Some(phase) {
+            self.violations.push(match phase {
+                Phase::Reconcile => "a requester was answered after its reconciliation faulted",
+                _ => "a recovery phase ran on inputs that failed their check",
+            });
+        }
     }
 
     /// The steps the environment can take here.
@@ -183,7 +219,9 @@ impl Machine {
         }
         let phase_faults = [
             None,
+            Some(Phase::Journal),
             Some(Phase::Rollback),
+            Some(Phase::Image),
             Some(Phase::Restart),
             Some(Phase::Reconcile),
         ];
@@ -194,12 +232,12 @@ impl Machine {
     fn take(&mut self, step: Step) {
         self.armed = step.phase_fault;
         match step.event {
-            Event::Fault { comp, hang, open } => self.capture(comp, hang, open),
+            Event::Fault { comp, hang, open } => self.fault(comp, hang, open),
             Event::RsFault { site, hang } => {
                 self.inbox.remove(0);
                 // Past `rs.recover.issued` the RS has published the intent
                 // to DS, a state-modifying send that closed its window.
-                self.capture(RS, hang, site != "rs.recover.issued");
+                self.fault(RS, hang, site != "rs.recover.issued");
             }
             Event::Serve(ladder) => {
                 let target = self.inbox.remove(0);
@@ -209,96 +247,33 @@ impl Machine {
                             comp: target,
                             phase: IntentPhaseCode::Issued,
                         });
-                        self.execute_recovery(target);
+                        self.recover(target);
                     }
-                    Ladder::Quarantine => {
-                        self.pending[target as usize] = None;
-                        self.seal(AxiomEvent::Quarantined { comp: target });
-                    }
-                    Ladder::Shutdown => self.shut_down(self.control.recovering),
+                    Ladder::Quarantine => self.quarantine(target),
+                    Ladder::Shutdown => self.shut_down(self.control.recovering, String::new()),
                 }
             }
             Event::Verdict(comp) => self.declare_dead(comp),
-            Event::Kill(comp) => {
-                self.seal(AxiomEvent::Crash { comp });
-                self.execute_recovery(comp);
-            }
+            Event::Kill(comp) => self.kill_hung(comp),
         }
         self.armed = None;
     }
 
-    /// `Kernel::capture_fault`: `open`, the window was open and a reply
+    /// `comp`'s handler unwinds: `open`, its window was open and a reply
     /// possible.
-    fn capture(&mut self, comp: u8, hang: bool, open: bool) {
-        let input = if hang {
-            self.seal(AxiomEvent::HangDetected { comp });
-            Input::Hang(comp)
-        } else {
-            self.seal(AxiomEvent::Crash { comp });
-            Input::Crash(comp)
-        };
-        self.pending[comp as usize] = Some(CrashContext {
+    fn fault(&mut self, comp: u8, hang: bool, open: bool) {
+        let ctx = CrashContext {
             window_open: open,
             reply_possible: open,
-            in_recovery_code: self.control.recovering.is_some(),
-            scoped_sends: false,
-            requester_is_process: false,
-        });
-        self.execute(self.decide(input));
-    }
-
-    /// `Kernel::shut_down`.
-    fn shut_down(&mut self, target: Option<u8>) {
-        if let Some(t) = target {
-            self.resolve_intent(t);
-            self.pending[t as usize] = None;
-        }
-        if self.control.shutdown.is_none() {
-            self.seal(AxiomEvent::ShutdownDecision { controlled: true });
-        }
-    }
-
-    /// `Kernel::execute_recovery` under the enhanced policy.
-    fn execute_recovery(&mut self, comp: u8) {
-        let Some(p) = self.pending[comp as usize].take() else {
-            self.execute(self.decide(Input::Recovered(comp)));
-            return;
+            ..CrashContext::default()
         };
-        let mut action = decide_recovery(&Enhanced, &p).action;
-        self.seal(AxiomEvent::RecoveryDecision { comp, action });
-        if action == ActionCode::UncontrolledCrash && p.in_recovery_code {
-            action = self.fall_back(comp, action, false);
-        }
-        loop {
-            let phase = match action {
-                ActionCode::RollbackErrorReply => Phase::Rollback,
-                ActionCode::FreshRestart => Phase::Restart,
-                ActionCode::ControlledShutdown => {
-                    self.pending[comp as usize] = Some(p);
-                    self.shut_down(Some(comp));
-                    return;
-                }
-                _ => {
-                    self.seal(AxiomEvent::ShutdownDecision { controlled: false });
-                    return;
-                }
-            };
-            if !self.phase_faulted(phase) {
-                break;
-            }
-            action = self.fall_back(comp, action, false);
-        }
-        self.seal(AxiomEvent::RecoveryDone { comp, cycles: 0 });
-        self.execute(self.decide(Input::Recovered(comp)));
-        if self.phase_faulted(Phase::Reconcile) {
-            self.fall_back(comp, action, true);
-            self.pending[comp as usize] = Some(p);
-            self.shut_down(Some(comp));
-        }
+        self.capture(comp, (), ctx, hang);
     }
 }
 
 impl Host for Machine {
+    type Msg = ();
+
     fn control(&self) -> &ControlState {
         &self.control
     }
@@ -307,11 +282,27 @@ impl Host for Machine {
         Some(RS)
     }
 
+    fn policy(&self) -> &dyn RecoveryPolicy {
+        &Enhanced
+    }
+
+    fn name(&self, _: u8) -> &'static str {
+        ""
+    }
+
+    fn pending(&mut self, comp: u8) -> &mut Option<PendingCrash<()>> {
+        &mut self.pending[comp as usize]
+    }
+
     fn seal(&mut self, event: AxiomEvent) {
         self.control.apply(0, &event);
     }
 
     fn stamp(&mut self) {}
+
+    fn emit(&mut self, _: u8, _: TraceEvent) {}
+
+    fn new_epoch(&mut self) {}
 
     fn notify_rs(&mut self, comp: u8) {
         self.inbox.push(comp);
@@ -321,11 +312,71 @@ impl Host for Machine {
         self.inbox.contains(&comp)
     }
 
-    fn recover(&mut self, comp: u8) {
-        self.execute_recovery(comp);
+    fn replayed(&mut self, _: bool) {}
+
+    fn verify(&mut self, _: u8, image: bool) -> bool {
+        !self.faulted([Phase::Journal, Phase::Image][usize::from(image)])
     }
 
-    fn replayed(&mut self, _: bool) {}
+    fn phase_faulted(&mut self, site: &'static str) -> bool {
+        let phase = match site {
+            "kernel.recovery.rollback" => Phase::Rollback,
+            "kernel.recovery.restart" => Phase::Restart,
+            _ => Phase::Reconcile,
+        };
+        self.faulted(phase)
+    }
+
+    fn roll_back(&mut self, _: u8) -> u64 {
+        self.ran(Phase::Rollback);
+        0
+    }
+
+    fn restore(&mut self, _: u8) -> Option<u64> {
+        self.ran(Phase::Restart);
+        Some(0)
+    }
+
+    fn keep_state(&mut self, _: u8, _: bool) -> u64 {
+        0
+    }
+
+    fn charge_recovery(&mut self, _: u8, cycles: u64) -> u64 {
+        cycles
+    }
+
+    fn crash_reply(&mut self, _: u8, _: ()) {
+        self.ran(Phase::Reconcile);
+    }
+
+    fn shutdown_reply(&mut self, _: u8, msg: ()) -> Option<()> {
+        Some(msg)
+    }
+
+    fn kill_requester(&mut self, _: &()) {
+        self.ran(Phase::Reconcile);
+    }
+
+    fn watched(&self, _: &()) -> bool {
+        false
+    }
+
+    fn bench(&mut self, _: u8) {}
+
+    fn take_request(&mut self, _: u8) -> Option<()> {
+        None
+    }
+
+    fn begin_shutdown(&mut self, _: String) -> bool {
+        if self.control.shutdown.is_none() {
+            self.seal(AxiomEvent::ShutdownDecision { controlled: true });
+        }
+        false
+    }
+
+    fn crash_shutdown(&mut self, _: String) {
+        self.seal(AxiomEvent::ShutdownDecision { controlled: false });
+    }
 
     fn decide(&self, input: Input) -> Effect {
         if let Input::Crash(comp) = input {
@@ -360,7 +411,8 @@ impl Model for Machine {
         let mut m = Machine::from_key(key);
         m.take(step);
         let next = m.key();
-        let found = next.violations(key, m.foreign_crash.get());
+        let mut found = next.violations(key, m.foreign_crash.get());
+        found.append(&mut m.violations);
         (next, found, 0)
     }
 

@@ -89,15 +89,16 @@ impl<M: Model> Graph<M> {
         (id, true)
     }
 
-    /// Records `what`, found at node `id`, unless a shorter witness of it
-    /// is already recorded.
-    fn report(&mut self, what: &'static str, id: usize) {
+    /// Records `what`, found at node `id` or (`last`) by a step taken
+    /// from it, unless a shorter witness of it is already recorded.
+    fn report(&mut self, what: &'static str, id: usize, last: Option<M::Step>) {
         if self.violations.iter().any(|(w, _)| *w == what) {
             return;
         }
         let edges = std::iter::successors(self.parent[id], |&(p, _)| self.parent[p]);
         let mut steps: Vec<M::Step> = edges.map(|(_, step)| step).collect();
         steps.reverse();
+        steps.extend(last);
         self.violations.push((what, steps));
     }
 
@@ -157,7 +158,7 @@ pub fn search<M: Model>(max_depth: usize, max_states: usize) -> Graph<M> {
             g.reached |= reached;
             let (nid, new) = g.node(next, Some((id, step)));
             for what in found {
-                g.report(what, nid);
+                g.report(what, id, Some(step));
             }
             if M::progress(&step) {
                 progress.push(nid);
@@ -185,7 +186,7 @@ pub fn search<M: Model>(max_depth: usize, max_states: usize) -> Graph<M> {
     }
     let wedged = |id: &usize| g.progress[*id].is_some() && !reaches_good[*id];
     if let Some(id) = (0..g.keys.len()).find(wedged) {
-        g.report(M::WEDGE, id);
+        g.report(M::WEDGE, id, None);
     }
     g
 }

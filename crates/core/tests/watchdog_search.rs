@@ -7,14 +7,14 @@
 //! is the real `Table::step`. Two requests over one slot close in about
 //! 90,000 states; three over two slots, or a second server, do not close
 //! within this test's time budget. The kernel's entry points (reply
-//! routing, handler return, service point, crash reply) are its own:
-//! `watchdog::Host`'s provided methods, run on a [`Machine`], and so is the
-//! quarantine's answer rule. What the kernel does with an effect, and its
-//! crash capture, recovery and bounce, stay a model of `kernel/watchdog.rs`
-//! and `kernel/recovery.rs`, under the enhanced policy's real
-//! `decide_recovery` with a live Recovery Server: a crash before the handler
-//! replied is rolled back and answered with `E_CRASH`, one after it replied
-//! shuts the machine down.
+//! routing, handler return, service point, crash reply), the execution of
+//! each effect, and the recovery plane behind them (crash capture, the
+//! conduct, the recovery phases, the quarantine and its bounce) are its
+//! own: `watchdog::Host`'s and `conduct::Host`'s provided methods, run on
+//! a [`Machine`] that supplies the effects, under the enhanced policy with
+//! a live Recovery Server: a crash before the handler replied is rolled
+//! back and answered with `E_CRASH`, one after it replied shuts the machine
+//! down, and a quiescent restart keeps the heap.
 //!
 //! Each step is one input: the client sends a request; the server handles
 //! its next request, replying (intact, dropped or corrupt) or not, and then
@@ -45,23 +45,32 @@
 //! - a hung component gets its verdict within `DEADLINE_STATE_MODIFYING +
 //!   MAX_PROBES × PROBE_PERIOD` of its hang, or of the arming of a request
 //!   that found it hung;
-//! - every path of the step below is taken ([`Path`]).
+//! - a quiescent component (the sender of a rejected reply) is restarted
+//!   keeping its state, never by shutting the machine down;
+//! - every path of the step below is taken, the quiescent restart too
+//!   ([`Path`]).
 //!
 //! The visited set is keyed on the whole model state, with virtual times
 //! taken relative to the clock and epochs relative to the current one.
 
 mod support;
 
-use osiris_axiom::{CompStatusCode, ControlState, VerdictCode};
-use osiris_core::watchdog::{quarantine_answers, Effect, Host, Input, Slot, Table, WdState};
-use osiris_core::{decide_recovery, system_survives, CrashContext, Enhanced};
+use osiris_axiom::{AxiomEvent, CompStatusCode, ControlState, IntentSlot, VerdictCode};
+use osiris_core::conduct::{self, Host as _, PendingCrash};
+use osiris_core::watchdog::{Effect, Host, Input, Slot, Table, WdState};
+use osiris_core::{CrashContext, Enhanced, RecoveryPolicy};
 use osiris_core::{SeepClass, SeepMeta, WatchdogConfig};
+use osiris_trace::TraceEvent;
 use support::Model;
 
 const SLOTS: usize = 1;
 const REQS: usize = 2;
 /// An internal message: no request of the client's, so no slot watches it.
 const INTERNAL: usize = REQS;
+/// The placeholder a quiescent restart carries.
+const CARRIER: usize = REQS + 1;
+/// The Recovery Server's endpoint.
+const RS: u8 = 0;
 const N: usize = 1;
 const SERVERS: [u8; N] = [1];
 const DEPTH: usize = 64;
@@ -120,15 +129,6 @@ struct Req {
     answers: u8,
 }
 
-/// A server's pending crash: the message it faulted on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-enum Pending {
-    /// A request; `replied`: after its handler replied.
-    Req(usize, bool),
-    Internal,
-    Carrier,
-}
-
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 enum Event {
     Send {
@@ -164,10 +164,13 @@ struct Key {
     table: Table<usize>,
     reqs: [Req; REQS],
     inbox: [Vec<usize>; N],
-    pending: [Option<Pending>; N],
+    /// Each server's unrecovered crash: the request (or `INTERNAL`, or
+    /// `CARRIER`) it faulted on.
+    pending: [Option<PendingCrash<usize>>; N],
     /// When each hung server hung.
     hung_at: [u64; N],
     statuses: [CompStatusCode; N],
+    intents: [IntentSlot; N],
     recovering: Option<u8>,
     shutdown: bool,
 }
@@ -196,7 +199,8 @@ impl Path {
     const SLOW: u32 = 1 << 7;
     const RESTART: u32 = 1 << 8;
     const REJECTED: u32 = 1 << 9;
-    const ALL: u32 = (1 << 10) - 1;
+    const QUIESCENT: u32 = 1 << 10;
+    const ALL: u32 = (1 << 11) - 1;
 }
 
 fn id(r: usize) -> u64 {
@@ -218,6 +222,7 @@ impl Machine {
         control.comps = 3;
         for s in SERVERS {
             control.statuses[s as usize] = key.statuses[server(s)];
+            control.intents[s as usize] = key.intents[server(s)];
         }
         control.recovering = key.recovering;
         control.shutdown = key.shutdown.then_some(true);
@@ -260,6 +265,7 @@ impl Machine {
         for s in SERVERS {
             let hung = self.control.status(s) == CompStatusCode::Hung;
             k.statuses[server(s)] = self.control.status(s);
+            k.intents[server(s)] = self.control.intent(s);
             let age = (now - k.hung_at[server(s)]).min(BOUND + 1);
             k.hung_at[server(s)] = if hung { T0 - age } else { T0 };
         }
@@ -274,10 +280,6 @@ impl Machine {
 
     fn status(&self, s: u8) -> CompStatusCode {
         self.control.status(s)
-    }
-
-    fn set_status(&mut self, s: u8, status: CompStatusCode) {
-        self.control.statuses[s as usize] = status;
     }
 
     /// The steps the environment can take here.
@@ -402,11 +404,13 @@ impl Machine {
                         self.after_ok(id(r), r);
                     }
                     Some(fault) => {
+                        // The reply closed the window (a state-modifying
+                        // send), and with it the chance of an error reply.
                         let replied = reply.is_some();
                         if !replied {
                             self.key.reqs[r].at = At::Pending;
                         }
-                        self.capture_fault(s, Pending::Req(r, replied), fault);
+                        self.fault(s, r, !replied, fault);
                     }
                 }
             }
@@ -420,7 +424,7 @@ impl Machine {
                 self.route_reply(req, reply);
                 match fault {
                     None => self.after_ok(id(INTERNAL), INTERNAL),
-                    Some(fault) => self.capture_fault(s, Pending::Internal, fault),
+                    Some(fault) => self.fault(s, INTERNAL, true, fault),
                 }
             }
             Event::Advance => {
@@ -436,16 +440,20 @@ impl Machine {
             Event::Service => self.service(),
             Event::Recover { quarantine } => {
                 let s = self.key.recovering.unwrap();
+                let quiescent = self.key.pending[server(s)].is_some_and(|p| p.quiescent);
                 if quarantine {
                     self.quarantine(s);
+                    self.bounce();
                 } else {
                     self.recover(s);
+                }
+                if quiescent && self.control.shutdown.is_some() {
+                    self.violation("a quiescent restart shut the machine down");
                 }
                 self.service();
             }
             Event::Kill(s) => {
-                self.set_status(s, CompStatusCode::Crashed);
-                self.recover(s);
+                self.kill_hung(s);
                 self.service();
             }
             Event::Bump => self.epoch += 1,
@@ -470,7 +478,7 @@ impl Machine {
         } else {
             SeepClass::NonStateModifying
         };
-        let effect = self.step(Input::Arm(id(r), dst, SeepMeta::request(class), attempt));
+        let effect = self.watchdog(Input::Arm(id(r), dst, SeepMeta::request(class), attempt));
         let full = self.key.table.slots.iter().all(|s| s.0.is_some());
         self.key.reqs[r].watched = matches!(effect, Effect::Armed(_));
         match effect {
@@ -480,14 +488,7 @@ impl Machine {
         }
         self.key.inbox[server(dst)].push(r);
         if self.status(dst) == CompStatusCode::Quarantined {
-            self.bounce(dst);
-        }
-    }
-
-    /// `Kernel::bounce_quarantined_mail`.
-    fn bounce(&mut self, s: u8) {
-        for r in std::mem::take(&mut self.key.inbox[server(s)]) {
-            self.send_crash_reply(r);
+            self.bounce();
         }
     }
 
@@ -511,144 +512,19 @@ impl Machine {
         }
     }
 
-    /// `Kernel::send_crash_reply`.
-    fn send_crash_reply(&mut self, r: usize) {
-        if let Some(r) = self.fails(id(r), r) {
-            self.answer(r);
-        }
-    }
-
-    /// `Kernel::capture_fault`, with the conduct of a live RS: a crash is
-    /// recovered at once, a hang waits for its detector.
-    fn capture_fault(&mut self, s: u8, pending: Pending, fault: Fault) {
-        self.epoch += 1;
-        self.key.pending[server(s)] = Some(pending);
-        match fault {
-            Fault::Crash => self.declare_dead(s),
-            Fault::Hang => {
-                self.set_status(s, CompStatusCode::Hung);
-                self.key.hung_at[server(s)] = self.now;
-            }
-        }
-    }
-
-    /// `Kernel::declare_dead`: the conduct notifies the RS.
-    fn declare_dead(&mut self, s: u8) {
-        self.set_status(s, CompStatusCode::Crashed);
-        self.control.recovering.get_or_insert(s);
-    }
-
-    /// `Kernel::execute_recovery` under the enhanced policy.
-    fn recover(&mut self, s: u8) {
-        let pending = self.key.pending[server(s)].take();
-        // The window closed at the reply, a state-modifying send, and so
-        // did the chance of an error reply. A restart carrier is quiescent:
-        // its heap committed, so a shutdown verdict degrades to a restart.
-        let open = !matches!(pending, Some(Pending::Req(_, true)));
+    /// Server `s`'s handler unwinds on `msg` (`open`: its window was open
+    /// and a reply possible).
+    fn fault(&mut self, s: u8, msg: usize, open: bool, fault: Fault) {
         let ctx = CrashContext {
             window_open: open,
             reply_possible: open,
-            in_recovery_code: false,
-            scoped_sends: false,
             requester_is_process: true,
+            ..CrashContext::default()
         };
-        let quiescent = pending == Some(Pending::Carrier);
-        if !quiescent && !system_survives(decide_recovery(&Enhanced, &ctx).action) {
-            self.control.shutdown = Some(true);
-            self.control.recovering = None;
-            return;
+        self.capture(s, msg, ctx, fault == Fault::Hang);
+        if fault == Fault::Hang {
+            self.key.hung_at[server(s)] = self.now;
         }
-        self.set_status(s, CompStatusCode::Alive);
-        self.control.recovering.take_if(|&mut r| r == s);
-        self.epoch += 1;
-        if let Some(Pending::Req(r, _)) = pending {
-            self.send_crash_reply(r);
-        }
-    }
-
-    /// `Kernel::execute_quarantine`, then the bounce of its mail.
-    fn quarantine(&mut self, s: u8) {
-        if let Some(Pending::Req(r, replied)) = self.key.pending[server(s)].take() {
-            if quarantine_answers(!replied, self.key.table.find(id(r)).is_some()) {
-                self.send_crash_reply(r);
-            }
-        }
-        self.set_status(s, CompStatusCode::Quarantined);
-        self.control.recovering = None;
-        self.bounce(s);
-    }
-
-    /// Asks the watchdog and executes its decision (`Kernel::watchdog`).
-    fn step(&mut self, input: Input) -> Effect {
-        let state = |i: usize| self.key.table.slots[i].0.map(|s| s.state);
-        self.reached |= match input {
-            Input::Due(i) if state(i) == Some(WdState::Rejected) => Path::SWEPT_REJECTED,
-            Input::Handled(i) if state(i) == Some(WdState::Doomed) => Path::HANDLED_DOOMED,
-            _ => 0,
-        };
-        let effect = self
-            .key
-            .table
-            .step(&self.control, self.now, self.epoch, input);
-        let benched = |s: u8| self.control.status(s) == CompStatusCode::Quarantined;
-        self.reached |= match effect {
-            Effect::Full => Path::FULL,
-            Effect::Hung(s, _) if s.captured => Path::HUNG_HOLDING,
-            Effect::Lost(_, s) if benched(s.dst) => Path::LOST_BENCHED,
-            Effect::Retry(_, s, Some(_), _) if s.state_modifying => Path::REDRIVEN_STATEFUL,
-            Effect::Retry(_, _, None, true) => Path::EXHAUSTED,
-            Effect::Verdict(_, VerdictCode::Slow) if !matches!(input, Input::Reply(..)) => {
-                Path::SLOW
-            }
-            Effect::Verdict(_, VerdictCode::CorruptReply) => Path::REJECTED,
-            Effect::Restart(_) => Path::RESTART,
-            _ => 0,
-        };
-        match effect {
-            Effect::Wait | Effect::Full | Effect::Capture | Effect::Armed(_) => {}
-            // The watchdog stops watching a request still queued after every
-            // probe round (or answered late, which settles it anyway).
-            Effect::Verdict(s, VerdictCode::Slow) => {
-                self.key.reqs[s.msg_id as usize - 1].watched = false;
-            }
-            Effect::Probe(_) | Effect::Verdict(..) => {}
-            Effect::Expired(i, _) => {
-                self.step(Input::Judge(i));
-            }
-            Effect::Hung(s, _) => {
-                if self.hang_age(s.dst, s.armed_at) > BOUND {
-                    self.violation("a hang was judged past its bound");
-                }
-                self.declare_dead(s.dst);
-            }
-            Effect::Lost(i, _) => {
-                self.step(Input::Fail(i));
-            }
-            Effect::Retry(i, req, backoff, _) => {
-                let Some(r) = self.key.table.slots[i].1.take() else {
-                    self.violation("a retry decision on a request the kernel does not hold");
-                    return effect;
-                };
-                let Some(backoff) = backoff else {
-                    self.send_crash_reply(r);
-                    return effect;
-                };
-                let rq = self.key.reqs[r];
-                if rq.state_modifying && self.epoch <= rq.epoch_armed {
-                    self.violation("a state-modifying request was re-driven in its epoch");
-                }
-                let rq = &mut self.key.reqs[r];
-                rq.attempt = req.attempt + 1;
-                rq.at = At::Parked {
-                    due: self.now + backoff,
-                };
-            }
-            Effect::Restart(c) => {
-                self.key.pending[server(c)] = Some(Pending::Carrier);
-                self.declare_dead(c);
-            }
-        }
-        effect
     }
 
     /// How long ago server `s` hung, or a slot armed after that watched it.
@@ -663,10 +539,7 @@ impl Machine {
         for r in 0..REQS {
             let req = &k.reqs[r];
             let queued = k.inbox.iter().flatten().filter(|&&q| q == r).count();
-            let pending = k
-                .pending
-                .iter()
-                .any(|p| matches!(p, Some(Pending::Req(q, _)) if *q == r));
+            let pending = k.pending.iter().any(|p| p.is_some_and(|p| p.msg == r));
             let copies = queued
                 + usize::from(pending)
                 + usize::from(matches!(req.at, At::Owed | At::Parked { .. }))
@@ -703,23 +576,192 @@ impl Machine {
     }
 }
 
-impl Host for Machine {
+impl conduct::Host for Machine {
     type Msg = usize;
 
+    fn control(&self) -> &ControlState {
+        &self.control
+    }
+
+    fn rs(&self) -> Option<u8> {
+        Some(RS)
+    }
+
+    fn policy(&self) -> &dyn RecoveryPolicy {
+        &Enhanced
+    }
+
+    fn name(&self, _: u8) -> &'static str {
+        ""
+    }
+
+    fn pending(&mut self, s: u8) -> &mut Option<PendingCrash<usize>> {
+        &mut self.key.pending[server(s)]
+    }
+
+    fn seal(&mut self, event: AxiomEvent) {
+        self.control.apply(self.now, &event);
+    }
+
+    fn stamp(&mut self) {}
+
+    fn emit(&mut self, _: u8, _: TraceEvent) {}
+
+    fn new_epoch(&mut self) {
+        self.epoch += 1;
+    }
+
+    /// The RS serves the notification in a `Recover` step.
+    fn notify_rs(&mut self, _: u8) {}
+
+    fn rs_queued(&self, _: u8, _: u8) -> bool {
+        false
+    }
+
+    fn replayed(&mut self, _: bool) {}
+
+    fn verify(&mut self, _: u8, _: bool) -> bool {
+        true
+    }
+
+    fn phase_faulted(&mut self, _: &'static str) -> bool {
+        false
+    }
+
+    fn roll_back(&mut self, _: u8) -> u64 {
+        0
+    }
+
+    fn restore(&mut self, _: u8) -> Option<u64> {
+        Some(0)
+    }
+
+    fn keep_state(&mut self, _: u8, quiescent: bool) -> u64 {
+        if quiescent {
+            self.reached |= Path::QUIESCENT;
+        }
+        0
+    }
+
+    fn charge_recovery(&mut self, _: u8, cycles: u64) -> u64 {
+        cycles
+    }
+
+    /// A client request is answered; the `E_CRASH` of an internal message
+    /// goes to another component, outside the model.
+    fn crash_reply(&mut self, _: u8, r: usize) {
+        if r < REQS {
+            if let Some(r) = self.fails(id(r), r) {
+                self.answer(r);
+            }
+        }
+    }
+
+    fn shutdown_reply(&mut self, _: u8, r: usize) -> Option<usize> {
+        Some(r)
+    }
+
+    fn kill_requester(&mut self, _: &usize) {
+        self.violation("the enhanced policy killed a requester");
+    }
+
+    fn watched(&self, &r: &usize) -> bool {
+        self.key.table.find(id(r)).is_some()
+    }
+
+    fn bench(&mut self, _: u8) {}
+
+    /// Every message queued to a server is a client request.
+    fn take_request(&mut self, s: u8) -> Option<usize> {
+        let inbox = &mut self.key.inbox[server(s)];
+        (!inbox.is_empty()).then(|| inbox.remove(0))
+    }
+
+    fn begin_shutdown(&mut self, _: String) -> bool {
+        if self.control.shutdown.is_none() {
+            self.seal(AxiomEvent::ShutdownDecision { controlled: true });
+        }
+        false
+    }
+
+    fn crash_shutdown(&mut self, _: String) {
+        self.seal(AxiomEvent::ShutdownDecision { controlled: false });
+    }
+}
+
+impl Host for Machine {
     fn table(&mut self) -> &mut Table<usize> {
         &mut self.key.table
     }
 
-    fn watchdog(&mut self, input: Input) {
-        self.step(input);
+    /// Steps the real table, noting the paths it takes and checking what
+    /// the effect is about to do.
+    fn step(&mut self, input: Input) -> Effect {
+        let state = |i: usize| self.key.table.slots[i].0.map(|s| s.state);
+        self.reached |= match input {
+            Input::Due(i) if state(i) == Some(WdState::Rejected) => Path::SWEPT_REJECTED,
+            Input::Handled(i) if state(i) == Some(WdState::Doomed) => Path::HANDLED_DOOMED,
+            _ => 0,
+        };
+        let effect = self
+            .key
+            .table
+            .step(&self.control, self.now, self.epoch, input);
+        let benched = |s: u8| self.control.status(s) == CompStatusCode::Quarantined;
+        self.reached |= match effect {
+            Effect::Full => Path::FULL,
+            Effect::Hung(s, _) if s.captured => Path::HUNG_HOLDING,
+            Effect::Lost(_, s) if benched(s.dst) => Path::LOST_BENCHED,
+            Effect::Retry(_, s, Some(_), _) if s.state_modifying => Path::REDRIVEN_STATEFUL,
+            Effect::Retry(_, _, None, true) => Path::EXHAUSTED,
+            Effect::Verdict(_, VerdictCode::Slow) if !matches!(input, Input::Reply(..)) => {
+                Path::SLOW
+            }
+            Effect::Verdict(_, VerdictCode::CorruptReply) => Path::REJECTED,
+            Effect::Restart(_) => Path::RESTART,
+            _ => 0,
+        };
+        match effect {
+            // The watchdog stops watching a request still queued after every
+            // probe round (or answered late, which settles it anyway).
+            Effect::Verdict(s, VerdictCode::Slow) => {
+                self.key.reqs[s.msg_id as usize - 1].watched = false;
+            }
+            Effect::Hung(s, _) if self.hang_age(s.dst, s.armed_at) > BOUND => {
+                self.violation("a hang was judged past its bound");
+            }
+            Effect::Retry(i, ..) if self.key.table.slots[i].1.is_none() => {
+                self.violation("a retry decision on a request the kernel does not hold");
+            }
+            _ => {}
+        }
+        effect
     }
 
-    fn now(&mut self) -> u64 {
+    fn now(&self) -> u64 {
         self.now
     }
 
     fn halted(&self) -> bool {
         self.control.shutdown.is_some() || self.control.recovering.is_some()
+    }
+
+    fn judged_hung(&mut self, _: u64) {}
+
+    fn park(&mut self, _: u8, attempt: u8, backoff: u64, r: usize) {
+        let rq = &mut self.key.reqs[r];
+        if rq.state_modifying && self.epoch <= rq.epoch_armed {
+            self.violations
+                .push("a state-modifying request was re-driven in its epoch");
+        }
+        rq.attempt = attempt;
+        rq.at = At::Parked {
+            due: self.now + backoff,
+        };
+    }
+
+    fn carrier(&mut self, _: u8) -> usize {
+        CARRIER
     }
 }
 
@@ -745,6 +787,7 @@ impl Model for Machine {
             pending: [None; N],
             hung_at: [T0; N],
             statuses: [CompStatusCode::Alive; N],
+            intents: [IntentSlot::default(); N],
             recovering: None,
             shutdown: false,
         }

@@ -7,6 +7,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use osiris_axiom::{AxiomLog, CompStatusCode, ControlState};
 use osiris_checkpoint::{ChunkStore, HeapImage, HeapStats, RestoreStats};
+use osiris_core::conduct::Host as _;
 use osiris_core::RecoveryWindow;
 use osiris_metrics::SeriesState;
 use osiris_trace::TracerState;
@@ -176,7 +177,10 @@ impl<P: Protocol> Kernel<P> {
         prev: Option<&KernelSnapshot<P>>,
     ) -> KernelSnapshot<P> {
         assert!(self.initialized, "snapshot() before init_components()");
-        assert!(!self.recovering(), "snapshot during recovery");
+        assert!(
+            self.control.recovering.is_none(),
+            "snapshot during recovery"
+        );
         assert!(
             self.shutdown.is_none() && self.shutdown_pending.is_none(),
             "snapshot after shutdown"
@@ -259,7 +263,7 @@ impl<P: Protocol> Kernel<P> {
     /// and booting a fresh fork.
     pub fn can_adopt(&self, snap: &KernelSnapshot<P>) -> bool {
         self.initialized
-            && !self.recovering()
+            && self.control.recovering.is_none()
             && self.shutdown.is_none()
             && self.shutdown_pending.is_none()
             && self.comps.len() == snap.comps.len()

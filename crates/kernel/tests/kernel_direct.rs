@@ -674,7 +674,7 @@ fn rs_crash_is_recovered_by_the_kernel_itself() {
     kernel.send_user_request(Endpoint::Component(1), Msg::Echo(9), SyscallId(1), Pid(1));
     kernel.pump();
     assert!(kernel.shutdown_state().is_none());
-    assert!(!kernel.recovering());
+    assert!(kernel.control_state().recovering.is_none());
 }
 
 #[test]
@@ -696,7 +696,7 @@ fn out_of_range_priv_op_targets_are_rejected_not_indexed() {
         [osiris_axiom::CompStatusCode::Alive; osiris_axiom::MAX_COMPS],
         "no component's status changes"
     );
-    assert!(control.quarantined_set().next().is_none() && !kernel.recovering());
+    assert!(control.quarantined_set().next().is_none() && control.recovering.is_none());
     assert!(kernel.shutdown_state().is_none());
     // Nothing was sealed on behalf of component 250: only the RS's own
     // window open/close reached the axiom.

@@ -38,15 +38,6 @@ const EXEC_BASE: u64 = 1_000_000;
 /// First disk block available for file data.
 const DATA_BASE: u64 = 2_000_000;
 
-fn fnv(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// A directory's `name → inode` bindings: a name-sorted vector of shared
 /// names. The undo record of a directory update is a copy of the whole
 /// inode, and this copy is one allocation whatever the directory holds (a
@@ -1264,7 +1255,7 @@ impl VfsServer {
 
     fn exec_load(&self, prog: &str, rp: ReturnPath, ctx: &mut Ctx<'_, OsMsg>) {
         ctx.site("vfs.exec.entry");
-        let block = EXEC_BASE + (fnv(prog) % 256);
+        let block = EXEC_BASE + (osiris_axiom::fnv1a_str(prog) % 256);
         self.run_or_park(VfsCont::ExecLoad { rp, block }, ctx);
     }
 

@@ -212,7 +212,7 @@ fn rs_hang_mid_conduct_is_recovered_like_an_rs_crash() {
             );
             let m = os.metrics();
             assert_eq!((m.hangs, m.controlled_shutdowns), (1, 0), "{case}");
-            assert!(!os.kernel().recovering(), "{case}");
+            assert!(os.kernel().control_state().recovering.is_none(), "{case}");
             assert!(os.audit().is_empty(), "{case}: {:?}", os.audit());
         }
     }
@@ -265,7 +265,10 @@ fn a_conduct_that_needs_a_hung_rs_restarts_it_first() {
             assert_eq!(vfs.recoveries, 1, "the victim recovers once");
         }
         assert_eq!(os.metrics().hangs, 1, "{policy:?}");
-        assert!(!os.kernel().recovering(), "{policy:?}");
+        assert!(
+            os.kernel().control_state().recovering.is_none(),
+            "{policy:?}"
+        );
     }
 }
 

@@ -200,7 +200,10 @@ fn ladder_decided_shutdown_answers_the_crashed_request_and_serves_the_save() {
         }
         other => panic!("expected a controlled end, got {other:?}"),
     }
-    assert!(!os.kernel().recovering(), "the shutdown ended the conduct");
+    assert!(
+        os.kernel().control_state().recovering.is_none(),
+        "the shutdown ended the conduct"
+    );
     let ds = os.reports().into_iter().find(|r| r.name == "ds").unwrap();
     assert!(
         ds.messages >= 2 && ds.writes >= 2,
