@@ -187,16 +187,18 @@ impl<'a, E: OsEngine> Driver<'a, E> {
         }
     }
 
-    fn check(&mut self, call: Syscall, ok: impl FnOnce(&SysReply) -> bool) {
-        if let Some(r) = self.call(call) {
-            if !ok(&r) {
-                self.failures += 1;
-            }
+    /// Makes `call` and counts a failure if its reply is not `ok`. Returns
+    /// whether a reply came and was `ok`.
+    fn check(&mut self, call: Syscall, ok: impl FnOnce(&SysReply) -> bool) -> bool {
+        let passed = self.call(call).map(|r| ok(&r));
+        if passed == Some(false) {
+            self.failures += 1;
         }
+        passed == Some(true)
     }
 
-    fn check_ok(&mut self, call: Syscall) {
-        self.check(call, |r| !matches!(r, SysReply::Err(_)));
+    fn check_ok(&mut self, call: Syscall) -> bool {
+        self.check(call, |r| !matches!(r, SysReply::Err(_)))
     }
 
     fn check_data(&mut self, call: Syscall, want: &[u8]) {
@@ -387,11 +389,12 @@ impl ScriptWorkload {
                 // Pipes and descriptor duplication.
                 match d.call(Syscall::Pipe) {
                     Some(SysReply::TwoDesc(r, w)) => {
-                        d.check_ok(Syscall::Write {
-                            fd: w,
-                            bytes: b"ping".to_vec(),
-                        });
-                        d.check_data(Syscall::Read { fd: r, len: 4 }, b"ping");
+                        // Read only what was written: a failed write left
+                        // the pipe empty, and a read would block on it.
+                        let bytes = b"ping".to_vec();
+                        if d.check_ok(Syscall::Write { fd: w, bytes }) {
+                            d.check_data(Syscall::Read { fd: r, len: 4 }, b"ping");
+                        }
                         if let Some(SysReply::Desc(d2)) = d.call(Syscall::Dup { fd: r }) {
                             d.check_ok(Syscall::Close { fd: d2 });
                         }

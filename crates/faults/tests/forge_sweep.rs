@@ -1,15 +1,30 @@
 //! End-to-end forge sweeps: deterministic results on every thread count,
 //! full coverage of the planned spaces, and a live frontier.
 
+use std::sync::OnceLock;
+
 use osiris_core::PolicyKind;
 use osiris_faults::{
-    forge_config_fail_silent, FaultModel, Forge, ForgeConfig, ForgeResult, ForgeVariant, Outcome,
+    forge_config_fail_silent, FaultModel, Forge, ForgeConfig, ForgePlan, ForgeResult, ForgeVariant,
+    Outcome,
 };
 use osiris_metrics::validate_prometheus;
 
 /// Minimum DoubleFault × DuringRecovery coverage (percent) within the
 /// budget.
 const RECOVERY_COVERAGE_FLOOR: f64 = 90.0;
+
+/// `ForgeConfig::default()`'s plan and its run, made once for every test
+/// that reads them.
+fn default_sweep() -> &'static (ForgePlan, ForgeResult) {
+    static SWEEP: OnceLock<(ForgePlan, ForgeResult)> = OnceLock::new();
+    SWEEP.get_or_init(|| {
+        let forge = Forge::new(ForgeConfig::default());
+        let plan = forge.plan();
+        let result = forge.run_plan(&plan);
+        (plan, result)
+    })
+}
 
 fn sweep(threads: usize) -> ForgeResult {
     let forge = Forge::new(ForgeConfig {
@@ -31,18 +46,22 @@ fn digest(bytes: &[u8]) -> u64 {
 /// records. A change to how records are collected must leave them alone.
 /// Re-pinned when quarantine stopped answering a request whose reply got
 /// through: the Stateless `vfs.post.account` and `vfs.post.done` crash
-/// cells close four spans fewer.
+/// cells close four spans fewer. Re-pinned again when the script stopped
+/// reading its pipe after a failed write: the Enhanced `vfs.pipe.write`
+/// and `vfs.pipe.write_done` persistent-crash cells end in `E_CRASH`
+/// instead of a hang on the script's own empty pipe.
 const SWEEP_DIGESTS: [u64; 4] = [
-    0xb738_53eb_dbbc_f086,
-    0x49de_a8b9_6637_dcda,
-    0x506b_7b27_bf76_e139,
+    0xb63a_a786_0c00_a38d,
+    0x4fc1_bab0_4d04_c800,
+    0x97e6_0f1c_7f9e_b29b,
     0x5c09_ac76_40e2_6adc,
 ];
 
 /// Digest of `sweep(1)`'s combined campaign and forge report, captured
 /// while both were still built as a value tree and then printed. Writing
-/// them straight into the JSON writer must not move a byte.
-const FORGE_REPORT_DIGEST: u64 = 0x902a_835a_34d2_dfef;
+/// them straight into the JSON writer must not move a byte. Re-pinned with
+/// `SWEEP_DIGESTS` for the script's pipe fix.
+const FORGE_REPORT_DIGEST: u64 = 0x9f6e_7630_8a01_fc6d;
 
 #[test]
 fn forge_sweep_is_thread_count_invariant() {
@@ -115,8 +134,7 @@ fn forge_budget_truncation_is_visible() {
 /// covered cells and never join the recovery-space denominator.
 #[test]
 fn refinement_cells_are_not_counted_as_planned() {
-    let forge = Forge::new(ForgeConfig::default());
-    let plan = forge.plan();
+    let (plan, res) = default_sweep();
     let recovery_path = |v: &&ForgeVariant| {
         matches!(
             v.model,
@@ -125,7 +143,6 @@ fn refinement_cells_are_not_counted_as_planned() {
     };
     let planned = plan.variants.iter().chain(&plan.deferred);
     let declared = planned.filter(recovery_path).count();
-    let res = forge.run_plan(&plan);
     assert!(res.report.refinements > 0, "the default sweep refines");
     assert_eq!(res.report.recovery_space.0, declared);
 }
@@ -171,8 +188,7 @@ fn default_sweep_clears_the_coverage_floors() {
 /// uncontrolled crashes carry a flight-recorder tail.
 #[test]
 fn exactly_the_crashes_carry_a_black_box() {
-    let result = Forge::new(ForgeConfig::default()).run();
-    let records = result.campaign.records();
+    let records = default_sweep().1.campaign.records();
     let crashes = records.iter().filter(|r| r.outcome == Outcome::Crash);
     assert!(crashes.count() > 0, "the default sweep has crashes to dump");
     for r in records {
@@ -180,4 +196,20 @@ fn exactly_the_crashes_carry_a_black_box() {
         assert_eq!(tail.is_some(), r.outcome == Outcome::Crash, "{:?}", r.site);
         assert_ne!(tail, Some(""), "empty tail for {:?}", r.site);
     }
+}
+
+/// The OSIRIS policies never crash the machine in the default sweep: a
+/// persistent fault in the script's pipe write is answered with `E_CRASH`
+/// and rolled back, and the script must not then block on its own empty
+/// pipe.
+#[test]
+fn the_osiris_policies_never_crash_in_the_default_sweep() {
+    let records = default_sweep().1.campaign.records();
+    let osiris = [PolicyKind::Enhanced, PolicyKind::Pessimistic].map(PolicyKind::label);
+    let crashed: Vec<_> = records
+        .iter()
+        .filter(|r| osiris.contains(&r.policy.as_str()) && r.outcome == Outcome::Crash)
+        .map(|r| (&r.policy, &r.site, r.kind))
+        .collect();
+    assert!(crashed.is_empty(), "{crashed:?}");
 }
