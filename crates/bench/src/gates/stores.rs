@@ -1,7 +1,7 @@
 //! Map stores move the binding they displace into the undo journal instead
 //! of copying it, a VFS write borrows its payload unless it parks on a disk
-//! read, and a handler keeps the payload it stores by moving it out of its
-//! message.
+//! read, a handler keeps the payload it stores by moving it out of its
+//! message, and a disk block is shared, never copied, once built.
 //!
 //! A warm default [`Os`] runs one batch: block-aligned 8 KiB writes over,
 //! and 4 KiB reads back from, two files of three times the 64-block VFS
@@ -9,8 +9,16 @@
 //! and `DsDel`s. The allocator calls of the batch repeat exactly and are
 //! held to their recorded value; every reply must be a success. The same
 //! batch runs again with the watchdog on, which lends each request it may
-//! re-drive to its handler instead of handing it over, so a stored payload
-//! is copied as it was before handlers owned their messages.
+//! re-drive to its handler instead of handing it over, so a stored `DsPut`
+//! key and value are copied as before handlers owned their messages; a
+//! lent `DiskWrite`'s block is shared.
+//!
+//! A warm default [`Os`] then runs block-aligned 4 KiB overwrites that
+//! each miss the cache, so each builds four new blocks and evicts four
+//! dirty ones to the disk. The eviction, the journal, the lent `DiskWrite`
+//! and the disk's queue share each block: every overwrite makes the same
+//! allocator calls with the watchdog on as off, [`OVERWRITE_ALLOCS`] when
+//! it splits no B-tree node, and all of them together an exact total.
 //!
 //! Single warm syscalls then pin what the pump costs: nothing of its own.
 //! A `GetPid` makes exactly one allocator call, the reply vector `Os::pump`
@@ -22,7 +30,7 @@
 use std::cell::Cell;
 
 use osiris_kernel::abi::{Fd, OpenFlags, Pid, SeekFrom, SysReply, Syscall};
-use osiris_kernel::{OsEngine, SyscallId, WatchdogConfig};
+use osiris_kernel::{cost, OsEngine, SyscallId, WatchdogConfig};
 use osiris_servers::{Os, OsConfig};
 
 use super::{Checks, Scale, Want};
@@ -30,13 +38,33 @@ use super::{Checks, Scale, Want};
 /// Allocator calls of one warm batch (3,440 while `PMap::insert` and
 /// `remove` cloned every displaced binding, eviction copied clean victims
 /// and each write copied its payload into its continuation; 2,603 while
-/// every handler borrowed its message and copied what it kept).
-const WARM_BATCH_ALLOCS: u64 = 1_803;
+/// every handler borrowed its message and copied what it kept; 1,803
+/// while a block was a vector, copied by every eviction, disk read reply
+/// and journaled removal from the disk's queue).
+const WARM_BATCH_ALLOCS: u64 = 875;
 
 /// The same batch with the watchdog on (2,603 while every handler
-/// borrowed). Only the requests it lends still copy what their handlers
-/// keep; the disk replies that fill the VFS cache are handed over.
-const WATCHED_BATCH_ALLOCS: u64 = 2_089;
+/// borrowed; 2,089 while a lent `DiskWrite` copied its block). Only the
+/// `DsPut` key and value its handler keeps from a lent request are still
+/// copied (see `watchdog.rs`'s `LENT_COPIES_PER_ROUND`).
+const WATCHED_BATCH_ALLOCS: u64 = 907;
+
+/// Allocator calls of one cache-missing, block-aligned 4 KiB overwrite,
+/// with the watchdog on or off: its four new blocks and the reply vector.
+/// Its four dirty evictions, their undo records, the `DiskWrite`s (lent
+/// when watched) and the disk's queue entries share those blocks. While a
+/// block was a vector this was six, ten watched: the undo record of the
+/// eviction made before the first `DiskWrite` closed the window copied its
+/// victim, and each lent `DiskWrite` copied its block.
+const OVERWRITE_ALLOCS: u64 = 5;
+
+/// Counted overwrite passes over the file.
+const COUNTED_PASSES: usize = 4;
+
+/// Allocator calls of all [`COUNTED_PASSES`]: the per-write floor plus 79
+/// leaf nodes of the VFS cache's B-tree, split as the cached block numbers
+/// move on (1,231, and 1,999 watched, while a block was a vector).
+const OVERWRITE_PASSES_ALLOCS: u64 = 1_039;
 
 /// Bytes per file: three times the 64 KiB the VFS cache holds.
 const FILE_BYTES: usize = 3 * 64 * 1024;
@@ -57,6 +85,15 @@ impl Driver {
                 return reply;
             }
             assert!(self.os.fire_next_timer(), "a syscall never replied");
+        }
+    }
+
+    /// Fires timers until the clock has moved `cycles` on: every disk
+    /// request queued so far completes.
+    fn settle(&mut self, cycles: u64) {
+        let until = self.os.now() + cycles;
+        while self.os.now() < until && self.os.fire_next_timer() {
+            assert!(self.os.pump().is_empty(), "no syscall is outstanding");
         }
     }
 
@@ -101,14 +138,17 @@ fn batch(fds: &[Fd], round: u8) -> Vec<Syscall> {
     calls
 }
 
-pub(super) fn checks(scale: Scale, c: &mut Checks) {
-    let watched = OsConfig {
+fn watched() -> OsConfig {
+    OsConfig {
         watchdog: WatchdogConfig::on(),
         ..OsConfig::default()
-    };
+    }
+}
+
+pub(super) fn checks(scale: Scale, c: &mut Checks) {
     for (case, cfg, want) in [
         ("warm", OsConfig::default(), WARM_BATCH_ALLOCS),
-        ("watched", watched, WATCHED_BATCH_ALLOCS),
+        ("watched", watched(), WATCHED_BATCH_ALLOCS),
     ] {
         let (errors, allocs) = warm_batch(c, cfg);
         c.push(format!("stores/{case}_batch_errors"), errors, Want::Eq(0));
@@ -117,6 +157,19 @@ pub(super) fn checks(scale: Scale, c: &mut Checks) {
             allocs,
             Want::Eq(want),
         );
+    }
+    let (off_errors, off) = overwrites(c, OsConfig::default());
+    let (on_errors, on) = overwrites(c, watched());
+    let errors = off_errors + on_errors;
+    c.push("stores/overwrite_errors".into(), errors, Want::Eq(0));
+    if !off.is_empty() {
+        let differ = off.iter().zip(&on).filter(|(a, b)| a != b).count() as u64;
+        let name = "stores/overwrite_on_vs_off_differing_writes".into();
+        c.push(name, differ, Want::Eq(0));
+        let name = "stores/overwrite_allocs_min".into();
+        c.push_allocs(name, off.iter().min().copied(), Want::Eq(OVERWRITE_ALLOCS));
+        let name = "stores/overwrite_allocs_total".into();
+        c.push(name, off.iter().sum(), Want::Eq(OVERWRITE_PASSES_ALLOCS));
     }
     let (warm, counted) = match scale {
         Scale::Full => (100, 1000),
@@ -245,4 +298,36 @@ fn warm_batch(c: &Checks, cfg: OsConfig) -> (u64, Option<u64>) {
     let calls = batch(&fds, 3);
     let (counted_errors, allocs) = c.counted(|| d.run(calls));
     (errors + counted_errors, allocs)
+}
+
+/// Fills a file of three times the cache, overwrites it once to warm every
+/// table and journal arena, then overwrites it [`COUNTED_PASSES`] more
+/// times with block-aligned 4 KiB writes, letting the disk finish the
+/// write-backs after each. Returns the error replies and the allocator
+/// calls of each counted write (none without a counter).
+fn overwrites(c: &Checks, cfg: OsConfig) -> (u64, Vec<u64>) {
+    const LEN: usize = 4096;
+    let mut d = Driver {
+        os: Os::new(cfg),
+        next_sid: 0,
+    };
+    let (path, flags) = ("/tmp/overwrite".to_string(), OpenFlags::RDWR_CREATE);
+    let SysReply::Desc(fd) = d.call(Syscall::Open { path, flags }) else {
+        panic!("open /tmp/overwrite failed")
+    };
+    let (mut errors, mut counted) = (0, Vec::new());
+    for pass in 0..2 + COUNTED_PASSES {
+        let from = SeekFrom::Start(0);
+        errors += d.run(vec![Syscall::Seek { fd, from }]);
+        for i in 0..FILE_BYTES / LEN {
+            let bytes = vec![pass as u8 ^ i as u8; LEN];
+            let (reply, calls) = d.counted(c, Syscall::Write { fd, bytes });
+            errors += u64::from(reply != SysReply::Val(LEN as i64));
+            d.settle(cost::DISK_LATENCY);
+            if pass >= 2 {
+                counted.extend(calls);
+            }
+        }
+    }
+    (errors, counted)
 }

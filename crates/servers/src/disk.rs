@@ -5,6 +5,12 @@
 //! completion time, reads return the committed contents (zeros for blocks
 //! never written). Because timers fire in submission order, a write to a
 //! block always commits before a later-submitted read of the same block.
+//!
+//! A block is one immutable [`Block`] from the VFS cache through the queue
+//! and the store and back as the read reply: each hand-off, journal record
+//! or lent request shares it, and none copies it.
+
+use std::sync::Arc;
 
 use osiris_checkpoint::{PCell, PMap};
 use osiris_kernel::{cost, Ctx, Delivery, ReturnPath, Server};
@@ -14,10 +20,17 @@ use crate::proto::OsMsg;
 /// Fixed block size of the simulated device, in bytes.
 pub const BLOCK_SIZE: usize = 1024;
 
+/// A block's bytes, [`BLOCK_SIZE`] long: shared, and never edited once
+/// built. A writer builds a new block; it never patches a shared one.
+pub type Block = Arc<[u8]>;
+
+/// What a never-written block reads as.
+pub(crate) const ZEROS: [u8; BLOCK_SIZE] = [0; BLOCK_SIZE];
+
 #[derive(Clone, Debug)]
 enum DiskOp {
     Read { block: u64 },
-    Write { block: u64, data: Vec<u8> },
+    Write { block: u64, data: Block },
 }
 
 #[derive(Clone, Debug)]
@@ -28,7 +41,7 @@ struct Pending {
 
 #[derive(Clone, Copy, Debug)]
 struct Handles {
-    blocks: PMap<u64, Vec<u8>>,
+    blocks: PMap<u64, Block>,
     pending: PMap<u64, Pending>,
     next_token: PCell<u64>,
     ops: PCell<u64>,
@@ -60,7 +73,7 @@ impl DiskDriver {
                 let data = h
                     .blocks
                     .cloned(ctx.heap_ref(), &block)
-                    .unwrap_or_else(|| vec![0u8; BLOCK_SIZE]);
+                    .unwrap_or_else(|| Block::from(&ZEROS[..]));
                 ctx.reply(p.rp, OsMsg::RData(data));
             }
             DiskOp::Write { block, data } => {
@@ -89,8 +102,8 @@ impl Server<OsMsg> for DiskDriver {
     fn handle(&mut self, msg: Delivery<'_, OsMsg>, ctx: &mut Ctx<'_, OsMsg>) {
         let h = self.h();
         let rp = msg.return_path();
-        // A write's block moves out of the message into the queue: it is
-        // copied only when the kernel lent the request.
+        // A write's block moves out of the message into the queue; when
+        // the kernel lent the request, the block is shared, not copied.
         let op = match msg.take_payload() {
             OsMsg::DiskRead { block } => {
                 ctx.site("disk.read.queue");

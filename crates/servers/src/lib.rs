@@ -48,7 +48,7 @@ mod topology;
 mod vfs;
 mod vm;
 
-pub use disk::{DiskDriver, BLOCK_SIZE};
+pub use disk::{Block, DiskDriver, BLOCK_SIZE};
 pub use ds::{DataStore, MAX_KEYS};
 pub use os::{Os, OsConfig, OsSnapshot};
 /// The recorder configurations an [`OsConfig`] holds.

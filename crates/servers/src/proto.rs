@@ -25,6 +25,8 @@ use osiris_core::{SeepClass, SeepMeta};
 use osiris_kernel::abi::{Errno, Pid, SysReply, Syscall};
 use osiris_kernel::Protocol;
 
+use crate::disk::Block;
+
 /// Every message exchanged in the OSIRIS OS.
 #[derive(Clone, Debug)]
 pub enum OsMsg {
@@ -109,8 +111,8 @@ pub enum OsMsg {
     DiskWrite {
         /// Block number.
         block: u64,
-        /// Block contents.
-        data: Vec<u8>,
+        /// Block contents, shared with the sender's cache.
+        data: Block,
     },
 
     // --- generic inter-server replies ---
@@ -118,8 +120,8 @@ pub enum OsMsg {
     ROk,
     /// Success with an integer.
     RVal(u64),
-    /// Success with bytes (disk read).
-    RData(Vec<u8>),
+    /// Success with a block (disk read), shared with the disk's store.
+    RData(Block),
     /// Failure.
     RErr(Errno),
     /// The replier crashed and was recovered; the request was discarded
@@ -473,7 +475,7 @@ mod tests {
             OsMsg::DiskRead { block: 0 },
             OsMsg::DiskWrite {
                 block: 0,
-                data: vec![],
+                data: vec![].into(),
             },
         ] {
             assert_eq!(m.seep().class, SeepClass::StateModifying, "{}", m.label());
@@ -585,8 +587,8 @@ mod tests {
         // Different payloads of the same variant differ…
         assert_ne!(OsMsg::RVal(1).digest(), OsMsg::RVal(2).digest());
         assert_ne!(
-            OsMsg::RData(vec![1, 2]).digest(),
-            OsMsg::RData(vec![1, 3]).digest()
+            OsMsg::RData(vec![1, 2].into()).digest(),
+            OsMsg::RData(vec![1, 3].into()).digest()
         );
         assert_ne!(
             OsMsg::UserReply(SysReply::Val(7)).digest(),
@@ -603,8 +605,8 @@ mod tests {
             let mut b = a.clone();
             b[len - 1] ^= 1;
             assert_ne!(
-                OsMsg::RData(a).digest(),
-                OsMsg::RData(b).digest(),
+                OsMsg::RData(a.into()).digest(),
+                OsMsg::RData(b.into()).digest(),
                 "len {len}"
             );
         }
@@ -616,8 +618,8 @@ mod tests {
         );
         // …and equal payloads agree (the property the integrity check uses).
         assert_eq!(
-            OsMsg::RData(vec![9; 32]).digest(),
-            OsMsg::RData(vec![9; 32]).digest()
+            OsMsg::RData(vec![9; 32].into()).digest(),
+            OsMsg::RData(vec![9; 32].into()).digest()
         );
     }
 

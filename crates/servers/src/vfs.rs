@@ -21,7 +21,7 @@ use osiris_cothread::{CoPool, ThreadId};
 use osiris_kernel::abi::{Errno, Fd, FileStat, OpenFlags, Pid, SeekFrom, SysReply, Syscall};
 use osiris_kernel::{Ctx, Delivery, Protocol, ReturnPath, Server};
 
-use crate::disk::BLOCK_SIZE;
+use crate::disk::{Block, BLOCK_SIZE, ZEROS};
 use crate::os::{Facts, Torn};
 use crate::proto::OsMsg;
 use crate::topology::Topology;
@@ -133,7 +133,8 @@ struct Pipe {
 
 #[derive(Clone, Debug)]
 struct CacheBlock {
-    data: Vec<u8>,
+    /// Shared with the disk's queue and store once written back.
+    data: Block,
     dirty: bool,
     stamp: u64,
 }
@@ -270,7 +271,7 @@ impl VfsServer {
 
     /// Inserts `data` for `block` into the cache (evicting if over
     /// capacity) with the given dirty flag.
-    fn cache_insert(&self, block: u64, data: Vec<u8>, dirty: bool, ctx: &mut Ctx<'_, OsMsg>) {
+    fn cache_insert(&self, block: u64, data: Block, dirty: bool, ctx: &mut Ctx<'_, OsMsg>) {
         let h = self.h();
         if !h.cache.contains_key(ctx.heap_ref(), &block)
             && h.cache.len(ctx.heap_ref()) >= self.cache_cap
@@ -306,18 +307,17 @@ impl VfsServer {
                 h.cache.delete(ctx.heap(), &b);
             }
             Some((_, b, true)) => {
-                let victim = h.cache.remove(ctx.heap(), &b).expect("victim just seen");
-                // The write travels with the message; no thread waits for it.
-                let data = victim.data;
+                // The journal and the write share the victim's block. The
+                // write travels with the message; no thread waits for it.
+                let data = h
+                    .cache
+                    .remove(ctx.heap(), &b)
+                    .expect("victim just seen")
+                    .data;
                 ctx.send_request(self.topo.disk, OsMsg::DiskWrite { block: b, data });
             }
             None => {}
         }
-    }
-
-    /// A copy of `block`'s cached bytes, for read-modify-write.
-    fn cached(&self, block: u64, heap: &Heap) -> Option<Vec<u8>> {
-        self.h().cache.with(heap, &block, |c| c.data.clone())
     }
 
     // ------------------------------------------------------------------
@@ -604,17 +604,21 @@ impl VfsServer {
             let s = off.max(block_start);
             let e = end.min(block_start + BLOCK_SIZE as u64);
             let src = &data[(s - off) as usize..(e - off) as usize];
-            // A block the write covers entirely is the payload slice; only a
-            // partial one starts from the cached bytes (or zeros).
+            // Every write builds one new block: a block the write covers
+            // entirely is the payload slice; a partial one is a fresh copy
+            // of the cached bytes (or zeros), patched before anyone shares
+            // it. The old block stays as it was for the journal and the disk.
             let bytes = if src.len() == BLOCK_SIZE {
-                src.to_vec()
+                Block::from(src)
             } else {
-                let mut bytes = self
-                    .cached(block, ctx.heap_ref())
-                    .unwrap_or_else(|| vec![0u8; BLOCK_SIZE]);
-                bytes.resize(BLOCK_SIZE, 0);
+                let mut bytes = h
+                    .cache
+                    .with(ctx.heap_ref(), &block, |c| Block::from(&c.data[..]))
+                    .unwrap_or_else(|| Block::from(&ZEROS[..]));
                 let dst_s = (s - block_start) as usize;
-                bytes[dst_s..dst_s + src.len()].copy_from_slice(src);
+                Arc::get_mut(&mut bytes).expect("a fresh block has one owner")
+                    [dst_s..dst_s + src.len()]
+                    .copy_from_slice(src);
                 bytes
             };
             self.cache_insert(block, bytes, true, ctx);

@@ -489,6 +489,38 @@ fn crash_inside_window_recovers_with_ecrash() {
     assert_eq!(pm.recoveries, 1);
 }
 
+/// A multi-block write crashes at `vfs.write.block`, after it replaced
+/// the cache's handles to its earlier blocks with new blocks. The window
+/// is still open, so VFS rolls back: each earlier block's handle comes back
+/// from the undo journal, and its bytes are as they were. That includes a
+/// block fsynced just before, whose bytes the disk's store shares, and a
+/// block dirtied after that sync.
+#[test]
+fn a_rolled_back_write_leaves_shared_blocks_as_they_were() {
+    let (outcome, os) = run_with_crash(PolicyKind::Enhanced, "vfs.write.block", |sys| {
+        let fd = sys.open("/tmp/shared.bin", OpenFlags::RDWR_CREATE).unwrap();
+        let mut model: Vec<u8> = (0..3 * 1024).map(|i| (i % 251) as u8).collect();
+        // One block per write: `vfs.write.block` probes only multi-block
+        // writes.
+        for chunk in model.chunks(1024) {
+            assert_eq!(sys.write(fd, chunk).unwrap(), 1024);
+        }
+        sys.fsync(fd).unwrap();
+        sys.seek(fd, SeekFrom::Start(1100)).unwrap();
+        assert_eq!(sys.write(fd, &[0x77; 100]).unwrap(), 100);
+        model[1100..1200].fill(0x77);
+        sys.seek(fd, SeekFrom::Start(0)).unwrap();
+        assert_eq!(sys.write(fd, &[0xEE; 3 * 1024]), Err(Errno::ECRASH));
+        sys.seek(fd, SeekFrom::Start(0)).unwrap();
+        assert_eq!(sys.read(fd, 3 * 1024).unwrap(), model);
+        0
+    });
+    expect_clean(&outcome, &os);
+    assert_eq!(os.metrics().recovered_rollback, 1);
+    let vfs = os.reports().into_iter().find(|r| r.name == "vfs").unwrap();
+    assert_eq!((vfs.crashes, vfs.recoveries), (1, 1));
+}
+
 #[test]
 fn crash_after_state_modifying_send_shuts_down() {
     // `pm.fork.vm_sent` runs after the VmFork request (state-modifying):

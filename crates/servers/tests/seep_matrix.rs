@@ -129,7 +129,7 @@ fn full_classification_matrix() {
         (
             OsMsg::DiskWrite {
                 block: 0,
-                data: vec![],
+                data: vec![].into(),
             },
             Request,
             StateModifying,
@@ -138,7 +138,7 @@ fn full_classification_matrix() {
         // Replies: conservative.
         (OsMsg::ROk, Reply, StateModifying, false),
         (OsMsg::RVal(1), Reply, StateModifying, false),
-        (OsMsg::RData(vec![]), Reply, StateModifying, false),
+        (OsMsg::RData(vec![].into()), Reply, StateModifying, false),
         (OsMsg::RErr(Errno::EIO), Reply, StateModifying, false),
         (OsMsg::RCrash, Reply, StateModifying, false),
         (OsMsg::Pong, Reply, StateModifying, false),
@@ -225,7 +225,7 @@ fn only_announce_and_reads_keep_enhanced_windows_open() {
         .seep(),
         OsMsg::DiskWrite {
             block: 0,
-            data: vec![],
+            data: vec![].into(),
         }
         .seep(),
         OsMsg::VmFreeSelf { pid: Pid(1) }.seep(), // scoped: closes under plain enhanced

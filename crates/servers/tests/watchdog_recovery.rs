@@ -5,6 +5,7 @@
 
 use osiris_axiom::{AxiomEvent, VerdictCode};
 use osiris_faults::{FaultKind, FaultPlan, Injector};
+use osiris_kernel::abi::{OpenFlags, SeekFrom};
 use osiris_kernel::{FaultEffect, FaultHook, Probe, RunOutcome, WatchdogConfig};
 use osiris_metrics::validate_prometheus;
 use osiris_servers::{Os, OsConfig};
@@ -359,5 +360,56 @@ fn a_request_held_at_a_hung_component_stays_watched() {
         "the held load is re-driven: {:?}",
         retry_decisions(&os)
     );
+    assert!(os.audit().is_empty(), "audit: {:?}", os.audit());
+}
+
+/// A `DiskWrite` is watched, so the kernel lends it to the disk, which
+/// takes a handle to the block while the kernel keeps the original. A
+/// transient crash at `disk.write.queue`, after the take, rolls the disk
+/// back, and the kernel re-drives its original; `fsync` returns once that
+/// write is acknowledged. A second file then pushes the synced blocks out
+/// of the cache, and every one reads back from the disk byte for byte.
+#[test]
+fn a_crash_after_the_disk_takes_a_lent_block_loses_no_byte() {
+    osiris_kernel::install_quiet_panic_hook();
+    let mut registry = ProgramRegistry::new();
+    registry.register("main", |sys| {
+        let model: Vec<u8> = (0..16 * 1024).map(|i| (i % 253) as u8).collect();
+        let (Ok(fd), Ok(other)) = (
+            sys.open("/tmp/synced.bin", OpenFlags::RDWR_CREATE),
+            sys.open("/tmp/thrash.bin", OpenFlags::RDWR_CREATE),
+        ) else {
+            return 1;
+        };
+        if sys.write(fd, &model) != Ok(model.len() as u32) || sys.fsync(fd).is_err() {
+            return 2;
+        }
+        for _ in 0..16 {
+            if sys.write(other, &[0xEE; 8192]) != Ok(8192) {
+                return 3;
+            }
+        }
+        if sys.seek(fd, SeekFrom::Start(0)).is_err() {
+            return 4;
+        }
+        match sys.read(fd, model.len() as u32) {
+            Ok(got) if got == model => 0,
+            _ => 5,
+        }
+    });
+    let mut os = Os::new(wd_cfg());
+    let plan = FaultPlan::once(FaultKind::Crash, "disk.write.queue");
+    os.set_fault_hook(Box::new(Injector::new(&plan)));
+    let mut host = Host::new(os, registry);
+    let outcome = host.run("main", &[]);
+    let os = host.into_engine();
+    let m = os.metrics();
+    assert!(
+        matches!(outcome, RunOutcome::Completed { init_code: 0, .. }),
+        "every synced block must read back: {outcome:?}, {m:?}"
+    );
+    let disk = os.reports().into_iter().find(|r| r.name == "disk").unwrap();
+    assert_eq!((disk.crashes, disk.recoveries), (1, 1));
+    assert_eq!((m.recovered_rollback, m.retries_granted), (1, 1));
     assert!(os.audit().is_empty(), "audit: {:?}", os.audit());
 }
