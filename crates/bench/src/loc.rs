@@ -163,17 +163,19 @@ mod tests {
     /// closure searches now run that code instead of a copy of it. Crash
     /// capture, the recovery phases, the shutdown, the quarantine and the
     /// watchdog's effect arms followed without growing the RCB: the kernel
-    /// keeps only their effects. The fault injector, outside the RCB, has
-    /// one site profiler and a campaign that is its ordered records.
+    /// keeps only their effects. A handler fault's crash facts are one
+    /// `osiris-core` constructor that the kernel and both closure searches
+    /// call. The fault injector, outside the RCB, has one site profiler and
+    /// a campaign that is its ordered records.
     #[test]
     fn rcb_stays_under_its_ceiling() {
         let report = count_workspace_loc();
-        let caps = [("kernel", 2_249), ("checkpoint", 3_089), ("faults", 2_400)];
+        let caps = [("kernel", 2_246), ("checkpoint", 3_089), ("faults", 2_400)];
         for (name, cap) in caps {
             let row = report.crates.iter().find(|c| c.name == name).unwrap();
             assert!(row.loc <= cap, "{name} {}", row.loc);
         }
-        assert!(report.rcb_total() <= 7_112, "rcb {}", report.rcb_total());
+        assert!(report.rcb_total() <= 7_100, "rcb {}", report.rcb_total());
         assert!(report.rcb_pct() < 25.0, "rcb {}%", report.rcb_pct());
     }
 

@@ -48,15 +48,14 @@
 //! window.on_send(&policy, &SeepMeta::request(SeepClass::NonStateModifying), &mut heap);
 //! assert!(window.is_open());
 //!
-//! // The handler crashes; decide what to do.
+//! // The handler crashes before replying to the request; decide what to do.
+//! let request = SeepMeta::request(SeepClass::StateModifying);
 //! let decision = decide_recovery(
 //!     &policy,
 //!     &CrashContext {
-//!         window_open: window.is_open(),
-//!         reply_possible: true,
-//!         in_recovery_code: false,
 //!         scoped_sends: window.had_scoped_sends(),
 //!         requester_is_process: true,
+//!         ..CrashContext::handler_fault(&request, window.is_open(), false)
 //!     },
 //! );
 //! assert_eq!(decision.action, ActionCode::RollbackErrorReply);

@@ -15,6 +15,7 @@
 pub use osiris_trace::ActionCode;
 
 use crate::policy::RecoveryPolicy;
+use crate::seep::{MessageKind, SeepMeta};
 
 /// Everything the reconciliation decision depends on at crash time. The
 /// default is a quiescent component's: between requests, with nothing to
@@ -33,6 +34,45 @@ pub struct CrashContext {
     pub scoped_sends: bool,
     /// Is the failure-triggering requester a user process (killable)?
     pub requester_is_process: bool,
+}
+
+impl CrashContext {
+    /// The facts of a handler that unwound while serving a message engraved
+    /// `seep`, its window open or not: an error reply can reach the
+    /// requester only if the message is a request that can be answered and
+    /// the handler has not replied yet. The caller adds what only it knows
+    /// (scoped sends, whether the requester is a process).
+    ///
+    /// ```
+    /// use osiris_core::{decide_recovery, ActionCode, CrashContext, Enhanced, Pessimistic};
+    /// use osiris_core::{RecoveryPolicy, SeepClass, SeepMeta};
+    ///
+    /// let request = SeepMeta::request(SeepClass::StateModifying);
+    /// let open = |seep, replied| CrashContext::handler_fault(&seep, true, replied);
+    /// // An unanswered request in an open window is rolled back and answered.
+    /// for policy in [&Enhanced as &dyn RecoveryPolicy, &Pessimistic] {
+    ///     let decision = decide_recovery(policy, &open(request, false));
+    ///     assert_eq!(decision.action, ActionCode::RollbackErrorReply);
+    /// }
+    /// // A request already answered, a one-way request, a reply (the disk's,
+    /// // say) or a notification cannot be: the window's changes may be seen.
+    /// let one_way = SeepMeta { reply_possible: false, ..request };
+    /// let reply = SeepMeta::reply(SeepClass::StateModifying);
+    /// let note = SeepMeta::notification(SeepClass::NonStateModifying);
+    /// for facts in [open(request, true), open(one_way, false), open(reply, false), open(note, false)] {
+    ///     assert!(!facts.reply_possible);
+    ///     let decision = decide_recovery(&Enhanced, &facts);
+    ///     assert_eq!(decision.action, ActionCode::ControlledShutdown);
+    /// }
+    /// assert!(!CrashContext::handler_fault(&request, false, false).window_open);
+    /// ```
+    pub fn handler_fault(seep: &SeepMeta, window_open: bool, replied: bool) -> Self {
+        CrashContext {
+            window_open,
+            reply_possible: seep.kind == MessageKind::Request && seep.reply_possible && !replied,
+            ..CrashContext::default()
+        }
+    }
 }
 
 /// Whether `action` keeps the system running.
@@ -76,7 +116,6 @@ pub fn decide_recovery(policy: &dyn RecoveryPolicy, crash: &CrashContext) -> Rec
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{Enhanced, Pessimistic};
 
     #[test]
     fn survival_classification() {
@@ -91,24 +130,5 @@ mod tests {
     fn error_reply_suppressed_on_shutdown() {
         let d = RecoveryDecision::new(ActionCode::ControlledShutdown, true);
         assert!(!d.error_reply);
-    }
-
-    #[test]
-    fn decide_recovery_delegates_to_policy() {
-        let ctx = CrashContext {
-            window_open: true,
-            reply_possible: true,
-            in_recovery_code: false,
-            scoped_sends: false,
-            requester_is_process: true,
-        };
-        assert_eq!(
-            decide_recovery(&Enhanced, &ctx).action,
-            ActionCode::RollbackErrorReply
-        );
-        assert_eq!(
-            decide_recovery(&Pessimistic, &ctx).action,
-            ActionCode::RollbackErrorReply
-        );
     }
 }

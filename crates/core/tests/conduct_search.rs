@@ -42,6 +42,7 @@ use std::cell::Cell;
 use osiris_axiom::{AxiomEvent, CompStatusCode, ControlState, IntentPhaseCode, IntentSlot};
 use osiris_core::conduct::{Host, PendingCrash};
 use osiris_core::{conduct, ActionCode, CrashContext, Effect, Enhanced, Input, RecoveryPolicy};
+use osiris_core::{SeepClass, SeepMeta};
 use osiris_trace::TraceEvent;
 use support::Model;
 
@@ -232,12 +233,18 @@ impl Machine {
     fn take(&mut self, step: Step) {
         self.armed = step.phase_fault;
         match step.event {
-            Event::Fault { comp, hang, open } => self.fault(comp, hang, open),
+            Event::Fault { comp, hang, open } => {
+                let request = SeepMeta::request(SeepClass::StateModifying);
+                self.fault(comp, request, hang, open)
+            }
             Event::RsFault { site, hang } => {
                 self.inbox.remove(0);
                 // Past `rs.recover.issued` the RS has published the intent
                 // to DS, a state-modifying send that closed its window.
-                self.fault(RS, hang, site != "rs.recover.issued");
+                // The RS runs the conduct on a crash notification, which no
+                // error reply can answer.
+                let notify = SeepMeta::notification(SeepClass::NonStateModifying);
+                self.fault(RS, notify, hang, site != "rs.recover.issued");
             }
             Event::Serve(ladder) => {
                 let target = self.inbox.remove(0);
@@ -259,14 +266,10 @@ impl Machine {
         self.armed = None;
     }
 
-    /// `comp`'s handler unwinds: `open`, its window was open and a reply
-    /// possible.
-    fn fault(&mut self, comp: u8, hang: bool, open: bool) {
-        let ctx = CrashContext {
-            window_open: open,
-            reply_possible: open,
-            ..CrashContext::default()
-        };
+    /// `comp`'s handler unwinds on a message engraved `seep`: `open`, its
+    /// window was open and it had not replied. The facts are the kernel's.
+    fn fault(&mut self, comp: u8, seep: SeepMeta, hang: bool, open: bool) {
+        let ctx = CrashContext::handler_fault(&seep, open, !open);
         self.capture(comp, (), ctx, hang);
     }
 }

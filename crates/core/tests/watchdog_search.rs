@@ -13,8 +13,10 @@
 //! own: `watchdog::Host`'s and `conduct::Host`'s provided methods, run on
 //! a [`Machine`] that supplies the effects, under the enhanced policy with
 //! a live Recovery Server: a crash before the handler replied is rolled
-//! back and answered with `E_CRASH`, one after it replied shuts the machine
-//! down, and a quiescent restart keeps the heap.
+//! back and answered with `E_CRASH`, one after it replied, or on the
+//! internal reply that completes a deferred request, shuts the machine
+//! down (the crash facts are `CrashContext::handler_fault`'s, as in the
+//! kernel), and a quiescent restart keeps the heap.
 //!
 //! Each step is one input: the client sends a request; the server handles
 //! its next request, replying (intact, dropped or corrupt) or not, and then
@@ -67,6 +69,11 @@ const SLOTS: usize = 1;
 const REQS: usize = 2;
 /// An internal message: no request of the client's, so no slot watches it.
 const INTERNAL: usize = REQS;
+/// How the internal message a deferred completion runs on is engraved: a
+/// reply (the disk's, to a parked read), which no error reply can answer.
+fn internal_seep() -> SeepMeta {
+    SeepMeta::reply(SeepClass::StateModifying)
+}
 /// The placeholder a quiescent restart carries.
 const CARRIER: usize = REQS + 1;
 /// The Recovery Server's endpoint.
@@ -127,6 +134,16 @@ struct Req {
     /// Whether its current delivery found a slot.
     watched: bool,
     answers: u8,
+}
+
+impl Req {
+    fn class(&self) -> SeepClass {
+        if self.state_modifying {
+            SeepClass::StateModifying
+        } else {
+            SeepClass::NonStateModifying
+        }
+    }
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -410,7 +427,8 @@ impl Machine {
                         if !replied {
                             self.key.reqs[r].at = At::Pending;
                         }
-                        self.fault(s, r, !replied, fault);
+                        let seep = SeepMeta::request(self.key.reqs[r].class());
+                        self.fault(s, r, seep, !replied, fault);
                     }
                 }
             }
@@ -424,7 +442,7 @@ impl Machine {
                 self.route_reply(req, reply);
                 match fault {
                     None => self.after_ok(id(INTERNAL), INTERNAL),
-                    Some(fault) => self.fault(s, INTERNAL, true, fault),
+                    Some(fault) => self.fault(s, INTERNAL, internal_seep(), true, fault),
                 }
             }
             Event::Advance => {
@@ -473,11 +491,7 @@ impl Machine {
         let (dst, attempt) = (req.dst, req.attempt);
         req.at = At::Queued;
         req.epoch_armed = self.epoch;
-        let class = if req.state_modifying {
-            SeepClass::StateModifying
-        } else {
-            SeepClass::NonStateModifying
-        };
+        let class = req.class();
         let effect = self.watchdog(Input::Arm(id(r), dst, SeepMeta::request(class), attempt));
         let full = self.key.table.slots.iter().all(|s| s.0.is_some());
         self.key.reqs[r].watched = matches!(effect, Effect::Armed(_));
@@ -512,14 +526,13 @@ impl Machine {
         }
     }
 
-    /// Server `s`'s handler unwinds on `msg` (`open`: its window was open
-    /// and a reply possible).
-    fn fault(&mut self, s: u8, msg: usize, open: bool, fault: Fault) {
+    /// Server `s`'s handler unwinds on `msg`, engraved `seep` (`open`: its
+    /// window was open and it had not replied). The facts are the kernel's:
+    /// only an unanswered request can be error-replied.
+    fn fault(&mut self, s: u8, msg: usize, seep: SeepMeta, open: bool, fault: Fault) {
         let ctx = CrashContext {
-            window_open: open,
-            reply_possible: open,
             requester_is_process: true,
-            ..CrashContext::default()
+            ..CrashContext::handler_fault(&seep, open, !open)
         };
         self.capture(s, msg, ctx, fault == Fault::Hang);
         if fault == Fault::Hang {

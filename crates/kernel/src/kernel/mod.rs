@@ -910,13 +910,10 @@ impl<P: Protocol> Kernel<P> {
                 // Privileged ops take effect only when the handler returns.
                 self.scratch.priv_ops.clear();
                 let window = &self.comps[idx].window;
-                let replyable = msg.seep.kind == MessageKind::Request && msg.seep.reply_possible;
                 let ctx = CrashContext {
-                    window_open: window.is_open(),
-                    reply_possible: replyable && !replied,
                     scoped_sends: window.had_scoped_sends(),
                     requester_is_process: matches!(msg.src, Endpoint::Process(_)),
-                    ..CrashContext::default()
+                    ..CrashContext::handler_fault(&msg.seep, window.is_open(), replied)
                 };
                 // A mid-handler close (DisallowedSend / ThreadYield) may have
                 // been staged before the panic propagated; seal it first so
