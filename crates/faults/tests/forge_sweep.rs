@@ -49,19 +49,22 @@ fn digest(bytes: &[u8]) -> u64 {
 /// cells close four spans fewer. Re-pinned again when the script stopped
 /// reading its pipe after a failed write: the Enhanced `vfs.pipe.write`
 /// and `vfs.pipe.write_done` persistent-crash cells end in `E_CRASH`
-/// instead of a hang on the script's own empty pipe.
+/// instead of a hang on the script's own empty pipe. The exposition
+/// moved once more when disk blocks became shared handles: only
+/// `fork_dirty_bytes` and `snapshot_manifest_bytes`, whose `size_of`-based
+/// accounting sees a 16-byte handle where it saw a 24-byte vector.
 const SWEEP_DIGESTS: [u64; 4] = [
     0xb63a_a786_0c00_a38d,
     0x4fc1_bab0_4d04_c800,
-    0x97e6_0f1c_7f9e_b29b,
+    0x975c_3d55_f368_b4f0,
     0x5c09_ac76_40e2_6adc,
 ];
 
 /// Digest of `sweep(1)`'s combined campaign and forge report, captured
 /// while both were still built as a value tree and then printed. Writing
 /// them straight into the JSON writer must not move a byte. Re-pinned with
-/// `SWEEP_DIGESTS` for the script's pipe fix.
-const FORGE_REPORT_DIGEST: u64 = 0x9f6e_7630_8a01_fc6d;
+/// `SWEEP_DIGESTS` for the script's pipe fix and for shared disk blocks.
+const FORGE_REPORT_DIGEST: u64 = 0x616b_df98_39c7_9b66;
 
 #[test]
 fn forge_sweep_is_thread_count_invariant() {
